@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d  # noqa: E402
 from synfuzz.codespec import parse_spec  # noqa: E402
 from synfuzz.expand import ExpandedCode  # noqa: E402
-from synfuzz.fuzzy import data_alphabet, data_shape, enroll, verify  # noqa: E402
+from synfuzz.fuzzy import enroll, verify  # noqa: E402
 
 ROSTER = [
     "cI(rs(15,7;gf(2^4)))",
@@ -28,8 +28,8 @@ ROSTER = [
 
 
 def accept_rate(code, size, trials, rng):
-    shape = data_shape(code)
-    alpha = data_alphabet(code)
+    shape = code.shape
+    alpha = code.alphabet
     accepted = 0
     for _ in range(trials):
         if len(shape) == 1:

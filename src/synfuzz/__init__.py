@@ -10,7 +10,6 @@ from . import channel, cli, codespec, concat, errors, expand, fuzzy, gf, rs
 from .channel import ErrorPattern, Rng, gen_burst_1d, gen_burst_2d, gen_mixed
 from .codespec import format_spec, parse_field, parse_spec
 from .concat import (
-    CompositeSyndrome,
     ConcatCode,
     FlatLayout,
     IvLayout,
@@ -18,23 +17,22 @@ from .concat import (
     ViLayout,
     VLayout,
 )
-from .expand import ExpandedCode, ExpandedSyndrome
+from .expand import ExpandedCode
 from .fuzzy import Template, VerifyResult, enroll, verify
 from .gf import MUL_COUNTER, ExtField, PrimeField, build_ext_field
-from .rs import BchCode, RsCode, Syndrome, bch_build
+from .rs import BchCode, LinearCode, RsCode, Syndrome, bch_build
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BchCode",
-    "CompositeSyndrome",
     "ConcatCode",
     "ErrorPattern",
     "ExpandedCode",
-    "ExpandedSyndrome",
     "ExtField",
     "FlatLayout",
     "IvLayout",
+    "LinearCode",
     "MUL_COUNTER",
     "PrimeField",
     "Rng",

@@ -24,8 +24,8 @@ EXIT_ERROR = 2
 
 
 def read_data_file(path: str, code):
-    shape = fuzzy.data_shape(code)
-    order = fuzzy.data_alphabet(code).order
+    shape = code.shape
+    order = code.alphabet.order
     with open(path, "r", encoding="ascii") as fh:
         rows = [line.split() for line in fh if line.strip()]
     try:
@@ -55,14 +55,6 @@ def write_data_file(path: str, data) -> None:
             fh.write(" ".join(f"{v:x}" for v in data) + "\n")
 
 
-def _rate_of(code) -> tuple[int, int]:
-    if isinstance(code, RsCode):
-        return code.k, code.n
-    if isinstance(code, ExpandedCode):
-        return code.base_dimension, code.base_length
-    return code.base_dimension, code.base_length
-
-
 _GUIDANCE = {
     KIND_ROW: "single-stage decoding; strong against long 1D bursts, "
               "tolerates only a few scattered random errors",
@@ -82,9 +74,7 @@ _GUIDANCE = {
 
 
 def capability_lines(code) -> list[str]:
-    lines = []
-    kd, nd = _rate_of(code)
-    lines.append(f"rate: {kd}/{nd} = {kd / nd:.4f}")
+    lines = [f"rate: {code.base_dimension}/{code.base_length} = {code.rate:.4f}"]
     if isinstance(code, RsCode):
         lines.append(f"random symbol errors: <= {code.t}")
         lines.append(f"guidance: {_GUIDANCE['rs']}")
@@ -150,14 +140,8 @@ def info_lines(code) -> list[str]:
         shape = "x".join(str(d) for d in code.shape)
         lines.append(f"base shape: {shape} over gf({code.p})")
         lines.append(f"base dimension: {code.base_dimension}")
-    lines.append(f"syndrome symbols: {_syndrome_symbols(code)}")
+    lines.append(f"syndrome symbols: {code.syndrome_symbol_count()}")
     return lines
-
-
-def _syndrome_symbols(code) -> int:
-    if isinstance(code, RsCode):
-        return code.redundancy
-    return code.syndrome_symbol_count()
 
 
 def parse_model(text: str):
@@ -191,23 +175,21 @@ def parse_model(text: str):
 
 
 def _random_data(rng: Rng, code):
-    shape = fuzzy.data_shape(code)
-    order = fuzzy.data_alphabet(code).order
+    shape = code.shape
+    order = code.alphabet.order
     if len(shape) == 1:
         return [rng.below(order) for _ in range(shape[0])]
     return [[rng.below(order) for _ in range(shape[1])] for _ in range(shape[0])]
 
 
 def cmd_enroll(args) -> int:
-    code = parse_spec(args.code)
+    code = fuzzy.enrollable(parse_spec(args.code))
     data = read_data_file(args.infile, code)
     template = fuzzy.enroll(data, code, hash_alg=args.hash)
     with open(args.out, "w", encoding="ascii", newline="") as fh:
         fh.write(template.to_text())
     print(f"template written: {args.out}")
-    kd, nd = _rate_of(code)
-    print(f"rate: {kd}/{nd} = {kd / nd:.4f}")
-    for line in capability_lines(code)[1:]:
+    for line in capability_lines(code):
         print(line)
     return EXIT_OK
 
@@ -215,7 +197,7 @@ def cmd_enroll(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.template, "r", encoding="ascii") as fh:
         template = fuzzy.Template.from_text(fh.read())
-    code = parse_spec(template.code_spec)
+    code = fuzzy.enrollable(parse_spec(template.code_spec))
     data = read_data_file(args.infile, code)
     result = fuzzy.verify(data, template, code=code)
     if result.accepted:
@@ -243,10 +225,10 @@ def cmd_info(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    code = parse_spec(args.code)
+    code = fuzzy.enrollable(parse_spec(args.code))
     bursts, random_errors = parse_model(args.model)
-    shape = fuzzy.data_shape(code)
-    prime = fuzzy.data_alphabet(code)
+    shape = code.shape
+    prime = code.alphabet
     if args.trials < 1:
         raise SynfuzzError("trials must be >= 1")
     root = Rng(args.seed)

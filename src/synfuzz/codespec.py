@@ -7,6 +7,11 @@ Grammar (whitespace around separators is ignored):
     bch(n,design_t;gf(p))           n must be p^m - 1 for some m
     cI(RS) | cI+parity(RS) | cII(RS;n1,n2) | cIII(RS;n1,n2)
     concat(inner=BCH, outer=RS, layout=flat|iv(a,b)|v(a,b)|vi)
+
+Spec strings arrive in untrusted template files, so sizes are bounded
+before any work: p <= 2^16, m <= 16 and p^m <= 2^16 (a bch length counts
+through the field it needs), and the layout and array parameters
+n1, n2, a, b must be positive.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from .concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
 from .errors import SpecParseError, SynfuzzError
 from .expand import ExpandedCode
-from .gf import ExtField, build_ext_field
+from .gf import _MAX_DEFAULT_ORDER, ExtField, build_ext_field
 from .rs import BchCode, RsCode
 
 
@@ -60,6 +65,13 @@ def _int(text: str, what: str) -> int:
         raise SpecParseError(f"bad {what}: {text!r}") from None
 
 
+def _positive(text: str, what: str) -> int:
+    value = _int(text, what)
+    if value < 1:
+        raise SpecParseError(f"{what} must be positive, got {value}")
+    return value
+
+
 def parse_field(text: str) -> ExtField:
     args = _strip_call(text, "gf")
     if args is None:
@@ -79,6 +91,8 @@ def parse_field(text: str) -> ExtField:
         modulus = [_int(c, "modulus coefficient") for c in clause[8:].split(",")]
     elif len(parts) > 2:
         raise SpecParseError(f"too many clauses in {text!r}")
+    if p > _MAX_DEFAULT_ORDER or m > 16 or p**max(m, 1) > _MAX_DEFAULT_ORDER:
+        raise SpecParseError(f"gf({head}) has more than {_MAX_DEFAULT_ORDER} elements")
     try:
         return build_ext_field(p, m, modulus=modulus)
     except SynfuzzError:
@@ -116,6 +130,8 @@ def _parse_bch(text: str) -> BchCode:
     if len(nt) != 2:
         raise SpecParseError(f"bch takes length and capability: {text!r}")
     n, design_t = _int(nt[0], "length"), _int(nt[1], "capability")
+    if n >= _MAX_DEFAULT_ORDER:
+        raise SpecParseError(f"bch length {n} needs a field larger than {_MAX_DEFAULT_ORDER}")
     base = parse_field(parts[1])
     if base.m != 1:
         raise SpecParseError("bch base field must be a prime gf(p)")
@@ -141,7 +157,7 @@ def _parse_layout(text: str):
             ab = _split_top(args, ",")
             if len(ab) != 2:
                 raise SpecParseError(f"layout {name} takes (a,b): {text!r}")
-            return cls(_int(ab[0], "a"), _int(ab[1], "b"))
+            return cls(_positive(ab[0], "a"), _positive(ab[1], "b"))
     raise SpecParseError(f"unknown layout {text!r}")
 
 
@@ -174,7 +190,9 @@ def parse_spec(text: str):
             if len(dims) != 2:
                 raise SpecParseError(f"{name} array shape takes n1,n2: {text!r}")
             try:
-                return maker(_parse_rs(parts[0]), _int(dims[0], "n1"), _int(dims[1], "n2"))
+                return maker(
+                    _parse_rs(parts[0]), _positive(dims[0], "n1"), _positive(dims[1], "n2")
+                )
             except SynfuzzError:
                 raise
     args = _strip_call(text, "concat")

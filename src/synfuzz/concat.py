@@ -14,10 +14,12 @@ provided on top of the flat blockwise word:
   bursts touch each inner code at most once, and a full diagonal wipes
   exactly one inner codeword.
 
-The composite syndrome stores each block's remainder mod the inner
-generator (n-k base symbols) plus the outer syndrome of the blocks'
-systematic parts; its symbol count equals the concatenated redundancy
-N*n - K*k and it vanishes exactly on codewords.  Decoding runs the inner
+The syndrome stores each block's remainder mod the inner generator (n-k
+base symbols) plus the outer syndrome of the blocks' systematic parts;
+its symbol count equals the concatenated redundancy N*n - K*k and it
+vanishes exactly on codewords.  It is one flat vector, laid out by
+``segments`` as the N remainders in block order (N*(n-k) symbols over
+F_p), then the N-K outer power sums over F_{p^k}.  Decoding runs the inner
 decoders first, corrects the surviving outer-symbol estimates with the
 outer decoder, then rebuilds the exact base-field pattern from the stored
 remainders.
@@ -36,7 +38,7 @@ from .errors import (
     TooManyErasuresError,
 )
 from .gf import PrimeField
-from .rs import RsCode, Syndrome
+from .rs import LinearCode, RsCode, Syndrome
 
 
 class TrivialCode:
@@ -132,19 +134,6 @@ def vi_cell(N: int, n: int, i: int, p: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class CompositeSyndrome:
-    """Per-block inner remainders plus the outer syndrome of the
-    systematic parts."""
-
-    inner: tuple[tuple[int, ...], ...]
-    outer: tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.outer) and not any(any(s) for s in self.inner)
-
-
-@dataclass(frozen=True)
 class DecodeInfo:
     """Diagnostics from a two-step decode."""
 
@@ -156,7 +145,7 @@ class DecodeInfo:
         return len(set(self.inner_failed) | set(self.outer_corrected))
 
 
-class ConcatCode:
+class ConcatCode(LinearCode):
     """Inner/outer concatenated code with one of the four layouts."""
 
     def __init__(self, inner, outer: RsCode, layout=FlatLayout()):
@@ -174,6 +163,8 @@ class ConcatCode:
         self.N, self.n_in = N, n
         self.base_length = N * n
         self.base_dimension = outer.k * inner.k
+        self.alphabet = PrimeField(self.p)
+        self.segments = ((N * inner.redundancy, self.alphabet), (outer.redundancy, outer.field))
         if isinstance(layout, IvLayout):
             if N % layout.b or n % layout.a:
                 raise ShapeMismatchError("iv layout needs b | N and a | n")
@@ -223,20 +214,6 @@ class ConcatCode:
             out.append(row)
         return out
 
-    def zero_word(self):
-        if len(self.shape) == 1:
-            return [0] * self.base_length
-        return [[0] * self.shape[1] for _ in range(self.shape[0])]
-
-    def _check_shape(self, word) -> None:
-        if len(self.shape) == 1:
-            if len(word) != self.base_length or isinstance(word[0], list):
-                raise ShapeMismatchError(f"expected a vector of length {self.base_length}")
-        else:
-            rows, cols = self.shape
-            if len(word) != rows or any(len(r) != cols for r in word):
-                raise ShapeMismatchError(f"expected a {rows}x{cols} array")
-
     def _blocks(self, word) -> list[list[int]]:
         self._check_shape(word)
         n = self.n_in
@@ -276,25 +253,16 @@ class ConcatCode:
     def _systematic_value(self, block) -> int:
         return self.outer.field.from_base_vector(block[self.inner.systematic_slice])
 
-    def syndrome(self, word) -> CompositeSyndrome:
+    def syndrome(self, word) -> Syndrome:
         blocks = self._blocks(word)
-        inner_rems = tuple(self.inner.remainder(blk) for blk in blocks)
+        values = []
+        for blk in blocks:
+            values.extend(self.inner.remainder(blk))
         msg = [self._systematic_value(blk) for blk in blocks]
-        outer_synd = self.outer.syndrome(msg)
-        return CompositeSyndrome(inner_rems, outer_synd.values)
+        return Syndrome(tuple(values) + self.outer.syndrome(msg).values)
 
-    def syndrome_sub(self, a: CompositeSyndrome, b: CompositeSyndrome) -> CompositeSyndrome:
-        p = self.p
-        ext = self.outer.field
-        inner = tuple(
-            tuple((x - y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a.inner, b.inner)
-        )
-        outer = tuple(ext.sub(x, y) for x, y in zip(a.outer, b.outer))
-        return CompositeSyndrome(inner, outer)
-
-    def decode(self, synd: CompositeSyndrome, erasure_mode: bool = False,
-               with_info: bool = False):
-        """Two-step decode of a composite syndrome.
+    def decode(self, synd: Syndrome, erasure_mode: bool = False, with_info: bool = False):
+        """Two-step decode of a concatenated-code syndrome.
 
         Inner blocks are decoded from their remainders first; blocks whose
         inner decode fails are flagged (outer erasures in erasure mode,
@@ -303,12 +271,15 @@ class ConcatCode:
         from its corrected message and stored remainder.  The result must
         reproduce the input syndrome or DecodeFailure is raised.
         """
-        if len(synd.inner) != self.N or len(synd.outer) != self.outer.redundancy:
-            raise ShapeMismatchError("composite syndrome has the wrong shape")
+        r = self.inner.redundancy
+        split = self.N * r
+        if len(synd.values) != split + self.outer.redundancy:
+            raise ShapeMismatchError("syndrome has the wrong length for this code")
+        rems = [synd.values[i * r : (i + 1) * r] for i in range(self.N)]
         ext = self.outer.field
         est = [0] * self.N
         flagged = []
-        for i, rem in enumerate(synd.inner):
+        for i, rem in enumerate(rems):
             if not any(rem):
                 continue
             try:
@@ -318,7 +289,7 @@ class ConcatCode:
                 continue
             est[i] = self._systematic_value(blk_err)
         est_synd = self.outer.syndrome(est)
-        resid = self.outer.syndrome_sub(Syndrome(synd.outer), est_synd)
+        resid = self.outer.syndrome_sub(Syndrome(synd.values[split:]), est_synd)
         try:
             delta = self.outer.decode_syndrome(
                 resid, erasures=flagged if erasure_mode else ()
@@ -328,10 +299,7 @@ class ConcatCode:
         msg_err = [ext.add(e, d) for e, d in zip(est, delta)]
 
         blocks = []
-        r = self.inner.redundancy
-        for i in range(self.N):
-            rem = synd.inner[i]
-            me = msg_err[i]
+        for rem, me in zip(rems, msg_err):
             if me == 0 and not any(rem):
                 blocks.append([0] * self.n_in)
                 continue
@@ -411,15 +379,6 @@ class ConcatCode:
         return tuple(
         ((s1 - 1) * tile_r + 1, (s2 - 1) * lay.b + 1) for s1, s2 in maximal
         )
-
-    def syndrome_symbol_count(self) -> int:
-        """Base symbols in the serialized composite syndrome: exactly the
-        concatenated redundancy N*n - K*k."""
-        return self.N * self.inner.redundancy + self.outer.redundancy * self.inner.k
-
-    @property
-    def rate(self) -> float:
-        return self.base_dimension / self.base_length
 
     def spec_string(self) -> str:
         return (

@@ -19,20 +19,25 @@ residuals for the companion layout (a corrupted tile usually leaves
 F_p[P]; the residual keeps the decoder exact).  Together these parts form
 a full parity check of the expanded code: the syndrome is zero exactly on
 valid expansions, and its symbol count equals the code's redundancy.
+
+The syndrome is one flat vector; ``segments`` lays it out as
+
+* the n-k RS power sums over F_{p^m}, then
+* parity layout: the n per-block digit sums over F_p;
+  companion layout: per tile, in tile order, the m*(m-1) residual entries
+  of columns 1..m-1 (row-major) over F_p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .errors import (
     DecodeFailure,
     ShapeMismatchError,
     ShapeUnsupportedError,
     TooManyErasuresError,
 )
-from .rs import RsCode, Syndrome
+from .rs import LinearCode, RsCode, Syndrome
 
 KIND_ROW = "row-vector"
 KIND_ROW_PARITY = "row-vector-parity"
@@ -40,33 +45,7 @@ KIND_SQUARE = "square-array"
 KIND_COMPANION = "companion-array"
 
 
-@dataclass(frozen=True)
-class ExpandedSyndrome:
-    """Composite syndrome of a base-field word.
-
-    ``rs_values`` are the extension-field power sums of the contracted
-    word; ``parities`` (parity layout) holds the n per-block digit sums;
-    ``residuals`` (companion layout) holds, per tile, the m*(m-1) entries
-    of columns 1..m-1 left over after removing the algebra part read off
-    column 0.
-    """
-
-    rs_values: tuple[int, ...]
-    parities: tuple[int, ...] | None = None
-    residuals: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def is_zero(self) -> bool:
-        if any(self.rs_values):
-            return False
-        if self.parities is not None and any(self.parities):
-            return False
-        if self.residuals is not None and any(any(t) for t in self.residuals):
-            return False
-        return True
-
-
-class ExpandedCode:
+class ExpandedCode(LinearCode):
     """A base-field expansion of an RS code with its layout bookkeeping."""
 
     def __init__(self, rs: RsCode, kind: str, n1: int | None = None, n2: int | None = None):
@@ -98,8 +77,12 @@ class ExpandedCode:
             raise ShapeUnsupportedError(f"unknown expansion kind {kind!r}")
         self.base_length = self.shape[0] if len(self.shape) == 1 else self.shape[0] * self.shape[1]
         self.base_dimension = m * rs.k
-        if kind == KIND_COMPANION:
-            self._zero_residual = (0,) * (m * (m - 1))
+        self.alphabet = field.prime
+        self.segments = ((rs.redundancy, field),)
+        if kind == KIND_ROW_PARITY:
+            self.segments += ((n, field.prime),)
+        elif kind == KIND_COMPANION:
+            self.segments += ((n * m * (m - 1), field.prime),)
 
     @classmethod
     def row_vector(cls, rs: RsCode) -> "ExpandedCode":
@@ -120,25 +103,6 @@ class ExpandedCode:
     @property
     def is_array(self) -> bool:
         return len(self.shape) == 2
-
-    @property
-    def rate(self) -> float:
-        return self.base_dimension / self.base_length
-
-    def zero_word(self):
-        if self.is_array:
-            rows, cols = self.shape
-            return [[0] * cols for _ in range(rows)]
-        return [0] * self.shape[0]
-
-    def _check_shape(self, base) -> None:
-        if self.is_array:
-            rows, cols = self.shape
-            if len(base) != rows or any(len(row) != cols for row in base):
-                raise ShapeMismatchError(f"expected a {rows}x{cols} array")
-        else:
-            if len(base) != self.shape[0]:
-                raise ShapeMismatchError(f"expected a vector of length {self.shape[0]}")
 
     def tile_origin(self, i: int) -> tuple[int, int]:
         """Top-left cell of the tile holding extension symbol i (0-based)."""
@@ -222,62 +186,28 @@ class ExpandedCode:
     # syndrome and decoding
     # ------------------------------------------------------------------
 
-    def syndrome(self, base) -> ExpandedSyndrome:
+    def syndrome(self, base) -> Syndrome:
         """Template syndrome of a base word; linear in the word."""
-        self._check_shape(base)
+        word = self._gather(base, strict=False)
         field = self.rs.field
         m = field.m
-        n = self.rs.n
         p = field.p
-        parities = None
-        residuals = None
-        if self.kind in (KIND_ROW, KIND_ROW_PARITY):
+        extra = []
+        if self.kind == KIND_ROW_PARITY:
             blk = self.block
-            word = [
-                field.from_base_vector(base[i * blk : i * blk + m]) for i in range(n)
-            ]
-            if self.kind == KIND_ROW_PARITY:
-                parities = tuple(
-                    sum(base[i * blk : (i + 1) * blk]) % p for i in range(n)
-                )
-        elif self.kind == KIND_SQUARE:
-            word = self._gather(base, strict=False)
-        else:
-            word = [0] * n
-            res = []
-            for i in range(n):
+            extra = [sum(base[i * blk : (i + 1) * blk]) % p for i in range(self.rs.n)]
+        elif self.kind == KIND_COMPANION:
+            for i, elem in enumerate(word):
                 r0, c0 = self.tile_origin(i)
-                tile = [base[r0 + u][c0 : c0 + m] for u in range(m)]
-                elem = field.from_base_vector([row[0] for row in tile])
-                word[i] = elem
                 image = field._companion_image(elem)
-                res.append(
-                    tuple(
-                        (tile[u][v] - image[u][v]) % p
-                        for u in range(m)
-                        for v in range(1, m)
-                    )
+                extra.extend(
+                    (base[r0 + u][c0 + v] - image[u][v]) % p
+                    for u in range(m)
+                    for v in range(1, m)
                 )
-            residuals = tuple(res)
-        rs_vals = self.rs.syndrome(word).values
-        return ExpandedSyndrome(rs_vals, parities, residuals)
+        return Syndrome(self.rs.syndrome(word).values + tuple(extra))
 
-    def syndrome_sub(self, a: ExpandedSyndrome, b: ExpandedSyndrome) -> ExpandedSyndrome:
-        field = self.rs.field
-        p = field.p
-        rs_vals = tuple(field.sub(x, y) for x, y in zip(a.rs_values, b.rs_values))
-        parities = None
-        if a.parities is not None:
-            parities = tuple((x - y) % p for x, y in zip(a.parities, b.parities))
-        residuals = None
-        if a.residuals is not None:
-            residuals = tuple(
-                tuple((x - y) % p for x, y in zip(ta, tb))
-                for ta, tb in zip(a.residuals, b.residuals)
-            )
-        return ExpandedSyndrome(rs_vals, parities, residuals)
-
-    def decode(self, synd: ExpandedSyndrome, parity_erasures: bool = False) -> list:
+    def decode(self, synd: Syndrome, parity_erasures: bool = False) -> list:
         """Base-field error pattern reproducing the syndrome.
 
         The extension-level pattern comes from the RS decoder; the parts
@@ -287,11 +217,13 @@ class ExpandedCode:
         ``parity_erasures`` the parity layout flags parity-inconsistent
         blocks as erasures before decoding.
         """
+        r = self.rs.redundancy
+        extra = synd.values[r:]
         erasures = ()
-        if parity_erasures and self.kind == KIND_ROW_PARITY and synd.parities:
-            erasures = tuple(i for i, s in enumerate(synd.parities) if s)
+        if parity_erasures and self.kind == KIND_ROW_PARITY:
+            erasures = tuple(i for i, s in enumerate(extra) if s)
         try:
-            evec = self.rs.decode_syndrome(Syndrome(synd.rs_values), erasures=erasures)
+            evec = self.rs.decode_syndrome(Syndrome(synd.values[:r]), erasures=erasures)
         except TooManyErasuresError as exc:
             raise DecodeFailure(str(exc)) from exc
         field = self.rs.field
@@ -305,13 +237,14 @@ class ExpandedCode:
             for i, sym in enumerate(evec):
                 digits = field.to_base_vector(sym)
                 out[i * blk : i * blk + m] = digits
-                out[i * blk + m] = (synd.parities[i] - sum(digits)) % p
+                out[i * blk + m] = (extra[i] - sum(digits)) % p
             return out
         if self.kind == KIND_SQUARE:
             return self.expand(evec)
         grid = self.zero_word()
+        w = m * (m - 1)
         for i, sym in enumerate(evec):
-            res = synd.residuals[i]
+            res = extra[i * w : (i + 1) * w]
             if not sym and not any(res):
                 continue
             r0, c0 = self.tile_origin(i)
@@ -347,19 +280,6 @@ class ExpandedCode:
             bound = tile * (math.isqrt(per) - 1) + 1
             return max(bound, 0)
         raise ShapeUnsupportedError(f"unknown burst shape {shape!r}")
-
-    def syndrome_symbol_count(self) -> int:
-        """Number of base-field symbols in the serialized syndrome; equals
-        the expanded code's redundancy."""
-        m = self.rs.field.m
-        r = self.rs.redundancy
-        n = self.rs.n
-        count = r * m
-        if self.kind == KIND_ROW_PARITY:
-            count += n
-        elif self.kind == KIND_COMPANION:
-            count += n * m * (m - 1)
-        return count
 
     def spec_string(self) -> str:
         inner = self.rs.spec_string()

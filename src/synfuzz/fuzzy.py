@@ -13,6 +13,11 @@ pattern v satisfies original = presented + v.  Over a binary base the
 orientation is invisible; over odd characteristics it matters and is
 pinned by tests.
 
+Every code exposes the same protocol (``rs.LinearCode``): the shape and
+alphabet of its data word, ``syndrome``, ``decode``, ``syndrome_sub`` and
+``segments``, the syndrome's layout as consecutive ``(count, field)``
+runs.  Nothing here depends on which construction the code is.
+
 Template files are line-oriented text:
 
     sfh1
@@ -20,24 +25,27 @@ Template files are line-oriented text:
     hash=<algorithm id>
     digest=<hex>
     syndrome=<hex of the canonical syndrome serialization>
+
+The syndrome serialization walks ``code.segments`` in order and writes
+every symbol as a big-endian integer of the minimal byte width for its
+run's field order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass
 
 from . import codespec
-from .concat import CompositeSyndrome, ConcatCode
 from .errors import (
     DecodeFailure,
     ShapeMismatchError,
     TemplateFormatError,
     UnsupportedHashError,
 )
-from .expand import ExpandedCode, ExpandedSyndrome
 from .gf import MUL_COUNTER
-from .rs import RsCode, Syndrome
+from .rs import LinearCode, Syndrome
 
 _HASHES = {
     "sha-256": hashlib.sha256,
@@ -61,28 +69,18 @@ def _symbol_width(order: int) -> int:
     return ((order - 1).bit_length() + 7) // 8 if order > 1 else 1
 
 
-def data_alphabet(code):
-    """The field the enrolled data ranges over."""
-    if isinstance(code, RsCode):
-        return code.field
-    if isinstance(code, ExpandedCode):
-        return code.rs.field.prime
-    if isinstance(code, ConcatCode):
-        return code.inner.field.prime if hasattr(code.inner, "field") else code.inner.prime
-    raise ShapeMismatchError(f"not an enrollable code: {code!r}")
-
-
-def data_shape(code) -> tuple[int, ...]:
-    if isinstance(code, RsCode):
-        return (code.n,)
-    if isinstance(code, (ExpandedCode, ConcatCode)):
-        return code.shape
-    raise ShapeMismatchError(f"not an enrollable code: {code!r}")
+def enrollable(code):
+    """The code itself if it follows the LinearCode protocol (a bare BCH
+    code does not), else ShapeMismatchError."""
+    if not isinstance(code, LinearCode):
+        raise ShapeMismatchError(f"not an enrollable code: {code!r}")
+    return code
 
 
 def _check_data(code, data) -> None:
-    shape = data_shape(code)
-    order = data_alphabet(code).order
+    enrollable(code)
+    shape = code.shape
+    order = code.alphabet.order
     if len(shape) == 1:
         ok = len(data) == shape[0] and all(
             isinstance(v, int) and 0 <= v < order for v in data
@@ -101,12 +99,11 @@ def _check_data(code, data) -> None:
 
 def canonical_bytes(code, data) -> bytes:
     """Deterministic serialization hashed at enrollment: the field spec,
-    the shape, then every symbol row-major as minimal big-endian bytes."""
-    _check_data(code, data)
-    alpha = data_alphabet(code)
-    shape = data_shape(code)
-    spec = alpha.canonical_spec() if hasattr(alpha, "canonical_spec") else alpha.spec_string()
-    head = f"{spec}|{'x'.join(str(d) for d in shape)}|".encode("ascii")
+    the shape, then every symbol row-major as minimal big-endian bytes.
+    The data must already fit the code; enroll and verify check it."""
+    alpha = code.alphabet
+    shape = code.shape
+    head = f"{alpha.canonical_spec()}|{'x'.join(str(d) for d in shape)}|".encode("ascii")
     width = _symbol_width(alpha.order)
     if len(shape) == 1:
         body = b"".join(v.to_bytes(width, "big") for v in data)
@@ -115,106 +112,44 @@ def canonical_bytes(code, data) -> bytes:
     return head + body
 
 
-# ---------------------------------------------------------------------------
-# syndrome plumbing per construction
-# ---------------------------------------------------------------------------
-
-
-def scheme_syndrome(code, data):
-    _check_data(code, data)
-    return code.syndrome(data)
-
-
-def syndrome_diff(code, stored, presented):
-    return code.syndrome_sub(stored, presented)
-
-
-def scheme_decode(code, diff):
-    if isinstance(code, RsCode):
-        return code.decode_syndrome(diff)
-    return code.decode(diff)
-
-
 def apply_pattern(code, data, pattern):
     """data + pattern, componentwise in the data alphabet."""
-    alpha = data_alphabet(code)
-    add = alpha.add
-    if len(data_shape(code)) == 1:
+    add = code.alphabet.add
+    if len(code.shape) == 1:
         return [add(a, b) for a, b in zip(data, pattern)]
     return [[add(a, b) for a, b in zip(dr, pr)] for dr, pr in zip(data, pattern)]
 
 
-def syndrome_to_bytes(code, synd) -> bytes:
-    if isinstance(code, RsCode):
-        w = _symbol_width(code.field.order)
-        return b"".join(v.to_bytes(w, "big") for v in synd.values)
-    if isinstance(code, ExpandedCode):
-        field = code.rs.field
-        we = _symbol_width(field.order)
-        wp = _symbol_width(field.p)
-        out = [v.to_bytes(we, "big") for v in synd.rs_values]
-        if synd.parities is not None:
-            out.extend(v.to_bytes(wp, "big") for v in synd.parities)
-        if synd.residuals is not None:
-            for tile in synd.residuals:
-                out.extend(v.to_bytes(wp, "big") for v in tile)
-        return b"".join(out)
-    if isinstance(code, ConcatCode):
-        wp = _symbol_width(code.p)
-        wo = _symbol_width(code.outer.field.order)
-        out = []
-        for rem in synd.inner:
-            out.extend(v.to_bytes(wp, "big") for v in rem)
-        out.extend(v.to_bytes(wo, "big") for v in synd.outer)
-        return b"".join(out)
-    raise ShapeMismatchError(f"not an enrollable code: {code!r}")
+def syndrome_to_bytes(code, synd: Syndrome) -> bytes:
+    out = []
+    at = 0
+    for count, field in code.segments:
+        width = _symbol_width(field.order)
+        out.extend(v.to_bytes(width, "big") for v in synd.values[at : at + count])
+        at += count
+    return b"".join(out)
 
 
-def syndrome_from_bytes(code, raw: bytes):
-    def take(buf, count, width):
-        need = count * width
-        if len(buf) < need:
+def syndrome_from_bytes(code, raw: bytes) -> Syndrome:
+    """Inverse of syndrome_to_bytes; every symbol must lie in its run's field."""
+    values = []
+    at = 0
+    for count, field in code.segments:
+        width = _symbol_width(field.order)
+        end = at + count * width
+        if len(raw) < end:
             raise TemplateFormatError("syndrome too short for this code")
-        vals = tuple(
-            int.from_bytes(buf[i * width : (i + 1) * width], "big") for i in range(count)
-        )
-        return vals, buf[need:]
-
-    if isinstance(code, RsCode):
-        vals, rest = take(raw, code.redundancy, _symbol_width(code.field.order))
-        if rest:
-            raise TemplateFormatError("syndrome longer than the code redundancy")
-        return Syndrome(vals)
-    if isinstance(code, ExpandedCode):
-        field = code.rs.field
-        we = _symbol_width(field.order)
-        wp = _symbol_width(field.p)
-        rs_vals, raw = take(raw, code.rs.redundancy, we)
-        parities = residuals = None
-        if code.kind == "row-vector-parity":
-            parities, raw = take(raw, code.rs.n, wp)
-        elif code.kind == "companion-array":
-            m = field.m
-            tiles = []
-            for _ in range(code.rs.n):
-                tile, raw = take(raw, m * (m - 1), wp)
-                tiles.append(tile)
-            residuals = tuple(tiles)
-        if raw:
-            raise TemplateFormatError("syndrome longer than the code redundancy")
-        return ExpandedSyndrome(rs_vals, parities, residuals)
-    if isinstance(code, ConcatCode):
-        wp = _symbol_width(code.p)
-        wo = _symbol_width(code.outer.field.order)
-        rems = []
-        for _ in range(code.N):
-            rem, raw = take(raw, code.inner.redundancy, wp)
-            rems.append(rem)
-        outer, raw = take(raw, code.outer.redundancy, wo)
-        if raw:
-            raise TemplateFormatError("syndrome longer than the code redundancy")
-        return CompositeSyndrome(tuple(rems), outer)
-    raise ShapeMismatchError(f"not an enrollable code: {code!r}")
+        if width == 1:
+            run = raw[at:end]
+        else:
+            run = [int.from_bytes(raw[i : i + width], "big") for i in range(at, end, width)]
+        if run and max(run) >= field.order:
+            raise TemplateFormatError(f"syndrome symbol outside {field.spec_string()}")
+        values.extend(run)
+        at = end
+    if len(raw) > at:
+        raise TemplateFormatError("syndrome longer than the code redundancy")
+    return Syndrome(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +219,13 @@ def enroll(data, code, hash_alg: str = "sha-256") -> Template:
     """Build the stored template for a data word under a construction."""
     if hash_alg not in _HASHES:
         raise UnsupportedHashError(f"unknown hash algorithm {hash_alg!r}")
+    _check_data(code, data)
     digest = hash_digest(hash_alg, canonical_bytes(code, data))
-    synd = scheme_syndrome(code, data)
     return Template(
         code_spec=codespec.format_spec(code),
         hash_alg=hash_alg,
         digest=digest,
-        syndrome=syndrome_to_bytes(code, synd),
+        syndrome=syndrome_to_bytes(code, code.syndrome(data)),
     )
 
 
@@ -303,16 +238,17 @@ def verify(data, template: Template, code=None) -> VerifyResult:
     """
     if code is None:
         code = codespec.parse_spec(template.code_spec)
+    _check_data(code, data)
     stored = syndrome_from_bytes(code, template.syndrome)
-    presented = scheme_syndrome(code, data)
-    diff = syndrome_diff(code, stored, presented)
+    diff = code.syndrome_sub(stored, code.syndrome(data))
     before = MUL_COUNTER.count
     try:
-        pattern = scheme_decode(code, diff)
+        pattern = code.decode(diff)
     except DecodeFailure:
         return VerifyResult(False, None, "DecodeFailure", MUL_COUNTER.count - before)
     mults = MUL_COUNTER.count - before
     candidate = apply_pattern(code, data, pattern)
-    if hash_digest(template.hash_alg, canonical_bytes(code, candidate)) == template.digest:
+    digest = hash_digest(template.hash_alg, canonical_bytes(code, candidate))
+    if hmac.compare_digest(digest, template.digest):
         return VerifyResult(True, candidate, None, mults)
     return VerifyResult(False, None, "HashMismatch", mults)

@@ -130,6 +130,8 @@ class PrimeField:
     def spec_string(self) -> str:
         return f"gf({self.p})"
 
+    canonical_spec = spec_string
+
 
 def _to_digits(value: int, p: int, m: int) -> list[int]:
     out = []

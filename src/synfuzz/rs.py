@@ -23,6 +23,7 @@ from .errors import (
     DecodeFailure,
     LengthMismatchError,
     NonPrimitiveAlphaError,
+    ShapeMismatchError,
     TooManyErasuresError,
 )
 from .gf import MUL_COUNTER, ExtField
@@ -30,7 +31,11 @@ from .gf import MUL_COUNTER, ExtField
 
 @dataclass(frozen=True)
 class Syndrome:
-    """Power-sum syndromes S_j = word(alpha^(fcr+j-1)), j = 1..count."""
+    """A flat syndrome vector, laid out as its code's ``segments``.
+
+    For a plain RS or BCH code the values are the power sums
+    S_j = word(alpha^(fcr+j-1)), j = 1..count.
+    """
 
     values: tuple[int, ...]
 
@@ -40,6 +45,62 @@ class Syndrome:
 
     def __len__(self):
         return len(self.values)
+
+
+class LinearCode:
+    """What enroll and verify need from a code.
+
+    The template stores a syndrome that is linear in the data word (the
+    syndrome-based secure sketch of Dodis, Reyzin and Smith, "Fuzzy
+    Extractors", arXiv cs/0602007): syndrome(x) - syndrome(y) is the
+    syndrome of x - y, so the difference decodes to the noise pattern.
+
+    A subclass sets ``shape`` and ``alphabet`` (the data word and the field
+    its symbols lie in), ``base_length`` and ``base_dimension`` over that
+    alphabet, and ``segments``: the syndrome as consecutive
+    ``(count, field)`` runs, each symbol an element of its run's field.  It
+    implements ``syndrome(word) -> Syndrome`` and ``decode(Syndrome)``,
+    which returns an error pattern shaped like the data word.
+    """
+
+    shape: tuple[int, ...]
+    base_length: int
+    base_dimension: int
+    segments: tuple[tuple[int, object], ...]
+
+    def syndrome_sub(self, a: Syndrome, b: Syndrome) -> Syndrome:
+        """a - b, symbol by symbol in each run's field."""
+        out = []
+        at = 0
+        for count, field in self.segments:
+            sub = field.sub
+            end = at + count
+            out.extend(sub(x, y) for x, y in zip(a.values[at:end], b.values[at:end]))
+            at = end
+        return Syndrome(tuple(out))
+
+    def zero_word(self):
+        if len(self.shape) == 1:
+            return [0] * self.shape[0]
+        rows, cols = self.shape
+        return [[0] * cols for _ in range(rows)]
+
+    def _check_shape(self, word) -> None:
+        if len(self.shape) == 1:
+            if len(word) != self.shape[0] or isinstance(word[0], list):
+                raise ShapeMismatchError(f"expected a vector of length {self.shape[0]}")
+        else:
+            rows, cols = self.shape
+            if len(word) != rows or any(len(row) != cols for row in word):
+                raise ShapeMismatchError(f"expected a {rows}x{cols} array")
+
+    def syndrome_symbol_count(self) -> int:
+        """Redundancy in data-alphabet symbols: base_length - base_dimension."""
+        return self.base_length - self.base_dimension
+
+    @property
+    def rate(self) -> float:
+        return self.base_dimension / self.base_length
 
 
 def _poly_mul(field: ExtField, f, g):
@@ -267,7 +328,7 @@ def _sparse_syndrome(field: ExtField, word, count, fcr):
     return out
 
 
-class RsCode:
+class RsCode(LinearCode):
     """A Reed-Solomon code over F_{p^m} in cyclic form.
 
     Full length is p^m - 1; passing a smaller n gives the shortened code
@@ -288,6 +349,11 @@ class RsCode:
         self.redundancy = n - k
         self.t = (n - k) // 2
         self.is_shortened = n < full
+        self.shape = (n,)
+        self.alphabet = field
+        self.base_length = n
+        self.base_dimension = k
+        self.segments = ((self.redundancy, field),)
         g = [1]
         for j in range(self.redundancy):
             root = field.alpha_pow(fcr + j)
@@ -336,10 +402,6 @@ class RsCode:
         add = self.field.add
         return Syndrome(tuple(add(x, y) for x, y in zip(a.values, b.values)))
 
-    def syndrome_sub(self, a: Syndrome, b: Syndrome) -> Syndrome:
-        sub = self.field.sub
-        return Syndrome(tuple(sub(x, y) for x, y in zip(a.values, b.values)))
-
     def decode_syndrome(self, synd, erasures=()) -> list[int]:
         """Error vector consistent with the syndrome, or DecodeFailure."""
         values = synd.values if isinstance(synd, Syndrome) else tuple(synd)
@@ -348,6 +410,9 @@ class RsCode:
                 f"expected {self.redundancy} syndrome values, got {len(values)}"
             )
         return _gpz_decode(self.field, values, self.n, self.fcr, erasures)
+
+    def decode(self, synd: Syndrome) -> list[int]:
+        return self.decode_syndrome(synd)
 
     def spec_string(self) -> str:
         return f"rs({self.n},{self.k};{self.field.spec_string()})"

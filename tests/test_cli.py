@@ -191,3 +191,39 @@ def test_simulate_reproducible(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["enroll", "--code", "cI(rs(7,3;gf(2^3)))"]) == 2
+
+
+def test_verify_out_of_range_syndrome_exits_2(tmp_path, capsys):
+    data = tmp_path / "x.txt"
+    tpl = tmp_path / "x.sfh"
+    write_word(data, [0] * 21)
+    assert run(capsys, "enroll", "--code", "cI(rs(7,3;gf(2^3)))",
+               "--in", str(data), "--out", str(tpl))[0] == 0
+    lines = tpl.read_text(encoding="ascii").splitlines()
+    lines[-1] = "syndrome=" + "ff" * 4
+    tpl.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rc, _, err = run(capsys, "verify", "--template", str(tpl), "--in", str(data))
+    assert rc == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("spec", [
+    "rs(3,1;gf(100003))",
+    "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=iv(0,5))",
+    "cII(rs(15,7;gf(2^4));-3,-5)",
+])
+def test_oversized_or_non_positive_spec_exits_2(capsys, spec):
+    rc, _, err = run(capsys, "info", "--code", spec)
+    assert rc == 2 and "error:" in err
+
+
+def test_bare_bch_code_is_not_enrollable(tmp_path, capsys):
+    data = tmp_path / "x.txt"
+    tpl = tmp_path / "x.sfh"
+    write_word(data, [0] * 15)
+    rc, _, err = run(capsys, "enroll", "--code", "bch(15,2;gf(2))",
+                     "--in", str(data), "--out", str(tpl))
+    assert rc == 2 and "not an enrollable code" in err
+    tpl.write_text("sfh1\ncode=bch(15,2;gf(2))\nhash=sha-256\ndigest=" + "00" * 32
+                   + "\nsyndrome=" + "00" * 8 + "\n", encoding="ascii")
+    rc, _, err = run(capsys, "verify", "--template", str(tpl), "--in", str(data))
+    assert rc == 2 and "not an enrollable code" in err

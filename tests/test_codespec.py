@@ -1,5 +1,6 @@
 import pytest
 
+from synfuzz import codespec, gf
 from synfuzz.codespec import format_spec, parse_field, parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
 from synfuzz.errors import ReducibleModulusError, SpecParseError
@@ -94,3 +95,47 @@ def test_format_parse_round_trip():
         # parsing the formatted form gives an equivalent code
         again = parse_spec(format_spec(code))
         assert format_spec(again) == spec
+
+
+@pytest.fixture
+def no_field_work(monkeypatch):
+    """Fail the test if parsing reaches primality testing or table building."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("spec parsing did work before bounding sizes")
+
+    monkeypatch.setattr(codespec, "build_ext_field", refuse)
+    monkeypatch.setattr(codespec, "BchCode", refuse)
+    monkeypatch.setattr(gf, "_is_prime", refuse)
+
+
+@pytest.mark.parametrize("text", [
+    "gf(1000000000000000003)",
+    "gf(100003)",
+    "gf(65537)",
+    "gf(2^17)",
+    "gf(3^11)",
+    "gf(2^100000000)",
+])
+def test_oversized_fields_are_refused_before_building(no_field_work, text):
+    with pytest.raises(SpecParseError):
+        parse_field(text)
+
+
+def test_oversized_bch_length_is_refused_before_building(no_field_work):
+    with pytest.raises(SpecParseError):
+        parse_spec("bch(131071,2;gf(2))")
+    with pytest.raises(SpecParseError):
+        parse_spec("bch(1000000000000,2;gf(3))")
+
+
+@pytest.mark.parametrize("text", [
+    "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=iv(0,5))",
+    "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=iv(-7,5))",
+    "concat(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=v(-5,7))",
+    "concat(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=v(4,0))",
+    "cII(rs(15,7;gf(2^4));-3,-5)",
+    "cIII(rs(15,5;gf(2^4));0,5)",
+])
+def test_non_positive_layout_parameters_are_refused(text):
+    with pytest.raises(SpecParseError):
+        parse_spec(text)

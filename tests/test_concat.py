@@ -207,7 +207,9 @@ def test_single_error_touches_one_inner_block(iv_code):
         r, c = rng.below(iv_code.shape[0]), rng.below(iv_code.shape[1])
         word[r][c] = 1
         synd = iv_code.syndrome(word)
-        assert sum(1 for rem in synd.inner if any(rem)) == 1
+        r = iv_code.inner.redundancy
+        rems = [synd.values[i * r : (i + 1) * r] for i in range(iv_code.N)]
+        assert sum(1 for rem in rems if any(rem)) == 1
 
 
 def test_composite_syndrome_linearity(v_code):

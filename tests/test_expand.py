@@ -155,7 +155,7 @@ def test_single_flip_hits_one_extension_position(c1, rs73):
         i, d = divmod(flip, 3)
         e = f.from_base_vector([1 if u == d else 0 for u in range(3)])
         for j in range(4):
-            assert synd.rs_values[j] == f.mul(e, f.alpha_pow((1 + j) * i))
+            assert synd.values[j] == f.mul(e, f.alpha_pow((1 + j) * i))
 
 
 def test_capability_formulas(c1, c2, c3):

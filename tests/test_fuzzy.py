@@ -1,9 +1,12 @@
+import hmac
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synfuzz import fuzzy
 from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d
 from synfuzz.codespec import parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout
@@ -24,6 +27,7 @@ from synfuzz.fuzzy import (
 )
 from synfuzz.gf import build_ext_field
 from synfuzz.rs import BchCode, RsCode
+from test_golden import GOLDEN, GOLDEN_DIR, golden_word
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -62,6 +66,8 @@ def test_enroll_shape_check(c1):
         enroll([0] * 59, c1)
     with pytest.raises(ShapeMismatchError):
         enroll([0] * 59 + [2], c1)
+    with pytest.raises(ShapeMismatchError):
+        enroll([0] * 15, BchCode(2, 4, 2))
 
 
 def test_template_round_trip(c1):
@@ -217,3 +223,69 @@ def test_canonical_bytes_start_with_field_and_shape(bits):
     raw = canonical_bytes(code, bits)
     assert raw.startswith(b"gf(2)|21|")
     assert len(raw) == len(b"gf(2)|21|") + 21
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_out_of_range_syndrome_symbol_is_a_format_error(stem, spec, shape, q, seed):
+    """A stored symbol at or above its run's field order is a malformed
+    template, whichever run it sits in."""
+    code = parse_spec(spec)
+    template = Template.from_text((GOLDEN_DIR / f"{stem}.sfh").read_text(encoding="ascii"))
+    word = golden_word(shape, q, seed)
+    at = 0
+    for count, field in code.segments:
+        width = ((field.order - 1).bit_length() + 7) // 8
+        if count and field.order < 256**width:
+            raw = bytearray(template.syndrome)
+            raw[at : at + width] = b"\xff" * width
+            with pytest.raises(TemplateFormatError):
+                verify(word, replace(template, syndrome=bytes(raw)), code=code)
+        at += count * width
+    assert at == len(template.syndrome)
+    # all-ones bytes: a format error where a run cannot hold 0xff, else a reject
+    try:
+        result = verify(word, replace(template, syndrome=b"\xff" * at), code=code)
+    except TemplateFormatError:
+        assert any(field.order < 256 for _, field in code.segments)
+    else:
+        assert not result.accepted
+
+
+def _counting_check(monkeypatch):
+    seen = []
+    real = fuzzy._check_data
+
+    def counted(code, data):
+        seen.append(data)
+        return real(code, data)
+
+    monkeypatch.setattr(fuzzy, "_check_data", counted)
+    return seen
+
+
+def test_data_is_checked_once_per_call(c1, monkeypatch):
+    rng = random.Random(14)
+    x = [rng.randrange(2) for _ in range(60)]
+    y = list(x)
+    y[5] ^= 1
+    seen = _counting_check(monkeypatch)
+    template = enroll(x, c1)
+    assert seen == [x]
+    for presented in (x, y, [rng.randrange(2) for _ in range(60)]):
+        seen.clear()
+        verify(presented, template, code=c1)
+        assert seen == [presented]
+
+
+def test_digest_comparison_is_constant_time(c1, monkeypatch):
+    calls = []
+    real = hmac.compare_digest
+
+    def compare(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(hmac, "compare_digest", compare)
+    template = enroll([0] * 60, c1)
+    assert verify([0] * 60, template, code=c1).accepted
+    assert calls and calls[-1][1] == template.digest
