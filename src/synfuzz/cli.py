@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_capability(args) -> int:
-    code = parse_spec(args.code)
+    code = fuzzy.enrollable(parse_spec(args.code))
     print(f"code: {code.spec_string()}")
     for line in capability_lines(code):
         print(line)
@@ -218,7 +218,7 @@ def cmd_capability(args) -> int:
 
 
 def cmd_info(args) -> int:
-    code = parse_spec(args.code)
+    code = fuzzy.enrollable(parse_spec(args.code))
     for line in info_lines(code):
         print(line)
     return EXIT_OK

@@ -9,9 +9,10 @@ Grammar (whitespace around separators is ignored):
     concat(inner=BCH, outer=RS, layout=flat|iv(a,b)|v(a,b)|vi)
 
 Spec strings arrive in untrusted template files, so sizes are bounded
-before any work: p <= 2^16, m <= 16 and p^m <= 2^16 (a bch length counts
-through the field it needs), and the layout and array parameters
-n1, n2, a, b must be positive.
+before any work: p <= 2^16, m <= 16 and p^m <= 2^16, a bch length at most
+4095 (2^12 - 1), and the layout and array parameters n1, n2, a, b must be
+positive.  A custom modulus must make x primitive.  A concat is refused
+at more than 2^20 cells (N*n) before its layout index map is built.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .errors import SpecParseError, SynfuzzError
 from .expand import ExpandedCode
 from .gf import _MAX_DEFAULT_ORDER, ExtField, build_ext_field
 from .rs import BchCode, RsCode
+
+# BCH generator building grows about fourfold per doubling of the length.
+_MAX_BCH_LENGTH = (1 << 12) - 1
+_MAX_CONCAT_CELLS = 1 << 20
 
 
 def _strip_call(text: str, name: str) -> str | None:
@@ -130,8 +135,8 @@ def _parse_bch(text: str) -> BchCode:
     if len(nt) != 2:
         raise SpecParseError(f"bch takes length and capability: {text!r}")
     n, design_t = _int(nt[0], "length"), _int(nt[1], "capability")
-    if n >= _MAX_DEFAULT_ORDER:
-        raise SpecParseError(f"bch length {n} needs a field larger than {_MAX_DEFAULT_ORDER}")
+    if n > _MAX_BCH_LENGTH:
+        raise SpecParseError(f"bch length {n} is above {_MAX_BCH_LENGTH}")
     base = parse_field(parts[1])
     if base.m != 1:
         raise SpecParseError("bch base field must be a prime gf(p)")
@@ -210,6 +215,10 @@ def parse_spec(text: str):
                 raise SpecParseError(f"unknown concat clause {part!r}")
         if inner is None or outer is None or layout is None:
             raise SpecParseError("concat needs inner=, outer= and layout=")
+        if outer.n * inner.n > _MAX_CONCAT_CELLS:
+            raise SpecParseError(
+                f"concat of {outer.n}x{inner.n} cells is above {_MAX_CONCAT_CELLS}"
+            )
         try:
             return ConcatCode(inner, outer, layout)
         except SynfuzzError:

@@ -11,10 +11,14 @@ are provided: the coefficient vector of length m, and the m x m
 companion-matrix image, which realises F_{p^m} as the matrix algebra
 F_p[P].
 
-Multiplication and inversion run on exp/log tables built over a generator
-of the multiplicative group (the class of x itself whenever the modulus is
-primitive).  Every extension-field multiplication bumps a thread-local
-counter so decoder costs can be measured.
+Every table comes from one walk over the powers of x modulo the modulus,
+so x must be primitive: a modulus that leaves x short of order p^m - 1
+raises NonPrimitiveAlphaError.  The walk gives exp directly and log by
+inversion.  For odd p it also gives the Zech logarithms
+(1 + x^i = x^zech(i)), so addition, subtraction and negation
+(-a = a x^((p^m-1)/2)) run on the same tables; over F_2 addition is XOR.
+Every extension-field multiplication bumps a thread-local counter so
+decoder costs can be measured.
 """
 
 from __future__ import annotations
@@ -52,9 +56,8 @@ _BINARY_DEFAULT_MODULI = {
     16: (1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1),
 }
 
-# Fields larger than this get no searched default and no flat add table.
+# Fields larger than this get no searched default.
 _MAX_DEFAULT_ORDER = 1 << 16
-_MAX_ADD_TABLE_ORDER = 1 << 10
 
 
 class _ThreadCount(threading.local):
@@ -183,46 +186,46 @@ def _is_irreducible(p: int, coeffs) -> bool:
     return True
 
 
-def _order_of_x(p: int, m: int, coeffs) -> int:
-    """Multiplicative order of the class of x modulo the (irreducible) coeffs."""
-    order = p**m
-    modlow = coeffs[:-1]
-    val = p % order if m > 1 else (-coeffs[0]) % p
-    seen = 1
-    cur = val
-    while cur != 1:
-        cur = _mulx_value(cur, p, m, order, modlow)
-        seen += 1
-        if seen > order:  # pragma: no cover - guards a broken modulus
-            raise ReducibleModulusError("x generates a non-cyclic structure")
-    return seen
+def _x_powers(p: int, m: int, modulus) -> list[int]:
+    """The powers 1, x, x^2, ... modulo the monic modulus, encoded, up to the
+    first return to 1.
 
-
-def _mulx_value(v: int, p: int, m: int, order: int, modlow) -> int:
-    """Multiply the encoded element v by x and reduce."""
-    shifted = v * p
-    d, rest = divmod(shifted, order)
-    if not d:
-        return rest
-    digits = _to_digits(rest, p, m)
-    for i, c in enumerate(modlow):
-        if c:
-            digits[i] = (digits[i] - d * c) % p
-    return _from_digits(digits, p)
-
-
-def _smallest_primitive_root(p: int) -> int:
+    Its length is the multiplicative order of x, which is p^m - 1 exactly
+    when x is primitive.  Over F_2 a step is a shift and an XOR; otherwise
+    the digits shift up one place and the top one folds back into the
+    digits where the modulus has nonzero coefficients.  The walk stops
+    after p^m - 1 steps even if it has not returned, as when the modulus
+    is a multiple of x.
+    """
+    q = p**m
+    out = [1]
     if p == 2:
-        return 1
-    for g in range(2, p):
-        seen = g
-        k = 1
-        while seen != 1:
-            seen = (seen * g) % p
-            k += 1
-        if k == p - 1:
-            return g
-    raise NotPrimeError(f"{p} has no primitive root")  # pragma: no cover
+        red = _from_digits(modulus, 2)
+        v = 1
+        for _ in range(q - 1):
+            v <<= 1
+            if v & q:
+                v ^= red
+            if v == 1:
+                break
+            out.append(v)
+        return out
+    # x^m = -(c0 + c1 x + ... + c_{m-1} x^{m-1}): the digit shifted out of
+    # the top adds top * (-c_i) to digit i, for each nonzero c_i
+    terms = [(p**i, (-c) % p) for i, c in enumerate(modulus[:-1]) if c]
+    shift = p ** (m - 1)
+    v = 1
+    for _ in range(q - 1):
+        top, rest = divmod(v, shift)
+        v = rest * p
+        if top:
+            for weight, c in terms:
+                d = v // weight % p
+                v += ((d + top * c) % p - d) * weight
+        if v == 1:
+            break
+        out.append(v)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -230,24 +233,23 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Built-in modulus polynomial for F_{p^m} with a primitive x.
 
     Binary fields up to degree 16 come from a fixed table; other small
-    fields use the lexicographically smallest primitive polynomial.
+    fields use the lexicographically smallest primitive polynomial, and
+    prime fields x - g for the smallest primitive root g.
     """
     if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if p == 2 and m in _BINARY_DEFAULT_MODULI:
         return _BINARY_DEFAULT_MODULI[m]
     if m == 1:
-        g = _smallest_primitive_root(p)
-        return ((-g) % p, 1)
-    if p**m > _MAX_DEFAULT_ORDER:
+        candidates = (((-g) % p, 1) for g in range(2, p))
+    elif p**m > _MAX_DEFAULT_ORDER:
         raise NoDefaultModulusError(f"no built-in modulus for gf({p}^{m})")
-    for low in range(p**m):
-        coeffs = tuple(_to_digits(low, p, m)) + (1,)
+    else:
+        candidates = (tuple(_to_digits(low, p, m)) + (1,) for low in range(p**m))
+    for coeffs in candidates:
         if coeffs[0] == 0:  # x divides it
             continue
-        if not _is_irreducible(p, coeffs):
-            continue
-        if _order_of_x(p, m, coeffs) == p**m - 1:
+        if _is_irreducible(p, coeffs) and len(_x_powers(p, m, coeffs)) == p**m - 1:
             return coeffs
     raise NoDefaultModulusError(f"no primitive modulus found for gf({p}^{m})")  # pragma: no cover
 
@@ -259,13 +261,13 @@ class ExtField:
     module docstring.  The base field embeds as the values 0..p-1.
     """
 
-    def __init__(self, p: int, m: int, modulus=None, require_primitive: bool = False):
+    def __init__(self, p: int, m: int, modulus=None):
         self.prime = PrimeField(p)
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         self.p = p
         self.m = m
-        self.order = p**m
+        self.order = q = p**m
         if modulus is None:
             self.modulus = default_modulus(p, m)
             self.modulus_is_default = True
@@ -281,87 +283,28 @@ class ExtField:
             except NoDefaultModulusError:
                 self.modulus_is_default = False
         self._modlow = self.modulus[:-1]
-        self.alpha = p % self.order if m > 1 else (-self.modulus[0]) % p
-        self._build_tables()
-        if require_primitive and not self.alpha_is_primitive:
+        self.alpha = p % q if m > 1 else (-self.modulus[0]) % p
+        powers = _x_powers(p, m, self.modulus)
+        if len(powers) != q - 1:
             raise NonPrimitiveAlphaError(
-                f"x has order {self.alpha_order}, not {self.order - 1}, modulo {self.modulus}"
+                f"x is not primitive modulo {self.modulus}: "
+                f"its powers reach {len(powers)} of the {q - 1} nonzero elements"
             )
-        self._addflat = None
-        self._negtab = None
-        if p != 2 and self.order <= _MAX_ADD_TABLE_ORDER:
-            q = self.order
-            self._addflat = [self._add_raw(a, b) for a in range(q) for b in range(q)]
-            self._negtab = [self._scale_raw(a, p - 1) for a in range(q)]
+        log = [0] * q
+        for i, v in enumerate(powers):
+            log[v] = i
+        self._exp = powers + powers
+        self._log = log
+        self._log_alpha = log[self.alpha]
+        if p != 2:
+            # Zech logarithms: 1 + x^i = x^zech[i].  Adding 1 changes only
+            # digit 0; x^half = -1 is the one power with 1 + x^i = 0.
+            self._half = half = (q - 1) // 2
+            self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in powers]
+            self._zech[half] = None
         self._digit_cache: dict[int, tuple[int, ...]] = {}
         self._companion_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._companion_basis = None
-
-    # ------------------------------------------------------------------
-    # table construction (runs once, plain digit arithmetic)
-    # ------------------------------------------------------------------
-
-    def _mulx(self, v: int) -> int:
-        return _mulx_value(v, self.p, self.m, self.order, self._modlow)
-
-    def _scale_raw(self, v: int, c: int) -> int:
-        if c == 0 or v == 0:
-            return 0
-        p = self.p
-        digits = _to_digits(v, p, self.m)
-        return _from_digits([(d * c) % p for d in digits], p)
-
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        da = _to_digits(a, p, self.m)
-        db = _to_digits(b, p, self.m)
-        return _from_digits([(x + y) % p for x, y in zip(da, db)], p)
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        res = 0
-        cur = a
-        for d in _to_digits(b, self.p, self.m):
-            if d:
-                res = self._add_raw(res, self._scale_raw(cur, d))
-            cur = self._mulx(cur)
-        return res
-
-    def _build_tables(self):
-        q1 = self.order - 1
-        self.alpha_order = _order_of_x(self.p, self.m, self.modulus)
-        self.alpha_is_primitive = self.alpha_order == q1
-        if self.alpha_is_primitive:
-            gen = self.alpha
-        else:
-            gen = None
-            for cand in range(2, self.order):
-                cur = cand
-                k = 1
-                while cur != 1:
-                    cur = self._mul_raw(cur, cand)
-                    k += 1
-                    if k > q1:
-                        break
-                if k == q1:
-                    gen = cand
-                    break
-            if gen is None:  # pragma: no cover - cyclic group always has one
-                raise ReducibleModulusError("multiplicative group has no generator")
-        exp = [0] * (2 * q1)
-        log = [0] * self.order
-        val = 1
-        for i in range(q1):
-            exp[i] = val
-            log[val] = i
-            val = self._mul_raw(val, gen)
-        for i in range(q1, 2 * q1):
-            exp[i] = exp[i - q1]
-        self.generator = gen
-        self._exp = exp
-        self._log = log
-        self._log_alpha = log[self.alpha] if self.alpha else 0
 
     # ------------------------------------------------------------------
     # element arithmetic
@@ -370,21 +313,26 @@ class ExtField:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._addflat is not None:
-            return self._addflat[a * self.order + b]
-        return self._add_raw(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        # a + b = x^la (1 + x^(lb - la)); a negative index wraps mod q - 1
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        if self._negtab is not None:
-            return self._negtab[a]
-        return self._scale_raw(a, self.p - 1)
+        return self._exp[self._log[a] + self._half]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        if not b:
+            return a
+        return self.add(a, self._exp[self._log[b] + self._half])
 
     def mul(self, a: int, b: int) -> int:
         MUL_COUNTER._tl.n += 1
@@ -542,11 +490,11 @@ class ExtField:
         return f"ExtField({self.spec_string()})"
 
 
-def build_ext_field(p: int, m: int, modulus=None, require_primitive: bool = False) -> ExtField:
-    """Construct F_{p^m}, checking the modulus is irreducible.
+def build_ext_field(p: int, m: int, modulus=None) -> ExtField:
+    """Construct F_{p^m}, checking the modulus is irreducible and makes x
+    primitive.
 
     With no modulus a built-in default is used (binary fields up to degree
-    16 from a fixed table, other small fields by deterministic search) and
-    the class of x is guaranteed primitive.
+    16 from a fixed table, other small fields by deterministic search).
     """
-    return ExtField(p, m, modulus=modulus, require_primitive=require_primitive)
+    return ExtField(p, m, modulus=modulus)

@@ -16,13 +16,13 @@ parity symbols in positions 0..n-k-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AlphabetMismatchError,
     CapacityTooLargeError,
     DecodeFailure,
     LengthMismatchError,
-    NonPrimitiveAlphaError,
     ShapeMismatchError,
     TooManyErasuresError,
 )
@@ -337,8 +337,6 @@ class RsCode(LinearCode):
     """
 
     def __init__(self, field: ExtField, n: int, k: int, fcr: int = 1):
-        if not field.alpha_is_primitive:
-            raise NonPrimitiveAlphaError("cyclic RS codes need a primitive x")
         full = field.order - 1
         if not 0 < k < n <= full:
             raise ValueError(f"need 0 < k < n <= {full}, got n={n} k={k}")
@@ -354,11 +352,16 @@ class RsCode(LinearCode):
         self.base_length = n
         self.base_dimension = k
         self.segments = ((self.redundancy, field),)
+
+    @cached_property
+    def generator(self) -> tuple[int, ...]:
+        """prod (x - alpha^(fcr+j)), built on first use: only encode reads it."""
+        field = self.field
         g = [1]
         for j in range(self.redundancy):
-            root = field.alpha_pow(fcr + j)
+            root = field.alpha_pow(self.fcr + j)
             g = _poly_mul(field, g, [field.neg(root), 1])
-        self.generator = tuple(g)
+        return tuple(g)
 
     @property
     def distance(self) -> int:
@@ -450,7 +453,7 @@ class BchCode:
     """
 
     def __init__(self, p: int, m: int, design_t: int, modulus=None, fcr: int = 1):
-        ext = ExtField(p, m, modulus=modulus, require_primitive=True)
+        ext = ExtField(p, m, modulus=modulus)
         n = ext.order - 1
         if design_t < 1 or 2 * design_t >= n:
             raise CapacityTooLargeError(f"need 1 <= 2t < {n}, got t={design_t}")

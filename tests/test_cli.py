@@ -210,10 +210,14 @@ def test_verify_out_of_range_syndrome_exits_2(tmp_path, capsys):
     "rs(3,1;gf(100003))",
     "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=iv(0,5))",
     "cII(rs(15,7;gf(2^4));-3,-5)",
+    "rs(8,4;gf(3^2;modulus=1,0,1))",
+    "bch(8191,1;gf(2))",
+    "concat(inner=bch(255,59;gf(2)), outer=rs(8191,4001;gf(2^13)), layout=vi)",
 ])
 def test_oversized_or_non_positive_spec_exits_2(capsys, spec):
-    rc, _, err = run(capsys, "info", "--code", spec)
-    assert rc == 2 and "error:" in err
+    for command in ("info", "capability"):
+        rc, _, err = run(capsys, command, "--code", spec)
+        assert rc == 2 and "error:" in err
 
 
 def test_bare_bch_code_is_not_enrollable(tmp_path, capsys):
@@ -227,3 +231,6 @@ def test_bare_bch_code_is_not_enrollable(tmp_path, capsys):
                    + "\nsyndrome=" + "00" * 8 + "\n", encoding="ascii")
     rc, _, err = run(capsys, "verify", "--template", str(tpl), "--in", str(data))
     assert rc == 2 and "not an enrollable code" in err
+    for command in ("capability", "info"):
+        rc, _, err = run(capsys, command, "--code", "bch(15,2;gf(2))")
+        assert rc == 2 and "not an enrollable code" in err

@@ -1,6 +1,6 @@
 import pytest
 
-from synfuzz import codespec, gf
+from synfuzz import codespec, gf, rs
 from synfuzz.codespec import format_spec, parse_field, parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
 from synfuzz.errors import ReducibleModulusError, SpecParseError
@@ -122,10 +122,24 @@ def test_oversized_fields_are_refused_before_building(no_field_work, text):
 
 
 def test_oversized_bch_length_is_refused_before_building(no_field_work):
-    with pytest.raises(SpecParseError):
-        parse_spec("bch(131071,2;gf(2))")
-    with pytest.raises(SpecParseError):
-        parse_spec("bch(1000000000000,2;gf(3))")
+    for text in (
+        "bch(131071,2;gf(2))",
+        "bch(1000000000000,2;gf(3))",
+        "bch(8191,1000;gf(2))",
+        "bch(6560,2;gf(3))",
+        "concat(inner=bch(8191,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=flat)",
+    ):
+        with pytest.raises(SpecParseError):
+            parse_spec(text)
+
+
+def test_rs_generator_is_not_built_at_parse_time(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsing built the RS generator polynomial")
+
+    monkeypatch.setattr(rs, "_poly_mul", refuse)
+    code = parse_spec("rs(4095,1;gf(2^12))")
+    assert (code.n, code.k) == (4095, 1)
 
 
 @pytest.mark.parametrize("text", [

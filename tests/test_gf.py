@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,12 +33,17 @@ def test_prime_field_rejects_composites():
         build_ext_field(4, 2)
 
 
+def assert_alpha_primitive(fld):
+    """alpha_pow(0..q-2) hits every nonzero element exactly once."""
+    powers = [fld.alpha_pow(e) for e in range(fld.order - 1)]
+    assert sorted(powers) == list(range(1, fld.order))
+
+
 def test_f8_construction(f8):
     # x^3 + x + 1 has no roots over gf(2) and x has order 7
     assert f8.order == 8
     assert f8.modulus == (1, 1, 0, 1)
-    assert f8.alpha_is_primitive
-    assert f8.alpha_order == 7
+    assert_alpha_primitive(f8)
 
 
 def test_degree_one_extension_is_the_prime_field():
@@ -60,16 +67,13 @@ def test_no_default_modulus_for_large_fields():
 
 def test_non_primitive_modulus_flagged():
     # x^2 + 1 is irreducible over gf(3) but x has order 4, not 8
-    fld = build_ext_field(3, 2, modulus=[1, 0, 1])
-    assert not fld.alpha_is_primitive
     with pytest.raises(NonPrimitiveAlphaError):
-        build_ext_field(3, 2, modulus=[1, 0, 1], require_primitive=True)
+        build_ext_field(3, 2, modulus=[1, 0, 1])
 
 
 def test_all_binary_defaults_are_primitive():
     for m in range(1, 17):
-        fld = build_ext_field(2, m)
-        assert fld.alpha_is_primitive, f"default modulus for m={m} is not primitive"
+        assert_alpha_primitive(build_ext_field(2, m))
 
 
 def test_f8_spot_products(f8):
@@ -172,14 +176,28 @@ def test_companion_round_trip_and_rejection(f8):
         f8.from_companion_matrix(bad)
 
 
+def check_odd_field_pair(fld, a, b):
+    p, m = fld.p, fld.m
+    neg_b = oracle.from_digits([(-d) % p for d in oracle.to_digits(b, p, m)], p)
+    assert fld.mul(a, b) == oracle.elem_mul(p, m, fld.modulus, a, b)
+    assert fld.add(a, b) == oracle.elem_add(p, m, a, b)
+    assert fld.neg(b) == neg_b
+    assert fld.sub(a, b) == oracle.elem_add(p, m, a, neg_b)
+
+
 def test_nonbinary_field_arithmetic():
-    f9 = build_ext_field(3, 2)
-    assert f9.alpha_is_primitive
-    for a in range(9):
-        for b in range(9):
-            assert f9.mul(a, b) == oracle.elem_mul(3, 2, f9.modulus, a, b)
-            assert f9.add(a, b) == oracle.elem_add(3, 2, a, b)
-        assert f9.add(a, f9.neg(a)) == 0
+    for p, m in ((3, 2), (5, 2), (7, 1)):
+        fld = build_ext_field(p, m)
+        assert_alpha_primitive(fld)
+        for a in range(fld.order):
+            for b in range(fld.order):
+                check_odd_field_pair(fld, a, b)
+            assert fld.add(a, fld.neg(a)) == 0
+    # sampled pairs in a field of 2187 elements
+    f2187 = build_ext_field(3, 7)
+    rng = random.Random(37)
+    for _ in range(2000):
+        check_odd_field_pair(f2187, rng.randrange(2187), rng.randrange(2187))
 
 
 def test_alpha_pow_matches_repeated_multiplication(f16):
@@ -213,5 +231,5 @@ def test_spec_strings():
 def test_default_modulus_search_is_deterministic():
     assert default_modulus(3, 2) == default_modulus(3, 2)
     fld = build_ext_field(5, 2)
-    assert fld.alpha_is_primitive
+    assert_alpha_primitive(fld)
     assert fld.order == 25
