@@ -185,6 +185,7 @@ def gen_mixed(rng: Rng, field, shape, bursts, random_errors: int = 0,
     ``bursts`` is a list of lengths (1D shapes) or (rows, cols) pairs (2D
     shapes).  Bursts are placed uniformly at random, pairwise disjoint;
     random errors land on single cells off every burst.  Raises
+    OutOfRangeError for an empty burst or one that does not fit, and
     PlacementFailedError when a disjoint placement cannot be found.
     """
     two_d = len(shape) == 2
@@ -193,7 +194,7 @@ def gen_mixed(rng: Rng, field, shape, bursts, random_errors: int = 0,
         for attempt in range(max_attempts):
             if two_d:
                 h, w = dims
-                if h > shape[0] or w > shape[1]:
+                if h < 1 or w < 1 or h > shape[0] or w > shape[1]:
                     raise OutOfRangeError(f"burst {dims} does not fit in {shape}")
                 pos = (rng.below(shape[0] - h + 1), rng.below(shape[1] - w + 1))
                 cand = (pos, (h, w))
@@ -202,7 +203,7 @@ def gen_mixed(rng: Rng, field, shape, bursts, random_errors: int = 0,
                     break
             else:
                 length = dims
-                if length > shape[0]:
+                if length < 1 or length > shape[0]:
                     raise OutOfRangeError(f"burst {dims} does not fit in {shape}")
                 pos = rng.below(shape[0] - length + 1)
                 cand = (pos, length)

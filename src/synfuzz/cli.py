@@ -149,7 +149,7 @@ def parse_model(text: str):
 
     The first burst token is count x size; extra comma-separated tokens add
     single bursts.  Sizes are lengths for vector codes and square sides for
-    array codes.
+    array codes.  Counts and sizes must be positive, R non-negative.
     """
     bursts: list[int] = []
     random_errors = 0
@@ -162,6 +162,8 @@ def parse_model(text: str):
             head = toks[0]
             if "x" in head:
                 cnt, size = head.split("x", 1)
+                if int(cnt) < 1:
+                    raise SynfuzzError(f"burst count {cnt} is not positive")
                 bursts.extend([int(size)] * int(cnt))
             elif head:
                 bursts.append(int(head))
@@ -171,6 +173,8 @@ def parse_model(text: str):
             random_errors = int(clause[7:])
         else:
             raise SynfuzzError(f"unknown model clause {clause!r}")
+    if random_errors < 0 or any(size < 1 for size in bursts):
+        raise SynfuzzError("burst sizes must be positive and random= non-negative")
     return bursts, random_errors
 
 

@@ -10,9 +10,10 @@ Grammar (whitespace around separators is ignored):
 
 Spec strings arrive in untrusted template files, so sizes are bounded
 before any work: p <= 2^16, m <= 16 and p^m <= 2^16, a bch length at most
-4095 (2^12 - 1), and the layout and array parameters n1, n2, a, b must be
-positive.  A custom modulus must make x primitive.  A concat is refused
-at more than 2^20 cells (N*n) before its layout index map is built.
+4095, a redundancy (rs n-k, bch 2*design_t) at most 64, and positive layout
+and array parameters n1, n2, a, b.  A custom modulus must make x primitive.
+A concat is refused at more than 2^20 cells (N*n) before its layout index
+map is built.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .rs import BchCode, RsCode
 
 # BCH generator building grows about fourfold per doubling of the length.
 _MAX_BCH_LENGTH = (1 << 12) - 1
+# Peterson decoding grows about eightfold per doubling of the redundancy.
+_MAX_REDUNDANCY = 64
 _MAX_CONCAT_CELLS = 1 << 20
 
 
@@ -117,6 +120,8 @@ def _parse_rs(text: str) -> RsCode:
     if len(nk) != 2:
         raise SpecParseError(f"rs takes two lengths: {text!r}")
     n, k = _int(nk[0], "length"), _int(nk[1], "dimension")
+    if n - k > _MAX_REDUNDANCY:
+        raise SpecParseError(f"rs redundancy {n - k} is above {_MAX_REDUNDANCY}")
     field = parse_field(parts[1])
     try:
         return RsCode(field, n, k)
@@ -137,6 +142,8 @@ def _parse_bch(text: str) -> BchCode:
     n, design_t = _int(nt[0], "length"), _int(nt[1], "capability")
     if n > _MAX_BCH_LENGTH:
         raise SpecParseError(f"bch length {n} is above {_MAX_BCH_LENGTH}")
+    if 2 * design_t > _MAX_REDUNDANCY:
+        raise SpecParseError(f"bch redundancy {2 * design_t} is above {_MAX_REDUNDANCY}")
     base = parse_field(parts[1])
     if base.m != 1:
         raise SpecParseError("bch base field must be a prime gf(p)")
@@ -194,17 +201,13 @@ def parse_spec(text: str):
             dims = _split_top(parts[1], ",")
             if len(dims) != 2:
                 raise SpecParseError(f"{name} array shape takes n1,n2: {text!r}")
-            try:
-                return maker(
-                    _parse_rs(parts[0]), _positive(dims[0], "n1"), _positive(dims[1], "n2")
-                )
-            except SynfuzzError:
-                raise
+            return maker(
+                _parse_rs(parts[0]), _positive(dims[0], "n1"), _positive(dims[1], "n2")
+            )
     args = _strip_call(text, "concat")
     if args is not None:
         inner = outer = layout = None
         for part in _split_top(args, ","):
-            # layout values may themselves contain commas: rejoin key=value
             if part.startswith("inner="):
                 inner = _parse_bch(part[6:])
             elif part.startswith("outer="):
@@ -219,10 +222,7 @@ def parse_spec(text: str):
             raise SpecParseError(
                 f"concat of {outer.n}x{inner.n} cells is above {_MAX_CONCAT_CELLS}"
             )
-        try:
-            return ConcatCode(inner, outer, layout)
-        except SynfuzzError:
-            raise
+        return ConcatCode(inner, outer, layout)
     raise SpecParseError(f"unrecognized code spec {text!r}")
 
 

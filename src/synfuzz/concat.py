@@ -22,7 +22,9 @@ vanishes exactly on codewords.  It is one flat vector, laid out by
 F_p), then the N-K outer power sums over F_{p^k}.  Decoding runs the inner
 decoders first, corrects the surviving outer-symbol estimates with the
 outer decoder, then rebuilds the exact base-field pattern from the stored
-remainders.
+remainders.  A block whose inner decode fails is an outer erasure, at one
+outer syndrome instead of two; a block within the inner capability never
+fails, so every guaranteed bound still holds.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class TrivialCode:
             raise LengthMismatchError(f"expected {self.n} symbols")
         return ()
 
-    def decode_remainder(self, remainder, erasures=()) -> list[int]:
+    def decode_remainder(self, remainder) -> list[int]:
         return [0] * self.n
 
     @property
@@ -261,15 +263,15 @@ class ConcatCode(LinearCode):
         msg = [self._systematic_value(blk) for blk in blocks]
         return Syndrome(tuple(values) + self.outer.syndrome(msg).values)
 
-    def decode(self, synd: Syndrome, erasure_mode: bool = False, with_info: bool = False):
+    def decode(self, synd: Syndrome, with_info: bool = False):
         """Two-step decode of a concatenated-code syndrome.
 
         Inner blocks are decoded from their remainders first; blocks whose
-        inner decode fails are flagged (outer erasures in erasure mode,
-        plain outer errors otherwise).  The outer decoder then fixes the
-        block-message estimates, and each block's exact pattern is rebuilt
-        from its corrected message and stored remainder.  The result must
-        reproduce the input syndrome or DecodeFailure is raised.
+        inner decode fails become outer erasures.  The outer decoder then
+        fixes the block-message estimates, and each block's exact pattern
+        is rebuilt from its corrected message and stored remainder.  The
+        result must reproduce the input syndrome or DecodeFailure is
+        raised.
         """
         r = self.inner.redundancy
         split = self.N * r
@@ -291,9 +293,7 @@ class ConcatCode(LinearCode):
         est_synd = self.outer.syndrome(est)
         resid = self.outer.syndrome_sub(Syndrome(synd.values[split:]), est_synd)
         try:
-            delta = self.outer.decode_syndrome(
-                resid, erasures=flagged if erasure_mode else ()
-            )
+            delta = self.outer.decode_syndrome(resid, erasures=flagged)
         except TooManyErasuresError as exc:
             raise DecodeFailure(str(exc)) from exc
         msg_err = [ext.add(e, d) for e, d in zip(est, delta)]

@@ -26,6 +26,10 @@ The syndrome is one flat vector; ``segments`` lays it out as
 * parity layout: the n per-block digit sums over F_p;
   companion layout: per tile, in tile order, the m*(m-1) residual entries
   of columns 1..m-1 (row-major) over F_p.
+
+The parity layout hands each block with a nonzero digit sum to the RS
+decoder as an erasure (one syndrome instead of two); clean blocks are
+never flagged, so every bound of the plain layout still holds.
 """
 
 from __future__ import annotations
@@ -207,20 +211,20 @@ class ExpandedCode(LinearCode):
                 )
         return Syndrome(self.rs.syndrome(word).values + tuple(extra))
 
-    def decode(self, synd: Syndrome, parity_erasures: bool = False) -> list:
+    def decode(self, synd: Syndrome) -> list:
         """Base-field error pattern reproducing the syndrome.
 
         The extension-level pattern comes from the RS decoder; the parts
         the contraction discards (parity digits, companion residuals) are
         filled back in from the stored syndrome components, so the
-        reconstruction is exact whenever the RS step is.  With
-        ``parity_erasures`` the parity layout flags parity-inconsistent
-        blocks as erasures before decoding.
+        reconstruction is exact whenever the RS step is.  The parity layout
+        passes its parity-inconsistent blocks to the RS decoder as
+        erasures.
         """
         r = self.rs.redundancy
         extra = synd.values[r:]
         erasures = ()
-        if parity_erasures and self.kind == KIND_ROW_PARITY:
+        if self.kind == KIND_ROW_PARITY:
             erasures = tuple(i for i, s in enumerate(extra) if s)
         try:
             evec = self.rs.decode_syndrome(Syndrome(synd.values[:r]), erasures=erasures)

@@ -1,12 +1,14 @@
 """Reed-Solomon and BCH codes in cyclic form, decoded from syndromes.
 
-Both code families share one decoder: a Peterson-style key-equation solve
-(largest nonsingular syndrome matrix fixes the locator degree), root search
-over all positions, and error magnitudes from a linear solve on the
-syndrome equations.  Erasures are folded in through an erasure-locator
-polynomial.  The decoder always re-checks that the returned error pattern
-reproduces every input syndrome component; anything inconsistent raises
-DecodeFailure rather than returning a silently wrong vector.
+Both code families are narrow sense (syndrome roots alpha^1, alpha^2, ...)
+and share one decoder: a Peterson-style key-equation solve (largest
+nonsingular syndrome matrix fixes the locator degree), root search over
+all positions, and error magnitudes from a linear solve on the syndrome
+equations.  Erasures (blocks the expanded and concatenated codes flag as
+damaged) enter through an erasure-locator polynomial and cost one syndrome
+each instead of two.  The decoder always re-checks that the returned error
+pattern reproduces every input syndrome component; anything inconsistent
+raises DecodeFailure rather than returning a silently wrong vector.
 
 Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
@@ -34,7 +36,7 @@ class Syndrome:
     """A flat syndrome vector, laid out as its code's ``segments``.
 
     For a plain RS or BCH code the values are the power sums
-    S_j = word(alpha^(fcr+j-1)), j = 1..count.
+    S_j = word(alpha^j), j = 1..count.
     """
 
     values: tuple[int, ...]
@@ -206,7 +208,7 @@ def _chien_roots(field: ExtField, psi, n):
     return roots, n * nt
 
 
-def _gpz_decode(field: ExtField, synd, n, fcr, erasures=(), base_limit=None):
+def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
     """Errors-and-erasures decode of a syndrome vector.
 
     Returns the unique error vector v with
@@ -276,7 +278,7 @@ def _gpz_decode(field: ExtField, synd, n, fcr, erasures=(), base_limit=None):
 
         w = degw
         rows = [
-            [exp[(la * pos * (fcr + a)) % q1] for pos in roots] for a in range(w)
+            [exp[(la * pos * (1 + a)) % q1] for pos in roots] for a in range(w)
         ]
         sol, c = _solve_linear(field, rows, synd[:w])
         nm += c
@@ -294,7 +296,7 @@ def _gpz_decode(field: ExtField, synd, n, fcr, erasures=(), base_limit=None):
 
         for j in range(r):
             acc = 0
-            e = fcr + j
+            e = 1 + j
             for pos, lv in support:
                 acc = add(acc, exp[lv + (la * pos * e) % q1])
             nm += len(support)
@@ -305,8 +307,8 @@ def _gpz_decode(field: ExtField, synd, n, fcr, erasures=(), base_limit=None):
         MUL_COUNTER.add(nm)
 
 
-def _sparse_syndrome(field: ExtField, word, count, fcr):
-    """Power sums of a word, skipping zero symbols."""
+def _sparse_syndrome(field: ExtField, word, count):
+    """Power sums word(alpha^1) .. word(alpha^count), skipping zero symbols."""
     exp, log = field._exp, field._log
     q1 = field.order - 1
     la = field._log_alpha
@@ -317,7 +319,7 @@ def _sparse_syndrome(field: ExtField, word, count, fcr):
         if c:
             lc = log[c]
             step = (la * i) % q1
-            e = (la * fcr % q1) * i % q1
+            e = step
             for j in range(count):
                 out[j] = add(out[j], exp[lc + e])
                 e += step
@@ -336,14 +338,13 @@ class RsCode(LinearCode):
     Minimum distance is n - k + 1 either way.
     """
 
-    def __init__(self, field: ExtField, n: int, k: int, fcr: int = 1):
+    def __init__(self, field: ExtField, n: int, k: int):
         full = field.order - 1
         if not 0 < k < n <= full:
             raise ValueError(f"need 0 < k < n <= {full}, got n={n} k={k}")
         self.field = field
         self.n = n
         self.k = k
-        self.fcr = fcr
         self.redundancy = n - k
         self.t = (n - k) // 2
         self.is_shortened = n < full
@@ -355,12 +356,11 @@ class RsCode(LinearCode):
 
     @cached_property
     def generator(self) -> tuple[int, ...]:
-        """prod (x - alpha^(fcr+j)), built on first use: only encode reads it."""
+        """prod (x - alpha^j), j = 1..n-k, built on first use: only encode reads it."""
         field = self.field
         g = [1]
-        for j in range(self.redundancy):
-            root = field.alpha_pow(self.fcr + j)
-            g = _poly_mul(field, g, [field.neg(root), 1])
+        for j in range(1, self.redundancy + 1):
+            g = _poly_mul(field, g, [field.neg(field.alpha_pow(j)), 1])
         return tuple(g)
 
     @property
@@ -399,20 +399,19 @@ class RsCode(LinearCode):
 
     def syndrome(self, word) -> Syndrome:
         self._check_word(word, self.n, self.field.order)
-        return Syndrome(tuple(_sparse_syndrome(self.field, word, self.redundancy, self.fcr)))
-
-    def syndrome_add(self, a: Syndrome, b: Syndrome) -> Syndrome:
-        add = self.field.add
-        return Syndrome(tuple(add(x, y) for x, y in zip(a.values, b.values)))
+        return Syndrome(tuple(_sparse_syndrome(self.field, word, self.redundancy)))
 
     def decode_syndrome(self, synd, erasures=()) -> list[int]:
-        """Error vector consistent with the syndrome, or DecodeFailure."""
+        """Error vector consistent with the syndrome, or DecodeFailure.
+
+        Each erasure position costs one syndrome, each error off them two.
+        """
         values = synd.values if isinstance(synd, Syndrome) else tuple(synd)
         if len(values) != self.redundancy:
             raise LengthMismatchError(
                 f"expected {self.redundancy} syndrome values, got {len(values)}"
             )
-        return _gpz_decode(self.field, values, self.n, self.fcr, erasures)
+        return _gpz_decode(self.field, values, self.n, erasures)
 
     def decode(self, synd: Syndrome) -> list[int]:
         return self.decode_syndrome(synd)
@@ -423,12 +422,11 @@ class RsCode(LinearCode):
     def __eq__(self, other):
         return (
             isinstance(other, RsCode)
-            and (self.field, self.n, self.k, self.fcr)
-            == (other.field, other.n, other.k, other.fcr)
+            and (self.field, self.n, self.k) == (other.field, other.n, other.k)
         )
 
     def __hash__(self):
-        return hash((self.field, self.n, self.k, self.fcr))
+        return hash((self.field, self.n, self.k))
 
     def __repr__(self):
         return f"RsCode({self.spec_string()})"
@@ -452,8 +450,8 @@ class BchCode:
     2*design_t syndromes and base-field magnitudes.
     """
 
-    def __init__(self, p: int, m: int, design_t: int, modulus=None, fcr: int = 1):
-        ext = ExtField(p, m, modulus=modulus)
+    def __init__(self, p: int, m: int, design_t: int):
+        ext = ExtField(p, m)
         n = ext.order - 1
         if design_t < 1 or 2 * design_t >= n:
             raise CapacityTooLargeError(f"need 1 <= 2t < {n}, got t={design_t}")
@@ -462,11 +460,10 @@ class BchCode:
         self.n = n
         self.design_t = design_t
         self.t = design_t
-        self.fcr = fcr
         self.syndrome_count = 2 * design_t
         g = [1]
         used = set()
-        for j in range(fcr, fcr + 2 * design_t):
+        for j in range(1, 1 + 2 * design_t):
             jj = j % n
             if jj in used:
                 continue
@@ -526,30 +523,22 @@ class BchCode:
 
     def syndrome(self, word) -> Syndrome:
         self._check_word(word, self.n)
-        return Syndrome(
-            tuple(_sparse_syndrome(self.field, word, self.syndrome_count, self.fcr))
-        )
+        return Syndrome(tuple(_sparse_syndrome(self.field, word, self.syndrome_count)))
 
     def power_sums(self, remainder) -> Syndrome:
         """Evaluate a mod-g remainder at the syndrome roots."""
-        return Syndrome(
-            tuple(
-                _sparse_syndrome(self.field, list(remainder), self.syndrome_count, self.fcr)
-            )
-        )
+        return Syndrome(tuple(_sparse_syndrome(self.field, list(remainder), self.syndrome_count)))
 
-    def decode_syndrome(self, synd, erasures=()) -> list[int]:
+    def decode_syndrome(self, synd) -> list[int]:
         values = synd.values if isinstance(synd, Syndrome) else tuple(synd)
         if len(values) != self.syndrome_count:
             raise LengthMismatchError(
                 f"expected {self.syndrome_count} syndrome values, got {len(values)}"
             )
-        return _gpz_decode(
-            self.field, values, self.n, self.fcr, erasures, base_limit=self.p
-        )
+        return _gpz_decode(self.field, values, self.n, base_limit=self.p)
 
-    def decode_remainder(self, remainder, erasures=()) -> list[int]:
-        return self.decode_syndrome(self.power_sums(remainder), erasures)
+    def decode_remainder(self, remainder) -> list[int]:
+        return self.decode_syndrome(self.power_sums(remainder))
 
     @property
     def systematic_slice(self) -> slice:
@@ -561,17 +550,11 @@ class BchCode:
     def __eq__(self, other):
         return (
             isinstance(other, BchCode)
-            and (self.field, self.design_t, self.fcr)
-            == (other.field, other.design_t, other.fcr)
+            and (self.field, self.design_t) == (other.field, other.design_t)
         )
 
     def __hash__(self):
-        return hash((self.field, self.design_t, self.fcr))
+        return hash((self.field, self.design_t))
 
     def __repr__(self):
         return f"BchCode({self.spec_string()}, k={self.k})"
-
-
-def bch_build(p: int, m: int, design_t: int, modulus=None) -> BchCode:
-    """Build the narrow-sense primitive BCH code of length p^m - 1."""
-    return BchCode(p, m, design_t, modulus=modulus)

@@ -57,6 +57,9 @@ def test_burst_out_of_range():
         gen_burst_1d(rng, F2, 8, 4, 6)
     with pytest.raises(OutOfRangeError):
         gen_burst_2d(rng, F2, (4, 4), 5, 1, (0, 0))
+    for shape, bursts in (((8,), [0]), ((8,), [-2]), ((4, 4), [(0, 2)]), ((4, 4), [(2, -1)])):
+        with pytest.raises(OutOfRangeError):
+            gen_mixed(rng, F2, shape, bursts)
 
 
 def test_burst_2d_border_rows_and_columns_hit():

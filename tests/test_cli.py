@@ -154,8 +154,10 @@ def test_parse_model():
     assert parse_model("bursts=2x5;random=3") == ([5, 5], 3)
     assert parse_model("bursts=1x4,7;random=0") == ([4, 7], 0)
     assert parse_model("random=2") == ([], 2)
-    with pytest.raises(SynfuzzError):
-        parse_model("noise=9")
+    for text in ("noise=9", "bursts=1x0", "bursts=1x-2", "bursts=-2x3", "bursts=2,0",
+                 "random=-3"):
+        with pytest.raises(SynfuzzError):
+            parse_model(text)
 
 
 def test_simulate_in_capability_accepts_everything(capsys):
@@ -213,6 +215,9 @@ def test_verify_out_of_range_syndrome_exits_2(tmp_path, capsys):
     "rs(8,4;gf(3^2;modulus=1,0,1))",
     "bch(8191,1;gf(2))",
     "concat(inner=bch(255,59;gf(2)), outer=rs(8191,4001;gf(2^13)), layout=vi)",
+    "concat(inner=bch(63,11;gf(2)), outer=rs(16645,16581;gf(2^16)), layout=flat)",
+    "rs(1023,1;gf(2^10))",
+    "bch(4095,33;gf(2))",
 ])
 def test_oversized_or_non_positive_spec_exits_2(capsys, spec):
     for command in ("info", "capability"):

@@ -138,8 +138,17 @@ def test_rs_generator_is_not_built_at_parse_time(monkeypatch):
         raise AssertionError("parsing built the RS generator polynomial")
 
     monkeypatch.setattr(rs, "_poly_mul", refuse)
-    code = parse_spec("rs(4095,1;gf(2^12))")
-    assert (code.n, code.k) == (4095, 1)
+    code = parse_spec("rs(4095,4031;gf(2^12))")
+    assert (code.n, code.k) == (4095, 4031)
+
+
+@pytest.mark.parametrize("text", [
+    "rs(1023,1;gf(2^10))",
+    "bch(4095,33;gf(2))",
+])
+def test_oversized_redundancy_is_refused_before_building(no_field_work, text):
+    with pytest.raises(SpecParseError):
+        parse_spec(text)
 
 
 @pytest.mark.parametrize("text", [

@@ -346,7 +346,7 @@ def test_vi_diagonal_is_one_outer_error(vi_code):
 
 
 def test_erasure_mode_stretches_the_budget(v_code):
-    """With failures flagged as erasures the outer code absorbs up to
+    """With failures decoded as erasures the outer code absorbs up to
     n-k wrecked blocks instead of (n-k)/2."""
     rng = Rng(20)
     prime = v_code.inner.field.prime
@@ -364,7 +364,7 @@ def test_erasure_mode_stretches_the_budget(v_code):
                     word[r][c] = 1
         synd = v_code.syndrome(word)
         try:
-            got = v_code.decode(synd, erasure_mode=True)
+            got = v_code.decode(synd)
         except DecodeFailure:
             # a wrecked block can masquerade as a lighter correctable one,
             # stealing budget; flagged-only patterns must still decode

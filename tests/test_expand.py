@@ -233,9 +233,9 @@ def test_parity_variant_burst_correction(c1p):
 
 def test_parity_erasure_assist_mode(c1p):
     rng = Rng(106)
-    # with erasure assist, blocks flagged by a parity violation are erased;
+    # blocks flagged by a parity violation are decoded as erasures, so
     # patterns touching up to n-k blocks (each with a parity-visible hit)
-    # are then correctable, beyond the plain-mode bound
+    # are correctable, beyond the errors-only bound
     for _ in range(200):
         blocks = sorted(rng.below(7) for _ in range(2))
         base = [0] * 28
@@ -247,7 +247,7 @@ def test_parity_erasure_assist_mode(c1p):
         if len(touched) != 2:
             continue
         synd = c1p.syndrome(base)
-        assert c1p.decode(synd, parity_erasures=True) == base
+        assert c1p.decode(synd) == base
 
 
 def test_tile_corruption_count_worst_case(c2):

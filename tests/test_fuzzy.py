@@ -216,6 +216,35 @@ def test_companion_enrollment_recovers_off_algebra_noise():
         assert res.accepted and res.recovered == x
 
 
+def test_parity_flagged_blocks_are_recovered_beyond_t():
+    """Five flipped data digits in five blocks are five symbol errors
+    against t = 4, but the block parities flag them: five erasures fit in
+    the redundancy of 8."""
+    code = parse_spec("cI+parity(rs(15,7;gf(2^4)))")
+    words = random.Random(14)
+    for blocks in ((0, 1, 2, 3, 4), (0, 3, 7, 11, 14), (2, 5, 6, 9, 13)):
+        x = [words.randrange(2) for _ in range(75)]
+        y = list(x)
+        for blk in blocks:
+            y[blk * 5 + words.randrange(4)] ^= 1
+        res = verify(y, enroll(x, code), code=code)
+        assert res.accepted and res.recovered == x
+
+
+def test_concat_flat_recovers_a_burst_above_the_bound():
+    """A burst of 154 wrecks more inner blocks than s = 9 outer errors
+    allow; its failed inner decodes become outer erasures."""
+    code = parse_spec("concat(inner=bch(15,2;gf(2)), outer=rs(127,109;gf(2^7)), layout=flat)")
+    assert code.capability("single_burst") == 124
+    for seed in range(3):
+        rng = Rng(seed)
+        x = [rng.below(2) for _ in range(code.shape[0])]
+        pos = rng.below(code.shape[0] - 154 + 1)
+        pat = gen_burst_1d(rng, code.alphabet, code.shape[0], 154, pos)
+        res = verify(pat.apply_to(x), enroll(x, code), code=code)
+        assert res.accepted and res.recovered == x
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=21, max_size=21))
 def test_canonical_bytes_start_with_field_and_shape(bits):

@@ -13,7 +13,7 @@ from synfuzz.errors import (
     TooManyErasuresError,
 )
 from synfuzz.gf import build_ext_field
-from synfuzz.rs import RsCode, Syndrome, bch_build
+from synfuzz.rs import BchCode, RsCode, Syndrome
 
 import oracle
 
@@ -103,8 +103,8 @@ def test_single_error_syndrome_formula(rs73):
 )
 def test_syndrome_linearity(u, v):
     code = RsCode(build_ext_field(2, 3), 7, 3)
-    s = code.syndrome_add(code.syndrome(u), code.syndrome(v))
-    w = [code.field.add(a, b) for a, b in zip(u, v)]
+    s = code.syndrome_sub(code.syndrome(u), code.syndrome(v))
+    w = [code.field.sub(a, b) for a, b in zip(u, v)]
     assert s == code.syndrome(w)
 
 
@@ -239,18 +239,18 @@ def _coset_size_oracle(powers, p, n):
 
 
 def test_bch_15_7_dimensions():
-    code = bch_build(2, 4, 2)
+    code = BchCode(2, 4, 2)
     assert (code.n, code.k) == (15, 7)
     assert len(code.generator) - 1 == _coset_size_oracle([1, 2, 3, 4], 2, 15)
 
 
 def test_bch_hamming():
-    code = bch_build(2, 3, 1)
+    code = BchCode(2, 3, 1)
     assert (code.n, code.k) == (7, 4)
 
 
 def test_bch_repetition_extreme():
-    code = bch_build(2, 4, 7)
+    code = BchCode(2, 4, 7)
     assert code.k == 1
     word = code.encode([1])
     assert oracle.weight(word) == 15
@@ -258,11 +258,11 @@ def test_bch_repetition_extreme():
 
 def test_bch_capacity_check():
     with pytest.raises(CapacityTooLargeError):
-        bch_build(2, 3, 4)
+        BchCode(2, 3, 4)
 
 
 def test_bch_min_weight_at_least_design_distance():
-    code = bch_build(2, 4, 2)
+    code = BchCode(2, 4, 2)
     best = code.n
     for m in range(1, 1 << code.k):
         msg = [(m >> i) & 1 for i in range(code.k)]
@@ -271,7 +271,7 @@ def test_bch_min_weight_at_least_design_distance():
 
 
 def test_bch_decode_round_trip():
-    code = bch_build(2, 4, 2)
+    code = BchCode(2, 4, 2)
     rng = random.Random(4)
     for _ in range(2000):
         err = [0] * 15
@@ -282,7 +282,7 @@ def test_bch_decode_round_trip():
 
 
 def test_bch_remainder_matches_power_sums():
-    code = bch_build(2, 4, 2)
+    code = BchCode(2, 4, 2)
     rng = random.Random(44)
     for _ in range(100):
         word = [rng.randrange(2) for _ in range(15)]
@@ -291,7 +291,7 @@ def test_bch_remainder_matches_power_sums():
 
 def test_bch_over_f5_length_4():
     """Degree-1 splitting field: the [4,2] code over gf(5) with t=1."""
-    code = bch_build(5, 1, 1)
+    code = BchCode(5, 1, 1)
     assert (code.n, code.k, code.t) == (4, 2, 1)
     rng = random.Random(5)
     for _ in range(500):
@@ -302,6 +302,6 @@ def test_bch_over_f5_length_4():
 
 
 def test_bch_rejects_extension_symbols():
-    code = bch_build(2, 4, 2)
+    code = BchCode(2, 4, 2)
     with pytest.raises(AlphabetMismatchError):
         code.syndrome([0] * 14 + [2])
