@@ -58,12 +58,8 @@ def main(argv):
     for spec in ROSTER:
         code = parse_spec(spec)
         assert isinstance(code, ExpandedCode)
-        if code.is_array:
-            bound = code.capability(1, "square")
-            step = code.sm if code.kind == "square-array" else code.rs.field.m
-        else:
-            bound = code.capability(1, "1d")
-            step = code.rs.field.m
+        bound = code.capability(1, "square" if code.is_array else "1d")
+        step = code.tile
         rng = Rng(seed)
         at = accept_rate(code, bound, trials, rng)
         above = accept_rate(code, bound + step, trials, rng)

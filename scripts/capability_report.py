@@ -10,7 +10,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from synfuzz.cli import capability_lines, info_lines  # noqa: E402
 from synfuzz.codespec import parse_spec  # noqa: E402
 
 DEFAULT_ROSTER = [
@@ -31,9 +30,7 @@ def main(argv):
     for spec in roster:
         code = parse_spec(spec)
         print("=" * 72)
-        for line in info_lines(code):
-            print(line)
-        for line in capability_lines(code):
+        for line in code.info_lines() + code.capability_lines():
             print(line)
     print("=" * 72)
     return 0

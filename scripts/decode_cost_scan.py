@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from synfuzz.channel import Rng  # noqa: E402
-from synfuzz.gf import MUL_COUNTER, build_ext_field  # noqa: E402
+from synfuzz.gf import MUL_COUNTER, ExtField  # noqa: E402
 from synfuzz.rs import RsCode  # noqa: E402
 
 LADDER = [
@@ -47,7 +47,7 @@ def main(argv):
     rng = Rng(2024)
     print(f"{'code':>14} {'t':>3} {'n(n-k)':>8} {'mean mults':>11} {'mults/n(n-k)':>13}")
     for p, m, n, k in LADDER:
-        code = RsCode(build_ext_field(p, m), n, k)
+        code = RsCode(ExtField(p, m), n, k)
         cost = mean_decode_mults(code, trials, rng)
         product = n * (n - k)
         print(

@@ -19,7 +19,7 @@ from .concat import (
 )
 from .expand import ExpandedCode
 from .fuzzy import Template, VerifyResult, enroll, verify
-from .gf import MUL_COUNTER, ExtField, PrimeField, build_ext_field
+from .gf import MUL_COUNTER, ExtField, PrimeField
 from .rs import BchCode, LinearCode, RsCode, Syndrome
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "VLayout",
     "VerifyResult",
     "ViLayout",
-    "build_ext_field",
     "channel",
     "cli",
     "codespec",

@@ -3,6 +3,10 @@
 Data files hold whitespace-separated hex symbols, one line for a vector
 and one line per row for an array.  Exit codes are stable: 0 for success
 or ACCEPT, 1 for REJECT, 2 for usage or data errors.
+
+The ``info`` and ``capability`` reports are each code's own
+``info_lines()`` and ``capability_lines()``; nothing here branches on the
+construction.
 """
 
 from __future__ import annotations
@@ -13,10 +17,7 @@ import sys
 from . import fuzzy
 from .channel import Rng, gen_mixed
 from .codespec import parse_spec
-from .concat import FlatLayout, IvLayout, VLayout
 from .errors import SynfuzzError
-from .expand import KIND_COMPANION, KIND_ROW, KIND_ROW_PARITY, KIND_SQUARE, ExpandedCode
-from .rs import RsCode
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -53,95 +54,6 @@ def write_data_file(path: str, data) -> None:
                 fh.write(" ".join(f"{v:x}" for v in row) + "\n")
         else:
             fh.write(" ".join(f"{v:x}" for v in data) + "\n")
-
-
-_GUIDANCE = {
-    KIND_ROW: "single-stage decoding; strong against long 1D bursts, "
-              "tolerates only a few scattered random errors",
-    KIND_ROW_PARITY: "row expansion plus per-block parity: extra distance "
-                     "for random errors at a small length cost",
-    KIND_SQUARE: "single-stage decoding; strong against square bursts in "
-                 "matrix data, few random errors",
-    KIND_COMPANION: "square-burst protection from a shorter decoder at a "
-                    "lower rate; suits constrained decoders",
-    "flat": "two-stage decoding; one long 1D burst plus extra random errors",
-    "iv": "several wide rectangular bursts, with a limited random-error budget",
-    "v": "one large burst plus random errors spread thinly over the tiles",
-    "vi": "thin row/column bursts and random errors; a full diagonal costs "
-          "one outer symbol",
-    "rs": "plain extension-field code: random symbol errors only",
-}
-
-
-def capability_lines(code) -> list[str]:
-    lines = [f"rate: {code.base_dimension}/{code.base_length} = {code.rate:.4f}"]
-    if isinstance(code, RsCode):
-        lines.append(f"random symbol errors: <= {code.t}")
-        lines.append(f"guidance: {_GUIDANCE['rs']}")
-        return lines
-    if isinstance(code, ExpandedCode):
-        for l in (1, 2):
-            b = code.capability(l, "1d")
-            label = "single 1D burst" if l == 1 else f"{l} bursts"
-            lines.append(f"{label}: length <= {b}")
-        if code.is_array:
-            side = code.capability(1, "square")
-            lines.append(f"single square burst: side <= {side} (area {side * side})")
-            side2 = code.capability(2, "square")
-            lines.append(f"2 square bursts: side <= {side2} each")
-        lines.append(f"guidance: {_GUIDANCE[code.kind]}")
-        return lines
-    lay = code.layout
-    if isinstance(lay, FlatLayout):
-        b = code.capability("single_burst")
-        lines.append(f"single 1D burst: length <= {b} (bound {b + 1} is not guaranteed)")
-        lines.append(f"guidance: {_GUIDANCE['flat']}")
-    elif isinstance(lay, IvLayout):
-        count, dims = code.capability("bursts")
-        lines.append(f"rectangular bursts: {count} of size {dims[0]}x{dims[1]}")
-        lines.append(f"random errors besides: <= {code.capability('random_errors')}")
-        lines.append(f"guidance: {_GUIDANCE['iv']}")
-    elif isinstance(lay, VLayout):
-        rects = code.capability("burst_rectangles")
-        pretty = ", ".join(f"{h}x{w}" for h, w in rects)
-        lines.append(f"single burst rectangles: {pretty}")
-        lines.append(
-            "off-burst tiles tolerate <= "
-            f"{code.capability('off_burst_tile_errors')} errors each"
-        )
-        lines.append(f"guidance: {_GUIDANCE['v']}")
-    else:
-        count, shapes = code.capability("thin_bursts")
-        pretty = " or ".join(f"{h}x{w}" for h, w in shapes)
-        lines.append(f"thin bursts: {count} of size {pretty}")
-        lines.append(f"diagonal wipes absorbed as outer errors: <= "
-                     f"{code.capability('diagonal_bursts')}")
-        lines.append(f"guidance: {_GUIDANCE['vi']}")
-    return lines
-
-
-def info_lines(code) -> list[str]:
-    lines = [f"code: {code.spec_string()}"]
-    if isinstance(code, RsCode):
-        lines.append(f"kind: reed-solomon over {code.field.spec_string()}")
-        lines.append(f"length {code.n}, dimension {code.k}, distance {code.distance}")
-        if code.is_shortened:
-            lines.append(f"shortened from {code.field.order - 1}")
-    elif isinstance(code, ExpandedCode):
-        lines.append(f"kind: {code.kind} expansion of {code.rs.spec_string()}")
-        shape = "x".join(str(d) for d in code.shape)
-        lines.append(f"base shape: {shape} over gf({code.rs.field.p})")
-        lines.append(f"base dimension: {code.base_dimension}")
-    else:
-        lines.append(
-            f"kind: concatenated, inner {code.inner.spec_string()} "
-            f"(t={code.inner.t}), outer {code.outer.spec_string()} (s={code.outer_t})"
-        )
-        shape = "x".join(str(d) for d in code.shape)
-        lines.append(f"base shape: {shape} over gf({code.p})")
-        lines.append(f"base dimension: {code.base_dimension}")
-    lines.append(f"syndrome symbols: {code.syndrome_symbol_count()}")
-    return lines
 
 
 def parse_model(text: str):
@@ -193,7 +105,7 @@ def cmd_enroll(args) -> int:
     with open(args.out, "w", encoding="ascii", newline="") as fh:
         fh.write(template.to_text())
     print(f"template written: {args.out}")
-    for line in capability_lines(code):
+    for line in code.capability_lines():
         print(line)
     return EXIT_OK
 
@@ -216,14 +128,14 @@ def cmd_verify(args) -> int:
 def cmd_capability(args) -> int:
     code = fuzzy.enrollable(parse_spec(args.code))
     print(f"code: {code.spec_string()}")
-    for line in capability_lines(code):
+    for line in code.capability_lines():
         print(line)
     return EXIT_OK
 
 
 def cmd_info(args) -> int:
     code = fuzzy.enrollable(parse_spec(args.code))
-    for line in info_lines(code):
+    for line in code.info_lines():
         print(line)
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
 from .errors import SpecParseError, SynfuzzError
 from .expand import ExpandedCode
-from .gf import _MAX_DEFAULT_ORDER, ExtField, build_ext_field
+from .gf import _MAX_DEFAULT_ORDER, ExtField
 from .rs import BchCode, RsCode
 
 # BCH generator building grows about fourfold per doubling of the length.
@@ -102,7 +102,7 @@ def parse_field(text: str) -> ExtField:
     if p > _MAX_DEFAULT_ORDER or m > 16 or p**max(m, 1) > _MAX_DEFAULT_ORDER:
         raise SpecParseError(f"gf({head}) has more than {_MAX_DEFAULT_ORDER} elements")
     try:
-        return build_ext_field(p, m, modulus=modulus)
+        return ExtField(p, m, modulus=modulus)
     except SynfuzzError:
         raise
     except ValueError as exc:

@@ -14,6 +14,14 @@ provided on top of the flat blockwise word:
   bursts touch each inner code at most once, and a full diagonal wipes
   exactly one inner codeword.
 
+Each layout class (``FlatLayout``, ``IvLayout``, ``VLayout``,
+``ViLayout``) makes every decision about its layout: ``shape(N, n)``
+checks divisibility and gives the array shape, ``cell(N, n, i, p)``
+places position p of inner code i, ``bounds(N, n, t, s)`` maps each
+capability query to its guaranteed figure, and ``bound_lines`` and
+``guidance`` give the report text.  ``ConcatCode`` never asks which
+layout it holds; it treats a rank-1 shape as the flat blockwise word.
+
 The syndrome stores each block's remainder mod the inner generator (n-k
 base symbols) plus the outer syndrome of the blocks' systematic parts;
 its symbol count equals the concatenated redundancy N*n - K*k and it
@@ -78,7 +86,24 @@ class TrivialCode:
 
 @dataclass(frozen=True)
 class FlatLayout:
+    """The N blocks side by side in one vector."""
+
     name = "flat"
+    guidance = "two-stage decoding; one long 1D burst plus extra random errors"
+
+    def shape(self, N: int, n: int) -> tuple[int, ...]:
+        return (N * n,)
+
+    def cell(self, N: int, n: int, i: int, p: int) -> tuple[int, int]:
+        raise QueryUnsupportedError("flat layout has no two-dimensional indexing")
+
+    def bounds(self, N: int, n: int, t: int, s: int) -> dict:
+        """``"single_burst"``: longest guaranteed 1D burst, n*(s-1) + 2t."""
+        return {"single_burst": n * (s - 1) + 2 * t}
+
+    def bound_lines(self, bounds: dict) -> list[str]:
+        b = bounds["single_burst"]
+        return [f"single 1D burst: length <= {b} (bound {b + 1} is not guaranteed)"]
 
     def spec_string(self) -> str:
         return "flat"
@@ -89,6 +114,31 @@ class IvLayout:
     a: int
     b: int
     name = "iv"
+    guidance = "several wide rectangular bursts, with a limited random-error budget"
+
+    def shape(self, N: int, n: int) -> tuple[int, int]:
+        if N % self.b or n % self.a:
+            raise ShapeMismatchError("iv layout needs b | N and a | n")
+        return (N * self.a // self.b, n * self.b // self.a)
+
+    def cell(self, N: int, n: int, i: int, p: int) -> tuple[int, int]:
+        """Codes advance along rows in runs of b; positions advance b-wide
+        column groups within a row band and jump bands every n/a positions."""
+        r, j = divmod(i - 1, self.b)
+        w, cb = divmod(p - 1, n // self.a)
+        return w * (N // self.b) + r, cb * self.b + j
+
+    def bounds(self, N: int, n: int, t: int, s: int) -> dict:
+        """``"bursts"``: (count, (rows, cols)) of window bursts;
+        ``"random_errors"``: extra scattered errors besides."""
+        return {"bursts": (t, (N // self.b, self.b)), "random_errors": s}
+
+    def bound_lines(self, bounds: dict) -> list[str]:
+        count, (h, w) = bounds["bursts"]
+        return [
+            f"rectangular bursts: {count} of size {h}x{w}",
+            f"random errors besides: <= {bounds['random_errors']}",
+        ]
 
     def spec_string(self) -> str:
         return f"iv({self.a},{self.b})"
@@ -99,6 +149,39 @@ class VLayout:
     a: int
     b: int
     name = "v"
+    guidance = "one large burst plus random errors spread thinly over the tiles"
+
+    def shape(self, N: int, n: int) -> tuple[int, int]:
+        if N % self.a or n % self.b:
+            raise ShapeMismatchError("v layout needs a | N and b | n")
+        return (N * n // (self.a * self.b), self.a * self.b)
+
+    def cell(self, N: int, n: int, i: int, p: int) -> tuple[int, int]:
+        """Code i owns the contiguous (n/b) x b tile at block position
+        ((i-1) div a, (i-1) mod a)."""
+        w, g = divmod(i - 1, self.a)
+        r, j = divmod(p - 1, self.b)
+        return w * (n // self.b) + r, g * self.b + j
+
+    def bounds(self, N: int, n: int, t: int, s: int) -> dict:
+        """``"burst_rectangles"``: maximal guaranteed rectangles, one
+        (rows, cols) per maximal factor pair s1*s2 <= s;
+        ``"off_burst_tile_errors"``: per-tile budget away from the burst."""
+        tile_r = n // self.b
+        pairs = [(s1, s // s1) for s1 in range(1, s + 1)]
+        rects = tuple(
+            ((s1 - 1) * tile_r + 1, (s2 - 1) * self.b + 1)
+            for s1, s2 in pairs
+            if not any(o1 >= s1 and o2 >= s2 and (o1, o2) != (s1, s2) for o1, o2 in pairs)
+        )
+        return {"burst_rectangles": rects, "off_burst_tile_errors": t}
+
+    def bound_lines(self, bounds: dict) -> list[str]:
+        pretty = ", ".join(f"{h}x{w}" for h, w in bounds["burst_rectangles"])
+        return [
+            f"single burst rectangles: {pretty}",
+            f"off-burst tiles tolerate <= {bounds['off_burst_tile_errors']} errors each",
+        ]
 
     def spec_string(self) -> str:
         return f"v({self.a},{self.b})"
@@ -107,32 +190,34 @@ class VLayout:
 @dataclass(frozen=True)
 class ViLayout:
     name = "vi"
+    guidance = ("thin row/column bursts and random errors; a full diagonal costs "
+                "one outer symbol")
+
+    def shape(self, N: int, n: int) -> tuple[int, int]:
+        if N < n:
+            raise ShapeMismatchError("vi layout needs N >= n")
+        return (n, N)
+
+    def cell(self, N: int, n: int, i: int, p: int) -> tuple[int, int]:
+        """Position p of every code sits on row p-1, shifted one column per
+        position, so code i runs down a wrapped diagonal."""
+        return p - 1, (i - 1 + p - 1) % N
+
+    def bounds(self, N: int, n: int, t: int, s: int) -> dict:
+        """``"thin_bursts"``: (count, ((1, n), (n, 1)));
+        ``"diagonal_bursts"``: diagonals absorbable as outer errors."""
+        return {"thin_bursts": (t, ((1, n), (n, 1))), "diagonal_bursts": s}
+
+    def bound_lines(self, bounds: dict) -> list[str]:
+        count, shapes = bounds["thin_bursts"]
+        pretty = " or ".join(f"{h}x{w}" for h, w in shapes)
+        return [
+            f"thin bursts: {count} of size {pretty}",
+            f"diagonal wipes absorbed as outer errors: <= {bounds['diagonal_bursts']}",
+        ]
 
     def spec_string(self) -> str:
         return "vi"
-
-
-def iv_cell(N: int, n: int, a: int, b: int, i: int, p: int) -> tuple[int, int]:
-    """Cell of inner code i (1..N), position p (1..n) in the iv array.
-
-    Codes advance along rows in runs of b; positions advance b-wide column
-    groups within a row band and jump bands every n/a positions."""
-    r, j = divmod(i - 1, b)
-    w, cb = divmod(p - 1, n // a)
-    return w * (N // b) + r, cb * b + j
-
-
-def v_cell(N: int, n: int, a: int, b: int, i: int, p: int) -> tuple[int, int]:
-    """Cell of inner code i, position p in the v array: code i owns the
-    contiguous (n/b) x b tile at block position ((i-1) div a, (i-1) mod a)."""
-    w, g = divmod(i - 1, a)
-    r, j = divmod(p - 1, b)
-    return w * (n // b) + r, g * b + j
-
-
-def vi_cell(N: int, n: int, i: int, p: int) -> tuple[int, int]:
-    """Cell of inner code i, position p in the diagonal array."""
-    return p - 1, (i - 1 + p - 1) % N
 
 
 @dataclass(frozen=True)
@@ -167,23 +252,16 @@ class ConcatCode(LinearCode):
         self.base_dimension = outer.k * inner.k
         self.alphabet = PrimeField(self.p)
         self.segments = ((N * inner.redundancy, self.alphabet), (outer.redundancy, outer.field))
-        if isinstance(layout, IvLayout):
-            if N % layout.b or n % layout.a:
-                raise ShapeMismatchError("iv layout needs b | N and a | n")
-            self.shape = (N * layout.a // layout.b, n * layout.b // layout.a)
-        elif isinstance(layout, VLayout):
-            if N % layout.a or n % layout.b:
-                raise ShapeMismatchError("v layout needs a | N and b | n")
-            self.shape = (N * n // (layout.a * layout.b), layout.a * layout.b)
-        elif isinstance(layout, ViLayout):
-            if N < n:
-                raise ShapeMismatchError("vi layout needs N >= n")
-            self.shape = (n, N)
-        elif isinstance(layout, FlatLayout):
-            self.shape = (N * n,)
-        else:
-            raise ShapeMismatchError(f"unknown layout {layout!r}")
-        self._index_map = self._build_index_map()
+        self.shape = layout.shape(N, n)
+        self.guidance = layout.guidance
+        # flat cell offset of each (block, position); None for the flat layout
+        self._index_map = None
+        if len(self.shape) == 2:
+            cols = self.shape[1]
+            self._index_map = []
+            for i in range(1, N + 1):
+                cells = (layout.cell(N, n, i, p) for p in range(1, n + 1))
+                self._index_map.append([r * cols + c for r, c in cells])
 
     # ------------------------------------------------------------------
     # layout plumbing
@@ -191,30 +269,9 @@ class ConcatCode(LinearCode):
 
     def layout_index(self, i: int, p: int) -> tuple[int, int]:
         """Array cell of inner code i (1-based), position p (1-based)."""
-        if isinstance(self.layout, FlatLayout):
-            raise ValueError("flat layout has no two-dimensional indexing")
         if not (1 <= i <= self.N and 1 <= p <= self.n_in):
             raise IndexOutOfRangeError(f"(i={i}, p={p}) outside 1..{self.N} x 1..{self.n_in}")
-        lay = self.layout
-        if isinstance(lay, IvLayout):
-            return iv_cell(self.N, self.n_in, lay.a, lay.b, i, p)
-        if isinstance(lay, VLayout):
-            return v_cell(self.N, self.n_in, lay.a, lay.b, i, p)
-        return vi_cell(self.N, self.n_in, i, p)
-
-    def _build_index_map(self):
-        """Flat cell offset for each (block, position), or None for flat."""
-        if isinstance(self.layout, FlatLayout):
-            return None
-        cols = self.shape[1]
-        out = []
-        for i in range(1, self.N + 1):
-            row = []
-            for p in range(1, self.n_in + 1):
-                r, c = self.layout_index(i, p)
-                row.append(r * cols + c)
-            out.append(row)
-        return out
+        return self.layout.cell(self.N, self.n_in, i, p)
 
     def _blocks(self, word) -> list[list[int]]:
         self._check_shape(word)
@@ -328,57 +385,27 @@ class ConcatCode(LinearCode):
         return self.outer.t
 
     def capability(self, query: str):
-        """Guaranteed figures per layout; QueryUnsupportedError otherwise.
+        """The layout's guaranteed figure ``query`` (see each layout's
+        ``bounds``); QueryUnsupportedError if the layout has none."""
+        bounds = self._bounds()
+        if query not in bounds:
+            raise QueryUnsupportedError(
+                f"query {query!r} does not apply to {self.layout.spec_string()}"
+            )
+        return bounds[query]
 
-        * flat: ``"single_burst"`` - longest guaranteed 1D burst,
-          n*(s-1) + 2t.
-        * iv: ``"bursts"`` - (count, (rows, cols)) of window bursts;
-          ``"random_errors"`` - extra scattered errors besides.
-        * v: ``"burst_rectangles"`` - maximal guaranteed rectangles over
-          factor pairs s1*s2 <= s; ``"off_burst_tile_errors"`` - per-tile
-          budget away from the burst.
-        * vi: ``"thin_bursts"`` - (count, ((1, n), (n, 1)));
-          ``"diagonal_bursts"`` - diagonals absorbable as outer errors.
-        """
-        lay = self.layout
-        s = self.outer_t
-        t = self.inner.t
-        n, N = self.n_in, self.N
-        if isinstance(lay, FlatLayout):
-            if query == "single_burst":
-                return n * (s - 1) + 2 * t
-        elif isinstance(lay, IvLayout):
-            if query == "bursts":
-                return t, (N // lay.b, lay.b)
-            if query == "random_errors":
-                return s
-        elif isinstance(lay, VLayout):
-            if query == "burst_rectangles":
-                return self._v_rectangles()
-            if query == "off_burst_tile_errors":
-                return t
-        elif isinstance(lay, ViLayout):
-            if query == "thin_bursts":
-                return t, ((1, n), (n, 1))
-            if query == "diagonal_bursts":
-                return s
-        raise QueryUnsupportedError(f"query {query!r} does not apply to {lay.spec_string()}")
+    def _bounds(self) -> dict:
+        return self.layout.bounds(self.N, self.n_in, self.inner.t, self.outer_t)
 
-    def _v_rectangles(self):
-        """Maximal guaranteed burst rectangles ((rows, cols) per maximal
-        factor pair (s1, s2) with s1*s2 <= s)."""
-        s = self.outer_t
-        lay = self.layout
-        tile_r = self.n_in // lay.b
-        pairs = [(s1, s // s1) for s1 in range(1, s + 1)]
-        maximal = []
-        for s1, s2 in pairs:
-            if any(o1 >= s1 and o2 >= s2 and (o1, o2) != (s1, s2) for o1, o2 in pairs):
-                continue
-            maximal.append((s1, s2))
-        return tuple(
-        ((s1 - 1) * tile_r + 1, (s2 - 1) * lay.b + 1) for s1, s2 in maximal
-        )
+    def _kind_lines(self) -> list[str]:
+        return [
+            f"kind: concatenated, inner {self.inner.spec_string()} "
+            f"(t={self.inner.t}), outer {self.outer.spec_string()} (s={self.outer_t})",
+            *self._shape_lines(),
+        ]
+
+    def _bound_lines(self) -> list[str]:
+        return self.layout.bound_lines(self._bounds())
 
     def spec_string(self) -> str:
         return (

@@ -48,6 +48,17 @@ KIND_ROW_PARITY = "row-vector-parity"
 KIND_SQUARE = "square-array"
 KIND_COMPANION = "companion-array"
 
+GUIDANCE_BY_KIND = {
+    KIND_ROW: "single-stage decoding; strong against long 1D bursts, "
+              "tolerates only a few scattered random errors",
+    KIND_ROW_PARITY: "row expansion plus per-block parity: extra distance "
+                     "for random errors at a small length cost",
+    KIND_SQUARE: "single-stage decoding; strong against square bursts in "
+                 "matrix data, few random errors",
+    KIND_COMPANION: "square-burst protection from a shorter decoder at a "
+                    "lower rate; suits constrained decoders",
+}
+
 
 class ExpandedCode(LinearCode):
     """A base-field expansion of an RS code with its layout bookkeeping."""
@@ -58,6 +69,7 @@ class ExpandedCode(LinearCode):
         field = rs.field
         m = field.m
         n = rs.n
+        self.tile = m  # digits per tile side (per block for the row layouts)
         if kind in (KIND_ROW, KIND_ROW_PARITY):
             if n1 is not None or n2 is not None:
                 raise ShapeUnsupportedError("row layouts take no array shape")
@@ -69,7 +81,7 @@ class ExpandedCode(LinearCode):
                 raise ShapeUnsupportedError(f"m={m} is not a perfect square")
             if n1 is None or n2 is None or n1 * n2 != n:
                 raise ShapeMismatchError(f"need n1*n2 = {n}")
-            self.sm = sm
+            self.sm = self.tile = sm
             self.n1, self.n2 = n1, n2
             self.shape = (n1 * sm, n2 * sm)
         elif kind == KIND_COMPANION:
@@ -82,6 +94,7 @@ class ExpandedCode(LinearCode):
         self.base_length = self.shape[0] if len(self.shape) == 1 else self.shape[0] * self.shape[1]
         self.base_dimension = m * rs.k
         self.alphabet = field.prime
+        self.guidance = GUIDANCE_BY_KIND[kind]
         self.segments = ((rs.redundancy, field),)
         if kind == KIND_ROW_PARITY:
             self.segments += ((n, field.prime),)
@@ -110,8 +123,7 @@ class ExpandedCode(LinearCode):
 
     def tile_origin(self, i: int) -> tuple[int, int]:
         """Top-left cell of the tile holding extension symbol i (0-based)."""
-        side = self.sm if self.kind == KIND_SQUARE else self.rs.field.m
-        return (i // self.n2) * side, (i % self.n2) * side
+        return (i // self.n2) * self.tile, (i % self.n2) * self.tile
 
     # ------------------------------------------------------------------
     # expansion and contraction
@@ -269,21 +281,29 @@ class ExpandedCode(LinearCode):
         ``bursts`` disjoint 1D bursts, or the side of each square burst.
         Returns 0 when no positive bound is guaranteed."""
         if bursts < 1:
-            raise ValueError("burst count must be >= 1")
-        m = self.rs.field.m
-        r = self.rs.redundancy
-        per = r // (2 * bursts)
+            raise ShapeUnsupportedError("burst count must be >= 1")
+        per = self.rs.redundancy // (2 * bursts)
         if shape == "1d":
-            tile = self.sm if self.kind == KIND_SQUARE else m
-            bound = tile * (per - 1) + 1
-            return max(bound, 0)
+            return max(self.tile * (per - 1) + 1, 0)
         if shape == "square":
-            if self.kind in (KIND_ROW, KIND_ROW_PARITY):
+            if not self.is_array:
                 raise ShapeUnsupportedError("square bursts need an array layout")
-            tile = self.sm if self.kind == KIND_SQUARE else m
-            bound = tile * (math.isqrt(per) - 1) + 1
-            return max(bound, 0)
+            return max(self.tile * (math.isqrt(per) - 1) + 1, 0)
         raise ShapeUnsupportedError(f"unknown burst shape {shape!r}")
+
+    def _kind_lines(self) -> list[str]:
+        return [f"kind: {self.kind} expansion of {self.rs.spec_string()}", *self._shape_lines()]
+
+    def _bound_lines(self) -> list[str]:
+        lines = []
+        for l in (1, 2):
+            label = "single 1D burst" if l == 1 else f"{l} bursts"
+            lines.append(f"{label}: length <= {self.capability(l, '1d')}")
+        if self.is_array:
+            side = self.capability(1, "square")
+            lines.append(f"single square burst: side <= {side} (area {side * side})")
+            lines.append(f"2 square bursts: side <= {self.capability(2, 'square')} each")
+        return lines
 
     def spec_string(self) -> str:
         inner = self.rs.spec_string()

@@ -81,16 +81,19 @@ def _check_data(code, data) -> None:
     enrollable(code)
     shape = code.shape
     order = code.alphabet.order
-    if len(shape) == 1:
-        ok = len(data) == shape[0] and all(
-            isinstance(v, int) and 0 <= v < order for v in data
-        )
-    else:
-        rows, cols = shape
-        ok = len(data) == rows and all(
-            len(row) == cols and all(isinstance(v, int) and 0 <= v < order for v in row)
-            for row in data
-        )
+    try:
+        if len(shape) == 1:
+            ok = len(data) == shape[0] and all(
+                isinstance(v, int) and 0 <= v < order for v in data
+            )
+        else:
+            rows, cols = shape
+            ok = len(data) == rows and all(
+                len(row) == cols and all(isinstance(v, int) and 0 <= v < order for v in row)
+                for row in data
+            )
+    except TypeError:  # data or a row without a length, e.g. None or an int
+        ok = False
     if not ok:
         raise ShapeMismatchError(
             f"data does not match shape {shape} over an alphabet of {order}"

@@ -258,7 +258,10 @@ class ExtField:
     """The extension field F_{p^m} on an explicit modulus polynomial.
 
     Elements are ints in [0, p^m) under the digit encoding described in the
-    module docstring.  The base field embeds as the values 0..p-1.
+    module docstring.  The base field embeds as the values 0..p-1.  A given
+    modulus must be irreducible and make x primitive; with none, a built-in
+    default is used (binary fields up to degree 16 from a fixed table,
+    other small fields by deterministic search).
     """
 
     def __init__(self, p: int, m: int, modulus=None):
@@ -345,9 +348,6 @@ class ExtField:
             raise ZeroDivisionError("no inverse of 0")
         return self._exp[self.order - 1 - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         MUL_COUNTER._tl.n += 1
         q1 = self.order - 1
@@ -363,9 +363,6 @@ class ExtField:
         """The element x^e (e may be negative)."""
         q1 = self.order - 1
         return self._exp[(self._log_alpha * (e % q1)) % q1]
-
-    def elements(self):
-        return range(self.order)
 
     # ------------------------------------------------------------------
     # base-field representations
@@ -384,12 +381,6 @@ class ExtField:
         if len(digits) != self.m or any(not (0 <= d < self.p) for d in digits):
             raise ValueError(f"need {self.m} digits below {self.p}")
         return _from_digits(digits, self.p)
-
-    @property
-    def companion_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Companion matrix P of the modulus: subdiagonal ones, last column
-        the negated low-order modulus coefficients."""
-        return self._companion_image(self.alpha)
 
     def _basis_matrices(self):
         if self._companion_basis is None:
@@ -452,11 +443,6 @@ class ExtField:
                     raise NotInAlgebraError("matrix is not a polynomial in P")
         return cand
 
-    def embed_base(self, c: int) -> int:
-        if not (0 <= c < self.p):
-            raise ValueError(f"{c} is not a base-field value")
-        return c
-
     # ------------------------------------------------------------------
 
     def spec_string(self) -> str:
@@ -489,12 +475,3 @@ class ExtField:
     def __repr__(self):
         return f"ExtField({self.spec_string()})"
 
-
-def build_ext_field(p: int, m: int, modulus=None) -> ExtField:
-    """Construct F_{p^m}, checking the modulus is irreducible and makes x
-    primitive.
-
-    With no modulus a built-in default is used (binary fields up to degree
-    16 from a fixed table, other small fields by deterministic search).
-    """
-    return ExtField(p, m, modulus=modulus)

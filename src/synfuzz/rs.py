@@ -45,9 +45,6 @@ class Syndrome:
     def is_zero(self) -> bool:
         return not any(self.values)
 
-    def __len__(self):
-        return len(self.values)
-
 
 class LinearCode:
     """What enroll and verify need from a code.
@@ -63,12 +60,18 @@ class LinearCode:
     ``(count, field)`` runs, each symbol an element of its run's field.  It
     implements ``syndrome(word) -> Syndrome`` and ``decode(Syndrome)``,
     which returns an error pattern shaped like the data word.
+
+    For the ``info`` and ``capability`` reports it also sets ``guidance``
+    and implements ``_kind_lines()`` (what the code is) and
+    ``_bound_lines()`` (what it guarantees); ``info_lines()`` and
+    ``capability_lines()`` frame them with the lines every code shares.
     """
 
     shape: tuple[int, ...]
     base_length: int
     base_dimension: int
     segments: tuple[tuple[int, object], ...]
+    guidance: str
 
     def syndrome_sub(self, a: Syndrome, b: Syndrome) -> Syndrome:
         """a - b, symbol by symbol in each run's field."""
@@ -103,6 +106,27 @@ class LinearCode:
     @property
     def rate(self) -> float:
         return self.base_dimension / self.base_length
+
+    def info_lines(self) -> list[str]:
+        return [
+            f"code: {self.spec_string()}",
+            *self._kind_lines(),
+            f"syndrome symbols: {self.syndrome_symbol_count()}",
+        ]
+
+    def capability_lines(self) -> list[str]:
+        return [
+            f"rate: {self.base_dimension}/{self.base_length} = {self.rate:.4f}",
+            *self._bound_lines(),
+            f"guidance: {self.guidance}",
+        ]
+
+    def _shape_lines(self) -> list[str]:
+        shape = "x".join(str(d) for d in self.shape)
+        return [
+            f"base shape: {shape} over {self.alphabet.spec_string()}",
+            f"base dimension: {self.base_dimension}",
+        ]
 
 
 def _poly_mul(field: ExtField, f, g):
@@ -338,6 +362,8 @@ class RsCode(LinearCode):
     Minimum distance is n - k + 1 either way.
     """
 
+    guidance = "plain extension-field code: random symbol errors only"
+
     def __init__(self, field: ExtField, n: int, k: int):
         full = field.order - 1
         if not 0 < k < n <= full:
@@ -415,6 +441,18 @@ class RsCode(LinearCode):
 
     def decode(self, synd: Syndrome) -> list[int]:
         return self.decode_syndrome(synd)
+
+    def _kind_lines(self) -> list[str]:
+        lines = [
+            f"kind: reed-solomon over {self.field.spec_string()}",
+            f"length {self.n}, dimension {self.k}, distance {self.distance}",
+        ]
+        if self.is_shortened:
+            lines.append(f"shortened from {self.field.order - 1}")
+        return lines
+
+    def _bound_lines(self) -> list[str]:
+        return [f"random symbol errors: <= {self.t}"]
 
     def spec_string(self) -> str:
         return f"rs({self.n},{self.k};{self.field.spec_string()})"

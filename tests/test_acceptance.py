@@ -15,10 +15,10 @@ import pytest
 
 from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d, gen_mixed
 from synfuzz.codespec import parse_spec
-from synfuzz.concat import ConcatCode, TrivialCode, VLayout, v_cell
+from synfuzz.concat import ConcatCode, TrivialCode, VLayout
 from synfuzz.expand import ExpandedCode
 from synfuzz.fuzzy import enroll, verify
-from synfuzz.gf import MUL_COUNTER, build_ext_field
+from synfuzz.gf import MUL_COUNTER, ExtField
 from synfuzz.rs import RsCode
 
 
@@ -37,7 +37,7 @@ def test_c01_exhaustive_small_rs_oracle():
     """RS(7,3): every weight<=2 pattern decodes from its syndrome alone and
     the minimum distance is exactly n-k+1 = 5; all inside 5 seconds."""
     start = time.monotonic()
-    code = RsCode(build_ext_field(2, 3), 7, 3)
+    code = RsCode(ExtField(2, 3), 7, 3)
     count = 0
     for positions in itertools.chain(
         itertools.combinations(range(7), 1), itertools.combinations(range(7), 2)
@@ -65,7 +65,7 @@ def test_c02_row_expansion_burst_bound():
     """Row expansion: every burst within the bound corrects, exhaustively on
     the small code and 10^4 randomized trials on RS(255,223); under 2 min."""
     start = time.monotonic()
-    small = ExpandedCode.row_vector(RsCode(build_ext_field(2, 3), 7, 3))
+    small = ExpandedCode.row_vector(RsCode(ExtField(2, 3), 7, 3))
     assert small.capability(1, "1d") == 4
     rng = Rng(0xC2)
     prime = small.rs.field.prime
@@ -75,7 +75,7 @@ def test_c02_row_expansion_burst_bound():
                 pat = gen_burst_1d(rng, prime, 21, length, offset)
                 assert small.decode(small.syndrome(pat.dense())) == pat.dense()
 
-    big = ExpandedCode.row_vector(RsCode(build_ext_field(2, 8), 255, 223))
+    big = ExpandedCode.row_vector(RsCode(ExtField(2, 8), 255, 223))
     bound = big.capability(1, "1d")
     assert bound == 8 * 15 + 1 == 121
     nbase = big.shape[0]
@@ -96,7 +96,7 @@ def test_c02_row_expansion_burst_bound():
 def test_c03_parity_variant_structure_and_distance():
     """Parity blocks: length (m+1)n with zero block sums, and the doubled
     minimum distance confirmed by full enumeration of RS(7,5)."""
-    rs75 = RsCode(build_ext_field(2, 3), 7, 5)
+    rs75 = RsCode(ExtField(2, 3), 7, 5)
     code = ExpandedCode.row_vector_parity(rs75)
     assert code.shape == (28,)
     rng = Rng(0xC3)
@@ -120,7 +120,7 @@ def test_c04_square_and_companion_burst_bounds():
     """Square tiles on the 6x10 array take any side-3 burst (10^4 trials)
     and the worst-case tile count matches the ceiling formula exhaustively;
     companion tiles on RS(15,5) take side-5 bursts (10^4 trials)."""
-    square = ExpandedCode.square_array(RsCode(build_ext_field(2, 4), 15, 7), 3, 5)
+    square = ExpandedCode.square_array(RsCode(ExtField(2, 4), 15, 7), 3, 5)
     assert square.capability(1, "square") == 3
     rng = Rng(0xC4)
     prime = square.rs.field.prime
@@ -141,7 +141,7 @@ def test_c04_square_and_companion_burst_bounds():
                 }
                 assert len(tiles) <= bound
 
-    comp = ExpandedCode.companion_array(RsCode(build_ext_field(2, 4), 15, 5), 3, 5)
+    comp = ExpandedCode.companion_array(RsCode(ExtField(2, 4), 15, 5), 3, 5)
     side = comp.capability(1, "square")
     assert side == 4 * (math.isqrt(5) - 1) + 1 == 5
     rows, cols = comp.shape
@@ -256,7 +256,7 @@ def test_c08_trivial_inner_special_cases():
     """With a trivial inner code the un-interleaved layout reproduces the
     square expansion exactly, and with the matrix encoding it reproduces
     the companion expansion, cell for cell."""
-    outer = RsCode(build_ext_field(2, 4), 15, 7)
+    outer = RsCode(ExtField(2, 4), 15, 7)
     square = ExpandedCode.square_array(outer, 3, 5)
     as_v = ConcatCode(TrivialCode(2, 4), outer, VLayout(a=5, b=2))
     assert as_v.shape == square.shape
@@ -265,7 +265,7 @@ def test_c08_trivial_inner_special_cases():
         msg = [rng.below(16) for _ in range(7)]
         assert as_v.encode(msg) == square.expand(outer.encode(msg))
 
-    outer5 = RsCode(build_ext_field(2, 4), 15, 5)
+    outer5 = RsCode(ExtField(2, 4), 15, 5)
     comp = ExpandedCode.companion_array(outer5, 3, 5)
     m = 4
     for _ in range(100):
@@ -276,7 +276,7 @@ def test_c08_trivial_inner_special_cases():
             image = outer5.field.to_companion_matrix(word[i - 1])
             for u in range(m):
                 for v in range(m):
-                    r, c = v_cell(15, m * m, 5, m, i, u * m + v + 1)
+                    r, c = VLayout(5, m).cell(15, m * m, i, u * m + v + 1)
                     rebuilt[r][c] = image[u][v]
         assert rebuilt == grid
     _report("08 trivial-inner special cases")
@@ -419,8 +419,8 @@ def test_c10_decode_cost_scaling():
     """Decoder multiplication counts grow with n*(n-k): the measured ratio
     between RS(255,223) and RS(15,7) full-load decodes stays within a
     factor of two of the predicted one."""
-    small = RsCode(build_ext_field(2, 4), 15, 7)
-    big = RsCode(build_ext_field(2, 8), 255, 223)
+    small = RsCode(ExtField(2, 4), 15, 7)
+    big = RsCode(ExtField(2, 8), 255, 223)
     rng = Rng(0x10)
 
     def mean_full_load_mults(code, trials=30):

@@ -103,7 +103,7 @@ def no_field_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("spec parsing did work before bounding sizes")
 
-    monkeypatch.setattr(codespec, "build_ext_field", refuse)
+    monkeypatch.setattr(codespec, "ExtField", refuse)
     monkeypatch.setattr(codespec, "BchCode", refuse)
     monkeypatch.setattr(gf, "_is_prime", refuse)
 

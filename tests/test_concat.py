@@ -10,9 +10,6 @@ from synfuzz.concat import (
     TrivialCode,
     ViLayout,
     VLayout,
-    iv_cell,
-    v_cell,
-    vi_cell,
 )
 from synfuzz.errors import (
     DecodeFailure,
@@ -21,34 +18,34 @@ from synfuzz.errors import (
     ShapeMismatchError,
 )
 from synfuzz.expand import ExpandedCode
-from synfuzz.gf import build_ext_field
+from synfuzz.gf import ExtField
 from synfuzz.rs import BchCode, RsCode
 
 
 @pytest.fixture(scope="module")
 def flat_small():
     # Hamming inner, outer over gf(2^4)
-    return ConcatCode(BchCode(2, 3, 1), RsCode(build_ext_field(2, 4), 15, 13), FlatLayout())
+    return ConcatCode(BchCode(2, 3, 1), RsCode(ExtField(2, 4), 15, 13), FlatLayout())
 
 
 @pytest.fixture(scope="module")
 def iv_code():
     return ConcatCode(
-        BchCode(2, 3, 1), RsCode(build_ext_field(2, 4), 15, 11), IvLayout(a=7, b=5)
+        BchCode(2, 3, 1), RsCode(ExtField(2, 4), 15, 11), IvLayout(a=7, b=5)
     )
 
 
 @pytest.fixture(scope="module")
 def v_code():
     return ConcatCode(
-        BchCode(2, 4, 2), RsCode(build_ext_field(2, 7), 16, 8), VLayout(a=4, b=5)
+        BchCode(2, 4, 2), RsCode(ExtField(2, 7), 16, 8), VLayout(a=4, b=5)
     )
 
 
 @pytest.fixture(scope="module")
 def vi_code():
     return ConcatCode(
-        BchCode(5, 1, 1), RsCode(build_ext_field(5, 2), 8, 4), ViLayout()
+        BchCode(5, 1, 1), RsCode(ExtField(5, 2), 8, 4), ViLayout()
     )
 
 
@@ -63,19 +60,19 @@ def test_dimension_invariants(iv_code, v_code, vi_code):
 def test_inner_dimension_must_match_outer_degree():
     inner = BchCode(2, 4, 2)  # k = 7
     with pytest.raises(ShapeMismatchError):
-        ConcatCode(inner, RsCode(build_ext_field(2, 4), 15, 11), FlatLayout())
+        ConcatCode(inner, RsCode(ExtField(2, 4), 15, 11), FlatLayout())
 
 
 def test_layout_divisibility_checks():
     inner = BchCode(2, 3, 1)
-    outer = RsCode(build_ext_field(2, 4), 15, 11)
+    outer = RsCode(ExtField(2, 4), 15, 11)
     with pytest.raises(ShapeMismatchError):
         ConcatCode(inner, outer, IvLayout(a=7, b=4))  # 4 does not divide 15
     with pytest.raises(ShapeMismatchError):
         ConcatCode(inner, outer, VLayout(a=4, b=7))
     with pytest.raises(ShapeMismatchError):
         # vi needs N >= n
-        ConcatCode(BchCode(2, 4, 2), RsCode(build_ext_field(2, 7), 10, 4), ViLayout())
+        ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 10, 4), ViLayout())
 
 
 def test_iv_layout_literal_rows():
@@ -83,7 +80,7 @@ def test_iv_layout_literal_rows():
     cells = {}
     for i in range(1, 5):
         for p in range(1, 3):
-            cells[iv_cell(4, 2, 1, 2, i, p)] = (i, p)
+            cells[IvLayout(1, 2).cell(4, 2, i, p)] = (i, p)
     assert [cells[(0, c)] for c in range(4)] == [(1, 1), (2, 1), (1, 2), (2, 2)]
     assert [cells[(1, c)] for c in range(4)] == [(3, 1), (4, 1), (3, 2), (4, 2)]
 
@@ -93,7 +90,7 @@ def test_v_layout_literal_row():
     cells = {}
     for i in range(1, 5):
         for p in range(1, 5):
-            cells[v_cell(4, 4, 2, 2, i, p)] = (i, p)
+            cells[VLayout(2, 2).cell(4, 4, i, p)] = (i, p)
     assert [cells[(0, c)] for c in range(4)] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
@@ -102,7 +99,7 @@ def test_vi_layout_literal_row():
     cells = {}
     for i in range(1, 5):
         for p in range(1, 3):
-            cells[vi_cell(4, 2, i, p)] = (i, p)
+            cells[ViLayout().cell(4, 2, i, p)] = (i, p)
     assert [cells[(1, c)] for c in range(4)] == [(4, 2), (1, 2), (2, 2), (3, 2)]
 
 
@@ -118,11 +115,13 @@ def test_layout_index_is_a_bijection(iv_code, v_code, vi_code):
         assert len(seen) == rows * cols
 
 
-def test_layout_index_range_checks(iv_code):
+def test_layout_index_range_checks(iv_code, flat_small):
     with pytest.raises(IndexOutOfRangeError):
         iv_code.layout_index(0, 1)
     with pytest.raises(IndexOutOfRangeError):
         iv_code.layout_index(1, 8)
+    with pytest.raises(QueryUnsupportedError):
+        flat_small.layout_index(1, 1)
 
 
 def test_iv_window_distinctness_small():
@@ -132,7 +131,7 @@ def test_iv_window_distinctness_small():
         owner = {}
         for i in range(1, N + 1):
             for p in range(1, n + 1):
-                owner[iv_cell(N, n, a, b, i, p)] = i
+                owner[IvLayout(a, b).cell(N, n, i, p)] = i
         hh, ww = N // b, b
         for r0 in range(rows - hh + 1):
             for c0 in range(cols - ww + 1):
@@ -149,7 +148,7 @@ def test_vi_window_distinctness():
     owner = {}
     for i in range(1, N + 1):
         for p in range(1, n + 1):
-            owner[vi_cell(N, n, i, p)] = i
+            owner[ViLayout().cell(N, n, i, p)] = i
     for r in range(n):  # 1 x n windows
         for c0 in range(N - n + 1):
             codes = [owner[(r, c)] for c in range(c0, c0 + n)]
@@ -177,7 +176,7 @@ def test_zero_message_encodes_to_zero(iv_code):
 
 
 def test_flat_with_identity_inner_matches_row_expansion():
-    outer = RsCode(build_ext_field(2, 3), 7, 3)
+    outer = RsCode(ExtField(2, 3), 7, 3)
     code = ConcatCode(TrivialCode(2, 3), outer, FlatLayout())
     expanded = ExpandedCode.row_vector(outer)
     rng = random.Random(2)
@@ -240,7 +239,7 @@ def test_flat_burst_bound(flat_small):
 
 def test_flat_medium_burst():
     code = ConcatCode(
-        BchCode(2, 4, 2), RsCode(build_ext_field(2, 7), 20, 8), FlatLayout()
+        BchCode(2, 4, 2), RsCode(ExtField(2, 7), 20, 8), FlatLayout()
     )
     bound = code.capability("single_burst")
     assert bound == 15 * 5 + 4
@@ -397,7 +396,7 @@ def test_capability_query_rejects_wrong_layout(iv_code):
 
 
 def test_v_reproduces_square_expansion_bit_for_bit():
-    outer = RsCode(build_ext_field(2, 4), 15, 7)
+    outer = RsCode(ExtField(2, 4), 15, 7)
     square = ExpandedCode.square_array(outer, 3, 5)
     asv = ConcatCode(TrivialCode(2, 4), outer, VLayout(a=5, b=2))
     assert asv.shape == square.shape
@@ -408,7 +407,7 @@ def test_v_reproduces_square_expansion_bit_for_bit():
 
 
 def test_v_reproduces_companion_expansion_bit_for_bit():
-    outer = RsCode(build_ext_field(2, 4), 15, 5)
+    outer = RsCode(ExtField(2, 4), 15, 5)
     comp = ExpandedCode.companion_array(outer, 3, 5)
     m = 4
     rng = random.Random(22)
@@ -420,7 +419,7 @@ def test_v_reproduces_companion_expansion_bit_for_bit():
             image = comp.rs.field.to_companion_matrix(word[i - 1])
             for u in range(m):
                 for v in range(m):
-                    r, c = v_cell(15, m * m, 5, m, i, u * m + v + 1)
+                    r, c = VLayout(5, m).cell(15, m * m, i, u * m + v + 1)
                     rebuilt[r][c] = image[u][v]
         assert rebuilt == grid
 

@@ -13,23 +13,23 @@ from synfuzz.errors import (
     ShapeUnsupportedError,
 )
 from synfuzz.expand import ExpandedCode
-from synfuzz.gf import build_ext_field
+from synfuzz.gf import ExtField
 from synfuzz.rs import RsCode
 
 
 @pytest.fixture(scope="module")
 def rs73():
-    return RsCode(build_ext_field(2, 3), 7, 3)
+    return RsCode(ExtField(2, 3), 7, 3)
 
 
 @pytest.fixture(scope="module")
 def rs157():
-    return RsCode(build_ext_field(2, 4), 15, 7)
+    return RsCode(ExtField(2, 4), 15, 7)
 
 
 @pytest.fixture(scope="module")
 def rs155():
-    return RsCode(build_ext_field(2, 4), 15, 5)
+    return RsCode(ExtField(2, 4), 15, 5)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def test_row_vector_digit_layout(c1):
 
 
 def test_companion_layout_f4_literal():
-    f4 = build_ext_field(2, 2)
+    f4 = ExtField(2, 2)
     rs = RsCode(f4, 3, 1)
     code = ExpandedCode.companion_array(rs, 1, 3)
     grid = code.expand([2, 3, 1])  # alpha, alpha^2, 1
@@ -103,7 +103,7 @@ def test_parity_blocks_sum_to_zero(c1p, rs73):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 7), min_size=7, max_size=7))
 def test_contract_inverts_expand_row_kinds(word):
-    rs = RsCode(build_ext_field(2, 3), 7, 3)
+    rs = RsCode(ExtField(2, 3), 7, 3)
     for code in (ExpandedCode.row_vector(rs), ExpandedCode.row_vector_parity(rs)):
         assert code.contract(code.expand(word)) == word
 
@@ -111,7 +111,7 @@ def test_contract_inverts_expand_row_kinds(word):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 15), min_size=15, max_size=15))
 def test_contract_inverts_expand_array_kinds(word):
-    rs = RsCode(build_ext_field(2, 4), 15, 7)
+    rs = RsCode(ExtField(2, 4), 15, 7)
     for code in (
         ExpandedCode.square_array(rs, 3, 5),
         ExpandedCode.companion_array(rs, 3, 5),
@@ -166,6 +166,8 @@ def test_capability_formulas(c1, c2, c3):
     assert c3.capability(1, "square") == 5
     with pytest.raises(ShapeUnsupportedError):
         c1.capability(1, "square")
+    with pytest.raises(ShapeUnsupportedError):
+        c1.capability(0)
 
 
 def test_capability_clamps_to_zero(rs73):

@@ -25,7 +25,7 @@ from synfuzz.fuzzy import (
     syndrome_to_bytes,
     verify,
 )
-from synfuzz.gf import build_ext_field
+from synfuzz.gf import ExtField
 from synfuzz.rs import BchCode, RsCode
 from test_golden import GOLDEN, GOLDEN_DIR, golden_word
 
@@ -34,7 +34,7 @@ SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 
 @pytest.fixture(scope="module")
 def c1():
-    return ExpandedCode.row_vector(RsCode(build_ext_field(2, 4), 15, 7))
+    return ExpandedCode.row_vector(RsCode(ExtField(2, 4), 15, 7))
 
 
 def test_sha256_empty_vector():
@@ -45,7 +45,7 @@ def test_unsupported_hash():
     with pytest.raises(UnsupportedHashError):
         hash_digest("crc32", b"")
     with pytest.raises(UnsupportedHashError):
-        enroll([0] * 21, ExpandedCode.row_vector(RsCode(build_ext_field(2, 3), 7, 3)),
+        enroll([0] * 21, ExpandedCode.row_vector(RsCode(ExtField(2, 3), 7, 3)),
                hash_alg="md5-ish")
 
 
@@ -68,6 +68,10 @@ def test_enroll_shape_check(c1):
         enroll([0] * 59 + [2], c1)
     with pytest.raises(ShapeMismatchError):
         enroll([0] * 15, BchCode(2, 4, 2))
+    with pytest.raises(ShapeMismatchError):  # a vector where rows belong
+        enroll([0] * 12, parse_spec("cIII(rs(15,5;gf(2^4));3,5)"))
+    with pytest.raises(ShapeMismatchError):
+        enroll(None, c1)
 
 
 def test_template_round_trip(c1):
@@ -92,14 +96,14 @@ def test_template_rejects_garbage():
 
 def test_syndrome_bytes_round_trip_all_constructions():
     rng = Rng(3)
-    rs15 = RsCode(build_ext_field(2, 4), 15, 7)
+    rs15 = RsCode(ExtField(2, 4), 15, 7)
     codes = [
-        RsCode(build_ext_field(2, 3), 7, 3),
+        RsCode(ExtField(2, 3), 7, 3),
         ExpandedCode.row_vector(rs15),
         ExpandedCode.row_vector_parity(rs15),
         ExpandedCode.square_array(rs15, 3, 5),
-        ExpandedCode.companion_array(RsCode(build_ext_field(2, 4), 15, 5), 3, 5),
-        ConcatCode(BchCode(2, 3, 1), RsCode(build_ext_field(2, 4), 15, 11), FlatLayout()),
+        ExpandedCode.companion_array(RsCode(ExtField(2, 4), 15, 5), 3, 5),
+        ConcatCode(BchCode(2, 3, 1), RsCode(ExtField(2, 4), 15, 11), FlatLayout()),
     ]
     for code in codes:
         shape = code.shape if not isinstance(code, RsCode) else (code.n,)
@@ -118,7 +122,7 @@ def test_syndrome_bytes_round_trip_all_constructions():
 
 
 def test_syndrome_length_equals_redundancy_in_symbols():
-    rs15 = RsCode(build_ext_field(2, 4), 15, 5)
+    rs15 = RsCode(ExtField(2, 4), 15, 5)
     comp = ExpandedCode.companion_array(rs15, 3, 5)
     t = enroll(comp.zero_word(), comp)
     # base symbols are one byte each here; ext symbols one byte as well
@@ -173,7 +177,7 @@ def test_verify_against_template_from_text(c1):
 
 def test_plain_rs_enrollment_over_f9():
     """Odd characteristic pins the sign convention: recovered = presented + v."""
-    code = RsCode(build_ext_field(3, 2), 8, 4)
+    code = RsCode(ExtField(3, 2), 8, 4)
     rng = random.Random(9)
     for _ in range(100):
         x = [rng.randrange(9) for _ in range(8)]
@@ -187,7 +191,7 @@ def test_plain_rs_enrollment_over_f9():
 
 
 def test_two_dimensional_enrollment():
-    code = ExpandedCode.square_array(RsCode(build_ext_field(2, 4), 15, 7), 3, 5)
+    code = ExpandedCode.square_array(RsCode(ExtField(2, 4), 15, 7), 3, 5)
     rng = Rng(10)
     words = random.Random(11)
     side = code.capability(1, "square")
@@ -203,7 +207,7 @@ def test_two_dimensional_enrollment():
 def test_companion_enrollment_recovers_off_algebra_noise():
     """Companion-layout noise usually leaves the matrix algebra; the stored
     residual part of the syndrome must bring back the exact original."""
-    code = ExpandedCode.companion_array(RsCode(build_ext_field(2, 4), 15, 5), 3, 5)
+    code = ExpandedCode.companion_array(RsCode(ExtField(2, 4), 15, 5), 3, 5)
     rng = Rng(12)
     words = random.Random(13)
     side = code.capability(1, "square")
@@ -248,7 +252,7 @@ def test_concat_flat_recovers_a_burst_above_the_bound():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=21, max_size=21))
 def test_canonical_bytes_start_with_field_and_shape(bits):
-    code = ExpandedCode.row_vector(RsCode(build_ext_field(2, 3), 7, 3))
+    code = ExpandedCode.row_vector(RsCode(ExtField(2, 3), 7, 3))
     raw = canonical_bytes(code, bits)
     assert raw.startswith(b"gf(2)|21|")
     assert len(raw) == len(b"gf(2)|21|") + 21

@@ -11,26 +11,26 @@ from synfuzz.errors import (
     NotPrimeError,
     ReducibleModulusError,
 )
-from synfuzz.gf import MUL_COUNTER, PrimeField, build_ext_field, default_modulus
+from synfuzz.gf import MUL_COUNTER, ExtField, PrimeField, default_modulus
 
 import oracle
 
 
 @pytest.fixture(scope="module")
 def f8():
-    return build_ext_field(2, 3)
+    return ExtField(2, 3)
 
 
 @pytest.fixture(scope="module")
 def f16():
-    return build_ext_field(2, 4)
+    return ExtField(2, 4)
 
 
 def test_prime_field_rejects_composites():
     with pytest.raises(NotPrimeError):
         PrimeField(6)
     with pytest.raises(NotPrimeError):
-        build_ext_field(4, 2)
+        ExtField(4, 2)
 
 
 def assert_alpha_primitive(fld):
@@ -47,7 +47,7 @@ def test_f8_construction(f8):
 
 
 def test_degree_one_extension_is_the_prime_field():
-    f2 = build_ext_field(2, 1)
+    f2 = ExtField(2, 1)
     assert f2.order == 2
     assert f2.mul(1, 1) == 1
     assert f2.add(1, 1) == 0
@@ -57,7 +57,7 @@ def test_degree_one_extension_is_the_prime_field():
 def test_reducible_modulus_rejected():
     # x^3 + 1 = (x + 1)(x^2 + x + 1)
     with pytest.raises(ReducibleModulusError):
-        build_ext_field(2, 3, modulus=[1, 0, 0, 1])
+        ExtField(2, 3, modulus=[1, 0, 0, 1])
 
 
 def test_no_default_modulus_for_large_fields():
@@ -68,12 +68,12 @@ def test_no_default_modulus_for_large_fields():
 def test_non_primitive_modulus_flagged():
     # x^2 + 1 is irreducible over gf(3) but x has order 4, not 8
     with pytest.raises(NonPrimitiveAlphaError):
-        build_ext_field(3, 2, modulus=[1, 0, 1])
+        ExtField(3, 2, modulus=[1, 0, 1])
 
 
 def test_all_binary_defaults_are_primitive():
     for m in range(1, 17):
-        assert_alpha_primitive(build_ext_field(2, m))
+        assert_alpha_primitive(ExtField(2, m))
 
 
 def test_f8_spot_products(f8):
@@ -118,7 +118,7 @@ def test_field_axioms_exhaustive_f8(f8):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
 def test_field_axioms_sampled_f16(a, b, c):
-    fld = build_ext_field(2, 4)
+    fld = ExtField(2, 4)
     assert fld.mul(a, fld.mul(b, c)) == fld.mul(fld.mul(a, b), c)
     assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
     if a:
@@ -141,7 +141,7 @@ def test_base_vector_addition_is_componentwise(f8):
 
 
 def test_companion_matrix_f4():
-    f4 = build_ext_field(2, 2)
+    f4 = ExtField(2, 2)
     assert f4.to_companion_matrix(2) == [[0, 1], [1, 1]]  # alpha -> P
     assert f4.to_companion_matrix(3) == [[1, 1], [1, 0]]  # alpha^2 = alpha + 1 -> P^2
     assert f4.to_companion_matrix(1) == [[1, 0], [0, 1]]
@@ -187,14 +187,14 @@ def check_odd_field_pair(fld, a, b):
 
 def test_nonbinary_field_arithmetic():
     for p, m in ((3, 2), (5, 2), (7, 1)):
-        fld = build_ext_field(p, m)
+        fld = ExtField(p, m)
         assert_alpha_primitive(fld)
         for a in range(fld.order):
             for b in range(fld.order):
                 check_odd_field_pair(fld, a, b)
             assert fld.add(a, fld.neg(a)) == 0
     # sampled pairs in a field of 2187 elements
-    f2187 = build_ext_field(3, 7)
+    f2187 = ExtField(3, 7)
     rng = random.Random(37)
     for _ in range(2000):
         check_odd_field_pair(f2187, rng.randrange(2187), rng.randrange(2187))
@@ -220,16 +220,16 @@ def test_mul_counter_monotone_and_resettable(f8):
 
 
 def test_spec_strings():
-    assert build_ext_field(2, 3).spec_string() == "gf(2^3)"
+    assert ExtField(2, 3).spec_string() == "gf(2^3)"
     assert PrimeField(5).spec_string() == "gf(5)"
-    custom = build_ext_field(2, 3, modulus=[1, 1, 0, 1])
+    custom = ExtField(2, 3, modulus=[1, 1, 0, 1])
     assert custom.spec_string() == "gf(2^3)"  # matches the default table
-    f9 = build_ext_field(3, 2)
+    f9 = ExtField(3, 2)
     assert "modulus=" in f9.canonical_spec()
 
 
 def test_default_modulus_search_is_deterministic():
     assert default_modulus(3, 2) == default_modulus(3, 2)
-    fld = build_ext_field(5, 2)
+    fld = ExtField(5, 2)
     assert_alpha_primitive(fld)
     assert fld.order == 25

@@ -12,7 +12,7 @@ from synfuzz.errors import (
     LengthMismatchError,
     TooManyErasuresError,
 )
-from synfuzz.gf import build_ext_field
+from synfuzz.gf import ExtField
 from synfuzz.rs import BchCode, RsCode, Syndrome
 
 import oracle
@@ -20,12 +20,12 @@ import oracle
 
 @pytest.fixture(scope="module")
 def rs73():
-    return RsCode(build_ext_field(2, 3), 7, 3)
+    return RsCode(ExtField(2, 3), 7, 3)
 
 
 @pytest.fixture(scope="module")
 def rs157():
-    return RsCode(build_ext_field(2, 4), 15, 7)
+    return RsCode(ExtField(2, 4), 15, 7)
 
 
 def test_parameters(rs73):
@@ -102,7 +102,7 @@ def test_single_error_syndrome_formula(rs73):
     st.lists(st.integers(0, 7), min_size=7, max_size=7),
 )
 def test_syndrome_linearity(u, v):
-    code = RsCode(build_ext_field(2, 3), 7, 3)
+    code = RsCode(ExtField(2, 3), 7, 3)
     s = code.syndrome_sub(code.syndrome(u), code.syndrome(v))
     w = [code.field.sub(a, b) for a, b in zip(u, v)]
     assert s == code.syndrome(w)
@@ -156,7 +156,7 @@ def test_random_error_round_trip_rs157(rs157):
 
 
 def test_random_error_round_trip_rs255():
-    code = RsCode(build_ext_field(2, 8), 255, 223)
+    code = RsCode(ExtField(2, 8), 255, 223)
     rng = random.Random(255)
     for _ in range(300):
         msg = [rng.randrange(256) for _ in range(223)]
@@ -193,7 +193,7 @@ def test_too_many_erasures(rs157):
 
 
 def test_shortened_code_round_trip():
-    full = build_ext_field(2, 7)
+    full = ExtField(2, 7)
     code = RsCode(full, 30, 12)
     assert code.is_shortened
     assert code.redundancy == 18
@@ -210,7 +210,7 @@ def test_shortened_code_round_trip():
 
 
 def test_nonbinary_rs_round_trip():
-    code = RsCode(build_ext_field(3, 2), 8, 4)
+    code = RsCode(ExtField(3, 2), 8, 4)
     rng = random.Random(9)
     for _ in range(500):
         msg = [rng.randrange(9) for _ in range(4)]

@@ -1,0 +1,35 @@
+"""The scripts under scripts/ run, and the report text stays pinned.
+
+tests/golden/describe.txt is the output of scripts/capability_report.py
+over every golden-template spec plus one shortened RS code; the info and
+capability lines of each construction must reproduce it byte for byte.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+from test_golden import GOLDEN, GOLDEN_DIR
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+DESCRIBE_SPECS = [g[1] for g in GOLDEN] + ["rs(30,12;gf(2^7))"]
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        timeout=120,
+    )
+
+
+def test_capability_report_matches_golden_text():
+    result = run_script("capability_report.py", *DESCRIBE_SPECS)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (GOLDEN_DIR / "describe.txt").read_bytes()
+
+
+def test_monte_carlo_and_cost_scan_scripts_run():
+    for name, args in (("burst_montecarlo.py", ("5", "7")), ("decode_cost_scan.py", ("2",))):
+        result = run_script(name, *args)
+        assert result.returncode == 0, result.stderr.decode()
