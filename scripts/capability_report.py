@@ -11,6 +11,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from synfuzz.codespec import parse_spec  # noqa: E402
+from synfuzz.errors import SynfuzzError  # noqa: E402
+from synfuzz.fuzzy import enrollable  # noqa: E402
 
 DEFAULT_ROSTER = [
     "cI(rs(7,3;gf(2^3)))",
@@ -28,7 +30,11 @@ DEFAULT_ROSTER = [
 def main(argv):
     roster = argv[1:] or DEFAULT_ROSTER
     for spec in roster:
-        code = parse_spec(spec)
+        try:
+            code = enrollable(parse_spec(spec))
+        except SynfuzzError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print("=" * 72)
         for line in code.info_lines() + code.capability_lines():
             print(line)

@@ -16,7 +16,7 @@ import sys
 
 from . import fuzzy
 from .channel import Rng, gen_mixed
-from .codespec import parse_spec
+from .codespec import MAX_CELLS, parse_spec
 from .errors import SynfuzzError
 
 EXIT_OK = 0
@@ -61,7 +61,8 @@ def parse_model(text: str):
 
     The first burst token is count x size; extra comma-separated tokens add
     single bursts.  Sizes are lengths for vector codes and square sides for
-    array codes.  Counts and sizes must be positive, R non-negative.
+    array codes.  Counts and sizes must be positive, R non-negative, and
+    the count at most MAX_CELLS: no code has more cells to place bursts in.
     """
     bursts: list[int] = []
     random_errors = 0
@@ -74,8 +75,8 @@ def parse_model(text: str):
             head = toks[0]
             if "x" in head:
                 cnt, size = head.split("x", 1)
-                if int(cnt) < 1:
-                    raise SynfuzzError(f"burst count {cnt} is not positive")
+                if not 1 <= int(cnt) <= MAX_CELLS:
+                    raise SynfuzzError(f"burst count {cnt} is not in 1..{MAX_CELLS}")
                 bursts.extend([int(size)] * int(cnt))
             elif head:
                 bursts.append(int(head))

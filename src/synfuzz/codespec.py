@@ -12,8 +12,8 @@ Spec strings arrive in untrusted template files, so sizes are bounded
 before any work: p <= 2^16, m <= 16 and p^m <= 2^16, a bch length at most
 4095, a redundancy (rs n-k, bch 2*design_t) at most 64, and positive layout
 and array parameters n1, n2, a, b.  A custom modulus must make x primitive.
-A concat is refused at more than 2^20 cells (N*n) before its layout index
-map is built.
+A code of any construction is refused at more than 2^20 cells
+(``base_length``), so the block map it builds on first use stays bounded.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .rs import BchCode, RsCode
 _MAX_BCH_LENGTH = (1 << 12) - 1
 # Peterson decoding grows about eightfold per doubling of the redundancy.
 _MAX_REDUNDANCY = 64
-_MAX_CONCAT_CELLS = 1 << 20
+# Every code's cell table (built on first use) has one entry per cell.
+MAX_CELLS = 1 << 20
 
 
 def _strip_call(text: str, name: str) -> str | None:
@@ -176,12 +177,17 @@ def _parse_layout(text: str):
 def parse_spec(text: str):
     """Parse a construction string into a code object."""
     text = text.strip()
-    args = _strip_call(text, "rs")
-    if args is not None:
-        return _parse_rs(text)
-    args = _strip_call(text, "bch")
-    if args is not None:
+    if _strip_call(text, "bch") is not None:
         return _parse_bch(text)
+    code = _parse_linear(text)
+    if code.base_length > MAX_CELLS:
+        raise SpecParseError(f"{text} has {code.base_length} cells, above {MAX_CELLS}")
+    return code
+
+
+def _parse_linear(text: str):
+    if _strip_call(text, "rs") is not None:
+        return _parse_rs(text)
     for name, maker in (
         ("cI+parity", ExpandedCode.row_vector_parity),
         ("cI", ExpandedCode.row_vector),
@@ -218,10 +224,6 @@ def parse_spec(text: str):
                 raise SpecParseError(f"unknown concat clause {part!r}")
         if inner is None or outer is None or layout is None:
             raise SpecParseError("concat needs inner=, outer= and layout=")
-        if outer.n * inner.n > _MAX_CONCAT_CELLS:
-            raise SpecParseError(
-                f"concat of {outer.n}x{inner.n} cells is above {_MAX_CONCAT_CELLS}"
-            )
         return ConcatCode(inner, outer, layout)
     raise SpecParseError(f"unrecognized code spec {text!r}")
 

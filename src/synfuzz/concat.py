@@ -17,10 +17,12 @@ provided on top of the flat blockwise word:
 Each layout class (``FlatLayout``, ``IvLayout``, ``VLayout``,
 ``ViLayout``) makes every decision about its layout: ``shape(N, n)``
 checks divisibility and gives the array shape, ``cell(N, n, i, p)``
-places position p of inner code i, ``bounds(N, n, t, s)`` maps each
-capability query to its guaranteed figure, and ``bound_lines`` and
+places position p of inner code i, ``cells(N, n)`` gives the block map
+(each inner codeword's flat cell offsets), ``bounds(N, n, t, s)`` maps
+each capability query to its guaranteed figure, and ``bound_lines`` and
 ``guidance`` give the report text.  ``ConcatCode`` never asks which
-layout it holds; it treats a rank-1 shape as the flat blockwise word.
+layout it holds: it supplies the block map as ``_cells`` (built on first
+use) and gathers and scatters blocks through ``LinearCode``.
 
 The syndrome stores each block's remainder mod the inner generator (n-k
 base symbols) plus the outer syndrome of the blocks' systematic parts;
@@ -38,6 +40,7 @@ fails, so every guaranteed bound still holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DecodeFailure,
@@ -97,6 +100,10 @@ class FlatLayout:
     def cell(self, N: int, n: int, i: int, p: int) -> tuple[int, int]:
         raise QueryUnsupportedError("flat layout has no two-dimensional indexing")
 
+    def cells(self, N: int, n: int) -> list[range]:
+        """Block i (0-based) fills cells i*n .. (i+1)*n - 1."""
+        return [range(i * n, (i + 1) * n) for i in range(N)]
+
     def bounds(self, N: int, n: int, t: int, s: int) -> dict:
         """``"single_burst"``: longest guaranteed 1D burst, n*(s-1) + 2t."""
         return {"single_burst": n * (s - 1) + 2 * t}
@@ -109,8 +116,20 @@ class FlatLayout:
         return "flat"
 
 
+class _ArrayLayout:
+    """What the array layouts share: flat cell offsets from ``cell``."""
+
+    def cells(self, N: int, n: int) -> list[list[int]]:
+        """Row-major offset of each (block, position), block-major."""
+        cols = self.shape(N, n)[1]
+        return [
+            [r * cols + c for r, c in (self.cell(N, n, i, p) for p in range(1, n + 1))]
+            for i in range(1, N + 1)
+        ]
+
+
 @dataclass(frozen=True)
-class IvLayout:
+class IvLayout(_ArrayLayout):
     a: int
     b: int
     name = "iv"
@@ -145,7 +164,7 @@ class IvLayout:
 
 
 @dataclass(frozen=True)
-class VLayout:
+class VLayout(_ArrayLayout):
     a: int
     b: int
     name = "v"
@@ -188,7 +207,7 @@ class VLayout:
 
 
 @dataclass(frozen=True)
-class ViLayout:
+class ViLayout(_ArrayLayout):
     name = "vi"
     guidance = ("thin row/column bursts and random errors; a full diagonal costs "
                 "one outer symbol")
@@ -254,47 +273,16 @@ class ConcatCode(LinearCode):
         self.segments = ((N * inner.redundancy, self.alphabet), (outer.redundancy, outer.field))
         self.shape = layout.shape(N, n)
         self.guidance = layout.guidance
-        # flat cell offset of each (block, position); None for the flat layout
-        self._index_map = None
-        if len(self.shape) == 2:
-            cols = self.shape[1]
-            self._index_map = []
-            for i in range(1, N + 1):
-                cells = (layout.cell(N, n, i, p) for p in range(1, n + 1))
-                self._index_map.append([r * cols + c for r, c in cells])
 
-    # ------------------------------------------------------------------
-    # layout plumbing
-    # ------------------------------------------------------------------
+    @cached_property
+    def _cells(self) -> list:
+        return self.layout.cells(self.N, self.n_in)
 
     def layout_index(self, i: int, p: int) -> tuple[int, int]:
         """Array cell of inner code i (1-based), position p (1-based)."""
         if not (1 <= i <= self.N and 1 <= p <= self.n_in):
             raise IndexOutOfRangeError(f"(i={i}, p={p}) outside 1..{self.N} x 1..{self.n_in}")
         return self.layout.cell(self.N, self.n_in, i, p)
-
-    def _blocks(self, word) -> list[list[int]]:
-        self._check_shape(word)
-        n = self.n_in
-        if self._index_map is None:
-            return [word[i * n : (i + 1) * n] for i in range(self.N)]
-        flat = [v for row in word for v in row]
-        return [[flat[off] for off in self._index_map[i]] for i in range(self.N)]
-
-    def _place_blocks(self, blocks):
-        n = self.n_in
-        if self._index_map is None:
-            out = []
-            for blk in blocks:
-                out.extend(blk)
-            return out
-        rows, cols = self.shape
-        flat = [0] * (rows * cols)
-        for i, blk in enumerate(blocks):
-            offs = self._index_map[i]
-            for pos in range(n):
-                flat[offs[pos]] = blk[pos]
-        return [flat[r * cols : (r + 1) * cols] for r in range(rows)]
 
     # ------------------------------------------------------------------
     # encode / syndrome / decode
@@ -307,7 +295,7 @@ class ConcatCode(LinearCode):
         blocks = [
             self.inner.encode(ext.to_base_vector(sym)) for sym in outer_word
         ]
-        return self._place_blocks(blocks)
+        return self._place(blocks)
 
     def _systematic_value(self, block) -> int:
         return self.outer.field.from_base_vector(block[self.inner.systematic_slice])
@@ -365,7 +353,7 @@ class ConcatCode(LinearCode):
                 if rem[j]:
                     blk[j] = (blk[j] + rem[j]) % self.p
             blocks.append(blk)
-        pattern = self._place_blocks(blocks)
+        pattern = self._place(blocks)
         if self.syndrome(pattern) != synd:
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         if not with_info:

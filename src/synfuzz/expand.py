@@ -12,13 +12,20 @@ Four layouts are provided:
 * ``companion-array`` - each symbol becomes its m x m companion-matrix
   image, so bursts hitting a tile still touch only one symbol.
 
+Each layout supplies only its block map and block contents: ``_cells``
+lists, per extension symbol, the flat offsets of its m coefficient digits
+and then of the cells the contraction drops (the parity digit, or the
+companion tile's columns 1..m-1 row-major); ``_fill(sym)`` gives the
+digits those cells hold.
+
 The template syndrome of a base word is the RS syndrome of the word's
-blockwise contraction, extended with whatever the contraction discards:
-per-block parity sums for the parity layout, and per-tile off-algebra
-residuals for the companion layout (a corrupted tile usually leaves
-F_p[P]; the residual keeps the decoder exact).  Together these parts form
-a full parity check of the expanded code: the syndrome is zero exactly on
-valid expansions, and its symbol count equals the code's redundancy.
+blockwise contraction, extended with each block's dropped cells minus
+their fill: per-block parity sums for the parity layout, and per-tile
+off-algebra residuals for the companion layout (a corrupted tile usually
+leaves F_p[P]; the residual keeps the decoder exact).  Together these
+parts form a full parity check of the expanded code: the syndrome is zero
+exactly on valid expansions, and its symbol count equals the code's
+redundancy.
 
 The syndrome is one flat vector; ``segments`` lays it out as
 
@@ -35,8 +42,11 @@ never flagged, so every bound of the plain layout still holds.
 from __future__ import annotations
 
 import math
+from functools import cached_property
+
 from .errors import (
     DecodeFailure,
+    NotInAlgebraError,
     ShapeMismatchError,
     ShapeUnsupportedError,
     TooManyErasuresError,
@@ -70,36 +80,42 @@ class ExpandedCode(LinearCode):
         m = field.m
         n = rs.n
         self.tile = m  # digits per tile side (per block for the row layouts)
-        if kind in (KIND_ROW, KIND_ROW_PARITY):
+        self._fill = field.to_base_vector
+        is_row = kind in (KIND_ROW, KIND_ROW_PARITY)
+        # (row, column) of each block digit within its tile, coefficients first
+        if is_row:
             if n1 is not None or n2 is not None:
                 raise ShapeUnsupportedError("row layouts take no array shape")
-            self.block = m if kind == KIND_ROW else m + 1
-            self.shape = (n * self.block,)
+            n1, n2 = 1, n
+            order = [(0, v) for v in range(m + (kind == KIND_ROW_PARITY))]
+            if kind == KIND_ROW_PARITY:
+                self._fill = self._parity_fill
         elif kind == KIND_SQUARE:
-            sm = math.isqrt(m)
-            if sm * sm != m:
+            self.sm = self.tile = math.isqrt(m)
+            if self.sm * self.sm != m:
                 raise ShapeUnsupportedError(f"m={m} is not a perfect square")
-            if n1 is None or n2 is None or n1 * n2 != n:
-                raise ShapeMismatchError(f"need n1*n2 = {n}")
-            self.sm = self.tile = sm
-            self.n1, self.n2 = n1, n2
-            self.shape = (n1 * sm, n2 * sm)
+            order = [divmod(u, self.sm) for u in range(m)]
         elif kind == KIND_COMPANION:
-            if n1 is None or n2 is None or n1 * n2 != n:
-                raise ShapeMismatchError(f"need n1*n2 = {n}")
-            self.n1, self.n2 = n1, n2
-            self.shape = (n1 * m, n2 * m)
+            self._fill = self._companion_fill
+            order = [(u, 0) for u in range(m)] + [(u, v) for u in range(m) for v in range(1, m)]
         else:
             raise ShapeUnsupportedError(f"unknown expansion kind {kind!r}")
-        self.base_length = self.shape[0] if len(self.shape) == 1 else self.shape[0] * self.shape[1]
+        if n1 is None or n2 is None or n1 * n2 != n:
+            raise ShapeMismatchError(f"need n1*n2 = {n}")
+        self.n1, self.n2 = n1, n2
+        tile_rows, tile_cols = (max(d) + 1 for d in zip(*order))
+        self.shape = (n2 * tile_cols,) if is_row else (n1 * tile_rows, n2 * tile_cols)
+        cols = self.shape[-1]
+        self._steps = (tile_rows * cols, tile_cols)
+        self._tile_cells = tuple(u * cols + v for u, v in order)
+        self._dropped = len(order) - m
+        self.base_length = n * len(order)
         self.base_dimension = m * rs.k
         self.alphabet = field.prime
         self.guidance = GUIDANCE_BY_KIND[kind]
         self.segments = ((rs.redundancy, field),)
-        if kind == KIND_ROW_PARITY:
-            self.segments += ((n, field.prime),)
-        elif kind == KIND_COMPANION:
-            self.segments += ((n * m * (m - 1), field.prime),)
+        if self._dropped:
+            self.segments += ((n * self._dropped, field.prime),)
 
     @classmethod
     def row_vector(cls, rs: RsCode) -> "ExpandedCode":
@@ -121,9 +137,20 @@ class ExpandedCode(LinearCode):
     def is_array(self) -> bool:
         return len(self.shape) == 2
 
-    def tile_origin(self, i: int) -> tuple[int, int]:
-        """Top-left cell of the tile holding extension symbol i (0-based)."""
-        return (i // self.n2) * self.tile, (i % self.n2) * self.tile
+    @cached_property
+    def _cells(self) -> list[list[int]]:
+        rstep, cstep = self._steps
+        tile = self._tile_cells
+        origins = ((i // self.n2) * rstep + (i % self.n2) * cstep for i in range(self.rs.n))
+        return [[origin + at for at in tile] for origin in origins]
+
+    def _parity_fill(self, sym: int) -> list[int]:
+        digits = self.rs.field.to_base_vector(sym)
+        return digits + [self.alphabet.neg(sum(digits) % self.alphabet.p)]
+
+    def _companion_fill(self, sym: int) -> list[int]:
+        image = self.rs.field._companion_image(sym)
+        return [row[0] for row in image] + [v for row in image for v in row[1:]]
 
     # ------------------------------------------------------------------
     # expansion and contraction
@@ -131,107 +158,53 @@ class ExpandedCode(LinearCode):
 
     def expand(self, word) -> list:
         """Lay an extension-field word out over the base field."""
-        field = self.rs.field
-        m = field.m
         if len(word) != self.rs.n:
             raise ShapeMismatchError(f"expected {self.rs.n} extension symbols")
-        if self.kind in (KIND_ROW, KIND_ROW_PARITY):
-            out = [0] * self.shape[0]
-            blk = self.block
-            for i, sym in enumerate(word):
-                digits = field.to_base_vector(sym)
-                out[i * blk : i * blk + m] = digits
-                if blk > m:
-                    out[i * blk + m] = field.prime.neg(sum(digits) % field.p)
-            return out
-        grid = self.zero_word()
-        if self.kind == KIND_SQUARE:
-            sm = self.sm
-            for i, sym in enumerate(word):
-                if sym:
-                    r0, c0 = self.tile_origin(i)
-                    digits = field.to_base_vector(sym)
-                    for u in range(m):
-                        grid[r0 + u // sm][c0 + u % sm] = digits[u]
-            return grid
-        for i, sym in enumerate(word):
-            if sym:
-                r0, c0 = self.tile_origin(i)
-                image = field._companion_image(sym)
-                for u in range(m):
-                    grid[r0 + u][c0 : c0 + m] = image[u]
-        return grid
+        return self._place([self._fill(sym) for sym in word])
 
     def contract(self, base) -> list[int]:
-        """Invert expand(); companion tiles must lie in F_p[P]."""
-        return self._gather(base, strict=True)
+        """Invert expand(); every block must be its symbol's expansion."""
+        word = self.project(base)
+        if self.expand(word) != base:
+            raise NotInAlgebraError("a block is not the expansion of its symbol")
+        return word
 
     def project(self, base) -> list[int]:
-        """Blockwise contraction tolerant of corrupted companion tiles:
-        each tile is sent to the algebra element read off its first column."""
-        return self._gather(base, strict=False)
+        """Blockwise contraction tolerant of corrupted blocks: each block is
+        sent to the symbol read off its coefficient digits."""
+        return [self._symbol(block) for block in self._blocks(base)]
 
-    def _gather(self, base, strict: bool) -> list[int]:
-        self._check_shape(base)
-        field = self.rs.field
-        m = field.m
-        n = self.rs.n
-        if self.kind in (KIND_ROW, KIND_ROW_PARITY):
-            blk = self.block
-            return [
-                field.from_base_vector(base[i * blk : i * blk + m]) for i in range(n)
-            ]
-        out = [0] * n
-        if self.kind == KIND_SQUARE:
-            sm = self.sm
-            for i in range(n):
-                r0, c0 = self.tile_origin(i)
-                digits = [base[r0 + u // sm][c0 + u % sm] for u in range(m)]
-                out[i] = field.from_base_vector(digits)
-            return out
-        for i in range(n):
-            r0, c0 = self.tile_origin(i)
-            tile = [base[r0 + u][c0 : c0 + m] for u in range(m)]
-            if strict:
-                out[i] = field.from_companion_matrix(tile)
-            else:
-                out[i] = field.from_base_vector([row[0] for row in tile])
-        return out
+    def _symbol(self, block) -> int:
+        return self.rs.field.from_base_vector(block[: self.rs.field.m])
 
     # ------------------------------------------------------------------
     # syndrome and decoding
     # ------------------------------------------------------------------
 
     def syndrome(self, base) -> Syndrome:
-        """Template syndrome of a base word; linear in the word."""
-        word = self._gather(base, strict=False)
-        field = self.rs.field
-        m = field.m
-        p = field.p
+        """Template syndrome of a base word; linear in the word.
+
+        The RS syndrome of the blockwise contraction, then each block's
+        dropped cells minus their fill."""
+        m = self.rs.field.m
+        p = self.alphabet.p
+        word = []
         extra = []
-        if self.kind == KIND_ROW_PARITY:
-            blk = self.block
-            extra = [sum(base[i * blk : (i + 1) * blk]) % p for i in range(self.rs.n)]
-        elif self.kind == KIND_COMPANION:
-            for i, elem in enumerate(word):
-                r0, c0 = self.tile_origin(i)
-                image = field._companion_image(elem)
-                extra.extend(
-                    (base[r0 + u][c0 + v] - image[u][v]) % p
-                    for u in range(m)
-                    for v in range(1, m)
-                )
+        for block in self._blocks(base):
+            sym = self._symbol(block)
+            word.append(sym)
+            if self._dropped:
+                extra.extend((b - f) % p for b, f in zip(block[m:], self._fill(sym)[m:]))
         return Syndrome(self.rs.syndrome(word).values + tuple(extra))
 
     def decode(self, synd: Syndrome) -> list:
         """Base-field error pattern reproducing the syndrome.
 
-        The extension-level pattern comes from the RS decoder; the parts
-        the contraction discards (parity digits, companion residuals) are
-        filled back in from the stored syndrome components, so the
-        reconstruction is exact whenever the RS step is.  The parity layout
-        passes its parity-inconsistent blocks to the RS decoder as
-        erasures.
+        The extension-level pattern comes from the RS decoder; the dropped
+        cells (parity digits, companion residuals) get their fill plus the
+        stored syndrome components, so the reconstruction is exact whenever
+        the RS step is.  The parity layout passes its parity-inconsistent
+        blocks to the RS decoder as erasures.
         """
         r = self.rs.redundancy
         extra = synd.values[r:]
@@ -242,35 +215,15 @@ class ExpandedCode(LinearCode):
             evec = self.rs.decode_syndrome(Syndrome(synd.values[:r]), erasures=erasures)
         except TooManyErasuresError as exc:
             raise DecodeFailure(str(exc)) from exc
-        field = self.rs.field
-        m = field.m
-        p = field.p
-        if self.kind == KIND_ROW:
-            return self.expand(evec)
-        if self.kind == KIND_ROW_PARITY:
-            out = [0] * self.shape[0]
-            blk = self.block
-            for i, sym in enumerate(evec):
-                digits = field.to_base_vector(sym)
-                out[i * blk : i * blk + m] = digits
-                out[i * blk + m] = (extra[i] - sum(digits)) % p
-            return out
-        if self.kind == KIND_SQUARE:
-            return self.expand(evec)
-        grid = self.zero_word()
-        w = m * (m - 1)
+        m = self.rs.field.m
+        p = self.alphabet.p
+        w = self._dropped
+        blocks = []
         for i, sym in enumerate(evec):
+            fill = self._fill(sym)
             res = extra[i * w : (i + 1) * w]
-            if not sym and not any(res):
-                continue
-            r0, c0 = self.tile_origin(i)
-            image = field._companion_image(sym)
-            for u in range(m):
-                row = grid[r0 + u]
-                row[c0] = image[u][0]
-                for v in range(1, m):
-                    row[c0 + v] = (image[u][v] + res[u * (m - 1) + (v - 1)]) % p
-        return grid
+            blocks.append(fill[:m] + [(f + s) % p for f, s in zip(fill[m:], res)])
+        return self._place(blocks)
 
     # ------------------------------------------------------------------
     # burst capability

@@ -61,6 +61,10 @@ class LinearCode:
     implements ``syndrome(word) -> Syndrome`` and ``decode(Syndrome)``,
     which returns an error pattern shaped like the data word.
 
+    A base-field code states only where its blocks live: ``_cells``, one
+    list of flat row-major cell offsets per block, which ``_blocks``
+    gathers through and ``_place`` scatters through.
+
     For the ``info`` and ``capability`` reports it also sets ``guidance``
     and implements ``_kind_lines()`` (what the code is) and
     ``_bound_lines()`` (what it guarantees); ``info_lines()`` and
@@ -85,19 +89,35 @@ class LinearCode:
         return Syndrome(tuple(out))
 
     def zero_word(self):
-        if len(self.shape) == 1:
-            return [0] * self.shape[0]
-        rows, cols = self.shape
-        return [[0] * cols for _ in range(rows)]
+        return self._shaped([0] * self.base_length)
 
-    def _check_shape(self, word) -> None:
+    def _shaped(self, flat: list) -> list:
+        """A row-major cell list reshaped to the data word's shape."""
+        if len(self.shape) == 1:
+            return flat
+        cols = self.shape[1]
+        return [flat[at : at + cols] for at in range(0, len(flat), cols)]
+
+    def _blocks(self, word) -> list[list[int]]:
+        """The digits of each block of a data word, in ``_cells`` order."""
         if len(self.shape) == 1:
             if len(word) != self.shape[0] or isinstance(word[0], list):
                 raise ShapeMismatchError(f"expected a vector of length {self.shape[0]}")
+            flat = word
         else:
             rows, cols = self.shape
             if len(word) != rows or any(len(row) != cols for row in word):
                 raise ShapeMismatchError(f"expected a {rows}x{cols} array")
+            flat = [v for row in word for v in row]
+        return [[flat[at] for at in cells] for cells in self._cells]
+
+    def _place(self, blocks) -> list:
+        """The data word holding each block's digits at its ``_cells``."""
+        flat = [0] * self.base_length
+        for cells, block in zip(self._cells, blocks):
+            for at, v in zip(cells, block):
+                flat[at] = v
+        return self._shaped(flat)
 
     def syndrome_symbol_count(self) -> int:
         """Redundancy in data-alphabet symbols: base_length - base_dimension."""
@@ -331,6 +351,29 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
         MUL_COUNTER.add(nm)
 
 
+def _poly_remainder(field: ExtField, word, g) -> list[int]:
+    """word(x) mod the monic g(x), as len(g) - 1 coefficients.
+
+    Counts one multiplication per nonzero product."""
+    exp, log = field._exp, field._log
+    sub = field.sub
+    r = len(g) - 1
+    work = list(word)
+    nm = 0
+    for i in range(len(work) - 1, r - 1, -1):
+        c = work[i]
+        if c:
+            lc = log[c]
+            base = i - r
+            for j in range(r):
+                gj = g[j]
+                if gj:
+                    work[base + j] = sub(work[base + j], exp[lc + log[gj]])
+                    nm += 1
+    MUL_COUNTER.add(nm)
+    return work[:r]
+
+
 def _sparse_syndrome(field: ExtField, word, count):
     """Power sums word(alpha^1) .. word(alpha^count), skipping zero symbols."""
     exp, log = field._exp, field._log
@@ -404,24 +447,8 @@ class RsCode(LinearCode):
         """Systematic cyclic encoding: message high, parity low."""
         self._check_word(message, self.k, self.field.order)
         field = self.field
-        exp, log = field._exp, field._log
-        sub = field.sub
-        r = self.redundancy
-        g = self.generator
-        work = [0] * r + list(message)
-        nm = 0
-        for i in range(self.n - 1, r - 1, -1):
-            c = work[i]
-            if c:
-                lc = log[c]
-                base = i - r
-                for j in range(r):
-                    gj = g[j]
-                    if gj:
-                        work[base + j] = sub(work[base + j], exp[lc + log[gj]])
-                        nm += 1
-        MUL_COUNTER.add(nm)
-        return [field.neg(v) for v in work[:r]] + list(message)
+        parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
+        return [field.neg(v) for v in parity] + list(message)
 
     def syndrome(self, word) -> Syndrome:
         self._check_word(word, self.n, self.field.order)
@@ -529,35 +556,13 @@ class BchCode:
         """Systematic cyclic encoding over the base field."""
         self._check_word(message, self.k)
         field = self.field
-        r = self.redundancy
-        g = self.generator
-        work = [0] * r + list(message)
-        for i in range(self.n - 1, r - 1, -1):
-            c = work[i]
-            if c:
-                base = i - r
-                for j in range(r):
-                    gj = g[j]
-                    if gj:
-                        work[base + j] = field.sub(work[base + j], field.mul(c, gj))
-        return [field.neg(v) for v in work[:r]] + list(message)
+        parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
+        return [field.neg(v) for v in parity] + list(message)
 
     def remainder(self, word) -> tuple[int, ...]:
         """word(x) mod g(x): the compact n-k symbol form of the syndrome."""
         self._check_word(word, self.n)
-        field = self.field
-        r = self.redundancy
-        g = self.generator
-        work = list(word)
-        for i in range(self.n - 1, r - 1, -1):
-            c = work[i]
-            if c:
-                base = i - r
-                for j in range(r):
-                    gj = g[j]
-                    if gj:
-                        work[base + j] = field.sub(work[base + j], field.mul(c, gj))
-        return tuple(work[:r])
+        return tuple(_poly_remainder(self.field, word, self.generator))
 
     def syndrome(self, word) -> Syndrome:
         self._check_word(word, self.n)

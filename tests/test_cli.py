@@ -155,7 +155,7 @@ def test_parse_model():
     assert parse_model("bursts=1x4,7;random=0") == ([4, 7], 0)
     assert parse_model("random=2") == ([], 2)
     for text in ("noise=9", "bursts=1x0", "bursts=1x-2", "bursts=-2x3", "bursts=2,0",
-                 "random=-3"):
+                 "random=-3", "bursts=2000000x1"):
         with pytest.raises(SynfuzzError):
             parse_model(text)
 
@@ -218,6 +218,8 @@ def test_verify_out_of_range_syndrome_exits_2(tmp_path, capsys):
     "concat(inner=bch(63,11;gf(2)), outer=rs(16645,16581;gf(2^16)), layout=flat)",
     "rs(1023,1;gf(2^10))",
     "bch(4095,33;gf(2))",
+    "cIII(rs(65535,65471;gf(2^16));255,257)",
+    "cI+parity(rs(65535,65471;gf(2^16)))",
 ])
 def test_oversized_or_non_positive_spec_exits_2(capsys, spec):
     for command in ("info", "capability"):

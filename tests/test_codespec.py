@@ -162,3 +162,13 @@ def test_oversized_redundancy_is_refused_before_building(no_field_work, text):
 def test_non_positive_layout_parameters_are_refused(text):
     with pytest.raises(SpecParseError):
         parse_spec(text)
+
+
+def test_parsing_builds_no_cell_table():
+    """A code's block map is built on first use, never when a template's
+    spec is parsed."""
+    assert "_cells" not in vars(parse_spec("cIII(rs(4095,4031;gf(2^12));63,65)"))
+    code = parse_spec("concat(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=v(4,5))")
+    assert "_cells" not in vars(code)
+    code.syndrome(code.zero_word())
+    assert "_cells" in vars(code)

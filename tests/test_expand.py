@@ -119,13 +119,19 @@ def test_contract_inverts_expand_array_kinds(word):
         assert code.contract(code.expand(word)) == word
 
 
-def test_companion_contract_rejects_corrupted_tile(c3):
+def test_companion_contract_rejects_corrupted_tile(c3, c1p):
     grid = c3.expand([5] + [0] * 14)
     grid[0][1] ^= 1
     with pytest.raises(NotInAlgebraError):
         c3.contract(grid)
     # the projection still returns the column-0 element
     assert c3.project(grid)[0] == 5
+    # a flipped parity digit leaves the block outside the expansion too
+    base = c1p.expand([5] + [0] * 6)
+    base[3] ^= 1
+    with pytest.raises(NotInAlgebraError):
+        c1p.contract(base)
+    assert c1p.project(base)[0] == 5
 
 
 def test_codeword_syndrome_is_zero(c1, c1p, c2, c3):

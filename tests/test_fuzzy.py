@@ -284,6 +284,30 @@ def test_out_of_range_syndrome_symbol_is_a_format_error(stem, spec, shape, q, se
         assert not result.accepted
 
 
+# Codes whose every cell is swept; the two large ones get seeded samples.
+_SAMPLED_CELLS = 200
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_single_digit_error_decodes_at_every_cell(stem, spec, shape, q, seed):
+    """decode(syndrome(e)) == e for a single nonzero digit e at each cell:
+    every cell of every block map is read by the syndrome and written back
+    by the decoder."""
+    code = parse_spec(spec)
+    cells = range(code.base_length)
+    if code.base_length > 1000:
+        cells = random.Random(seed).sample(cells, _SAMPLED_CELLS)
+    cols = shape[-1]
+    for at in cells:
+        error = code.zero_word()
+        value = 1 + at % (q - 1)
+        if len(shape) == 1:
+            error[at] = value
+        else:
+            error[at // cols][at % cols] = value
+        assert code.decode(code.syndrome(error)) == error, at
+
+
 def _counting_check(monkeypatch):
     seen = []
     real = fuzzy._check_data

@@ -29,6 +29,12 @@ def test_capability_report_matches_golden_text():
     assert result.stdout == (GOLDEN_DIR / "describe.txt").read_bytes()
 
 
+def test_capability_report_refuses_a_bare_bch_code():
+    result = run_script("capability_report.py", "bch(15,2;gf(2))")
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error: not an enrollable code")
+
+
 def test_monte_carlo_and_cost_scan_scripts_run():
     for name, args in (("burst_montecarlo.py", ("5", "7")), ("decode_cost_scan.py", ("2",))):
         result = run_script(name, *args)
