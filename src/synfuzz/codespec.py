@@ -26,7 +26,7 @@ from .rs import BchCode, RsCode
 
 # BCH generator building grows about fourfold per doubling of the length.
 _MAX_BCH_LENGTH = (1 << 12) - 1
-# Peterson decoding grows about eightfold per doubling of the redundancy.
+# Key-equation decoding grows about fourfold per doubling of the redundancy.
 _MAX_REDUNDANCY = 64
 # Every code's cell table (built on first use) has one entry per cell.
 MAX_CELLS = 1 << 20

@@ -333,6 +333,11 @@ class ConcatCode(LinearCode):
                 blk_err = self.inner.decode_remainder(rem)
             except DecodeFailure:
                 flagged.append(i)
+                if len(flagged) > self.outer.redundancy:
+                    # the outer decode would refuse this many erasures
+                    raise DecodeFailure(
+                        f"{len(flagged)} erasures exceed redundancy {self.outer.redundancy}"
+                    ) from None
                 continue
             est[i] = self._systematic_value(blk_err)
         est_synd = self.outer.syndrome(est)

@@ -1,14 +1,14 @@
 """Reed-Solomon and BCH codes in cyclic form, decoded from syndromes.
 
 Both code families are narrow sense (syndrome roots alpha^1, alpha^2, ...)
-and share one decoder: a Peterson-style key-equation solve (largest
-nonsingular syndrome matrix fixes the locator degree), root search over
-all positions, and error magnitudes from a linear solve on the syndrome
-equations.  Erasures (blocks the expanded and concatenated codes flag as
-damaged) enter through an erasure-locator polynomial and cost one syndrome
-each instead of two.  The decoder always re-checks that the returned error
-pattern reproduces every input syndrome component; anything inconsistent
-raises DecodeFailure rather than returning a silently wrong vector.
+and share one decoder: Berlekamp-Massey solves the key equation for the
+locator, a Chien search finds its roots, and Forney's formula gives the
+error magnitudes.  Erasures (blocks the expanded and concatenated codes
+flag as damaged) seed Berlekamp-Massey with their locator polynomial and
+cost one syndrome each instead of two.  The decoder always re-checks that
+the returned error pattern reproduces every input syndrome component;
+anything inconsistent raises DecodeFailure rather than returning a
+silently wrong vector.
 
 Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import xor
 
 from .errors import (
     AlphabetMismatchError,
@@ -159,97 +160,42 @@ def _poly_mul(field: ExtField, f, g):
     return out
 
 
-def _solve_linear(field: ExtField, rows, rhs):
-    """Solve a square system by Gaussian elimination.
+def _chien_roots(field: ExtField, psi, n):
+    """Positions i in [0, n) with psi(alpha^-i) = 0, plus the mult count.
 
-    Returns (solution, mults) or (None, mults) when the matrix is singular.
+    psi[0] is 1, so each point compares the sum of the other terms with -1
+    and spends no multiplication on the constant.  The search stops at the
+    deg(psi)-th root: a polynomial has no more roots than its degree.
     """
     exp, log = field._exp, field._log
     q1 = field.order - 1
-    sub = field.sub
-    w = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(w)]
-    nm = 0
-    for col in range(w):
-        piv = None
-        for r in range(col, w):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None, nm
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        pl = q1 - log[prow[col]]
-        for j in range(col, w + 1):
-            v = prow[j]
-            if v:
-                prow[j] = exp[log[v] + pl]
-                nm += 1
-        for r in range(col + 1, w):
-            arow = aug[r]
-            f = arow[col]
-            if f:
-                lf = log[f]
-                for j in range(col, w + 1):
-                    v = prow[j]
-                    if v:
-                        arow[j] = sub(arow[j], exp[log[v] + lf])
-                        nm += 1
-    sol = [0] * w
-    for i in range(w - 1, -1, -1):
-        acc = aug[i][w]
-        row = aug[i]
-        for j in range(i + 1, w):
-            c, v = row[j], sol[j]
-            if c and v:
-                acc = sub(acc, exp[log[c] + log[v]])
-                nm += 1
-        sol[i] = acc
-    return sol, nm
-
-
-def _chien_roots(field: ExtField, psi, n):
-    """Positions i in [0, n) with psi(alpha^-i) = 0, plus the mult count."""
-    exp, log = field._exp, field._log
-    q1 = field.order - 1
     la = field._log_alpha
+    add = xor if field.p == 2 else field.add
+    minus_one = field.neg(1)
     es = []
     steps = []
-    for j, c in enumerate(psi):
+    for j in range(1, len(psi)):
+        c = psi[j]
         if c:
             es.append(log[c])
             steps.append((q1 - (la * j) % q1) % q1)
     nt = len(es)
+    deg = len(psi) - 1
     roots = []
-    append = roots.append
-    if field.p == 2:
-        for i in range(n):
-            acc = 0
-            for t in range(nt):
-                e = es[t]
-                acc ^= exp[e]
-                e += steps[t]
-                if e >= q1:
-                    e -= q1
-                es[t] = e
-            if acc == 0:
-                append(i)
-    else:
-        add = field.add
-        for i in range(n):
-            acc = 0
-            for t in range(nt):
-                e = es[t]
-                acc = add(acc, exp[e])
-                e += steps[t]
-                if e >= q1:
-                    e -= q1
-                es[t] = e
-            if acc == 0:
-                append(i)
-    return roots, n * nt
+    for i in range(n):
+        acc = 0
+        for t in range(nt):
+            e = es[t]
+            acc = add(acc, exp[e])
+            e += steps[t]
+            if e >= q1:
+                e -= q1
+            es[t] = e
+        if acc == minus_one:
+            roots.append(i)
+            if len(roots) == deg:
+                break
+    return roots, (i + 1) * nt
 
 
 def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
@@ -259,6 +205,12 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
     2*weight(v off erasures) + |erasures| <= len(synd) that reproduces the
     syndromes, or raises DecodeFailure.  With base_limit set, magnitudes
     must lie in the base subfield (values below base_limit).
+
+    One pass: the erasure locator Gamma seeds Berlekamp-Massey (Massey
+    1969) in Blahut's errors-and-erasures form, which finds the locator
+    Psi = Lambda*Gamma from the plain syndromes; a Chien search finds its
+    roots X^-1, and Forney's formula (Forney 1965) gives each magnitude as
+    -Omega(X^-1)/Psi'(X^-1) with Omega = S*Psi mod x^r.
     """
     synd = list(synd)
     r = len(synd)
@@ -275,7 +227,7 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
     q1 = field.order - 1
     la = field._log_alpha
     add = field.add
-    neg = field.neg
+    sub = field.sub
     nm = 0
     try:
         # erasure locator gamma(x) = prod (1 - alpha^pos * x)
@@ -287,53 +239,94 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
                 if c:
                     nxt[idx + 1] = field.sub(nxt[idx + 1], field.mul(x_val, c))
             gamma = nxt
-        if f:
-            xi = _poly_mul(field, synd, gamma)[:r]
-        else:
-            xi = synd
 
-        # Peterson sweep: largest nu with a nonsingular syndrome matrix
-        lam = [1]
-        numax = (r - f) // 2
-        for nu in range(numax, 0, -1):
-            rows = [[xi[f + a + b] for b in range(nu)] for a in range(nu)]
-            rhs = [neg(xi[f + nu + a]) for a in range(nu)]
-            sol, c = _solve_linear(field, rows, rhs)
-            nm += c
-            if sol is not None:
-                lam = [1] + [sol[nu - 1 - j] for j in range(nu)]
-                break
-        while len(lam) > 1 and lam[-1] == 0:
-            lam.pop()
-
-        psi = _poly_mul(field, lam, gamma) if f else lam
-        degw = len(psi) - 1
-        if degw == 0:
-            if any(synd):
-                raise DecodeFailure("nonzero syndrome with empty locator")
-            return [0] * n
+        # Berlekamp-Massey from psi = prev = gamma and length L = f; prev is
+        # the locator before the last length change, lb the log of the
+        # discrepancy that made it (1 at the start), shift its distance.
+        # psi[0] stays 1, so its products with the syndrome cost nothing,
+        # and deg psi <= L <= k keeps every synd index in range.
+        psi = gamma
+        prev = gamma
+        lb = 0
+        shift = 1
+        L = f
+        for k in range(f, r):
+            d = synd[k]
+            for j in range(1, len(psi)):
+                c, s = psi[j], synd[k - j]
+                if c and s:
+                    d = add(d, exp[log[c] + log[s]])
+                    nm += 1
+            if not d:
+                shift += 1
+                continue
+            # psi - (d / b) x^shift prev; d / b folds into each product's log
+            scale = (log[d] - lb) % q1
+            nxt = psi + [0] * (len(prev) + shift - len(psi))
+            for j, c in enumerate(prev):
+                if c:
+                    nxt[j + shift] = sub(nxt[j + shift], exp[log[c] + scale])
+                    nm += 1
+            if 2 * L <= k + f:
+                L = k + 1 + f - L
+                prev, lb, shift = psi, log[d], 1
+            else:
+                shift += 1
+            psi = nxt
+        while psi[-1] == 0:
+            psi.pop()
+        if len(psi) - 1 != L or 2 * L - f > r:
+            raise DecodeFailure(f"no locator of {L - f} errors fits the syndrome")
 
         roots, c = _chien_roots(field, psi, n)
         nm += c
-        if len(roots) != degw:
-            raise DecodeFailure(
-                f"locator of degree {degw} has {len(roots)} roots in range"
-            )
+        if len(roots) != L:
+            raise DecodeFailure(f"locator of degree {L} has {len(roots)} roots in range")
 
-        w = degw
-        rows = [
-            [exp[(la * pos * (1 + a)) % q1] for pos in roots] for a in range(w)
-        ]
-        sol, c = _solve_linear(field, rows, synd[:w])
-        nm += c
-        if sol is None:
-            raise DecodeFailure("singular magnitude system")
-        if base_limit is not None and any(v >= base_limit for v in sol):
+        # Forney: BM leaves Omega's coefficients from x^L up zero, and the
+        # roots are simple, so Psi'(X^-1) is nonzero.  The derivative's
+        # x^(j-1) coefficient is (j mod p) * psi_j.
+        omega = []
+        for k in range(L):
+            acc = synd[k]
+            for j in range(1, k + 1):
+                c, s = psi[j], synd[k - j]
+                if c and s:
+                    acc = add(acc, exp[log[c] + log[s]])
+                    nm += 1
+            omega.append(acc)
+        dpsi = []
+        for j in range(1, L + 1):
+            c, s = psi[j], j % field.p
+            if c and s > 1:
+                c = exp[log[c] + log[s]]
+                nm += 1
+            dpsi.append(c if s else 0)
+        mags = []
+        for pos in roots:
+            step = (q1 - (la * pos) % q1) % q1
+            num = den = e = 0
+            for j in range(L):
+                c, dc = omega[j], dpsi[j]
+                if c:
+                    num = add(num, exp[log[c] + e])
+                    nm += 1
+                if dc:
+                    den = add(den, exp[log[dc] + e])
+                    nm += 1
+                e += step
+                if e >= q1:
+                    e -= q1
+            if num:
+                num = field.neg(exp[log[num] - log[den] + q1])
+                nm += 1
+            mags.append(num)
+        if base_limit is not None and any(v >= base_limit for v in mags):
             raise DecodeFailure("magnitude outside the base field")
 
         error = [0] * n
         support = []
-        for pos, val in zip(roots, sol):
+        for pos, val in zip(roots, mags):
             if val:
                 error[pos] = val
                 support.append((pos, log[val]))
@@ -454,12 +447,12 @@ class RsCode(LinearCode):
         self._check_word(word, self.n, self.field.order)
         return Syndrome(tuple(_sparse_syndrome(self.field, word, self.redundancy)))
 
-    def decode_syndrome(self, synd, erasures=()) -> list[int]:
+    def decode_syndrome(self, synd: Syndrome, erasures=()) -> list[int]:
         """Error vector consistent with the syndrome, or DecodeFailure.
 
         Each erasure position costs one syndrome, each error off them two.
         """
-        values = synd.values if isinstance(synd, Syndrome) else tuple(synd)
+        values = synd.values
         if len(values) != self.redundancy:
             raise LengthMismatchError(
                 f"expected {self.redundancy} syndrome values, got {len(values)}"
@@ -572,8 +565,8 @@ class BchCode:
         """Evaluate a mod-g remainder at the syndrome roots."""
         return Syndrome(tuple(_sparse_syndrome(self.field, list(remainder), self.syndrome_count)))
 
-    def decode_syndrome(self, synd) -> list[int]:
-        values = synd.values if isinstance(synd, Syndrome) else tuple(synd)
+    def decode_syndrome(self, synd: Syndrome) -> list[int]:
+        values = synd.values
         if len(values) != self.syndrome_count:
             raise LengthMismatchError(
                 f"expected {self.syndrome_count} syndrome values, got {len(values)}"

@@ -372,6 +372,38 @@ def test_erasure_mode_stretches_the_budget(v_code):
             assert got == word
 
 
+def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
+    """Once more inner blocks fail than the outer code can erase, decoding
+    refuses at the (outer redundancy + 1)-th failure instead of decoding
+    the remaining blocks."""
+    code = ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 40, 32), FlatLayout())
+    rng = random.Random(21)
+    word = [rng.randrange(2) for _ in range(code.base_length)]
+    synd = code.syndrome(word)
+    inner_decode = code.inner.decode_remainder
+    failing = 0
+    for block in code._blocks(word):
+        try:
+            inner_decode(code.inner.remainder(block))
+        except DecodeFailure:
+            failing += 1
+    assert failing > code.outer.redundancy + 1
+
+    failures = []
+
+    def counting(rem):
+        try:
+            return inner_decode(rem)
+        except DecodeFailure:
+            failures.append(rem)
+            raise
+
+    monkeypatch.setattr(code.inner, "decode_remainder", counting)
+    with pytest.raises(DecodeFailure):
+        code.decode(synd)
+    assert len(failures) == code.outer.redundancy + 1
+
+
 def test_v_bound_rectangles_touch_at_most_s_tiles(v_code):
     """Every placement of every guaranteed rectangle intersects at most s
     inner-code tiles (counted exhaustively)."""

@@ -169,10 +169,21 @@ def test_random_error_round_trip_rs255():
         assert code.decode_syndrome(code.syndrome(noisy)) == err
 
 
-def test_errors_and_erasures(rs157):
+@pytest.mark.parametrize(
+    "code",
+    [
+        RsCode(ExtField(2, 4), 15, 7),
+        RsCode(ExtField(3, 2), 8, 4),
+        # locator degrees reach p, so Forney's derivative drops p | j terms
+        RsCode(ExtField(5, 2), 24, 12),
+        RsCode(ExtField(7, 2), 48, 30),
+    ],
+    ids=lambda code: code.spec_string(),
+)
+def test_errors_and_erasures(code):
     """Any pattern with 2e + f <= n-k is corrected when the f positions are flagged."""
     rng = random.Random(99)
-    n, r = rs157.n, rs157.redundancy
+    n, r, q = code.n, code.redundancy, code.field.order
     for _ in range(2000):
         f = rng.randint(0, r)
         e = rng.randint(0, (r - f) // 2)
@@ -180,11 +191,11 @@ def test_errors_and_erasures(rs157):
         erased, errcnt = positions[:f], positions[f:]
         err = [0] * n
         for pos in errcnt:
-            err[pos] = rng.randrange(1, 16)
+            err[pos] = rng.randrange(1, q)
         for pos in erased:
-            err[pos] = rng.randrange(16)  # erased position may even be clean
-        synd = rs157.syndrome(err)
-        assert rs157.decode_syndrome(synd, erasures=erased) == err
+            err[pos] = rng.randrange(q)  # erased position may even be clean
+        synd = code.syndrome(err)
+        assert code.decode_syndrome(synd, erasures=erased) == err
 
 
 def test_too_many_erasures(rs157):
