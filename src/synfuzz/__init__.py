@@ -19,7 +19,7 @@ from .concat import (
 )
 from .expand import ExpandedCode
 from .fuzzy import Template, VerifyResult, enroll, verify
-from .gf import MUL_COUNTER, ExtField, PrimeField
+from .gf import MUL_COUNTER, ExtField
 from .rs import BchCode, LinearCode, RsCode, Syndrome
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "IvLayout",
     "LinearCode",
     "MUL_COUNTER",
-    "PrimeField",
     "Rng",
     "RsCode",
     "Syndrome",

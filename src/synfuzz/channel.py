@@ -16,6 +16,8 @@ from .errors import OutOfRangeError, PlacementFailedError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Random positions tried per burst before gen_mixed gives up on placing it.
+_MAX_ATTEMPTS = 200
 
 
 def _mix64(z: int) -> int:
@@ -178,8 +180,7 @@ def _overlaps_2d(a, b):
     return r1 < r2 + h2 and r2 < r1 + h1 and c1 < c2 + w2 and c2 < c1 + w1
 
 
-def gen_mixed(rng: Rng, field, shape, bursts, random_errors: int = 0,
-              max_attempts: int = 200) -> ErrorPattern:
+def gen_mixed(rng: Rng, field, shape, bursts, random_errors: int = 0) -> ErrorPattern:
     """Disjoint bursts of the given dimensions plus scattered single errors.
 
     ``bursts`` is a list of lengths (1D shapes) or (rows, cols) pairs (2D
@@ -191,7 +192,7 @@ def gen_mixed(rng: Rng, field, shape, bursts, random_errors: int = 0,
     two_d = len(shape) == 2
     placed = []
     for dims in bursts:
-        for attempt in range(max_attempts):
+        for _ in range(_MAX_ATTEMPTS):
             if two_d:
                 h, w = dims
                 if h < 1 or w < 1 or h > shape[0] or w > shape[1]:

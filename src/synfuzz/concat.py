@@ -50,7 +50,6 @@ from .errors import (
     ShapeMismatchError,
     TooManyErasuresError,
 )
-from .gf import PrimeField
 from .rs import LinearCode, RsCode, Syndrome
 
 
@@ -58,7 +57,6 @@ class TrivialCode:
     """The identity code: n = k, no redundancy, no correction."""
 
     def __init__(self, p: int, n: int):
-        self.prime = PrimeField(p)
         self.p = p
         self.n = n
         self.k = n
@@ -269,7 +267,7 @@ class ConcatCode(LinearCode):
         self.N, self.n_in = N, n
         self.base_length = N * n
         self.base_dimension = outer.k * inner.k
-        self.alphabet = PrimeField(self.p)
+        self.alphabet = outer.field.prime
         self.segments = ((N * inner.redundancy, self.alphabet), (outer.redundancy, outer.field))
         self.shape = layout.shape(N, n)
         self.guidance = layout.guidance
@@ -405,18 +403,3 @@ class ConcatCode(LinearCode):
             f"concat(inner={self.inner.spec_string()}, "
             f"outer={self.outer.spec_string()}, layout={self.layout.spec_string()})"
         )
-
-    def __repr__(self):
-        return f"ConcatCode({self.spec_string()})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConcatCode)
-            and self.layout == other.layout
-            and self.outer == other.outer
-            and type(self.inner) is type(other.inner)
-            and self.inner.spec_string() == other.inner.spec_string()
-        )
-
-    def __hash__(self):
-        return hash((self.layout, self.outer, self.inner.spec_string()))

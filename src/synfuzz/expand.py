@@ -115,7 +115,7 @@ class ExpandedCode(LinearCode):
         self.guidance = GUIDANCE_BY_KIND[kind]
         self.segments = ((rs.redundancy, field),)
         if self._dropped:
-            self.segments += ((n * self._dropped, field.prime),)
+            self.segments += ((n * self._dropped, self.alphabet),)
 
     @classmethod
     def row_vector(cls, rs: RsCode) -> "ExpandedCode":
@@ -149,8 +149,9 @@ class ExpandedCode(LinearCode):
         return digits + [self.alphabet.neg(sum(digits) % self.alphabet.p)]
 
     def _companion_fill(self, sym: int) -> list[int]:
-        image = self.rs.field._companion_image(sym)
-        return [row[0] for row in image] + [v for row in image for v in row[1:]]
+        cols = self.rs.field._companion_image(sym)
+        rest = cols[1:]
+        return cols[0] + [col[r] for r in range(len(cols)) for col in rest]
 
     # ------------------------------------------------------------------
     # expansion and contraction
@@ -266,17 +267,3 @@ class ExpandedCode(LinearCode):
             return f"cI+parity({inner})"
         tag = "cII" if self.kind == KIND_SQUARE else "cIII"
         return f"{tag}({inner};{self.n1},{self.n2})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExpandedCode)
-            and self.kind == other.kind
-            and self.rs == other.rs
-            and self.shape == other.shape
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.rs, self.shape))
-
-    def __repr__(self):
-        return f"ExpandedCode({self.spec_string()})"

@@ -1,4 +1,7 @@
-"""Arithmetic in prime fields F_p and extension fields F_{p^m}.
+"""Arithmetic in the finite fields F_{p^m}.
+
+One class, ExtField, serves every field; the prime field F_p is
+ExtField(p, 1), whose elements are the ints 0..p-1.
 
 Field elements are plain ints.  An element of F_{p^m} is encoded as the
 integer whose base-p digits are the coefficients of its polynomial
@@ -9,7 +12,8 @@ the familiar bit packing: in F_8 built on x^3 + x + 1 the element 3 is
 Besides the integer encoding, two base-field views of an extension element
 are provided: the coefficient vector of length m, and the m x m
 companion-matrix image, which realises F_{p^m} as the matrix algebra
-F_p[P].
+F_p[P].  The image of a is the matrix of multiplication by a, so its
+column c is the coefficient vector of a x^c, read from the exp table.
 
 Every table comes from one walk over the powers of x modulo the modulus,
 so x must be primitive: a modulus that leaves x short of order p^m - 1
@@ -17,14 +21,13 @@ raises NonPrimitiveAlphaError.  The walk gives exp directly and log by
 inversion.  For odd p it also gives the Zech logarithms
 (1 + x^i = x^zech(i)), so addition, subtraction and negation
 (-a = a x^((p^m-1)/2)) run on the same tables; over F_2 addition is XOR.
-Every extension-field multiplication bumps a thread-local counter so
-decoder costs can be measured.
+Every field multiplication bumps a thread-local counter so decoder
+costs can be measured.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -97,43 +100,6 @@ def _is_prime(n: int) -> bool:
             return False
         i += 2
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The prime field F_p; elements are the ints 0..p-1."""
-
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise NotPrimeError(f"{self.p} is not prime")
-
-    @property
-    def order(self) -> int:
-        return self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("no inverse of 0 in a prime field")
-        return pow(a, self.p - 2, self.p)
-
-    def spec_string(self) -> str:
-        return f"gf({self.p})"
-
-    canonical_spec = spec_string
 
 
 def _to_digits(value: int, p: int, m: int) -> list[int]:
@@ -255,7 +221,7 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 class ExtField:
-    """The extension field F_{p^m} on an explicit modulus polynomial.
+    """The field F_{p^m} on an explicit modulus polynomial; m = 1 is F_p.
 
     Elements are ints in [0, p^m) under the digit encoding described in the
     module docstring.  The base field embeds as the values 0..p-1.  A given
@@ -265,7 +231,8 @@ class ExtField:
     """
 
     def __init__(self, p: int, m: int, modulus=None):
-        self.prime = PrimeField(p)
+        if not _is_prime(p):
+            raise NotPrimeError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         self.p = p
@@ -285,7 +252,6 @@ class ExtField:
                 self.modulus_is_default = mod == default_modulus(p, m)
             except NoDefaultModulusError:
                 self.modulus_is_default = False
-        self._modlow = self.modulus[:-1]
         self.alpha = p % q if m > 1 else (-self.modulus[0]) % p
         powers = _x_powers(p, m, self.modulus)
         if len(powers) != q - 1:
@@ -306,8 +272,13 @@ class ExtField:
             self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in powers]
             self._zech[half] = None
         self._digit_cache: dict[int, tuple[int, ...]] = {}
-        self._companion_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._companion_basis = None
+
+    @property
+    def prime(self) -> ExtField:
+        """The base field F_p as a degree-1 field (itself when m = 1).  Not
+        cached: a write to ``__dict__`` after construction slows every later
+        attribute read on this object, and its tables are read per symbol."""
+        return self if self.m == 1 else ExtField(self.p, 1)
 
     # ------------------------------------------------------------------
     # element arithmetic
@@ -382,48 +353,18 @@ class ExtField:
             raise ValueError(f"need {self.m} digits below {self.p}")
         return _from_digits(digits, self.p)
 
-    def _basis_matrices(self):
-        if self._companion_basis is None:
-            m, p = self.m, self.p
-            ident = [[1 if r == c else 0 for c in range(m)] for r in range(m)]
-            pm = [[0] * m for _ in range(m)]
-            for r in range(1, m):
-                pm[r][r - 1] = 1
-            for r in range(m):
-                pm[r][m - 1] = (-self._modlow[r]) % p
-            basis = [ident]
-            cur = ident
-            for _ in range(1, m):
-                nxt = [
-                    [sum(cur[r][k] * pm[k][c] for k in range(m)) % p for c in range(m)]
-                    for r in range(m)
-                ]
-                basis.append(nxt)
-                cur = nxt
-            self._companion_basis = basis
-        return self._companion_basis
-
-    def _companion_image(self, a: int) -> tuple[tuple[int, ...], ...]:
-        cached = self._companion_cache.get(a)
-        if cached is None:
-            m, p = self.m, self.p
-            basis = self._basis_matrices()
-            digs = self.to_base_vector(a)
-            rows = []
-            for r in range(m):
-                rows.append(
-                    tuple(
-                        sum(d * basis[i][r][c] for i, d in enumerate(digs) if d) % p
-                        for c in range(m)
-                    )
-                )
-            cached = tuple(rows)
-            self._companion_cache[a] = cached
-        return cached
+    def _companion_image(self, a: int) -> list[list[int]]:
+        """The companion image of a, the matrix of multiplication by a, as
+        its list of columns: column c is the coefficient vector of a x^c."""
+        m = self.m
+        if not a:
+            return [[0] * m for _ in range(m)]
+        la = self._log[a]
+        return [self.to_base_vector(self._exp[la + c]) for c in range(m)]
 
     def to_companion_matrix(self, a: int) -> list[list[int]]:
         """The m x m matrix sum c_i P^i representing a in F_p[P]."""
-        return [list(row) for row in self._companion_image(a)]
+        return [list(row) for row in zip(*self._companion_image(a))]
 
     def from_companion_matrix(self, mat) -> int:
         """Invert to_companion_matrix; rejects matrices outside F_p[P].
@@ -434,13 +375,10 @@ class ExtField:
         """
         if len(mat) != self.m or any(len(row) != self.m for row in mat):
             raise NotInAlgebraError(f"matrix is not {self.m}x{self.m}")
-        digits = [row[0] % self.p for row in mat]
-        cand = _from_digits(digits, self.p)
-        image = self._companion_image(cand)
-        for r in range(self.m):
-            for c in range(self.m):
-                if mat[r][c] % self.p != image[r][c]:
-                    raise NotInAlgebraError("matrix is not a polynomial in P")
+        p = self.p
+        cand = _from_digits([row[0] % p for row in mat], p)
+        if [[v % p for v in row] for row in mat] != self.to_companion_matrix(cand):
+            raise NotInAlgebraError("matrix is not a polynomial in P")
         return cand
 
     # ------------------------------------------------------------------

@@ -70,6 +70,9 @@ class LinearCode:
     and implements ``_kind_lines()`` (what the code is) and
     ``_bound_lines()`` (what it guarantees); ``info_lines()`` and
     ``capability_lines()`` frame them with the lines every code shares.
+
+    A code is its ``spec_string()``: two codes of the same type are equal
+    exactly when their spec strings are, and hash and repr follow it.
     """
 
     shape: tuple[int, ...]
@@ -77,6 +80,15 @@ class LinearCode:
     base_dimension: int
     segments: tuple[tuple[int, object], ...]
     guidance: str
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.spec_string() == self.spec_string()
+
+    def __hash__(self):
+        return hash(self.spec_string())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.spec_string()})"
 
     def syndrome_sub(self, a: Syndrome, b: Syndrome) -> Syndrome:
         """a - b, symbol by symbol in each run's field."""
@@ -476,18 +488,6 @@ class RsCode(LinearCode):
 
     def spec_string(self) -> str:
         return f"rs({self.n},{self.k};{self.field.spec_string()})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RsCode)
-            and (self.field, self.n, self.k) == (other.field, other.n, other.k)
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.n, self.k))
-
-    def __repr__(self):
-        return f"RsCode({self.spec_string()})"
 
 
 def _cyclotomic_coset(j: int, p: int, n: int) -> list[int]:

@@ -10,6 +10,7 @@ criterion is printed (run with -s to see them on success).
 import itertools
 import math
 import time
+import zlib
 
 import pytest
 
@@ -372,7 +373,7 @@ def test_c09_fuzzy_round_trip_per_construction(spec):
     """Enroll, perturb within capability, verify: always Accept with the
     exact original; far perturbations never produce a false accept."""
     code = parse_spec(spec)
-    rng = Rng(0xC9 ^ hash(spec) & 0xFFFF)
+    rng = Rng(0xC9 ^ zlib.crc32(spec.encode()) & 0xFFFF)
     shape = (code.n,) if isinstance(code, RsCode) else code.shape
     order = (
         code.field.order if isinstance(code, RsCode) else

@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d, gen_mixed
 from synfuzz.errors import OutOfRangeError, PlacementFailedError
-from synfuzz.gf import PrimeField
+from synfuzz.gf import ExtField
 
-F2 = PrimeField(2)
-F5 = PrimeField(5)
+F2 = ExtField(2, 1)
+F5 = ExtField(5, 1)
 
 
 def test_rng_is_deterministic():

@@ -1,11 +1,16 @@
+import itertools
+
 import pytest
 
+import synfuzz
 from synfuzz import codespec, gf, rs
 from synfuzz.codespec import format_spec, parse_field, parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
 from synfuzz.errors import ReducibleModulusError, SpecParseError
 from synfuzz.expand import ExpandedCode
 from synfuzz.rs import BchCode, RsCode
+
+from test_golden import GOLDEN
 
 
 def test_parse_field_forms():
@@ -172,3 +177,27 @@ def test_parsing_builds_no_cell_table():
     assert "_cells" not in vars(code)
     code.syndrome(code.zero_word())
     assert "_cells" in vars(code)
+
+
+def test_codes_are_identified_by_their_spec():
+    specs = [g[1] for g in GOLDEN] + ["rs(30,12;gf(2^7))"]
+    codes = [parse_spec(spec) for spec in specs]
+    for spec, code in zip(specs, codes):
+        again = parse_spec(spec)
+        assert again == code and hash(again) == hash(code)
+        assert repr(code) == f"{type(code).__name__}({spec})"
+    for a, b in itertools.combinations(codes, 2):
+        assert a != b
+    assert parse_spec("rs(7,3;gf(2^3;modulus=1,1,0,1))") == parse_spec("rs(7,3;gf(2^3))")
+
+
+def test_every_alphabet_and_syndrome_run_is_a_field():
+    for spec in [g[1] for g in GOLDEN]:
+        code = parse_spec(spec)
+        assert isinstance(code.alphabet, gf.ExtField)
+        assert all(isinstance(field, gf.ExtField) for _, field in code.segments)
+
+
+def test_every_exported_name_resolves():
+    for name in synfuzz.__all__:
+        assert hasattr(synfuzz, name), name

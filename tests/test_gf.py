@@ -11,7 +11,7 @@ from synfuzz.errors import (
     NotPrimeError,
     ReducibleModulusError,
 )
-from synfuzz.gf import MUL_COUNTER, ExtField, PrimeField, default_modulus
+from synfuzz.gf import MUL_COUNTER, ExtField, default_modulus
 
 import oracle
 
@@ -28,7 +28,7 @@ def f16():
 
 def test_prime_field_rejects_composites():
     with pytest.raises(NotPrimeError):
-        PrimeField(6)
+        ExtField(6, 1)
     with pytest.raises(NotPrimeError):
         ExtField(4, 2)
 
@@ -176,6 +176,36 @@ def test_companion_round_trip_and_rejection(f8):
         f8.from_companion_matrix(bad)
 
 
+def _companion_reference(fld, a):
+    """sum a_i P^i over F_p, P the companion matrix of the modulus: P sends
+    x^c to x^(c+1), and x^(m-1) to -(c_0 + ... + c_{m-1} x^(m-1))."""
+    p, m = fld.p, fld.m
+    ident = [[int(r == c) for c in range(m)] for r in range(m)]
+    comp = [[int(r == c + 1) for c in range(m)] for r in range(m)]
+    for r in range(m):
+        comp[r][m - 1] = (-fld.modulus[r]) % p
+    out = [[0] * m for _ in range(m)]
+    power = ident
+    for digit in oracle.to_digits(a, p, m):
+        for r in range(m):
+            for c in range(m):
+                out[r][c] = (out[r][c] + digit * power[r][c]) % p
+        power = [
+            [sum(power[r][k] * comp[k][c] for k in range(m)) % p for c in range(m)]
+            for r in range(m)
+        ]
+    return out
+
+
+def test_companion_image_is_the_sum_of_powers_of_P():
+    for p, m in ((2, 4), (3, 2), (5, 2), (3, 3)):
+        fld = ExtField(p, m)
+        for a in range(fld.order):
+            image = fld.to_companion_matrix(a)
+            assert image == _companion_reference(fld, a), (fld, a)
+            assert fld.from_companion_matrix(image) == a
+
+
 def check_odd_field_pair(fld, a, b):
     p, m = fld.p, fld.m
     neg_b = oracle.from_digits([(-d) % p for d in oracle.to_digits(b, p, m)], p)
@@ -221,7 +251,7 @@ def test_mul_counter_monotone_and_resettable(f8):
 
 def test_spec_strings():
     assert ExtField(2, 3).spec_string() == "gf(2^3)"
-    assert PrimeField(5).spec_string() == "gf(5)"
+    assert ExtField(5, 1).spec_string() == "gf(5)"
     custom = ExtField(2, 3, modulus=[1, 1, 0, 1])
     assert custom.spec_string() == "gf(2^3)"  # matches the default table
     f9 = ExtField(3, 2)
