@@ -50,7 +50,7 @@ from .errors import (
     ShapeMismatchError,
     TooManyErasuresError,
 )
-from .rs import LinearCode, RsCode, Syndrome
+from .rs import LinearCode, RsCode, Syndrome, _unpack_bits
 
 
 class TrivialCode:
@@ -73,6 +73,9 @@ class TrivialCode:
         if len(word) != self.n:
             raise LengthMismatchError(f"expected {self.n} symbols")
         return ()
+
+    def _packed_remainder(self, word: int) -> int:
+        return 0
 
     def decode_remainder(self, remainder) -> list[int]:
         return [0] * self.n
@@ -299,6 +302,16 @@ class ConcatCode(LinearCode):
         return self.outer.field.from_base_vector(block[self.inner.systematic_slice])
 
     def syndrome(self, word) -> Syndrome:
+        """Each block's inner remainder, then the outer syndrome of the
+        blocks' systematic parts.  Over F_2 each block is packed into an
+        int, digit j at bit j: the inner kernel reduces it, and its
+        systematic part is the int shifted down by the inner redundancy."""
+        if self.p == 2:
+            blocks = self._packed_blocks(word)
+            r = self.inner.redundancy
+            rem = self.inner._packed_remainder
+            values = tuple(_unpack_bits([rem(b) for b in blocks], r))
+            return Syndrome(values + self.outer.syndrome([b >> r for b in blocks]).values)
         blocks = self._blocks(word)
         values = []
         for blk in blocks:

@@ -37,12 +37,17 @@ The syndrome is one flat vector; ``segments`` lays it out as
 The parity layout hands each block with a nonzero digit sum to the RS
 decoder as an erasure (one syndrome instead of two); clean blocks are
 never flagged, so every bound of the plain layout still holds.
+
+Over F_2 the syndrome reads each block as one packed int: its low m bits
+are the symbol, whose power sums come from rs.py's packed kernel, and
+the fill of the dropped cells, being linear in the symbol, comes from
+byte-indexed tables cached per field and layout.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 from .errors import (
     DecodeFailure,
@@ -51,7 +56,15 @@ from .errors import (
     ShapeUnsupportedError,
     TooManyErasuresError,
 )
-from .rs import LinearCode, RsCode, Syndrome
+from .rs import (
+    LinearCode,
+    RsCode,
+    Syndrome,
+    _byte_tables,
+    _lookup,
+    _pack_bits,
+    _unpack_bits,
+)
 
 KIND_ROW = "row-vector"
 KIND_ROW_PARITY = "row-vector-parity"
@@ -70,6 +83,29 @@ GUIDANCE_BY_KIND = {
 }
 
 
+def _parity_fill(field, sym: int) -> list[int]:
+    digits = field.to_base_vector(sym)
+    return digits + [-sum(digits) % field.p]
+
+
+def _companion_fill(field, sym: int) -> list[int]:
+    cols = field._companion_image(sym)
+    rest = cols[1:]
+    return cols[0] + [col[r] for r in range(len(cols)) for col in rest]
+
+
+# The layouts whose blocks hold more than the m coefficient digits.
+_FILLS = {KIND_ROW_PARITY: _parity_fill, KIND_COMPANION: _companion_fill}
+
+
+@lru_cache(maxsize=32)
+def _dropped_tables(field, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Byte tables of the F_2-linear map sending a symbol to the dropped
+    cells of its fill, packed (dropped cell i at bit i)."""
+    fill, m = _FILLS[kind], field.m
+    return _byte_tables([_pack_bits(fill(field, 1 << b)[m:]) for b in range(m)])
+
+
 class ExpandedCode(LinearCode):
     """A base-field expansion of an RS code with its layout bookkeeping."""
 
@@ -80,7 +116,6 @@ class ExpandedCode(LinearCode):
         m = field.m
         n = rs.n
         self.tile = m  # digits per tile side (per block for the row layouts)
-        self._fill = field.to_base_vector
         is_row = kind in (KIND_ROW, KIND_ROW_PARITY)
         # (row, column) of each block digit within its tile, coefficients first
         if is_row:
@@ -88,21 +123,19 @@ class ExpandedCode(LinearCode):
                 raise ShapeUnsupportedError("row layouts take no array shape")
             n1, n2 = 1, n
             order = [(0, v) for v in range(m + (kind == KIND_ROW_PARITY))]
-            if kind == KIND_ROW_PARITY:
-                self._fill = self._parity_fill
         elif kind == KIND_SQUARE:
             self.sm = self.tile = math.isqrt(m)
             if self.sm * self.sm != m:
                 raise ShapeUnsupportedError(f"m={m} is not a perfect square")
             order = [divmod(u, self.sm) for u in range(m)]
         elif kind == KIND_COMPANION:
-            self._fill = self._companion_fill
             order = [(u, 0) for u in range(m)] + [(u, v) for u in range(m) for v in range(1, m)]
         else:
             raise ShapeUnsupportedError(f"unknown expansion kind {kind!r}")
         if n1 is None or n2 is None or n1 * n2 != n:
             raise ShapeMismatchError(f"need n1*n2 = {n}")
         self.n1, self.n2 = n1, n2
+        self._fill = partial(_FILLS[kind], field) if kind in _FILLS else field.to_base_vector
         tile_rows, tile_cols = (max(d) + 1 for d in zip(*order))
         self.shape = (n2 * tile_cols,) if is_row else (n1 * tile_rows, n2 * tile_cols)
         cols = self.shape[-1]
@@ -144,15 +177,6 @@ class ExpandedCode(LinearCode):
         origins = ((i // self.n2) * rstep + (i % self.n2) * cstep for i in range(self.rs.n))
         return [[origin + at for at in tile] for origin in origins]
 
-    def _parity_fill(self, sym: int) -> list[int]:
-        digits = self.rs.field.to_base_vector(sym)
-        return digits + [self.alphabet.neg(sum(digits) % self.alphabet.p)]
-
-    def _companion_fill(self, sym: int) -> list[int]:
-        cols = self.rs.field._companion_image(sym)
-        rest = cols[1:]
-        return cols[0] + [col[r] for r in range(len(cols)) for col in rest]
-
     # ------------------------------------------------------------------
     # expansion and contraction
     # ------------------------------------------------------------------
@@ -186,9 +210,21 @@ class ExpandedCode(LinearCode):
         """Template syndrome of a base word; linear in the word.
 
         The RS syndrome of the blockwise contraction, then each block's
-        dropped cells minus their fill."""
+        dropped cells minus their fill.  Over F_2 each block is packed into
+        an int: its symbol is the low m bits, and the fill of its dropped
+        cells comes from byte tables, the fill being linear."""
         m = self.rs.field.m
         p = self.alphabet.p
+        if p == 2:
+            blocks = self._packed_blocks(base)
+            low = (1 << m) - 1
+            word = [b & low for b in blocks]
+            values = self.rs.syndrome(word).values
+            if self._dropped:
+                tables = _dropped_tables(self.rs.field, self.kind)
+                rest = [(b >> m) ^ _lookup(tables, sym) for b, sym in zip(blocks, word)]
+                values += tuple(_unpack_bits(rest, self._dropped))
+            return Syndrome(values)
         word = []
         extra = []
         for block in self._blocks(base):

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from operator import xor
 
 from . import codespec
 from .errors import (
@@ -108,7 +109,10 @@ def canonical_bytes(code, data) -> bytes:
     shape = code.shape
     head = f"{alpha.canonical_spec()}|{'x'.join(str(d) for d in shape)}|".encode("ascii")
     width = _symbol_width(alpha.order)
-    if len(shape) == 1:
+    if width == 1:
+        # bytearray takes a list about twice as fast as bytes does
+        body = bytearray(data) if len(shape) == 1 else b"".join(map(bytes, data))
+    elif len(shape) == 1:
         body = b"".join(v.to_bytes(width, "big") for v in data)
     else:
         body = b"".join(v.to_bytes(width, "big") for row in data for v in row)
@@ -116,11 +120,12 @@ def canonical_bytes(code, data) -> bytes:
 
 
 def apply_pattern(code, data, pattern):
-    """data + pattern, componentwise in the data alphabet."""
-    add = code.alphabet.add
+    """data + pattern, componentwise in the data alphabet (XOR over
+    characteristic 2)."""
+    add = xor if code.alphabet.p == 2 else code.alphabet.add
     if len(code.shape) == 1:
-        return [add(a, b) for a, b in zip(data, pattern)]
-    return [[add(a, b) for a, b in zip(dr, pr)] for dr, pr in zip(data, pattern)]
+        return list(map(add, data, pattern))
+    return [list(map(add, dr, pr)) for dr, pr in zip(data, pattern)]
 
 
 def syndrome_to_bytes(code, synd: Syndrome) -> bytes:
@@ -128,7 +133,8 @@ def syndrome_to_bytes(code, synd: Syndrome) -> bytes:
     at = 0
     for count, field in code.segments:
         width = _symbol_width(field.order)
-        out.extend(v.to_bytes(width, "big") for v in synd.values[at : at + count])
+        run = synd.values[at : at + count]
+        out.append(bytes(run) if width == 1 else b"".join(v.to_bytes(width, "big") for v in run))
         at += count
     return b"".join(out)
 

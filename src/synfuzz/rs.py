@@ -13,13 +13,24 @@ silently wrong vector.
 Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
 parity symbols in positions 0..n-k-1.
+
+Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
+come from the packed kernel ``_BinaryKernel``: a table-driven LFSR
+reduces the word modulo the generator, and one packed F_2-linear map
+takes the remainder to the power sums.  Its tables depend only on the
+field and the redundancy, are built on a code's first syndrome and are
+kept in bounded caches keyed by that description, so a re-parsed spec
+finds them built.  The kernel counts no multiplication.  Odd
+characteristics keep the per-symbol paths ``_sparse_syndrome`` and
+``_poly_remainder``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from operator import xor
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, compress
+from operator import itemgetter, xor
 
 from .errors import (
     AlphabetMismatchError,
@@ -64,7 +75,8 @@ class LinearCode:
 
     A base-field code states only where its blocks live: ``_cells``, one
     list of flat row-major cell offsets per block, which ``_blocks``
-    gathers through and ``_place`` scatters through.
+    gathers through and ``_place`` scatters through; over F_2,
+    ``_packed_blocks`` packs each block into one int for the kernel.
 
     For the ``info`` and ``capability`` reports it also sets ``guidance``
     and implements ``_kind_lines()`` (what the code is) and
@@ -111,18 +123,46 @@ class LinearCode:
         cols = self.shape[1]
         return [flat[at : at + cols] for at in range(0, len(flat), cols)]
 
-    def _blocks(self, word) -> list[list[int]]:
-        """The digits of each block of a data word, in ``_cells`` order."""
+    def _flat(self, word) -> list:
+        """The data word's cells row-major, after checking its shape."""
         if len(self.shape) == 1:
             if len(word) != self.shape[0] or isinstance(word[0], list):
                 raise ShapeMismatchError(f"expected a vector of length {self.shape[0]}")
-            flat = word
-        else:
-            rows, cols = self.shape
-            if len(word) != rows or any(len(row) != cols for row in word):
-                raise ShapeMismatchError(f"expected a {rows}x{cols} array")
-            flat = [v for row in word for v in row]
+            return word
+        rows, cols = self.shape
+        if len(word) != rows or any(len(row) != cols for row in word):
+            raise ShapeMismatchError(f"expected a {rows}x{cols} array")
+        return list(chain.from_iterable(word))
+
+    def _blocks(self, word) -> list[list[int]]:
+        """The digits of each block of a data word, in ``_cells`` order."""
+        flat = self._flat(word)
         return [[flat[at] for at in cells] for cells in self._cells]
+
+    @cached_property
+    def _gather(self):
+        """Picks the cells of a row-major cell list in block order, or None
+        when they already lie in that order."""
+        order = [at for cells in self._cells for at in cells]
+        if order == list(range(len(order))):
+            return None
+        return itemgetter(*order)
+
+    def _packed_blocks(self, word) -> list[int]:
+        """Each block of a word over F_2 as one int, its j-th digit at
+        bit j: the input of the binary syndrome kernel."""
+        flat = self._flat(word)
+        if self._gather is not None:
+            flat = self._gather(flat)
+        width = self.base_length // len(self._cells)
+        try:
+            chars = bytearray(flat).translate(_TO_CHARS)
+            chars.reverse()
+            packed = [int(chars[at : at + width], 2) for at in range(0, len(chars), width)]
+        except (TypeError, ValueError):
+            raise AlphabetMismatchError("digit outside gf(2)") from None
+        packed.reverse()
+        return packed
 
     def _place(self, blocks) -> list:
         """The data word holding each block's digits at its ``_cells``."""
@@ -163,13 +203,45 @@ class LinearCode:
 
 
 def _poly_mul(field: ExtField, f, g):
+    """f * g, for building generators: table products, not counted."""
+    exp, log = field._exp, field._log
+    add = field.add
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
                 if b:
-                    out[i + j] = field.add(out[i + j], field.mul(a, b))
+                    out[i + j] = add(out[i + j], exp[log[a] + log[b]])
     return out
+
+
+def _rs_generator(field: ExtField, r: int) -> tuple[int, ...]:
+    """prod (x - alpha^j), j = 1..r."""
+    g = [1]
+    for j in range(1, r + 1):
+        g = _poly_mul(field, g, [field.neg(field.alpha_pow(j)), 1])
+    return tuple(g)
+
+
+def _bch_generator(field: ExtField, design_t: int) -> tuple[int, ...]:
+    """The product of the minimal polynomials of alpha^1 .. alpha^(2t),
+    one per cyclotomic coset, with coefficients in the base field."""
+    p, n = field.p, field.order - 1
+    g = [1]
+    used = set()
+    for j in range(1, 1 + 2 * design_t):
+        jj = j % n
+        if jj in used:
+            continue
+        coset = _cyclotomic_coset(jj, p, n)
+        used.update(coset)
+        minpoly = [1]
+        for l in coset:
+            minpoly = _poly_mul(field, minpoly, [field.neg(field.alpha_pow(l)), 1])
+        if any(c >= p for c in minpoly):  # pragma: no cover - coset closure
+            raise ValueError("minimal polynomial left the base field")
+        g = _poly_mul(field, g, minpoly)
+    return tuple(g)
 
 
 def _chien_roots(field: ExtField, psi, n):
@@ -356,6 +428,14 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
         MUL_COUNTER.add(nm)
 
 
+def _check_symbols(word, length: int, limit: int) -> None:
+    if len(word) != length:
+        raise LengthMismatchError(f"expected {length} symbols, got {len(word)}")
+    if word and (min(word) < 0 or max(word) >= limit):
+        bad = next(c for c in word if not 0 <= c < limit)
+        raise AlphabetMismatchError(f"symbol {bad} outside alphabet of {limit}")
+
+
 def _poly_remainder(field: ExtField, word, g) -> list[int]:
     """word(x) mod the monic g(x), as len(g) - 1 coefficients.
 
@@ -402,6 +482,155 @@ def _sparse_syndrome(field: ExtField, word, count):
     return out
 
 
+# ---------------------------------------------------------------------------
+# The packed syndrome kernel for characteristic 2
+# ---------------------------------------------------------------------------
+
+# bytes.translate tables between the digits 0, 1 and the characters "0",
+# "1"; any other byte becomes a character int(..., 2) refuses.
+_TO_CHARS = b"01" + b"x" * 254
+_TO_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack_bits(digits) -> int:
+    """The F_2 digits d_0, d_1, ... as the int sum d_i 2^i."""
+    try:
+        return int(bytearray(digits).translate(_TO_CHARS)[::-1], 2)
+    except (TypeError, ValueError):
+        raise AlphabetMismatchError("digit outside gf(2)") from None
+
+
+def _unpack_bits(values, width: int) -> bytes:
+    """The low ``width`` bits of each int in turn, low bit first, one
+    digit per byte."""
+    if not width:
+        return b""
+    fmt = f"0{width}b"
+    text = "".join(format(v, fmt) for v in reversed(values))
+    return text[::-1].encode().translate(_TO_DIGITS)
+
+
+def _byte_tables(basis) -> tuple[tuple[int, ...], ...]:
+    """Lookup tables of the F_2-linear map sending index bit b to basis[b]:
+    table i holds the image of every value of index bits 8i .. 8i+7."""
+    tables = []
+    for at in range(0, len(basis), 8):
+        table = [0]
+        for image in basis[at : at + 8]:
+            table += [t ^ image for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _lookup(tables, v: int) -> int:
+    """The image of v under the map ``_byte_tables`` tabulated."""
+    out = 0
+    for table in tables:
+        out ^= table[v & 255]
+        v >>= 8
+    return out
+
+
+class _BinaryKernel:
+    """Packed syndrome tables of a narrow-sense code over F_2 or F_{2^m},
+    m <= 16: syndrome roots alpha^1 .. alpha^count in F_{2^m}, monic
+    generator g of degree R.
+
+    A remainder modulo g packs into one int, coefficient k in bits
+    k*width .. (k+1)*width - 1 (width m for RS symbols, 1 for BCH bits).
+    ``remainder`` is a table-driven LFSR in the style of Sarwate's
+    table-lookup CRC (CACM 31(8), 1988): each step shifts in ``step`` bits
+    (one RS symbol, or eight BCH digits) and folds the bits pushed past
+    x^R back in through ``top``, byte-indexed tables of overflow * x^R
+    mod g.  ``power_sums`` evaluates a packed remainder at the roots: it is
+    F_2-linear, so it XORs one packed column per set remainder bit, the
+    column of bit (k, b) holding x^b alpha^(jk) for j = 1..count.
+
+    The tables depend only on the field, g and count, never on the code
+    length: at most 512 ints of R*width bits plus R*width ints of count*m
+    bits.  Building them spends no counted multiplication.
+    """
+
+    def __init__(self, field: ExtField, g, width: int, step: int, count: int):
+        exp, log = field._exp, field._log
+        q1 = field.order - 1
+        m = field.m
+        r = len(g) - 1
+        size = r * width
+        self.step = step
+        self.size = size
+        self.mask = (1 << size) - 1
+        low = list(g[:r])
+
+        def mul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def pack(coeffs):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = (acc << width) | c
+            return acc
+
+        # x^(r+u) mod g for each coefficient u of a step, then each bit of it
+        polys = [low]
+        for _ in range(step // width - 1):
+            top = polys[-1][-1]
+            shifted = [0] + polys[-1][:-1]
+            polys.append([c ^ mul(top, gk) for c, gk in zip(shifted, low)])
+        basis = [pack([mul(1 << b, c) for c in poly]) for poly in polys for b in range(width)]
+        self.top = _byte_tables(basis)
+
+        la = field._log_alpha
+        self.columns = []
+        for k in range(r):
+            for b in range(width):
+                lb = log[1 << b]
+                col = 0
+                for j in range(count, 0, -1):
+                    col = (col << m) | exp[(lb + la * j * k) % q1]
+                self.columns.append(col)
+        self.digit_mask = (1 << m) - 1
+        self.offsets = range(0, count * m, m)
+
+    def remainder(self, chunks) -> int:
+        """The packed remainder mod g of the word whose ``step``-bit
+        chunks, highest first, are ``chunks``."""
+        step, shift, mask = self.step, self.size, self.mask
+        rem = 0
+        if len(self.top) == 1:
+            (top,) = self.top
+            for c in chunks:
+                v = (rem << step) | c
+                rem = (v & mask) ^ top[v >> shift]
+        else:
+            lo, hi = self.top
+            for c in chunks:
+                v = (rem << step) | c
+                t = v >> shift
+                rem = (v & mask) ^ lo[t & 255] ^ hi[t >> 8]
+        return rem
+
+    def power_sums(self, rem: int) -> tuple[int, ...]:
+        """rem(alpha^j) for j = 1..count."""
+        bits = bin(rem)[:1:-1].encode().translate(_TO_DIGITS)
+        acc = reduce(xor, compress(self.columns, bits), 0)
+        mask = self.digit_mask
+        return tuple([(acc >> at) & mask for at in self.offsets])
+
+
+# Bounded caches keyed by what fixes the tables: the field (p, m, modulus)
+# and r, or design_t for BCH.  Codes look their kernel up on their first
+# syndrome, so re-parsing a spec finds the tables already built.
+@lru_cache(maxsize=32)
+def _rs_kernel(field: ExtField, r: int) -> _BinaryKernel:
+    return _BinaryKernel(field, _rs_generator(field, r), field.m, field.m, r)
+
+
+@lru_cache(maxsize=32)
+def _bch_kernel(field: ExtField, design_t: int) -> _BinaryKernel:
+    return _BinaryKernel(field, _bch_generator(field, design_t), 1, 8, 2 * design_t)
+
+
 class RsCode(LinearCode):
     """A Reed-Solomon code over F_{p^m} in cyclic form.
 
@@ -427,37 +656,35 @@ class RsCode(LinearCode):
         self.base_length = n
         self.base_dimension = k
         self.segments = ((self.redundancy, field),)
+        self._kernel = None
 
     @cached_property
     def generator(self) -> tuple[int, ...]:
         """prod (x - alpha^j), j = 1..n-k, built on first use: only encode reads it."""
-        field = self.field
-        g = [1]
-        for j in range(1, self.redundancy + 1):
-            g = _poly_mul(field, g, [field.neg(field.alpha_pow(j)), 1])
-        return tuple(g)
+        return _rs_generator(self.field, self.redundancy)
 
     @property
     def distance(self) -> int:
         return self.n - self.k + 1
 
-    def _check_word(self, word, length, limit):
-        if len(word) != length:
-            raise LengthMismatchError(f"expected {length} symbols, got {len(word)}")
-        for c in word:
-            if not (0 <= c < limit):
-                raise AlphabetMismatchError(f"symbol {c} outside alphabet of {limit}")
-
     def encode(self, message) -> list[int]:
         """Systematic cyclic encoding: message high, parity low."""
-        self._check_word(message, self.k, self.field.order)
+        _check_symbols(message, self.k, self.field.order)
         field = self.field
         parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
         return [field.neg(v) for v in parity] + list(message)
 
     def syndrome(self, word) -> Syndrome:
-        self._check_word(word, self.n, self.field.order)
-        return Syndrome(tuple(_sparse_syndrome(self.field, word, self.redundancy)))
+        """The power sums; over F_{2^m} from the packed kernel."""
+        _check_symbols(word, self.n, self.field.order)
+        if self.field.p != 2 or self.field.m > 16:
+            return Syndrome(tuple(_sparse_syndrome(self.field, word, self.redundancy)))
+        kernel = self._kernel or self._load_kernel()
+        return Syndrome(kernel.power_sums(kernel.remainder(reversed(word))))
+
+    def _load_kernel(self) -> _BinaryKernel:
+        self._kernel = _rs_kernel(self.field, self.redundancy)
+        return self._kernel
 
     def decode_syndrome(self, synd: Syndrome, erasures=()) -> list[int]:
         """Error vector consistent with the syndrome, or DecodeFailure.
@@ -519,51 +746,55 @@ class BchCode:
         self.design_t = design_t
         self.t = design_t
         self.syndrome_count = 2 * design_t
-        g = [1]
-        used = set()
-        for j in range(1, 1 + 2 * design_t):
-            jj = j % n
-            if jj in used:
-                continue
-            coset = _cyclotomic_coset(jj, p, n)
-            used.update(coset)
-            minpoly = [1]
-            for l in coset:
-                root = ext.alpha_pow(l)
-                minpoly = _poly_mul(ext, minpoly, [ext.neg(root), 1])
-            if any(c >= p for c in minpoly):  # pragma: no cover - coset closure
-                raise ValueError("minimal polynomial left the base field")
-            g = _poly_mul(ext, g, minpoly)
-        self.generator = tuple(g)
-        self.k = n - (len(g) - 1)
-        self.redundancy = n - self.k
-
-    def _check_word(self, word, length):
-        if len(word) != length:
-            raise LengthMismatchError(f"expected {length} symbols, got {len(word)}")
-        for c in word:
-            if not (0 <= c < self.p):
-                raise AlphabetMismatchError(f"symbol {c} outside gf({self.p})")
+        self.generator = _bch_generator(ext, design_t)
+        self.redundancy = len(self.generator) - 1
+        self.k = n - self.redundancy
+        self._kernel = None
+        self._width = (n + 7) // 8  # bytes of a packed word
 
     def encode(self, message) -> list[int]:
         """Systematic cyclic encoding over the base field."""
-        self._check_word(message, self.k)
+        _check_symbols(message, self.k, self.p)
         field = self.field
         parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
         return [field.neg(v) for v in parity] + list(message)
 
     def remainder(self, word) -> tuple[int, ...]:
         """word(x) mod g(x): the compact n-k symbol form of the syndrome."""
-        self._check_word(word, self.n)
-        return tuple(_poly_remainder(self.field, word, self.generator))
+        _check_symbols(word, self.n, self.p)
+        if self.p != 2:
+            return tuple(_poly_remainder(self.field, word, self.generator))
+        return tuple(_unpack_bits([self._packed_remainder(_pack_bits(word))], self.redundancy))
+
+    def _packed_remainder(self, word: int) -> int:
+        """The remainder of a word over F_2 packed as an int (digit i at
+        bit i), packed the same way."""
+        kernel = self._kernel or self._load_kernel()
+        return kernel.remainder(word.to_bytes(self._width, "big"))
+
+    def _load_kernel(self) -> _BinaryKernel:
+        self._kernel = _bch_kernel(self.field, self.design_t)
+        return self._kernel
 
     def syndrome(self, word) -> Syndrome:
-        self._check_word(word, self.n)
-        return Syndrome(tuple(_sparse_syndrome(self.field, word, self.syndrome_count)))
+        _check_symbols(word, self.n, self.p)
+        if self.p != 2:
+            return Syndrome(tuple(_sparse_syndrome(self.field, word, self.syndrome_count)))
+        return self._packed_power_sums(self._packed_remainder(_pack_bits(word)))
 
     def power_sums(self, remainder) -> Syndrome:
         """Evaluate a mod-g remainder at the syndrome roots."""
-        return Syndrome(tuple(_sparse_syndrome(self.field, list(remainder), self.syndrome_count)))
+        if len(remainder) != self.redundancy:
+            raise LengthMismatchError(
+                f"expected {self.redundancy} remainder symbols, got {len(remainder)}"
+            )
+        if self.p != 2:
+            return Syndrome(tuple(_sparse_syndrome(self.field, list(remainder), self.syndrome_count)))
+        return self._packed_power_sums(_pack_bits(remainder))
+
+    def _packed_power_sums(self, rem: int) -> Syndrome:
+        kernel = self._kernel or self._load_kernel()
+        return Syndrome(kernel.power_sums(rem))
 
     def decode_syndrome(self, synd: Syndrome) -> list[int]:
         values = synd.values
