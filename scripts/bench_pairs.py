@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Compare two source trees with perfbench, in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_10.json
-    python3 scripts/bench_pairs.py PARENT CHANGE --pairs 10 --seconds 8 \\
-        --workload enroll --workload verify --out BENCH_10.json
+    python3 scripts/bench_pairs.py PARENT CHANGE --seed 101 --out BENCH_10.json
 
 PARENT and CHANGE are checkouts, each with its own perfbench/run.py and
-src/synfuzz.  For each workload, pair i runs `perfbench/run.py --seed
-SEED+i --trace 0` once in each tree, in the same interpreter, with the
-tree that goes first swapped from pair to pair so slow drift of the host
-weighs on both alike.  Afterwards one traced run (`--trace 1`, seed SEED)
-of each tree gives the per-operation `gf.mults`.
+src/synfuzz.  For each of the three workloads, pair i = 0..9 runs
+`perfbench/run.py --seed SEED+i --seconds 15 --trace 0` once in each
+tree, in the same interpreter, with the tree that goes first swapped from
+pair to pair so slow drift of the host weighs on both alike.  Afterwards
+one traced run (`--trace 1`, seed SEED) of each tree gives the
+per-operation `gf.mults`.  Pick a seed no earlier comparison used.
 
 The output JSON holds, per workload and tree, every end-to-end metric of
 every run with their median and quartiles; per metric the median ratio
@@ -33,12 +32,14 @@ from pathlib import Path
 
 WORKLOADS = ("enroll", "verify", "verify-stateless")
 TREES = ("parent", "change")
+PAIRS = 10
+SECONDS = 15
 
 
-def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """The result line of one perfbench run in ``tree``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -56,17 +57,16 @@ def summary(values: list) -> dict:
             "quartiles": statistics.quantiles(values, n=4), "runs": values}
 
 
-def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
-            higher: set) -> dict:
+def compare(trees: dict, workload: str, seed: int, higher: set) -> dict:
     """Alternating pairs of untraced runs, then one traced run per tree.
     ``higher`` names the metrics for which higher is better."""
     runs = {name: [] for name in TREES}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = TREES if i % 2 == 0 else TREES[::-1]
         for name in order:
-            result = run(trees[name], workload, seed + i, seconds, 0)
+            result = run(trees[name], workload, seed + i, 0)
             runs[name].append({k: v["value"] for k, v in result["metrics"].items()})
-            print(f"{workload} pair {i + 1}/{pairs} {name}: "
+            print(f"{workload} pair {i + 1}/{PAIRS} {name}: "
                   f"ops_per_s {runs[name][-1]['ops_per_s']:.1f}", file=sys.stderr)
     metrics = sorted(runs["parent"][0])
     out = {name: {m: summary([r[m] for r in runs[name]]) for m in metrics} for name in TREES}
@@ -84,7 +84,7 @@ def compare(trees: dict, workload: str, pairs: int, seed: int, seconds: int,
                for p, c in zip(runs["parent"], runs["change"]))
         for m in metrics}
     out["gf.mults"] = {
-        name: run(trees[name], workload, seed, seconds, 1)["metrics"]["gf.mults"]["value"]
+        name: run(trees[name], workload, seed, 1)["metrics"]["gf.mults"]["value"]
         for name in TREES}
     return out
 
@@ -93,10 +93,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=8)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -104,11 +101,10 @@ def main(argv=None) -> int:
     higher = {m["name"] for m in spec["end_to_end"] if m["better"] == "higher"}
     report = {
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
-        "pairs": args.pairs, "seconds": args.seconds, "seeds": [args.seed, args.seed + args.pairs - 1],
+        "pairs": PAIRS, "seconds": SECONDS, "seeds": [args.seed, args.seed + PAIRS - 1],
         "python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "workloads": {w: compare(trees, w, args.pairs, args.seed, args.seconds, higher)
-                      for w in args.workload or WORKLOADS},
+        "workloads": {w: compare(trees, w, args.seed, higher) for w in WORKLOADS},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

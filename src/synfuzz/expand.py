@@ -47,7 +47,7 @@ byte-indexed tables cached per field and layout.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 from .errors import (
     DecodeFailure,
@@ -61,6 +61,7 @@ from .rs import (
     RsCode,
     Syndrome,
     _byte_tables,
+    _cached_by_description,
     _lookup,
     _pack_bits,
     _unpack_bits,
@@ -98,7 +99,7 @@ def _companion_fill(field, sym: int) -> list[int]:
 _FILLS = {KIND_ROW_PARITY: _parity_fill, KIND_COMPANION: _companion_fill}
 
 
-@lru_cache(maxsize=32)
+@_cached_by_description
 def _dropped_tables(field, kind: str) -> tuple[tuple[int, ...], ...]:
     """Byte tables of the F_2-linear map sending a symbol to the dropped
     cells of its fill, packed (dropped cell i at bit i)."""

@@ -28,7 +28,7 @@ characteristics keep the per-symbol paths ``_sparse_syndrome`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce, wraps
 from itertools import chain, compress
 from operator import itemgetter, xor
 
@@ -154,15 +154,7 @@ class LinearCode:
         flat = self._flat(word)
         if self._gather is not None:
             flat = self._gather(flat)
-        width = self.base_length // len(self._cells)
-        try:
-            chars = bytearray(flat).translate(_TO_CHARS)
-            chars.reverse()
-            packed = [int(chars[at : at + width], 2) for at in range(0, len(chars), width)]
-        except (TypeError, ValueError):
-            raise AlphabetMismatchError("digit outside gf(2)") from None
-        packed.reverse()
-        return packed
+        return _pack_runs(flat, self.base_length // len(self._cells))
 
     def _place(self, blocks) -> list:
         """The data word holding each block's digits at its ``_cells``."""
@@ -428,12 +420,14 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
         MUL_COUNTER.add(nm)
 
 
-def _check_symbols(word, length: int, limit: int) -> None:
+def _check_symbols(word, length: int, limit: int, name: str | None = None) -> None:
+    """Raise unless the word has ``length`` symbols in 0 .. limit - 1;
+    ``name`` names the alphabet in the message."""
     if len(word) != length:
         raise LengthMismatchError(f"expected {length} symbols, got {len(word)}")
     if word and (min(word) < 0 or max(word) >= limit):
         bad = next(c for c in word if not 0 <= c < limit)
-        raise AlphabetMismatchError(f"symbol {bad} outside alphabet of {limit}")
+        raise AlphabetMismatchError(f"symbol {bad} outside {name or f'alphabet of {limit}'}")
 
 
 def _poly_remainder(field: ExtField, word, g) -> list[int]:
@@ -492,12 +486,22 @@ _TO_CHARS = b"01" + b"x" * 254
 _TO_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack_bits(digits) -> int:
-    """The F_2 digits d_0, d_1, ... as the int sum d_i 2^i."""
+def _pack_runs(digits, width: int) -> list[int]:
+    """Each run of ``width`` F_2 digits d_0, d_1, ... in turn as the int
+    sum d_i 2^i."""
     try:
-        return int(bytearray(digits).translate(_TO_CHARS)[::-1], 2)
+        chars = bytearray(digits).translate(_TO_CHARS)
+        chars.reverse()
+        packed = [int(chars[at : at + width], 2) for at in range(0, len(chars), width)]
     except (TypeError, ValueError):
         raise AlphabetMismatchError("digit outside gf(2)") from None
+    packed.reverse()
+    return packed
+
+
+def _pack_bits(digits) -> int:
+    """The F_2 digits d_0, d_1, ... as the int sum d_i 2^i."""
+    return _pack_runs(digits, len(digits))[0] if len(digits) else 0
 
 
 def _unpack_bits(values, width: int) -> bytes:
@@ -579,6 +583,9 @@ class _BinaryKernel:
             polys.append([c ^ mul(top, gk) for c, gk in zip(shifted, low)])
         basis = [pack([mul(1 << b, c) for c in poly]) for poly in polys for b in range(width)]
         self.top = _byte_tables(basis)
+        # a step overflows by at most 16 bits: a low and a high byte table,
+        # the high one all zero when the overflow fits one byte
+        self.lo, self.hi = self.top if len(self.top) == 2 else (*self.top, (0,))
 
         la = field._log_alpha
         self.columns = []
@@ -596,18 +603,12 @@ class _BinaryKernel:
         """The packed remainder mod g of the word whose ``step``-bit
         chunks, highest first, are ``chunks``."""
         step, shift, mask = self.step, self.size, self.mask
+        lo, hi = self.lo, self.hi
         rem = 0
-        if len(self.top) == 1:
-            (top,) = self.top
-            for c in chunks:
-                v = (rem << step) | c
-                rem = (v & mask) ^ top[v >> shift]
-        else:
-            lo, hi = self.top
-            for c in chunks:
-                v = (rem << step) | c
-                t = v >> shift
-                rem = (v & mask) ^ lo[t & 255] ^ hi[t >> 8]
+        for c in chunks:
+            v = (rem << step) | c
+            t = v >> shift
+            rem = (v & mask) ^ lo[t & 255] ^ hi[t >> 8]
         return rem
 
     def power_sums(self, rem: int) -> tuple[int, ...]:
@@ -618,15 +619,37 @@ class _BinaryKernel:
         return tuple([(acc >> at) & mask for at in self.offsets])
 
 
-# Bounded caches keyed by what fixes the tables: the field (p, m, modulus)
-# and r, or design_t for BCH.  Codes look their kernel up on their first
-# syndrome, so re-parsing a spec finds the tables already built.
-@lru_cache(maxsize=32)
+def _cached_by_description(build):
+    """Memoise ``build(field, *args)`` under the field's description
+    (p, m, modulus) and args, least recently used out past ``maxsize``
+    entries.  The key holds no reference to the field, so a cached result
+    does not keep the first caller's field and its tables alive."""
+    cache: dict = {}
+
+    @wraps(build)
+    def cached(field: ExtField, *args):
+        key = (field.p, field.m, field.modulus, *args)
+        out = cache.pop(key, None)
+        if out is None:
+            out = build(field, *args)
+            if len(cache) >= cached.maxsize:
+                del cache[next(iter(cache))]
+        cache[key] = out
+        return out
+
+    cached.cache = cache
+    cached.maxsize = 32
+    return cached
+
+
+# Codes look their kernel up on their first syndrome, so re-parsing a spec
+# finds the tables already built.
+@_cached_by_description
 def _rs_kernel(field: ExtField, r: int) -> _BinaryKernel:
     return _BinaryKernel(field, _rs_generator(field, r), field.m, field.m, r)
 
 
-@lru_cache(maxsize=32)
+@_cached_by_description
 def _bch_kernel(field: ExtField, design_t: int) -> _BinaryKernel:
     return _BinaryKernel(field, _bch_generator(field, design_t), 1, 8, 2 * design_t)
 
@@ -754,14 +777,14 @@ class BchCode:
 
     def encode(self, message) -> list[int]:
         """Systematic cyclic encoding over the base field."""
-        _check_symbols(message, self.k, self.p)
+        _check_symbols(message, self.k, self.p, f"gf({self.p})")
         field = self.field
         parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
         return [field.neg(v) for v in parity] + list(message)
 
     def remainder(self, word) -> tuple[int, ...]:
         """word(x) mod g(x): the compact n-k symbol form of the syndrome."""
-        _check_symbols(word, self.n, self.p)
+        _check_symbols(word, self.n, self.p, f"gf({self.p})")
         if self.p != 2:
             return tuple(_poly_remainder(self.field, word, self.generator))
         return tuple(_unpack_bits([self._packed_remainder(_pack_bits(word))], self.redundancy))
@@ -777,7 +800,7 @@ class BchCode:
         return self._kernel
 
     def syndrome(self, word) -> Syndrome:
-        _check_symbols(word, self.n, self.p)
+        _check_symbols(word, self.n, self.p, f"gf({self.p})")
         if self.p != 2:
             return Syndrome(tuple(_sparse_syndrome(self.field, word, self.syndrome_count)))
         return self._packed_power_sums(self._packed_remainder(_pack_bits(word)))

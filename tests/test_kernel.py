@@ -7,7 +7,9 @@ tests/oracle.py alone (coefficient-list products and remainders), with the
 block map and the generators as the only inputs taken from the package.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -16,6 +18,8 @@ from synfuzz import expand, rs
 from synfuzz.codespec import parse_spec
 from synfuzz.concat import ConcatCode
 from synfuzz.expand import KIND_COMPANION, KIND_ROW_PARITY, ExpandedCode
+from synfuzz.errors import AlphabetMismatchError
+from synfuzz.gf import ExtField
 from synfuzz.rs import BchCode, RsCode
 
 from test_golden import GOLDEN
@@ -29,6 +33,7 @@ WIDE = (
     ("cIII(rs(6,2;gf(2^9));2,3)", 203),
     ("concat(inner=bch(15,1;gf(2)), outer=rs(20,12;gf(2^11)), layout=flat)", 204),
 )
+CACHES = (rs._rs_kernel, rs._bch_kernel, expand._dropped_tables)
 
 
 class OracleField:
@@ -148,17 +153,14 @@ def test_parsing_builds_no_kernel_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built syndrome tables")
 
-    rs._rs_kernel.cache_clear()
-    rs._bch_kernel.cache_clear()
-    expand._dropped_tables.cache_clear()
+    for cache in CACHES:
+        cache.cache.clear()
     specs = [g[1] for g in GOLDEN] + [LARGEST_RS, LARGEST_FLAT_CONCAT]
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_BinaryKernel", refuse)
         patch.setattr(expand, "_byte_tables", refuse)
         codes = [parse_spec(spec) for spec in specs]
-    assert rs._rs_kernel.cache_info().currsize == 0
-    assert rs._bch_kernel.cache_info().currsize == 0
-    assert expand._dropped_tables.cache_info().currsize == 0
+    assert not any(cache.cache for cache in CACHES)
     small = [code for code in codes if code.base_length < 10_000]
     for code in small:
         code.syndrome(code.zero_word())
@@ -188,5 +190,32 @@ def test_kernel_tables_are_bounded_by_the_description():
     ints = kernel_ints(rs._bch_kernel(inner.field, inner.design_t))
     assert len(ints) <= 256 + inner.redundancy
     assert max(v.bit_length() for v in ints) <= max(inner.redundancy, 2 * inner.t * inner.field.m)
-    assert rs._rs_kernel.cache_info().maxsize is not None
-    assert rs._bch_kernel.cache_info().maxsize is not None
+    assert all(cache.maxsize == 32 for cache in CACHES)
+
+
+def test_cached_tables_keep_no_field_alive():
+    """The caches key on the field's description (p, m, modulus), so the
+    tables a code builds do not keep its field, with the field's own
+    tables, alive after the code is gone."""
+    modulus = (1, 1, 0, 1, 0, 1, 0, 0, 1)  # x^8 + x^5 + x^3 + x + 1
+    field = ExtField(2, 8, modulus)
+    assert not field.modulus_is_default
+    code = ExpandedCode.row_vector_parity(RsCode(field, 40, 30))
+    word = random.Random(205).choices((0, 1), k=code.base_length)
+    synd = code.syndrome(word)
+    ref = weakref.ref(field)
+    del code, field
+    gc.collect()
+    assert ref() is None
+    assert (2, 8, modulus, 10) in rs._rs_kernel.cache
+    assert (2, 8, modulus, KIND_ROW_PARITY) in expand._dropped_tables.cache
+    again = parse_spec("cI+parity(rs(40,30;gf(2^8;modulus=1,1,0,1,0,1,0,0,1)))")
+    assert again.syndrome(word) == synd
+
+
+def test_bch_names_its_base_field_in_symbol_errors():
+    code = BchCode(2, 4, 2)
+    with pytest.raises(AlphabetMismatchError, match=r"symbol 2 outside gf\(2\)$"):
+        code.syndrome([0] * 14 + [2])
+    with pytest.raises(AlphabetMismatchError, match=r"symbol 7 outside alphabet of 4$"):
+        RsCode(ExtField(2, 2), 3, 1).syndrome([0, 7, 0])
