@@ -48,7 +48,6 @@ from .errors import (
     LengthMismatchError,
     QueryUnsupportedError,
     ShapeMismatchError,
-    TooManyErasuresError,
 )
 from .rs import LinearCode, RsCode, Syndrome, _unpack_bits
 
@@ -79,10 +78,6 @@ class TrivialCode:
 
     def decode_remainder(self, remainder) -> list[int]:
         return [0] * self.n
-
-    @property
-    def systematic_slice(self) -> slice:
-        return slice(0, self.n)
 
     def spec_string(self) -> str:
         return f"id({self.n};gf({self.p}))"
@@ -299,7 +294,7 @@ class ConcatCode(LinearCode):
         return self._place(blocks)
 
     def _systematic_value(self, block) -> int:
-        return self.outer.field.from_base_vector(block[self.inner.systematic_slice])
+        return self.outer.field.from_base_vector(block[self.inner.redundancy :])
 
     def syndrome(self, word) -> Syndrome:
         """Each block's inner remainder, then the outer syndrome of the
@@ -353,10 +348,7 @@ class ConcatCode(LinearCode):
             est[i] = self._systematic_value(blk_err)
         est_synd = self.outer.syndrome(est)
         resid = self.outer.syndrome_sub(Syndrome(synd.values[split:]), est_synd)
-        try:
-            delta = self.outer.decode_syndrome(resid, erasures=flagged)
-        except TooManyErasuresError as exc:
-            raise DecodeFailure(str(exc)) from exc
+        delta = self.outer.decode_syndrome(resid, erasures=flagged)
         msg_err = [ext.add(e, d) for e, d in zip(est, delta)]
 
         blocks = []

@@ -49,8 +49,9 @@ class DecodeFailure(SynfuzzError):
     """No correctable error pattern is consistent with the syndrome."""
 
 
-class TooManyErasuresError(SynfuzzError, ValueError):
-    """More erasure positions than redundancy symbols."""
+class TooManyErasuresError(DecodeFailure, ValueError):
+    """More erasure positions than redundancy symbols: no pattern can be
+    decoded, so it is a DecodeFailure."""
 
 
 class IndexOutOfRangeError(SynfuzzError, IndexError):

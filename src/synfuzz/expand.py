@@ -50,11 +50,9 @@ import math
 from functools import cached_property, partial
 
 from .errors import (
-    DecodeFailure,
     NotInAlgebraError,
     ShapeMismatchError,
     ShapeUnsupportedError,
-    TooManyErasuresError,
 )
 from .rs import (
     LinearCode,
@@ -249,10 +247,7 @@ class ExpandedCode(LinearCode):
         erasures = ()
         if self.kind == KIND_ROW_PARITY:
             erasures = tuple(i for i, s in enumerate(extra) if s)
-        try:
-            evec = self.rs.decode_syndrome(Syndrome(synd.values[:r]), erasures=erasures)
-        except TooManyErasuresError as exc:
-            raise DecodeFailure(str(exc)) from exc
+        evec = self.rs.decode_syndrome(Syndrome(synd.values[:r]), erasures=erasures)
         m = self.rs.field.m
         p = self.alphabet.p
         w = self._dropped

@@ -264,7 +264,6 @@ class ExtField:
             log[v] = i
         self._exp = powers + powers
         self._log = log
-        self._log_alpha = log[self.alpha]
         if p != 2:
             # Zech logarithms: 1 + x^i = x^zech[i].  Adding 1 changes only
             # digit 0; x^half = -1 is the one power with 1 + x^i = 0.
@@ -333,7 +332,7 @@ class ExtField:
     def alpha_pow(self, e: int) -> int:
         """The element x^e (e may be negative)."""
         q1 = self.order - 1
-        return self._exp[(self._log_alpha * (e % q1)) % q1]
+        return self._exp[e % q1]
 
     # ------------------------------------------------------------------
     # base-field representations

@@ -1,14 +1,22 @@
-"""Reed-Solomon and BCH codes in cyclic form, decoded from syndromes.
+"""Reed-Solomon and BCH codes on one cyclic-code core, decoded from syndromes.
 
-Both code families are narrow sense (syndrome roots alpha^1, alpha^2, ...)
-and share one decoder: Berlekamp-Massey solves the key equation for the
-locator, a Chien search finds its roots, and Forney's formula gives the
-error magnitudes.  Erasures (blocks the expanded and concatenated codes
-flag as damaged) seed Berlekamp-Massey with their locator polynomial and
-cost one syndrome each instead of two.  The decoder always re-checks that
-the returned error pattern reproduces every input syndrome component;
-anything inconsistent raises DecodeFailure rather than returning a
-silently wrong vector.
+Both families are narrow-sense cyclic codes: a code of length n over F_s
+whose syndrome roots alpha^1 .. alpha^count lie in F_q (s = q for
+Reed-Solomon, s = p for BCH).  ``_CyclicCode`` holds what they share, and
+one rule gives every generator: the product of the minimal polynomials
+over F_s of the roots, one per cyclotomic coset of j -> j*s mod (q - 1).
+With s = q every coset is one exponent and the product is
+prod (x - alpha^j).  The coset sizes fix the redundancy, so a code knows
+n, k and t without building its generator.
+
+One decoder serves both: Berlekamp-Massey solves the key equation for
+the locator, a Chien search finds its roots, and Forney's formula gives
+the error magnitudes.  Erasures (blocks the expanded and concatenated
+codes flag as damaged) seed Berlekamp-Massey with their locator
+polynomial and cost one syndrome each instead of two.  The decoder always
+re-checks that the returned error pattern reproduces every input syndrome
+component; anything inconsistent raises DecodeFailure rather than
+returning a silently wrong vector.
 
 Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
@@ -18,10 +26,10 @@ Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
 come from the packed kernel ``_BinaryKernel``: a table-driven LFSR
 reduces the word modulo the generator, and one packed F_2-linear map
 takes the remainder to the power sums.  Its tables depend only on the
-field and the redundancy, are built on a code's first syndrome and are
-kept in bounded caches keyed by that description, so a re-parsed spec
-finds them built.  The kernel counts no multiplication.  Odd
-characteristics keep the per-symbol paths ``_sparse_syndrome`` and
+field, s and count, are built on a code's first syndrome and are kept in
+bounded caches keyed by that description, as the generators are, so a
+re-parsed spec finds them built.  The kernel counts no multiplication.
+Odd characteristics keep the per-symbol paths ``_sparse_syndrome`` and
 ``_poly_remainder``.
 """
 
@@ -58,7 +66,22 @@ class Syndrome:
         return not any(self.values)
 
 
-class LinearCode:
+class _SpecIdentity:
+    """A code is its ``spec_string()``: two codes of the same type are
+    equal exactly when their spec strings are, and hash and repr follow
+    it."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.spec_string() == self.spec_string()
+
+    def __hash__(self):
+        return hash(self.spec_string())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.spec_string()})"
+
+
+class LinearCode(_SpecIdentity):
     """What enroll and verify need from a code.
 
     The template stores a syndrome that is linear in the data word (the
@@ -82,9 +105,6 @@ class LinearCode:
     and implements ``_kind_lines()`` (what the code is) and
     ``_bound_lines()`` (what it guarantees); ``info_lines()`` and
     ``capability_lines()`` frame them with the lines every code shares.
-
-    A code is its ``spec_string()``: two codes of the same type are equal
-    exactly when their spec strings are, and hash and repr follow it.
     """
 
     shape: tuple[int, ...]
@@ -92,15 +112,6 @@ class LinearCode:
     base_dimension: int
     segments: tuple[tuple[int, object], ...]
     guidance: str
-
-    def __eq__(self, other):
-        return type(other) is type(self) and other.spec_string() == self.spec_string()
-
-    def __hash__(self):
-        return hash(self.spec_string())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.spec_string()})"
 
     def syndrome_sub(self, a: Syndrome, b: Syndrome) -> Syndrome:
         """a - b, symbol by symbol in each run's field."""
@@ -207,35 +218,6 @@ def _poly_mul(field: ExtField, f, g):
     return out
 
 
-def _rs_generator(field: ExtField, r: int) -> tuple[int, ...]:
-    """prod (x - alpha^j), j = 1..r."""
-    g = [1]
-    for j in range(1, r + 1):
-        g = _poly_mul(field, g, [field.neg(field.alpha_pow(j)), 1])
-    return tuple(g)
-
-
-def _bch_generator(field: ExtField, design_t: int) -> tuple[int, ...]:
-    """The product of the minimal polynomials of alpha^1 .. alpha^(2t),
-    one per cyclotomic coset, with coefficients in the base field."""
-    p, n = field.p, field.order - 1
-    g = [1]
-    used = set()
-    for j in range(1, 1 + 2 * design_t):
-        jj = j % n
-        if jj in used:
-            continue
-        coset = _cyclotomic_coset(jj, p, n)
-        used.update(coset)
-        minpoly = [1]
-        for l in coset:
-            minpoly = _poly_mul(field, minpoly, [field.neg(field.alpha_pow(l)), 1])
-        if any(c >= p for c in minpoly):  # pragma: no cover - coset closure
-            raise ValueError("minimal polynomial left the base field")
-        g = _poly_mul(field, g, minpoly)
-    return tuple(g)
-
-
 def _chien_roots(field: ExtField, psi, n):
     """Positions i in [0, n) with psi(alpha^-i) = 0, plus the mult count.
 
@@ -245,7 +227,6 @@ def _chien_roots(field: ExtField, psi, n):
     """
     exp, log = field._exp, field._log
     q1 = field.order - 1
-    la = field._log_alpha
     add = xor if field.p == 2 else field.add
     minus_one = field.neg(1)
     es = []
@@ -254,7 +235,7 @@ def _chien_roots(field: ExtField, psi, n):
         c = psi[j]
         if c:
             es.append(log[c])
-            steps.append((q1 - (la * j) % q1) % q1)
+            steps.append(-j % q1)
     nt = len(es)
     deg = len(psi) - 1
     roots = []
@@ -301,7 +282,6 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
 
     exp, log = field._exp, field._log
     q1 = field.order - 1
-    la = field._log_alpha
     add = field.add
     sub = field.sub
     nm = 0
@@ -309,7 +289,7 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
         # erasure locator gamma(x) = prod (1 - alpha^pos * x)
         gamma = [1]
         for pos in positions_known:
-            x_val = exp[(la * pos) % q1]
+            x_val = exp[pos % q1]
             nxt = gamma + [0]
             for idx, c in enumerate(gamma):
                 if c:
@@ -380,7 +360,7 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
             dpsi.append(c if s else 0)
         mags = []
         for pos in roots:
-            step = (q1 - (la * pos) % q1) % q1
+            step = -pos % q1
             num = den = e = 0
             for j in range(L):
                 c, dc = omega[j], dpsi[j]
@@ -411,7 +391,7 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
             acc = 0
             e = 1 + j
             for pos, lv in support:
-                acc = add(acc, exp[lv + (la * pos * e) % q1])
+                acc = add(acc, exp[lv + pos * e % q1])
             nm += len(support)
             if acc != synd[j]:
                 raise DecodeFailure("candidate pattern does not match the syndrome")
@@ -420,14 +400,14 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
         MUL_COUNTER.add(nm)
 
 
-def _check_symbols(word, length: int, limit: int, name: str | None = None) -> None:
+def _check_symbols(word, length: int, limit: int, name: str) -> None:
     """Raise unless the word has ``length`` symbols in 0 .. limit - 1;
     ``name`` names the alphabet in the message."""
     if len(word) != length:
         raise LengthMismatchError(f"expected {length} symbols, got {len(word)}")
     if word and (min(word) < 0 or max(word) >= limit):
         bad = next(c for c in word if not 0 <= c < limit)
-        raise AlphabetMismatchError(f"symbol {bad} outside {name or f'alphabet of {limit}'}")
+        raise AlphabetMismatchError(f"symbol {bad} outside {name}")
 
 
 def _poly_remainder(field: ExtField, word, g) -> list[int]:
@@ -457,14 +437,13 @@ def _sparse_syndrome(field: ExtField, word, count):
     """Power sums word(alpha^1) .. word(alpha^count), skipping zero symbols."""
     exp, log = field._exp, field._log
     q1 = field.order - 1
-    la = field._log_alpha
     add = field.add
     out = [0] * count
     nm = 0
     for i, c in enumerate(word):
         if c:
             lc = log[c]
-            step = (la * i) % q1
+            step = i % q1
             e = step
             for j in range(count):
                 out[j] = add(out[j], exp[lc + e])
@@ -587,14 +566,13 @@ class _BinaryKernel:
         # the high one all zero when the overflow fits one byte
         self.lo, self.hi = self.top if len(self.top) == 2 else (*self.top, (0,))
 
-        la = field._log_alpha
         self.columns = []
         for k in range(r):
             for b in range(width):
                 lb = log[1 << b]
                 col = 0
                 for j in range(count, 0, -1):
-                    col = (col << m) | exp[(lb + la * j * k) % q1]
+                    col = (col << m) | exp[(lb + j * k) % q1]
                 self.columns.append(col)
         self.digit_mask = (1 << m) - 1
         self.offsets = range(0, count * m, m)
@@ -642,19 +620,99 @@ def _cached_by_description(build):
     return cached
 
 
-# Codes look their kernel up on their first syndrome, so re-parsing a spec
-# finds the tables already built.
+# ---------------------------------------------------------------------------
+# The cyclic-code core
+# ---------------------------------------------------------------------------
+
+
+def _root_exponents(n: int, s: int, count: int):
+    """Exponents l of the generator's roots alpha^l: the cyclotomic cosets
+    {j, j*s, j*s^2, ...} mod n of j = 1..count, each walked once."""
+    if s % n == 1:  # j*s = j: every coset is one exponent, as for RS
+        return range(1, count + 1)
+    roots: set[int] = set()
+    for j in range(1, count + 1):
+        while j not in roots:
+            roots.add(j)
+            j = j * s % n
+    return roots
+
+
+# Generators and kernel tables are looked up on first use, never at
+# construction, so parsing builds neither and a re-parsed spec finds them.
 @_cached_by_description
-def _rs_kernel(field: ExtField, r: int) -> _BinaryKernel:
-    return _BinaryKernel(field, _rs_generator(field, r), field.m, field.m, r)
+def _generator(field: ExtField, s: int, count: int) -> tuple[int, ...]:
+    """The product of the minimal polynomials over F_s of alpha^1 ..
+    alpha^count: prod (x - alpha^l) over their cosets' exponents l, so its
+    coefficients lie in F_s.  With s = q this is prod (x - alpha^j)."""
+    g = [1]
+    for l in _root_exponents(field.order - 1, s, count):
+        g = _poly_mul(field, g, [field.neg(field.alpha_pow(l)), 1])
+    return tuple(g)
 
 
 @_cached_by_description
-def _bch_kernel(field: ExtField, design_t: int) -> _BinaryKernel:
-    return _BinaryKernel(field, _bch_generator(field, design_t), 1, 8, 2 * design_t)
+def _kernel(field: ExtField, s: int, count: int) -> _BinaryKernel:
+    """The packed syndrome tables: one m-bit symbol per LFSR step over
+    F_{2^m}, eight one-bit digits per step over F_2."""
+    width, step = (field.m, field.m) if s == field.order else (1, 8)
+    return _BinaryKernel(field, _generator(field, s, count), width, step, count)
 
 
-class RsCode(LinearCode):
+class _CyclicCode(_SpecIdentity):
+    """A narrow-sense cyclic code of length n over F_s, s = q for
+    Reed-Solomon and s = p for BCH, with syndrome roots alpha^1 ..
+    alpha^count in ``field`` = F_q: what both families share.
+
+    The redundancy is the number of root exponents, so ``__init__`` builds
+    no polynomial; ``generator`` and the packed kernel come from caches
+    keyed by (field, s, count).  ``_encode`` and ``_decode_syndrome`` are
+    the one encoder and decoder; each family binds them in its own class
+    (perfbench/spans.py traces them there).  A syndrome has ``count``
+    power sums, decoded to at most t = count // 2 errors, with magnitudes
+    held to F_s when it is a proper subfield.
+    """
+
+    def __init__(self, field: ExtField, s: int, n: int, count: int, symbols: str):
+        self.field = field
+        self.s = s
+        self.n = n
+        self.count = count
+        self.t = count // 2
+        self.redundancy = len(_root_exponents(field.order - 1, s, count))
+        self.k = n - self.redundancy
+        self._symbols = symbols  # the alphabet's name in symbol errors
+        self._tables = None  # the packed kernel, set on first use
+
+    @property
+    def generator(self) -> tuple[int, ...]:
+        """The monic generator polynomial, low coefficient first."""
+        return _generator(self.field, self.s, self.count)
+
+    def _load_kernel(self) -> _BinaryKernel:
+        self._tables = _kernel(self.field, self.s, self.count)
+        return self._tables
+
+    def _encode(self, message) -> list[int]:
+        """Systematic cyclic encoding: message high, parity low."""
+        _check_symbols(message, self.k, self.s, self._symbols)
+        field = self.field
+        parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
+        return [field.neg(v) for v in parity] + list(message)
+
+    def _decode_syndrome(self, synd: Syndrome, erasures=()) -> list[int]:
+        """Error vector consistent with the syndrome, or DecodeFailure.
+
+        Each erasure position costs one syndrome, each error off them two.
+        """
+        values = synd.values
+        if len(values) != self.count:
+            raise LengthMismatchError(f"expected {self.count} syndrome values, got {len(values)}")
+        base_limit = self.s if self.s < self.field.order else None
+        return _gpz_decode(self.field, values, self.n, erasures, base_limit)
+
+
+class RsCode(_CyclicCode, LinearCode):
     """A Reed-Solomon code over F_{p^m} in cyclic form.
 
     Full length is p^m - 1; passing a smaller n gives the shortened code
@@ -668,58 +726,28 @@ class RsCode(LinearCode):
         full = field.order - 1
         if not 0 < k < n <= full:
             raise ValueError(f"need 0 < k < n <= {full}, got n={n} k={k}")
-        self.field = field
-        self.n = n
-        self.k = k
-        self.redundancy = n - k
-        self.t = (n - k) // 2
+        super().__init__(field, field.order, n, n - k, f"alphabet of {field.order}")
         self.is_shortened = n < full
         self.shape = (n,)
         self.alphabet = field
         self.base_length = n
         self.base_dimension = k
         self.segments = ((self.redundancy, field),)
-        self._kernel = None
 
-    @cached_property
-    def generator(self) -> tuple[int, ...]:
-        """prod (x - alpha^j), j = 1..n-k, built on first use: only encode reads it."""
-        return _rs_generator(self.field, self.redundancy)
+    encode = _CyclicCode._encode
+    decode_syndrome = _CyclicCode._decode_syndrome
 
     @property
     def distance(self) -> int:
         return self.n - self.k + 1
 
-    def encode(self, message) -> list[int]:
-        """Systematic cyclic encoding: message high, parity low."""
-        _check_symbols(message, self.k, self.field.order)
-        field = self.field
-        parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
-        return [field.neg(v) for v in parity] + list(message)
-
     def syndrome(self, word) -> Syndrome:
         """The power sums; over F_{2^m} from the packed kernel."""
-        _check_symbols(word, self.n, self.field.order)
+        _check_symbols(word, self.n, self.s, self._symbols)
         if self.field.p != 2 or self.field.m > 16:
-            return Syndrome(tuple(_sparse_syndrome(self.field, word, self.redundancy)))
-        kernel = self._kernel or self._load_kernel()
+            return Syndrome(tuple(_sparse_syndrome(self.field, word, self.count)))
+        kernel = self._tables or self._load_kernel()
         return Syndrome(kernel.power_sums(kernel.remainder(reversed(word))))
-
-    def _load_kernel(self) -> _BinaryKernel:
-        self._kernel = _rs_kernel(self.field, self.redundancy)
-        return self._kernel
-
-    def decode_syndrome(self, synd: Syndrome, erasures=()) -> list[int]:
-        """Error vector consistent with the syndrome, or DecodeFailure.
-
-        Each erasure position costs one syndrome, each error off them two.
-        """
-        values = synd.values
-        if len(values) != self.redundancy:
-            raise LengthMismatchError(
-                f"expected {self.redundancy} syndrome values, got {len(values)}"
-            )
-        return _gpz_decode(self.field, values, self.n, erasures)
 
     def decode(self, synd: Syndrome) -> list[int]:
         return self.decode_syndrome(synd)
@@ -740,22 +768,12 @@ class RsCode(LinearCode):
         return f"rs({self.n},{self.k};{self.field.spec_string()})"
 
 
-def _cyclotomic_coset(j: int, p: int, n: int) -> list[int]:
-    out = [j % n]
-    cur = (j * p) % n
-    while cur != out[0]:
-        out.append(cur)
-        cur = (cur * p) % n
-    return out
-
-
-class BchCode:
+class BchCode(_CyclicCode):
     """Narrow-sense primitive BCH code of length p^m - 1 over F_p.
 
-    The generator polynomial is the product of the minimal polynomials of
-    alpha^1 .. alpha^(2*design_t), one per cyclotomic coset; its degree
-    fixes the dimension.  Decoding reuses the shared syndrome decoder with
-    2*design_t syndromes and base-field magnitudes.
+    Its 2*design_t syndrome roots alpha^1 .. alpha^(2*design_t) lie in
+    F_{p^m}; their cyclotomic cosets fix the redundancy.  Decoding reuses
+    the shared syndrome decoder with base-field magnitudes.
     """
 
     def __init__(self, p: int, m: int, design_t: int):
@@ -763,28 +781,16 @@ class BchCode:
         n = ext.order - 1
         if design_t < 1 or 2 * design_t >= n:
             raise CapacityTooLargeError(f"need 1 <= 2t < {n}, got t={design_t}")
-        self.field = ext
+        super().__init__(ext, p, n, 2 * design_t, f"gf({p})")
         self.p = p
-        self.n = n
         self.design_t = design_t
-        self.t = design_t
-        self.syndrome_count = 2 * design_t
-        self.generator = _bch_generator(ext, design_t)
-        self.redundancy = len(self.generator) - 1
-        self.k = n - self.redundancy
-        self._kernel = None
         self._width = (n + 7) // 8  # bytes of a packed word
 
-    def encode(self, message) -> list[int]:
-        """Systematic cyclic encoding over the base field."""
-        _check_symbols(message, self.k, self.p, f"gf({self.p})")
-        field = self.field
-        parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
-        return [field.neg(v) for v in parity] + list(message)
+    encode = _CyclicCode._encode
 
     def remainder(self, word) -> tuple[int, ...]:
         """word(x) mod g(x): the compact n-k symbol form of the syndrome."""
-        _check_symbols(word, self.n, self.p, f"gf({self.p})")
+        _check_symbols(word, self.n, self.p, self._symbols)
         if self.p != 2:
             return tuple(_poly_remainder(self.field, word, self.generator))
         return tuple(_unpack_bits([self._packed_remainder(_pack_bits(word))], self.redundancy))
@@ -792,18 +798,13 @@ class BchCode:
     def _packed_remainder(self, word: int) -> int:
         """The remainder of a word over F_2 packed as an int (digit i at
         bit i), packed the same way."""
-        kernel = self._kernel or self._load_kernel()
+        kernel = self._tables or self._load_kernel()
         return kernel.remainder(word.to_bytes(self._width, "big"))
 
-    def _load_kernel(self) -> _BinaryKernel:
-        self._kernel = _bch_kernel(self.field, self.design_t)
-        return self._kernel
-
     def syndrome(self, word) -> Syndrome:
-        _check_symbols(word, self.n, self.p, f"gf({self.p})")
-        if self.p != 2:
-            return Syndrome(tuple(_sparse_syndrome(self.field, word, self.syndrome_count)))
-        return self._packed_power_sums(self._packed_remainder(_pack_bits(word)))
+        """The power sums of the remainder, which are the word's: g
+        vanishes at every root."""
+        return self.power_sums(self.remainder(word))
 
     def power_sums(self, remainder) -> Syndrome:
         """Evaluate a mod-g remainder at the syndrome roots."""
@@ -812,39 +813,15 @@ class BchCode:
                 f"expected {self.redundancy} remainder symbols, got {len(remainder)}"
             )
         if self.p != 2:
-            return Syndrome(tuple(_sparse_syndrome(self.field, list(remainder), self.syndrome_count)))
-        return self._packed_power_sums(_pack_bits(remainder))
-
-    def _packed_power_sums(self, rem: int) -> Syndrome:
-        kernel = self._kernel or self._load_kernel()
-        return Syndrome(kernel.power_sums(rem))
+            return Syndrome(tuple(_sparse_syndrome(self.field, list(remainder), self.count)))
+        kernel = self._tables or self._load_kernel()
+        return Syndrome(kernel.power_sums(_pack_bits(remainder)))
 
     def decode_syndrome(self, synd: Syndrome) -> list[int]:
-        values = synd.values
-        if len(values) != self.syndrome_count:
-            raise LengthMismatchError(
-                f"expected {self.syndrome_count} syndrome values, got {len(values)}"
-            )
-        return _gpz_decode(self.field, values, self.n, base_limit=self.p)
+        return self._decode_syndrome(synd)
 
     def decode_remainder(self, remainder) -> list[int]:
         return self.decode_syndrome(self.power_sums(remainder))
 
-    @property
-    def systematic_slice(self) -> slice:
-        return slice(self.redundancy, self.n)
-
     def spec_string(self) -> str:
         return f"bch({self.n},{self.design_t};gf({self.p}))"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BchCode)
-            and (self.field, self.design_t) == (other.field, other.design_t)
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.design_t))
-
-    def __repr__(self):
-        return f"BchCode({self.spec_string()}, k={self.k})"

@@ -139,12 +139,21 @@ def test_oversized_bch_length_is_refused_before_building(no_field_work):
 
 
 def test_rs_generator_is_not_built_at_parse_time(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("parsing built the RS generator polynomial")
+    """Neither an RS nor a BCH generator is built by parse_spec: the
+    dimension comes from the root cosets, not the polynomial."""
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsing built a generator polynomial")
+
+    rs._generator.cache.clear()
     monkeypatch.setattr(rs, "_poly_mul", refuse)
     code = parse_spec("rs(4095,4031;gf(2^12))")
     assert (code.n, code.k) == (4095, 4031)
+    code = parse_spec("bch(4095,32;gf(2))")
+    assert (code.n, code.k) == (4095, 4095 - 12 * 32)  # 32 cosets of 12 roots
+    for spec in [g[1] for g in GOLDEN if g[1].startswith("concat(")]:
+        parse_spec(spec)
+    assert not rs._generator.cache
 
 
 @pytest.mark.parametrize("text", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d, gen_mixed
+from synfuzz.codespec import parse_spec
 from synfuzz.errors import (
     DecodeFailure,
     NotInAlgebraError,
@@ -13,6 +14,7 @@ from synfuzz.errors import (
     ShapeUnsupportedError,
 )
 from synfuzz.expand import ExpandedCode
+from synfuzz.fuzzy import enroll, verify
 from synfuzz.gf import ExtField
 from synfuzz.rs import RsCode
 
@@ -256,6 +258,22 @@ def test_parity_erasure_assist_mode(c1p):
             continue
         synd = c1p.syndrome(base)
         assert c1p.decode(synd) == base
+
+
+def test_more_parity_erasures_than_redundancy_is_a_decode_failure():
+    code = parse_spec("cI+parity(rs(15,7;gf(2^4)))")
+    assert code.rs.redundancy == 8
+    width = code.rs.field.m + 1
+    noise = [0] * code.base_length
+    for blk in range(9):  # one digit per block breaks its parity
+        noise[blk * width] = 1
+    with pytest.raises(DecodeFailure):
+        code.decode(code.syndrome(noise))
+    rng = random.Random(107)
+    word = [rng.randrange(2) for _ in range(code.base_length)]
+    template = enroll(word, code)
+    result = verify([a ^ b for a, b in zip(word, noise)], template, code=code)
+    assert (result.accepted, result.reason) == (False, "DecodeFailure")
 
 
 def test_tile_corruption_count_worst_case(c2):

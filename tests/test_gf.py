@@ -237,6 +237,31 @@ def test_alpha_pow_matches_repeated_multiplication(f16):
         cur = f16.mul(cur, f16.alpha)
 
 
+def _prime_powers(limit):
+    """(p, m) for every prime power p^m <= limit."""
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    return [(p, m) for p in primes for m in range(1, limit.bit_length()) if p**m <= limit]
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [(p, m, None) for p, m in _prime_powers(1 << 10)]
+    + [
+        (2, 8, (1, 1, 0, 1, 0, 1, 0, 0, 1)),  # x^8 + x^5 + x^3 + x + 1
+        (2, 4, (1, 0, 0, 1, 1)),  # x^4 + x^3 + 1
+        (3, 2, (2, 2, 1)),  # x^2 + 2x + 2
+        (5, 1, (2, 1)),  # x - 3
+        (7, 1, (2, 1)),  # x - 5
+    ],
+)
+def test_x_is_the_first_power_of_alpha(p, m, modulus):
+    """The exp table walks the powers of x, which is alpha: exponents of
+    alpha are exponents in the table, with no log(alpha) factor."""
+    fld = ExtField(p, m, modulus)
+    assert fld._exp[1] == fld.alpha
+    assert fld.alpha_pow(1) == fld.alpha
+
+
 def test_mul_counter_monotone_and_resettable(f8):
     MUL_COUNTER.reset()
     assert MUL_COUNTER.count == 0

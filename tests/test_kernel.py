@@ -33,7 +33,7 @@ WIDE = (
     ("cIII(rs(6,2;gf(2^9));2,3)", 203),
     ("concat(inner=bch(15,1;gf(2)), outer=rs(20,12;gf(2^11)), layout=flat)", 204),
 )
-CACHES = (rs._rs_kernel, rs._bch_kernel, expand._dropped_tables)
+CACHES = (rs._generator, rs._kernel, expand._dropped_tables)
 
 
 class OracleField:
@@ -180,14 +180,14 @@ def test_kernel_tables_are_bounded_by_the_description():
     the concatenation adds one inner kernel of 256 + (n-k) ints."""
     code = parse_spec(LARGEST_RS)
     r, m = code.redundancy, code.field.m
-    ints = kernel_ints(rs._rs_kernel(code.field, r))
+    ints = kernel_ints(rs._kernel(code.field, code.s, r))
     assert len(ints) <= 512 + r * m
     assert max(v.bit_length() for v in ints) <= r * m
 
     concat = parse_spec(LARGEST_FLAT_CONCAT)
     outer, inner = concat.outer, concat.inner
     assert (outer.field, outer.redundancy) == (code.field, r)
-    ints = kernel_ints(rs._bch_kernel(inner.field, inner.design_t))
+    ints = kernel_ints(rs._kernel(inner.field, inner.s, inner.count))
     assert len(ints) <= 256 + inner.redundancy
     assert max(v.bit_length() for v in ints) <= max(inner.redundancy, 2 * inner.t * inner.field.m)
     assert all(cache.maxsize == 32 for cache in CACHES)
@@ -207,7 +207,7 @@ def test_cached_tables_keep_no_field_alive():
     del code, field
     gc.collect()
     assert ref() is None
-    assert (2, 8, modulus, 10) in rs._rs_kernel.cache
+    assert (2, 8, modulus, 256, 10) in rs._kernel.cache
     assert (2, 8, modulus, KIND_ROW_PARITY) in expand._dropped_tables.cache
     again = parse_spec("cI+parity(rs(40,30;gf(2^8;modulus=1,1,0,1,0,1,0,0,1)))")
     assert again.syndrome(word) == synd

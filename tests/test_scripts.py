@@ -35,7 +35,6 @@ def test_capability_report_refuses_a_bare_bch_code():
     assert result.stderr.startswith(b"error: not an enrollable code")
 
 
-def test_monte_carlo_and_cost_scan_scripts_run():
-    for name, args in (("burst_montecarlo.py", ("5", "7")), ("decode_cost_scan.py", ("2",))):
-        result = run_script(name, *args)
-        assert result.returncode == 0, result.stderr.decode()
+def test_monte_carlo_script_runs():
+    result = run_script("burst_montecarlo.py", "5", "7")
+    assert result.returncode == 0, result.stderr.decode()
