@@ -61,7 +61,6 @@ class TrivialCode:
         self.k = n
         self.t = 0
         self.redundancy = 0
-        self.generator = (1,)
 
     def encode(self, message) -> list[int]:
         if len(message) != self.k:
