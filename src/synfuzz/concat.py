@@ -49,7 +49,7 @@ from .errors import (
     QueryUnsupportedError,
     ShapeMismatchError,
 )
-from .rs import LinearCode, RsCode, Syndrome, _unpack_bits
+from .rs import LinearCode, RsCode, Syndrome, _pack_runs, _unpack_bits
 
 
 class TrivialCode:
@@ -77,6 +77,9 @@ class TrivialCode:
 
     def decode_remainder(self, remainder) -> list[int]:
         return [0] * self.n
+
+    def decode_packed(self, remainder: int) -> int:
+        return 0
 
     def spec_string(self) -> str:
         return f"id({self.n};gf({self.p}))"
@@ -322,20 +325,31 @@ class ConcatCode(LinearCode):
         is rebuilt from its corrected message and stored remainder.  The
         result must reproduce the input syndrome or DecodeFailure is
         raised.
+
+        Over F_2 each remainder is one packed int, as ``syndrome`` packs
+        blocks: the inner code decodes it with ``decode_packed``, and a
+        block's systematic value is its packed pattern shifted down by the
+        inner redundancy.
         """
         r = self.inner.redundancy
         split = self.N * r
         if len(synd.values) != split + self.outer.redundancy:
             raise ShapeMismatchError("syndrome has the wrong length for this code")
-        rems = [synd.values[i * r : (i + 1) * r] for i in range(self.N)]
+        binary = self.p == 2
+        if binary:
+            rems = _pack_runs(synd.values[:split], r) if r else [0] * self.N
+            zero, inner_decode = 0, self.inner.decode_packed
+        else:
+            rems = [synd.values[i * r : (i + 1) * r] for i in range(self.N)]
+            zero, inner_decode = (0,) * r, self.inner.decode_remainder
         ext = self.outer.field
         est = [0] * self.N
         flagged = []
         for i, rem in enumerate(rems):
-            if not any(rem):
+            if rem == zero:
                 continue
             try:
-                blk_err = self.inner.decode_remainder(rem)
+                blk_err = inner_decode(rem)
             except DecodeFailure:
                 flagged.append(i)
                 if len(flagged) > self.outer.redundancy:
@@ -344,12 +358,27 @@ class ConcatCode(LinearCode):
                         f"{len(flagged)} erasures exceed redundancy {self.outer.redundancy}"
                     ) from None
                 continue
-            est[i] = self._systematic_value(blk_err)
+            est[i] = blk_err >> r if binary else self._systematic_value(blk_err)
         est_synd = self.outer.syndrome(est)
         resid = self.outer.syndrome_sub(Syndrome(synd.values[split:]), est_synd)
         delta = self.outer.decode_syndrome(resid, erasures=flagged)
         msg_err = [ext.add(e, d) for e, d in zip(est, delta)]
+        pattern = (self._rebuild_packed if binary else self._rebuild)(rems, msg_err)
+        if self.syndrome(pattern) != synd:
+            raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
+        if not with_info:
+            return pattern
+        info = DecodeInfo(
+            inner_failed=tuple(flagged),
+            outer_corrected=tuple(i for i, d in enumerate(delta) if d),
+        )
+        return pattern, info
 
+    def _rebuild(self, rems, msg_err) -> list:
+        """The pattern whose blocks have these systematic parts and
+        remainders: each block's codeword plus its remainder."""
+        r = self.inner.redundancy
+        ext = self.outer.field
         blocks = []
         for rem, me in zip(rems, msg_err):
             if me == 0 and not any(rem):
@@ -360,16 +389,22 @@ class ConcatCode(LinearCode):
                 if rem[j]:
                     blk[j] = (blk[j] + rem[j]) % self.p
             blocks.append(blk)
-        pattern = self._place(blocks)
-        if self.syndrome(pattern) != synd:
-            raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
-        if not with_info:
-            return pattern
-        info = DecodeInfo(
-            inner_failed=tuple(flagged),
-            outer_corrected=tuple(i for i, d in enumerate(delta) if d),
-        )
-        return pattern, info
+        return self._place(blocks)
+
+    def _rebuild_packed(self, rems, msg_err) -> list:
+        """``_rebuild`` over F_2 on packed blocks: the codeword of a
+        systematic value v is v x^r plus the remainder of v x^r.  Only
+        blocks with a nonzero part are unpacked."""
+        r = self.inner.redundancy
+        remainder = self.inner._packed_remainder
+        flat = [0] * self.base_length
+        for cells, rem, me in zip(self._cells, rems, msg_err):
+            if me or rem:
+                shifted = me << r
+                block = shifted ^ remainder(shifted) ^ rem
+                for at, v in zip(cells, _unpack_bits([block], self.n_in)):
+                    flat[at] = v
+        return self._shaped(flat)
 
     # ------------------------------------------------------------------
     # capability bounds

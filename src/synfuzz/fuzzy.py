@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from itertools import repeat
 from operator import xor
 
 from . import codespec
@@ -78,21 +79,26 @@ def enrollable(code):
     return code
 
 
+def _row_fits(row, length: int, order: int) -> bool:
+    """Whether ``row`` holds ``length`` ints in 0 .. order - 1 (bools are
+    ints); the type test and the range test each run at C speed."""
+    return (
+        len(row) == length
+        and all(map(isinstance, row, repeat(int)))
+        and (not row or (min(row) >= 0 and max(row) < order))
+    )
+
+
 def _check_data(code, data) -> None:
     enrollable(code)
     shape = code.shape
     order = code.alphabet.order
     try:
         if len(shape) == 1:
-            ok = len(data) == shape[0] and all(
-                isinstance(v, int) and 0 <= v < order for v in data
-            )
+            ok = _row_fits(data, shape[0], order)
         else:
             rows, cols = shape
-            ok = len(data) == rows and all(
-                len(row) == cols and all(isinstance(v, int) and 0 <= v < order for v in row)
-                for row in data
-            )
+            ok = len(data) == rows and all(_row_fits(row, cols, order) for row in data)
     except TypeError:  # data or a row without a length, e.g. None or an int
         ok = False
     if not ok:

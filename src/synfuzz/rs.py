@@ -31,13 +31,24 @@ bounded caches keyed by that description, as the generators are, so a
 re-parsed spec finds them built.  The kernel counts no multiplication.
 Odd characteristics keep the per-symbol paths ``_sparse_syndrome`` and
 ``_poly_remainder``.
+
+Decoding over characteristic 2 uses two more packed tables, cached the
+same way and built on first use.  Over F_{2^m}, m <= 8, the Chien search
+evaluates the locator at every position at once: evaluation is F_2-linear
+in the locator's coefficient bits, so it XORs one packed column per set
+bit, one byte per position (``_chien_table``).  A small binary BCH code
+decodes a packed remainder by one lookup in its coset-leader table, the
+remainder of every pattern of weight <= design_t (``_coset_table``;
+standard-array decoding, Slepian 1956).  Above their caps the scalar
+``_chien_roots`` and Berlekamp-Massey stay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce, wraps
-from itertools import chain, compress
+from itertools import chain, combinations, compress
+from math import comb
 from operator import itemgetter, xor
 
 from .errors import (
@@ -114,13 +125,14 @@ class LinearCode(_SpecIdentity):
     guidance: str
 
     def syndrome_sub(self, a: Syndrome, b: Syndrome) -> Syndrome:
-        """a - b, symbol by symbol in each run's field."""
+        """a - b, symbol by symbol in each run's field (XOR over
+        characteristic 2)."""
         out = []
         at = 0
         for count, field in self.segments:
-            sub = field.sub
+            sub = xor if field.p == 2 else field.sub
             end = at + count
-            out.extend(sub(x, y) for x, y in zip(a.values[at:end], b.values[at:end]))
+            out.extend(map(sub, a.values[at:end], b.values[at:end]))
             at = end
         return Syndrome(tuple(out))
 
@@ -282,8 +294,7 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
 
     exp, log = field._exp, field._log
     q1 = field.order - 1
-    add = field.add
-    sub = field.sub
+    add, sub = (xor, xor) if field.p == 2 else (field.add, field.sub)
     nm = 0
     try:
         # erasure locator gamma(x) = prod (1 - alpha^pos * x)
@@ -334,7 +345,7 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
         if len(psi) - 1 != L or 2 * L - f > r:
             raise DecodeFailure(f"no locator of {L - f} errors fits the syndrome")
 
-        roots, c = _chien_roots(field, psi, n)
+        roots, c = _chien_search(field, psi, n, r)
         nm += c
         if len(roots) != L:
             raise DecodeFailure(f"locator of degree {L} has {len(roots)} roots in range")
@@ -659,6 +670,91 @@ def _kernel(field: ExtField, s: int, count: int) -> _BinaryKernel:
     return _BinaryKernel(field, _generator(field, s, count), width, step, count)
 
 
+# ---------------------------------------------------------------------------
+# Packed decoding tables for characteristic 2
+# ---------------------------------------------------------------------------
+
+# A Chien table holds r*m columns of n bytes; past this many bits the
+# search stays scalar.  rs(255,223;gf(2^8)) needs just under 2^19.
+_CHIEN_CAP_BITS = 1 << 21
+# Coset tables hold at most this many patterns: bch(15,2;gf(2)) has 121,
+# bch(63,2;gf(2)) 2017, bch(63,3;gf(2)) 41,728 (above it).
+_COSET_CAP = 4096
+
+
+def _chien_fits(field: ExtField, n: int, r: int) -> bool:
+    """Whether the search over n positions for locators of degree <= r
+    has a packed table: characteristic 2, one byte per position (m <= 8)
+    and r*m columns of n bytes within the cap."""
+    return field.p == 2 and field.m <= 8 and r * field.m * n * 8 <= _CHIEN_CAP_BITS
+
+
+@_cached_by_description
+def _chien_table(field: ExtField, n: int, r: int) -> tuple[int, ...]:
+    """Column (j, b), at index (j-1)*m + b for j = 1..r and b < m, holds
+    x^b alpha^(-ij) in byte i for i = 0..n-1."""
+    exp, log = field._exp, field._log
+    q1 = field.order - 1
+    columns = []
+    for j in range(1, r + 1):
+        for b in range(field.m):
+            lb = log[1 << b]
+            lane = bytes([exp[(lb - i * j) % q1] for i in range(n)])
+            columns.append(int.from_bytes(lane, "little"))
+    return tuple(columns)
+
+
+def _chien_search(field: ExtField, psi, n: int, r: int):
+    """``_chien_roots(field, psi, n)`` for a locator of degree <= r, from
+    the packed table where it fits: byte i of the XOR of the columns of
+    psi's set coefficient bits is psi(alpha^-i) - 1, so the roots are the
+    bytes equal to 1.  Counts the mults the scalar search would."""
+    if not _chien_fits(field, n, r):
+        return _chien_roots(field, psi, n)
+    m = field.m
+    packed = 0
+    for c in reversed(psi[1:]):
+        packed = (packed << m) | c
+    bits = bin(packed)[:1:-1].encode().translate(_TO_DIGITS)
+    values = reduce(xor, compress(_chien_table(field, n, r), bits), 0).to_bytes(n, "little")
+    deg = len(psi) - 1
+    roots = []
+    i = values.find(1)
+    while i >= 0 and len(roots) < deg:
+        roots.append(i)
+        i = values.find(1, i + 1)
+    # the scalar search stops at the deg-th root, else after all n points
+    stop = roots[-1] + 1 if deg and len(roots) == deg else n
+    return roots, stop * (deg - psi.count(0))
+
+
+def _coset_fits(n: int, t: int) -> bool:
+    """Whether the patterns of weight <= t over n positions number at most
+    the coset-table cap."""
+    total = 0
+    for w in range(t + 1):
+        total += comb(n, w)
+        if total > _COSET_CAP:
+            return False
+    return True
+
+
+@_cached_by_description
+def _coset_table(field: ExtField, n: int, t: int) -> dict[int, int]:
+    """Packed remainder -> packed error over every binary pattern of
+    weight <= t of the BCH code of length n with roots alpha^1 ..
+    alpha^2t in ``field``.  Distance >= 2t + 1 makes each remainder's
+    pattern unique, so a remainder missing here has none."""
+    kernel = _kernel(field, 2, 2 * t)
+    width = (n + 7) // 8
+    table = {}
+    for w in range(t + 1):
+        for support in combinations(range(n), w):
+            err = sum(1 << i for i in support)
+            table[kernel.remainder(err.to_bytes(width, "big"))] = err
+    return table
+
+
 class _CyclicCode(_SpecIdentity):
     """A narrow-sense cyclic code of length n over F_s, s = q for
     Reed-Solomon and s = p for BCH, with syndrome roots alpha^1 ..
@@ -785,6 +881,7 @@ class BchCode(_CyclicCode):
         self.p = p
         self.design_t = design_t
         self._width = (n + 7) // 8  # bytes of a packed word
+        self._cosets = None  # the coset table, False above its cap; set on first use
 
     encode = _CyclicCode._encode
 
@@ -822,6 +919,21 @@ class BchCode(_CyclicCode):
 
     def decode_remainder(self, remainder) -> list[int]:
         return self.decode_syndrome(self.power_sums(remainder))
+
+    def decode_packed(self, remainder: int) -> int:
+        """The pattern of weight <= design_t with this remainder, both
+        packed as ``_packed_remainder`` packs them, or DecodeFailure; over
+        F_2 only.  A lookup in the coset table where it fits, else
+        ``decode_remainder``."""
+        if self._cosets is None:
+            fits = _coset_fits(self.n, self.design_t)
+            self._cosets = fits and _coset_table(self.field, self.n, self.design_t)
+        if self._cosets is False:
+            return _pack_bits(self.decode_remainder(_unpack_bits([remainder], self.redundancy)))
+        err = self._cosets.get(remainder)
+        if err is None:
+            raise DecodeFailure("no pattern of weight <= t has this remainder")
+        return err
 
     def spec_string(self) -> str:
         return f"bch({self.n},{self.design_t};gf({self.p}))"

@@ -380,11 +380,12 @@ def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
     rng = random.Random(21)
     word = [rng.randrange(2) for _ in range(code.base_length)]
     synd = code.syndrome(word)
-    inner_decode = code.inner.decode_remainder
+    # over F_2 the concatenation decodes each block's packed remainder
+    inner_decode = code.inner.decode_packed
     failing = 0
-    for block in code._blocks(word):
+    for block in code._packed_blocks(word):
         try:
-            inner_decode(code.inner.remainder(block))
+            inner_decode(code.inner._packed_remainder(block))
         except DecodeFailure:
             failing += 1
     assert failing > code.outer.redundancy + 1
@@ -398,7 +399,7 @@ def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
             failures.append(rem)
             raise
 
-    monkeypatch.setattr(code.inner, "decode_remainder", counting)
+    monkeypatch.setattr(code.inner, "decode_packed", counting)
     with pytest.raises(DecodeFailure):
         code.decode(synd)
     assert len(failures) == code.outer.redundancy + 1

@@ -26,7 +26,7 @@ from synfuzz.fuzzy import (
     verify,
 )
 from synfuzz.gf import ExtField
-from synfuzz.rs import BchCode, RsCode
+from synfuzz.rs import BchCode, RsCode, Syndrome
 from test_golden import GOLDEN, GOLDEN_DIR, golden_word
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -346,3 +346,80 @@ def test_digest_comparison_is_constant_time(c1, monkeypatch):
     template = enroll([0] * 60, c1)
     assert verify([0] * 60, template, code=c1).accepted
     assert calls and calls[-1][1] == template.digest
+
+
+VECTOR_CODE = "rs(7,3;gf(2^3))"  # shape (7,), symbols 0..7
+ARRAY_CODE = "cII(rs(15,7;gf(2^4));3,5)"  # shape (6, 10), digits 0..1
+CHECKED_DATA = [
+    # (code, name, data, accepted)
+    (VECTOR_CODE, "ints in range", [0, 1, 2, 3, 4, 5, 7], True),
+    (VECTOR_CODE, "bools are ints", [True, False, 0, 0, 0, 0, 7], True),
+    (VECTOR_CODE, "bytes hold ints", bytes([0, 1, 2, 3, 4, 5, 6]), True),
+    (VECTOR_CODE, "float", [0, 0, 0, 1.0, 0, 0, 0], False),
+    (VECTOR_CODE, "negative", [0, 0, 0, -1, 0, 0, 0], False),
+    (VECTOR_CODE, "value = order", [0, 0, 0, 8, 0, 0, 0], False),
+    (VECTOR_CODE, "value > order", [0, 0, 0, 0, 0, 0, 1 << 70], False),
+    (VECTOR_CODE, "None cell", [0, 0, 0, None, 0, 0, 0], False),
+    (VECTOR_CODE, "str cell", [0, 0, 0, "1", 0, 0, 0], False),
+    (VECTOR_CODE, "str", "0000000", False),
+    (VECTOR_CODE, "short", [0] * 6, False),
+    (VECTOR_CODE, "long", [0] * 8, False),
+    (VECTOR_CODE, "empty", [], False),
+    (VECTOR_CODE, "None", None, False),
+    (VECTOR_CODE, "int", 7, False),
+    (VECTOR_CODE, "rows", [[0] * 7], False),
+    (ARRAY_CODE, "ints in range", [[(r + c) % 2 for c in range(10)] for r in range(6)], True),
+    (ARRAY_CODE, "bools are ints", [[True] * 10] + [[False] * 10] * 5, True),
+    (ARRAY_CODE, "float", [[0] * 10] * 5 + [[0] * 9 + [0.0]], False),
+    (ARRAY_CODE, "bool float", [[0] * 10] * 5 + [[True] * 9 + [1.0]], False),
+    (ARRAY_CODE, "negative", [[0] * 10] * 5 + [[0] * 9 + [-1]], False),
+    (ARRAY_CODE, "value = order", [[2] + [0] * 9] + [[0] * 10] * 5, False),
+    (ARRAY_CODE, "ragged short row", [[0] * 10] * 5 + [[0] * 9], False),
+    (ARRAY_CODE, "ragged long row", [[0] * 11] + [[0] * 10] * 5, False),
+    (ARRAY_CODE, "None row", [[0] * 10] * 5 + [None], False),
+    (ARRAY_CODE, "None cell", [[0] * 10] * 5 + [[None] + [0] * 9], False),
+    (ARRAY_CODE, "int row", [[0] * 10] * 5 + [0], False),
+    (ARRAY_CODE, "str rows", ["0000000000"] * 6, False),
+    (ARRAY_CODE, "flat vector", [0] * 60, False),
+    (ARRAY_CODE, "too few rows", [[0] * 10] * 5, False),
+    (ARRAY_CODE, "too many rows", [[0] * 10] * 7, False),
+    (ARRAY_CODE, "no rows", [], False),
+    (ARRAY_CODE, "empty rows", [[]] * 6, False),
+    (ARRAY_CODE, "None", None, False),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,data,accepted",
+    [(spec, data, ok) for spec, _, data, ok in CHECKED_DATA],
+    ids=[f"{spec}-{name}" for spec, name, _, _ in CHECKED_DATA],
+)
+def test_check_data_accepts_exactly_in_shape_ints_in_the_alphabet(spec, data, accepted):
+    code = parse_spec(spec)
+    if accepted:
+        fuzzy._check_data(code, data)
+    else:
+        with pytest.raises(ShapeMismatchError):
+            fuzzy._check_data(code, data)
+
+
+def test_syndrome_sub_is_symbolwise_field_subtraction():
+    """The XOR runs over characteristic 2 agree with field.sub on every
+    segment, and odd p keeps its own subtraction."""
+    specs = (
+        "concat(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=v(4,5))",
+        "cI(rs(15,7;gf(2^4)))",
+        "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)",
+    )
+    for seed, spec in enumerate(specs):
+        code = parse_spec(spec)
+        rng = random.Random(seed)
+        values = []
+        for _ in range(2):
+            values.append([rng.randrange(field.order)
+                           for count, field in code.segments for _ in range(count)])
+        a, b = (Syndrome(tuple(v)) for v in values)
+        fields = [field for count, field in code.segments for _ in range(count)]
+        expected = tuple(f.sub(x, y) for f, x, y in zip(fields, a.values, b.values))
+        assert code.syndrome_sub(a, b).values == expected
+        assert code.syndrome_sub(a, a).is_zero

@@ -8,6 +8,7 @@ block map and the generators as the only inputs taken from the package.
 """
 
 import gc
+import math
 import random
 import weakref
 
@@ -33,7 +34,7 @@ WIDE = (
     ("cIII(rs(6,2;gf(2^9));2,3)", 203),
     ("concat(inner=bch(15,1;gf(2)), outer=rs(20,12;gf(2^11)), layout=flat)", 204),
 )
-CACHES = (rs._generator, rs._kernel, expand._dropped_tables)
+CACHES = (rs._generator, rs._kernel, expand._dropped_tables, rs._chien_table, rs._coset_table)
 
 
 class OracleField:
@@ -203,14 +204,27 @@ def test_cached_tables_keep_no_field_alive():
     code = ExpandedCode.row_vector_parity(RsCode(field, 40, 30))
     word = random.Random(205).choices((0, 1), k=code.base_length)
     synd = code.syndrome(word)
+    error = code.zero_word()
+    error[7] = 1
+    assert code.decode(code.syndrome(error)) == error
     ref = weakref.ref(field)
     del code, field
     gc.collect()
     assert ref() is None
     assert (2, 8, modulus, 256, 10) in rs._kernel.cache
     assert (2, 8, modulus, KIND_ROW_PARITY) in expand._dropped_tables.cache
+    assert (2, 8, modulus, 40, 10) in rs._chien_table.cache
     again = parse_spec("cI+parity(rs(40,30;gf(2^8;modulus=1,1,0,1,0,1,0,0,1)))")
     assert again.syndrome(word) == synd
+
+    inner = BchCode(2, 4, 2)
+    key = (2, 4, inner.field.modulus, 15, 2)
+    assert inner.decode_packed(1) == 1
+    ref = weakref.ref(inner.field)
+    del inner
+    gc.collect()
+    assert ref() is None
+    assert key in rs._coset_table.cache
 
 
 def test_bch_names_its_base_field_in_symbol_errors():
@@ -219,3 +233,49 @@ def test_bch_names_its_base_field_in_symbol_errors():
         code.syndrome([0] * 14 + [2])
     with pytest.raises(AlphabetMismatchError, match=r"symbol 7 outside alphabet of 4$"):
         RsCode(ExtField(2, 2), 3, 1).syndrome([0, 7, 0])
+
+
+def test_decoding_tables_stay_under_their_caps():
+    """Decoding every golden construction builds Chien tables of at most
+    2^21 bits and coset tables of at most 4096 patterns."""
+    for cache in CACHES:
+        cache.cache.clear()
+    for _, spec, _, _, seed in GOLDEN:
+        code = parse_spec(spec)
+        word = seeded_words(code, seed)[-1]  # one nonzero cell
+        assert code.decode(code.syndrome(word)) == word
+    assert rs._chien_table.cache and rs._coset_table.cache
+    for (p, m, _, n, r), columns in rs._chien_table.cache.items():
+        assert len(columns) == r * m
+        assert len(columns) * n * 8 <= rs._CHIEN_CAP_BITS
+        assert max(c.bit_length() for c in columns) <= 8 * n
+    for (p, m, _, n, t), table in rs._coset_table.cache.items():
+        assert len(table) == sum(math.comb(n, w) for w in range(t + 1)) <= rs._COSET_CAP
+
+
+def test_codes_above_the_caps_keep_the_scalar_decoders(monkeypatch):
+    """The size predicates refuse what the caps exclude, and a code they
+    refuse decodes without building a table."""
+    outer = parse_spec(LARGEST_FLAT_CONCAT).outer
+    assert not rs._chien_fits(outer.field, outer.n, outer.redundancy)  # m = 16
+    assert not rs._chien_fits(ExtField(2, 8), 255, 155)  # 155 * 8 columns of 255 bytes
+    assert rs._chien_fits(ExtField(2, 8), 255, 128)
+    assert not rs._chien_fits(ExtField(3, 4), 80, 8)  # odd p
+    assert not rs._coset_fits(63, 3)  # 41,728 patterns
+    assert rs._coset_fits(63, 2) and rs._coset_fits(7, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a decoding table above its cap")
+
+    code = RsCode(ExtField(2, 8), 255, 100)
+    error = [0] * 255
+    for at in (3, 90, 254):
+        error[at] = at
+    with monkeypatch.context() as patch:
+        patch.setattr(rs, "_chien_table", refuse)
+        assert code.decode(code.syndrome(error)) == error
+    inner = BchCode(2, 6, 3)
+    error = [int(i in (0, 9, 62)) for i in range(63)]
+    monkeypatch.setattr(rs, "_coset_table", refuse)
+    assert inner.decode_packed(rs._pack_bits(inner.remainder(error))) == rs._pack_bits(error)
+    assert inner._cosets is False

@@ -316,3 +316,116 @@ def test_bch_rejects_extension_symbols():
     code = BchCode(2, 4, 2)
     with pytest.raises(AlphabetMismatchError):
         code.syndrome([0] * 14 + [2])
+
+
+# ---------------------------------------------------------------------------
+# Packed decoding tables over characteristic 2
+# ---------------------------------------------------------------------------
+
+
+def _locators(field, n, r, rng):
+    """Seeded locators of degree 1..r with psi[0] = 1: random ones, which
+    seldom split, and products of (1 - alpha^l x) over random l < q - 1,
+    whose roots fall in range unless the code is shortened past them."""
+    q1 = field.order - 1
+    out = []
+    for deg in range(1, r + 1):
+        out.append([1] + [rng.randrange(field.order) for _ in range(deg - 1)]
+                   + [rng.randrange(1, field.order)])
+        if deg <= q1:
+            psi = [1]
+            for l in rng.sample(range(q1), deg):
+                x = field.alpha_pow(l)
+                psi = [a ^ field.mul(x, b) for a, b in zip(psi + [0], [0] + psi)]
+            out.append(psi)
+    return out
+
+
+@pytest.mark.parametrize(
+    "m,n,r",
+    [(3, 7, 4), (3, 5, 4), (4, 15, 8), (4, 11, 6), (7, 127, 18), (7, 40, 8),
+     (8, 255, 32), (8, 100, 16)],
+    ids=lambda v: str(v),
+)
+def test_packed_chien_search_matches_the_scalar_one(m, n, r):
+    """Same roots and the same counted mults, full length and shortened."""
+    from synfuzz import rs
+
+    field = ExtField(2, m)
+    assert rs._chien_fits(field, n, r)
+    for psi in _locators(field, n, r, random.Random(1000 * m + n)):
+        assert rs._chien_search(field, psi, n, r) == rs._chien_roots(field, psi, n), psi
+
+
+@pytest.mark.parametrize(
+    "code",
+    [RsCode(ExtField(2, 3), 7, 3), RsCode(ExtField(2, 4), 15, 7),
+     RsCode(ExtField(2, 7), 40, 22), RsCode(ExtField(2, 8), 255, 223)],
+    ids=lambda code: code.spec_string(),
+)
+def test_rs_decode_with_the_packed_search_matches_the_scalar_one(code, monkeypatch):
+    """On seeded syndromes of 0..t+2 errors and of random words, the
+    decoder returns the same pattern or DecodeFailure, and counts the same
+    mults, with the packed Chien search as with the scalar one."""
+    from synfuzz import rs
+    from synfuzz.gf import MUL_COUNTER
+
+    rng = random.Random(code.n)
+    syndromes = []
+    for _ in range(150):
+        err = [0] * code.n
+        for pos in rng.sample(range(code.n), rng.randint(0, code.t + 2)):
+            err[pos] = rng.randrange(1, code.field.order)
+        syndromes.append(code.syndrome(err))
+        syndromes.append(Syndrome(tuple(rng.randrange(code.field.order)
+                                        for _ in range(code.redundancy))))
+
+    def outcomes():
+        out = []
+        for synd in syndromes:
+            before = MUL_COUNTER.count
+            try:
+                got = code.decode_syndrome(synd)
+            except DecodeFailure:
+                got = None
+            out.append((got, MUL_COUNTER.count - before))
+        return out
+
+    packed = outcomes()
+    monkeypatch.setattr(rs, "_chien_fits", lambda field, n, r: False)
+    assert packed == outcomes()
+    assert any(got is None for got, _ in packed) and any(got for got, _ in packed)
+
+
+@pytest.mark.parametrize(
+    "m,t", [(3, 1), (4, 2), (6, 2)], ids=["bch(7,1)", "bch(15,2)", "bch(63,2)"]
+)
+def test_coset_table_matches_berlekamp_massey(m, t):
+    """On the remainders of seeded patterns of weight 0..t+2, the coset
+    lookup gives Berlekamp-Massey's pattern, or DecodeFailure where it
+    fails."""
+    from synfuzz.rs import _pack_bits
+
+    code = BchCode(2, m, t)
+    rng = random.Random(100 * m + t)
+    failures = 0
+    for weight in range(t + 3):
+        for _ in range(60):
+            err = [0] * code.n
+            for pos in rng.sample(range(code.n), weight):
+                err[pos] = 1
+            rem = code.remainder(err)
+            try:
+                expected = _pack_bits(code.decode_syndrome(code.power_sums(rem)))
+            except DecodeFailure:
+                expected = None
+                failures += 1
+            try:
+                got = code.decode_packed(_pack_bits(rem))
+            except DecodeFailure:
+                got = None
+            assert got == expected, (weight, err)
+            if weight <= t:
+                assert got == _pack_bits(err)
+    # bch(7,1) is the perfect Hamming code: every remainder has a pattern
+    assert code._cosets and (failures > 0) == (m != 3)
