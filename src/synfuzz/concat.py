@@ -17,12 +17,12 @@ provided on top of the flat blockwise word:
 Each layout class (``FlatLayout``, ``IvLayout``, ``VLayout``,
 ``ViLayout``) makes every decision about its layout: ``shape(N, n)``
 checks divisibility and gives the array shape, ``cell(N, n, i, p)``
-places position p of inner code i, ``cells(N, n)`` gives the block map
-(each inner codeword's flat cell offsets), ``bounds(N, n, t, s)`` maps
-each capability query to its guaranteed figure, and ``bound_lines`` and
+places position p of inner code i, ``bounds(N, n, t, s)`` maps each
+capability query to its guaranteed figure, and ``bound_lines`` and
 ``guidance`` give the report text.  ``ConcatCode`` never asks which
-layout it holds: it supplies the block map as ``_cells`` (built on first
-use) and gathers and scatters blocks through ``LinearCode``.
+layout it holds: its ``_block_order()`` lists every ``cell``, inner
+codeword by inner codeword (none for the flat layout, already in order),
+and ``LinearCode._gather`` and ``_scatter`` read and write through it.
 
 The syndrome stores each block's remainder mod the inner generator (n-k
 base symbols) plus the outer syndrome of the blocks' systematic parts;
@@ -40,7 +40,6 @@ fails, so every guaranteed bound still holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     DecodeFailure,
@@ -98,10 +97,6 @@ class FlatLayout:
     def cell(self, N: int, n: int, i: int, p: int) -> tuple[int, int]:
         raise QueryUnsupportedError("flat layout has no two-dimensional indexing")
 
-    def cells(self, N: int, n: int) -> list[range]:
-        """Block i (0-based) fills cells i*n .. (i+1)*n - 1."""
-        return [range(i * n, (i + 1) * n) for i in range(N)]
-
     def bounds(self, N: int, n: int, t: int, s: int) -> dict:
         """``"single_burst"``: longest guaranteed 1D burst, n*(s-1) + 2t."""
         return {"single_burst": n * (s - 1) + 2 * t}
@@ -114,20 +109,8 @@ class FlatLayout:
         return "flat"
 
 
-class _ArrayLayout:
-    """What the array layouts share: flat cell offsets from ``cell``."""
-
-    def cells(self, N: int, n: int) -> list[list[int]]:
-        """Row-major offset of each (block, position), block-major."""
-        cols = self.shape(N, n)[1]
-        return [
-            [r * cols + c for r, c in (self.cell(N, n, i, p) for p in range(1, n + 1))]
-            for i in range(1, N + 1)
-        ]
-
-
 @dataclass(frozen=True)
-class IvLayout(_ArrayLayout):
+class IvLayout:
     a: int
     b: int
     name = "iv"
@@ -162,7 +145,7 @@ class IvLayout(_ArrayLayout):
 
 
 @dataclass(frozen=True)
-class VLayout(_ArrayLayout):
+class VLayout:
     a: int
     b: int
     name = "v"
@@ -205,7 +188,7 @@ class VLayout(_ArrayLayout):
 
 
 @dataclass(frozen=True)
-class ViLayout(_ArrayLayout):
+class ViLayout:
     name = "vi"
     guidance = ("thin row/column bursts and random errors; a full diagonal costs "
                 "one outer symbol")
@@ -271,10 +254,17 @@ class ConcatCode(LinearCode):
         self.segments = ((N * inner.redundancy, self.alphabet), (outer.redundancy, outer.field))
         self.shape = layout.shape(N, n)
         self.guidance = layout.guidance
+        self._order = None
 
-    @cached_property
-    def _cells(self) -> list:
-        return self.layout.cells(self.N, self.n_in)
+    def _block_order(self):
+        """The row-major offset of every position of every inner code, code
+        by code; None for the flat layout, which lays them out in order."""
+        if len(self.shape) == 1:
+            return None
+        N, n, cell = self.N, self.n_in, self.layout.cell
+        cols = self.shape[1]
+        places = (cell(N, n, i, p) for i in range(1, N + 1) for p in range(1, n + 1))
+        return tuple(r * cols + c for r, c in places)
 
     def layout_index(self, i: int, p: int) -> tuple[int, int]:
         """Array cell of inner code i (1-based), position p (1-based)."""
@@ -288,12 +278,9 @@ class ConcatCode(LinearCode):
 
     def encode(self, message) -> list:
         """Outer-encode, expand each outer symbol, inner-encode, lay out."""
-        outer_word = self.outer.encode(message)
-        ext = self.outer.field
-        blocks = [
-            self.inner.encode(ext.to_base_vector(sym)) for sym in outer_word
-        ]
-        return self._place(blocks)
+        encode, digits = self.inner.encode, self.outer.field.to_base_vector
+        cells = [d for sym in self.outer.encode(message) for d in encode(digits(sym))]
+        return self._scatter(cells)
 
     def _systematic_value(self, block) -> int:
         return self.outer.field.from_base_vector(block[self.inner.redundancy :])
@@ -304,12 +291,12 @@ class ConcatCode(LinearCode):
         int, digit j at bit j: the inner kernel reduces it, and its
         systematic part is the int shifted down by the inner redundancy."""
         if self.p == 2:
-            blocks = self._packed_blocks(word)
+            blocks = _pack_runs(self._gather(word), self.n_in)
             r = self.inner.redundancy
             rem = self.inner._packed_remainder
             values = tuple(_unpack_bits([rem(b) for b in blocks], r))
             return Syndrome(values + self.outer.syndrome([b >> r for b in blocks]).values)
-        blocks = self._blocks(word)
+        blocks = self._blocks(word, self.n_in)
         values = []
         for blk in blocks:
             values.extend(self.inner.remainder(blk))
@@ -322,26 +309,25 @@ class ConcatCode(LinearCode):
         Inner blocks are decoded from their remainders first; blocks whose
         inner decode fails become outer erasures.  The outer decoder then
         fixes the block-message estimates, and each block's exact pattern
-        is rebuilt from its corrected message and stored remainder.  The
-        result must reproduce the input syndrome or DecodeFailure is
-        raised.
+        is rebuilt from its corrected message and stored remainder; only
+        blocks with a nonzero part are written.  The result must reproduce
+        the input syndrome or DecodeFailure is raised.
 
         Over F_2 each remainder is one packed int, as ``syndrome`` packs
         blocks: the inner code decodes it with ``decode_packed``, and a
         block's systematic value is its packed pattern shifted down by the
         inner redundancy.
         """
+        self._check_syndrome(synd)
         r = self.inner.redundancy
         split = self.N * r
-        if len(synd.values) != split + self.outer.redundancy:
-            raise ShapeMismatchError("syndrome has the wrong length for this code")
         binary = self.p == 2
         if binary:
             rems = _pack_runs(synd.values[:split], r) if r else [0] * self.N
-            zero, inner_decode = 0, self.inner.decode_packed
+            zero, inner_decode, block = 0, self.inner.decode_packed, self._packed_block
         else:
             rems = [synd.values[i * r : (i + 1) * r] for i in range(self.N)]
-            zero, inner_decode = (0,) * r, self.inner.decode_remainder
+            zero, inner_decode, block = (0,) * r, self.inner.decode_remainder, self._block
         ext = self.outer.field
         est = [0] * self.N
         flagged = []
@@ -363,7 +349,12 @@ class ConcatCode(LinearCode):
         resid = self.outer.syndrome_sub(Syndrome(synd.values[split:]), est_synd)
         delta = self.outer.decode_syndrome(resid, erasures=flagged)
         msg_err = [ext.add(e, d) for e, d in zip(est, delta)]
-        pattern = (self._rebuild_packed if binary else self._rebuild)(rems, msg_err)
+        n = self.n_in
+        cells = [0] * self.base_length
+        for i, (rem, me) in enumerate(zip(rems, msg_err)):
+            if me or rem != zero:
+                cells[i * n : (i + 1) * n] = block(rem, me)
+        pattern = self._scatter(cells)
         if self.syndrome(pattern) != synd:
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         if not with_info:
@@ -374,37 +365,18 @@ class ConcatCode(LinearCode):
         )
         return pattern, info
 
-    def _rebuild(self, rems, msg_err) -> list:
-        """The pattern whose blocks have these systematic parts and
-        remainders: each block's codeword plus its remainder."""
-        r = self.inner.redundancy
-        ext = self.outer.field
-        blocks = []
-        for rem, me in zip(rems, msg_err):
-            if me == 0 and not any(rem):
-                blocks.append([0] * self.n_in)
-                continue
-            blk = self.inner.encode(ext.to_base_vector(me))
-            for j in range(r):
-                if rem[j]:
-                    blk[j] = (blk[j] + rem[j]) % self.p
-            blocks.append(blk)
-        return self._place(blocks)
+    def _block(self, rem, me) -> list:
+        """The block with systematic value ``me`` and remainder ``rem``: the
+        inner codeword of ``me`` plus ``rem``."""
+        blk = self.inner.encode(self.outer.field.to_base_vector(me))
+        blk[: len(rem)] = [(b + c) % self.p for b, c in zip(blk, rem)]
+        return blk
 
-    def _rebuild_packed(self, rems, msg_err) -> list:
-        """``_rebuild`` over F_2 on packed blocks: the codeword of a
-        systematic value v is v x^r plus the remainder of v x^r.  Only
-        blocks with a nonzero part are unpacked."""
-        r = self.inner.redundancy
-        remainder = self.inner._packed_remainder
-        flat = [0] * self.base_length
-        for cells, rem, me in zip(self._cells, rems, msg_err):
-            if me or rem:
-                shifted = me << r
-                block = shifted ^ remainder(shifted) ^ rem
-                for at, v in zip(cells, _unpack_bits([block], self.n_in)):
-                    flat[at] = v
-        return self._shaped(flat)
+    def _packed_block(self, rem: int, me: int) -> bytes:
+        """``_block`` over F_2 on packed ints: the codeword of a systematic
+        value v is v x^r plus the remainder of v x^r."""
+        shifted = me << self.inner.redundancy
+        return _unpack_bits([shifted ^ self.inner._packed_remainder(shifted) ^ rem], self.n_in)
 
     # ------------------------------------------------------------------
     # capability bounds

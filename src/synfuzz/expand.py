@@ -12,11 +12,11 @@ Four layouts are provided:
 * ``companion-array`` - each symbol becomes its m x m companion-matrix
   image, so bursts hitting a tile still touch only one symbol.
 
-Each layout supplies only its block map and block contents: ``_cells``
-lists, per extension symbol, the flat offsets of its m coefficient digits
-and then of the cells the contraction drops (the parity digit, or the
-companion tile's columns 1..m-1 row-major); ``_fill(sym)`` gives the
-digits those cells hold.
+A block is one extension symbol: its m coefficient digits, then the cells
+the contraction drops (the parity digit, or the companion tile's columns
+1..m-1 row-major), which hold ``_fill(sym)``.  A layout supplies only that
+fill and, for the array layouts, ``_block_order()``, the flat offsets of
+each tile's cells; the row layouts hold their blocks in order.
 
 The template syndrome of a base word is the RS syndrome of the word's
 blockwise contraction, extended with each block's dropped cells minus
@@ -47,7 +47,8 @@ byte-indexed tables cached per field and layout.
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import partial
+from itertools import compress
 
 from .errors import (
     NotInAlgebraError,
@@ -62,6 +63,7 @@ from .rs import (
     _cached_by_description,
     _lookup,
     _pack_bits,
+    _pack_runs,
     _unpack_bits,
 )
 
@@ -139,8 +141,10 @@ class ExpandedCode(LinearCode):
         self.shape = (n2 * tile_cols,) if is_row else (n1 * tile_rows, n2 * tile_cols)
         cols = self.shape[-1]
         self._steps = (tile_rows * cols, tile_cols)
-        self._tile_cells = tuple(u * cols + v for u, v in order)
+        self._tile_offsets = tuple(u * cols + v for u, v in order)
+        self._width = len(order)  # cells per block
         self._dropped = len(order) - m
+        self._order = None
         self.base_length = n * len(order)
         self.base_dimension = m * rs.k
         self.alphabet = field.prime
@@ -169,12 +173,15 @@ class ExpandedCode(LinearCode):
     def is_array(self) -> bool:
         return len(self.shape) == 2
 
-    @cached_property
-    def _cells(self) -> list[list[int]]:
+    def _block_order(self):
+        """Each symbol's tile cells, symbols in grid order; None for the
+        row layouts."""
+        if not self.is_array:
+            return None
         rstep, cstep = self._steps
-        tile = self._tile_cells
+        tile = self._tile_offsets
         origins = ((i // self.n2) * rstep + (i % self.n2) * cstep for i in range(self.rs.n))
-        return [[origin + at for at in tile] for origin in origins]
+        return tuple(origin + at for origin in origins for at in tile)
 
     # ------------------------------------------------------------------
     # expansion and contraction
@@ -184,7 +191,7 @@ class ExpandedCode(LinearCode):
         """Lay an extension-field word out over the base field."""
         if len(word) != self.rs.n:
             raise ShapeMismatchError(f"expected {self.rs.n} extension symbols")
-        return self._place([self._fill(sym) for sym in word])
+        return self._scatter([d for sym in word for d in self._fill(sym)])
 
     def contract(self, base) -> list[int]:
         """Invert expand(); every block must be its symbol's expansion."""
@@ -196,7 +203,7 @@ class ExpandedCode(LinearCode):
     def project(self, base) -> list[int]:
         """Blockwise contraction tolerant of corrupted blocks: each block is
         sent to the symbol read off its coefficient digits."""
-        return [self._symbol(block) for block in self._blocks(base)]
+        return [self._symbol(block) for block in self._blocks(base, self._width)]
 
     def _symbol(self, block) -> int:
         return self.rs.field.from_base_vector(block[: self.rs.field.m])
@@ -215,7 +222,7 @@ class ExpandedCode(LinearCode):
         m = self.rs.field.m
         p = self.alphabet.p
         if p == 2:
-            blocks = self._packed_blocks(base)
+            blocks = _pack_runs(self._gather(base), self._width)
             low = (1 << m) - 1
             word = [b & low for b in blocks]
             values = self.rs.syndrome(word).values
@@ -224,13 +231,10 @@ class ExpandedCode(LinearCode):
                 rest = [(b >> m) ^ _lookup(tables, sym) for b, sym in zip(blocks, word)]
                 values += tuple(_unpack_bits(rest, self._dropped))
             return Syndrome(values)
-        word = []
-        extra = []
-        for block in self._blocks(base):
-            sym = self._symbol(block)
-            word.append(sym)
-            if self._dropped:
-                extra.extend((b - f) % p for b, f in zip(block[m:], self._fill(sym)[m:]))
+        blocks = self._blocks(base, self._width)
+        word = [self._symbol(block) for block in blocks]
+        extra = [(b - f) % p for block, sym in zip(blocks, word)
+                 for b, f in zip(block[m:], self._fill(sym)[m:])]
         return Syndrome(self.rs.syndrome(word).values + tuple(extra))
 
     def decode(self, synd: Syndrome) -> list:
@@ -242,6 +246,7 @@ class ExpandedCode(LinearCode):
         the RS step is.  The parity layout passes its parity-inconsistent
         blocks to the RS decoder as erasures.
         """
+        self._check_syndrome(synd)
         r = self.rs.redundancy
         extra = synd.values[r:]
         erasures = ()
@@ -250,13 +255,15 @@ class ExpandedCode(LinearCode):
         evec = self.rs.decode_syndrome(Syndrome(synd.values[:r]), erasures=erasures)
         m = self.rs.field.m
         p = self.alphabet.p
-        w = self._dropped
-        blocks = []
-        for i, sym in enumerate(evec):
-            fill = self._fill(sym)
-            res = extra[i * w : (i + 1) * w]
-            blocks.append(fill[:m] + [(f + s) % p for f, s in zip(fill[m:], res)])
-        return self._place(blocks)
+        w, width = self._dropped, self._width
+        touched = set(compress(range(len(evec)), evec))
+        touched.update(at // w for at in compress(range(len(extra)), extra))
+        cells = [0] * self.base_length
+        for i in touched:
+            fill = self._fill(evec[i])
+            fill[m:] = [(f + s) % p for f, s in zip(fill[m:], extra[i * w : (i + 1) * w])]
+            cells[i * width : (i + 1) * width] = fill
+        return self._scatter(cells)
 
     # ------------------------------------------------------------------
     # burst capability

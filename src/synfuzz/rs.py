@@ -18,6 +18,10 @@ re-checks that the returned error pattern reproduces every input syndrome
 component; anything inconsistent raises DecodeFailure rather than
 returning a silently wrong vector.
 
+``LinearCode`` is the protocol every enrollable code follows.  It holds a
+base-field code's one block map: ``_gather`` reads a word's cells in block
+order and ``_scatter`` writes block-ordered cells back.
+
 Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
 parity symbols in positions 0..n-k-1.
@@ -46,7 +50,7 @@ standard-array decoding, Slepian 1956).  Above their caps the scalar
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce, wraps
+from functools import reduce, wraps
 from itertools import chain, combinations, compress
 from math import comb
 from operator import itemgetter, xor
@@ -107,10 +111,12 @@ class LinearCode(_SpecIdentity):
     implements ``syndrome(word) -> Syndrome`` and ``decode(Syndrome)``,
     which returns an error pattern shaped like the data word.
 
-    A base-field code states only where its blocks live: ``_cells``, one
-    list of flat row-major cell offsets per block, which ``_blocks``
-    gathers through and ``_place`` scatters through; over F_2,
-    ``_packed_blocks`` packs each block into one int for the kernel.
+    A base-field code states only where its blocks live: ``_block_order()``
+    gives the flat offsets of its cells, block by block, or None where they
+    lie in row-major order.  The first ``_gather`` or ``_scatter`` builds it
+    into ``_order``, which such a code sets to None in ``__init__``.
+    ``_gather`` reads a word's cells in block order through one itemgetter;
+    ``_scatter`` writes a block-ordered cell list back as a data word.
 
     For the ``info`` and ``capability`` reports it also sets ``guidance``
     and implements ``_kind_lines()`` (what the code is) and
@@ -157,35 +163,48 @@ class LinearCode(_SpecIdentity):
             raise ShapeMismatchError(f"expected a {rows}x{cols} array")
         return list(chain.from_iterable(word))
 
-    def _blocks(self, word) -> list[list[int]]:
-        """The digits of each block of a data word, in ``_cells`` order."""
+    _order = None  # the block order once built
+
+    def _block_order(self):
+        """The flat offsets of the cells, block by block, as a tuple; None
+        where the blocks already lie in row-major order."""
+        return None
+
+    def _gather(self, word):
+        """The data word's cells in block order, after checking its shape."""
         flat = self._flat(word)
-        return [[flat[at] for at in cells] for cells in self._cells]
+        order = self._order or self._load_order()
+        return flat if order is None else itemgetter(*order)(flat)
 
-    @cached_property
-    def _gather(self):
-        """Picks the cells of a row-major cell list in block order, or None
-        when they already lie in that order."""
-        order = [at for cells in self._cells for at in cells]
-        if order == list(range(len(order))):
-            return None
-        return itemgetter(*order)
+    def _blocks(self, word, width: int) -> list:
+        """``_gather`` cut into blocks of ``width`` cells."""
+        cells = self._gather(word)
+        return [cells[at : at + width] for at in range(0, len(cells), width)]
 
-    def _packed_blocks(self, word) -> list[int]:
-        """Each block of a word over F_2 as one int, its j-th digit at
-        bit j: the input of the binary syndrome kernel."""
-        flat = self._flat(word)
-        if self._gather is not None:
-            flat = self._gather(flat)
-        return _pack_runs(flat, self.base_length // len(self._cells))
-
-    def _place(self, blocks) -> list:
-        """The data word holding each block's digits at its ``_cells``."""
-        flat = [0] * self.base_length
-        for cells, block in zip(self._cells, blocks):
-            for at, v in zip(cells, block):
+    def _scatter(self, cells) -> list:
+        """The data word whose cells, in block order, are ``cells``."""
+        order = self._order or self._load_order()
+        if order is not None:
+            flat = [0] * self.base_length
+            for at, v in compress(zip(order, cells), cells):  # zeros are in place
                 flat[at] = v
-        return self._shaped(flat)
+            cells = flat
+        return self._shaped(cells)
+
+    def _load_order(self):
+        self._order = self._block_order()
+        return self._order
+
+    def _check_syndrome(self, synd: Syndrome) -> None:
+        """Raise unless the syndrome fits ``segments``: ShapeMismatchError on
+        a wrong length, AlphabetMismatchError on a symbol outside its run."""
+        values, at = synd.values, 0
+        if len(values) != sum(count for count, _ in self.segments):
+            raise ShapeMismatchError("syndrome has the wrong length for this code")
+        for count, field in self.segments:
+            run, at = values[at : at + count], at + count
+            if run and not 0 <= min(run) <= max(run) < field.order:
+                raise AlphabetMismatchError(f"syndrome symbol outside {field.spec_string()}")
 
     def syndrome_symbol_count(self) -> int:
         """Redundancy in data-alphabet symbols: base_length - base_dimension."""
@@ -846,6 +865,7 @@ class RsCode(_CyclicCode, LinearCode):
         return Syndrome(kernel.power_sums(kernel.remainder(reversed(word))))
 
     def decode(self, synd: Syndrome) -> list[int]:
+        self._check_syndrome(synd)
         return self.decode_syndrome(synd)
 
     def _kind_lines(self) -> list[str]:

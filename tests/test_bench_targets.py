@@ -6,6 +6,8 @@ without failing the benchmark.  This test reads perfbench/ only.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import synfuzz  # noqa: F401  (the tracer wraps the loaded synfuzz modules)
@@ -27,3 +29,19 @@ def test_every_traced_entry_point_exists():
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_quick_benchmark_run_passes_its_own_checks():
+    """`perfbench/run.py --quick` runs one checked pass of each workload:
+    recovered words, digest serialization and XOR-linearity.  It writes no
+    files."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--quick"],
+        cwd=SPANS.parents[1], capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    for workload in ("enroll", "verify", "verify-stateless"):
+        assert any(
+            line.startswith(f"{workload}: ok (") and "absent []" in line for line in lines
+        ), proc.stdout

@@ -19,7 +19,7 @@ from synfuzz.errors import (
 )
 from synfuzz.expand import ExpandedCode
 from synfuzz.gf import ExtField
-from synfuzz.rs import BchCode, RsCode
+from synfuzz.rs import BchCode, RsCode, _pack_runs
 
 
 @pytest.fixture(scope="module")
@@ -383,7 +383,7 @@ def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
     # over F_2 the concatenation decodes each block's packed remainder
     inner_decode = code.inner.decode_packed
     failing = 0
-    for block in code._packed_blocks(word):
+    for block in _pack_runs(word, code.n_in):
         try:
             inner_decode(code.inner._packed_remainder(block))
         except DecodeFailure:

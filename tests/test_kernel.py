@@ -72,7 +72,11 @@ def remainder(p, word, generator):
 
 def blocks_of(code, word):
     flat = word if len(code.shape) == 1 else [v for row in word for v in row]
-    return [[flat[at] for at in cells] for cells in code._cells]
+    order = code._block_order()
+    if order is not None:
+        flat = [flat[at] for at in order]
+    width = code.n_in if isinstance(code, ConcatCode) else code.base_length // code.rs.n
+    return [flat[at : at + width] for at in range(0, len(flat), width)]
 
 
 def oracle_syndrome(code, word):
