@@ -24,17 +24,19 @@ layout it holds: its ``_block_order()`` lists every ``cell``, inner
 codeword by inner codeword (none for the flat layout, already in order),
 and ``LinearCode._gather`` and ``_scatter`` read and write through it.
 
-The syndrome stores each block's remainder mod the inner generator (n-k
-base symbols) plus the outer syndrome of the blocks' systematic parts;
-its symbol count equals the concatenated redundancy N*n - K*k and it
-vanishes exactly on codewords.  It is one flat vector, laid out by
-``segments`` as the N remainders in block order (N*(n-k) symbols over
-F_p), then the N-K outer power sums over F_{p^k}.  Decoding runs the inner
-decoders first, corrects the surviving outer-symbol estimates with the
-outer decoder, then rebuilds the exact base-field pattern from the stored
-remainders.  A block whose inner decode fails is an outer erasure, at one
-outer syndrome instead of two; a block within the inner capability never
-fails, so every guaranteed bound still holds.
+A concatenation is an expansion whose per-symbol map is the inner
+encoder (Forney, *Concatenated Codes*, 1966), on ``rs._BlockCode``'s
+block format: block i is outer symbol i's inner codeword, parity first,
+and its residual is its remainder modulo the inner generator (over F_2,
+its parity XOR a table lookup of its symbol's parity).  The syndrome, of
+N*n - K*k symbols and zero exactly on codewords, lists by ``segments``
+the N residuals in block order (N*(n-k) symbols over F_p), then the N-K
+outer power sums of the blocks' symbols over F_{p^k}.  Decoding inner-
+decodes each damaged block, corrects the estimates with the outer
+decoder, rebuilds the exact pattern from the stored residuals and
+re-checks it against the whole syndrome.  A block whose inner decode
+fails is an outer erasure, at one outer syndrome instead of two; a block
+within the inner capability never fails, so every bound still holds.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     QueryUnsupportedError,
     ShapeMismatchError,
 )
-from .rs import LinearCode, RsCode, Syndrome, _pack_runs, _unpack_bits
+from .rs import RsCode, Syndrome, _BlockCode, _check_tables, _generator, _pack_bits
 
 
 class TrivialCode:
@@ -66,22 +68,21 @@ class TrivialCode:
             raise LengthMismatchError(f"expected {self.k} symbols")
         return list(message)
 
-    def remainder(self, word) -> tuple[int, ...]:
-        if len(word) != self.n:
-            raise LengthMismatchError(f"expected {self.n} symbols")
-        return ()
-
-    def _packed_remainder(self, word: int) -> int:
-        return 0
-
-    def decode_remainder(self, remainder) -> list[int]:
-        return [0] * self.n
-
-    def decode_packed(self, remainder: int) -> int:
-        return 0
-
     def spec_string(self) -> str:
         return f"id({self.n};gf({self.p}))"
+
+
+def _parity_checks(field, count: int, k: int) -> list[int]:
+    """The packed parity digits of the binary BCH codeword (syndrome roots
+    alpha^1 .. alpha^count in ``field``) of each unit message: x^(r+b) mod
+    g for b < k, the basis of a concatenation's check tables over F_2."""
+    g = _pack_bits(_generator(field, 2, count))
+    r = g.bit_length() - 1
+    out = [g ^ (1 << r)]
+    for _ in range(k - 1):
+        v = out[-1] << 1
+        out.append(v ^ g if v >> r else v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ class DecodeInfo:
         return len(set(self.inner_failed) | set(self.outer_corrected))
 
 
-class ConcatCode(LinearCode):
+class ConcatCode(_BlockCode):
     """Inner/outer concatenated code with one of the four layouts."""
 
     def __init__(self, inner, outer: RsCode, layout=FlatLayout()):
@@ -242,19 +243,15 @@ class ConcatCode(LinearCode):
             raise ShapeMismatchError(
                 f"outer extension degree {outer.field.m} must equal inner dimension {inner.k}"
             )
+        super().__init__(outer, inner.redundancy, inner.redundancy)
         self.inner = inner
-        self.outer = outer
         self.layout = layout
         self.p = inner.p
         N, n = outer.n, inner.n
         self.N, self.n_in = N, n
-        self.base_length = N * n
-        self.base_dimension = outer.k * inner.k
-        self.alphabet = outer.field.prime
         self.segments = ((N * inner.redundancy, self.alphabet), (outer.redundancy, outer.field))
         self.shape = layout.shape(N, n)
         self.guidance = layout.guidance
-        self._order = None
 
     def _block_order(self):
         """The row-major offset of every position of every inner code, code
@@ -272,111 +269,59 @@ class ConcatCode(LinearCode):
             raise IndexOutOfRangeError(f"(i={i}, p={p}) outside 1..{self.N} x 1..{self.n_in}")
         return self.layout.cell(self.N, self.n_in, i, p)
 
+    def _fill(self, sym: int) -> list[int]:
+        return self.inner.encode(self.outer.field.to_base_vector(sym))
+
+    def _load_checks(self):
+        inner = self.inner
+        self._checks = _check_tables(inner.field, _parity_checks, inner.count, inner.k)
+        return self._checks
+
+    def _inner_decode(self, residual):
+        """The symbol error of the inner pattern with this remainder, or
+        None (an erasure) where the inner decode fails."""
+        r = self.inner.redundancy
+        try:
+            if self.p == 2:
+                return self.inner.decode_packed(residual) >> r
+            return self.outer.field.from_base_vector(self.inner.decode_remainder(residual)[r:])
+        except DecodeFailure:
+            return None
+
     # ------------------------------------------------------------------
     # encode / syndrome / decode
     # ------------------------------------------------------------------
 
     def encode(self, message) -> list:
-        """Outer-encode, expand each outer symbol, inner-encode, lay out."""
-        encode, digits = self.inner.encode, self.outer.field.to_base_vector
-        cells = [d for sym in self.outer.encode(message) for d in encode(digits(sym))]
-        return self._scatter(cells)
-
-    def _systematic_value(self, block) -> int:
-        return self.outer.field.from_base_vector(block[self.inner.redundancy :])
+        """Outer-encode, inner-encode each outer symbol, lay out."""
+        return self._rebuild(self.outer.encode(message), [0] * self.N)
 
     def syndrome(self, word) -> Syndrome:
         """Each block's inner remainder, then the outer syndrome of the
-        blocks' systematic parts.  Over F_2 each block is packed into an
-        int, digit j at bit j: the inner kernel reduces it, and its
-        systematic part is the int shifted down by the inner redundancy."""
-        if self.p == 2:
-            blocks = _pack_runs(self._gather(word), self.n_in)
-            r = self.inner.redundancy
-            rem = self.inner._packed_remainder
-            values = tuple(_unpack_bits([rem(b) for b in blocks], r))
-            return Syndrome(values + self.outer.syndrome([b >> r for b in blocks]).values)
-        blocks = self._blocks(word, self.n_in)
-        values = []
-        for blk in blocks:
-            values.extend(self.inner.remainder(blk))
-        msg = [self._systematic_value(blk) for blk in blocks]
-        return Syndrome(tuple(values) + self.outer.syndrome(msg).values)
+        blocks' symbols."""
+        syms, res = self._split(word)
+        return Syndrome(tuple(res) + self.outer.syndrome(syms).values)
 
     def decode(self, synd: Syndrome, with_info: bool = False):
-        """Two-step decode of a concatenated-code syndrome.
-
-        Inner blocks are decoded from their remainders first; blocks whose
-        inner decode fails become outer erasures.  The outer decoder then
-        fixes the block-message estimates, and each block's exact pattern
-        is rebuilt from its corrected message and stored remainder; only
-        blocks with a nonzero part are written.  The result must reproduce
-        the input syndrome or DecodeFailure is raised.
-
-        Over F_2 each remainder is one packed int, as ``syndrome`` packs
-        blocks: the inner code decodes it with ``decode_packed``, and a
-        block's systematic value is its packed pattern shifted down by the
-        inner redundancy.
-        """
+        """Two-step decode of a concatenated-code syndrome: inner decodes
+        of the damaged blocks (a failure is an outer erasure), the outer
+        decode, then each block rebuilt from its corrected symbol and
+        stored remainder.  The result must reproduce the input syndrome or
+        DecodeFailure is raised."""
         self._check_syndrome(synd)
-        r = self.inner.redundancy
-        split = self.N * r
-        binary = self.p == 2
-        if binary:
-            rems = _pack_runs(synd.values[:split], r) if r else [0] * self.N
-            zero, inner_decode, block = 0, self.inner.decode_packed, self._packed_block
-        else:
-            rems = [synd.values[i * r : (i + 1) * r] for i in range(self.N)]
-            zero, inner_decode, block = (0,) * r, self.inner.decode_remainder, self._block
-        ext = self.outer.field
-        est = [0] * self.N
-        flagged = []
-        for i, rem in enumerate(rems):
-            if rem == zero:
-                continue
-            try:
-                blk_err = inner_decode(rem)
-            except DecodeFailure:
-                flagged.append(i)
-                if len(flagged) > self.outer.redundancy:
-                    # the outer decode would refuse this many erasures
-                    raise DecodeFailure(
-                        f"{len(flagged)} erasures exceed redundancy {self.outer.redundancy}"
-                    ) from None
-                continue
-            est[i] = blk_err >> r if binary else self._systematic_value(blk_err)
-        est_synd = self.outer.syndrome(est)
-        resid = self.outer.syndrome_sub(Syndrome(synd.values[split:]), est_synd)
-        delta = self.outer.decode_syndrome(resid, erasures=flagged)
-        msg_err = [ext.add(e, d) for e, d in zip(est, delta)]
-        n = self.n_in
-        cells = [0] * self.base_length
-        for i, (rem, me) in enumerate(zip(rems, msg_err)):
-            if me or rem != zero:
-                cells[i * n : (i + 1) * n] = block(rem, me)
-        pattern = self._scatter(cells)
+        split = self.N * self._chk
+        parts = self._parts(synd.values[:split])
+        errors, erasures, delta = self._decode_blocks(parts, Syndrome(synd.values[split:]))
+        pattern = self._rebuild(errors, parts)
         if self.syndrome(pattern) != synd:
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         if not with_info:
             return pattern
         info = DecodeInfo(
-            inner_failed=tuple(flagged),
+            inner_failed=tuple(erasures),
             outer_corrected=tuple(i for i, d in enumerate(delta) if d),
         )
         return pattern, info
-
-    def _block(self, rem, me) -> list:
-        """The block with systematic value ``me`` and remainder ``rem``: the
-        inner codeword of ``me`` plus ``rem``."""
-        blk = self.inner.encode(self.outer.field.to_base_vector(me))
-        blk[: len(rem)] = [(b + c) % self.p for b, c in zip(blk, rem)]
-        return blk
-
-    def _packed_block(self, rem: int, me: int) -> bytes:
-        """``_block`` over F_2 on packed ints: the codeword of a systematic
-        value v is v x^r plus the remainder of v x^r."""
-        shifted = me << self.inner.redundancy
-        return _unpack_bits([shifted ^ self.inner._packed_remainder(shifted) ^ rem], self.n_in)
 
     # ------------------------------------------------------------------
     # capability bounds

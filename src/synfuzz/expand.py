@@ -12,60 +12,39 @@ Four layouts are provided:
 * ``companion-array`` - each symbol becomes its m x m companion-matrix
   image, so bursts hitting a tile still touch only one symbol.
 
-A block is one extension symbol: its m coefficient digits, then the cells
-the contraction drops (the parity digit, or the companion tile's columns
-1..m-1 row-major), which hold ``_fill(sym)``.  A layout supplies only that
-fill and, for the array layouts, ``_block_order()``, the flat offsets of
-each tile's cells; the row layouts hold their blocks in order.
+A block is one extension symbol on ``rs._BlockCode``'s block format,
+shared with the concatenations: its m coefficient digits, then the check
+cells the contraction drops (the parity digit, or the companion tile's
+columns 1..m-1 row-major), which hold ``_fill(sym)``.  A layout gives
+only that fill and, for the array layouts, ``_block_order()``, the flat
+offsets of each tile's cells.
 
-The template syndrome of a base word is the RS syndrome of the word's
-blockwise contraction, extended with each block's dropped cells minus
-their fill: per-block parity sums for the parity layout, and per-tile
-off-algebra residuals for the companion layout (a corrupted tile usually
-leaves F_p[P]; the residual keeps the decoder exact).  Together these
-parts form a full parity check of the expanded code: the syndrome is zero
-exactly on valid expansions, and its symbol count equals the code's
-redundancy.
+The template syndrome of a base word is the RS syndrome of its blockwise
+contraction, then each block's residual, its check cells minus their
+fill: the parity layout's n digit sums, and the companion layout's
+off-algebra residuals over F_p, per tile the m*(m-1) entries of columns
+1..m-1 row-major (a corrupted tile usually leaves F_p[P]; the residual
+keeps the decoder exact).  ``segments`` lists the n-k RS power sums over
+F_{p^m}, then the residuals.  The syndrome is zero exactly on valid
+expansions, and its symbol count equals the code's redundancy.
 
-The syndrome is one flat vector; ``segments`` lays it out as
-
-* the n-k RS power sums over F_{p^m}, then
-* parity layout: the n per-block digit sums over F_p;
-  companion layout: per tile, in tile order, the m*(m-1) residual entries
-  of columns 1..m-1 (row-major) over F_p.
-
-The parity layout hands each block with a nonzero digit sum to the RS
-decoder as an erasure (one syndrome instead of two); clean blocks are
-never flagged, so every bound of the plain layout still holds.
-
-Over F_2 the syndrome reads each block as one packed int: its low m bits
-are the symbol, whose power sums come from rs.py's packed kernel, and
-the fill of the dropped cells, being linear in the symbol, comes from
-byte-indexed tables cached per field and layout.
+Decoding hands the parity layout's blocks with a nonzero digit sum to
+the RS decoder as erasures (one syndrome instead of two); a companion
+tile's symbol stands.  Clean blocks are never flagged, so every bound of
+the plain layout still holds.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import compress
 
 from .errors import (
     NotInAlgebraError,
     ShapeMismatchError,
     ShapeUnsupportedError,
 )
-from .rs import (
-    LinearCode,
-    RsCode,
-    Syndrome,
-    _byte_tables,
-    _cached_by_description,
-    _lookup,
-    _pack_bits,
-    _pack_runs,
-    _unpack_bits,
-)
+from .rs import RsCode, Syndrome, _BlockCode, _check_symbols, _check_tables, _pack_bits
 
 KIND_ROW = "row-vector"
 KIND_ROW_PARITY = "row-vector-parity"
@@ -99,15 +78,13 @@ def _companion_fill(field, sym: int) -> list[int]:
 _FILLS = {KIND_ROW_PARITY: _parity_fill, KIND_COMPANION: _companion_fill}
 
 
-@_cached_by_description
-def _dropped_tables(field, kind: str) -> tuple[tuple[int, ...], ...]:
-    """Byte tables of the F_2-linear map sending a symbol to the dropped
-    cells of its fill, packed (dropped cell i at bit i)."""
+def _dropped_checks(field, kind: str) -> list[int]:
+    """The packed dropped cells of each unit symbol's fill, cell i at bit i."""
     fill, m = _FILLS[kind], field.m
-    return _byte_tables([_pack_bits(fill(field, 1 << b)[m:]) for b in range(m)])
+    return [_pack_bits(fill(field, 1 << b)[m:]) for b in range(m)]
 
 
-class ExpandedCode(LinearCode):
+class ExpandedCode(_BlockCode):
     """A base-field expansion of an RS code with its layout bookkeeping."""
 
     def __init__(self, rs: RsCode, kind: str, n1: int | None = None, n2: int | None = None):
@@ -135,6 +112,7 @@ class ExpandedCode(LinearCode):
             raise ShapeUnsupportedError(f"unknown expansion kind {kind!r}")
         if n1 is None or n2 is None or n1 * n2 != n:
             raise ShapeMismatchError(f"need n1*n2 = {n}")
+        super().__init__(rs, len(order) - m, 0)
         self.n1, self.n2 = n1, n2
         self._fill = partial(_FILLS[kind], field) if kind in _FILLS else field.to_base_vector
         tile_rows, tile_cols = (max(d) + 1 for d in zip(*order))
@@ -142,16 +120,10 @@ class ExpandedCode(LinearCode):
         cols = self.shape[-1]
         self._steps = (tile_rows * cols, tile_cols)
         self._tile_offsets = tuple(u * cols + v for u, v in order)
-        self._width = len(order)  # cells per block
-        self._dropped = len(order) - m
-        self._order = None
-        self.base_length = n * len(order)
-        self.base_dimension = m * rs.k
-        self.alphabet = field.prime
         self.guidance = GUIDANCE_BY_KIND[kind]
         self.segments = ((rs.redundancy, field),)
-        if self._dropped:
-            self.segments += ((n * self._dropped, self.alphabet),)
+        if self._chk:
+            self.segments += ((n * self._chk, self.alphabet),)
 
     @classmethod
     def row_vector(cls, rs: RsCode) -> "ExpandedCode":
@@ -183,87 +155,60 @@ class ExpandedCode(LinearCode):
         origins = ((i // self.n2) * rstep + (i % self.n2) * cstep for i in range(self.rs.n))
         return tuple(origin + at for origin in origins for at in tile)
 
+    def _load_checks(self):
+        self._checks = _check_tables(self.rs.field, _dropped_checks, self.kind)
+        return self._checks
+
+    def _inner_decode(self, residual):
+        """Parity: a damaged block is an erasure; companion: its symbol stands."""
+        return None if self.kind == KIND_ROW_PARITY else 0
+
     # ------------------------------------------------------------------
     # expansion and contraction
     # ------------------------------------------------------------------
 
     def expand(self, word) -> list:
         """Lay an extension-field word out over the base field."""
-        if len(word) != self.rs.n:
-            raise ShapeMismatchError(f"expected {self.rs.n} extension symbols")
-        return self._scatter([d for sym in word for d in self._fill(sym)])
+        rs = self.rs
+        if len(word) != rs.n:
+            raise ShapeMismatchError(f"expected {rs.n} extension symbols")
+        _check_symbols(word, rs.n, rs.s, rs._symbols)
+        return self._rebuild(word, [0] * rs.n)
 
     def contract(self, base) -> list[int]:
         """Invert expand(); every block must be its symbol's expansion."""
-        word = self.project(base)
-        if self.expand(word) != base:
+        word, res = self._split(base)
+        if any(res):
             raise NotInAlgebraError("a block is not the expansion of its symbol")
         return word
 
     def project(self, base) -> list[int]:
         """Blockwise contraction tolerant of corrupted blocks: each block is
         sent to the symbol read off its coefficient digits."""
-        return [self._symbol(block) for block in self._blocks(base, self._width)]
-
-    def _symbol(self, block) -> int:
-        return self.rs.field.from_base_vector(block[: self.rs.field.m])
+        return self._split(base)[0]
 
     # ------------------------------------------------------------------
     # syndrome and decoding
     # ------------------------------------------------------------------
 
     def syndrome(self, base) -> Syndrome:
-        """Template syndrome of a base word; linear in the word.
-
-        The RS syndrome of the blockwise contraction, then each block's
-        dropped cells minus their fill.  Over F_2 each block is packed into
-        an int: its symbol is the low m bits, and the fill of its dropped
-        cells comes from byte tables, the fill being linear."""
-        m = self.rs.field.m
-        p = self.alphabet.p
-        if p == 2:
-            blocks = _pack_runs(self._gather(base), self._width)
-            low = (1 << m) - 1
-            word = [b & low for b in blocks]
-            values = self.rs.syndrome(word).values
-            if self._dropped:
-                tables = _dropped_tables(self.rs.field, self.kind)
-                rest = [(b >> m) ^ _lookup(tables, sym) for b, sym in zip(blocks, word)]
-                values += tuple(_unpack_bits(rest, self._dropped))
-            return Syndrome(values)
-        blocks = self._blocks(base, self._width)
-        word = [self._symbol(block) for block in blocks]
-        extra = [(b - f) % p for block, sym in zip(blocks, word)
-                 for b, f in zip(block[m:], self._fill(sym)[m:])]
-        return Syndrome(self.rs.syndrome(word).values + tuple(extra))
+        """Template syndrome of a base word; linear in the word: the RS
+        syndrome of the blockwise contraction, then the blocks' residuals."""
+        word, res = self._split(base)
+        return Syndrome(self.rs.syndrome(word).values + tuple(res))
 
     def decode(self, synd: Syndrome) -> list:
         """Base-field error pattern reproducing the syndrome.
 
-        The extension-level pattern comes from the RS decoder; the dropped
-        cells (parity digits, companion residuals) get their fill plus the
-        stored syndrome components, so the reconstruction is exact whenever
-        the RS step is.  The parity layout passes its parity-inconsistent
-        blocks to the RS decoder as erasures.
+        The extension-level pattern comes from the RS decoder, with the
+        parity layout's damaged blocks as erasures; each block is rebuilt
+        from its symbol error and stored residual, so the reconstruction is
+        exact whenever the RS step is.
         """
         self._check_syndrome(synd)
         r = self.rs.redundancy
-        extra = synd.values[r:]
-        erasures = ()
-        if self.kind == KIND_ROW_PARITY:
-            erasures = tuple(i for i, s in enumerate(extra) if s)
-        evec = self.rs.decode_syndrome(Syndrome(synd.values[:r]), erasures=erasures)
-        m = self.rs.field.m
-        p = self.alphabet.p
-        w, width = self._dropped, self._width
-        touched = set(compress(range(len(evec)), evec))
-        touched.update(at // w for at in compress(range(len(extra)), extra))
-        cells = [0] * self.base_length
-        for i in touched:
-            fill = self._fill(evec[i])
-            fill[m:] = [(f + s) % p for f, s in zip(fill[m:], extra[i * w : (i + 1) * w])]
-            cells[i * width : (i + 1) * width] = fill
-        return self._scatter(cells)
+        parts = self._parts(synd.values[r:])
+        return self._rebuild(self._decode_blocks(parts, Syndrome(synd.values[:r]))[0], parts)
 
     # ------------------------------------------------------------------
     # burst capability

@@ -20,7 +20,9 @@ returning a silently wrong vector.
 
 ``LinearCode`` is the protocol every enrollable code follows.  It holds a
 base-field code's one block map: ``_gather`` reads a word's cells in block
-order and ``_scatter`` writes block-ordered cells back.
+order and ``_scatter`` writes block-ordered cells back.  ``_BlockCode`` is
+the one block format of the expansions and concatenations: a word's outer
+symbols plus check residuals, and the decode of damaged blocks.
 
 Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
@@ -176,11 +178,6 @@ class LinearCode(_SpecIdentity):
         order = self._order or self._load_order()
         return flat if order is None else itemgetter(*order)(flat)
 
-    def _blocks(self, word, width: int) -> list:
-        """``_gather`` cut into blocks of ``width`` cells."""
-        cells = self._gather(word)
-        return [cells[at : at + width] for at in range(0, len(cells), width)]
-
     def _scatter(self, cells) -> list:
         """The data word whose cells, in block order, are ``cells``."""
         order = self._order or self._load_order()
@@ -234,6 +231,113 @@ class LinearCode(_SpecIdentity):
             f"base shape: {shape} over {self.alphabet.spec_string()}",
             f"base dimension: {self.base_dimension}",
         ]
+
+
+class _BlockCode(LinearCode):
+    """A base-field code whose block i holds outer Reed-Solomon symbol i.
+
+    A block has ``_width`` cells: the symbol's m digits at ``_sym_at`` and
+    ``_chk`` check cells at ``_chk_at`` (none for cI, cII or an identity
+    inner code).  ``_fill(sym)`` is a symbol's valid block, and a block's
+    residual is its check cells minus those of its symbol's fill.  Over
+    F_2 the fill's check cells are linear in the symbol: ``_checks`` holds
+    their byte tables, found by ``_load_checks()`` on first use.  A
+    subclass also gives ``_inner_decode(part)``: the symbol error a damaged
+    block's residual suggests, or None to make the block an outer erasure.
+    """
+
+    def __init__(self, outer, chk: int, sym_at: int):
+        m = outer.field.m
+        self.outer = outer
+        self._chk, self._sym_at = chk, sym_at
+        self._chk_at = 0 if sym_at else m
+        self._width = m + chk
+        self._checks = None  # the check tables over F_2, set on first use
+        self._order = None
+        self.base_length = outer.n * self._width
+        self.base_dimension = outer.k * m
+        self.alphabet = outer.field.prime
+
+    def _split(self, word):
+        """The outer symbols of a word's blocks and their flat residuals."""
+        m, width, chk = self.outer.field.m, self._width, self._chk
+        sym_at, chk_at = self._sym_at, self._chk_at
+        p = self.alphabet.p
+        if p == 2:
+            blocks = _pack_runs(self._gather(word), width)
+            low = (1 << m) - 1  # a symbol at sym_at > 0 is the block's top
+            syms = [b >> sym_at for b in blocks] if sym_at else [b & low for b in blocks]
+            if not chk:
+                return syms, ()
+            tables, low = self._checks or self._load_checks(), (1 << chk) - 1
+            rest = [(b >> chk_at & low) ^ _lookup(tables, s) for b, s in zip(blocks, syms)]
+            return syms, _unpack_bits(rest, chk)
+        cells = self._gather(word)
+        _check_symbols(cells, self.base_length, p, f"gf({p})")
+        blocks = [cells[at : at + width] for at in range(0, len(cells), width)]
+        digits = self.outer.field.from_base_vector
+        syms = [digits(b[sym_at : sym_at + m]) for b in blocks]
+        if not chk:
+            return syms, ()
+        end = chk_at + chk
+        return syms, [(v - f) % p for b, s in zip(blocks, syms)
+                      for v, f in zip(b[chk_at:end], self._fill(s)[chk_at:end])]
+
+    def _parts(self, res) -> list:
+        """Each block's residual from the flat residuals: an int over F_2
+        (digit j at bit j), else a tuple; 0 where it is zero."""
+        chk, n = self._chk, self.outer.n
+        if not chk:
+            return [0] * n
+        if self.alphabet.p == 2:
+            return _pack_runs(res, chk)
+        parts = (tuple(res[at : at + chk]) for at in range(0, n * chk, chk))
+        return [part if any(part) else 0 for part in parts]
+
+    def _rebuild(self, syms, parts) -> list:
+        """The word whose blocks hold the symbols ``syms`` with residuals
+        ``parts``; only blocks with a nonzero part are written."""
+        width, blocks = self._width, range(len(syms))
+        cells = [0] * self.base_length
+        for i in set(compress(blocks, syms)).union(compress(blocks, parts)):
+            cells[i * width : (i + 1) * width] = self._block_cells(syms[i], parts[i])
+        return self._scatter(cells)
+
+    def _block_cells(self, sym: int, part) -> list:
+        """The cells of the block of ``sym`` whose residual is ``part``."""
+        at, end = self._chk_at, self._chk_at + self._chk
+        if self._chk and self.alphabet.p == 2:
+            rest = part ^ _lookup(self._checks or self._load_checks(), sym)
+            return _unpack_bits([sym << self._sym_at | rest << at], self._width)
+        block = self._fill(sym)
+        if part:
+            block[at:end] = [(f + r) % self.alphabet.p for f, r in zip(block[at:end], part)]
+        return block
+
+    def _decode_blocks(self, parts, synd: Syndrome):
+        """The outer symbol errors, erasures and corrections: each damaged
+        block's inner decoder estimates its symbol error or erases it, then
+        the outer decoder corrects the estimates."""
+        outer = self.outer
+        est = [0] * outer.n
+        erasures = []
+        for i in compress(range(len(parts)), parts):
+            e = self._inner_decode(parts[i])
+            if e is not None:
+                est[i] = e
+            elif len(erasures) < outer.redundancy:
+                erasures.append(i)
+            else:  # the outer decode would refuse this many erasures
+                raise TooManyErasuresError(
+                    f"{len(erasures) + 1} erasures exceed redundancy {outer.redundancy}"
+                )
+        estimated = any(est)
+        if estimated:
+            synd = outer.syndrome_sub(synd, outer.syndrome(est))
+        delta = outer.decode_syndrome(synd, erasures=erasures)
+        add = xor if self.alphabet.p == 2 else outer.field.add
+        errors = list(map(add, est, delta)) if estimated else delta
+        return errors, erasures, delta
 
 
 def _poly_mul(field: ExtField, f, g):
@@ -319,11 +423,12 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
         # erasure locator gamma(x) = prod (1 - alpha^pos * x)
         gamma = [1]
         for pos in positions_known:
-            x_val = exp[pos % q1]
+            lx = pos % q1
             nxt = gamma + [0]
             for idx, c in enumerate(gamma):
                 if c:
-                    nxt[idx + 1] = field.sub(nxt[idx + 1], field.mul(x_val, c))
+                    nxt[idx + 1] = sub(nxt[idx + 1], exp[lx + log[c]])
+                    nm += 1
             gamma = nxt
 
         # Berlekamp-Massey from psi = prev = gamma and length L = f; prev is
@@ -516,8 +621,6 @@ def _pack_bits(digits) -> int:
 def _unpack_bits(values, width: int) -> bytes:
     """The low ``width`` bits of each int in turn, low bit first, one
     digit per byte."""
-    if not width:
-        return b""
     fmt = f"0{width}b"
     text = "".join(format(v, fmt) for v in reversed(values))
     return text[::-1].encode().translate(_TO_DIGITS)
@@ -648,6 +751,14 @@ def _cached_by_description(build):
     cached.cache = cache
     cached.maxsize = 32
     return cached
+
+
+@_cached_by_description
+def _check_tables(field, checks, *args) -> tuple[tuple[int, ...], ...]:
+    """Byte tables of a block format's check map over F_2: ``checks(field,
+    *args)`` lists the packed check cells of the fill of each unit symbol
+    1, 2, 4, ...  Built on a code's first use, never at parse time."""
+    return _byte_tables(checks(field, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -910,13 +1021,9 @@ class BchCode(_CyclicCode):
         _check_symbols(word, self.n, self.p, self._symbols)
         if self.p != 2:
             return tuple(_poly_remainder(self.field, word, self.generator))
-        return tuple(_unpack_bits([self._packed_remainder(_pack_bits(word))], self.redundancy))
-
-    def _packed_remainder(self, word: int) -> int:
-        """The remainder of a word over F_2 packed as an int (digit i at
-        bit i), packed the same way."""
         kernel = self._tables or self._load_kernel()
-        return kernel.remainder(word.to_bytes(self._width, "big"))
+        rem = kernel.remainder(_pack_bits(word).to_bytes(self._width, "big"))
+        return tuple(_unpack_bits([rem], self.redundancy))
 
     def syndrome(self, word) -> Syndrome:
         """The power sums of the remainder, which are the word's: g
@@ -942,8 +1049,8 @@ class BchCode(_CyclicCode):
 
     def decode_packed(self, remainder: int) -> int:
         """The pattern of weight <= design_t with this remainder, both
-        packed as ``_packed_remainder`` packs them, or DecodeFailure; over
-        F_2 only.  A lookup in the coset table where it fits, else
+        packed into ints (digit i at bit i), or DecodeFailure; over F_2
+        only.  A lookup in the coset table where it fits, else
         ``decode_remainder``."""
         if self._cosets is None:
             fits = _coset_fits(self.n, self.design_t)

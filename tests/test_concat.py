@@ -19,7 +19,7 @@ from synfuzz.errors import (
 )
 from synfuzz.expand import ExpandedCode
 from synfuzz.gf import ExtField
-from synfuzz.rs import BchCode, RsCode, _pack_runs
+from synfuzz.rs import BchCode, RsCode, _pack_bits, _pack_runs, _unpack_bits
 
 
 @pytest.fixture(scope="module")
@@ -384,8 +384,9 @@ def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
     inner_decode = code.inner.decode_packed
     failing = 0
     for block in _pack_runs(word, code.n_in):
+        remainder = code.inner.remainder(_unpack_bits([block], code.n_in))
         try:
-            inner_decode(code.inner._packed_remainder(block))
+            inner_decode(_pack_bits(remainder))
         except DecodeFailure:
             failing += 1
     assert failing > code.outer.redundancy + 1
@@ -460,5 +461,3 @@ def test_v_reproduces_companion_expansion_bit_for_bit():
 def test_trivial_inner_code_surface():
     code = TrivialCode(2, 4)
     assert code.encode([1, 0, 1, 1]) == [1, 0, 1, 1]
-    assert code.remainder([1, 0, 1, 1]) == ()
-    assert code.decode_remainder(()) == [0, 0, 0, 0]

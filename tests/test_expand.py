@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d, gen_mixed
 from synfuzz.codespec import parse_spec
 from synfuzz.errors import (
+    AlphabetMismatchError,
     DecodeFailure,
     NotInAlgebraError,
     ShapeMismatchError,
@@ -134,6 +135,15 @@ def test_companion_contract_rejects_corrupted_tile(c3, c1p):
     with pytest.raises(NotInAlgebraError):
         c1p.contract(base)
     assert c1p.project(base)[0] == 5
+
+
+def test_expand_refuses_symbols_outside_the_field(c1, c1p, c2, c3):
+    for code in (c1, c1p, c2, c3):
+        n, order = code.rs.n, code.rs.field.order
+        with pytest.raises(AlphabetMismatchError, match=f"symbol {order} outside"):
+            code.expand([order] + [0] * (n - 1))
+        with pytest.raises(ShapeMismatchError):
+            code.expand([0] * (n + 1))
 
 
 def test_codeword_syndrome_is_zero(c1, c1p, c2, c3):

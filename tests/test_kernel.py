@@ -15,12 +15,12 @@ import weakref
 import pytest
 
 import oracle
-from synfuzz import expand, rs
+from synfuzz import concat, expand, rs
 from synfuzz.codespec import parse_spec
 from synfuzz.concat import ConcatCode
 from synfuzz.expand import KIND_COMPANION, KIND_ROW_PARITY, ExpandedCode
 from synfuzz.errors import AlphabetMismatchError
-from synfuzz.gf import ExtField
+from synfuzz.gf import MUL_COUNTER, ExtField
 from synfuzz.rs import BchCode, RsCode
 
 from test_golden import GOLDEN
@@ -34,7 +34,7 @@ WIDE = (
     ("cIII(rs(6,2;gf(2^9));2,3)", 203),
     ("concat(inner=bch(15,1;gf(2)), outer=rs(20,12;gf(2^11)), layout=flat)", 204),
 )
-CACHES = (rs._generator, rs._kernel, expand._dropped_tables, rs._chien_table, rs._coset_table)
+CACHES = (rs._generator, rs._kernel, rs._check_tables, rs._chien_table, rs._coset_table)
 
 
 class OracleField:
@@ -163,14 +163,15 @@ def test_parsing_builds_no_kernel_table(monkeypatch):
     specs = [g[1] for g in GOLDEN] + [LARGEST_RS, LARGEST_FLAT_CONCAT]
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_BinaryKernel", refuse)
-        patch.setattr(expand, "_byte_tables", refuse)
+        patch.setattr(rs, "_byte_tables", refuse)
         codes = [parse_spec(spec) for spec in specs]
     assert not any(cache.cache for cache in CACHES)
     small = [code for code in codes if code.base_length < 10_000]
     for code in small:
         code.syndrome(code.zero_word())
+    assert any(key[3] is concat._parity_checks for key in rs._check_tables.cache)
     monkeypatch.setattr(rs, "_BinaryKernel", refuse)
-    monkeypatch.setattr(expand, "_byte_tables", refuse)
+    monkeypatch.setattr(rs, "_byte_tables", refuse)
     for code in small:
         again = parse_spec(code.spec_string())
         assert again.syndrome(again.zero_word()).is_zero
@@ -216,7 +217,7 @@ def test_cached_tables_keep_no_field_alive():
     gc.collect()
     assert ref() is None
     assert (2, 8, modulus, 256, 10) in rs._kernel.cache
-    assert (2, 8, modulus, KIND_ROW_PARITY) in expand._dropped_tables.cache
+    assert (2, 8, modulus, expand._dropped_checks, KIND_ROW_PARITY) in rs._check_tables.cache
     assert (2, 8, modulus, 40, 10) in rs._chien_table.cache
     again = parse_spec("cI+parity(rs(40,30;gf(2^8;modulus=1,1,0,1,0,1,0,0,1)))")
     assert again.syndrome(word) == synd
@@ -229,6 +230,34 @@ def test_cached_tables_keep_no_field_alive():
     gc.collect()
     assert ref() is None
     assert key in rs._coset_table.cache
+
+    code = ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 20, 12))
+    key = (2, 4, code.inner.field.modulus, concat._parity_checks, 4, 7)
+    word = random.Random(206).choices((0, 1), k=code.base_length)
+    synd = code.syndrome(word)
+    refs = [weakref.ref(code.inner.field), weakref.ref(code.outer.field)]
+    del code
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert key in rs._check_tables.cache
+    again = parse_spec("concat(inner=bch(15,2;gf(2)), outer=rs(20,12;gf(2^7)), layout=flat)")
+    assert again.syndrome(word) == synd
+
+
+def test_check_tables_count_no_multiplication():
+    """The check tables of every binary expansion and concatenation are
+    built from uncounted table products, like the kernels."""
+    rs._check_tables.cache.clear()
+    for spec in [g[1] for g in GOLDEN] + [WIDE[1][0], WIDE[2][0], WIDE[3][0]]:
+        code = parse_spec(spec)
+        if code.alphabet.p != 2 or not getattr(code, "_chk", 0):
+            continue
+        before = MUL_COUNTER.count
+        assert code._load_checks() is code._checks
+        assert MUL_COUNTER.count == before
+        assert len(code._checks) == (code.outer.field.m + 7) // 8 <= 2
+    # the flat and v golden concatenations share bch(15,2)'s tables
+    assert len(rs._check_tables.cache) == 7
 
 
 def test_bch_names_its_base_field_in_symbol_errors():

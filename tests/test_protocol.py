@@ -2,7 +2,9 @@
 
 A base-field code states its block order once; LinearCode gathers words
 through it and scatters patterns back.  Every decode first checks the
-syndrome against the code's ``segments``.
+syndrome against the code's ``segments``.  The expansions and the
+concatenations share one block format: a word splits into outer symbols
+and check residuals and is rebuilt from them.
 """
 
 import random
@@ -11,6 +13,7 @@ import pytest
 
 from synfuzz.codespec import parse_spec
 from synfuzz.errors import AlphabetMismatchError, ShapeMismatchError
+from synfuzz.fuzzy import enroll, verify
 from synfuzz.rs import Syndrome
 
 from test_golden import GOLDEN
@@ -89,3 +92,124 @@ def test_decode_refuses_a_syndrome_that_does_not_fit_the_segments(
     error = ShapeMismatchError if kind in ("short", "long") else AlphabetMismatchError
     with pytest.raises(error):
         code.decode(Syndrome(tuple(malformed(code, kind, seed))))
+
+
+# ---------------------------------------------------------------------------
+# the block core shared by the expansions and the concatenations
+# ---------------------------------------------------------------------------
+
+BLOCK_GOLDEN = [g for g in GOLDEN if not g[1].startswith("rs(")]
+BLOCK_IDS = [g[0] for g in BLOCK_GOLDEN]
+BCH63_CONCAT = "concat(inner=bch(63,11;gf(2)), outer=rs(20,12;gf(2^16)), layout=flat)"
+CONCATS = [g[1] for g in GOLDEN if g[1].startswith("concat")] + [BCH63_CONCAT]
+
+
+def codeword(code, seed):
+    """A seeded codeword from the code's own encoder."""
+    rng = random.Random(seed)
+    outer = code.outer
+    message = [rng.randrange(outer.field.order) for _ in range(outer.k)]
+    if hasattr(code, "expand"):
+        return code.expand(outer.encode(message))
+    return code.encode(message)
+
+
+def add_words(code, a, b):
+    add = code.alphabet.add
+    return code._shaped(list(map(add, code._flat(a), code._flat(b))))
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", BLOCK_GOLDEN, ids=BLOCK_IDS)
+def test_rebuild_inverts_split(stem, spec, shape, q, seed):
+    """On a freshly parsed code, which builds its tables and block order,
+    and on a warm re-parse, which finds the tables cached."""
+    for code in (parse_spec(spec), parse_spec(spec)):
+        for k in range(3):
+            word = seeded_word(code, seed + k)
+            syms, res = code._split(word)
+            assert len(syms) == code.outer.n and len(res) == code.outer.n * code._chk
+            assert code._rebuild(syms, code._parts(res)) == word
+        syms, res = code._split(code.zero_word())
+        assert code._rebuild(syms, code._parts(res)) == code.zero_word()
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", BLOCK_GOLDEN, ids=BLOCK_IDS)
+def test_residuals_vanish_exactly_on_valid_blocks(stem, spec, shape, q, seed):
+    """A codeword has no residual and a zero outer syndrome; a seeded word
+    has a residual exactly where a block is not its symbol's fill, and a
+    damaged check cell shows in its own block alone."""
+    for code in (parse_spec(spec), parse_spec(spec)):
+        zeros = [0] * code.outer.n
+        word = codeword(code, seed)
+        syms, res = code._split(word)
+        assert not any(res) and code.outer.syndrome(syms).is_zero
+        for k in range(3):
+            noisy = seeded_word(code, seed + k)
+            syms, res = code._split(noisy)
+            valid = code._rebuild(syms, zeros)
+            valid_syms, valid_res = code._split(valid)
+            assert valid_syms == syms and not any(valid_res)
+            assert any(res) == (valid != noisy) == (code._chk > 0)
+        if code._chk:
+            block = code.outer.n // 2
+            cells = [0] * code.base_length
+            cells[block * code._width + code._chk_at] = 1
+            damaged = add_words(code, word, code._scatter(cells))
+            parts = code._parts(code._split(damaged)[1])
+            assert [i for i, part in enumerate(parts) if part] == [block]
+
+
+@pytest.mark.parametrize("spec", CONCATS)
+def test_table_residual_is_the_inner_remainder(spec):
+    """A concatenation's residual, from check tables over F_2, is each
+    block's remainder modulo the inner generator."""
+    code = parse_spec(spec)
+    n, r = code.n_in, code.inner.redundancy
+    for k in range(3):
+        word = seeded_word(code, 400 + k)
+        res = code._split(word)[1]
+        cells = code._gather(word)
+        for i in range(code.N):
+            block = list(cells[i * n : (i + 1) * n])
+            assert tuple(res[i * r : (i + 1) * r]) == code.inner.remainder(block)
+
+
+# (spec, seed, damaged blocks, cells changed per damaged block)
+ERASURE_CASES = (
+    ("cI+parity(rs(15,7;gf(2^4)))", 501, 3, 1),
+    ("cI+parity(rs(15,7;gf(2^4)))", 502, 8, 1),
+    ("cI+parity(rs(8,4;gf(3^2)))", 503, 2, 1),
+    ("cI+parity(rs(8,4;gf(3^2)))", 504, 4, 1),
+    ("concat(inner=bch(15,2;gf(2)), outer=rs(127,109;gf(2^7)), layout=flat)", 505, 6, 5),
+    ("concat(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=v(4,5))", 506, 4, 5),
+    ("concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)", 507, 2, 4),
+)
+
+
+def erasure_read(code, seed, blocks, cells):
+    """A seeded word and a read of it with ``cells`` cells changed in each
+    of ``blocks`` seeded blocks."""
+    rng = random.Random(seed)
+    word = seeded_word(code, seed)
+    noise = [0] * code.base_length
+    width = code._width
+    for i in rng.sample(range(code.outer.n), blocks):
+        for at in rng.sample(range(width), cells):
+            noise[i * width + at] = rng.randrange(1, code.alphabet.order)
+    return word, add_words(code, word, code._scatter(noise))
+
+
+def test_erasure_decodes_keep_their_mult_counts():
+    """Erasure decodes of seeded reads count one multiplication per
+    nonzero product, the erasure locator's included."""
+    mults = []
+    for spec, seed, blocks, cells in ERASURE_CASES:
+        code = parse_spec(spec)
+        word, read = erasure_read(code, seed, blocks, cells)
+        result = verify(read, enroll(word, code))
+        assert result.accepted and result.recovered == word
+        synd = code.syndrome_sub(code.syndrome(word), code.syndrome(read))
+        if hasattr(code, "inner"):
+            assert code.decode(synd, with_info=True)[1].inner_failed
+        mults.append(result.decode_mults)
+    assert mults == [96, 320, 31, 92, 944, 163, 75]
