@@ -14,9 +14,32 @@ before any work: p <= 2^16, m <= 16 and p^m <= 2^16, a bch length at most
 and array parameters n1, n2, a, b.  A custom modulus must make x primitive.
 A code of any construction is refused at more than 2^20 cells
 (``base_length``), so the block map it builds on first use stays bounded.
+
+A template stores its code's spec string, so every verify from template
+text parses it again.  ``parse_spec`` therefore keeps parsed codes in one
+least-recently-used cache keyed by the spec text: a re-parsed spec is the
+same code object, with the fields, block map and tables it has built, and
+builds nothing.  The cache is bounded by weight, not by count, in units
+of about 40 bytes.  A code weighs its cells (a built block order retains
+about 40 bytes per cell), plus 8 units per element of every field it
+holds (about 84 bytes of tables and, once every element has been seen,
+up to about 240 more of ``to_base_vector`` memo, which decodes fill with
+the symbols they meet), plus ``_CODE_WEIGHT`` for its objects and the
+tables it may build.  The bound admits any one code, so a stream of
+distinct hostile specs evicts entries but retains about one largest
+code, never more.
+A construction parses its RS and BCH components through the same cache,
+so constructions on the same component spec share its code and tables.
+Failed parses are not cached (a refused construction's components that
+parsed are).  A cached code is shared between callers and threads:
+nothing mutates it after its lazy slots fill, and two threads filling
+the same slot at once build equal tables.
 """
 
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
 
 from .concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
 from .errors import SpecParseError, SynfuzzError
@@ -30,6 +53,19 @@ _MAX_BCH_LENGTH = (1 << 12) - 1
 _MAX_REDUNDANCY = 64
 # Every code's cell table (built on first use) has one entry per cell.
 MAX_CELLS = 1 << 20
+# Units of about 40 bytes.  A code's own objects take about 2.5 KB, and
+# its lazy tables at most about 400 KB: rs(255,191;gf(2^8)) holds 240 KB
+# of kernel and Chien table after one decode.
+_CODE_WEIGHT = 1 << 14
+# A field weighs 8 units per element: tables and a full digit memo take
+# up to 324 bytes per element (gf(2^16)).
+_FIELD_WEIGHT = 8
+# The heaviest admitted codes weigh about 1.59 M units: 2^20 cells, fields
+# of about 2^16 elements and _CODE_WEIGHT.  The bound is about 62 MiB.
+_CACHE_BOUND = MAX_CELLS + (1 << 19) + (1 << 16)
+_codes: OrderedDict = OrderedDict()  # spec text -> (code, weight)
+_codes_lock = threading.Lock()
+_codes_weight = 0
 
 
 def _strip_call(text: str, name: str) -> str | None:
@@ -175,26 +211,59 @@ def _parse_layout(text: str):
 
 
 def parse_spec(text: str):
-    """Parse a construction string into a code object."""
+    """Parse a construction string into a code object, the same object
+    for every parse of the same text while it stays in the cache."""
+    global _codes_weight
+    with _codes_lock:
+        if text in _codes:
+            _codes.move_to_end(text)
+            return _codes[text][0]
+    spec = text.strip()
+    code = _parse_code(spec)
+    weight = _weight(spec, code)
+    with _codes_lock:
+        entry = _codes.setdefault(text, (code, weight))
+        if entry[0] is code:  # no other thread cached this text meanwhile
+            _codes_weight += weight
+            while _codes_weight > _CACHE_BOUND:
+                _codes_weight -= _codes.popitem(last=False)[1][1]
+    return entry[0]
+
+
+def _weight(text: str, code) -> int:
+    """The cache weight of a code: its cells, ``_FIELD_WEIGHT`` times the
+    order of every field it or its RS and BCH codes hold, and
+    ``_CODE_WEIGHT``.  A code of more than ``MAX_CELLS`` cells is
+    refused."""
+    cells = code.n if isinstance(code, BchCode) else code.base_length
+    if cells > MAX_CELLS:
+        raise SpecParseError(f"{text} has {cells} cells, above {MAX_CELLS}")
+    held = (code, getattr(code, "outer", None), getattr(code, "inner", None))
+    fields = (getattr(c, name, None) for c in held for name in ("field", "alphabet"))
+    orders = {id(f): f.order for f in fields if f}  # equal fields may be distinct objects
+    return cells + _FIELD_WEIGHT * sum(orders.values()) + _CODE_WEIGHT
+
+
+def _component(text: str, name: str):
+    """The RS or BCH code a construction is built on, parsed through the
+    cache, so that constructions on the same component spec share it."""
     text = text.strip()
-    if _strip_call(text, "bch") is not None:
-        return _parse_bch(text)
-    code = _parse_linear(text)
-    if code.base_length > MAX_CELLS:
-        raise SpecParseError(f"{text} has {code.base_length} cells, above {MAX_CELLS}")
-    return code
+    if _strip_call(text, name) is None:
+        raise SpecParseError(f"expected {name}(...), got {text!r}")
+    return parse_spec(text)
 
 
-def _parse_linear(text: str):
-    if _strip_call(text, "rs") is not None:
-        return _parse_rs(text)
+def _parse_code(text: str):
+    for name, parse in (("rs", _parse_rs), ("bch", _parse_bch)):
+        if _strip_call(text, name) is not None:
+            return parse(text)
     for name, maker in (
         ("cI+parity", ExpandedCode.row_vector_parity),
         ("cI", ExpandedCode.row_vector),
     ):
         args = _strip_call(text, name)
         if args is not None:
-            return maker(_parse_rs(args))
+            return maker(_component(args, "rs"))
     for name, maker in (
         ("cII", ExpandedCode.square_array),
         ("cIII", ExpandedCode.companion_array),
@@ -208,16 +277,16 @@ def _parse_linear(text: str):
             if len(dims) != 2:
                 raise SpecParseError(f"{name} array shape takes n1,n2: {text!r}")
             return maker(
-                _parse_rs(parts[0]), _positive(dims[0], "n1"), _positive(dims[1], "n2")
+                _component(parts[0], "rs"), _positive(dims[0], "n1"), _positive(dims[1], "n2")
             )
     args = _strip_call(text, "concat")
     if args is not None:
         inner = outer = layout = None
         for part in _split_top(args, ","):
             if part.startswith("inner="):
-                inner = _parse_bch(part[6:])
+                inner = _component(part[6:], "bch")
             elif part.startswith("outer="):
-                outer = _parse_rs(part[6:])
+                outer = _component(part[6:], "rs")
             elif part.startswith("layout="):
                 layout = _parse_layout(part[7:])
             elif part:

@@ -28,10 +28,11 @@ A concatenation is an expansion whose per-symbol map is the inner
 encoder (Forney, *Concatenated Codes*, 1966), on ``rs._BlockCode``'s
 block format: block i is outer symbol i's inner codeword, parity first,
 and its residual is its remainder modulo the inner generator (over F_2,
-its parity XOR a table lookup of its symbol's parity).  The syndrome, of
-N*n - K*k symbols and zero exactly on codewords, lists by ``segments``
-the N residuals in block order (N*(n-k) symbols over F_p), then the N-K
-outer power sums of the blocks' symbols over F_{p^k}.  Decoding inner-
+its parity XOR a table lookup of its symbol's parity; over odd p, one
+remainder of the block).  The syndrome, of N*n - K*k symbols and zero
+exactly on codewords, lists by ``segments`` the N residuals in block
+order (N*(n-k) symbols over F_p), then the N-K outer power sums of the
+blocks' symbols over F_{p^k}.  Decoding inner-
 decodes each damaged block, corrects the estimates with the outer
 decoder, rebuilds the exact pattern from the stored residuals and
 re-checks it against the whole syndrome.  A block whose inner decode
@@ -50,7 +51,7 @@ from .errors import (
     QueryUnsupportedError,
     ShapeMismatchError,
 )
-from .rs import RsCode, Syndrome, _BlockCode, _check_tables, _generator, _pack_bits
+from .rs import RsCode, Syndrome, _BlockCode, _byte_tables, _pack_bits, _poly_remainder
 
 
 class TrivialCode:
@@ -72,11 +73,11 @@ class TrivialCode:
         return f"id({self.n};gf({self.p}))"
 
 
-def _parity_checks(field, count: int, k: int) -> list[int]:
-    """The packed parity digits of the binary BCH codeword (syndrome roots
-    alpha^1 .. alpha^count in ``field``) of each unit message: x^(r+b) mod
-    g for b < k, the basis of a concatenation's check tables over F_2."""
-    g = _pack_bits(_generator(field, 2, count))
+def _parity_checks(generator, k: int) -> list[int]:
+    """The packed parity digits of the binary BCH codeword with this
+    generator of each unit message: x^(r+b) mod g for b < k, the basis of
+    a concatenation's check tables over F_2."""
+    g = _pack_bits(generator)
     r = g.bit_length() - 1
     out = [g ^ (1 << r)]
     for _ in range(k - 1):
@@ -273,9 +274,13 @@ class ConcatCode(_BlockCode):
         return self.inner.encode(self.outer.field.to_base_vector(sym))
 
     def _load_checks(self):
-        inner = self.inner
-        self._checks = _check_tables(inner.field, _parity_checks, inner.count, inner.k)
+        self._checks = _byte_tables(_parity_checks(self.inner.generator, self.inner.k))
         return self._checks
+
+    def _residual(self, block, sym: int) -> list:
+        """An odd-p block's remainder modulo the inner generator: its check
+        cells minus those of its symbol's inner codeword."""
+        return _poly_remainder(self.inner.field, block, self.inner.generator)
 
     def _inner_decode(self, residual):
         """The symbol error of the inner pattern with this remainder, or

@@ -44,7 +44,7 @@ from .errors import (
     ShapeMismatchError,
     ShapeUnsupportedError,
 )
-from .rs import RsCode, Syndrome, _BlockCode, _check_symbols, _check_tables, _pack_bits
+from .rs import RsCode, Syndrome, _BlockCode, _byte_tables, _check_symbols, _pack_bits
 
 KIND_ROW = "row-vector"
 KIND_ROW_PARITY = "row-vector-parity"
@@ -156,7 +156,7 @@ class ExpandedCode(_BlockCode):
         return tuple(origin + at for origin in origins for at in tile)
 
     def _load_checks(self):
-        self._checks = _check_tables(self.rs.field, _dropped_checks, self.kind)
+        self._checks = _byte_tables(_dropped_checks(self.rs.field, self.kind))
         return self._checks
 
     def _inner_decode(self, residual):

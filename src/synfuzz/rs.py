@@ -31,28 +31,31 @@ parity symbols in positions 0..n-k-1.
 Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
 come from the packed kernel ``_BinaryKernel``: a table-driven LFSR
 reduces the word modulo the generator, and one packed F_2-linear map
-takes the remainder to the power sums.  Its tables depend only on the
-field, s and count, are built on a code's first syndrome and are kept in
-bounded caches keyed by that description, as the generators are, so a
-re-parsed spec finds them built.  The kernel counts no multiplication.
-Odd characteristics keep the per-symbol paths ``_sparse_syndrome`` and
-``_poly_remainder``.
+takes the remainder to the power sums.  The kernel counts no
+multiplication.  Odd characteristics keep the per-symbol paths
+``_sparse_syndrome`` and ``_poly_remainder``.
 
-Decoding over characteristic 2 uses two more packed tables, cached the
-same way and built on first use.  Over F_{2^m}, m <= 8, the Chien search
-evaluates the locator at every position at once: evaluation is F_2-linear
-in the locator's coefficient bits, so it XORs one packed column per set
-bit, one byte per position (``_chien_table``).  A small binary BCH code
-decodes a packed remainder by one lookup in its coset-leader table, the
-remainder of every pattern of weight <= design_t (``_coset_table``;
-standard-array decoding, Slepian 1956).  Above their caps the scalar
-``_chien_roots`` and Berlekamp-Massey stay.
+Decoding over characteristic 2 uses two more packed tables.  Over
+F_{2^m}, m <= 8, the Chien search evaluates the locator at every
+position at once: evaluation is F_2-linear in the locator's coefficient
+bits, so it XORs one packed column per set bit, one byte per position
+(``_chien_table``).  A small binary BCH code decodes a packed remainder
+by one lookup in its coset-leader table, the remainder of every pattern
+of weight <= design_t (``_coset_table``; standard-array decoding,
+Slepian 1956).  Above their caps the scalar ``_chien_roots`` and
+Berlekamp-Massey stay.
+
+Every table (generator, kernel, Chien, coset and check tables) is built
+on a code's first use into a slot the code sets to None in ``__init__``,
+never at construction.  The tables live and die with their code;
+``codespec.parse_spec`` keeps parsed codes, so a re-parsed spec finds
+them built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce, wraps
+from functools import reduce
 from itertools import chain, combinations, compress
 from math import comb
 from operator import itemgetter, xor
@@ -239,11 +242,12 @@ class _BlockCode(LinearCode):
     A block has ``_width`` cells: the symbol's m digits at ``_sym_at`` and
     ``_chk`` check cells at ``_chk_at`` (none for cI, cII or an identity
     inner code).  ``_fill(sym)`` is a symbol's valid block, and a block's
-    residual is its check cells minus those of its symbol's fill.  Over
-    F_2 the fill's check cells are linear in the symbol: ``_checks`` holds
-    their byte tables, found by ``_load_checks()`` on first use.  A
-    subclass also gives ``_inner_decode(part)``: the symbol error a damaged
-    block's residual suggests, or None to make the block an outer erasure.
+    residual is its check cells minus those of its symbol's fill
+    (``_residual``).  Over F_2 the fill's check cells are linear in the
+    symbol: ``_checks`` holds their byte tables, built by ``_load_checks()``
+    on first use.  A subclass also gives ``_inner_decode(part)``: the
+    symbol error a damaged block's residual suggests, or None to make the
+    block an outer erasure.
     """
 
     def __init__(self, outer, chk: int, sym_at: int):
@@ -279,9 +283,12 @@ class _BlockCode(LinearCode):
         syms = [digits(b[sym_at : sym_at + m]) for b in blocks]
         if not chk:
             return syms, ()
-        end = chk_at + chk
-        return syms, [(v - f) % p for b, s in zip(blocks, syms)
-                      for v, f in zip(b[chk_at:end], self._fill(s)[chk_at:end])]
+        return syms, [v for b, s in zip(blocks, syms) for v in self._residual(b, s)]
+
+    def _residual(self, block, sym: int) -> list:
+        """An odd-p block's check cells minus those of its symbol's fill."""
+        at, end = self._chk_at, self._chk_at + self._chk
+        return [(v - f) % self.alphabet.p for v, f in zip(block[at:end], self._fill(sym)[at:end])]
 
     def _parts(self, res) -> list:
         """Each block's residual from the flat residuals: an int over F_2
@@ -390,13 +397,14 @@ def _chien_roots(field: ExtField, psi, n):
     return roots, (i + 1) * nt
 
 
-def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
+def _gpz_decode(field: ExtField, synd, n, chien, erasures=(), base_limit=None):
     """Errors-and-erasures decode of a syndrome vector.
 
     Returns the unique error vector v with
     2*weight(v off erasures) + |erasures| <= len(synd) that reproduces the
     syndromes, or raises DecodeFailure.  With base_limit set, magnitudes
-    must lie in the base subfield (values below base_limit).
+    must lie in the base subfield (values below base_limit).  ``chien`` is
+    the code's Chien table, or None above its cap.
 
     One pass: the erasure locator Gamma seeds Berlekamp-Massey (Massey
     1969) in Blahut's errors-and-erasures form, which finds the locator
@@ -469,7 +477,7 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
         if len(psi) - 1 != L or 2 * L - f > r:
             raise DecodeFailure(f"no locator of {L - f} errors fits the syndrome")
 
-        roots, c = _chien_search(field, psi, n, r)
+        roots, c = _chien_search(field, psi, n, chien)
         nm += c
         if len(roots) != L:
             raise DecodeFailure(f"locator of degree {L} has {len(roots)} roots in range")
@@ -730,37 +738,6 @@ class _BinaryKernel:
         return tuple([(acc >> at) & mask for at in self.offsets])
 
 
-def _cached_by_description(build):
-    """Memoise ``build(field, *args)`` under the field's description
-    (p, m, modulus) and args, least recently used out past ``maxsize``
-    entries.  The key holds no reference to the field, so a cached result
-    does not keep the first caller's field and its tables alive."""
-    cache: dict = {}
-
-    @wraps(build)
-    def cached(field: ExtField, *args):
-        key = (field.p, field.m, field.modulus, *args)
-        out = cache.pop(key, None)
-        if out is None:
-            out = build(field, *args)
-            if len(cache) >= cached.maxsize:
-                del cache[next(iter(cache))]
-        cache[key] = out
-        return out
-
-    cached.cache = cache
-    cached.maxsize = 32
-    return cached
-
-
-@_cached_by_description
-def _check_tables(field, checks, *args) -> tuple[tuple[int, ...], ...]:
-    """Byte tables of a block format's check map over F_2: ``checks(field,
-    *args)`` lists the packed check cells of the fill of each unit symbol
-    1, 2, 4, ...  Built on a code's first use, never at parse time."""
-    return _byte_tables(checks(field, *args))
-
-
 # ---------------------------------------------------------------------------
 # The cyclic-code core
 # ---------------------------------------------------------------------------
@@ -779,9 +756,6 @@ def _root_exponents(n: int, s: int, count: int):
     return roots
 
 
-# Generators and kernel tables are looked up on first use, never at
-# construction, so parsing builds neither and a re-parsed spec finds them.
-@_cached_by_description
 def _generator(field: ExtField, s: int, count: int) -> tuple[int, ...]:
     """The product of the minimal polynomials over F_s of alpha^1 ..
     alpha^count: prod (x - alpha^l) over their cosets' exponents l, so its
@@ -790,14 +764,6 @@ def _generator(field: ExtField, s: int, count: int) -> tuple[int, ...]:
     for l in _root_exponents(field.order - 1, s, count):
         g = _poly_mul(field, g, [field.neg(field.alpha_pow(l)), 1])
     return tuple(g)
-
-
-@_cached_by_description
-def _kernel(field: ExtField, s: int, count: int) -> _BinaryKernel:
-    """The packed syndrome tables: one m-bit symbol per LFSR step over
-    F_{2^m}, eight one-bit digits per step over F_2."""
-    width, step = (field.m, field.m) if s == field.order else (1, 8)
-    return _BinaryKernel(field, _generator(field, s, count), width, step, count)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +785,6 @@ def _chien_fits(field: ExtField, n: int, r: int) -> bool:
     return field.p == 2 and field.m <= 8 and r * field.m * n * 8 <= _CHIEN_CAP_BITS
 
 
-@_cached_by_description
 def _chien_table(field: ExtField, n: int, r: int) -> tuple[int, ...]:
     """Column (j, b), at index (j-1)*m + b for j = 1..r and b < m, holds
     x^b alpha^(-ij) in byte i for i = 0..n-1."""
@@ -834,19 +799,20 @@ def _chien_table(field: ExtField, n: int, r: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-def _chien_search(field: ExtField, psi, n: int, r: int):
-    """``_chien_roots(field, psi, n)`` for a locator of degree <= r, from
-    the packed table where it fits: byte i of the XOR of the columns of
-    psi's set coefficient bits is psi(alpha^-i) - 1, so the roots are the
-    bytes equal to 1.  Counts the mults the scalar search would."""
-    if not _chien_fits(field, n, r):
+def _chien_search(field: ExtField, psi, n: int, table):
+    """``_chien_roots(field, psi, n)``, from the packed ``_chien_table``
+    where one is given (None above its cap): byte i of the XOR of the
+    columns of psi's set coefficient bits is psi(alpha^-i) - 1, so the
+    roots are the bytes equal to 1.  Counts the mults the scalar search
+    would."""
+    if table is None:
         return _chien_roots(field, psi, n)
     m = field.m
     packed = 0
     for c in reversed(psi[1:]):
         packed = (packed << m) | c
     bits = bin(packed)[:1:-1].encode().translate(_TO_DIGITS)
-    values = reduce(xor, compress(_chien_table(field, n, r), bits), 0).to_bytes(n, "little")
+    values = reduce(xor, compress(table, bits), 0).to_bytes(n, "little")
     deg = len(psi) - 1
     roots = []
     i = values.find(1)
@@ -869,13 +835,11 @@ def _coset_fits(n: int, t: int) -> bool:
     return True
 
 
-@_cached_by_description
-def _coset_table(field: ExtField, n: int, t: int) -> dict[int, int]:
+def _coset_table(kernel: _BinaryKernel, n: int, t: int) -> dict[int, int]:
     """Packed remainder -> packed error over every binary pattern of
-    weight <= t of the BCH code of length n with roots alpha^1 ..
-    alpha^2t in ``field``.  Distance >= 2t + 1 makes each remainder's
+    weight <= t of the BCH code of length n and design capability t whose
+    kernel is ``kernel``.  Distance >= 2t + 1 makes each remainder's
     pattern unique, so a remainder missing here has none."""
-    kernel = _kernel(field, 2, 2 * t)
     width = (n + 7) // 8
     table = {}
     for w in range(t + 1):
@@ -891,12 +855,12 @@ class _CyclicCode(_SpecIdentity):
     alpha^count in ``field`` = F_q: what both families share.
 
     The redundancy is the number of root exponents, so ``__init__`` builds
-    no polynomial; ``generator`` and the packed kernel come from caches
-    keyed by (field, s, count).  ``_encode`` and ``_decode_syndrome`` are
-    the one encoder and decoder; each family binds them in its own class
-    (perfbench/spans.py traces them there).  A syndrome has ``count``
-    power sums, decoded to at most t = count // 2 errors, with magnitudes
-    held to F_s when it is a proper subfield.
+    no polynomial; the generator, the packed kernel and the Chien table
+    are built into their slots on first use.  ``_encode`` and
+    ``_decode_syndrome`` are the one encoder and decoder; each family binds
+    them in its own class (perfbench/spans.py traces them there).  A
+    syndrome has ``count`` power sums, decoded to at most t = count // 2
+    errors, with magnitudes held to F_s when it is a proper subfield.
     """
 
     def __init__(self, field: ExtField, s: int, n: int, count: int, symbols: str):
@@ -908,15 +872,23 @@ class _CyclicCode(_SpecIdentity):
         self.redundancy = len(_root_exponents(field.order - 1, s, count))
         self.k = n - self.redundancy
         self._symbols = symbols  # the alphabet's name in symbol errors
+        self._gen = None  # the generator, set on first use
         self._tables = None  # the packed kernel, set on first use
+        self._chien = None  # the Chien table, False above its cap; set on first use
 
     @property
     def generator(self) -> tuple[int, ...]:
         """The monic generator polynomial, low coefficient first."""
-        return _generator(self.field, self.s, self.count)
+        if self._gen is None:
+            self._gen = _generator(self.field, self.s, self.count)
+        return self._gen
 
     def _load_kernel(self) -> _BinaryKernel:
-        self._tables = _kernel(self.field, self.s, self.count)
+        """The packed syndrome tables: one m-bit symbol per LFSR step over
+        F_{2^m}, eight one-bit digits per step over F_2."""
+        field = self.field
+        width, step = (field.m, field.m) if self.s == field.order else (1, 8)
+        self._tables = _BinaryKernel(field, self.generator, width, step, self.count)
         return self._tables
 
     def _encode(self, message) -> list[int]:
@@ -934,8 +906,11 @@ class _CyclicCode(_SpecIdentity):
         values = synd.values
         if len(values) != self.count:
             raise LengthMismatchError(f"expected {self.count} syndrome values, got {len(values)}")
-        base_limit = self.s if self.s < self.field.order else None
-        return _gpz_decode(self.field, values, self.n, erasures, base_limit)
+        field, n = self.field, self.n
+        if self._chien is None:
+            self._chien = _chien_fits(field, n, self.count) and _chien_table(field, n, self.count)
+        base_limit = self.s if self.s < field.order else None
+        return _gpz_decode(field, values, n, self._chien or None, erasures, base_limit)
 
 
 class RsCode(_CyclicCode, LinearCode):
@@ -1054,7 +1029,8 @@ class BchCode(_CyclicCode):
         ``decode_remainder``."""
         if self._cosets is None:
             fits = _coset_fits(self.n, self.design_t)
-            self._cosets = fits and _coset_table(self.field, self.n, self.design_t)
+            kernel = self._tables or self._load_kernel()
+            self._cosets = fits and _coset_table(kernel, self.n, self.design_t)
         if self._cosets is False:
             return _pack_bits(self.decode_remainder(_unpack_bits([remainder], self.redundancy)))
         err = self._cosets.get(remainder)

@@ -1,12 +1,18 @@
+import gc
 import itertools
+import random
+import sys
+import threading
+import tracemalloc
+import weakref
 
 import pytest
 
 import synfuzz
-from synfuzz import codespec, gf, rs
+from synfuzz import codespec, fuzzy, gf, rs
 from synfuzz.codespec import format_spec, parse_field, parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
-from synfuzz.errors import ReducibleModulusError, SpecParseError
+from synfuzz.errors import ReducibleModulusError, ShapeMismatchError, SpecParseError, SynfuzzError
 from synfuzz.expand import ExpandedCode
 from synfuzz.rs import BchCode, RsCode
 
@@ -138,22 +144,21 @@ def test_oversized_bch_length_is_refused_before_building(no_field_work):
             parse_spec(text)
 
 
-def test_rs_generator_is_not_built_at_parse_time(monkeypatch):
+def test_rs_generator_is_not_built_at_parse_time(monkeypatch, fresh_codes):
     """Neither an RS nor a BCH generator is built by parse_spec: the
     dimension comes from the root cosets, not the polynomial."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("parsing built a generator polynomial")
 
-    rs._generator.cache.clear()
     monkeypatch.setattr(rs, "_poly_mul", refuse)
-    code = parse_spec("rs(4095,4031;gf(2^12))")
-    assert (code.n, code.k) == (4095, 4031)
-    code = parse_spec("bch(4095,32;gf(2))")
-    assert (code.n, code.k) == (4095, 4095 - 12 * 32)  # 32 cosets of 12 roots
-    for spec in [g[1] for g in GOLDEN if g[1].startswith("concat(")]:
-        parse_spec(spec)
-    assert not rs._generator.cache
+    rs_code = parse_spec("rs(4095,4031;gf(2^12))")
+    assert (rs_code.n, rs_code.k) == (4095, 4031)
+    bch = parse_spec("bch(4095,32;gf(2))")
+    assert (bch.n, bch.k) == (4095, 4095 - 12 * 32)  # 32 cosets of 12 roots
+    concats = [parse_spec(g[1]) for g in GOLDEN if g[1].startswith("concat(")]
+    cyclic = [rs_code, bch] + [c for code in concats for c in (code.inner, code.outer)]
+    assert all(c._gen is None for c in cyclic)
 
 
 @pytest.mark.parametrize("text", [
@@ -178,7 +183,7 @@ def test_non_positive_layout_parameters_are_refused(text):
         parse_spec(text)
 
 
-def test_parsing_builds_no_cell_table():
+def test_parsing_builds_no_cell_table(fresh_codes):
     """A code's block map is built on first use, never when a template's
     spec is parsed."""
     assert vars(parse_spec("cIII(rs(4095,4031;gf(2^12));63,65)"))["_order"] is None
@@ -210,3 +215,129 @@ def test_every_alphabet_and_syndrome_run_is_a_field():
 def test_every_exported_name_resolves():
     for name in synfuzz.__all__:
         assert hasattr(synfuzz, name), name
+
+
+def test_a_reparsed_spec_is_the_same_code_and_builds_no_field(monkeypatch, fresh_codes):
+    specs = [g[1] for g in GOLDEN] + ["bch(15,2;gf(2))"]
+    codes = [parse_spec(spec) for spec in specs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a re-parse built a field")
+
+    monkeypatch.setattr(gf.ExtField, "__init__", refuse)
+    assert all(parse_spec(spec) is code for spec, code in zip(specs, codes))
+
+
+def test_heavy_distinct_specs_stay_under_the_weight_bound(fresh_codes):
+    """Each cI(rs(n,n-2;gf(2^16))) holds a 5.5 MB field whose digit memo
+    its decodes fill with the symbols they meet, up to 15.7 MB more.  A
+    stream of such codes, each decoded and its memo then filled as a long
+    stream of decodes with chosen symbols would, evicts the oldest, and
+    what the cache retains stays under 48 bytes per unit of its bound."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in range(3, 7):
+            code = parse_spec(f"cI(rs({n},{n - 2};gf(2^16)))")
+            word = [0] * code.base_length
+            word[16:32] = [1] * 16  # symbol 1 of block 1
+            assert code.decode(code.syndrome(word)) == word
+            memo = code.rs.field._digit_cache
+            assert (1 << 16) - 1 in memo
+            for sym in range(code.rs.field.order):
+                code._fill(sym)
+            assert len(memo) == code.rs.field.order
+            weights = [weight for _, weight in codespec._codes.values()]
+            assert codespec._codes_weight == sum(weights) <= codespec._CACHE_BOUND
+        del code, memo
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(codespec._codes) == 3
+    assert retained <= codespec._CACHE_BOUND * 48
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cI(rs(65535,65471;gf(2^16)))",
+        "cI+parity(rs(61680,61616;gf(2^16)))",
+        "concat(inner=bch(31,3;gf(2)), outer=rs(33825,33761;gf(2^16)), layout=flat)",
+        "cIII(rs(10485,10421;gf(3^10));1,10485)",
+    ],
+)
+def test_the_heaviest_codes_fit_the_bound(spec):
+    code = codespec._parse_code(spec)
+    assert code.base_length > codespec.MAX_CELLS - (1 << 10)
+    assert codespec._weight(spec, code) <= codespec._CACHE_BOUND
+
+
+def test_an_evicted_code_is_freed(monkeypatch, fresh_codes):
+    first = parse_spec("rs(7,3;gf(2^3))")
+    # room for the next code alone
+    second = codespec._parse_code("rs(15,7;gf(2^4))")
+    monkeypatch.setattr(codespec, "_CACHE_BOUND", codespec._weight("", second))
+    ref = weakref.ref(first)
+    del first
+    parse_spec("rs(15,7;gf(2^4))")
+    gc.collect()
+    assert ref() is None
+    assert list(codespec._codes) == ["rs(15,7;gf(2^4))"]
+
+
+def test_a_failed_parse_is_not_cached(fresh_codes):
+    for text in ("rs(7,3)", "rs(7,3;gf(2^3;modulus=1,0,0,1))", "cII(rs(15,7;gf(2^4));3,4)"):
+        with pytest.raises(SynfuzzError):
+            parse_spec(text)
+    # the refused cII's RS code parsed, and is cached under its own text
+    assert list(codespec._codes) == ["rs(15,7;gf(2^4))"]
+    assert codespec._codes_weight == codespec._codes["rs(15,7;gf(2^4))"][1]
+
+
+def test_constructions_share_their_cached_components(fresh_codes):
+    plain = parse_spec("rs(255,223;gf(2^8))")
+    assert parse_spec("cI( rs(255,223;gf(2^8)) )").rs is plain
+    flat, v = (parse_spec(g[1]) for g in GOLDEN if g[1].startswith("concat(inner=bch(15,2"))
+    assert flat.inner is v.inner is parse_spec("bch(15,2;gf(2))")
+
+
+def test_a_bare_bch_spec_is_cached_and_still_not_enrollable(fresh_codes):
+    code = parse_spec("bch(15,2;gf(2))")
+    assert parse_spec("bch(15,2;gf(2))") is code
+    assert codespec._codes_weight == 15 + codespec._FIELD_WEIGHT * 16 + codespec._CODE_WEIGHT
+    with pytest.raises(ShapeMismatchError, match="not an enrollable code"):
+        fuzzy.enrollable(code)
+
+
+def test_threads_keep_the_cache_weight_consistent(monkeypatch, fresh_codes):
+    """Eight threads parse overlapping specs under a bound that forces
+    evictions; a lost update would leave the running weight off the sum
+    of the cached codes' weights."""
+    specs = [f"rs({n},{n - 2};gf(2^5))" for n in range(3, 32)]
+    monkeypatch.setattr(codespec, "_CACHE_BOUND", 5 * codespec._CODE_WEIGHT)
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                spec = rng.choice(specs)
+                assert parse_spec(spec).spec_string() == spec
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    weights = [weight for _, weight in codespec._codes.values()]
+    assert codespec._codes_weight == sum(weights) <= codespec._CACHE_BOUND
+    assert 0 < len(weights) <= 5

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from synfuzz import fuzzy
 from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d
 from synfuzz.codespec import parse_spec
-from synfuzz.concat import ConcatCode, FlatLayout
+from synfuzz.concat import ConcatCode, FlatLayout, VLayout
 from synfuzz.errors import (
     ShapeMismatchError,
     TemplateFormatError,
@@ -173,6 +173,30 @@ def test_verify_against_template_from_text(c1):
     t = Template.from_text(enroll(x, c1).to_text())
     code = parse_spec(t.code_spec)
     assert verify(x, t, code=code).accepted
+
+
+def test_a_repeated_stateless_verify_builds_no_block_map(monkeypatch, fresh_codes):
+    """Two verifies from the same template text parse its spec once: the
+    first builds the code's block map, one layout cell per data cell, and
+    the second finds it built and calls no cell."""
+    code = ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 100, 60), VLayout(4, 5))
+    data = golden_word(code.shape, 2, 31)
+    text = enroll(data, code).to_text()  # this code is not the cached one
+    data[0][0] ^= 1
+    data[7][13] ^= 1
+    calls = []
+    cell = VLayout.cell
+
+    def counting(self, *args):
+        calls.append(args)
+        return cell(self, *args)
+
+    monkeypatch.setattr(VLayout, "cell", counting)
+    assert verify(data, Template.from_text(text)).accepted
+    assert len(calls) == code.base_length == 1500
+    calls.clear()
+    assert verify(data, Template.from_text(text)).accepted
+    assert not calls
 
 
 def test_plain_rs_enrollment_over_f9():

@@ -34,7 +34,19 @@ WIDE = (
     ("cIII(rs(6,2;gf(2^9));2,3)", 203),
     ("concat(inner=bch(15,1;gf(2)), outer=rs(20,12;gf(2^11)), layout=flat)", 204),
 )
-CACHES = (rs._generator, rs._kernel, rs._check_tables, rs._chien_table, rs._coset_table)
+TABLE_SLOTS = ("_gen", "_tables", "_chien", "_cosets", "_checks")
+
+
+def parts(code):
+    """The code and the RS and BCH codes it holds."""
+    held = (code, getattr(code, "outer", None), getattr(code, "inner", None))
+    return list({id(c): c for c in held if c is not None}.values())
+
+
+def built_tables(code):
+    """The table slots the code and the codes it holds have filled."""
+    return [(type(part).__name__, slot) for part in parts(code)
+            for slot in TABLE_SLOTS if getattr(part, slot, None) is not None]
 
 
 class OracleField:
@@ -151,30 +163,33 @@ def test_bch_remainder_and_power_sums_match_the_oracle(m, t):
         assert list(code.power_sums(rem).values) == ext.power_sums(rem, count) == sums
 
 
-def test_parsing_builds_no_kernel_table(monkeypatch):
-    """Tables are built on a code's first syndrome, never by parse_spec,
-    and a re-parsed spec finds them in the cache."""
-
+def refuse_tables(patch):
     def refuse(*args, **kwargs):
         raise AssertionError("built syndrome tables")
 
-    for cache in CACHES:
-        cache.cache.clear()
-    specs = [g[1] for g in GOLDEN] + [LARGEST_RS, LARGEST_FLAT_CONCAT]
+    patch.setattr(rs, "_BinaryKernel", refuse)
+    for module in (rs, expand, concat):
+        patch.setattr(module, "_byte_tables", refuse)
+
+
+def test_parsing_builds_no_kernel_table(monkeypatch, fresh_codes):
+    """Tables are built into a code's slots on its first syndrome, never
+    by parse_spec, and a re-parsed spec is the same code with its tables
+    built."""
+    # the largest first: the golden codes evict the largest concatenation
+    specs = [LARGEST_RS, LARGEST_FLAT_CONCAT] + [g[1] for g in GOLDEN]
     with monkeypatch.context() as patch:
-        patch.setattr(rs, "_BinaryKernel", refuse)
-        patch.setattr(rs, "_byte_tables", refuse)
+        refuse_tables(patch)
         codes = [parse_spec(spec) for spec in specs]
-    assert not any(cache.cache for cache in CACHES)
-    small = [code for code in codes if code.base_length < 10_000]
-    for code in small:
+    assert not any(built_tables(code) for code in codes)
+    small = [(spec, code) for spec, code in zip(specs, codes) if code.base_length < 10_000]
+    for _, code in small:
         code.syndrome(code.zero_word())
-    assert any(key[3] is concat._parity_checks for key in rs._check_tables.cache)
-    monkeypatch.setattr(rs, "_BinaryKernel", refuse)
-    monkeypatch.setattr(rs, "_byte_tables", refuse)
-    for code in small:
-        again = parse_spec(code.spec_string())
-        assert again.syndrome(again.zero_word()).is_zero
+    assert all(code._checks for _, code in small if isinstance(code, ConcatCode) and code.p == 2)
+    refuse_tables(monkeypatch)
+    for spec, code in small:
+        again = parse_spec(spec)
+        assert again is code and again.syndrome(again.zero_word()).is_zero
 
 
 def kernel_ints(kernel):
@@ -186,23 +201,22 @@ def test_kernel_tables_are_bounded_by_the_description():
     the concatenation adds one inner kernel of 256 + (n-k) ints."""
     code = parse_spec(LARGEST_RS)
     r, m = code.redundancy, code.field.m
-    ints = kernel_ints(rs._kernel(code.field, code.s, r))
+    ints = kernel_ints(code._load_kernel())
     assert len(ints) <= 512 + r * m
     assert max(v.bit_length() for v in ints) <= r * m
 
     concat = parse_spec(LARGEST_FLAT_CONCAT)
     outer, inner = concat.outer, concat.inner
     assert (outer.field, outer.redundancy) == (code.field, r)
-    ints = kernel_ints(rs._kernel(inner.field, inner.s, inner.count))
+    ints = kernel_ints(inner._load_kernel())
     assert len(ints) <= 256 + inner.redundancy
     assert max(v.bit_length() for v in ints) <= max(inner.redundancy, 2 * inner.t * inner.field.m)
-    assert all(cache.maxsize == 32 for cache in CACHES)
 
 
-def test_cached_tables_keep_no_field_alive():
-    """The caches key on the field's description (p, m, modulus), so the
-    tables a code builds do not keep its field, with the field's own
-    tables, alive after the code is gone."""
+def test_dropped_codes_free_their_fields_and_tables():
+    """A code's tables live in its own slots, so once the code is gone
+    nothing keeps its fields, their tables or its own alive; a new code of
+    the same spec builds them again to the same syndrome."""
     modulus = (1, 1, 0, 1, 0, 1, 0, 0, 1)  # x^8 + x^5 + x^3 + x + 1
     field = ExtField(2, 8, modulus)
     assert not field.modulus_is_default
@@ -212,42 +226,37 @@ def test_cached_tables_keep_no_field_alive():
     error = code.zero_word()
     error[7] = 1
     assert code.decode(code.syndrome(error)) == error
-    ref = weakref.ref(field)
+    assert code._checks and code.rs._chien
+    refs = [weakref.ref(field), weakref.ref(code.rs._tables)]
     del code, field
     gc.collect()
-    assert ref() is None
-    assert (2, 8, modulus, 256, 10) in rs._kernel.cache
-    assert (2, 8, modulus, expand._dropped_checks, KIND_ROW_PARITY) in rs._check_tables.cache
-    assert (2, 8, modulus, 40, 10) in rs._chien_table.cache
-    again = parse_spec("cI+parity(rs(40,30;gf(2^8;modulus=1,1,0,1,0,1,0,0,1)))")
+    assert [ref() for ref in refs] == [None, None]
+    again = ExpandedCode.row_vector_parity(RsCode(ExtField(2, 8, modulus), 40, 30))
     assert again.syndrome(word) == synd
 
     inner = BchCode(2, 4, 2)
-    key = (2, 4, inner.field.modulus, 15, 2)
-    assert inner.decode_packed(1) == 1
-    ref = weakref.ref(inner.field)
+    assert inner.decode_packed(1) == 1 and inner._cosets
+    refs = [weakref.ref(inner.field), weakref.ref(inner._tables)]
     del inner
     gc.collect()
-    assert ref() is None
-    assert key in rs._coset_table.cache
+    assert [ref() for ref in refs] == [None, None]
 
     code = ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 20, 12))
-    key = (2, 4, code.inner.field.modulus, concat._parity_checks, 4, 7)
     word = random.Random(206).choices((0, 1), k=code.base_length)
     synd = code.syndrome(word)
+    assert code._checks
     refs = [weakref.ref(code.inner.field), weakref.ref(code.outer.field)]
     del code
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
-    assert key in rs._check_tables.cache
-    again = parse_spec("concat(inner=bch(15,2;gf(2)), outer=rs(20,12;gf(2^7)), layout=flat)")
+    again = ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 20, 12))
     assert again.syndrome(word) == synd
 
 
 def test_check_tables_count_no_multiplication():
     """The check tables of every binary expansion and concatenation are
     built from uncounted table products, like the kernels."""
-    rs._check_tables.cache.clear()
+    built = []
     for spec in [g[1] for g in GOLDEN] + [WIDE[1][0], WIDE[2][0], WIDE[3][0]]:
         code = parse_spec(spec)
         if code.alphabet.p != 2 or not getattr(code, "_chk", 0):
@@ -256,8 +265,9 @@ def test_check_tables_count_no_multiplication():
         assert code._load_checks() is code._checks
         assert MUL_COUNTER.count == before
         assert len(code._checks) == (code.outer.field.m + 7) // 8 <= 2
-    # the flat and v golden concatenations share bch(15,2)'s tables
-    assert len(rs._check_tables.cache) == 7
+        built.append(code._checks)
+    # the flat and v golden concatenations build the same bch(15,2) tables
+    assert len(built) == 8 and len(set(built)) == 7
 
 
 def test_bch_names_its_base_field_in_symbol_errors():
@@ -268,22 +278,28 @@ def test_bch_names_its_base_field_in_symbol_errors():
         RsCode(ExtField(2, 2), 3, 1).syndrome([0, 7, 0])
 
 
-def test_decoding_tables_stay_under_their_caps():
+def test_decoding_tables_stay_under_their_caps(fresh_codes):
     """Decoding every golden construction builds Chien tables of at most
     2^21 bits and coset tables of at most 4096 patterns."""
-    for cache in CACHES:
-        cache.cache.clear()
+    chien, cosets = [], []
     for _, spec, _, _, seed in GOLDEN:
         code = parse_spec(spec)
         word = seeded_words(code, seed)[-1]  # one nonzero cell
         assert code.decode(code.syndrome(word)) == word
-    assert rs._chien_table.cache and rs._coset_table.cache
-    for (p, m, _, n, r), columns in rs._chien_table.cache.items():
-        assert len(columns) == r * m
-        assert len(columns) * n * 8 <= rs._CHIEN_CAP_BITS
-        assert max(c.bit_length() for c in columns) <= 8 * n
-    for (p, m, _, n, t), table in rs._coset_table.cache.items():
-        assert len(table) == sum(math.comb(n, w) for w in range(t + 1)) <= rs._COSET_CAP
+        for part in parts(code):
+            if getattr(part, "_chien", None):
+                chien.append(part)
+            if getattr(part, "_cosets", None):
+                cosets.append(part)
+    assert chien and cosets
+    for code in chien:
+        columns = code._chien
+        assert len(columns) == code.count * code.field.m
+        assert len(columns) * code.n * 8 <= rs._CHIEN_CAP_BITS
+        assert max(c.bit_length() for c in columns) <= 8 * code.n
+    for code in cosets:
+        n, t = code.n, code.design_t
+        assert len(code._cosets) == sum(math.comb(n, w) for w in range(t + 1)) <= rs._COSET_CAP
 
 
 def test_codes_above_the_caps_keep_the_scalar_decoders(monkeypatch):
@@ -307,6 +323,7 @@ def test_codes_above_the_caps_keep_the_scalar_decoders(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_chien_table", refuse)
         assert code.decode(code.syndrome(error)) == error
+    assert code._chien is False
     inner = BchCode(2, 6, 3)
     error = [int(i in (0, 9, 62)) for i in range(63)]
     monkeypatch.setattr(rs, "_coset_table", refuse)

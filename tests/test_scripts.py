@@ -38,3 +38,16 @@ def test_capability_report_refuses_a_bare_bch_code():
 def test_monte_carlo_script_runs():
     result = run_script("burst_montecarlo.py", "5", "7")
     assert result.returncode == 0, result.stderr.decode()
+
+
+def test_code_lines_totals_the_package():
+    package = SCRIPTS.parent / "src" / "synfuzz"
+    result = run_script("code_lines.py", str(package))
+    assert result.returncode == 0, result.stderr.decode()
+    *modules, total = result.stdout.decode().splitlines()
+    lines, code, name = total.split()
+    assert name == "total"
+    paths = sorted(package.rglob("*.py"))
+    assert len(modules) == len(paths)
+    assert int(lines) == sum(len(path.read_text().splitlines()) for path in paths)
+    assert 0 < int(code) < int(lines)
