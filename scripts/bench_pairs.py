@@ -15,8 +15,9 @@ The output JSON holds, per workload and tree, every end-to-end metric of
 every run with their median and quartiles; per metric the median ratio
 change/parent, the gap between the medians over the quartile spread of
 the parent's runs, and the number of pairs in which the change was
-better; and the traced `gf.mults`.  A run that fails or reports failed operations stops the
-script with exit code 1.
+better; per end-to-end metric of BENCHMARK.json its verdict (see
+`verdict`); and the traced `gf.mults`.  A run that fails or reports
+failed operations stops the script with exit code 1.
 """
 
 from __future__ import annotations
@@ -57,9 +58,36 @@ def summary(values: list) -> dict:
             "quartiles": statistics.quantiles(values, n=4), "runs": values}
 
 
-def compare(trees: dict, workload: str, seed: int, higher: set) -> dict:
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """The verdict on one metric from paired runs, pair i being parent[i]
+    and change[i]; ``better`` is "higher" or "lower" and ``bound`` the
+    fraction of the parent's median by which the change may be worse.
+
+    - "worse": the change's median is worse by more than the bound;
+    - "better": the change wins at least nine tenths of the pairs, and the
+      medians differ by more than the parent's quartile spread;
+    - "unresolved": that spread is wider than the bound, and not every
+      change run beats every parent run;
+    - "within bound": otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    gain = sign * (c_med - p_med)
+    if gain < -bound * p_med:
+        return "worse"
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if wins >= 0.9 * len(parent) and gain > q3 - q1:
+        return "better"
+    if q3 - q1 > bound * p_med and min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
+def compare(trees: dict, workload: str, seed: int, end_to_end: list) -> dict:
     """Alternating pairs of untraced runs, then one traced run per tree.
-    ``higher`` names the metrics for which higher is better."""
+    ``end_to_end`` lists BENCHMARK.json's end-to-end metrics."""
+    higher = {m["name"] for m in end_to_end if m["better"] == "higher"}
     runs = {name: [] for name in TREES}
     for i in range(PAIRS):
         order = TREES if i % 2 == 0 else TREES[::-1]
@@ -83,6 +111,10 @@ def compare(trees: dict, workload: str, seed: int, higher: set) -> dict:
         m: sum((c[m] > p[m]) if m in higher else (c[m] < p[m])
                for p, c in zip(runs["parent"], runs["change"]))
         for m in metrics}
+    out["verdict"] = {
+        m["name"]: verdict([r[m["name"]] for r in runs["parent"]],
+                           [r[m["name"]] for r in runs["change"]], m["better"], m["bound"])
+        for m in end_to_end}
     out["gf.mults"] = {
         name: run(trees[name], workload, seed, 1)["metrics"]["gf.mults"]["value"]
         for name in TREES}
@@ -98,13 +130,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    higher = {m["name"] for m in spec["end_to_end"] if m["better"] == "higher"}
     report = {
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "pairs": PAIRS, "seconds": SECONDS, "seeds": [args.seed, args.seed + PAIRS - 1],
         "python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "workloads": {w: compare(trees, w, args.seed, higher) for w in WORKLOADS},
+        "workloads": {w: compare(trees, w, args.seed, spec["end_to_end"]) for w in WORKLOADS},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

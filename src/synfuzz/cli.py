@@ -1,8 +1,12 @@
 """Command-line front end: enroll, verify, capability, simulate, info.
 
 Data files hold whitespace-separated hex symbols, one line for a vector
-and one line per row for an array.  Exit codes are stable: 0 for success
-or ACCEPT, 1 for REJECT, 2 for usage or data errors.
+and one line per row for an array.  Every outside input is size-checked
+before any work: a data file may hold at most twice the characters that
+``write_data_file`` writes for the code's widest symbols, and a template
+file at most ``fuzzy.MAX_TEMPLATE_CHARS``; neither is read past its cap.
+Exit codes are stable: 0 for success or ACCEPT, 1 for REJECT, 2 for usage
+or data errors.
 
 The ``info`` and ``capability`` reports are each code's own
 ``info_lines()`` and ``capability_lines()``; nothing here branches on the
@@ -12,6 +16,7 @@ construction.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import fuzzy
@@ -25,26 +30,20 @@ EXIT_ERROR = 2
 
 
 def read_data_file(path: str, code):
-    shape = code.shape
-    order = code.alphabet.order
+    """The hex symbols of a data file, as a vector or as rows.  Shape and
+    range are left to enroll and verify, which check every word."""
+    width = len(f"{code.alphabet.order - 1:x}") + 1  # a symbol and its separator
+    limit = 2 * math.prod(code.shape) * width
     with open(path, "r", encoding="ascii") as fh:
-        rows = [line.split() for line in fh if line.strip()]
+        text = fh.read(limit + 1)
+    if len(text) > limit:
+        raise SynfuzzError(f"{path} is longer than {limit} characters")
+    lines = [line.split() for line in text.split("\n")]
     try:
-        parsed = [[int(tok, 16) for tok in row] for row in rows]
+        rows = [[int(tok, 16) for tok in toks] for toks in lines if toks]
     except ValueError as exc:
         raise SynfuzzError(f"malformed hex symbol in {path}: {exc}") from None
-    for row in parsed:
-        for v in row:
-            if not 0 <= v < order:
-                raise SynfuzzError(f"symbol {v:#x} outside the alphabet of {order}")
-    if len(shape) == 1:
-        flat = [v for row in parsed for v in row]
-        if len(flat) != shape[0]:
-            raise SynfuzzError(f"expected {shape[0]} symbols, found {len(flat)}")
-        return flat
-    if len(parsed) != shape[0] or any(len(r) != shape[1] for r in parsed):
-        raise SynfuzzError(f"expected a {shape[0]}x{shape[1]} grid in {path}")
-    return parsed
+    return [v for row in rows for v in row] if len(code.shape) == 1 else rows
 
 
 def write_data_file(path: str, data) -> None:
@@ -113,7 +112,7 @@ def cmd_enroll(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.template, "r", encoding="ascii") as fh:
-        template = fuzzy.Template.from_text(fh.read())
+        template = fuzzy.Template.from_text(fh.read(fuzzy.MAX_TEMPLATE_CHARS + 1))
     code = fuzzy.enrollable(parse_spec(template.code_spec))
     data = read_data_file(args.infile, code)
     result = fuzzy.verify(data, template, code=code)

@@ -9,11 +9,13 @@ Grammar (whitespace around separators is ignored):
     concat(inner=BCH, outer=RS, layout=flat|iv(a,b)|v(a,b)|vi)
 
 Spec strings arrive in untrusted template files, so sizes are bounded
-before any work: p <= 2^16, m <= 16 and p^m <= 2^16, a bch length at most
-4095, a redundancy (rs n-k, bch 2*design_t) at most 64, and positive layout
-and array parameters n1, n2, a, b.  A custom modulus must make x primitive.
-A code of any construction is refused at more than 2^20 cells
-(``base_length``), so the block map it builds on first use stays bounded.
+before any work: spec text at most 1024 characters (``MAX_SPEC_CHARS``),
+integers written as an optional '-' and ASCII digits, p <= 2^16, m <= 16
+and p^m <= 2^16, a bch length at most 4095, a redundancy (rs n-k, bch
+2*design_t) at most 64, and positive layout and array parameters n1, n2,
+a, b.  A custom modulus must make x primitive.  A code of any
+construction is refused at more than 2^20 cells (``base_length``), so
+the block map it builds on first use stays bounded.
 
 A template stores its code's spec string, so every verify from template
 text parses it again.  ``parse_spec`` therefore keeps parsed codes in one
@@ -21,11 +23,11 @@ least-recently-used cache keyed by the spec text: a re-parsed spec is the
 same code object, with the fields, block map and tables it has built, and
 builds nothing.  The cache is bounded by weight, not by count, in units
 of about 40 bytes.  A code weighs its cells (a built block order retains
-about 40 bytes per cell), plus 8 units per element of every field it
-holds (about 84 bytes of tables and, once every element has been seen,
-up to about 240 more of ``to_base_vector`` memo, which decodes fill with
-the symbols they meet), plus ``_CODE_WEIGHT`` for its objects and the
-tables it may build.  The bound admits any one code, so a stream of
+about 40 bytes per cell), plus 2 units per element of every field it
+holds (about 84 bytes of tables), plus ``_CODE_WEIGHT`` for its objects,
+its key of at most 1024 characters and the tables it may build.  The
+bound, about 45.6 MiB, admits any one code (the heaviest retains 45.5 MiB
+under tracemalloc once it has built its block map), so a stream of
 distinct hostile specs evicts entries but retains about one largest
 code, never more.
 A construction parses its RS and BCH components through the same cache,
@@ -53,16 +55,20 @@ _MAX_BCH_LENGTH = (1 << 12) - 1
 _MAX_REDUNDANCY = 64
 # Every code's cell table (built on first use) has one entry per cell.
 MAX_CELLS = 1 << 20
+# The longest spec in use has 77 characters, and a gf(2^16) modulus= adds
+# about 34.  The cap bounds parse time and the cache's keys.
+MAX_SPEC_CHARS = 1024
 # Units of about 40 bytes.  A code's own objects take about 2.5 KB, and
 # its lazy tables at most about 400 KB: rs(255,191;gf(2^8)) holds 240 KB
 # of kernel and Chien table after one decode.
 _CODE_WEIGHT = 1 << 14
-# A field weighs 8 units per element: tables and a full digit memo take
-# up to 324 bytes per element (gf(2^16)).
-_FIELD_WEIGHT = 8
-# The heaviest admitted codes weigh about 1.59 M units: 2^20 cells, fields
-# of about 2^16 elements and _CODE_WEIGHT.  The bound is about 62 MiB.
-_CACHE_BOUND = MAX_CELLS + (1 << 19) + (1 << 16)
+# A field's tables take about 84 bytes per element.
+_FIELD_WEIGHT = 2
+# The heaviest admitted codes weigh up to 2^20 cells, 2 units for each of
+# 2^16 outer field elements, _CODE_WEIGHT, and at most 2^7 units of a
+# concat's inner fields: concat(inner=bch(63,11;gf(2)),
+# outer=rs(16644,16580;gf(2^16)), layout=flat) weighs the whole bound.
+_CACHE_BOUND = MAX_CELLS + (1 << 17) + (1 << 14) + (1 << 7)
 _codes: OrderedDict = OrderedDict()  # spec text -> (code, weight)
 _codes_lock = threading.Lock()
 _codes_weight = 0
@@ -104,10 +110,15 @@ def _split_top(text: str, sep: str) -> list[str]:
 
 
 def _int(text: str, what: str) -> int:
+    """An optional '-' and ASCII digits.  ``int`` alone also takes '+',
+    '_' separators and non-ASCII digits: other spellings of one code."""
+    text = text.strip()
     try:
-        return int(text)
-    except ValueError:
-        raise SpecParseError(f"bad {what}: {text!r}") from None
+        if text.isascii() and text.removeprefix("-").isdigit():
+            return int(text)
+    except ValueError:  # more digits than int converts
+        pass
+    raise SpecParseError(f"bad {what}: {text!r}")
 
 
 def _positive(text: str, what: str) -> int:
@@ -214,6 +225,8 @@ def parse_spec(text: str):
     """Parse a construction string into a code object, the same object
     for every parse of the same text while it stays in the cache."""
     global _codes_weight
+    if len(text) > MAX_SPEC_CHARS:
+        raise SpecParseError(f"spec text of {len(text)} characters, above {MAX_SPEC_CHARS}")
     with _codes_lock:
         if text in _codes:
             _codes.move_to_end(text)

@@ -28,7 +28,8 @@ Template files are line-oriented text:
 
 The syndrome serialization walks ``code.segments`` in order and writes
 every symbol as a big-endian integer of the minimal byte width for its
-run's field order.
+run's field order.  ``Template.from_text`` reads exactly this form, the
+final newline optional, and at most ``MAX_TEMPLATE_CHARS`` characters.
 """
 
 from __future__ import annotations
@@ -56,8 +57,11 @@ _HASHES = {
     "sha3-256": hashlib.sha3_256,
 }
 
-_MAGIC = "sfh"
-_VERSION = 1
+_MAGIC = "sfh1"
+# A syndrome has fewer symbols than its code has cells, each at most 2
+# bytes (p^m <= 2^16) or 4 hex characters; the spec is capped; the magic,
+# the keys, a hash id and a digest (128 hex for sha-512) take under 256.
+MAX_TEMPLATE_CHARS = 256 + codespec.MAX_SPEC_CHARS + 4 * codespec.MAX_CELLS
 
 
 def hash_digest(alg: str, payload: bytes) -> bytes:
@@ -181,11 +185,10 @@ class Template:
     hash_alg: str
     digest: bytes
     syndrome: bytes
-    version: int = _VERSION
 
     def to_text(self) -> str:
         return (
-            f"{_MAGIC}{self.version}\n"
+            f"{_MAGIC}\n"
             f"code={self.code_spec}\n"
             f"hash={self.hash_alg}\n"
             f"digest={self.digest.hex()}\n"
@@ -194,32 +197,27 @@ class Template:
 
     @classmethod
     def from_text(cls, text: str) -> "Template":
+        """Parse exactly what ``to_text`` writes, the final newline
+        optional; any other spelling is a TemplateFormatError."""
+        if len(text) > MAX_TEMPLATE_CHARS:
+            raise TemplateFormatError(f"template text above {MAX_TEMPLATE_CHARS} characters")
         lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if len(lines) != 5 or not lines[0].startswith(_MAGIC):
-            raise TemplateFormatError("expected 5 lines starting with the sfh magic")
+        if len(lines) < 5 or lines[0] != _MAGIC:
+            raise TemplateFormatError(f"expected 5 lines starting with {_MAGIC}")
+        spec, alg, digest, syndrome = (line.partition("=")[2] for line in lines[1:5])
         try:
-            version = int(lines[0][len(_MAGIC):])
-        except ValueError:
-            raise TemplateFormatError(f"bad magic line {lines[0]!r}") from None
-        if version != _VERSION:
-            raise TemplateFormatError(f"unsupported template version {version}")
-        fields = {}
-        for line, key in zip(lines[1:], ("code", "hash", "digest", "syndrome")):
-            if not line.startswith(key + "="):
-                raise TemplateFormatError(f"expected {key}=..., got {line!r}")
-            fields[key] = line[len(key) + 1:]
-        try:
-            digest = bytes.fromhex(fields["digest"])
-            syndrome = bytes.fromhex(fields["syndrome"])
+            digest, syndrome = bytes.fromhex(digest), bytes.fromhex(syndrome)
         except ValueError:
             raise TemplateFormatError("digest/syndrome must be hex") from None
-        if fields["hash"] not in _HASHES:
-            raise UnsupportedHashError(f"unknown hash algorithm {fields['hash']!r}")
-        if len(digest) != _HASHES[fields["hash"]]().digest_size:
+        if alg not in _HASHES:
+            raise UnsupportedHashError(f"unknown hash algorithm {alg!r}")
+        if len(digest) != _HASHES[alg]().digest_size:
             raise TemplateFormatError("digest length does not match the hash")
-        return cls(fields["code"], fields["hash"], digest, syndrome, version)
+        template = cls(spec, alg, digest, syndrome)
+        canonical = template.to_text()
+        if text != canonical and text != canonical[:-1]:
+            raise TemplateFormatError("template is not in the form to_text writes")
+        return template
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,6 @@ class ExtField:
             self._half = half = (q - 1) // 2
             self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in powers]
             self._zech[half] = None
-        self._digit_cache: dict[int, tuple[int, ...]] = {}
 
     @property
     def prime(self) -> ExtField:
@@ -340,11 +339,7 @@ class ExtField:
 
     def to_base_vector(self, a: int) -> list[int]:
         """Coefficient vector [c_0, ..., c_{m-1}] with a = sum c_i x^i."""
-        cached = self._digit_cache.get(a)
-        if cached is None:
-            cached = tuple(_to_digits(a, self.p, self.m))
-            self._digit_cache[a] = cached
-        return list(cached)
+        return _to_digits(a, self.p, self.m)
 
     def from_base_vector(self, digits) -> int:
         digits = list(digits)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from synfuzz import fuzzy
 from synfuzz.channel import Rng, gen_burst_1d
-from synfuzz.cli import main, parse_model
+from synfuzz.cli import main, parse_model, read_data_file, write_data_file
 from synfuzz.codespec import parse_spec
 from synfuzz.errors import SynfuzzError
 
@@ -220,11 +221,53 @@ def test_verify_out_of_range_syndrome_exits_2(tmp_path, capsys):
     "bch(4095,33;gf(2))",
     "cIII(rs(65535,65471;gf(2^16));255,257)",
     "cI+parity(rs(65535,65471;gf(2^16)))",
+    pytest.param("rs(7,3;gf(2^3))".ljust(1025), id="spec-text-over-the-cap"),
+    "rs(２５５,223;gf(2^8))",
+    "rs(2_55,22_3;gf(2^8))",
+    "rs(+255,223;gf(2^8))",
 ])
 def test_oversized_or_non_positive_spec_exits_2(capsys, spec):
     for command in ("info", "capability"):
         rc, _, err = run(capsys, command, "--code", spec)
         assert rc == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("spec", [
+    "cI(rs(7,3;gf(2^3)))",
+    "rs(15,7;gf(2^16))",
+    "cII(rs(15,7;gf(2^4));3,5)",
+    "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)",
+])
+def test_a_data_file_is_read_up_to_twice_its_written_size(tmp_path, capsys, spec):
+    """What write_data_file writes with the code's widest symbols reads
+    back, padded with as many characters again; one more is refused
+    before anything past the cap is read."""
+    code = parse_spec(spec)
+    row = [code.alphabet.order - 1] * code.shape[-1]
+    data = row if len(code.shape) == 1 else [row] * code.shape[0]
+    path, tpl = tmp_path / "x.txt", tmp_path / "x.sfh"
+    write_data_file(str(path), data)
+    assert read_data_file(str(path), code) == data
+    assert run(capsys, "enroll", "--code", spec, "--in", str(path), "--out", str(tpl))[0] == 0
+    written = path.read_bytes()
+    path.write_bytes(written + b" " * len(written))
+    assert run(capsys, "verify", "--template", str(tpl), "--in", str(path))[0] == 0
+    path.write_bytes(path.read_bytes() + b" " * (1 << 16) + b"\xff")  # undecodable past the cap
+    rc, _, err = run(capsys, "verify", "--template", str(tpl), "--in", str(path))
+    assert rc == 2 and "longer than" in err
+
+
+def test_an_oversized_template_file_exits_2(tmp_path, capsys):
+    data, tpl = tmp_path / "x.txt", tmp_path / "x.sfh"
+    write_word(data, [0] * 21)
+    assert run(capsys, "enroll", "--code", "cI(rs(7,3;gf(2^3)))",
+               "--in", str(data), "--out", str(tpl))[0] == 0
+    text = tpl.read_bytes()
+    assert run(capsys, "verify", "--template", str(tpl), "--in", str(data))[0] == 0
+    pad = fuzzy.MAX_TEMPLATE_CHARS + 1 - len(text)
+    tpl.write_bytes(text + b"\n" * pad + b" " * (1 << 16) + b"\xff")  # undecodable past the cap
+    rc, _, err = run(capsys, "verify", "--template", str(tpl), "--in", str(data))
+    assert rc == 2 and "template text above" in err
 
 
 def test_bare_bch_code_is_not_enrollable(tmp_path, capsys):

@@ -229,32 +229,49 @@ def test_a_reparsed_spec_is_the_same_code_and_builds_no_field(monkeypatch, fresh
 
 
 def test_heavy_distinct_specs_stay_under_the_weight_bound(fresh_codes):
-    """Each cI(rs(n,n-2;gf(2^16))) holds a 5.5 MB field whose digit memo
-    its decodes fill with the symbols they meet, up to 15.7 MB more.  A
-    stream of such codes, each decoded and its memo then filled as a long
-    stream of decodes with chosen symbols would, evicts the oldest, and
-    what the cache retains stays under 48 bytes per unit of its bound."""
+    """Each cI(rs(n,n-2;gf(2^16))) and its RS code are cached apart, and
+    each weighs about 147,500 units for the 5.5 MB field they share, so
+    the bound keeps eight of them.  A stream of five such codes, each
+    decoded once, evicts the oldest, and what the cache retains stays
+    under 48 bytes per unit of its bound."""
     gc.collect()
     tracemalloc.start()
     try:
-        for n in range(3, 7):
+        for n in range(3, 8):
             code = parse_spec(f"cI(rs({n},{n - 2};gf(2^16)))")
             word = [0] * code.base_length
             word[16:32] = [1] * 16  # symbol 1 of block 1
             assert code.decode(code.syndrome(word)) == word
-            memo = code.rs.field._digit_cache
-            assert (1 << 16) - 1 in memo
-            for sym in range(code.rs.field.order):
-                code._fill(sym)
-            assert len(memo) == code.rs.field.order
             weights = [weight for _, weight in codespec._codes.values()]
             assert codespec._codes_weight == sum(weights) <= codespec._CACHE_BOUND
-        del code, memo
+        del code
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(codespec._codes) == 3
+    rs_specs = [f"rs({n},{n - 2};gf(2^16))" for n in range(4, 8)]
+    assert list(codespec._codes) == [text for rs in rs_specs for text in (rs, f"cI({rs})")]
+    assert retained <= codespec._CACHE_BOUND * 48
+
+
+def test_long_distinct_spec_texts_stay_under_the_weight_bound(fresh_codes):
+    """120 distinct spellings of one code padded with 1 MB are refused;
+    padded to just under the spec cap they are cached apart, and what the
+    cache retains stays under 48 bytes per unit of its bound."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i in range(120):
+            spec = f"rs(7,{' ' * i}3;gf(2^3))"
+            with pytest.raises(SpecParseError):
+                parse_spec(spec.ljust(1 << 20))
+            parse_spec(spec.ljust(codespec.MAX_SPEC_CHARS - 1))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert codespec._codes_weight <= codespec._CACHE_BOUND
+    assert all(len(text) < codespec.MAX_SPEC_CHARS for text in codespec._codes)
     assert retained <= codespec._CACHE_BOUND * 48
 
 
@@ -287,7 +304,15 @@ def test_an_evicted_code_is_freed(monkeypatch, fresh_codes):
 
 
 def test_a_failed_parse_is_not_cached(fresh_codes):
-    for text in ("rs(7,3)", "rs(7,3;gf(2^3;modulus=1,0,0,1))", "cII(rs(15,7;gf(2^4));3,4)"):
+    for text in (
+        "rs(7,3)",
+        "rs(7,3;gf(2^3;modulus=1,0,0,1))",
+        "cII(rs(15,7;gf(2^4));3,4)",
+        "rs(7,3;gf(2^3))".ljust(codespec.MAX_SPEC_CHARS + 1),
+        "rs(２５５,223;gf(2^8))",
+        "rs(2_55,22_3;gf(2^8))",
+        "rs(+255,223;gf(2^8))",
+    ):
         with pytest.raises(SynfuzzError):
             parse_spec(text)
     # the refused cII's RS code parsed, and is cached under its own text

@@ -92,6 +92,18 @@ def test_template_rejects_garbage():
     t = "sfh1\ncode=cI(rs(7,3;gf(2^3)))\nhash=sha-256\ndigest=zz\nsyndrome=00\n"
     with pytest.raises(TemplateFormatError):
         Template.from_text(t)
+    # only what to_text writes is read, the final newline optional
+    good = enroll([0] * 21, parse_spec("cI(rs(7,3;gf(2^3)))")).to_text()
+    assert Template.from_text(good[:-1]) == Template.from_text(good)
+    for bad in (
+        *(good.replace("sfh1", magic) for magic in ("sfh 1", "sfh+1", "sfh01", "sfh\u0661")),
+        good.replace("syndrome=", "syndrome= "),
+        good + "\n",
+        good.replace("\n", "\r\n"),
+        good.ljust(fuzzy.MAX_TEMPLATE_CHARS + 1, "\n"),
+    ):
+        with pytest.raises(TemplateFormatError):
+            Template.from_text(bad)
 
 
 def test_syndrome_bytes_round_trip_all_constructions():

@@ -5,9 +5,12 @@ over every golden-template spec plus one shortened RS code; the info and
 capability lines of each construction must reproduce it byte for byte.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from test_golden import GOLDEN, GOLDEN_DIR
 
@@ -51,3 +54,32 @@ def test_code_lines_totals_the_package():
     assert len(modules) == len(paths)
     assert int(lines) == sum(len(path.read_text().splitlines()) for path in paths)
     assert 0 < int(code) < int(lines)
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+NARROW = [96, 98, 100, 102, 104, 97, 99, 101, 103, 100]  # quartile spread 4.5
+WIDE = [90, 110] * 5  # quartile spread 20
+
+
+@pytest.mark.parametrize("parent, change, better, bound, expected", [
+    (NARROW, [v + 30 for v in NARROW], "higher", 0.25, "better"),
+    (NARROW, [v / 2 for v in NARROW], "lower", 0.25, "better"),
+    (NARROW, [v * 0.7 for v in NARROW], "higher", 0.25, "worse"),
+    (NARROW, [v * 1.3 for v in NARROW], "lower", 0.25, "worse"),
+    (NARROW, NARROW[::-1], "higher", 0.25, "within bound"),
+    (NARROW, [v + 3 for v in NARROW], "lower", 0.25, "within bound"),
+    (NARROW, [v + 5 for v in NARROW], "higher", 0.25, "better"),
+    (WIDE, WIDE[::-1], "higher", 0.1, "unresolved"),
+    (WIDE, [v - 1 for v in WIDE], "lower", 0.1, "unresolved"),
+    (WIDE, [111 + i for i in range(10)], "higher", 0.1, "within bound"),
+    (WIDE, [v + 50 for v in WIDE], "lower", 0.1, "worse"),
+])
+def test_bench_pairs_verdicts(parent, change, better, bound, expected):
+    verdict = load_script("bench_pairs.py").verdict
+    assert verdict(parent, change, better, bound) == expected
