@@ -5,11 +5,12 @@
 
 PARENT and CHANGE are checkouts, each with its own perfbench/run.py and
 src/synfuzz.  For each of the three workloads, pair i = 0..9 runs
-`perfbench/run.py --seed SEED+i --seconds 15 --trace 0` once in each
-tree, in the same interpreter, with the tree that goes first swapped from
-pair to pair so slow drift of the host weighs on both alike.  Afterwards
-one traced run (`--trace 1`, seed SEED) of each tree gives the
-per-operation `gf.mults`.  Pick a seed no earlier comparison used.
+`perfbench/run.py --seed SEED+i --seconds T --trace 0` once in each
+tree, T being BENCHMARK.json's `run_seconds`, in the same interpreter,
+with the tree that goes first swapped from pair to pair so slow drift of
+the host weighs on both alike.  Afterwards one traced run (`--trace 1`,
+seed SEED) of each tree gives the per-operation `gf.mults`.  Pick a seed
+no earlier comparison used.
 
 The output JSON holds, per workload and tree, every end-to-end metric of
 every run with their median and quartiles; per metric the median ratio
@@ -34,13 +35,12 @@ from pathlib import Path
 WORKLOADS = ("enroll", "verify", "verify-stateless")
 TREES = ("parent", "change")
 PAIRS = 10
-SECONDS = 15
 
 
-def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """The result line of one perfbench run in ``tree``."""
+def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """The result line of one perfbench run of ``seconds`` in ``tree``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -84,15 +84,17 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "within bound"
 
 
-def compare(trees: dict, workload: str, seed: int, end_to_end: list) -> dict:
-    """Alternating pairs of untraced runs, then one traced run per tree.
-    ``end_to_end`` lists BENCHMARK.json's end-to-end metrics."""
+def compare(trees: dict, workload: str, seed: int, spec: dict) -> dict:
+    """Alternating pairs of untraced runs, then one traced run per tree;
+    ``spec`` is BENCHMARK.json, giving the run length and the end-to-end
+    metrics."""
+    seconds, end_to_end = spec["run_seconds"], spec["end_to_end"]
     higher = {m["name"] for m in end_to_end if m["better"] == "higher"}
     runs = {name: [] for name in TREES}
     for i in range(PAIRS):
         order = TREES if i % 2 == 0 else TREES[::-1]
         for name in order:
-            result = run(trees[name], workload, seed + i, 0)
+            result = run(trees[name], workload, seed + i, seconds, 0)
             runs[name].append({k: v["value"] for k, v in result["metrics"].items()})
             print(f"{workload} pair {i + 1}/{PAIRS} {name}: "
                   f"ops_per_s {runs[name][-1]['ops_per_s']:.1f}", file=sys.stderr)
@@ -116,7 +118,7 @@ def compare(trees: dict, workload: str, seed: int, end_to_end: list) -> dict:
                            [r[m["name"]] for r in runs["change"]], m["better"], m["bound"])
         for m in end_to_end}
     out["gf.mults"] = {
-        name: run(trees[name], workload, seed, 1)["metrics"]["gf.mults"]["value"]
+        name: run(trees[name], workload, seed, seconds, 1)["metrics"]["gf.mults"]["value"]
         for name in TREES}
     return out
 
@@ -132,10 +134,11 @@ def main(argv=None) -> int:
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     report = {
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
-        "pairs": PAIRS, "seconds": SECONDS, "seeds": [args.seed, args.seed + PAIRS - 1],
+        "pairs": PAIRS, "seconds": spec["run_seconds"],
+        "seeds": [args.seed, args.seed + PAIRS - 1],
         "python": platform.python_version(), "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "workloads": {w: compare(trees, w, args.seed, spec["end_to_end"]) for w in WORKLOADS},
+        "workloads": {w: compare(trees, w, args.seed, spec) for w in WORKLOADS},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -47,11 +47,12 @@ from dataclasses import dataclass
 from .errors import (
     DecodeFailure,
     IndexOutOfRangeError,
-    LengthMismatchError,
     QueryUnsupportedError,
     ShapeMismatchError,
 )
-from .rs import RsCode, Syndrome, _BlockCode, _byte_tables, _pack_bits, _poly_remainder
+from .rs import (
+    RsCode, Syndrome, _BlockCode, _byte_tables, _check_symbols, _pack_bits, _poly_remainder
+)
 
 
 class TrivialCode:
@@ -65,8 +66,7 @@ class TrivialCode:
         self.redundancy = 0
 
     def encode(self, message) -> list[int]:
-        if len(message) != self.k:
-            raise LengthMismatchError(f"expected {self.k} symbols")
+        _check_symbols(message, self.k, self.p, f"gf({self.p})")
         return list(message)
 
     def spec_string(self) -> str:

@@ -25,16 +25,18 @@ class NotInAlgebraError(SynfuzzError, ValueError):
     """A matrix is not a polynomial in the companion matrix P."""
 
 
-class LengthMismatchError(SynfuzzError, ValueError):
+class ShapeMismatchError(SynfuzzError, ValueError):
+    """A word does not fit the code that reads it: the wrong shape, or a
+    cell that is not a symbol of its alphabet.  Every refused data word,
+    message or syndrome raises this class or one of its two subclasses."""
+
+
+class LengthMismatchError(ShapeMismatchError):
     """A word or message has the wrong number of symbols."""
 
 
-class AlphabetMismatchError(SynfuzzError, ValueError):
-    """A symbol falls outside the code's alphabet."""
-
-
-class ShapeMismatchError(SynfuzzError, ValueError):
-    """Input data does not have the exact shape the code expects."""
+class AlphabetMismatchError(ShapeMismatchError):
+    """A cell is not an int (bools are) in the code's alphabet."""
 
 
 class ShapeUnsupportedError(SynfuzzError, ValueError):

@@ -170,8 +170,6 @@ class ExpandedCode(_BlockCode):
     def expand(self, word) -> list:
         """Lay an extension-field word out over the base field."""
         rs = self.rs
-        if len(word) != rs.n:
-            raise ShapeMismatchError(f"expected {rs.n} extension symbols")
         _check_symbols(word, rs.n, rs.s, rs._symbols)
         return self._rebuild(word, [0] * rs.n)
 

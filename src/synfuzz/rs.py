@@ -18,8 +18,9 @@ re-checks that the returned error pattern reproduces every input syndrome
 component; anything inconsistent raises DecodeFailure rather than
 returning a silently wrong vector.
 
-``LinearCode`` is the protocol every enrollable code follows.  It holds a
-base-field code's one block map: ``_gather`` reads a word's cells in block
+``LinearCode`` is the protocol every enrollable code follows.  Its
+``syndrome`` is the one check of a data word, and it holds a base-field
+code's one block map: ``_gather`` reads a word's cells in block
 order and ``_scatter`` writes block-ordered cells back.  ``_BlockCode`` is
 the one block format of the expansions and concatenations: a word's outer
 symbols plus check residuals, and the decode of damaged blocks.
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import itemgetter, xor
 
@@ -123,6 +124,15 @@ class LinearCode(_SpecIdentity):
     ``_gather`` reads a word's cells in block order through one itemgetter;
     ``_scatter`` writes a block-ordered cell list back as a data word.
 
+    ``syndrome`` decides alone which data words the code accepts, and
+    raises ShapeMismatchError (or its subclass LengthMismatchError or
+    AlphabetMismatchError) for any other: exactly the words of ``shape``
+    whose cells are ints (bools are; an object that only defines
+    ``__index__`` is not) in 0 .. alphabet.order - 1.  ``_flat`` checks
+    the shape and the int type in one pass over the cells; the read of
+    the cells checks their range (``_pack_runs`` over F_2, else
+    ``_check_range``).  An RS word gets both from ``_check_symbols``.
+
     For the ``info`` and ``capability`` reports it also sets ``guidance``
     and implements ``_kind_lines()`` (what the code is) and
     ``_bound_lines()`` (what it guarantees); ``info_lines()`` and
@@ -158,15 +168,23 @@ class LinearCode(_SpecIdentity):
         return [flat[at : at + cols] for at in range(0, len(flat), cols)]
 
     def _flat(self, word) -> list:
-        """The data word's cells row-major, after checking its shape."""
-        if len(self.shape) == 1:
-            if len(word) != self.shape[0] or isinstance(word[0], list):
-                raise ShapeMismatchError(f"expected a vector of length {self.shape[0]}")
-            return word
-        rows, cols = self.shape
-        if len(word) != rows or any(len(row) != cols for row in word):
-            raise ShapeMismatchError(f"expected a {rows}x{cols} array")
-        return list(chain.from_iterable(word))
+        """The data word's cells row-major, after checking its shape and
+        that every cell is an int (bools are; an object that only defines
+        ``__index__`` is not).  The read of the cells checks their range."""
+        shape = self.shape
+        try:
+            if len(shape) == 1:
+                fits, flat = len(word) == shape[0], word
+            else:
+                rows, cols = shape
+                fits = len(word) == rows and all(len(row) == cols for row in word)
+                flat = list(chain.from_iterable(word)) if fits else ()
+            fits = fits and all(map(isinstance, flat, repeat(int)))
+        except TypeError:  # a word or row without a length, e.g. None or an int
+            fits = False
+        if not fits:
+            raise ShapeMismatchError(f"data is not a word of ints of shape {shape}")
+        return flat
 
     _order = None  # the block order once built
 
@@ -202,9 +220,8 @@ class LinearCode(_SpecIdentity):
         if len(values) != sum(count for count, _ in self.segments):
             raise ShapeMismatchError("syndrome has the wrong length for this code")
         for count, field in self.segments:
-            run, at = values[at : at + count], at + count
-            if run and not 0 <= min(run) <= max(run) < field.order:
-                raise AlphabetMismatchError(f"syndrome symbol outside {field.spec_string()}")
+            _check_range(values[at : at + count], field.order, field.spec_string())
+            at += count
 
     def syndrome_symbol_count(self) -> int:
         """Redundancy in data-alphabet symbols: base_length - base_dimension."""
@@ -277,7 +294,7 @@ class _BlockCode(LinearCode):
             rest = [(b >> chk_at & low) ^ _lookup(tables, s) for b, s in zip(blocks, syms)]
             return syms, _unpack_bits(rest, chk)
         cells = self._gather(word)
-        _check_symbols(cells, self.base_length, p, f"gf({p})")
+        _check_range(cells, p, f"gf({p})")
         blocks = [cells[at : at + width] for at in range(0, len(cells), width)]
         digits = self.outer.field.from_base_vector
         syms = [digits(b[sym_at : sym_at + m]) for b in blocks]
@@ -544,12 +561,25 @@ def _gpz_decode(field: ExtField, synd, n, chien, erasures=(), base_limit=None):
 
 
 def _check_symbols(word, length: int, limit: int, name: str) -> None:
-    """Raise unless the word has ``length`` symbols in 0 .. limit - 1;
-    ``name`` names the alphabet in the message."""
-    if len(word) != length:
-        raise LengthMismatchError(f"expected {length} symbols, got {len(word)}")
-    if word and (min(word) < 0 or max(word) >= limit):
-        bad = next(c for c in word if not 0 <= c < limit)
+    """Raise unless the word is ``length`` ints (bools are; an object that
+    only defines ``__index__`` is not) in 0 .. limit - 1; ``name`` names
+    the alphabet in the message."""
+    try:
+        fits = len(word) == length
+    except TypeError:  # None, an int
+        fits = False
+    if not fits:
+        raise LengthMismatchError(f"expected a word of {length} symbols")
+    if not all(map(isinstance, word, repeat(int))):
+        bad = next(c for c in word if not isinstance(c, int))
+        raise AlphabetMismatchError(f"symbol {bad!r} outside {name}")
+    _check_range(word, limit, name)
+
+
+def _check_range(cells, limit: int, name: str) -> None:
+    """Raise AlphabetMismatchError unless the ints lie in 0 .. limit - 1."""
+    if cells and (min(cells) < 0 or max(cells) >= limit):
+        bad = next(c for c in cells if not 0 <= c < limit)
         raise AlphabetMismatchError(f"symbol {bad} outside {name}")
 
 

@@ -1,12 +1,15 @@
+import builtins
 import hmac
 import random
+from collections import Counter
 from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synfuzz import fuzzy
+from synfuzz import concat, expand, fuzzy, rs
 from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d
 from synfuzz.codespec import parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout, VLayout
@@ -344,30 +347,52 @@ def test_single_digit_error_decodes_at_every_cell(stem, spec, shape, q, seed):
         assert code.decode(code.syndrome(error)) == error, at
 
 
-def _counting_check(monkeypatch):
+class Cell(int):
+    """An int cell with an identity of its own, so each type test of it
+    can be told apart from those of the code's derived symbols."""
+
+
+def _counting_type_tests(monkeypatch):
     seen = []
-    real = fuzzy._check_data
 
-    def counted(code, data):
-        seen.append(data)
-        return real(code, data)
+    def counted(obj, cls):
+        seen.append(obj)
+        return builtins.isinstance(obj, cls)
 
-    monkeypatch.setattr(fuzzy, "_check_data", counted)
+    for module in (fuzzy, rs, expand, concat):
+        monkeypatch.setattr(module, "isinstance", counted, raising=False)
     return seen
 
 
-def test_data_is_checked_once_per_call(c1, monkeypatch):
+@pytest.mark.parametrize("spec", [
+    "cI(rs(15,7;gf(2^4)))",
+    "cII(rs(15,7;gf(2^4));3,5)",
+    "rs(255,223;gf(2^8))",
+    "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)",
+])
+def test_data_is_checked_once_per_call(spec, monkeypatch):
+    """enroll and verify read a word through code.syndrome alone: each of
+    its cells is type-tested exactly once per call."""
+    code = parse_spec(spec)
+    q = code.alphabet.order
     rng = random.Random(14)
-    x = [rng.randrange(2) for _ in range(60)]
-    y = list(x)
-    y[5] ^= 1
-    seen = _counting_check(monkeypatch)
-    template = enroll(x, c1)
-    assert seen == [x]
-    for presented in (x, y, [rng.randrange(2) for _ in range(60)]):
+
+    def presented():
+        return code._shaped([Cell(rng.randrange(q)) for _ in range(code.base_length)])
+
+    def tests_per_cell(word):
+        cells = word if len(code.shape) == 1 else [v for row in word for v in row]
+        counts = Counter(id(obj) for obj in seen)
+        return {counts[id(v)] for v in cells}
+
+    seen = _counting_type_tests(monkeypatch)
+    x = presented()
+    template = enroll(x, code)
+    assert tests_per_cell(x) == {1}
+    for word in (x, presented()):
         seen.clear()
-        verify(presented, template, code=c1)
-        assert seen == [presented]
+        verify(word, template, code=code)
+        assert tests_per_cell(word) == {1}
 
 
 def test_digest_comparison_is_constant_time(c1, monkeypatch):
@@ -384,6 +409,17 @@ def test_digest_comparison_is_constant_time(c1, monkeypatch):
     assert calls and calls[-1][1] == template.digest
 
 
+class Index:
+    """Not an int, though bytearray takes it as one."""
+
+    def __index__(self):
+        return 1
+
+
+class Bit(IntEnum):
+    ONE = 1
+
+
 VECTOR_CODE = "rs(7,3;gf(2^3))"  # shape (7,), symbols 0..7
 ARRAY_CODE = "cII(rs(15,7;gf(2^4));3,5)"  # shape (6, 10), digits 0..1
 CHECKED_DATA = [
@@ -391,6 +427,8 @@ CHECKED_DATA = [
     (VECTOR_CODE, "ints in range", [0, 1, 2, 3, 4, 5, 7], True),
     (VECTOR_CODE, "bools are ints", [True, False, 0, 0, 0, 0, 7], True),
     (VECTOR_CODE, "bytes hold ints", bytes([0, 1, 2, 3, 4, 5, 6]), True),
+    (VECTOR_CODE, "IntEnum cell", [0, 0, 0, Bit.ONE, 0, 0, 0], True),
+    (VECTOR_CODE, "__index__ cell", [0, 0, 0, Index(), 0, 0, 0], False),
     (VECTOR_CODE, "float", [0, 0, 0, 1.0, 0, 0, 0], False),
     (VECTOR_CODE, "negative", [0, 0, 0, -1, 0, 0, 0], False),
     (VECTOR_CODE, "value = order", [0, 0, 0, 8, 0, 0, 0], False),
@@ -406,6 +444,8 @@ CHECKED_DATA = [
     (VECTOR_CODE, "rows", [[0] * 7], False),
     (ARRAY_CODE, "ints in range", [[(r + c) % 2 for c in range(10)] for r in range(6)], True),
     (ARRAY_CODE, "bools are ints", [[True] * 10] + [[False] * 10] * 5, True),
+    (ARRAY_CODE, "bytes rows", [bytes(10)] * 5 + [bytes([1] * 10)], True),
+    (ARRAY_CODE, "__index__ cell", [[0] * 10] * 5 + [[Index()] + [0] * 9], False),
     (ARRAY_CODE, "float", [[0] * 10] * 5 + [[0] * 9 + [0.0]], False),
     (ARRAY_CODE, "bool float", [[0] * 10] * 5 + [[True] * 9 + [1.0]], False),
     (ARRAY_CODE, "negative", [[0] * 10] * 5 + [[0] * 9 + [-1]], False),
@@ -425,18 +465,90 @@ CHECKED_DATA = [
 ]
 
 
+def assert_reads(code, data, template, accepted):
+    """code.syndrome, enroll and verify all accept the word when
+    ``accepted``, and otherwise all raise ShapeMismatchError."""
+    for read in (code.syndrome, lambda d: enroll(d, code),
+                 lambda d: verify(d, template, code=code)):
+        if accepted:
+            read(data)
+        else:
+            with pytest.raises(ShapeMismatchError):
+                read(data)
+
+
 @pytest.mark.parametrize(
     "spec,data,accepted",
     [(spec, data, ok) for spec, _, data, ok in CHECKED_DATA],
     ids=[f"{spec}-{name}" for spec, name, _, _ in CHECKED_DATA],
 )
-def test_check_data_accepts_exactly_in_shape_ints_in_the_alphabet(spec, data, accepted):
+def test_data_words_are_accepted_exactly_in_shape_ints_in_the_alphabet(spec, data, accepted):
+    """enroll, verify and the code's own syndrome accept the same words."""
     code = parse_spec(spec)
-    if accepted:
-        fuzzy._check_data(code, data)
-    else:
-        with pytest.raises(ShapeMismatchError):
-            fuzzy._check_data(code, data)
+    template = enroll(code.zero_word(), code)
+    assert_reads(code, data, template, accepted)
+
+
+def cells(q):
+    """Cells of every kind: in-range and out-of-range ints, bools, floats,
+    None, strings, __index__ objects and nested lists."""
+    return st.one_of(
+        st.integers(0, q - 1),
+        st.integers(q, 1 << 70) | st.integers(-(1 << 70), -1),
+        st.booleans(),
+        st.floats(),
+        st.none(),
+        st.text(max_size=2),
+        st.builds(Index),
+        st.lists(st.integers(0, 1), max_size=2),
+    )
+
+
+RESHAPES = ("keep", "drop cell", "add cell", "drop row", "add row", "None row", "nest")
+
+
+def reshaped(word, how, shape):
+    """The word with its shape changed as ``how`` says; a cell edit acts
+    on the last row of an array."""
+    if how in ("drop cell", "add cell"):
+        row = word[-1] if len(shape) == 2 else word
+        row = row[:-1] if how == "drop cell" else row + [0]
+        return word[:-1] + [row] if len(shape) == 2 else row
+    edits = {"keep": word, "drop row": word[:-1], "add row": word + word[-1:],
+             "None row": word[:-1] + [None], "nest": [word]}
+    return edits[how]
+
+
+def fits(word, shape, q):
+    """The oracle: the word has the code's shape and every cell is an int
+    in 0 .. q - 1."""
+    rows = word if len(shape) == 2 else [word]
+    return len(rows) == (shape[0] if len(shape) == 2 else 1) and all(
+        isinstance(row, list) and len(row) == shape[-1]
+        and all(isinstance(v, int) and 0 <= v < q for v in row)
+        for row in rows
+    )
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", GOLDEN, ids=[g[0] for g in GOLDEN])
+@settings(max_examples=25, deadline=None)
+@given(draw=st.data())
+def test_a_data_word_is_accepted_exactly_when_it_fits(stem, spec, shape, q, seed, draw):
+    """The golden word with a few cells replaced and its shape perhaps
+    changed: enroll, verify and code.syndrome accept it exactly when the
+    oracle does, and otherwise raise ShapeMismatchError."""
+    code = parse_spec(spec)
+    template = Template.from_text((GOLDEN_DIR / f"{stem}.sfh").read_text())
+    word = golden_word(shape, q, seed)
+    cols = shape[-1]
+    for at, value in draw.draw(st.lists(st.tuples(st.integers(0, code.base_length - 1),
+                                                  cells(q)), max_size=3)):
+        if len(shape) == 1:
+            word[at] = value
+        else:
+            word[at // cols][at % cols] = value
+    word = reshaped(word, draw.draw(st.sampled_from(RESHAPES)), shape)
+    assert_reads(code, word, template, fits(word, shape, q))
 
 
 def test_syndrome_sub_is_symbolwise_field_subtraction():

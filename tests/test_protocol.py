@@ -12,9 +12,10 @@ import random
 import pytest
 
 from synfuzz.codespec import parse_spec
+from synfuzz.concat import TrivialCode
 from synfuzz.errors import AlphabetMismatchError, ShapeMismatchError
 from synfuzz.fuzzy import enroll, verify
-from synfuzz.rs import Syndrome
+from synfuzz.rs import BchCode, Syndrome
 
 from test_golden import GOLDEN
 
@@ -92,6 +93,30 @@ def test_decode_refuses_a_syndrome_that_does_not_fit_the_segments(
     error = ShapeMismatchError if kind in ("short", "long") else AlphabetMismatchError
     with pytest.raises(error):
         code.decode(Syndrome(tuple(malformed(code, kind, seed))))
+
+
+# Every reader of a word besides a code's syndrome: (name, call, a word
+# it accepts).
+VI_CONCAT = "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)"
+WORD_READERS = [
+    ("rs encode", lambda w: parse_spec("rs(7,3;gf(2^3))").encode(w), [0, 0, 0]),
+    ("concat encode", lambda w: parse_spec(VI_CONCAT).encode(w), [0, 0, 0, 0]),
+    ("expand", lambda w: parse_spec("cI(rs(7,3;gf(2^3)))").expand(w), [0] * 7),
+    ("bch remainder", lambda w: BchCode(5, 1, 1).remainder(w), [0] * 4),
+    ("bch syndrome", lambda w: BchCode(2, 4, 2).syndrome(w), [0] * 15),
+    ("trivial encode", lambda w: TrivialCode(2, 4).encode(w), [0] * 4),
+]
+
+
+@pytest.mark.parametrize("read,word", [(r[1], r[2]) for r in WORD_READERS],
+                         ids=[r[0] for r in WORD_READERS])
+def test_every_word_reader_refuses_a_word_that_does_not_fit(read, word):
+    """A missing word, a float cell, a wrong length: a ShapeMismatchError,
+    never a bare TypeError or a non-int symbol in the result."""
+    read(word)
+    for bad in (None, 7, [0.5] + word[1:], ["1"] + word[1:], word[1:], word + [0]):
+        with pytest.raises(ShapeMismatchError):
+            read(bad)
 
 
 # ---------------------------------------------------------------------------

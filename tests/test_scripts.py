@@ -6,6 +6,7 @@ capability lines of each construction must reproduce it byte for byte.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +84,28 @@ WIDE = [90, 110] * 5  # quartile spread 20
 def test_bench_pairs_verdicts(parent, change, better, bound, expected):
     verdict = load_script("bench_pairs.py").verdict
     assert verdict(parent, change, better, bound) == expected
+
+
+def test_bench_pairs_runs_for_the_benchmark_run_seconds(tmp_path, monkeypatch):
+    """Every perfbench run lasts BENCHMARK.json's run_seconds; perfbench
+    itself is replaced by a stub that records its command lines."""
+    bench_pairs = load_script("bench_pairs.py")
+    root = SCRIPTS.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]] + ["gf.mults"]
+    result = {"correct": True, "failed": 0, "attempted": 1,
+              "metrics": {name: {"value": 1.0} for name in names}}
+    commands = []
+
+    def perfbench(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", perfbench)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([str(root), str(root), "--seed", "1", "--out", str(out)]) == 0
+    seconds = str(spec["run_seconds"])
+    assert seconds == "30"
+    assert len(commands) == 3 * (2 * bench_pairs.PAIRS + 2)
+    assert {cmd[cmd.index("--seconds") + 1] for cmd in commands} == {seconds}
+    assert json.loads(out.read_text())["seconds"] == 30
