@@ -17,8 +17,11 @@ every run with their median and quartiles; per metric the median ratio
 change/parent, the gap between the medians over the quartile spread of
 the parent's runs, and the number of pairs in which the change was
 better; per end-to-end metric of BENCHMARK.json its verdict (see
-`verdict`); and the traced `gf.mults`.  A run that fails or reports
-failed operations stops the script with exit code 1.
+`verdict`); per roster construction the median over the runs of its
+`latency_p50_ms_by_construction` entry (from perfbench's info line) in
+each tree and their ratio, which shows the constructions that moved; and
+the traced `gf.mults`.  A run that fails or reports failed operations
+stops the script with exit code 1.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ TREES = ("parent", "change")
 PAIRS = 10
 
 
-def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """The result line of one perfbench run of ``seconds`` in ``tree``."""
+def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
+    """The result line and the info line (empty where none is printed)
+    of one perfbench run of ``seconds`` in ``tree``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -50,7 +54,8 @@ def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     if not result["correct"] or result["failed"]:
         sys.exit(f"bench_pairs: {workload} seed {seed} in {tree}: {result['failed']} failed "
                  f"of {result['attempted']}, correct={result['correct']}")
-    return result
+    infos = [line for line in map(json.loads, lines[:-1]) if "info" in line]
+    return result, infos[-1]["info"] if infos else {}
 
 
 def summary(values: list) -> dict:
@@ -91,11 +96,14 @@ def compare(trees: dict, workload: str, seed: int, spec: dict) -> dict:
     seconds, end_to_end = spec["run_seconds"], spec["end_to_end"]
     higher = {m["name"] for m in end_to_end if m["better"] == "higher"}
     runs = {name: [] for name in TREES}
+    by_construction = {name: {} for name in TREES}  # spec -> latency_p50_ms of each run
     for i in range(PAIRS):
         order = TREES if i % 2 == 0 else TREES[::-1]
         for name in order:
-            result = run(trees[name], workload, seed + i, seconds, 0)
+            result, info = run(trees[name], workload, seed + i, seconds, 0)
             runs[name].append({k: v["value"] for k, v in result["metrics"].items()})
+            for spec, ms in info.get("latency_p50_ms_by_construction", {}).items():
+                by_construction[name].setdefault(spec, []).append(ms)
             print(f"{workload} pair {i + 1}/{PAIRS} {name}: "
                   f"ops_per_s {runs[name][-1]['ops_per_s']:.1f}", file=sys.stderr)
     metrics = sorted(runs["parent"][0])
@@ -117,8 +125,13 @@ def compare(trees: dict, workload: str, seed: int, spec: dict) -> dict:
         m["name"]: verdict([r[m["name"]] for r in runs["parent"]],
                            [r[m["name"]] for r in runs["change"]], m["better"], m["bound"])
         for m in end_to_end}
+    out["latency_p50_ms_by_construction"] = {}
+    for spec in by_construction["parent"].keys() & by_construction["change"].keys():
+        medians = {name: statistics.median(by_construction[name][spec]) for name in TREES}
+        out["latency_p50_ms_by_construction"][spec] = {
+            **medians, "ratio_change_over_parent": medians["change"] / medians["parent"]}
     out["gf.mults"] = {
-        name: run(trees[name], workload, seed, seconds, 1)["metrics"]["gf.mults"]["value"]
+        name: run(trees[name], workload, seed, seconds, 1)[0]["metrics"]["gf.mults"]["value"]
         for name in TREES}
     return out
 

@@ -304,8 +304,12 @@ class ConcatCode(_BlockCode):
     def syndrome(self, word) -> Syndrome:
         """Each block's inner remainder, then the outer syndrome of the
         blocks' symbols."""
-        syms, res = self._split(word)
-        return Syndrome(tuple(res) + self.outer.syndrome(syms).values)
+        return self._cells_syndrome(self._gather(word))
+
+    def _cells_syndrome(self, cells) -> Syndrome:
+        """``syndrome`` of a word's block-ordered cells."""
+        syms, res = self._split_cells(cells)
+        return Syndrome(tuple(res) + self.outer._power_sums(syms).values)
 
     def decode(self, synd: Syndrome, with_info: bool = False):
         """Two-step decode of a concatenated-code syndrome: inner decodes
@@ -317,9 +321,10 @@ class ConcatCode(_BlockCode):
         split = self.N * self._chk
         parts = self._parts(synd.values[:split])
         errors, erasures, delta = self._decode_blocks(parts, Syndrome(synd.values[split:]))
-        pattern = self._rebuild(errors, parts)
-        if self.syndrome(pattern) != synd:
+        cells = self._rebuild_cells(errors, parts)
+        if self._cells_syndrome(cells) != synd:
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
+        pattern = self._scatter(cells)
         if not with_info:
             return pattern
         info = DecodeInfo(

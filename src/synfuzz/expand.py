@@ -178,12 +178,12 @@ class ExpandedCode(_BlockCode):
         word, res = self._split(base)
         if any(res):
             raise NotInAlgebraError("a block is not the expansion of its symbol")
-        return word
+        return list(word)
 
     def project(self, base) -> list[int]:
         """Blockwise contraction tolerant of corrupted blocks: each block is
         sent to the symbol read off its coefficient digits."""
-        return self._split(base)[0]
+        return list(self._split(base)[0])
 
     # ------------------------------------------------------------------
     # syndrome and decoding
@@ -193,7 +193,7 @@ class ExpandedCode(_BlockCode):
         """Template syndrome of a base word; linear in the word: the RS
         syndrome of the blockwise contraction, then the blocks' residuals."""
         word, res = self._split(base)
-        return Syndrome(self.rs.syndrome(word).values + tuple(res))
+        return Syndrome(self.rs._power_sums(word).values + tuple(res))
 
     def decode(self, synd: Syndrome) -> list:
         """Base-field error pattern reproducing the syndrome.

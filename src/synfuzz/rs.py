@@ -31,10 +31,12 @@ parity symbols in positions 0..n-k-1.
 
 Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
 come from the packed kernel ``_BinaryKernel``: a table-driven LFSR
-reduces the word modulo the generator, and one packed F_2-linear map
-takes the remainder to the power sums.  The kernel counts no
-multiplication.  Odd characteristics keep the per-symbol paths
-``_sparse_syndrome`` and ``_poly_remainder``.
+reduces the word modulo the generator, two symbols per step for m <= 8,
+and one packed F_2-linear map takes the remainder to the power sums.
+The kernel counts no multiplication.  A binary block word reaches it
+through bit lanes: one int per cell position of a block, across all
+blocks, from one strided byte slice.  Odd characteristics keep the
+per-symbol paths ``_sparse_syndrome`` and ``_poly_remainder``.
 
 Decoding over characteristic 2 uses two more packed tables.  Over
 F_{2^m}, m <= 8, the Chien search evaluates the locator at every
@@ -55,6 +57,7 @@ them built.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, compress, repeat
@@ -130,8 +133,8 @@ class LinearCode(_SpecIdentity):
     whose cells are ints (bools are; an object that only defines
     ``__index__`` is not) in 0 .. alphabet.order - 1.  ``_flat`` checks
     the shape and the int type in one pass over the cells; the read of
-    the cells checks their range (``_pack_runs`` over F_2, else
-    ``_check_range``).  An RS word gets both from ``_check_symbols``.
+    the cells checks their range (``_BlockCode._split_cells`` over F_2,
+    else ``_check_range``).  An RS word gets both from ``_check_symbols``.
 
     For the ``info`` and ``capability`` reports it also sets ``guidance``
     and implements ``_kind_lines()`` (what the code is) and
@@ -262,9 +265,13 @@ class _BlockCode(LinearCode):
     residual is its check cells minus those of its symbol's fill
     (``_residual``).  Over F_2 the fill's check cells are linear in the
     symbol: ``_checks`` holds their byte tables, built by ``_load_checks()``
-    on first use.  A subclass also gives ``_inner_decode(part)``: the
-    symbol error a damaged block's residual suggests, or None to make the
-    block an outer erasure.
+    on first use, and ``_lanes`` the symbol digits each check digit sums,
+    read off them.  So a binary word splits as bit lanes, one int per cell
+    position across all blocks, with no loop over the blocks
+    (``_split_cells``); its symbols go to the outer code unchecked
+    (``RsCode._power_sums``).  A subclass also gives
+    ``_inner_decode(part)``: the symbol error a damaged block's residual
+    suggests, or None to make the block an outer erasure.
     """
 
     def __init__(self, outer, chk: int, sym_at: int):
@@ -274,6 +281,7 @@ class _BlockCode(LinearCode):
         self._chk_at = 0 if sym_at else m
         self._width = m + chk
         self._checks = None  # the check tables over F_2, set on first use
+        self._lanes = None  # the lanes of each check digit over F_2, set on first use
         self._order = None
         self.base_length = outer.n * self._width
         self.base_dimension = outer.k * m
@@ -281,19 +289,46 @@ class _BlockCode(LinearCode):
 
     def _split(self, word):
         """The outer symbols of a word's blocks and their flat residuals."""
-        m, width, chk = self.outer.field.m, self._width, self._chk
-        sym_at, chk_at = self._sym_at, self._chk_at
+        return self._split_cells(self._gather(word))
+
+    def _split_cells(self, cells):
+        """The outer symbols of block-ordered cells and their flat
+        residuals, after checking the cells' range.
+
+        Over F_2 the cells are read as bit lanes, with no loop over the
+        blocks: lane j is the int whose byte i (bytes i*w .. i*w + w - 1,
+        w = 2 for m > 8) holds cell j of block i.  The symbols are the sum
+        of the symbol lanes shifted by their digit, read back as bytes (a
+        tuple for m > 8), and residual digit k is the XOR of the lanes
+        ``_lanes`` lists for it.
+        """
+        m, width, chk, sym_at = self.outer.field.m, self._width, self._chk, self._sym_at
         p = self.alphabet.p
         if p == 2:
-            blocks = _pack_runs(self._gather(word), width)
-            low = (1 << m) - 1  # a symbol at sym_at > 0 is the block's top
-            syms = [b >> sym_at for b in blocks] if sym_at else [b & low for b in blocks]
+            try:
+                cells = bytearray(cells)
+                fits = not cells.translate(None, b"\x00\x01")
+            except ValueError:  # a cell outside 0 .. 255
+                fits = False
+            if not fits:
+                raise AlphabetMismatchError("digit outside gf(2)")
+            n, size = self.outer.n, 1 if m <= 8 else 2
+            lanes, lane = [], bytearray(size * n)
+            for j in range(width):
+                lane[::size] = cells[j::width]
+                lanes.append(int.from_bytes(lane, "little"))
+            packed = 0
+            for b in range(m):
+                packed |= lanes[sym_at + b] << b
+            packed = packed.to_bytes(size * n, "little")
+            syms = packed if size == 1 else struct.unpack(f"<{n}H", packed)
             if not chk:
                 return syms, ()
-            tables, low = self._checks or self._load_checks(), (1 << chk) - 1
-            rest = [(b >> chk_at & low) ^ _lookup(tables, s) for b, s in zip(blocks, syms)]
-            return syms, _unpack_bits(rest, chk)
-        cells = self._gather(word)
+            res = bytearray(n * chk)
+            for k, row in enumerate(self._lanes or self._load_lanes()):
+                digits = reduce(xor, map(lanes.__getitem__, row)).to_bytes(size * n, "little")
+                res[k::chk] = digits[::size]
+            return syms, res
         _check_range(cells, p, f"gf({p})")
         blocks = [cells[at : at + width] for at in range(0, len(cells), width)]
         digits = self.outer.field.from_base_vector
@@ -301,6 +336,18 @@ class _BlockCode(LinearCode):
         if not chk:
             return syms, ()
         return syms, [v for b, s in zip(blocks, syms) for v in self._residual(b, s)]
+
+    def _load_lanes(self):
+        """Per check digit k over F_2, the lanes whose XOR is its
+        residual: check cell k, then the symbol digits whose unit fill sets
+        check bit k, read off the check tables."""
+        m, tables = self.outer.field.m, self._checks or self._load_checks()
+        basis = [tables[b >> 3][1 << (b & 7)] for b in range(m)]
+        self._lanes = tuple(
+            (self._chk_at + k, *(self._sym_at + b for b in range(m) if basis[b] >> k & 1))
+            for k in range(self._chk)
+        )
+        return self._lanes
 
     def _residual(self, block, sym: int) -> list:
         """An odd-p block's check cells minus those of its symbol's fill."""
@@ -320,12 +367,17 @@ class _BlockCode(LinearCode):
 
     def _rebuild(self, syms, parts) -> list:
         """The word whose blocks hold the symbols ``syms`` with residuals
-        ``parts``; only blocks with a nonzero part are written."""
+        ``parts``."""
+        return self._scatter(self._rebuild_cells(syms, parts))
+
+    def _rebuild_cells(self, syms, parts) -> list:
+        """``_rebuild``'s cells in block order; only blocks with a nonzero
+        symbol or part are written."""
         width, blocks = self._width, range(len(syms))
         cells = [0] * self.base_length
         for i in set(compress(blocks, syms)).union(compress(blocks, parts)):
             cells[i * width : (i + 1) * width] = self._block_cells(syms[i], parts[i])
-        return self._scatter(cells)
+        return cells
 
     def _block_cells(self, sym: int, part) -> list:
         """The cells of the block of ``sym`` whose residual is ``part``."""
@@ -356,8 +408,8 @@ class _BlockCode(LinearCode):
                     f"{len(erasures) + 1} erasures exceed redundancy {outer.redundancy}"
                 )
         estimated = any(est)
-        if estimated:
-            synd = outer.syndrome_sub(synd, outer.syndrome(est))
+        if estimated:  # in range: inner decodes give base-field digits
+            synd = outer.syndrome_sub(synd, outer._power_sums(est))
         delta = outer.decode_syndrome(synd, erasures=erasures)
         add = xor if self.alphabet.p == 2 else outer.field.add
         errors = list(map(add, est, delta)) if estimated else delta
@@ -691,14 +743,16 @@ class _BinaryKernel:
     generator g of degree R.
 
     A remainder modulo g packs into one int, coefficient k in bits
-    k*width .. (k+1)*width - 1 (width m for RS symbols, 1 for BCH bits).
-    ``remainder`` is a table-driven LFSR in the style of Sarwate's
-    table-lookup CRC (CACM 31(8), 1988): each step shifts in ``step`` bits
-    (one RS symbol, or eight BCH digits) and folds the bits pushed past
-    x^R back in through ``top``, byte-indexed tables of overflow * x^R
-    mod g.  ``power_sums`` evaluates a packed remainder at the roots: it is
-    F_2-linear, so it XORs one packed column per set remainder bit, the
-    column of bit (k, b) holding x^b alpha^(jk) for j = 1..count.
+    k*width .. (k+1)*width - 1 (width 8 for RS symbols of m <= 8 bits,
+    m for wider ones, 1 for BCH bits); bits b >= m of a coefficient are
+    always zero.  ``remainder`` is a table-driven LFSR in the style of
+    Sarwate's table-lookup CRC (CACM 31(8), 1988): each step shifts in
+    ``step`` bits (two byte-wide RS symbols, one wider symbol, or eight
+    BCH digits) and folds the bits pushed past x^R back in through
+    ``top``, byte-indexed tables of overflow * x^R mod g.  ``power_sums``
+    evaluates a packed remainder at the roots: it is F_2-linear, so it
+    XORs one packed column per set remainder bit, the column of bit (k, b)
+    holding x^b alpha^(jk) for j = 1..count (zero for b >= m).
 
     The tables depend only on the field, g and count, never on the code
     length: at most 512 ints of R*width bits plus R*width ints of count*m
@@ -725,13 +779,15 @@ class _BinaryKernel:
                 acc = (acc << width) | c
             return acc
 
-        # x^(r+u) mod g for each coefficient u of a step, then each bit of it
+        # x^(r+u) mod g for each coefficient u of a step, then each bit of
+        # it; bits b >= m of a coefficient are always zero
         polys = [low]
         for _ in range(step // width - 1):
             top = polys[-1][-1]
             shifted = [0] + polys[-1][:-1]
             polys.append([c ^ mul(top, gk) for c, gk in zip(shifted, low)])
-        basis = [pack([mul(1 << b, c) for c in poly]) for poly in polys for b in range(width)]
+        bits = [(1 << b) * (b < m) for b in range(width)]
+        basis = [pack([mul(bit, c) for c in poly]) for poly in polys for bit in bits]
         self.top = _byte_tables(basis)
         # a step overflows by at most 16 bits: a low and a high byte table,
         # the high one all zero when the overflow fits one byte
@@ -739,11 +795,11 @@ class _BinaryKernel:
 
         self.columns = []
         for k in range(r):
-            for b in range(width):
-                lb = log[1 << b]
+            for bit in bits:
                 col = 0
-                for j in range(count, 0, -1):
-                    col = (col << m) | exp[(lb + j * k) % q1]
+                if bit:
+                    for j in range(count, 0, -1):
+                        col = (col << m) | exp[(log[bit] + j * k) % q1]
                 self.columns.append(col)
         self.digit_mask = (1 << m) - 1
         self.offsets = range(0, count * m, m)
@@ -904,6 +960,7 @@ class _CyclicCode(_SpecIdentity):
         self._symbols = symbols  # the alphabet's name in symbol errors
         self._gen = None  # the generator, set on first use
         self._tables = None  # the packed kernel, set on first use
+        self._pairs = None  # its chunk reader over F_{2^m}, m <= 8, set with it
         self._chien = None  # the Chien table, False above its cap; set on first use
 
     @property
@@ -914,10 +971,18 @@ class _CyclicCode(_SpecIdentity):
         return self._gen
 
     def _load_kernel(self) -> _BinaryKernel:
-        """The packed syndrome tables: one m-bit symbol per LFSR step over
-        F_{2^m}, eight one-bit digits per step over F_2."""
+        """The packed syndrome tables.  Each LFSR step shifts in eight
+        one-bit digits over F_2; over F_{2^m}, m <= 8, two symbols packed
+        one byte wide, which ``_pairs`` reads as 16-bit chunks off the
+        reversed word; above, one m-bit symbol."""
         field = self.field
-        width, step = (field.m, field.m) if self.s == field.order else (1, 8)
+        if self.s < field.order:
+            width, step = 1, 8
+        elif field.m <= 8:
+            width, step = 8, 16
+            self._pairs = struct.Struct(f">{(self.n + 1) // 2}H")
+        else:
+            width, step = field.m, field.m
         self._tables = _BinaryKernel(field, self.generator, width, step, self.count)
         return self._tables
 
@@ -975,10 +1040,21 @@ class RsCode(_CyclicCode, LinearCode):
     def syndrome(self, word) -> Syndrome:
         """The power sums; over F_{2^m} from the packed kernel."""
         _check_symbols(word, self.n, self.s, self._symbols)
-        if self.field.p != 2 or self.field.m > 16:
-            return Syndrome(tuple(_sparse_syndrome(self.field, word, self.count)))
+        return self._power_sums(word)
+
+    def _power_sums(self, word) -> Syndrome:
+        """``syndrome`` of n symbols known to lie in the field, unchecked:
+        the outer symbols a block code has just read (bytes over F_{2^m},
+        m <= 8) or estimated."""
+        field = self.field
+        if field.p != 2 or field.m > 16:
+            return Syndrome(tuple(_sparse_syndrome(field, word, self.count)))
         kernel = self._tables or self._load_kernel()
-        return Syndrome(kernel.power_sums(kernel.remainder(reversed(word))))
+        if field.m > 8:
+            chunks = reversed(word)
+        else:  # the reversed word, a zero byte ahead when n is odd
+            chunks = self._pairs.unpack(bytes(word)[::-1].rjust(self._pairs.size, b"\0"))
+        return Syndrome(kernel.power_sums(kernel.remainder(chunks)))
 
     def decode(self, synd: Syndrome) -> list[int]:
         self._check_syndrome(synd)

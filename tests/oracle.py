@@ -70,3 +70,30 @@ def weight(word) -> int:
 
 def hamming(a, b) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
+
+
+def lookup(tables, v: int) -> int:
+    """The image of v under the F_2-linear map whose byte tables are
+    ``tables``: table i holds the image of every value of bits 8i .. 8i+7."""
+    out = 0
+    for table in tables:
+        out ^= table[v & 255]
+        v >>= 8
+    return out
+
+
+def split_blocks(code, cells):
+    """A binary block code's outer symbols and flat residual digits, one
+    block at a time: each block packed into one int (cell j at bit j), its
+    symbol read off bits sym_at .. sym_at + m - 1, and its residual the
+    check bits XOR the code's check-table image of the symbol."""
+    m, width, chk = code.outer.field.m, code._width, code._chk
+    tables = (code._checks or code._load_checks()) if chk else ()
+    syms, res = [], []
+    for at in range(0, len(cells), width):
+        block = sum(d << j for j, d in enumerate(cells[at : at + width]))
+        sym = block >> code._sym_at & ((1 << m) - 1)
+        rest = (block >> code._chk_at & ((1 << chk) - 1)) ^ lookup(tables, sym)
+        syms.append(sym)
+        res.extend(rest >> k & 1 for k in range(chk))
+    return syms, res

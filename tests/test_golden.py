@@ -41,6 +41,14 @@ GOLDEN = (
     ("cIp-8-4-gf9", "cI+parity(rs(8,4;gf(3^2)))", (24,), 3, 112),
     ("cIII-8-4-gf9", "cIII(rs(8,4;gf(3^2));2,4)", (4, 8), 3, 113),
 )
+# Binary block codes whose outer symbols are wider than a byte (m > 8);
+# pinned here only, so the suites parametrized over GOLDEN stay small.
+WIDE_GOLDEN = (
+    ("cI-20-12-gf1024", "cI(rs(20,12;gf(2^10)))", (200,), 2, 114),
+    ("concat-bch63",
+     "concat(inner=bch(63,11;gf(2)), outer=rs(20,12;gf(2^16)), layout=flat)",
+     (1260,), 2, 115),
+)
 
 
 def golden_word(shape, q, seed):
@@ -51,7 +59,8 @@ def golden_word(shape, q, seed):
     return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
 
 
-@pytest.mark.parametrize("stem,spec,shape,q,seed", GOLDEN, ids=[g[0] for g in GOLDEN])
+@pytest.mark.parametrize("stem,spec,shape,q,seed", GOLDEN + WIDE_GOLDEN,
+                         ids=[g[0] for g in GOLDEN + WIDE_GOLDEN])
 def test_golden_template(stem, spec, shape, q, seed):
     stored = (GOLDEN_DIR / f"{stem}.sfh").read_bytes()
     code = parse_spec(spec)

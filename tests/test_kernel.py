@@ -145,6 +145,25 @@ def test_syndrome_matches_the_oracle(spec, seed):
         assert list(code.syndrome(word).values) == oracle_syndrome(code, word)
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_two_symbol_kernel_matches_the_per_symbol_power_sums(m):
+    """Over F_{2^m}, m <= 8, the kernel shifts in two byte-wide symbols per
+    step; its power sums equal the per-symbol ones for full and shortened
+    codes of odd and even length (an odd length reads a zero byte first)."""
+    field = ExtField(2, m)
+    full = field.order - 1
+    rng = random.Random(300 + m)
+    for n in sorted({full, full - 1, min(full, 5), min(full, 4)}):
+        r = min(n - 1, 2 + m % 5)
+        code = RsCode(field, n, n - r)
+        words = [[rng.randrange(field.order) for _ in range(n)] for _ in range(5)]
+        words += [[0] * (n - 1) + [1], [1] + [0] * (n - 1), [field.order - 1] * n]
+        for word in words:
+            expected = rs._sparse_syndrome(field, word, code.count)
+            assert list(code.syndrome(word).values) == expected, (n, word)
+        assert code._pairs.size == n + n % 2
+
+
 @pytest.mark.parametrize("m,t", [(4, 2), (6, 5)], ids=["bch(15,2)", "bch(63,5)"])
 def test_bch_remainder_and_power_sums_match_the_oracle(m, t):
     code = BchCode(2, m, t)

@@ -11,13 +11,14 @@ import random
 
 import pytest
 
+import oracle
 from synfuzz.codespec import parse_spec
 from synfuzz.concat import TrivialCode
-from synfuzz.errors import AlphabetMismatchError, ShapeMismatchError
+from synfuzz.errors import AlphabetMismatchError, DecodeFailure, ShapeMismatchError
 from synfuzz.fuzzy import enroll, verify
 from synfuzz.rs import BchCode, Syndrome
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, WIDE_GOLDEN
 
 SPECS = [g[1] for g in GOLDEN]
 IDS = [g[0] for g in GOLDEN]
@@ -197,6 +198,65 @@ def test_table_residual_is_the_inner_remainder(spec):
         for i in range(code.N):
             block = list(cells[i * n : (i + 1) * n])
             assert tuple(res[i * r : (i + 1) * r]) == code.inner.remainder(block)
+
+
+# The binary block codes: every golden one, a wide-symbol expansion and a
+# concatenation with m = 16 and 47 check digits per block.
+BINARY_BLOCK = [g for g in BLOCK_GOLDEN + list(WIDE_GOLDEN) if g[3] == 2]
+assert BCH63_CONCAT in [g[1] for g in BINARY_BLOCK]
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", BINARY_BLOCK, ids=[g[0] for g in BINARY_BLOCK])
+def test_lane_split_matches_the_per_block_oracle(stem, spec, shape, q, seed):
+    """The bit-lane split gives the symbols and residual digits of the
+    block-by-block reference, on seeded words, a codeword, the zero word
+    and the all-ones word."""
+    code = parse_spec(spec)
+    words = [seeded_word(code, seed + k) for k in range(3)]
+    words += [codeword(code, seed), code.zero_word(), code._shaped([1] * code.base_length)]
+    for word in words:
+        syms, res = code._split(word)
+        expected = oracle.split_blocks(code, code._gather(word))
+        assert (list(syms), list(res)) == expected
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", BINARY_BLOCK, ids=[g[0] for g in BINARY_BLOCK])
+def test_binary_block_codes_refuse_cells_outside_gf2(stem, spec, shape, q, seed):
+    """A digit 2, 255, 256 or -1 in any block is an AlphabetMismatchError,
+    and a cell that is not an int a plain ShapeMismatchError, from the
+    syndrome and from the split alike."""
+    code = parse_spec(spec)
+    flat = code._flat(seeded_word(code, seed))
+    for at in (0, code.base_length // 2, code.base_length - 1):
+        for bad, error in ((2, AlphabetMismatchError), (255, AlphabetMismatchError),
+                           (256, AlphabetMismatchError), (-1, AlphabetMismatchError),
+                           (0.0, ShapeMismatchError), ("1", ShapeMismatchError)):
+            word = code._shaped(flat[:at] + [bad] + flat[at + 1 :])
+            for read in (code.syndrome, code._split):
+                with pytest.raises(ShapeMismatchError) as caught:
+                    read(word)
+                assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("spec", CONCATS)
+def test_concat_decode_refuses_a_pattern_its_syndrome_does_not_reproduce(spec, monkeypatch):
+    """The decoder re-checks its rebuilt pattern against the whole
+    syndrome: an outer step that returns a wrong symbol error makes the
+    decode fail instead of returning the pattern."""
+    code = parse_spec(spec)
+    word = one_cell_word(code, 600)
+    synd = code.syndrome(word)
+    assert code.decode(synd) == word
+    decode_blocks = code._decode_blocks
+
+    def wrong(parts, outer_synd):
+        errors, erasures, delta = decode_blocks(parts, outer_synd)
+        return [errors[0] ^ 1 if code.p == 2 else (errors[0] + 1) % code.outer.field.order,
+                *errors[1:]], erasures, delta
+
+    monkeypatch.setattr(code, "_decode_blocks", wrong)
+    with pytest.raises(DecodeFailure, match="does not reproduce the syndrome"):
+        code.decode(synd)
 
 
 # (spec, seed, damaged blocks, cells changed per damaged block)

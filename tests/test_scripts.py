@@ -109,3 +109,38 @@ def test_bench_pairs_runs_for_the_benchmark_run_seconds(tmp_path, monkeypatch):
     assert len(commands) == 3 * (2 * bench_pairs.PAIRS + 2)
     assert {cmd[cmd.index("--seconds") + 1] for cmd in commands} == {seconds}
     assert json.loads(out.read_text())["seconds"] == 30
+
+
+def test_bench_pairs_reports_each_construction_median_ratio(tmp_path, monkeypatch):
+    """Each run's latency_p50_ms_by_construction, from perfbench's info
+    line, is kept; the report gives per construction the median of each
+    tree and their ratio."""
+    bench_pairs = load_script("bench_pairs.py")
+    root = SCRIPTS.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]] + ["gf.mults"]
+    result = {"correct": True, "failed": 0, "attempted": 1,
+              "metrics": {name: {"value": 1.0} for name in names}}
+    runs = []
+
+    def perfbench(cmd, cwd, **kwargs):
+        runs.append(cwd)
+        slow = 2.0 if cwd.name == "change" else 1.0
+        info = {"info": {"latency_p50_ms_by_construction": {
+            "a": len(runs) % 3 + 1.0, "b": slow * (len(runs) % 5 + 1.0)}}}
+        return subprocess.CompletedProcess(
+            cmd, 0, json.dumps(info) + "\n" + json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", perfbench)
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "pairs.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seed", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    for report in json.loads(out.read_text())["workloads"].values():
+        rows = report["latency_p50_ms_by_construction"]
+        assert sorted(rows) == ["a", "b"]
+        for row in rows.values():
+            assert row["ratio_change_over_parent"] == row["change"] / row["parent"]
+        assert rows["b"]["change"] > rows["b"]["parent"]
