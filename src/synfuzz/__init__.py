@@ -20,7 +20,7 @@ from .concat import (
 from .expand import ExpandedCode
 from .fuzzy import Template, VerifyResult, enroll, verify
 from .gf import MUL_COUNTER, ExtField
-from .rs import BchCode, LinearCode, RsCode, Syndrome
+from .rs import BchCode, LinearCode, RsCode
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "MUL_COUNTER",
     "Rng",
     "RsCode",
-    "Syndrome",
     "Template",
     "TrivialCode",
     "VLayout",

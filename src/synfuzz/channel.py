@@ -11,6 +11,8 @@ and parameters reproduce identical patterns on any platform;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from .errors import OutOfRangeError, PlacementFailedError
 
@@ -169,15 +171,10 @@ def _fill_burst_2d(rng, field, cells, r0, c0, rows, cols):
             cells[r0 + rng.below(rows)][c] = rng.nonzero(field)
 
 
-def _overlaps_1d(a, b):
-    (s1, l1), (s2, l2) = a, b
-    return s1 < s2 + l2 and s2 < s1 + l1
-
-
-def _overlaps_2d(a, b):
-    (r1, c1), (h1, w1) = a
-    (r2, c2), (h2, w2) = b
-    return r1 < r2 + h2 and r2 < r1 + h1 and c1 < c2 + w2 and c2 < c1 + w1
+def _overlaps(a, b):
+    """Whether two boxes ``(position, extents)`` share a cell."""
+    (pa, ea), (pb, eb) = a, b
+    return all(p < q + f and q < p + e for p, e, q, f in zip(pa, ea, pb, eb))
 
 
 def gen_mixed(rng: Rng, field, shape, bursts, random_errors: int = 0) -> ErrorPattern:
@@ -188,64 +185,43 @@ def gen_mixed(rng: Rng, field, shape, bursts, random_errors: int = 0) -> ErrorPa
     random errors land on single cells off every burst.  Raises
     OutOfRangeError for an empty burst or one that does not fit, and
     PlacementFailedError when a disjoint placement cannot be found.
+
+    Both shapes share one path: a burst is a box of ``len(shape)``
+    extents, and a cell is a coordinate tuple.  Only the burst fill and
+    the write of a cell depend on the dimension.
     """
     two_d = len(shape) == 2
     placed = []
     for dims in bursts:
+        extents = tuple(dims) if two_d else (dims,)
+        if any(e < 1 or e > s for e, s in zip(extents, shape)):
+            raise OutOfRangeError(f"burst {dims} does not fit in {shape}")
         for _ in range(_MAX_ATTEMPTS):
-            if two_d:
-                h, w = dims
-                if h < 1 or w < 1 or h > shape[0] or w > shape[1]:
-                    raise OutOfRangeError(f"burst {dims} does not fit in {shape}")
-                pos = (rng.below(shape[0] - h + 1), rng.below(shape[1] - w + 1))
-                cand = (pos, (h, w))
-                if all(not _overlaps_2d(cand, other) for other in placed):
-                    placed.append(cand)
-                    break
-            else:
-                length = dims
-                if length < 1 or length > shape[0]:
-                    raise OutOfRangeError(f"burst {dims} does not fit in {shape}")
-                pos = rng.below(shape[0] - length + 1)
-                cand = (pos, length)
-                if all(not _overlaps_1d(cand, other) for other in placed):
-                    placed.append(cand)
-                    break
+            cand = (tuple(rng.below(s - e + 1) for e, s in zip(extents, shape)), extents)
+            if not any(_overlaps(cand, other) for other in placed):
+                placed.append(cand)
+                break
         else:
             raise PlacementFailedError(f"could not place burst {dims} disjointly")
 
-    if two_d:
-        cells = [[0] * shape[1] for _ in range(shape[0])]
-        for (r0, c0), (h, w) in placed:
-            _fill_burst_2d(rng, field, cells, r0, c0, h, w)
-        in_burst = set()
-        for (r0, c0), (h, w) in placed:
-            in_burst.update((r, c) for r in range(r0, r0 + h) for c in range(c0, c0 + w))
-        free = shape[0] * shape[1] - len(in_burst)
-        if random_errors > free:
-            raise PlacementFailedError("more random errors than free cells")
-        chosen = set()
-        while len(chosen) < random_errors:
-            cell = (rng.below(shape[0]), rng.below(shape[1]))
-            if cell not in in_burst and cell not in chosen:
-                chosen.add(cell)
-                cells[cell[0]][cell[1]] = rng.nonzero(field)
-    else:
-        cells = [0] * shape[0]
-        for pos, length in placed:
-            _fill_burst_1d(rng, field, cells, pos, length)
-        in_burst = set()
-        for pos, length in placed:
-            in_burst.update(range(pos, pos + length))
-        free = shape[0] - len(in_burst)
-        if random_errors > free:
-            raise PlacementFailedError("more random errors than free cells")
-        chosen = set()
-        while len(chosen) < random_errors:
-            cell = rng.below(shape[0])
-            if cell not in in_burst and cell not in chosen:
-                chosen.add(cell)
-                cells[cell] = rng.nonzero(field)
+    fill = _fill_burst_2d if two_d else _fill_burst_1d
+    cells = [[0] * shape[1] for _ in range(shape[0])] if two_d else [0] * shape[0]
+    for pos, extents in placed:
+        fill(rng, field, cells, *pos, *extents)
+    in_burst = set()
+    for pos, extents in placed:
+        in_burst.update(product(*(range(p, p + e) for p, e in zip(pos, extents))))
+    if random_errors > prod(shape) - len(in_burst):
+        raise PlacementFailedError("more random errors than free cells")
+    chosen = set()
+    while len(chosen) < random_errors:
+        cell = tuple(rng.below(s) for s in shape)
+        if cell not in in_burst and cell not in chosen:
+            chosen.add(cell)
+            line = cells[cell[0]] if two_d else cells
+            line[cell[-1]] = rng.nonzero(field)
 
+    if not two_d:
+        placed = [(pos, length) for (pos,), (length,) in placed]
     return ErrorPattern(field, tuple(shape), _freeze(shape, cells),
                         bursts=tuple(placed), random_errors=random_errors)

@@ -51,7 +51,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .rs import (
-    RsCode, Syndrome, _BlockCode, _byte_tables, _check_symbols, _pack_bits, _poly_remainder
+    RsCode, _BlockCode, _byte_tables, _check_symbols, _pack_bits, _poly_remainder
 )
 
 
@@ -301,17 +301,17 @@ class ConcatCode(_BlockCode):
         """Outer-encode, inner-encode each outer symbol, lay out."""
         return self._rebuild(self.outer.encode(message), [0] * self.N)
 
-    def syndrome(self, word) -> Syndrome:
+    def syndrome(self, word) -> tuple:
         """Each block's inner remainder, then the outer syndrome of the
         blocks' symbols."""
         return self._cells_syndrome(self._gather(word))
 
-    def _cells_syndrome(self, cells) -> Syndrome:
+    def _cells_syndrome(self, cells) -> tuple:
         """``syndrome`` of a word's block-ordered cells."""
         syms, res = self._split_cells(cells)
-        return Syndrome(tuple(res) + self.outer._power_sums(syms).values)
+        return tuple(res) + self.outer._power_sums(syms)
 
-    def decode(self, synd: Syndrome, with_info: bool = False):
+    def decode(self, synd: tuple, with_info: bool = False):
         """Two-step decode of a concatenated-code syndrome: inner decodes
         of the damaged blocks (a failure is an outer erasure), the outer
         decode, then each block rebuilt from its corrected symbol and
@@ -319,8 +319,8 @@ class ConcatCode(_BlockCode):
         DecodeFailure is raised."""
         self._check_syndrome(synd)
         split = self.N * self._chk
-        parts = self._parts(synd.values[:split])
-        errors, erasures, delta = self._decode_blocks(parts, Syndrome(synd.values[split:]))
+        parts = self._parts(synd[:split])
+        errors, erasures, delta = self._decode_blocks(parts, synd[split:])
         cells = self._rebuild_cells(errors, parts)
         if self._cells_syndrome(cells) != synd:
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")

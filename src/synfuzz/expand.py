@@ -44,7 +44,7 @@ from .errors import (
     ShapeMismatchError,
     ShapeUnsupportedError,
 )
-from .rs import RsCode, Syndrome, _BlockCode, _byte_tables, _check_symbols, _pack_bits
+from .rs import RsCode, _BlockCode, _byte_tables, _check_symbols, _pack_bits
 
 KIND_ROW = "row-vector"
 KIND_ROW_PARITY = "row-vector-parity"
@@ -189,13 +189,13 @@ class ExpandedCode(_BlockCode):
     # syndrome and decoding
     # ------------------------------------------------------------------
 
-    def syndrome(self, base) -> Syndrome:
+    def syndrome(self, base) -> tuple:
         """Template syndrome of a base word; linear in the word: the RS
         syndrome of the blockwise contraction, then the blocks' residuals."""
         word, res = self._split(base)
-        return Syndrome(self.rs._power_sums(word).values + tuple(res))
+        return self.rs._power_sums(word) + tuple(res)
 
-    def decode(self, synd: Syndrome) -> list:
+    def decode(self, synd: tuple) -> list:
         """Base-field error pattern reproducing the syndrome.
 
         The extension-level pattern comes from the RS decoder, with the
@@ -205,8 +205,8 @@ class ExpandedCode(_BlockCode):
         """
         self._check_syndrome(synd)
         r = self.rs.redundancy
-        parts = self._parts(synd.values[r:])
-        return self._rebuild(self._decode_blocks(parts, Syndrome(synd.values[:r]))[0], parts)
+        parts = self._parts(synd[r:])
+        return self._rebuild(self._decode_blocks(parts, synd[:r])[0], parts)
 
     # ------------------------------------------------------------------
     # burst capability

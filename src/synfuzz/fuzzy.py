@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedHashError,
 )
 from .gf import MUL_COUNTER
-from .rs import LinearCode, Syndrome
+from .rs import LinearCode
 
 _HASHES = {
     "sha-256": hashlib.sha256,
@@ -114,18 +114,18 @@ def apply_pattern(code, data, pattern):
     return [list(map(add, dr, pr)) for dr, pr in zip(data, pattern)]
 
 
-def syndrome_to_bytes(code, synd: Syndrome) -> bytes:
+def syndrome_to_bytes(code, synd: tuple) -> bytes:
     out = []
     at = 0
     for count, field in code.segments:
         width = _symbol_width(field.order)
-        run = synd.values[at : at + count]
+        run = synd[at : at + count]
         out.append(bytes(run) if width == 1 else b"".join(v.to_bytes(width, "big") for v in run))
         at += count
     return b"".join(out)
 
 
-def syndrome_from_bytes(code, raw: bytes) -> Syndrome:
+def syndrome_from_bytes(code, raw: bytes) -> tuple:
     """Inverse of syndrome_to_bytes; every symbol must lie in its run's field."""
     values = []
     at = 0
@@ -144,7 +144,7 @@ def syndrome_from_bytes(code, raw: bytes) -> Syndrome:
         at = end
     if len(raw) > at:
         raise TemplateFormatError("syndrome longer than the code redundancy")
-    return Syndrome(tuple(values))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ them built.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations, compress, repeat
 from math import comb
@@ -73,21 +72,6 @@ from .errors import (
     TooManyErasuresError,
 )
 from .gf import MUL_COUNTER, ExtField
-
-
-@dataclass(frozen=True)
-class Syndrome:
-    """A flat syndrome vector, laid out as its code's ``segments``.
-
-    For a plain RS or BCH code the values are the power sums
-    S_j = word(alpha^j), j = 1..count.
-    """
-
-    values: tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.values)
 
 
 class _SpecIdentity:
@@ -117,8 +101,10 @@ class LinearCode(_SpecIdentity):
     its symbols lie in), ``base_length`` and ``base_dimension`` over that
     alphabet, and ``segments``: the syndrome as consecutive
     ``(count, field)`` runs, each symbol an element of its run's field.  It
-    implements ``syndrome(word) -> Syndrome`` and ``decode(Syndrome)``,
-    which returns an error pattern shaped like the data word.
+    implements ``syndrome(word)``, a tuple of ints laid out as
+    ``segments``, and ``decode(syndrome)``, which returns an error pattern
+    shaped like the data word.  For a plain RS or BCH code the syndrome is
+    the power sums S_j = word(alpha^j), j = 1..count.
 
     A base-field code states only where its blocks live: ``_block_order()``
     gives the flat offsets of its cells, block by block, or None where they
@@ -148,7 +134,7 @@ class LinearCode(_SpecIdentity):
     segments: tuple[tuple[int, object], ...]
     guidance: str
 
-    def syndrome_sub(self, a: Syndrome, b: Syndrome) -> Syndrome:
+    def syndrome_sub(self, a: tuple, b: tuple) -> tuple:
         """a - b, symbol by symbol in each run's field (XOR over
         characteristic 2)."""
         out = []
@@ -156,9 +142,9 @@ class LinearCode(_SpecIdentity):
         for count, field in self.segments:
             sub = xor if field.p == 2 else field.sub
             end = at + count
-            out.extend(map(sub, a.values[at:end], b.values[at:end]))
+            out.extend(map(sub, a[at:end], b[at:end]))
             at = end
-        return Syndrome(tuple(out))
+        return tuple(out)
 
     def zero_word(self):
         return self._shaped([0] * self.base_length)
@@ -216,14 +202,14 @@ class LinearCode(_SpecIdentity):
         self._order = self._block_order()
         return self._order
 
-    def _check_syndrome(self, synd: Syndrome) -> None:
+    def _check_syndrome(self, synd: tuple) -> None:
         """Raise unless the syndrome fits ``segments``: ShapeMismatchError on
         a wrong length, AlphabetMismatchError on a symbol outside its run."""
-        values, at = synd.values, 0
-        if len(values) != sum(count for count, _ in self.segments):
+        at = 0
+        if len(synd) != sum(count for count, _ in self.segments):
             raise ShapeMismatchError("syndrome has the wrong length for this code")
         for count, field in self.segments:
-            _check_range(values[at : at + count], field.order, field.spec_string())
+            _check_range(synd[at : at + count], field.order, field.spec_string())
             at += count
 
     def syndrome_symbol_count(self) -> int:
@@ -390,7 +376,7 @@ class _BlockCode(LinearCode):
             block[at:end] = [(f + r) % self.alphabet.p for f, r in zip(block[at:end], part)]
         return block
 
-    def _decode_blocks(self, parts, synd: Syndrome):
+    def _decode_blocks(self, parts, synd: tuple):
         """The outer symbol errors, erasures and corrections: each damaged
         block's inner decoder estimates its symbol error or erases it, then
         the outer decoder corrects the estimates."""
@@ -993,19 +979,18 @@ class _CyclicCode(_SpecIdentity):
         parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
         return [field.neg(v) for v in parity] + list(message)
 
-    def _decode_syndrome(self, synd: Syndrome, erasures=()) -> list[int]:
+    def _decode_syndrome(self, synd: tuple, erasures=()) -> list[int]:
         """Error vector consistent with the syndrome, or DecodeFailure.
 
         Each erasure position costs one syndrome, each error off them two.
         """
-        values = synd.values
-        if len(values) != self.count:
-            raise LengthMismatchError(f"expected {self.count} syndrome values, got {len(values)}")
+        if len(synd) != self.count:
+            raise LengthMismatchError(f"expected {self.count} syndrome values, got {len(synd)}")
         field, n = self.field, self.n
         if self._chien is None:
             self._chien = _chien_fits(field, n, self.count) and _chien_table(field, n, self.count)
         base_limit = self.s if self.s < field.order else None
-        return _gpz_decode(field, values, n, self._chien or None, erasures, base_limit)
+        return _gpz_decode(field, synd, n, self._chien or None, erasures, base_limit)
 
 
 class RsCode(_CyclicCode, LinearCode):
@@ -1037,26 +1022,26 @@ class RsCode(_CyclicCode, LinearCode):
     def distance(self) -> int:
         return self.n - self.k + 1
 
-    def syndrome(self, word) -> Syndrome:
+    def syndrome(self, word) -> tuple:
         """The power sums; over F_{2^m} from the packed kernel."""
         _check_symbols(word, self.n, self.s, self._symbols)
         return self._power_sums(word)
 
-    def _power_sums(self, word) -> Syndrome:
+    def _power_sums(self, word) -> tuple:
         """``syndrome`` of n symbols known to lie in the field, unchecked:
         the outer symbols a block code has just read (bytes over F_{2^m},
         m <= 8) or estimated."""
         field = self.field
         if field.p != 2 or field.m > 16:
-            return Syndrome(tuple(_sparse_syndrome(field, word, self.count)))
+            return tuple(_sparse_syndrome(field, word, self.count))
         kernel = self._tables or self._load_kernel()
         if field.m > 8:
             chunks = reversed(word)
         else:  # the reversed word, a zero byte ahead when n is odd
             chunks = self._pairs.unpack(bytes(word)[::-1].rjust(self._pairs.size, b"\0"))
-        return Syndrome(kernel.power_sums(kernel.remainder(chunks)))
+        return kernel.power_sums(kernel.remainder(chunks))
 
-    def decode(self, synd: Syndrome) -> list[int]:
+    def decode(self, synd: tuple) -> list[int]:
         self._check_syndrome(synd)
         return self.decode_syndrome(synd)
 
@@ -1106,23 +1091,23 @@ class BchCode(_CyclicCode):
         rem = kernel.remainder(_pack_bits(word).to_bytes(self._width, "big"))
         return tuple(_unpack_bits([rem], self.redundancy))
 
-    def syndrome(self, word) -> Syndrome:
+    def syndrome(self, word) -> tuple:
         """The power sums of the remainder, which are the word's: g
         vanishes at every root."""
         return self.power_sums(self.remainder(word))
 
-    def power_sums(self, remainder) -> Syndrome:
+    def power_sums(self, remainder) -> tuple:
         """Evaluate a mod-g remainder at the syndrome roots."""
         if len(remainder) != self.redundancy:
             raise LengthMismatchError(
                 f"expected {self.redundancy} remainder symbols, got {len(remainder)}"
             )
         if self.p != 2:
-            return Syndrome(tuple(_sparse_syndrome(self.field, list(remainder), self.count)))
+            return tuple(_sparse_syndrome(self.field, list(remainder), self.count))
         kernel = self._tables or self._load_kernel()
-        return Syndrome(kernel.power_sums(_pack_bits(remainder)))
+        return kernel.power_sums(_pack_bits(remainder))
 
-    def decode_syndrome(self, synd: Syndrome) -> list[int]:
+    def decode_syndrome(self, synd: tuple) -> list[int]:
         return self._decode_syndrome(synd)
 
     def decode_remainder(self, remainder) -> list[int]:

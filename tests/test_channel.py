@@ -8,6 +8,7 @@ from synfuzz.gf import ExtField
 
 F2 = ExtField(2, 1)
 F5 = ExtField(5, 1)
+F16 = ExtField(2, 4)
 
 
 def test_rng_is_deterministic():
@@ -97,25 +98,67 @@ def test_mixed_descriptor_bookkeeping():
     assert "random:3" in pat.descriptor()
 
 
+def burst_cells(pat):
+    """The cell set of each burst box; 2D cells are (r, c)."""
+    if pat.is_2d:
+        return [{(r, c) for r in range(r0, r0 + h) for c in range(c0, c0 + w)}
+                for (r0, c0), (h, w) in pat.bursts]
+    return [set(range(pos, pos + ln)) for pos, ln in pat.bursts]
+
+
+@pytest.mark.parametrize("shape, bursts", [((30,), [3, 3, 3]), ((12, 10), [(3, 3), (2, 4)])],
+                         ids=["1d", "2d"])
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32))
-def test_mixed_bursts_disjoint(seed):
+@given(seed=st.integers(0, 2**32))
+def test_mixed_bursts_disjoint(shape, bursts, seed):
     rng = Rng(seed)
-    pat = gen_mixed(rng, F2, (30,), [3, 3, 3], random_errors=2)
-    spans = [set(range(pos, pos + ln)) for pos, ln in pat.bursts]
+    pat = gen_mixed(rng, F2, shape, bursts, random_errors=2)
+    spans = burst_cells(pat)
+    assert len(spans) == len(bursts)
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
             assert not (spans[i] & spans[j])
     # random errors land off every burst
-    burst_cells = set().union(*spans)
-    dense = pat.dense()
-    loose = [i for i, v in enumerate(dense) if v and i not in burst_cells]
+    in_burst = set().union(*spans)
+    loose = [at for at, _ in pat.support() if at not in in_burst]
     assert len(loose) == 2
 
 
-def test_mixed_placement_failure():
-    with pytest.raises(PlacementFailedError):
-        gen_mixed(Rng(12), F2, (10,), [6, 6])
+# Outputs of the seeded generator, fixed so that a rewrite keeps its stream.
+PINNED = [
+    ((2024, F5, (20,), [3, 2], 2),
+     (0, 0, 0, 0, 0, 2, 0, 2, 4, 4, 0, 0, 0, 4, 3, 2, 0, 0, 0, 0),
+     ((13, 3), (8, 2)), "burst@13:3;burst@8:2;random:2"),
+    ((2025, F16, (6, 5), [(2, 2), (1, 3)], 3),
+     ((0, 0, 1, 3, 0), (15, 0, 9, 2, 0), (0, 4, 15, 4, 0), (0, 0, 0, 0, 0),
+      (0, 0, 12, 0, 0), (0, 0, 0, 0, 6)),
+     (((0, 2), (2, 2)), ((2, 1), (1, 3))), "burst@0x2:2x2;burst@2x1:1x3;random:3"),
+    ((7, F2, (12,), [4], 3),
+     (1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0), ((3, 4),), "burst@3:4;random:3"),
+]
+
+
+@pytest.mark.parametrize("args, cells, bursts, descriptor", PINNED,
+                         ids=["1d-gf5", "2d-gf16", "1d-gf2"])
+def test_mixed_stream_is_pinned(args, cells, bursts, descriptor):
+    seed, field, shape, dims, randoms = args
+    pat = gen_mixed(Rng(seed), field, shape, dims, random_errors=randoms)
+    assert pat.cells == cells
+    assert pat.bursts == bursts
+    assert pat.random_errors == randoms
+    assert pat.descriptor() == descriptor
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((1, (4, 4), [(2, 2), (5, 1)], 0), OutOfRangeError, "burst (5, 1) does not fit in (4, 4)"),
+    ((12, (10,), [6, 6], 0), PlacementFailedError, "could not place burst 6 disjointly"),
+    ((3, (3, 3), [(2, 2)], 6), PlacementFailedError, "more random errors than free cells"),
+], ids=["does-not-fit", "unplaceable", "too-few-free-cells"])
+def test_mixed_refusals_are_pinned(args, error, message):
+    seed, shape, dims, randoms = args
+    with pytest.raises(error) as caught:
+        gen_mixed(Rng(seed), F2, shape, dims, random_errors=randoms)
+    assert str(caught.value) == message
 
 
 def test_apply_to_adds_in_the_field():

@@ -151,7 +151,7 @@ def test_codeword_syndrome_is_zero(c1, c1p, c2, c3):
     for code in (c1, c1p, c2, c3):
         msg = [rng.randrange(code.rs.field.order) for _ in range(code.rs.k)]
         base = code.expand(code.rs.encode(msg))
-        assert code.syndrome(base).is_zero
+        assert not any(code.syndrome(base))
 
 
 def test_syndrome_is_linear(c2, c3):
@@ -173,7 +173,7 @@ def test_single_flip_hits_one_extension_position(c1, rs73):
         i, d = divmod(flip, 3)
         e = f.from_base_vector([1 if u == d else 0 for u in range(3)])
         for j in range(4):
-            assert synd.values[j] == f.mul(e, f.alpha_pow((1 + j) * i))
+            assert synd[j] == f.mul(e, f.alpha_pow((1 + j) * i))
 
 
 def test_capability_formulas(c1, c2, c3):

@@ -4,9 +4,10 @@ import random
 from collections import Counter
 from dataclasses import replace
 from enum import IntEnum
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from synfuzz import concat, expand, fuzzy, rs
@@ -15,6 +16,7 @@ from synfuzz.codespec import parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout, VLayout
 from synfuzz.errors import (
     ShapeMismatchError,
+    SynfuzzError,
     TemplateFormatError,
     UnsupportedHashError,
 )
@@ -29,7 +31,7 @@ from synfuzz.fuzzy import (
     verify,
 )
 from synfuzz.gf import ExtField
-from synfuzz.rs import BchCode, RsCode, Syndrome
+from synfuzz.rs import BchCode, RsCode
 from test_golden import GOLDEN, GOLDEN_DIR, golden_word
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -566,8 +568,57 @@ def test_syndrome_sub_is_symbolwise_field_subtraction():
         for _ in range(2):
             values.append([rng.randrange(field.order)
                            for count, field in code.segments for _ in range(count)])
-        a, b = (Syndrome(tuple(v)) for v in values)
+        a, b = (tuple(v) for v in values)
         fields = [field for count, field in code.segments for _ in range(count)]
-        expected = tuple(f.sub(x, y) for f, x, y in zip(fields, a.values, b.values))
-        assert code.syndrome_sub(a, b).values == expected
-        assert code.syndrome_sub(a, a).is_zero
+        expected = tuple(f.sub(x, y) for f, x, y in zip(fields, a, b))
+        assert code.syndrome_sub(a, b) == expected
+        assert not any(code.syndrome_sub(a, a))
+
+
+# What a data file may put in one cell: out of range, negative, not an int.
+ODD_CELLS = (2, -1, 256, 1.0, None, "1", 10**30, [1])
+SPLICES = st.text(st.sampled_from("0123456789abcdef(),;=^+-. \nIcgrsvx\x00\xe9"), max_size=4)
+
+
+def mutated(draw, text):
+    """``text`` with one span replaced by a short drawn string: an edit, an
+    insertion, a deletion or a truncation."""
+    at = draw.draw(st.integers(0, len(text)))
+    end = draw.draw(st.integers(at, min(len(text), at + 8)) | st.just(len(text)))
+    return text[:at] + draw.draw(SPLICES) + text[end:]
+
+
+def quietly(call, *args, **kwargs):
+    """The call's result, or None where it raised a SynfuzzError."""
+    try:
+        return call(*args, **kwargs)
+    except SynfuzzError:
+        return None
+
+
+@seed(19)
+@settings(max_examples=200, deadline=None)
+@given(draw=st.data())
+def test_mutated_outside_inputs_raise_only_synfuzz_errors(draw):
+    """Golden template text, a spec string or one data cell, mutated:
+    Template.from_text, parse_spec, enroll and verify raise nothing but a
+    SynfuzzError."""
+    stem, spec, shape, q, word_seed = draw.draw(st.sampled_from(GOLDEN))
+    text = (GOLDEN_DIR / f"{stem}.sfh").read_text(encoding="ascii")
+    word = golden_word(shape, q, word_seed)
+    target = draw.draw(st.sampled_from(("template", "spec", "cell")))
+    if target == "template":
+        template = quietly(Template.from_text, mutated(draw, text))
+        if template is not None:
+            quietly(verify, word, template)
+    elif target == "spec":
+        code = quietly(parse_spec, mutated(draw, spec))
+        if code is not None:
+            quietly(enroll, word, code)
+            quietly(verify, word, Template.from_text(text), code=code)
+    else:
+        at = draw.draw(st.integers(0, prod(shape) - 1))
+        row = word[at // shape[-1]] if len(shape) == 2 else word
+        row[at % shape[-1]] = draw.draw(st.sampled_from(ODD_CELLS))
+        quietly(enroll, word, parse_spec(spec))
+        quietly(verify, word, Template.from_text(text))

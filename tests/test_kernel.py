@@ -142,7 +142,7 @@ def seeded_words(code, seed, count=3):
 def test_syndrome_matches_the_oracle(spec, seed):
     code = parse_spec(spec)
     for word in seeded_words(code, seed):
-        assert list(code.syndrome(word).values) == oracle_syndrome(code, word)
+        assert list(code.syndrome(word)) == oracle_syndrome(code, word)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -160,7 +160,7 @@ def test_two_symbol_kernel_matches_the_per_symbol_power_sums(m):
         words += [[0] * (n - 1) + [1], [1] + [0] * (n - 1), [field.order - 1] * n]
         for word in words:
             expected = rs._sparse_syndrome(field, word, code.count)
-            assert list(code.syndrome(word).values) == expected, (n, word)
+            assert list(code.syndrome(word)) == expected, (n, word)
         assert code._pairs.size == n + n % 2
 
 
@@ -178,8 +178,8 @@ def test_bch_remainder_and_power_sums_match_the_oracle(m, t):
         rem = remainder(2, word, code.generator)
         assert list(code.remainder(word)) == rem
         sums = ext.power_sums(word, count)
-        assert list(code.syndrome(word).values) == sums
-        assert list(code.power_sums(rem).values) == ext.power_sums(rem, count) == sums
+        assert list(code.syndrome(word)) == sums
+        assert list(code.power_sums(rem)) == ext.power_sums(rem, count) == sums
 
 
 def refuse_tables(patch):
@@ -208,7 +208,7 @@ def test_parsing_builds_no_kernel_table(monkeypatch, fresh_codes):
     refuse_tables(monkeypatch)
     for spec, code in small:
         again = parse_spec(spec)
-        assert again is code and again.syndrome(again.zero_word()).is_zero
+        assert again is code and not any(again.syndrome(again.zero_word()))
 
 
 def kernel_ints(kernel):

@@ -13,7 +13,7 @@ from synfuzz.errors import (
     TooManyErasuresError,
 )
 from synfuzz.gf import ExtField
-from synfuzz.rs import BchCode, RsCode, Syndrome
+from synfuzz.rs import BchCode, RsCode
 
 import oracle
 
@@ -57,7 +57,7 @@ def test_encoded_words_have_zero_syndrome(rs73):
     for _ in range(50):
         msg = [rng.randrange(8) for _ in range(3)]
         word = rs73.encode(msg)
-        assert rs73.syndrome(word).is_zero
+        assert not any(rs73.syndrome(word))
         # systematic: message sits in the high-order positions
         assert word[4:] == msg
 
@@ -82,7 +82,7 @@ def test_length_and_alphabet_checks(rs73):
 
 
 def test_zero_syndrome_decodes_to_zero(rs73):
-    assert rs73.decode_syndrome(Syndrome((0, 0, 0, 0))) == [0] * 7
+    assert rs73.decode_syndrome((0, 0, 0, 0)) == [0] * 7
 
 
 def test_single_error_syndrome_formula(rs73):
@@ -93,7 +93,7 @@ def test_single_error_syndrome_formula(rs73):
             word[i] = e
             synd = rs73.syndrome(word)
             for j in range(4):
-                assert synd.values[j] == f.mul(e, f.alpha_pow((1 + j) * i))
+                assert synd[j] == f.mul(e, f.alpha_pow((1 + j) * i))
 
 
 @settings(max_examples=50, deadline=None)
@@ -200,7 +200,7 @@ def test_errors_and_erasures(code):
 
 def test_too_many_erasures(rs157):
     with pytest.raises(TooManyErasuresError):
-        rs157.decode_syndrome(Syndrome((0,) * 8), erasures=list(range(9)))
+        rs157.decode_syndrome((0,) * 8, erasures=list(range(9)))
 
 
 def test_shortened_code_round_trip():
@@ -212,7 +212,7 @@ def test_shortened_code_round_trip():
     for _ in range(200):
         msg = [rng.randrange(128) for _ in range(12)]
         word = code.encode(msg)
-        assert code.syndrome(word).is_zero
+        assert not any(code.syndrome(word))
         err = [0] * 30
         for pos in rng.sample(range(30), rng.randint(0, 9)):
             err[pos] = rng.randrange(1, 128)
@@ -226,7 +226,7 @@ def test_nonbinary_rs_round_trip():
     for _ in range(500):
         msg = [rng.randrange(9) for _ in range(4)]
         word = code.encode(msg)
-        assert code.syndrome(word).is_zero
+        assert not any(code.syndrome(word))
         err = [0] * 8
         for pos in rng.sample(range(8), rng.randint(0, 2)):
             err[pos] = rng.randrange(1, 9)
@@ -377,8 +377,8 @@ def test_rs_decode_with_the_packed_search_matches_the_scalar_one(code, monkeypat
         for pos in rng.sample(range(code.n), rng.randint(0, code.t + 2)):
             err[pos] = rng.randrange(1, code.field.order)
         syndromes.append(code.syndrome(err))
-        syndromes.append(Syndrome(tuple(rng.randrange(code.field.order)
-                                        for _ in range(code.redundancy))))
+        syndromes.append(tuple(rng.randrange(code.field.order)
+                               for _ in range(code.redundancy)))
 
     def outcomes():
         out = []
