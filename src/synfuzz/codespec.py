@@ -8,6 +8,15 @@ Grammar (whitespace around separators is ignored):
     cI(RS) | cI+parity(RS) | cII(RS;n1,n2) | cIII(RS;n1,n2)
     concat(inner=BCH, outer=RS, layout=flat|iv(a,b)|v(a,b)|vi)
 
+One reader, ``_call``, takes every ``name(args)`` apart: codes, fields
+and the iv and v layouts.  It splits the stripped text at its first '('
+and checks once that the parentheses balance and close the text.  A code
+name is then looked up in one table, ``_CODES``, of parsers of the
+argument text; a field's name must be ``gf``, and a layout is one of the
+bare names flat and vi or a name in ``_LAYOUTS``.  So every name is
+written exactly, in its case and directly before its '(', and nothing
+follows the closing ')'.
+
 Spec strings arrive in untrusted template files, so sizes are bounded
 before any work: spec text at most 1024 characters (``MAX_SPEC_CHARS``),
 integers written as an optional '-' and ASCII digits, p <= 2^16, m <= 16
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from functools import partial
 
 from .concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
 from .errors import SpecParseError, SynfuzzError
@@ -74,21 +84,22 @@ _codes_lock = threading.Lock()
 _codes_weight = 0
 
 
-def _strip_call(text: str, name: str) -> str | None:
-    """Return the argument string of name(...), or None if it is not one."""
+def _call(text: str) -> tuple[str, str]:
+    """Split ``name(args)`` at its first '(' into the name and the argument
+    text, once the parentheses are checked to balance and close at the end."""
     text = text.strip()
-    if not text.startswith(name + "(") or not text.endswith(")"):
-        return None
-    inner = text[len(name) + 1 : -1]
+    name, paren, args = text.partition("(")
     depth = 0
-    for ch in inner:
+    for ch in args[:-1]:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                return None
-    return inner if depth == 0 else None
+                break
+    if not paren or depth or not args.endswith(")"):
+        raise SpecParseError(f"expected name(...), got {text!r}")
+    return name, args[:-1]
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -106,6 +117,14 @@ def _split_top(text: str, sep: str) -> list[str]:
         else:
             cur.append(ch)
     parts.append("".join(cur).strip())
+    return parts
+
+
+def _pair(text: str, sep: str, refusal: str) -> list[str]:
+    """The two top-level parts of ``text`` split at ``sep``."""
+    parts = _split_top(text, sep)
+    if len(parts) != 2:
+        raise SpecParseError(refusal)
     return parts
 
 
@@ -129,8 +148,8 @@ def _positive(text: str, what: str) -> int:
 
 
 def parse_field(text: str) -> ExtField:
-    args = _strip_call(text, "gf")
-    if args is None:
+    name, args = _call(text)
+    if name != "gf":
         raise SpecParseError(f"expected gf(...), got {text!r}")
     parts = _split_top(args, ";")
     head = parts[0].strip()
@@ -157,42 +176,28 @@ def parse_field(text: str) -> ExtField:
         raise SpecParseError(str(exc)) from exc
 
 
-def _parse_rs(text: str) -> RsCode:
-    args = _strip_call(text, "rs")
-    if args is None:
-        raise SpecParseError(f"expected rs(...), got {text!r}")
-    parts = _split_top(args, ";")
-    if len(parts) != 2:
-        raise SpecParseError(f"rs takes n,k;gf(...): {text!r}")
-    nk = _split_top(parts[0], ",")
-    if len(nk) != 2:
-        raise SpecParseError(f"rs takes two lengths: {text!r}")
-    n, k = _int(nk[0], "length"), _int(nk[1], "dimension")
+def _parse_rs(args: str, text: str) -> RsCode:
+    lengths, field = _pair(args, ";", f"rs takes n,k;gf(...): {text!r}")
+    n, k = _pair(lengths, ",", f"rs takes two lengths: {text!r}")
+    n, k = _int(n, "length"), _int(k, "dimension")
     if n - k > _MAX_REDUNDANCY:
         raise SpecParseError(f"rs redundancy {n - k} is above {_MAX_REDUNDANCY}")
-    field = parse_field(parts[1])
+    field = parse_field(field)
     try:
         return RsCode(field, n, k)
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
 
 
-def _parse_bch(text: str) -> BchCode:
-    args = _strip_call(text, "bch")
-    if args is None:
-        raise SpecParseError(f"expected bch(...), got {text!r}")
-    parts = _split_top(args, ";")
-    if len(parts) != 2:
-        raise SpecParseError(f"bch takes n,t;gf(p): {text!r}")
-    nt = _split_top(parts[0], ",")
-    if len(nt) != 2:
-        raise SpecParseError(f"bch takes length and capability: {text!r}")
-    n, design_t = _int(nt[0], "length"), _int(nt[1], "capability")
+def _parse_bch(args: str, text: str) -> BchCode:
+    lengths, field = _pair(args, ";", f"bch takes n,t;gf(p): {text!r}")
+    n, design_t = _pair(lengths, ",", f"bch takes length and capability: {text!r}")
+    n, design_t = _int(n, "length"), _int(design_t, "capability")
     if n > _MAX_BCH_LENGTH:
         raise SpecParseError(f"bch length {n} is above {_MAX_BCH_LENGTH}")
     if 2 * design_t > _MAX_REDUNDANCY:
         raise SpecParseError(f"bch redundancy {2 * design_t} is above {_MAX_REDUNDANCY}")
-    base = parse_field(parts[1])
+    base = parse_field(field)
     if base.m != 1:
         raise SpecParseError("bch base field must be a prime gf(p)")
     p = base.p
@@ -205,20 +210,54 @@ def _parse_bch(text: str) -> BchCode:
     return BchCode(p, m, design_t)
 
 
+def _parse_array(name: str, maker, args: str, text: str) -> ExpandedCode:
+    """cII or cIII: the RS component is parsed before the array shape."""
+    component, shape = _pair(args, ";", f"{name} takes rs(...);n1,n2: {text!r}")
+    n1, n2 = _pair(shape, ",", f"{name} array shape takes n1,n2: {text!r}")
+    return maker(_component(component, "rs"), _positive(n1, "n1"), _positive(n2, "n2"))
+
+
+def _parse_concat(args: str, text: str) -> ConcatCode:
+    inner = outer = layout = None
+    for part in _split_top(args, ","):
+        if part.startswith("inner="):
+            inner = _component(part[6:], "bch")
+        elif part.startswith("outer="):
+            outer = _component(part[6:], "rs")
+        elif part.startswith("layout="):
+            layout = _parse_layout(part[7:])
+        elif part:
+            raise SpecParseError(f"unknown concat clause {part!r}")
+    if inner is None or outer is None or layout is None:
+        raise SpecParseError("concat needs inner=, outer= and layout=")
+    return ConcatCode(inner, outer, layout)
+
+
+# Each construction's name and the parser of its argument text.  A parser
+# also takes the whole spec text, which its refusals quote.
+_CODES = {
+    "rs": _parse_rs,
+    "bch": _parse_bch,
+    "cI": lambda args, text: ExpandedCode.row_vector(_component(args, "rs")),
+    "cI+parity": lambda args, text: ExpandedCode.row_vector_parity(_component(args, "rs")),
+    "cII": partial(_parse_array, "cII", ExpandedCode.square_array),
+    "cIII": partial(_parse_array, "cIII", ExpandedCode.companion_array),
+    "concat": _parse_concat,
+}
+# Layouts written as a bare name, and layouts written name(a,b).
+_BARE_LAYOUTS = {"flat": FlatLayout, "vi": ViLayout}
+_LAYOUTS = {"iv": IvLayout, "v": VLayout}
+
+
 def _parse_layout(text: str):
     text = text.strip()
-    if text == "flat":
-        return FlatLayout()
-    if text == "vi":
-        return ViLayout()
-    for name, cls in (("iv", IvLayout), ("v", VLayout)):
-        args = _strip_call(text, name)
-        if args is not None:
-            ab = _split_top(args, ",")
-            if len(ab) != 2:
-                raise SpecParseError(f"layout {name} takes (a,b): {text!r}")
-            return cls(_positive(ab[0], "a"), _positive(ab[1], "b"))
-    raise SpecParseError(f"unknown layout {text!r}")
+    if text in _BARE_LAYOUTS:
+        return _BARE_LAYOUTS[text]()
+    name, args = _call(text)
+    if name not in _LAYOUTS:
+        raise SpecParseError(f"unknown layout {text!r}")
+    a, b = _pair(args, ",", f"layout {name} takes (a,b): {text!r}")
+    return _LAYOUTS[name](_positive(a, "a"), _positive(b, "b"))
 
 
 def parse_spec(text: str):
@@ -261,53 +300,16 @@ def _component(text: str, name: str):
     """The RS or BCH code a construction is built on, parsed through the
     cache, so that constructions on the same component spec share it."""
     text = text.strip()
-    if _strip_call(text, name) is None:
+    if _call(text)[0] != name:
         raise SpecParseError(f"expected {name}(...), got {text!r}")
     return parse_spec(text)
 
 
 def _parse_code(text: str):
-    for name, parse in (("rs", _parse_rs), ("bch", _parse_bch)):
-        if _strip_call(text, name) is not None:
-            return parse(text)
-    for name, maker in (
-        ("cI+parity", ExpandedCode.row_vector_parity),
-        ("cI", ExpandedCode.row_vector),
-    ):
-        args = _strip_call(text, name)
-        if args is not None:
-            return maker(_component(args, "rs"))
-    for name, maker in (
-        ("cII", ExpandedCode.square_array),
-        ("cIII", ExpandedCode.companion_array),
-    ):
-        args = _strip_call(text, name)
-        if args is not None:
-            parts = _split_top(args, ";")
-            if len(parts) != 2:
-                raise SpecParseError(f"{name} takes rs(...);n1,n2: {text!r}")
-            dims = _split_top(parts[1], ",")
-            if len(dims) != 2:
-                raise SpecParseError(f"{name} array shape takes n1,n2: {text!r}")
-            return maker(
-                _component(parts[0], "rs"), _positive(dims[0], "n1"), _positive(dims[1], "n2")
-            )
-    args = _strip_call(text, "concat")
-    if args is not None:
-        inner = outer = layout = None
-        for part in _split_top(args, ","):
-            if part.startswith("inner="):
-                inner = _component(part[6:], "bch")
-            elif part.startswith("outer="):
-                outer = _component(part[6:], "rs")
-            elif part.startswith("layout="):
-                layout = _parse_layout(part[7:])
-            elif part:
-                raise SpecParseError(f"unknown concat clause {part!r}")
-        if inner is None or outer is None or layout is None:
-            raise SpecParseError("concat needs inner=, outer= and layout=")
-        return ConcatCode(inner, outer, layout)
-    raise SpecParseError(f"unrecognized code spec {text!r}")
+    name, args = _call(text)
+    if name not in _CODES:
+        raise SpecParseError(f"unrecognized code spec {text!r}")
+    return _CODES[name](args, text)
 
 
 def format_spec(code) -> str:

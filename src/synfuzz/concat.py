@@ -90,7 +90,6 @@ def _parity_checks(generator, k: int) -> list[int]:
 class FlatLayout:
     """The N blocks side by side in one vector."""
 
-    name = "flat"
     guidance = "two-stage decoding; one long 1D burst plus extra random errors"
 
     def shape(self, N: int, n: int) -> tuple[int, ...]:
@@ -115,7 +114,6 @@ class FlatLayout:
 class IvLayout:
     a: int
     b: int
-    name = "iv"
     guidance = "several wide rectangular bursts, with a limited random-error budget"
 
     def shape(self, N: int, n: int) -> tuple[int, int]:
@@ -150,7 +148,6 @@ class IvLayout:
 class VLayout:
     a: int
     b: int
-    name = "v"
     guidance = "one large burst plus random errors spread thinly over the tiles"
 
     def shape(self, N: int, n: int) -> tuple[int, int]:
@@ -191,7 +188,6 @@ class VLayout:
 
 @dataclass(frozen=True)
 class ViLayout:
-    name = "vi"
     guidance = ("thin row/column bursts and random errors; a full diagonal costs "
                 "one outer symbol")
 
@@ -322,7 +318,7 @@ class ConcatCode(_BlockCode):
         parts = self._parts(synd[:split])
         errors, erasures, delta = self._decode_blocks(parts, synd[split:])
         cells = self._rebuild_cells(errors, parts)
-        if self._cells_syndrome(cells) != synd:
+        if self._cells_syndrome(cells) != tuple(synd):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         pattern = self._scatter(cells)
         if not with_info:

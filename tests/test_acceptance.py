@@ -311,7 +311,7 @@ def _in_capability_pattern(code, rng: Rng):
         length = 1 + rng.below(cap)
         offset = rng.below(code.shape[0] - length + 1)
         return gen_burst_1d(rng, prime, code.shape[0], length, offset)
-    lay = code.layout.name
+    lay = code.layout.spec_string().partition("(")[0]
     if lay == "flat":
         bound = code.capability("single_burst")
         length = 1 + rng.below(bound)

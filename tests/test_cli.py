@@ -1,12 +1,19 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from synfuzz import fuzzy
 from synfuzz.channel import Rng, gen_burst_1d
 from synfuzz.cli import main, parse_model, read_data_file, write_data_file
 from synfuzz.codespec import parse_spec
 from synfuzz.errors import SynfuzzError
+
+from test_fuzzy import mutated
+from test_golden import GOLDEN, GOLDEN_DIR, golden_word
 
 
 def run(capsys, *argv):
@@ -284,3 +291,27 @@ def test_bare_bch_code_is_not_enrollable(tmp_path, capsys):
     for command in ("capability", "info"):
         rc, _, err = run(capsys, command, "--code", "bch(15,2;gf(2))")
         assert rc == 2 and "not an enrollable code" in err
+
+
+@seed(20)
+@settings(max_examples=200, deadline=None)
+@given(draw=st.data())
+def test_mutated_cli_inputs_exit_0_1_or_2(draw):
+    """A golden template file or its data file, mutated, given to
+    ``verify``, or a mutated spec given to ``info``: the CLI returns 0, 1
+    or 2 and raises nothing."""
+    stem, spec, shape, q, word_seed = draw.draw(st.sampled_from(GOLDEN))
+    target = draw.draw(st.sampled_from(("template", "data", "spec")))
+    if target == "spec":
+        assert main(["info", "--code", mutated(draw, spec)]) in (0, 1, 2)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        tpl, data = Path(tmp, "x.sfh"), Path(tmp, "x.txt")
+        write_data_file(str(data), golden_word(shape, q, word_seed))
+        text = (GOLDEN_DIR / f"{stem}.sfh").read_text(encoding="ascii")
+        if target == "template":
+            text = mutated(draw, text)
+        else:
+            data.write_text(mutated(draw, data.read_text(encoding="ascii")), encoding="utf-8")
+        tpl.write_text(text, encoding="utf-8")
+        assert main(["verify", "--template", str(tpl), "--in", str(data)]) in (0, 1, 2)

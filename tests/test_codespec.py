@@ -33,6 +33,9 @@ def test_parse_field_errors():
         parse_field("gf(2^3;mod=1,1,0,1)")
     with pytest.raises(ReducibleModulusError):
         parse_field("gf(2^3;modulus=1,0,0,1)")
+    for text in ("gf (2)", "GF(2)", "gf(2)x", "gf(2", "gf2)", "gf)2("):
+        with pytest.raises(SpecParseError):
+            parse_field(text)
 
 
 def test_parse_rs():
@@ -86,6 +89,47 @@ def test_parse_errors():
         parse_spec("concat(inner=bch(15,2;gf(2)), layout=flat)")
     with pytest.raises(SpecParseError):
         parse_spec("concat(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=diag)")
+
+
+@pytest.mark.parametrize("text", [
+    "rs (7,3;gf(2^3))",
+    "rs(7,3;gf (2^3))",
+    "concat(layout=v (4,5), inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)))",
+    "RS(7,3;gf(2^3))",
+    "CI(rs(7,3;gf(2^3)))",
+    "cI(RS(7,3;gf(2^3)))",
+    "cIV(rs(7,3;gf(2^3)))",
+    "cI+parity2(rs(7,3;gf(2^3)))",
+    "concat2(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=v(4,5))",
+    "concat(layout=vi(), inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)))",
+    "rs(7,3;gf(2^3))x",
+    "rs(7,3;gf(2^3)) (1)",
+    "cI(rs(7,3;gf(2^3)))rs(7,3;gf(2^3))",
+    "rs(7,3;gf(2^3)",
+    "rs(7,3;gf(2^3)))",
+    "rs)7,3;gf(2^3)(",
+    "rs(7,3;gf)2^3()",
+    "cI(rs(7,3;gf(2^3))",
+])
+def test_names_are_read_exactly(fresh_codes, text):
+    """A name is written in its own case, directly before its '(', and
+    its parentheses balance and close the text: anything else is refused,
+    and nothing is cached."""
+    with pytest.raises(SpecParseError):
+        parse_spec(text)
+    assert not codespec._codes
+
+
+@pytest.mark.parametrize("text,spec", [
+    ("cI( rs(255,223;gf(2^8)) )", "cI(rs(255,223;gf(2^8)))"),
+    ("  rs( 7 , 3 ; gf( 2 ^ 3 ) )  ", "rs(7,3;gf(2^3))"),
+    ("cII( rs(15,7;gf(2^4)) ; 3 , 5 )", "cII(rs(15,7;gf(2^4));3,5)"),
+    ("rs(7,3;gf(2^3; modulus=1,1,0,1))", "rs(7,3;gf(2^3))"),
+    ("concat(inner=bch(15,2;gf(2)) ,outer=rs(16,8;gf(2^7)), layout= v( 4 , 5 ) )",
+     "concat(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=v(4,5))"),
+])
+def test_spaces_around_separators_are_ignored(text, spec):
+    assert parse_spec(text).spec_string() == spec
 
 
 def test_format_parse_round_trip():

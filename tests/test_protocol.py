@@ -259,6 +259,19 @@ def test_concat_decode_refuses_a_pattern_its_syndrome_does_not_reproduce(spec, m
         code.decode(synd)
 
 
+@pytest.mark.parametrize("spec", [
+    "rs(255,223;gf(2^8))",
+    "cII(rs(15,7;gf(2^4));3,5)",
+    "concat(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=v(4,5))",
+    VI_CONCAT,
+])
+def test_a_list_syndrome_decodes_like_its_tuple(spec):
+    code = parse_spec(spec)
+    word = one_cell_word(code, 601)
+    synd = code.syndrome(word)
+    assert code.decode(list(synd)) == code.decode(synd) == word
+
+
 # (spec, seed, damaged blocks, cells changed per damaged block)
 ERASURE_CASES = (
     ("cI+parity(rs(15,7;gf(2^4)))", 501, 3, 1),
