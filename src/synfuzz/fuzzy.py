@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from operator import xor
 
 from . import codespec
 from .errors import (
@@ -106,9 +105,9 @@ def canonical_bytes(code, data) -> bytes:
 
 
 def apply_pattern(code, data, pattern):
-    """data + pattern, componentwise in the data alphabet (XOR over
-    characteristic 2)."""
-    add = xor if code.alphabet.p == 2 else code.alphabet.add
+    """data + pattern, componentwise in the data alphabet: its ``add``,
+    which over characteristic 2 is XOR."""
+    add = code.alphabet.add
     if len(code.shape) == 1:
         return list(map(add, data, pattern))
     return [list(map(add, dr, pr)) for dr, pr in zip(data, pattern)]

@@ -20,7 +20,9 @@ so x must be primitive: a modulus that leaves x short of order p^m - 1
 raises NonPrimitiveAlphaError.  The walk gives exp directly and log by
 inversion.  For odd p it also gives the Zech logarithms
 (1 + x^i = x^zech(i)), so addition, subtraction and negation
-(-a = a x^((p^m-1)/2)) run on the same tables; over F_2 addition is XOR.
+(-a = a x^((p^m-1)/2)) run on the same tables.  Over characteristic 2 a
+field's ``add`` and ``sub`` are ``operator.xor`` itself, bound once when
+the field is built, so callers use them directly and none tests p to add.
 Every field multiplication bumps a thread-local counter so decoder
 costs can be measured.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from operator import xor
 
 from .errors import (
     NoDefaultModulusError,
@@ -63,25 +66,20 @@ _BINARY_DEFAULT_MODULI = {
 _MAX_DEFAULT_ORDER = 1 << 16
 
 
-class _ThreadCount(threading.local):
-    n = 0
-
-
-class MulCounter:
+class MulCounter(threading.local):
     """Thread-local running total of extension-field multiplications."""
 
-    def __init__(self):
-        self._tl = _ThreadCount()
+    n = 0
 
     @property
     def count(self) -> int:
-        return self._tl.n
+        return self.n
 
     def add(self, k: int = 1) -> None:
-        self._tl.n += k
+        self.n += k
 
     def reset(self) -> None:
-        self._tl.n = 0
+        self.n = 0
 
 
 MUL_COUNTER = MulCounter()
@@ -264,7 +262,9 @@ class ExtField:
             log[v] = i
         self._exp = powers + powers
         self._log = log
-        if p != 2:
+        if p == 2:
+            self.add = self.sub = xor
+        else:
             # Zech logarithms: 1 + x^i = x^zech[i].  Adding 1 changes only
             # digit 0; x^half = -1 is the one power with 1 + x^i = 0.
             self._half = half = (q - 1) // 2
@@ -283,8 +283,6 @@ class ExtField:
     # ------------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         if not a:
             return b
         if not b:
@@ -300,14 +298,12 @@ class ExtField:
         return self._exp[self._log[a] + self._half]
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         if not b:
             return a
         return self.add(a, self._exp[self._log[b] + self._half])
 
     def mul(self, a: int, b: int) -> int:
-        MUL_COUNTER._tl.n += 1
+        MUL_COUNTER.n += 1
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
@@ -318,7 +314,7 @@ class ExtField:
         return self._exp[self.order - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        MUL_COUNTER._tl.n += 1
+        MUL_COUNTER.n += 1
         q1 = self.order - 1
         if a == 0:
             if e == 0:
@@ -378,12 +374,11 @@ class ExtField:
     # ------------------------------------------------------------------
 
     def spec_string(self) -> str:
-        if self.m == 1:
-            return f"gf({self.p})"
-        base = f"gf({self.p}^{self.m}"
-        if self.modulus_is_default:
-            return base + ")"
-        return base + ";modulus=" + ",".join(str(c) for c in self.modulus) + ")"
+        """The field's name in a code spec: ``gf(p^m)`` on the default
+        modulus, else ``canonical_spec()``."""
+        if self.m > 1 and self.modulus_is_default:
+            return f"gf({self.p}^{self.m})"
+        return self.canonical_spec()
 
     def canonical_spec(self) -> str:
         """Unambiguous field identifier used in hashed serializations."""

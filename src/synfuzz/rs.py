@@ -135,14 +135,12 @@ class LinearCode(_SpecIdentity):
     guidance: str
 
     def syndrome_sub(self, a: tuple, b: tuple) -> tuple:
-        """a - b, symbol by symbol in each run's field (XOR over
-        characteristic 2)."""
+        """a - b, symbol by symbol in each run's field."""
         out = []
         at = 0
         for count, field in self.segments:
-            sub = xor if field.p == 2 else field.sub
             end = at + count
-            out.extend(map(sub, a[at:end], b[at:end]))
+            out.extend(map(field.sub, a[at:end], b[at:end]))
             at = end
         return tuple(out)
 
@@ -397,8 +395,7 @@ class _BlockCode(LinearCode):
         if estimated:  # in range: inner decodes give base-field digits
             synd = outer.syndrome_sub(synd, outer._power_sums(est))
         delta = outer.decode_syndrome(synd, erasures=erasures)
-        add = xor if self.alphabet.p == 2 else outer.field.add
-        errors = list(map(add, est, delta)) if estimated else delta
+        errors = list(map(outer.field.add, est, delta)) if estimated else delta
         return errors, erasures, delta
 
 
@@ -424,7 +421,7 @@ def _chien_roots(field: ExtField, psi, n):
     """
     exp, log = field._exp, field._log
     q1 = field.order - 1
-    add = xor if field.p == 2 else field.add
+    add = field.add
     minus_one = field.neg(1)
     es = []
     steps = []
@@ -480,7 +477,7 @@ def _gpz_decode(field: ExtField, synd, n, chien, erasures=(), base_limit=None):
 
     exp, log = field._exp, field._log
     q1 = field.order - 1
-    add, sub = (xor, xor) if field.p == 2 else (field.add, field.sub)
+    add, sub = field.add, field.sub
     nm = 0
     try:
         # erasure locator gamma(x) = prod (1 - alpha^pos * x)
@@ -1117,13 +1114,14 @@ class BchCode(_CyclicCode):
         """The pattern of weight <= design_t with this remainder, both
         packed into ints (digit i at bit i), or DecodeFailure; over F_2
         only.  A lookup in the coset table where it fits, else
-        ``decode_remainder``."""
+        ``decode_syndrome`` of the kernel's power sums of the packed
+        remainder."""
+        kernel = self._tables or self._load_kernel()
         if self._cosets is None:
             fits = _coset_fits(self.n, self.design_t)
-            kernel = self._tables or self._load_kernel()
             self._cosets = fits and _coset_table(kernel, self.n, self.design_t)
         if self._cosets is False:
-            return _pack_bits(self.decode_remainder(_unpack_bits([remainder], self.redundancy)))
+            return _pack_bits(self.decode_syndrome(kernel.power_sums(remainder)))
         err = self._cosets.get(remainder)
         if err is None:
             raise DecodeFailure("no pattern of weight <= t has this remainder")

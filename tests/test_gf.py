@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -274,11 +275,22 @@ def test_mul_counter_monotone_and_resettable(f8):
     assert MUL_COUNTER.count == 0
 
 
+def test_binary_fields_add_and_subtract_by_xor():
+    """Over characteristic 2 the field's add and sub are XOR itself, so
+    callers need not test p to add."""
+    for m in range(1, 17):
+        fld = ExtField(2, m)
+        assert fld.add is operator.xor and fld.sub is operator.xor
+    assert ExtField(3, 2).add is not operator.xor
+
+
 def test_spec_strings():
     assert ExtField(2, 3).spec_string() == "gf(2^3)"
     assert ExtField(5, 1).spec_string() == "gf(5)"
     custom = ExtField(2, 3, modulus=[1, 1, 0, 1])
     assert custom.spec_string() == "gf(2^3)"  # matches the default table
+    other = ExtField(2, 3, modulus=[1, 0, 1, 1])
+    assert other.spec_string() == other.canonical_spec() == "gf(2^3;modulus=1,0,1,1)"
     f9 = ExtField(3, 2)
     assert "modulus=" in f9.canonical_spec()
 

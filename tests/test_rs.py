@@ -399,6 +399,34 @@ def test_rs_decode_with_the_packed_search_matches_the_scalar_one(code, monkeypat
 
 
 @pytest.mark.parametrize(
+    "code",
+    [RsCode(ExtField(2, 8), 255, 223), RsCode(ExtField(3, 2), 8, 4)],
+    ids=lambda code: code.spec_string(),
+)
+def test_decode_rechecks_the_pattern_it_returns(code, monkeypatch):
+    """A Chien search that moves every root one position on, with the
+    same count, leads Forney to a wrong pattern; the decoder's final
+    re-check against the syndrome refuses it, from the packed search over
+    F_{2^8} and the scalar one over F_9."""
+    from synfuzz import rs
+
+    err = [0] * code.n
+    err[2], err[5] = 3, 7
+    synd = code.syndrome(err)
+    assert code.decode(synd) == err
+    assert bool(code._chien) == (code.field.p == 2)
+    search = rs._chien_search
+
+    def shifted(field, psi, n, table):
+        roots, mults = search(field, psi, n, table)
+        return [(i + 1) % n for i in roots], mults
+
+    monkeypatch.setattr(rs, "_chien_search", shifted)
+    with pytest.raises(DecodeFailure, match="does not match the syndrome"):
+        code.decode(synd)
+
+
+@pytest.mark.parametrize(
     "m,t", [(3, 1), (4, 2), (6, 2)], ids=["bch(7,1)", "bch(15,2)", "bch(63,2)"]
 )
 def test_coset_table_matches_berlekamp_massey(m, t):

@@ -1,0 +1,106 @@
+"""Decoders checked over every syndrome of small codes.
+
+A decoder must return, for each syndrome, a pattern that reproduces it,
+and it must decode exactly the syndromes of the patterns within its
+capability: t = count // 2 symbol errors, a Hamming ball of
+sum_{w <= t} C(n, w) (q - 1)^w patterns.  Enumerating the whole
+syndrome space checks both at once, with no sampling, and compares the
+packed F_2 paths (the Chien table and the BCH coset table) with the
+scalar ones they stand in for.
+"""
+
+from itertools import product
+from math import comb
+
+import pytest
+
+from synfuzz import codespec, rs
+from synfuzz.errors import DecodeFailure
+from synfuzz.gf import MUL_COUNTER, ExtField
+from synfuzz.rs import BchCode, RsCode
+
+
+def ball_volume(n: int, q: int, t: int) -> int:
+    return sum(comb(n, w) * (q - 1) ** w for w in range(t + 1))
+
+
+def every_syndrome(code):
+    """Every syndrome ``code.segments`` admits, in lexicographic order."""
+    return product(*(range(field.order) for count, field in code.segments for _ in range(count)))
+
+
+def decode_all(code):
+    """Each syndrome's pattern, or None on DecodeFailure, with the
+    multiplications its decode counted."""
+    out = []
+    for synd in every_syndrome(code):
+        before = MUL_COUNTER.count
+        try:
+            got = code.decode(synd)
+        except DecodeFailure:
+            got = None
+        out.append((synd, got, MUL_COUNTER.count - before))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec,syndromes,decodable",
+    [
+        ("rs(7,3;gf(2^3))", 4096, 1079),
+        ("rs(8,4;gf(3^2))", 6561, 1857),
+        ("cI(rs(7,3;gf(2^3)))", 4096, 1079),
+    ],
+)
+def test_every_syndrome_decodes_to_a_pattern_that_reproduces_it(spec, syndromes, decodable):
+    code = codespec.parse_spec(spec)
+    outer = code if isinstance(code, RsCode) else code.rs
+    assert decodable == ball_volume(outer.n, outer.field.order, outer.t)
+    results = decode_all(code)
+    assert len(results) == syndromes
+    found = [(synd, got) for synd, got, _ in results if got is not None]
+    assert len(found) == decodable
+    for synd, got in found:
+        assert code.syndrome(got) == synd
+        symbols = got if code is outer else code.project(got)
+        assert sum(map(bool, symbols)) <= outer.t
+
+
+def test_scalar_chien_search_matches_the_packed_one(monkeypatch):
+    """Over every syndrome of rs(7,3;gf(2^3)), the scalar search gives the
+    packed search's outcomes and counts the same multiplications."""
+    packed = RsCode(ExtField(2, 3), 7, 3)
+    expected = decode_all(packed)
+    assert packed._chien
+    monkeypatch.setattr(rs, "_chien_fits", lambda field, n, r: False)
+    scalar = RsCode(ExtField(2, 3), 7, 3)
+    assert decode_all(scalar) == expected
+    assert scalar._chien is False
+
+
+@pytest.mark.parametrize("m,t,decodable", [(3, 1, 8), (4, 2, 121)], ids=["bch(7,1)", "bch(15,2)"])
+def test_coset_table_and_fallback_agree_on_every_remainder(m, t, decodable, monkeypatch):
+    """Every packed remainder of a binary BCH code decodes alike from the
+    coset table and, above its cap, through the syndrome decoder; each
+    pattern found has that remainder."""
+
+    def outcomes(code):
+        out = []
+        for rem in range(1 << code.redundancy):
+            try:
+                out.append(code.decode_packed(rem))
+            except DecodeFailure:
+                out.append(None)
+        return out
+
+    table = BchCode(2, m, t)
+    from_table = outcomes(table)
+    assert table._cosets
+    monkeypatch.setattr(rs, "_coset_fits", lambda n, t: False)
+    fallback = BchCode(2, m, t)
+    assert outcomes(fallback) == from_table
+    assert fallback._cosets is False
+    found = [(rem, err) for rem, err in enumerate(from_table) if err is not None]
+    assert len(found) == decodable == ball_volume(table.n, 2, t)
+    for rem, err in found:
+        bits = [err >> i & 1 for i in range(table.n)]
+        assert table.remainder(bits) == tuple(rem >> i & 1 for i in range(table.redundancy))
