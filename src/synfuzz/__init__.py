@@ -8,7 +8,7 @@ concatenated codes supply the error correction.
 
 from . import channel, cli, codespec, concat, errors, expand, fuzzy, gf, rs
 from .channel import ErrorPattern, Rng, gen_burst_1d, gen_burst_2d, gen_mixed
-from .codespec import format_spec, parse_field, parse_spec
+from .codespec import parse_field, parse_spec
 from .concat import (
     ConcatCode,
     FlatLayout,
@@ -48,7 +48,6 @@ __all__ = [
     "enroll",
     "errors",
     "expand",
-    "format_spec",
     "fuzzy",
     "gen_burst_1d",
     "gen_burst_2d",

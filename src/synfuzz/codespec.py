@@ -1,4 +1,5 @@
-"""Parsing and formatting of code specification strings.
+"""Parsing of code specification strings (each code writes its own with
+``spec_string()``).
 
 Grammar (whitespace around separators is ignored):
 
@@ -310,8 +311,3 @@ def _parse_code(text: str):
     if name not in _CODES:
         raise SpecParseError(f"unrecognized code spec {text!r}")
     return _CODES[name](args, text)
-
-
-def format_spec(code) -> str:
-    """The specification string of a code object (parse round-trips)."""
-    return code.spec_string()

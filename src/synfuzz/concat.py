@@ -20,9 +20,11 @@ checks divisibility and gives the array shape, ``cell(N, n, i, p)``
 places position p of inner code i, ``bounds(N, n, t, s)`` maps each
 capability query to its guaranteed figure, and ``bound_lines`` and
 ``guidance`` give the report text.  ``ConcatCode`` never asks which
-layout it holds: its ``_block_order()`` lists every ``cell``, inner
-codeword by inner codeword (none for the flat layout, already in order),
-and ``LinearCode._gather`` and ``_scatter`` read and write through it.
+layout it holds: ``_BlockCode._block_order()`` lists every ``cell``,
+inner codeword by inner codeword (none for the flat layout, already in
+order), and ``LinearCode._gather`` and ``_scatter`` read and write
+through it.  The square and companion expansions are placed by
+``VLayout`` too.
 
 A concatenation is an expansion whose per-symbol map is the inner
 encoder (Forney, *Concatenated Codes*, 1966), on ``rs._BlockCode``'s
@@ -117,8 +119,8 @@ class IvLayout:
     guidance = "several wide rectangular bursts, with a limited random-error budget"
 
     def shape(self, N: int, n: int) -> tuple[int, int]:
-        if N % self.b or n % self.a:
-            raise ShapeMismatchError("iv layout needs b | N and a | n")
+        if min(self.a, self.b) < 1 or N % self.b or n % self.a:
+            raise ShapeMismatchError("iv layout needs a, b >= 1, b | N and a | n")
         return (N * self.a // self.b, n * self.b // self.a)
 
     def cell(self, N: int, n: int, i: int, p: int) -> tuple[int, int]:
@@ -151,8 +153,8 @@ class VLayout:
     guidance = "one large burst plus random errors spread thinly over the tiles"
 
     def shape(self, N: int, n: int) -> tuple[int, int]:
-        if N % self.a or n % self.b:
-            raise ShapeMismatchError("v layout needs a | N and b | n")
+        if min(self.a, self.b) < 1 or N % self.a or n % self.b:
+            raise ShapeMismatchError("v layout needs a, b >= 1, a | N and b | n")
         return (N * n // (self.a * self.b), self.a * self.b)
 
     def cell(self, N: int, n: int, i: int, p: int) -> tuple[int, int]:
@@ -233,6 +235,8 @@ class DecodeInfo:
 class ConcatCode(_BlockCode):
     """Inner/outer concatenated code with one of the four layouts."""
 
+    syndrome = _BlockCode._syndrome
+
     def __init__(self, inner, outer: RsCode, layout=FlatLayout()):
         if inner.p != outer.field.p:
             raise ShapeMismatchError("inner and outer base primes differ")
@@ -240,25 +244,11 @@ class ConcatCode(_BlockCode):
             raise ShapeMismatchError(
                 f"outer extension degree {outer.field.m} must equal inner dimension {inner.k}"
             )
-        super().__init__(outer, inner.redundancy, inner.redundancy)
+        super().__init__(outer, inner.redundancy, inner.redundancy, layout)
         self.inner = inner
-        self.layout = layout
         self.p = inner.p
-        N, n = outer.n, inner.n
-        self.N, self.n_in = N, n
-        self.segments = ((N * inner.redundancy, self.alphabet), (outer.redundancy, outer.field))
-        self.shape = layout.shape(N, n)
+        self.N, self.n_in = outer.n, inner.n
         self.guidance = layout.guidance
-
-    def _block_order(self):
-        """The row-major offset of every position of every inner code, code
-        by code; None for the flat layout, which lays them out in order."""
-        if len(self.shape) == 1:
-            return None
-        N, n, cell = self.N, self.n_in, self.layout.cell
-        cols = self.shape[1]
-        places = (cell(N, n, i, p) for i in range(1, N + 1) for p in range(1, n + 1))
-        return tuple(r * cols + c for r, c in places)
 
     def layout_index(self, i: int, p: int) -> tuple[int, int]:
         """Array cell of inner code i (1-based), position p (1-based)."""
@@ -297,27 +287,13 @@ class ConcatCode(_BlockCode):
         """Outer-encode, inner-encode each outer symbol, lay out."""
         return self._rebuild(self.outer.encode(message), [0] * self.N)
 
-    def syndrome(self, word) -> tuple:
-        """Each block's inner remainder, then the outer syndrome of the
-        blocks' symbols."""
-        return self._cells_syndrome(self._gather(word))
-
-    def _cells_syndrome(self, cells) -> tuple:
-        """``syndrome`` of a word's block-ordered cells."""
-        syms, res = self._split_cells(cells)
-        return tuple(res) + self.outer._power_sums(syms)
-
     def decode(self, synd: tuple, with_info: bool = False):
         """Two-step decode of a concatenated-code syndrome: inner decodes
         of the damaged blocks (a failure is an outer erasure), the outer
         decode, then each block rebuilt from its corrected symbol and
         stored remainder.  The result must reproduce the input syndrome or
         DecodeFailure is raised."""
-        self._check_syndrome(synd)
-        split = self.N * self._chk
-        parts = self._parts(synd[:split])
-        errors, erasures, delta = self._decode_blocks(parts, synd[split:])
-        cells = self._rebuild_cells(errors, parts)
+        cells, erasures, delta = self._decode_cells(synd)
         if self._cells_syndrome(cells) != tuple(synd):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         pattern = self._scatter(cells)

@@ -15,9 +15,12 @@ Four layouts are provided:
 A block is one extension symbol on ``rs._BlockCode``'s block format,
 shared with the concatenations: its m coefficient digits, then the check
 cells the contraction drops (the parity digit, or the companion tile's
-columns 1..m-1 row-major), which hold ``_fill(sym)``.  A layout gives
-only that fill and, for the array layouts, ``_block_order()``, the flat
-offsets of each tile's cells.
+columns 1..m-1 row-major), which hold ``_fill(sym)``.  An expansion has
+no block order of its own: it is placed by a concatenation layout, as
+over a trivial inner code (acceptance check c08).  The row kinds use
+``FlatLayout``; ``square-array`` is ``VLayout(n2, sqrt(m))``, and
+``companion-array`` is ``VLayout(n2, m)`` with the tile's coefficient
+column listed first.
 
 The template syndrome of a base word is the RS syndrome of its blockwise
 contraction, then each block's residual, its check cells minus their
@@ -44,6 +47,7 @@ from .errors import (
     ShapeMismatchError,
     ShapeUnsupportedError,
 )
+from .concat import FlatLayout, VLayout
 from .rs import RsCode, _BlockCode, _byte_tables, _check_symbols, _pack_bits
 
 KIND_ROW = "row-vector"
@@ -87,43 +91,38 @@ def _dropped_checks(field, kind: str) -> list[int]:
 class ExpandedCode(_BlockCode):
     """A base-field expansion of an RS code with its layout bookkeeping."""
 
+    syndrome = _BlockCode._syndrome
+
     def __init__(self, rs: RsCode, kind: str, n1: int | None = None, n2: int | None = None):
         self.rs = rs
         self.kind = kind
         field = rs.field
         m = field.m
-        n = rs.n
         self.tile = m  # digits per tile side (per block for the row layouts)
-        is_row = kind in (KIND_ROW, KIND_ROW_PARITY)
-        # (row, column) of each block digit within its tile, coefficients first
-        if is_row:
+        places = None
+        if kind in (KIND_ROW, KIND_ROW_PARITY):
             if n1 is not None or n2 is not None:
                 raise ShapeUnsupportedError("row layouts take no array shape")
-            n1, n2 = 1, n
-            order = [(0, v) for v in range(m + (kind == KIND_ROW_PARITY))]
+            n1, n2 = 1, rs.n
+            layout = FlatLayout()
         elif kind == KIND_SQUARE:
             self.sm = self.tile = math.isqrt(m)
             if self.sm * self.sm != m:
                 raise ShapeUnsupportedError(f"m={m} is not a perfect square")
-            order = [divmod(u, self.sm) for u in range(m)]
+            layout = VLayout(n2, self.sm)
         elif kind == KIND_COMPANION:
-            order = [(u, 0) for u in range(m)] + [(u, v) for u in range(m) for v in range(1, m)]
+            layout = VLayout(n2, m)
+            # the coefficient column, then the other cells row-major
+            places = (*range(1, m * m + 1, m), *(p for p in range(1, m * m + 1) if (p - 1) % m))
         else:
             raise ShapeUnsupportedError(f"unknown expansion kind {kind!r}")
-        if n1 is None or n2 is None or n1 * n2 != n:
-            raise ShapeMismatchError(f"need n1*n2 = {n}")
-        super().__init__(rs, len(order) - m, 0)
+        if n1 is None or n2 is None or n1 * n2 != rs.n:
+            raise ShapeMismatchError(f"need n1*n2 = {rs.n}")
         self.n1, self.n2 = n1, n2
         self._fill = partial(_FILLS[kind], field) if kind in _FILLS else field.to_base_vector
-        tile_rows, tile_cols = (max(d) + 1 for d in zip(*order))
-        self.shape = (n2 * tile_cols,) if is_row else (n1 * tile_rows, n2 * tile_cols)
-        cols = self.shape[-1]
-        self._steps = (tile_rows * cols, tile_cols)
-        self._tile_offsets = tuple(u * cols + v for u, v in order)
+        # the check cells are the fill's cells past the m symbol digits
+        super().__init__(rs, len(self._fill(0)) - m, 0, layout, places)
         self.guidance = GUIDANCE_BY_KIND[kind]
-        self.segments = ((rs.redundancy, field),)
-        if self._chk:
-            self.segments += ((n * self._chk, self.alphabet),)
 
     @classmethod
     def row_vector(cls, rs: RsCode) -> "ExpandedCode":
@@ -144,16 +143,6 @@ class ExpandedCode(_BlockCode):
     @property
     def is_array(self) -> bool:
         return len(self.shape) == 2
-
-    def _block_order(self):
-        """Each symbol's tile cells, symbols in grid order; None for the
-        row layouts."""
-        if not self.is_array:
-            return None
-        rstep, cstep = self._steps
-        tile = self._tile_offsets
-        origins = ((i // self.n2) * rstep + (i % self.n2) * cstep for i in range(self.rs.n))
-        return tuple(origin + at for origin in origins for at in tile)
 
     def _load_checks(self):
         self._checks = _byte_tables(_dropped_checks(self.rs.field, self.kind))
@@ -189,12 +178,6 @@ class ExpandedCode(_BlockCode):
     # syndrome and decoding
     # ------------------------------------------------------------------
 
-    def syndrome(self, base) -> tuple:
-        """Template syndrome of a base word; linear in the word: the RS
-        syndrome of the blockwise contraction, then the blocks' residuals."""
-        word, res = self._split(base)
-        return self.rs._power_sums(word) + tuple(res)
-
     def decode(self, synd: tuple) -> list:
         """Base-field error pattern reproducing the syndrome.
 
@@ -203,10 +186,7 @@ class ExpandedCode(_BlockCode):
         from its symbol error and stored residual, so the reconstruction is
         exact whenever the RS step is.
         """
-        self._check_syndrome(synd)
-        r = self.rs.redundancy
-        parts = self._parts(synd[r:])
-        return self._rebuild(self._decode_blocks(parts, synd[:r])[0], parts)
+        return self._scatter(self._decode_cells(synd)[0])
 
     # ------------------------------------------------------------------
     # burst capability

@@ -209,7 +209,7 @@ def enroll(data, code, hash_alg: str = "sha-256") -> Template:
         raise UnsupportedHashError(f"unknown hash algorithm {hash_alg!r}")
     synd = enrollable(code).syndrome(data)
     return Template(
-        code_spec=codespec.format_spec(code),
+        code_spec=code.spec_string(),
         hash_alg=hash_alg,
         digest=hash_digest(hash_alg, canonical_bytes(code, data)),
         syndrome=syndrome_to_bytes(code, synd),

@@ -253,23 +253,76 @@ class _BlockCode(LinearCode):
     read off them.  So a binary word splits as bit lanes, one int per cell
     position across all blocks, with no loop over the blocks
     (``_split_cells``); its symbols go to the outer code unchecked
-    (``RsCode._power_sums``).  A subclass also gives
+    (``RsCode._power_sums``).
+
+    Every placement decision is the ``layout``'s (a ``concat.py`` layout
+    object): ``shape`` is ``layout.shape(n, _width)``, and
+    ``_block_order()`` asks ``layout.cell(n, _width, i, p)`` for every
+    cell, with p running over ``places`` in block-format order (default
+    1.._width); a one-row shape needs no order.  The syndrome lists its
+    two runs in the order a block lists its cells: the outer power sums
+    first where the symbol digits come first (``_sym_at == 0``), the
+    residuals first otherwise, and an empty residual run is left out of
+    ``segments``.  ``_syndrome`` computes it, and each subclass binds it
+    as its own ``syndrome``.  ``_decode_cells`` checks a syndrome, splits
+    it by those runs, inner-decodes or erases each damaged block, runs
+    the outer decode and rebuilds the pattern's block-ordered cells; a
+    subclass scatters them.  A subclass also gives
     ``_inner_decode(part)``: the symbol error a damaged block's residual
     suggests, or None to make the block an outer erasure.
     """
 
-    def __init__(self, outer, chk: int, sym_at: int):
+    def __init__(self, outer, chk: int, sym_at: int, layout, places=None):
         m = outer.field.m
         self.outer = outer
         self._chk, self._sym_at = chk, sym_at
         self._chk_at = 0 if sym_at else m
         self._width = m + chk
+        self._places = places
         self._checks = None  # the check tables over F_2, set on first use
         self._lanes = None  # the lanes of each check digit over F_2, set on first use
         self._order = None
+        self.layout = layout
+        self.shape = layout.shape(outer.n, self._width)
         self.base_length = outer.n * self._width
         self.base_dimension = outer.k * m
         self.alphabet = outer.field.prime
+        sums = ((outer.redundancy, outer.field),)
+        res = ((outer.n * chk, self.alphabet),) if chk else ()
+        self.segments = res + sums if sym_at else sums + res
+
+    def _block_order(self):
+        """The row-major offset of every cell the layout places, block by
+        block in block-format order; None for a one-row shape."""
+        if len(self.shape) == 1:
+            return None
+        N, width, cell, cols = self.outer.n, self._width, self.layout.cell, self.shape[1]
+        places = self._places or range(1, width + 1)
+        return tuple([r * cols + c for i in range(1, N + 1) for p in places
+                      for r, c in (cell(N, width, i, p),)])
+
+    def _syndrome(self, word) -> tuple:
+        """The outer power sums of a word's block symbols and the blocks'
+        residuals, in ``segments`` order."""
+        return self._cells_syndrome(self._gather(word))
+
+    def _cells_syndrome(self, cells) -> tuple:
+        """``syndrome`` of a word's block-ordered cells."""
+        syms, res = self._split_cells(cells)
+        sums = self.outer._power_sums(syms)
+        return tuple(res) + sums if self._sym_at else sums + tuple(res)
+
+    def _decode_cells(self, synd: tuple):
+        """The block-ordered cells of the pattern a syndrome decodes to,
+        the erased blocks and the outer corrections: the residual run split
+        into parts, each block inner-decoded or erased, the outer decode,
+        then every block rebuilt from its symbol error and stored part."""
+        self._check_syndrome(synd)
+        r = self.outer.redundancy
+        sums, res = (synd[-r:], synd[:-r]) if self._sym_at else (synd[:r], synd[r:])
+        parts = self._parts(res)
+        errors, erasures, delta = self._decode_blocks(parts, sums)
+        return self._rebuild_cells(errors, parts), erasures, delta
 
     def _split(self, word):
         """The outer symbols of a word's blocks and their flat residuals."""

@@ -6,6 +6,8 @@ algorithms, independent of the table-driven paths in the package.
 
 from __future__ import annotations
 
+import math
+
 
 def to_digits(value: int, p: int, m: int) -> list[int]:
     out = []
@@ -97,3 +99,29 @@ def split_blocks(code, cells):
         syms.append(sym)
         res.extend(rest >> k & 1 for k in range(chk))
     return syms, res
+
+
+def expansion_layout(kind: str, rs, n1: int = 1, n2: int = 1):
+    """The shape, syndrome segments and block order of an expansion of the
+    RS code ``rs``, by tile arithmetic: symbol i's tile sits at grid
+    position (i div n2, i mod n2), and its digits at (row, column) offsets
+    within the tile, the m coefficient digits first.  The order is None
+    for the row kinds, whose blocks lie side by side."""
+    field, n = rs.field, rs.n
+    m = field.m
+    if kind == "square-array":
+        side = math.isqrt(m)
+        tile = [divmod(u, side) for u in range(m)]
+    elif kind == "companion-array":
+        tile = [(u, 0) for u in range(m)] + [(u, v) for u in range(m) for v in range(1, m)]
+    else:
+        tile = [(0, v) for v in range(m + (kind == "row-vector-parity"))]
+    chk = len(tile) - m
+    segments = ((rs.redundancy, field),) + (((n * chk, field.prime),) if chk else ())
+    tile_rows, tile_cols = (max(d) + 1 for d in zip(*tile))
+    if kind.startswith("row-vector"):
+        return (n * tile_cols,), segments, None
+    cols = n2 * tile_cols
+    origins = ((i // n2) * tile_rows * cols + (i % n2) * tile_cols for i in range(n))
+    order = tuple(origin + u * cols + v for origin in origins for u, v in tile)
+    return (n1 * tile_rows, cols), segments, order

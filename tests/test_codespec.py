@@ -10,7 +10,7 @@ import pytest
 
 import synfuzz
 from synfuzz import codespec, fuzzy, gf, rs
-from synfuzz.codespec import format_spec, parse_field, parse_spec
+from synfuzz.codespec import parse_field, parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
 from synfuzz.errors import ReducibleModulusError, ShapeMismatchError, SpecParseError, SynfuzzError
 from synfuzz.expand import ExpandedCode
@@ -146,10 +146,10 @@ def test_format_parse_round_trip():
     ]
     for spec in specs:
         code = parse_spec(spec)
-        assert format_spec(code) == spec
+        assert code.spec_string() == spec
         # parsing the formatted form gives an equivalent code
-        again = parse_spec(format_spec(code))
-        assert format_spec(again) == spec
+        again = parse_spec(code.spec_string())
+        assert again.spec_string() == spec
 
 
 @pytest.fixture

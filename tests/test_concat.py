@@ -461,3 +461,21 @@ def test_v_reproduces_companion_expansion_bit_for_bit():
 def test_trivial_inner_code_surface():
     code = TrivialCode(2, 4)
     assert code.encode([1, 0, 1, 1]) == [1, 0, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 16, 8), VLayout(0, 5)),
+        lambda: ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 16, 8), IvLayout(7, 0)),
+        lambda: ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 16, 8), VLayout(-4, -5)),
+        lambda: ExpandedCode.square_array(RsCode(ExtField(2, 4), 15, 7), -3, -5),
+        lambda: ExpandedCode.companion_array(RsCode(ExtField(2, 4), 15, 5), -3, -5),
+    ],
+    ids=["v(0,5)", "iv(7,0)", "v(-4,-5)", "cII(-3,-5)", "cIII(-3,-5)"],
+)
+def test_layout_parameters_below_one_are_refused(build):
+    """A layout parameter below 1 is a shape mismatch, not a division by
+    zero or a code whose cells lie outside its word."""
+    with pytest.raises(ShapeMismatchError):
+        build()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d, gen_mixed
 from synfuzz.codespec import parse_spec
 from synfuzz.errors import (
@@ -372,3 +373,32 @@ def test_syndrome_symbol_counts(c1, c1p, c2, c3):
     assert c1p.syndrome_symbol_count() == 4 * 3 + 7
     assert c2.syndrome_symbol_count() == 8 * 4
     assert c3.syndrome_symbol_count() == 10 * 4 + 15 * 4 * 3
+
+
+@pytest.mark.parametrize(
+    "kind,p,m,lengths",
+    [
+        ("square-array", 2, 4, (15, 12)),
+        ("square-array", 3, 4, (80, 72)),
+        ("companion-array", 2, 3, (7, 6)),
+        ("companion-array", 3, 2, (8, 6)),
+        ("companion-array", 2, 4, (15, 12)),
+        ("square-array", 5, 1, (4, 3)),
+        ("companion-array", 5, 1, (4, 3)),
+    ],
+)
+def test_layout_places_cells_as_the_tile_formula(kind, p, m, lengths):
+    """Every n1 x n2 split of full and shortened codes is placed, shaped and
+    its syndrome laid out as the tile arithmetic of tests/oracle.py says;
+    the row kinds over the same codes build no block order."""
+    field = ExtField(p, m)
+    for n in lengths:
+        rs = RsCode(field, n, n - 2)
+        for kind_row in ("row-vector", "row-vector-parity"):
+            code = ExpandedCode(rs, kind_row)
+            assert (code.shape, code.segments, code._block_order()) == \
+                oracle.expansion_layout(kind_row, rs)
+        for n1 in (d for d in range(1, n + 1) if n % d == 0):
+            code = ExpandedCode(rs, kind, n1, n // n1)
+            assert (code.shape, code.segments, code._block_order()) == \
+                oracle.expansion_layout(kind, rs, n1, n // n1)

@@ -9,6 +9,7 @@ packed F_2 paths (the Chien table and the BCH coset table) with the
 scalar ones they stand in for.
 """
 
+import random
 from itertools import product
 from math import comb
 
@@ -104,3 +105,50 @@ def test_coset_table_and_fallback_agree_on_every_remainder(m, t, decodable, monk
     for rem, err in found:
         bits = [err >> i & 1 for i in range(table.n)]
         assert table.remainder(bits) == tuple(rem >> i & 1 for i in range(table.redundancy))
+
+
+# Block codes, each with the volume of its outer Hamming ball.
+BLOCK_CODES = [
+    ("cI+parity(rs(7,3;gf(2^3)))", 1079),
+    ("cIII(rs(7,3;gf(2^3));1,7)", 1079),
+    ("concat(inner=bch(7,1;gf(2)), outer=rs(15,13;gf(2^4)), layout=flat)", 226),
+    ("concat(inner=bch(4,1;gf(5)), outer=rs(8,6;gf(5^2)), layout=vi)", 193),
+]
+
+
+@pytest.mark.parametrize("residual", ["zero", "seeded"])
+@pytest.mark.parametrize("spec,decodable", BLOCK_CODES, ids=[c[0] for c in BLOCK_CODES])
+def test_every_outer_syndrome_of_a_block_code_decodes_to_a_pattern_that_reproduces_it(
+    spec, decodable, residual
+):
+    """Every outer syndrome beside one residual run decodes to a pattern
+    with exactly that whole syndrome: the contract the expansions, which
+    run no re-check, keep by construction.  The residual run is zero, or
+    nonzero in t seeded blocks.  With the zero run the decodable
+    syndromes are the outer Hamming ball."""
+    code = codespec.parse_spec(spec)
+    outer = code.outer
+    at = code.segments.index((outer.redundancy, outer.field))
+    (count, prime), = (run for i, run in enumerate(code.segments) if i != at)
+    chk = count // outer.n
+    res = [0] * count
+    rng = random.Random(0x5E6)
+    for i in rng.sample(range(outer.n), outer.t if residual == "seeded" else 0):
+        part = [rng.randrange(prime.order) for _ in range(chk)]
+        part[rng.randrange(chk)] = rng.randrange(1, prime.order)
+        res[i * chk : (i + 1) * chk] = part
+    res = tuple(res)
+    found = 0
+    for sums in product(range(outer.field.order), repeat=outer.redundancy):
+        synd = sums + res if at == 0 else res + sums
+        try:
+            got = code.decode(synd)
+        except DecodeFailure:
+            continue
+        assert code.syndrome(got) == synd
+        found += 1
+    assert decodable == ball_volume(outer.n, outer.field.order, outer.t)
+    if residual == "zero":
+        assert found == decodable
+    else:
+        assert found
