@@ -19,9 +19,12 @@ the parent's runs, and the number of pairs in which the change was
 better; per end-to-end metric of BENCHMARK.json its verdict (see
 `verdict`); per roster construction the median over the runs of its
 `latency_p50_ms_by_construction` entry (from perfbench's info line) in
-each tree and their ratio, which shows the constructions that moved; and
-the traced `gf.mults`.  A run that fails or reports failed operations
-stops the script with exit code 1.
+each tree and their ratio, which shows the constructions that moved; each
+tree's median `reference_ms`, the time of perfbench's reference loop; and
+the traced `gf.mults`.  The info line's per-construction medians are raw,
+so each run's are scaled as perfbench scales its `latency_p50_ms`: by
+that run's `latency_p50_ms` over its `raw_latency_p50_ms`.  A run that
+fails or reports failed operations stops the script with exit code 1.
 """
 
 from __future__ import annotations
@@ -97,13 +100,17 @@ def compare(trees: dict, workload: str, seed: int, spec: dict) -> dict:
     higher = {m["name"] for m in end_to_end if m["better"] == "higher"}
     runs = {name: [] for name in TREES}
     by_construction = {name: {} for name in TREES}  # spec -> latency_p50_ms of each run
+    reference = {name: [] for name in TREES}
     for i in range(PAIRS):
         order = TREES if i % 2 == 0 else TREES[::-1]
         for name in order:
             result, info = run(trees[name], workload, seed + i, seconds, 0)
             runs[name].append({k: v["value"] for k, v in result["metrics"].items()})
-            for spec, ms in info.get("latency_p50_ms_by_construction", {}).items():
-                by_construction[name].setdefault(spec, []).append(ms)
+            if info:
+                scale = runs[name][-1]["latency_p50_ms"] / info["raw_latency_p50_ms"]
+                for spec, ms in info["latency_p50_ms_by_construction"].items():
+                    by_construction[name].setdefault(spec, []).append(ms * scale)
+                reference[name].append(info["reference_ms"])
             print(f"{workload} pair {i + 1}/{PAIRS} {name}: "
                   f"ops_per_s {runs[name][-1]['ops_per_s']:.1f}", file=sys.stderr)
     metrics = sorted(runs["parent"][0])
@@ -130,6 +137,8 @@ def compare(trees: dict, workload: str, seed: int, spec: dict) -> dict:
         medians = {name: statistics.median(by_construction[name][spec]) for name in TREES}
         out["latency_p50_ms_by_construction"][spec] = {
             **medians, "ratio_change_over_parent": medians["change"] / medians["parent"]}
+    out["reference_ms"] = {
+        name: statistics.median(reference[name]) for name in TREES if reference[name]}
     out["gf.mults"] = {
         name: run(trees[name], workload, seed, seconds, 1)[0]["metrics"]["gf.mults"]["value"]
         for name in TREES}

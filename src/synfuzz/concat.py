@@ -52,6 +52,7 @@ from .errors import (
     QueryUnsupportedError,
     ShapeMismatchError,
 )
+from .gf import _from_digits
 from .rs import (
     RsCode, _BlockCode, _byte_tables, _check_symbols, _pack_bits, _poly_remainder
 )
@@ -275,7 +276,7 @@ class ConcatCode(_BlockCode):
         try:
             if self.p == 2:
                 return self.inner.decode_packed(residual) >> r
-            return self.outer.field.from_base_vector(self.inner.decode_remainder(residual)[r:])
+            return _from_digits(self.inner.decode_remainder(residual)[r:], self.p)
         except DecodeFailure:
             return None
 

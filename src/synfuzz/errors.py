@@ -9,16 +9,13 @@ class NotPrimeError(SynfuzzError, ValueError):
     """The requested base-field modulus is not a prime number."""
 
 
-class ReducibleModulusError(SynfuzzError, ValueError):
-    """The supplied extension-field modulus polynomial is reducible."""
-
-
 class NoDefaultModulusError(SynfuzzError, LookupError):
     """No built-in modulus polynomial is available for this field size."""
 
 
 class NonPrimitiveAlphaError(SynfuzzError, ValueError):
-    """The class of x is not a generator of the multiplicative group."""
+    """The class of x is not a generator of the multiplicative group.  A
+    reducible modulus raises this too, since x cannot be primitive on it."""
 
 
 class NotInAlgebraError(SynfuzzError, ValueError):

@@ -17,14 +17,16 @@ column c is the coefficient vector of a x^c, read from the exp table.
 
 Every table comes from one walk over the powers of x modulo the modulus,
 so x must be primitive: a modulus that leaves x short of order p^m - 1
-raises NonPrimitiveAlphaError.  The walk gives exp directly and log by
-inversion.  For odd p it also gives the Zech logarithms
-(1 + x^i = x^zech(i)), so addition, subtraction and negation
-(-a = a x^((p^m-1)/2)) run on the same tables.  Over characteristic 2 a
-field's ``add`` and ``sub`` are ``operator.xor`` itself, bound once when
-the field is built, so callers use them directly and none tests p to add.
-Every field multiplication bumps a thread-local counter so decoder
-costs can be measured.
+raises NonPrimitiveAlphaError.  That walk is the only test of a modulus.
+A modulus that makes x primitive is irreducible (Lidl and Niederreiter,
+Finite Fields, Thm. 3.16), so a reducible one fails the walk too.  The
+walk gives exp directly and log by inversion.  For odd p it also gives
+the Zech logarithms (1 + x^i = x^zech(i)), so addition, subtraction and
+negation (-a = a x^((p^m-1)/2)) run on the same tables.  Over
+characteristic 2 a field's ``add`` and ``sub`` are ``operator.xor``
+itself, bound once when the field is built, so callers use them directly
+and none tests p to add.  Every field multiplication bumps a thread-local
+counter so decoder costs can be measured.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
     NonPrimitiveAlphaError,
     NotInAlgebraError,
     NotPrimeError,
-    ReducibleModulusError,
 )
 
 # Primitive polynomials for F_{2^m}, coefficient tuples (c0, ..., cm) with
@@ -115,41 +116,6 @@ def _from_digits(digits, p: int) -> int:
     return v
 
 
-def _poly_trim(f: list[int]) -> list[int]:
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mod(p: int, f: list[int], g: list[int]) -> list[int]:
-    """Remainder of f by g over F_p; g need not be monic."""
-    f = [c % p for c in f]
-    g = _poly_trim([c % p for c in g])
-    dg = len(g) - 1
-    lead_inv = pow(g[-1], p - 2, p) if g[-1] != 1 else 1
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i]
-        if c:
-            factor = (c * lead_inv) % p
-            for j in range(dg + 1):
-                f[i - dg + j] = (f[i - dg + j] - factor * g[j]) % p
-    return _poly_trim(f[:dg] if dg > 0 else [0])
-
-
-def _is_irreducible(p: int, coeffs) -> bool:
-    """Trial division by every monic polynomial of degree <= m/2."""
-    m = len(coeffs) - 1
-    if m == 1:
-        return True
-    for d in range(1, m // 2 + 1):
-        for low in range(p**d):
-            divisor = _to_digits(low, p, d) + [1]
-            rem = _poly_mod(p, list(coeffs), divisor)
-            if rem == [0]:
-                return False
-    return True
-
-
 def _x_powers(p: int, m: int, modulus) -> list[int]:
     """The powers 1, x, x^2, ... modulo the monic modulus, encoded, up to the
     first return to 1.
@@ -213,7 +179,7 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     for coeffs in candidates:
         if coeffs[0] == 0:  # x divides it
             continue
-        if _is_irreducible(p, coeffs) and len(_x_powers(p, m, coeffs)) == p**m - 1:
+        if len(_x_powers(p, m, coeffs)) == p**m - 1:
             return coeffs
     raise NoDefaultModulusError(f"no primitive modulus found for gf({p}^{m})")  # pragma: no cover
 
@@ -223,9 +189,10 @@ class ExtField:
 
     Elements are ints in [0, p^m) under the digit encoding described in the
     module docstring.  The base field embeds as the values 0..p-1.  A given
-    modulus must be irreducible and make x primitive; with none, a built-in
-    default is used (binary fields up to degree 16 from a fixed table,
-    other small fields by deterministic search).
+    modulus must be monic of degree m and make x primitive, which makes it
+    irreducible; with none, a built-in default is used (binary fields up to
+    degree 16 from a fixed table, other small fields by deterministic
+    search).
     """
 
     def __init__(self, p: int, m: int, modulus=None):
@@ -237,26 +204,23 @@ class ExtField:
         self.m = m
         self.order = q = p**m
         if modulus is None:
-            self.modulus = default_modulus(p, m)
-            self.modulus_is_default = True
+            mod = default_modulus(p, m)
         else:
             mod = tuple(int(c) % p for c in modulus)
             if len(mod) != m + 1 or mod[-1] != 1:
                 raise ValueError(f"modulus must be monic of degree {m}")
-            if not _is_irreducible(p, mod):
-                raise ReducibleModulusError(f"{mod} is reducible over gf({p})")
-            self.modulus = mod
-            try:
-                self.modulus_is_default = mod == default_modulus(p, m)
-            except NoDefaultModulusError:
-                self.modulus_is_default = False
-        self.alpha = p % q if m > 1 else (-self.modulus[0]) % p
-        powers = _x_powers(p, m, self.modulus)
+        self.modulus = mod
+        self.alpha = p % q if m > 1 else (-mod[0]) % p
+        powers = _x_powers(p, m, mod)
         if len(powers) != q - 1:
             raise NonPrimitiveAlphaError(
-                f"x is not primitive modulo {self.modulus}: "
-                f"its powers reach {len(powers)} of the {q - 1} nonzero elements"
+                f"x is not primitive modulo {mod}: "
+                f"its powers do not run through the {q - 1} nonzero residues"
             )
+        try:
+            self.modulus_is_default = modulus is None or mod == default_modulus(p, m)
+        except NoDefaultModulusError:
+            self.modulus_is_default = False
         log = [0] * q
         for i, v in enumerate(powers):
             log[v] = i

@@ -71,7 +71,7 @@ from .errors import (
     ShapeMismatchError,
     TooManyErasuresError,
 )
-from .gf import MUL_COUNTER, ExtField
+from .gf import MUL_COUNTER, ExtField, _from_digits
 
 
 class _SpecIdentity:
@@ -368,8 +368,7 @@ class _BlockCode(LinearCode):
             return syms, res
         _check_range(cells, p, f"gf({p})")
         blocks = [cells[at : at + width] for at in range(0, len(cells), width)]
-        digits = self.outer.field.from_base_vector
-        syms = [digits(b[sym_at : sym_at + m]) for b in blocks]
+        syms = [_from_digits(b[sym_at : sym_at + m], p) for b in blocks]
         if not chk:
             return syms, ()
         return syms, [v for b, s in zip(blocks, syms) for v in self._residual(b, s)]

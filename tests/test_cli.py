@@ -221,6 +221,7 @@ def test_verify_out_of_range_syndrome_exits_2(tmp_path, capsys):
     "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=iv(0,5))",
     "cII(rs(15,7;gf(2^4));-3,-5)",
     "rs(8,4;gf(3^2;modulus=1,0,1))",
+    "rs(8,4;gf(3^2;modulus=2,0,1))",
     "bch(8191,1;gf(2))",
     "concat(inner=bch(255,59;gf(2)), outer=rs(8191,4001;gf(2^13)), layout=vi)",
     "concat(inner=bch(63,11;gf(2)), outer=rs(16645,16581;gf(2^16)), layout=flat)",

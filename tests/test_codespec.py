@@ -12,7 +12,7 @@ import synfuzz
 from synfuzz import codespec, fuzzy, gf, rs
 from synfuzz.codespec import parse_field, parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
-from synfuzz.errors import ReducibleModulusError, ShapeMismatchError, SpecParseError, SynfuzzError
+from synfuzz.errors import NonPrimitiveAlphaError, ShapeMismatchError, SpecParseError, SynfuzzError
 from synfuzz.expand import ExpandedCode
 from synfuzz.rs import BchCode, RsCode
 
@@ -31,7 +31,7 @@ def test_parse_field_errors():
         parse_field("gf2^3")
     with pytest.raises(SpecParseError):
         parse_field("gf(2^3;mod=1,1,0,1)")
-    with pytest.raises(ReducibleModulusError):
+    with pytest.raises(NonPrimitiveAlphaError):
         parse_field("gf(2^3;modulus=1,0,0,1)")
     for text in ("gf (2)", "GF(2)", "gf(2)x", "gf(2", "gf2)", "gf)2("):
         with pytest.raises(SpecParseError):

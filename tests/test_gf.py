@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 
@@ -10,8 +11,8 @@ from synfuzz.errors import (
     NonPrimitiveAlphaError,
     NotInAlgebraError,
     NotPrimeError,
-    ReducibleModulusError,
 )
+from synfuzz.codespec import parse_field
 from synfuzz.gf import MUL_COUNTER, ExtField, default_modulus
 
 import oracle
@@ -56,9 +57,107 @@ def test_degree_one_extension_is_the_prime_field():
 
 
 def test_reducible_modulus_rejected():
-    # x^3 + 1 = (x + 1)(x^2 + x + 1)
-    with pytest.raises(ReducibleModulusError):
+    # x^3 + 1 = (x + 1)(x^2 + x + 1): x cannot be primitive on it
+    with pytest.raises(NonPrimitiveAlphaError):
         ExtField(2, 3, modulus=[1, 0, 0, 1])
+
+
+# (p, top m): every monic modulus of degree 1..top over F_p is tried
+EVERY_MODULUS_FIELDS = [(2, 8), (3, 5), (5, 3), (7, 2), (13, 2)]
+
+
+@pytest.mark.parametrize(
+    "p,m", [(p, m) for p, top in EVERY_MODULUS_FIELDS for m in range(1, top + 1)]
+)
+def test_a_modulus_is_accepted_exactly_when_it_is_primitive(p, m):
+    """Of the p^m monic polynomials of degree m, ExtField accepts as many
+    as there are primitive ones, phi(p^m - 1)/m, and refuses every other,
+    reducible or not, with NonPrimitiveAlphaError.  On each accepted one
+    its powers of x, taken by schoolbook multiplication, are its exp table
+    and reach every nonzero element."""
+    q = p**m
+    accepted = 0
+    for low in range(q):
+        modulus = oracle.to_digits(low, p, m) + [1]
+        try:
+            fld = ExtField(p, m, modulus)
+        except NonPrimitiveAlphaError:
+            continue
+        accepted += 1
+        x = oracle.from_digits(oracle.poly_mod(p, [0, 1], modulus), p)
+        v = 1
+        for e in range(q - 1):
+            assert fld.alpha_pow(e) == v
+            v = oracle.elem_mul(p, m, modulus, v, x)
+        assert v == 1
+        assert_alpha_primitive(fld)
+    totient = sum(math.gcd(k, q - 1) == 1 for k in range(1, q))
+    assert accepted * m == totient
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gf(3^2;modulus=2,0,1)",  # x^2 + 2 = (x + 1)(x + 2)
+        "gf(3^2;modulus=1,0,1)",  # irreducible, but x has order 4
+        "gf(5^2;modulus=0,1,1)",  # x (x + 1)
+        "gf(2^4;modulus=1,1,1,1,1)",  # irreducible, but x has order 5
+        "gf(2^4;modulus=1,0,1,0,1)",  # (x^2 + x + 1)^2
+        "gf(7;modulus=6,1)",  # x - 1
+    ],
+)
+def test_parse_field_refuses_a_non_primitive_modulus(text):
+    with pytest.raises(NonPrimitiveAlphaError):
+        parse_field(text)
+
+
+def test_parse_field_accepts_a_primitive_modulus():
+    assert parse_field("gf(3^2;modulus=2,1,1)").modulus_is_default
+    custom = parse_field("gf(3^2;modulus=2,2,1)")  # x^2 + 2x + 2
+    assert custom.spec_string() == "gf(3^2;modulus=2,2,1)"
+    assert_alpha_primitive(custom)
+
+
+# default_modulus(p, m) of every odd field of at most 2^12 elements with
+# m >= 2; template bytes name the field by its modulus.
+ODD_DEFAULT_MODULI = {
+    (3, 2): (2, 1, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (1, 2, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 1, 1),
+    (5, 3): (2, 3, 0, 1),
+    (5, 4): (2, 2, 1, 0, 1),
+    (5, 5): (2, 4, 0, 0, 0, 1),
+    (7, 2): (3, 1, 1),
+    (7, 3): (2, 3, 0, 1),
+    (7, 4): (5, 3, 1, 0, 1),
+    (11, 2): (7, 1, 1),
+    (11, 3): (4, 1, 0, 1),
+    (13, 2): (2, 1, 1),
+    (13, 3): (6, 1, 0, 1),
+    (17, 2): (3, 1, 1),
+    (19, 2): (2, 1, 1),
+    (23, 2): (7, 1, 1),
+    (29, 2): (3, 1, 1),
+    (31, 2): (12, 1, 1),
+    (37, 2): (5, 1, 1),
+    (41, 2): (12, 1, 1),
+    (43, 2): (3, 1, 1),
+    (47, 2): (13, 1, 1),
+    (53, 2): (5, 1, 1),
+    (59, 2): (2, 1, 1),
+    (61, 2): (2, 1, 1),
+}
+
+
+def test_odd_default_moduli_are_pinned():
+    fields = [(p, m) for p, m in _prime_powers(1 << 12) if p > 2 and m > 1]
+    assert sorted(ODD_DEFAULT_MODULI) == sorted(fields)
+    for (p, m), modulus in ODD_DEFAULT_MODULI.items():
+        assert default_modulus(p, m) == modulus
 
 
 def test_no_default_modulus_for_large_fields():

@@ -113,8 +113,9 @@ def test_bench_pairs_runs_for_the_benchmark_run_seconds(tmp_path, monkeypatch):
 
 def test_bench_pairs_reports_each_construction_median_ratio(tmp_path, monkeypatch):
     """Each run's latency_p50_ms_by_construction, from perfbench's info
-    line, is kept; the report gives per construction the median of each
-    tree and their ratio."""
+    line, is kept, scaled by the run's latency_p50_ms over its
+    raw_latency_p50_ms; the report gives per construction the median of
+    each tree and their ratio, and each tree's median reference_ms."""
     bench_pairs = load_script("bench_pairs.py")
     root = SCRIPTS.parent
     spec = json.loads((root / "BENCHMARK.json").read_text())
@@ -125,9 +126,13 @@ def test_bench_pairs_reports_each_construction_median_ratio(tmp_path, monkeypatc
 
     def perfbench(cmd, cwd, **kwargs):
         runs.append(cwd)
-        slow = 2.0 if cwd.name == "change" else 1.0
-        info = {"info": {"latency_p50_ms_by_construction": {
-            "a": len(runs) % 3 + 1.0, "b": slow * (len(runs) % 5 + 1.0)}}}
+        # the change tree runs on a host three times slower, where "b"
+        # also takes twice as long; "a" is alike once scaled
+        host, slow = (3.0, 2.0) if cwd.name == "change" else (1.0, 1.0)
+        info = {"info": {
+            "reference_ms": 2.25 * host, "raw_latency_p50_ms": host,
+            "latency_p50_ms_by_construction": {
+                "a": host * 1.5, "b": host * slow * (len(runs) % 5 + 1.0)}}}
         return subprocess.CompletedProcess(
             cmd, 0, json.dumps(info) + "\n" + json.dumps(result) + "\n", "")
 
@@ -143,4 +148,6 @@ def test_bench_pairs_reports_each_construction_median_ratio(tmp_path, monkeypatc
         assert sorted(rows) == ["a", "b"]
         for row in rows.values():
             assert row["ratio_change_over_parent"] == row["change"] / row["parent"]
+        assert rows["a"] == {"parent": 1.5, "change": 1.5, "ratio_change_over_parent": 1.0}
         assert rows["b"]["change"] > rows["b"]["parent"]
+        assert report["reference_ms"] == {"parent": 2.25, "change": 6.75}

@@ -10,7 +10,7 @@ scalar ones they stand in for.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -76,6 +76,70 @@ def test_scalar_chien_search_matches_the_packed_one(monkeypatch):
     scalar = RsCode(ExtField(2, 3), 7, 3)
     assert decode_all(scalar) == expected
     assert scalar._chien is False
+
+
+def test_every_syndrome_of_rs_15_11_decodes_alike_by_packed_and_scalar_search(monkeypatch):
+    """All 65,536 syndromes of rs(15,11;gf(2^4)): the 23,851 of the
+    Hamming ball decode to a pattern that reproduces them, and the scalar
+    Chien search gives the packed one's outcomes and multiplication
+    counts."""
+    packed = RsCode(ExtField(2, 4), 15, 11)
+    expected = decode_all(packed)
+    assert packed._chien
+    assert len(expected) == 1 << 16
+    found = [(synd, got) for synd, got, _ in expected if got is not None]
+    assert len(found) == 23851 == ball_volume(15, 16, 2)
+    for synd, got in found:
+        assert packed.syndrome(got) == synd
+        assert sum(map(bool, got)) <= 2
+    monkeypatch.setattr(rs, "_chien_fits", lambda field, n, r: False)
+    scalar = RsCode(ExtField(2, 4), 15, 11)
+    assert decode_all(scalar) == expected
+    assert scalar._chien is False
+
+
+def test_erasure_decodes_of_rs_7_3_reproduce_their_syndrome():
+    """Every erasure set of one or two positions of rs(7,3;gf(2^3)),
+    against seeded syndromes: half drawn from all 4096, half the syndromes
+    of patterns with 2 * (errors off the erasures) + |erasures| <= 4.  The
+    decode returns exactly the one such pattern with that syndrome, and
+    refuses a syndrome that has none."""
+    code = RsCode(ExtField(2, 3), 7, 3)
+    q, r = code.field.order, code.redundancy
+
+    def pack(synd):
+        return sum(v << 3 * k for k, v in enumerate(synd))
+
+    # by linearity, each pattern's packed syndrome is the XOR of its symbols'
+    unit = [[pack(code.syndrome([v if j == i else 0 for j in range(code.n)])) for v in range(q)]
+            for i in range(code.n)]
+    rng = random.Random(0xE7A5)
+    for size in (1, 2):
+        for erased in combinations(range(code.n), size):
+            off = [i for i in range(code.n) if i not in erased]
+            patterns = {}
+            for where in [()] + [(i,) for i in off]:
+                places = erased + where
+                for values in product(range(q), repeat=len(places)):
+                    if where and not values[-1]:
+                        continue
+                    synd = 0
+                    for i, v in zip(places, values):
+                        synd ^= unit[i][v]
+                    patterns[synd] = dict(zip(places, values))
+            assert len(patterns) == q**size * (1 + (code.n - size) * (q - 1))
+            packed = [rng.randrange(q**r) for _ in range(64)] + rng.sample(sorted(patterns), 64)
+            for s in packed:
+                synd = tuple(s >> 3 * k & 7 for k in range(r))
+                try:
+                    got = code.decode_syndrome(synd, erasures=erased)
+                except DecodeFailure:
+                    assert s not in patterns
+                    continue
+                assert code.syndrome(got) == synd
+                errors = sum(1 for i in off if got[i])
+                assert 2 * errors + size <= r
+                assert got == [patterns[s].get(i, 0) for i in range(code.n)]
 
 
 @pytest.mark.parametrize("m,t,decodable", [(3, 1, 8), (4, 2, 121)], ids=["bch(7,1)", "bch(15,2)"])
