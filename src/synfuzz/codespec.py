@@ -219,19 +219,20 @@ def _parse_array(name: str, maker, args: str, text: str) -> ExpandedCode:
 
 
 def _parse_concat(args: str, text: str) -> ConcatCode:
-    inner = outer = layout = None
+    """The clauses are read, each at most once, before any is parsed."""
+    clauses = {}
     for part in _split_top(args, ","):
-        if part.startswith("inner="):
-            inner = _component(part[6:], "bch")
-        elif part.startswith("outer="):
-            outer = _component(part[6:], "rs")
-        elif part.startswith("layout="):
-            layout = _parse_layout(part[7:])
-        elif part:
+        name, eq, value = part.partition("=")
+        if not eq or name not in ("inner", "outer", "layout"):
             raise SpecParseError(f"unknown concat clause {part!r}")
-    if inner is None or outer is None or layout is None:
+        if name in clauses:
+            raise SpecParseError(f"repeated concat clause {name}= in {text!r}")
+        clauses[name] = value
+    if len(clauses) < 3:
         raise SpecParseError("concat needs inner=, outer= and layout=")
-    return ConcatCode(inner, outer, layout)
+    layout = _parse_layout(clauses["layout"])  # first: a layout is never cached
+    inner = _component(clauses["inner"], "bch")
+    return ConcatCode(inner, _component(clauses["outer"], "rs"), layout)
 
 
 # Each construction's name and the parser of its argument text.  A parser

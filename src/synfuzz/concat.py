@@ -29,13 +29,15 @@ through it.  The square and companion expansions are placed by
 A concatenation is an expansion whose per-symbol map is the inner
 encoder (Forney, *Concatenated Codes*, 1966), on ``rs._BlockCode``'s
 block format: block i is outer symbol i's inner codeword, parity first,
-and its residual is its remainder modulo the inner generator (over F_2,
-its parity XOR a table lookup of its symbol's parity; over odd p, one
-remainder of the block).  The syndrome, of N*n - K*k symbols and zero
-exactly on codewords, lists by ``segments`` the N residuals in block
-order (N*(n-k) symbols over F_p), then the N-K outer power sums of the
-blocks' symbols over F_{p^k}.  Decoding inner-
-decodes each damaged block, corrects the estimates with the outer
+and its residual is its inner remainder, its check cells minus those of
+its symbol's codeword (over F_2, its parity XOR the image of its symbol
+under ``_BlockCode``'s check tables, built from the inner codewords of
+the unit symbols; over odd p, the inner code's remainder of the block).
+The inner code alone computes its parity.  The syndrome, of N*n - K*k
+symbols and zero exactly on codewords, lists by ``segments`` the N
+residuals in block order (N*(n-k) symbols over F_p), then the N-K outer
+power sums of the blocks' symbols over F_{p^k}.  Decoding inner-decodes
+each damaged block, corrects the estimates with the outer
 decoder, rebuilds the exact pattern from the stored residuals and
 re-checks it against the whole syndrome.  A block whose inner decode
 fails is an outer erasure, at one outer syndrome instead of two; a block
@@ -53,9 +55,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gf import _from_digits
-from .rs import (
-    RsCode, _BlockCode, _byte_tables, _check_symbols, _pack_bits, _poly_remainder
-)
+from .rs import RsCode, _BlockCode, _check_symbols
 
 
 class TrivialCode:
@@ -74,19 +74,6 @@ class TrivialCode:
 
     def spec_string(self) -> str:
         return f"id({self.n};gf({self.p}))"
-
-
-def _parity_checks(generator, k: int) -> list[int]:
-    """The packed parity digits of the binary BCH codeword with this
-    generator of each unit message: x^(r+b) mod g for b < k, the basis of
-    a concatenation's check tables over F_2."""
-    g = _pack_bits(generator)
-    r = g.bit_length() - 1
-    out = [g ^ (1 << r)]
-    for _ in range(k - 1):
-        v = out[-1] << 1
-        out.append(v ^ g if v >> r else v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -260,14 +247,10 @@ class ConcatCode(_BlockCode):
     def _fill(self, sym: int) -> list[int]:
         return self.inner.encode(self.outer.field.to_base_vector(sym))
 
-    def _load_checks(self):
-        self._checks = _byte_tables(_parity_checks(self.inner.generator, self.inner.k))
-        return self._checks
-
     def _residual(self, block, sym: int) -> list:
-        """An odd-p block's remainder modulo the inner generator: its check
-        cells minus those of its symbol's inner codeword."""
-        return _poly_remainder(self.inner.field, block, self.inner.generator)
+        """An odd-p block's inner remainder: its check cells minus those of
+        its symbol's inner codeword."""
+        return self.inner._remainder(block)
 
     def _inner_decode(self, residual):
         """The symbol error of the inner pattern with this remainder, or

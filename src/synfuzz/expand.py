@@ -48,7 +48,7 @@ from .errors import (
     ShapeUnsupportedError,
 )
 from .concat import FlatLayout, VLayout
-from .rs import RsCode, _BlockCode, _byte_tables, _check_symbols, _pack_bits
+from .rs import RsCode, _BlockCode, _check_symbols
 
 KIND_ROW = "row-vector"
 KIND_ROW_PARITY = "row-vector-parity"
@@ -78,16 +78,6 @@ def _companion_fill(field, sym: int) -> list[int]:
     return cols[0] + [col[r] for r in range(len(cols)) for col in rest]
 
 
-# The layouts whose blocks hold more than the m coefficient digits.
-_FILLS = {KIND_ROW_PARITY: _parity_fill, KIND_COMPANION: _companion_fill}
-
-
-def _dropped_checks(field, kind: str) -> list[int]:
-    """The packed dropped cells of each unit symbol's fill, cell i at bit i."""
-    fill, m = _FILLS[kind], field.m
-    return [_pack_bits(fill(field, 1 << b)[m:]) for b in range(m)]
-
-
 class ExpandedCode(_BlockCode):
     """A base-field expansion of an RS code with its layout bookkeeping."""
 
@@ -99,18 +89,21 @@ class ExpandedCode(_BlockCode):
         field = rs.field
         m = field.m
         self.tile = m  # digits per tile side (per block for the row layouts)
-        places = None
+        self._fill, places = field.to_base_vector, None
         if kind in (KIND_ROW, KIND_ROW_PARITY):
             if n1 is not None or n2 is not None:
                 raise ShapeUnsupportedError("row layouts take no array shape")
             n1, n2 = 1, rs.n
             layout = FlatLayout()
+            if kind == KIND_ROW_PARITY:
+                self._fill = partial(_parity_fill, field)
         elif kind == KIND_SQUARE:
             self.sm = self.tile = math.isqrt(m)
             if self.sm * self.sm != m:
                 raise ShapeUnsupportedError(f"m={m} is not a perfect square")
             layout = VLayout(n2, self.sm)
         elif kind == KIND_COMPANION:
+            self._fill = partial(_companion_fill, field)
             layout = VLayout(n2, m)
             # the coefficient column, then the other cells row-major
             places = (*range(1, m * m + 1, m), *(p for p in range(1, m * m + 1) if (p - 1) % m))
@@ -119,7 +112,6 @@ class ExpandedCode(_BlockCode):
         if n1 is None or n2 is None or n1 * n2 != rs.n:
             raise ShapeMismatchError(f"need n1*n2 = {rs.n}")
         self.n1, self.n2 = n1, n2
-        self._fill = partial(_FILLS[kind], field) if kind in _FILLS else field.to_base_vector
         # the check cells are the fill's cells past the m symbol digits
         super().__init__(rs, len(self._fill(0)) - m, 0, layout, places)
         self.guidance = GUIDANCE_BY_KIND[kind]
@@ -143,10 +135,6 @@ class ExpandedCode(_BlockCode):
     @property
     def is_array(self) -> bool:
         return len(self.shape) == 2
-
-    def _load_checks(self):
-        self._checks = _byte_tables(_dropped_checks(self.rs.field, self.kind))
-        return self._checks
 
     def _inner_decode(self, residual):
         """Parity: a damaged block is an erasure; companion: its symbol stands."""

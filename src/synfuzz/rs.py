@@ -248,12 +248,12 @@ class _BlockCode(LinearCode):
     inner code).  ``_fill(sym)`` is a symbol's valid block, and a block's
     residual is its check cells minus those of its symbol's fill
     (``_residual``).  Over F_2 the fill's check cells are linear in the
-    symbol: ``_checks`` holds their byte tables, built by ``_load_checks()``
-    on first use, and ``_lanes`` the symbol digits each check digit sums,
-    read off them.  So a binary word splits as bit lanes, one int per cell
-    position across all blocks, with no loop over the blocks
-    (``_split_cells``); its symbols go to the outer code unchecked
-    (``RsCode._power_sums``).
+    symbol: ``_checks`` holds their byte tables, built on first use by
+    ``_load_checks()`` from the fills of the unit symbols, and ``_lanes``
+    the symbol digits each check digit sums, read off them.  So a binary
+    word splits as bit lanes, one int per cell position across all
+    blocks, with no loop over the blocks (``_split_cells``); its symbols
+    go to the outer code unchecked (``RsCode._power_sums``).
 
     Every placement decision is the ``layout``'s (a ``concat.py`` layout
     object): ``shape`` is ``layout.shape(n, _width)``, and
@@ -372,6 +372,15 @@ class _BlockCode(LinearCode):
         if not chk:
             return syms, ()
         return syms, [v for b, s in zip(blocks, syms) for v in self._residual(b, s)]
+
+    def _load_checks(self):
+        """The byte tables of the F_2-linear map from a symbol to its
+        fill's check cells, packed with cell k at bit k: unit symbol
+        1 << b's check cells are the image of bit b."""
+        at, end = self._chk_at, self._chk_at + self._chk
+        fills = (self._fill(1 << b)[at:end] for b in range(self.outer.field.m))
+        self._checks = _byte_tables([_pack_bits(cells) for cells in fills])
+        return self._checks
 
     def _load_lanes(self):
         """Per check digit k over F_2, the lanes whose XOR is its
@@ -979,9 +988,13 @@ class _CyclicCode(_SpecIdentity):
     no polynomial; the generator, the packed kernel and the Chien table
     are built into their slots on first use.  ``_encode`` and
     ``_decode_syndrome`` are the one encoder and decoder; each family binds
-    them in its own class (perfbench/spans.py traces them there).  A
-    syndrome has ``count`` power sums, decoded to at most t = count // 2
-    errors, with magnitudes held to F_s when it is a proper subfield.
+    them in its own class (perfbench/spans.py traces them there).  The
+    encoder's parity is the family's ``_remainder``, a word's unchecked
+    remainder modulo the generator: ``_poly_remainder`` here, and over
+    F_2 ``BchCode``'s packed kernel, the one place binary BCH parity is
+    computed.  A syndrome has ``count`` power sums, decoded to at most
+    t = count // 2 errors, with magnitudes held to F_s when it is a proper
+    subfield.
     """
 
     def __init__(self, field: ExtField, s: int, n: int, count: int, symbols: str):
@@ -1024,9 +1037,12 @@ class _CyclicCode(_SpecIdentity):
     def _encode(self, message) -> list[int]:
         """Systematic cyclic encoding: message high, parity low."""
         _check_symbols(message, self.k, self.s, self._symbols)
-        field = self.field
-        parity = _poly_remainder(field, [0] * self.redundancy + list(message), self.generator)
-        return [field.neg(v) for v in parity] + list(message)
+        parity = self._remainder([0] * self.redundancy + list(message))
+        return [self.field.neg(v) for v in parity] + list(message)
+
+    def _remainder(self, word) -> list[int]:
+        """word(x) mod the generator, for a word known to lie in F_s."""
+        return _poly_remainder(self.field, word, self.generator)
 
     def _decode_syndrome(self, synd: tuple, erasures=()) -> list[int]:
         """Error vector consistent with the syndrome, or DecodeFailure.
@@ -1134,11 +1150,16 @@ class BchCode(_CyclicCode):
     def remainder(self, word) -> tuple[int, ...]:
         """word(x) mod g(x): the compact n-k symbol form of the syndrome."""
         _check_symbols(word, self.n, self.p, self._symbols)
-        if self.p != 2:
-            return tuple(_poly_remainder(self.field, word, self.generator))
+        return tuple(self._remainder(word))
+
+    def _remainder(self, word):
+        """``remainder`` unchecked; over F_2 from the packed kernel, which
+        counts no multiplication."""
+        if self.p != 2:  # called directly: this is the odd-p residual's hot path
+            return _poly_remainder(self.field, word, self.generator)
         kernel = self._tables or self._load_kernel()
         rem = kernel.remainder(_pack_bits(word).to_bytes(self._width, "big"))
-        return tuple(_unpack_bits([rem], self.redundancy))
+        return _unpack_bits([rem], self.redundancy)
 
     def syndrome(self, word) -> tuple:
         """The power sums of the remainder, which are the word's: g

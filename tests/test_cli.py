@@ -219,6 +219,9 @@ def test_verify_out_of_range_syndrome_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("spec", [
     "rs(3,1;gf(100003))",
     "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=iv(0,5))",
+    "concat(inner=bch(15,2;gf(2)), inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=flat)",
+    "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=flat, layout=vi)",
+    "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=flat,)",
     "cII(rs(15,7;gf(2^4));-3,-5)",
     "rs(8,4;gf(3^2;modulus=1,0,1))",
     "rs(8,4;gf(3^2;modulus=2,0,1))",

@@ -80,7 +80,18 @@ def test_parse_concat_layouts():
     assert vi.layout == ViLayout()
 
 
-def test_parse_errors():
+# A concatenation names each component and its layout exactly once.
+REPEATED_OR_EMPTY_CONCAT_CLAUSES = (
+    "concat(inner=bch(15,2;gf(2)), inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=flat)",
+    "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), outer=rs(15,11;gf(2^4)), layout=flat)",
+    "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=flat, layout=vi)",
+    "concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=flat,)",
+    "concat(inner=bch(7,1;gf(2)), , outer=rs(15,11;gf(2^4)), layout=flat)",
+)
+
+
+def test_parse_errors(fresh_codes):
+    """Each refusal comes before any component is parsed and cached."""
     with pytest.raises(SpecParseError):
         parse_spec("huh(1,2)")
     with pytest.raises(SpecParseError):
@@ -89,6 +100,10 @@ def test_parse_errors():
         parse_spec("concat(inner=bch(15,2;gf(2)), layout=flat)")
     with pytest.raises(SpecParseError):
         parse_spec("concat(inner=bch(15,2;gf(2)), outer=rs(16,8;gf(2^7)), layout=diag)")
+    for text in REPEATED_OR_EMPTY_CONCAT_CLAUSES:
+        with pytest.raises(SpecParseError):
+            parse_spec(text)
+    assert not codespec._codes
 
 
 @pytest.mark.parametrize("text", [

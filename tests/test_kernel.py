@@ -15,7 +15,7 @@ import weakref
 import pytest
 
 import oracle
-from synfuzz import concat, expand, rs
+from synfuzz import rs
 from synfuzz.codespec import parse_spec
 from synfuzz.concat import ConcatCode
 from synfuzz.expand import KIND_COMPANION, KIND_ROW_PARITY, ExpandedCode
@@ -23,7 +23,7 @@ from synfuzz.errors import AlphabetMismatchError
 from synfuzz.gf import MUL_COUNTER, ExtField
 from synfuzz.rs import BchCode, RsCode
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, WIDE_GOLDEN
 
 LARGEST_FLAT_CONCAT = "concat(inner=bch(63,11;gf(2)), outer=rs(16644,16580;gf(2^16)), layout=flat)"
 LARGEST_RS = "rs(65535,65471;gf(2^16))"
@@ -187,8 +187,7 @@ def refuse_tables(patch):
         raise AssertionError("built syndrome tables")
 
     patch.setattr(rs, "_BinaryKernel", refuse)
-    for module in (rs, expand, concat):
-        patch.setattr(module, "_byte_tables", refuse)
+    patch.setattr(rs, "_byte_tables", refuse)
 
 
 def test_parsing_builds_no_kernel_table(monkeypatch, fresh_codes):
@@ -287,6 +286,92 @@ def test_check_tables_count_no_multiplication():
         built.append(code._checks)
     # the flat and v golden concatenations build the same bch(15,2) tables
     assert len(built) == 8 and len(set(built)) == 7
+
+
+# Every binary block code with check cells: the golden ones and those with
+# symbols wider than a byte.
+BINARY_CHECKED = [spec for spec in [g[1] for g in GOLDEN + WIDE_GOLDEN] + [w[0] for w in WIDE]
+                  if spec.startswith(("cI+parity", "cIII", "concat")) and "gf(2^" in spec]
+
+
+def oracle_unit_checks(code):
+    """The check cells of each unit symbol x^b's block, packed with cell k
+    at bit k, by schoolbook arithmetic: the parity of x^(r+b) mod the inner
+    generator for a concatenation, the digit sum 1 for the parity layout,
+    and columns 1..m-1 row-major of x^b's companion image, column c
+    holding the digits of x^(b+c)."""
+    field = code.outer.field
+    m = field.m
+    out = []
+    for b in range(m):
+        if isinstance(code, ConcatCode):
+            r = code.inner.redundancy
+            cells = remainder(2, [0] * (r + b) + [1], code.inner.generator)
+        elif code.kind == KIND_ROW_PARITY:
+            cells = [1]
+        else:
+            cols = [oracle.to_digits(oracle.elem_mul(2, m, field.modulus, 1 << b, 1 << c), 2, m)
+                    for c in range(1, m)]
+            cells = [col[row] for row in range(m) for col in cols]
+        assert len(cells) == code._chk
+        out.append(sum(d << k for k, d in enumerate(cells)))
+    return out
+
+
+@pytest.mark.parametrize("spec", BINARY_CHECKED)
+def test_check_tables_and_lanes_match_the_oracle(spec):
+    """Each byte table maps a symbol byte to the XOR of its set bits'
+    oracle checks, and check digit k's lane list is its check cell, then
+    every symbol digit whose unit check sets bit k."""
+    code = parse_spec(spec)
+    m = code.outer.field.m
+    unit = oracle_unit_checks(code)
+    tables = code._load_checks()
+    assert len(tables) == (m + 7) // 8
+    for i, table in enumerate(tables):
+        basis = unit[8 * i : 8 * i + 8]
+        assert len(table) == 1 << len(basis)
+        for v, image in enumerate(table):
+            expected = 0
+            for j, check in enumerate(basis):
+                if v >> j & 1:
+                    expected ^= check
+            assert image == expected, (i, v)
+    lanes = tuple((code._chk_at + k, *(code._sym_at + b for b in range(m) if unit[b] >> k & 1))
+                  for k in range(code._chk))
+    assert code._load_lanes() == lanes
+
+
+# The multiplications the scalar encoder counts on the 20 seeded messages
+# of each odd-p or Reed-Solomon code below.
+ENCODE_MULTS = {"bch(4,1;gf(5))": 70, "bch(8,1;gf(3))": 168, "rs(255,223;gf(2^8))": 142080}
+
+
+@pytest.mark.parametrize("code", [
+    BchCode(2, 3, 1), BchCode(2, 4, 2), BchCode(2, 6, 11),
+    BchCode(5, 1, 1), BchCode(3, 2, 1), RsCode(ExtField(2, 8), 255, 223),
+], ids=lambda code: code.spec_string())
+def test_codewords_are_the_scalar_systematic_encoding(code):
+    """A codeword is the message high and minus x^r * message mod g low,
+    the remainder taken by the scalar ``_poly_remainder``.  Binary BCH
+    parity comes from the packed kernel and counts no multiplication; the
+    other codes count what the scalar remainder counts."""
+    rng = random.Random(700 + code.n)
+    field, r = code.field, code.redundancy
+    spent = expected = 0
+    for _ in range(20):
+        message = [rng.randrange(code.s) for _ in range(code.k)]
+        before = MUL_COUNTER.count
+        word = code.encode(message)
+        spent += MUL_COUNTER.count - before
+        before = MUL_COUNTER.count
+        parity = rs._poly_remainder(field, [0] * r + message, code.generator)
+        expected += MUL_COUNTER.count - before
+        assert word == [field.neg(v) for v in parity] + message
+    if isinstance(code, BchCode) and code.p == 2:
+        assert spent == 0 < expected
+    else:
+        assert spent == expected == ENCODE_MULTS[code.spec_string()]
 
 
 def test_bch_names_its_base_field_in_symbol_errors():

@@ -98,39 +98,59 @@ def test_every_syndrome_of_rs_15_11_decodes_alike_by_packed_and_scalar_search(mo
     assert scalar._chien is False
 
 
+RS73 = RsCode(ExtField(2, 3), 7, 3)
+
+
+def pack(synd):
+    """An rs(7,3;gf(2^3)) syndrome as one int, three bits per value."""
+    return sum(v << 3 * k for k, v in enumerate(synd))
+
+
+def unpack(s):
+    return tuple(s >> 3 * k & 7 for k in range(RS73.redundancy))
+
+
+# By linearity, each pattern's packed syndrome is the XOR of its symbols'.
+RS73_UNITS = [[pack(RS73.syndrome([v if j == i else 0 for j in range(RS73.n)]))
+               for v in range(RS73.field.order)] for i in range(RS73.n)]
+
+
+def erasure_patterns(erased):
+    """Packed syndrome -> the pattern ({position: symbol}) of every pattern
+    of rs(7,3;gf(2^3)) with 2 * (errors off the erasures) + |erasures| <=
+    4, checked to be one pattern per syndrome."""
+    q, n, r = RS73.field.order, RS73.n, RS73.redundancy
+    off = [i for i in range(n) if i not in erased]
+    patterns, count = {}, 0
+    for errors in range((r - len(erased)) // 2 + 1):
+        for where in combinations(off, errors):
+            found = {0: {}}
+            for i in erased + where:
+                values = range(q) if i in erased else range(1, q)
+                found = {s ^ RS73_UNITS[i][v]: {**pattern, i: v}
+                         for s, pattern in found.items() for v in values}
+            patterns.update(found)
+            count += q ** len(erased) * (q - 1) ** errors
+    assert len(patterns) == count
+    return patterns
+
+
 def test_erasure_decodes_of_rs_7_3_reproduce_their_syndrome():
     """Every erasure set of one or two positions of rs(7,3;gf(2^3)),
     against seeded syndromes: half drawn from all 4096, half the syndromes
     of patterns with 2 * (errors off the erasures) + |erasures| <= 4.  The
     decode returns exactly the one such pattern with that syndrome, and
     refuses a syndrome that has none."""
-    code = RsCode(ExtField(2, 3), 7, 3)
-    q, r = code.field.order, code.redundancy
-
-    def pack(synd):
-        return sum(v << 3 * k for k, v in enumerate(synd))
-
-    # by linearity, each pattern's packed syndrome is the XOR of its symbols'
-    unit = [[pack(code.syndrome([v if j == i else 0 for j in range(code.n)])) for v in range(q)]
-            for i in range(code.n)]
+    code, q, r = RS73, RS73.field.order, RS73.redundancy
     rng = random.Random(0xE7A5)
     for size in (1, 2):
         for erased in combinations(range(code.n), size):
             off = [i for i in range(code.n) if i not in erased]
-            patterns = {}
-            for where in [()] + [(i,) for i in off]:
-                places = erased + where
-                for values in product(range(q), repeat=len(places)):
-                    if where and not values[-1]:
-                        continue
-                    synd = 0
-                    for i, v in zip(places, values):
-                        synd ^= unit[i][v]
-                    patterns[synd] = dict(zip(places, values))
+            patterns = erasure_patterns(erased)
             assert len(patterns) == q**size * (1 + (code.n - size) * (q - 1))
             packed = [rng.randrange(q**r) for _ in range(64)] + rng.sample(sorted(patterns), 64)
             for s in packed:
-                synd = tuple(s >> 3 * k & 7 for k in range(r))
+                synd = unpack(s)
                 try:
                     got = code.decode_syndrome(synd, erasures=erased)
                 except DecodeFailure:
@@ -140,6 +160,37 @@ def test_erasure_decodes_of_rs_7_3_reproduce_their_syndrome():
                 errors = sum(1 for i in off if got[i])
                 assert 2 * errors + size <= r
                 assert got == [patterns[s].get(i, 0) for i in range(code.n)]
+
+
+def test_flagged_parity_blocks_are_the_erasures_of_the_outer_decode():
+    """Every set of one to four flagged blocks of
+    cI+parity(rs(7,3;gf(2^3))), its residual run nonzero exactly there,
+    against seeded outer syndromes, half of them those of patterns the
+    erasure oracle admits.  A decode reproduces the whole syndrome with
+    the oracle's symbol pattern; a refusal comes exactly where the oracle
+    has no pattern."""
+    code = codespec.parse_spec("cI+parity(rs(7,3;gf(2^3)))")
+    assert code.outer == RS73 and code.segments[1] == (RS73.n, code.alphabet)
+    q, n, r = RS73.field.order, RS73.n, RS73.redundancy
+    rng = random.Random(0xF1A6)
+    sets = [erased for size in range(1, r + 1) for erased in combinations(range(n), size)]
+    assert len(sets) == 98
+    decoded = refused = 0
+    for erased in sets:
+        patterns = erasure_patterns(erased)
+        res = tuple(int(i in erased) for i in range(n))
+        for s in [rng.randrange(q**r) for _ in range(8)] + rng.sample(sorted(patterns), 8):
+            synd = unpack(s) + res
+            try:
+                got = code.decode(synd)
+            except DecodeFailure:
+                assert s not in patterns
+                refused += 1
+                continue
+            assert code.syndrome(got) == synd
+            assert code.project(got) == [patterns[s].get(i, 0) for i in range(n)]
+            decoded += 1
+    assert decoded + refused == 98 * 16 and refused
 
 
 @pytest.mark.parametrize("m,t,decodable", [(3, 1, 8), (4, 2, 121)], ids=["bch(7,1)", "bch(15,2)"])
