@@ -10,7 +10,7 @@ and parameters reproduce identical patterns on any platform;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import prod
 
@@ -61,15 +61,11 @@ class Rng:
         return 1 + self.below(field.order - 1)
 
 
-@dataclass(frozen=True)
-class ErrorPattern:
+class ErrorPattern(namedtuple("ErrorPattern", "field shape cells bursts random_errors",
+                              defaults=((), 0))):
     """A dense error word or array plus a record of how it was built."""
 
-    field: object
-    shape: tuple[int, ...]
-    cells: tuple
-    bursts: tuple = ()
-    random_errors: int = 0
+    __slots__ = ()
 
     @property
     def is_2d(self) -> bool:

@@ -24,7 +24,10 @@ layout it holds: ``_BlockCode._block_order()`` lists every ``cell``,
 inner codeword by inner codeword (none for the flat layout, already in
 order), and ``LinearCode._gather`` and ``_scatter`` read and write
 through it.  The square and companion expansions are placed by
-``VLayout`` too.
+``VLayout`` too.  A layout, like a code, is its ``spec_string()``
+(``rs._SpecIdentity``): ``IvLayout(7, 5) == IvLayout(a=7, b=5)``, and
+it never equals a layout of another type.  ``DecodeInfo``, the
+diagnostics of a decode, is a namedtuple.
 
 A concatenation is an expansion whose per-symbol map is the inner
 encoder (Forney, *Concatenated Codes*, 1966), on ``rs._BlockCode``'s
@@ -46,7 +49,7 @@ within the inner capability never fails, so every bound still holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DecodeFailure,
@@ -55,7 +58,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gf import _from_digits
-from .rs import RsCode, _BlockCode, _check_symbols
+from .rs import RsCode, _BlockCode, _check_symbols, _SpecIdentity
 
 
 class TrivialCode:
@@ -76,8 +79,7 @@ class TrivialCode:
         return f"id({self.n};gf({self.p}))"
 
 
-@dataclass(frozen=True)
-class FlatLayout:
+class FlatLayout(_SpecIdentity):
     """The N blocks side by side in one vector."""
 
     guidance = "two-stage decoding; one long 1D burst plus extra random errors"
@@ -100,11 +102,11 @@ class FlatLayout:
         return "flat"
 
 
-@dataclass(frozen=True)
-class IvLayout:
-    a: int
-    b: int
+class IvLayout(_SpecIdentity):
     guidance = "several wide rectangular bursts, with a limited random-error budget"
+
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
 
     def shape(self, N: int, n: int) -> tuple[int, int]:
         if min(self.a, self.b) < 1 or N % self.b or n % self.a:
@@ -134,11 +136,11 @@ class IvLayout:
         return f"iv({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class VLayout:
-    a: int
-    b: int
+class VLayout(_SpecIdentity):
     guidance = "one large burst plus random errors spread thinly over the tiles"
+
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
 
     def shape(self, N: int, n: int) -> tuple[int, int]:
         if min(self.a, self.b) < 1 or N % self.a or n % self.b:
@@ -176,8 +178,7 @@ class VLayout:
         return f"v({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class ViLayout:
+class ViLayout(_SpecIdentity):
     guidance = ("thin row/column bursts and random errors; a full diagonal costs "
                 "one outer symbol")
 
@@ -208,12 +209,11 @@ class ViLayout:
         return "vi"
 
 
-@dataclass(frozen=True)
-class DecodeInfo:
-    """Diagnostics from a two-step decode."""
+class DecodeInfo(namedtuple("DecodeInfo", "inner_failed outer_corrected")):
+    """Diagnostics from a two-step decode: the erased blocks and the outer
+    symbols the outer decode corrected."""
 
-    inner_failed: tuple[int, ...]
-    outer_corrected: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def outer_error_count(self) -> int:

@@ -34,13 +34,15 @@ The syndrome serialization walks ``code.segments`` in order and writes
 every symbol as a big-endian integer of the minimal byte width for its
 run's field order.  ``Template.from_text`` reads exactly this form, the
 final newline optional, and at most ``MAX_TEMPLATE_CHARS`` characters.
+``Template`` and ``VerifyResult`` are namedtuples: two enrollments of one
+word give equal templates.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import codespec
 from .errors import (
@@ -151,15 +153,11 @@ def syndrome_from_bytes(code, raw: bytes) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(namedtuple("Template", "code_spec hash_alg digest syndrome")):
     """The stored representation of an enrolled word: never the word
     itself, only its digest and its syndrome."""
 
-    code_spec: str
-    hash_alg: str
-    digest: bytes
-    syndrome: bytes
+    __slots__ = ()
 
     def to_text(self) -> str:
         return (
@@ -195,12 +193,9 @@ class Template:
         return template
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    accepted: bool
-    recovered: object | None
-    reason: str | None
-    decode_mults: int
+# ``recovered`` is the accepted word, else None; ``reason`` is None on
+# accept, else "DecodeFailure" or "HashMismatch".
+VerifyResult = namedtuple("VerifyResult", "accepted recovered reason decode_mults")
 
 
 def enroll(data, code, hash_alg: str = "sha-256") -> Template:

@@ -75,9 +75,9 @@ from .gf import MUL_COUNTER, ExtField, _from_digits
 
 
 class _SpecIdentity:
-    """A code is its ``spec_string()``: two codes of the same type are
-    equal exactly when their spec strings are, and hash and repr follow
-    it."""
+    """A code or a layout is its ``spec_string()``: two of the same type
+    are equal exactly when their spec strings are, and hash and repr
+    follow it."""
 
     def __eq__(self, other):
         return type(other) is type(self) and other.spec_string() == self.spec_string()
@@ -1168,10 +1168,7 @@ class BchCode(_CyclicCode):
 
     def power_sums(self, remainder) -> tuple:
         """Evaluate a mod-g remainder at the syndrome roots."""
-        if len(remainder) != self.redundancy:
-            raise LengthMismatchError(
-                f"expected {self.redundancy} remainder symbols, got {len(remainder)}"
-            )
+        _check_symbols(remainder, self.redundancy, self.p, self._symbols)
         if self.p != 2:
             return tuple(_sparse_syndrome(self.field, list(remainder), self.count))
         kernel = self._tables or self._load_kernel()

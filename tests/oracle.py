@@ -125,3 +125,13 @@ def expansion_layout(kind: str, rs, n1: int = 1, n2: int = 1):
     origins = ((i // n2) * tile_rows * cols + (i % n2) * tile_cols for i in range(n))
     order = tuple(origin + u * cols + v for origin in origins for u, v in tile)
     return (n1 * tile_rows, cols), segments, order
+
+
+def serialize(alphabet: str, order: int, shape, data) -> bytes:
+    """The enrollment bytes of a data word, spelled out: the alphabet's
+    spec, the shape joined by x, then every symbol row by row as a
+    big-endian int of the fewest bytes that hold order - 1."""
+    width = max(1, -(-(order - 1).bit_length() // 8))
+    rows = data if len(shape) == 2 else [data]
+    head = f"{alphabet}|{'x'.join(map(str, shape))}|".encode("ascii")
+    return head + b"".join(v.to_bytes(width, "big") for row in rows for v in row)

@@ -264,6 +264,21 @@ def test_codes_are_identified_by_their_spec():
     assert parse_spec("rs(7,3;gf(2^3;modulus=1,1,0,1))") == parse_spec("rs(7,3;gf(2^3))")
 
 
+def test_layouts_are_identified_by_their_spec():
+    """A layout, like a code, is its spec string: equal, hashed and shown
+    by it, and never equal to a layout of another type."""
+    assert IvLayout(7, 5) == IvLayout(a=7, b=5)
+    assert hash(IvLayout(7, 5)) == hash(IvLayout(a=7, b=5))
+    assert repr(IvLayout(7, 5)) == "IvLayout(iv(7,5))"
+    assert repr(ViLayout()) == "ViLayout(vi)"
+    layouts = [FlatLayout(), ViLayout(), IvLayout(7, 5), IvLayout(5, 7), VLayout(7, 5)]
+    assert FlatLayout() == FlatLayout() and VLayout(7, 5) == VLayout(a=7, b=5)
+    for a, b in itertools.combinations(layouts, 2):
+        assert a != b
+    code = parse_spec("concat(inner=bch(7,1;gf(2)), outer=rs(15,11;gf(2^4)), layout=iv(7,5))")
+    assert {code.layout: 1}[IvLayout(7, 5)] == 1
+
+
 def test_every_alphabet_and_syndrome_run_is_a_field():
     for spec in [g[1] for g in GOLDEN]:
         code = parse_spec(spec)

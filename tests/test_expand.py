@@ -16,7 +16,7 @@ from synfuzz.errors import (
     ShapeUnsupportedError,
 )
 from synfuzz.expand import ExpandedCode
-from synfuzz.fuzzy import enroll, verify
+from synfuzz.fuzzy import canonical_bytes, enroll, verify
 from synfuzz.gf import ExtField
 from synfuzz.rs import RsCode
 
@@ -402,3 +402,47 @@ def test_layout_places_cells_as_the_tile_formula(kind, p, m, lengths):
             code = ExpandedCode(rs, kind, n1, n // n1)
             assert (code.shape, code.segments, code._block_order()) == \
                 oracle.expansion_layout(kind, rs, n1, n // n1)
+
+
+@pytest.mark.parametrize(
+    "spec,alphabet,kind,n1,n2",
+    [
+        ("cI(rs(8,4;gf(3^2)))", "gf(3)", "row-vector", 1, 1),
+        ("cII(rs(80,40;gf(3^4));8,10)", "gf(3)", "square-array", 8, 10),
+        ("cII(rs(256,200;gf(257));16,16)", "gf(257)", "square-array", 16, 16),
+    ],
+)
+def test_odd_p_expansions_without_check_cells(spec, alphabet, kind, n1, n2):
+    """Odd-p expansions whose blocks hold only their symbol's digits, one
+    a 2-D word of two-byte symbols: the syndrome is the RS syndrome of the
+    blockwise contraction, a word with t damaged blocks verifies back to
+    the enrolled one, and ``canonical_bytes`` is the oracle's row-major
+    serialization."""
+    code = parse_spec(spec)
+    rs, p = code.rs, code.alphabet.order
+    m = rs.field.m
+    shape, _, order = oracle.expansion_layout(kind, rs, n1, n2)
+    assert code.shape == shape
+    size, cols = math.prod(shape), shape[-1]
+    order = order or range(size)
+
+    def word(flat):
+        return flat if len(shape) == 1 else [flat[r * cols:(r + 1) * cols] for r in range(shape[0])]
+
+    def contraction(flat):
+        cells = [flat[at] for at in order]
+        return [oracle.from_digits(cells[i * m:(i + 1) * m], p) for i in range(rs.n)]
+
+    rng = random.Random(p * rs.n)
+    flat = [rng.randrange(p) for _ in range(size)]
+    assert code.syndrome(word(flat)) == rs.syndrome(contraction(flat))
+    noisy = list(flat)
+    for i in rng.sample(range(rs.n), rs.t):
+        for at in order[i * m:(i + 1) * m]:
+            noisy[at] = rng.randrange(p)
+        at = order[i * m + rng.randrange(m)]
+        noisy[at] = (flat[at] + rng.randrange(1, p)) % p
+    assert code.syndrome(word(noisy)) == rs.syndrome(contraction(noisy))
+    result = verify(word(noisy), enroll(word(flat), code), code=code)
+    assert result.accepted and result.recovered == word(flat)
+    assert canonical_bytes(code, word(flat)) == oracle.serialize(alphabet, p, shape, word(flat))

@@ -2,7 +2,6 @@ import builtins
 import hmac
 import random
 from collections import Counter
-from dataclasses import replace
 from enum import IntEnum
 from math import prod
 
@@ -11,9 +10,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from synfuzz import concat, expand, fuzzy, rs
-from synfuzz.channel import Rng, gen_burst_1d, gen_burst_2d
+from synfuzz.channel import ErrorPattern, Rng, gen_burst_1d, gen_burst_2d
 from synfuzz.codespec import parse_spec
-from synfuzz.concat import ConcatCode, FlatLayout, VLayout
+from synfuzz.concat import ConcatCode, DecodeInfo, FlatLayout, VLayout
 from synfuzz.errors import (
     ShapeMismatchError,
     SynfuzzError,
@@ -23,6 +22,7 @@ from synfuzz.errors import (
 from synfuzz.expand import ExpandedCode
 from synfuzz.fuzzy import (
     Template,
+    VerifyResult,
     canonical_bytes,
     enroll,
     hash_digest,
@@ -64,6 +64,26 @@ def test_enroll_is_deterministic(c1):
     rng = random.Random(1)
     x = [rng.randrange(2) for _ in range(60)]
     assert enroll(x, c1).to_text() == enroll(x, c1).to_text()
+
+
+def test_records_compare_by_value_and_keep_their_field_names(c1):
+    """Two enrollments of one word give equal templates (perfbench's enroll
+    check compares them with ==); each record is read by field name."""
+    rng = random.Random(3)
+    x = [rng.randrange(2) for _ in range(60)]
+    first, second = enroll(x, c1), enroll(list(x), c1)
+    assert first == second and hash(first) == hash(second)
+    assert first != enroll([1 - v for v in x], c1)
+    assert first == Template(first.code_spec, first.hash_alg, first.digest, first.syndrome)
+    result = verify(x, first, code=c1)
+    assert (result.accepted, result.recovered, result.reason) == (True, x, None)
+    assert result == VerifyResult(accepted=True, recovered=x, reason=None,
+                                  decode_mults=result.decode_mults)
+    info = DecodeInfo(inner_failed=(2,), outer_corrected=(2, 5))
+    assert (info.inner_failed, info.outer_corrected, info.outer_error_count) == ((2,), (2, 5), 2)
+    pattern = ErrorPattern(field=c1.alphabet, shape=(2,), cells=(0, 1))
+    assert (pattern.field, pattern.shape, pattern.cells) == (c1.alphabet, (2,), (0, 1))
+    assert (pattern.bursts, pattern.random_errors, pattern.weight) == ((), 0, 1)
 
 
 def test_enroll_shape_check(c1):
@@ -312,13 +332,15 @@ def test_out_of_range_syndrome_symbol_is_a_format_error(stem, spec, shape, q, se
         if count and field.order < 256**width:
             raw = bytearray(template.syndrome)
             raw[at : at + width] = b"\xff" * width
+            altered = Template(template.code_spec, template.hash_alg, template.digest, bytes(raw))
             with pytest.raises(TemplateFormatError):
-                verify(word, replace(template, syndrome=bytes(raw)), code=code)
+                verify(word, altered, code=code)
         at += count * width
     assert at == len(template.syndrome)
     # all-ones bytes: a format error where a run cannot hold 0xff, else a reject
+    altered = Template(template.code_spec, template.hash_alg, template.digest, b"\xff" * at)
     try:
-        result = verify(word, replace(template, syndrome=b"\xff" * at), code=code)
+        result = verify(word, altered, code=code)
     except TemplateFormatError:
         assert any(field.order < 256 for _, field in code.segments)
     else:

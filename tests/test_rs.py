@@ -10,6 +10,7 @@ from synfuzz.errors import (
     CapacityTooLargeError,
     DecodeFailure,
     LengthMismatchError,
+    ShapeMismatchError,
     TooManyErasuresError,
 )
 from synfuzz.gf import ExtField
@@ -316,6 +317,23 @@ def test_bch_rejects_extension_symbols():
     code = BchCode(2, 4, 2)
     with pytest.raises(AlphabetMismatchError):
         code.syndrome([0] * 14 + [2])
+
+
+@pytest.mark.parametrize("p,m,t", [(5, 1, 1), (3, 2, 1), (2, 4, 2)])
+def test_bch_remainder_entry_points_refuse_words_outside_their_shape(p, m, t):
+    """``power_sums`` and ``decode_remainder`` take exactly redundancy
+    digits in gf(p), for odd p as over F_2: a wrong length, the digit p,
+    -1 or a str is a ShapeMismatchError, never an IndexError, TypeError
+    or a silently wrapped index."""
+    code = BchCode(p, m, t)
+    r = code.redundancy
+    bad = [[0] * (r + 1), [0] * (r - 1), [p] + [0] * (r - 1), [0] * (r - 1) + [-1],
+           [0] * (r - 1) + ["a"]]
+    for rem in bad:
+        for call in (code.power_sums, code.decode_remainder):
+            with pytest.raises(ShapeMismatchError):
+                call(rem)
+    assert code.power_sums([0] * r) == (0,) * code.count
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ scalar ones they stand in for.
 """
 
 import random
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
@@ -220,6 +221,29 @@ def test_coset_table_and_fallback_agree_on_every_remainder(m, t, decodable, monk
     for rem, err in found:
         bits = [err >> i & 1 for i in range(table.n)]
         assert table.remainder(bits) == tuple(rem >> i & 1 for i in range(table.redundancy))
+
+
+def test_every_remainder_of_an_odd_p_bch_code_decodes_only_to_base_field_patterns():
+    """bch(8,1;gf(3)) has its roots in gf(3^2): of its 81 remainders the
+    17 of the Hamming ball 1 + 8*2 decode, each to a pattern of weight
+    <= 1 with that remainder.  Every other one is a DecodeFailure, and 48
+    of them are refused because the one error the key equation finds has a
+    magnitude in gf(9) outside gf(3)."""
+    code = BchCode(3, 2, 1)
+    assert (code.redundancy, code.field.order) == (4, 9)
+    decoded, causes = 0, Counter()
+    for rem in product(range(3), repeat=code.redundancy):
+        try:
+            err = code.decode_remainder(rem)
+        except DecodeFailure as exc:
+            causes[str(exc)] += 1
+            continue
+        assert code.remainder(err) == rem
+        assert sum(1 for v in err if v) <= 1
+        decoded += 1
+    assert decoded == ball_volume(code.n, 3, code.design_t) == 17
+    assert sum(causes.values()) == 81 - 17
+    assert causes["magnitude outside the base field"] == 48
 
 
 # Block codes, each with the volume of its outer Hamming ball.
