@@ -1,0 +1,184 @@
+#!/usr/bin/env python3
+"""Compare two source trees in one process, operation by operation.
+
+    python3 scripts/ab_pairs.py PARENT CHANGE --workload verify --seed 5
+
+PARENT and CHANGE are checkouts.  Each tree's src/synfuzz is loaded as a
+package of its own (synfuzz_parent and synfuzz_change), so the two keep
+their own modules, code caches and MUL_COUNTER.  The inputs come from
+perfbench/roster.py of the checkout this script sits in, which imports
+nothing from synfuzz: ``--words`` seeded words per roster construction,
+and for verify each word read once per noise fraction and once by an
+impostor, as perfbench builds them.  ``verify`` holds the parsed code,
+``verify-stateless`` passes the template text, ``enroll`` enrolls the
+word.
+
+One untimed pass warms both trees up.  Then each of ``--reps``
+repetitions runs every operation on both trees back to back, the tree
+that goes first switching from one operation to the next and from one
+repetition to the next.  The garbage collector runs between repetitions
+only, so no collection lands on the call that happens to trigger it.
+Every call's result and MUL_COUNTER delta must be the same in both trees
+(for verify the result carries ``decode_mults``); each difference is
+printed to standard error and makes the exit code 1.
+
+Standard output is one JSON object.  Per roster construction it gives
+the median of the change/parent time ratios of its operations, their
+first and third quartiles, the number of pairs and the parent's median
+time of one operation; ``all`` gives the same
+over every operation and ``total_time_ratio`` the change's summed time
+over the parent's.  An A/A run (one tree against itself) shows the
+spread the harness resolves.  Both trees share one heap and one garbage
+collector, so memory and set-up time stay perfbench's to measure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import json
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("enroll", "verify", "verify-stateless")
+
+
+def load_tree(name: str, root: Path):
+    """The synfuzz package under root/src, imported as ``name``."""
+    package = root / "src" / "synfuzz"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_roster():
+    spec = importlib.util.spec_from_file_location("ab_roster", ROOT / "perfbench" / "roster.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["ab_roster"] = module  # dataclasses resolves the module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def build_inputs(roster, workload: str, seed: int, words: int):
+    """The (construction, word or read, word) rows of one workload: the
+    enrolled word, or a genuine read or an impostor of it."""
+    rng = random.Random(seed)
+    rows = []
+    for con in roster.ROSTER:
+        for _ in range(words):
+            x = roster.random_word(rng, con)
+            if workload == "enroll":
+                rows.append((con, x, x))
+                continue
+            for fraction in roster.NOISE_FRACTIONS:
+                rows.append((con, roster.add_noise(con, x, roster.noise_cells(rng, con, fraction)),
+                             x))
+            for _ in range(roster.IMPOSTORS_PER_WORD):
+                rows.append((con, roster.random_word(rng, con), x))
+    rng.shuffle(rows)
+    return rows
+
+
+def operations(tree, workload: str, rows):
+    """One zero-argument call per row, run on ``tree``."""
+    fuzzy, parse_spec = tree.fuzzy, tree.codespec.parse_spec
+    calls = []
+    for con, word, enrolled in rows:
+        code = parse_spec(con.spec)
+        if workload == "enroll":
+            calls.append(lambda word=word, code=code: fuzzy.enroll(word, code))
+            continue
+        template = fuzzy.enroll(enrolled, code)
+        if workload == "verify":
+            calls.append(lambda word=word, t=template, code=code: fuzzy.verify(word, t, code=code))
+        else:
+            text = template.to_text()
+            calls.append(lambda word=word, text=text:
+                         fuzzy.verify(word, fuzzy.Template.from_text(text)))
+    return calls
+
+
+def timed(call, counter):
+    """The call's result with its MUL_COUNTER delta, and its wall time."""
+    before = counter.count
+    start = time.perf_counter()
+    result = call()
+    elapsed = time.perf_counter() - start
+    return (tuple(result), counter.count - before), elapsed
+
+
+def summary(ratios: list, parent_times: list) -> dict:
+    """The ratios' median and quartiles, their count, and the parent's
+    median time of one operation in microseconds."""
+    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                      if len(ratios) > 1 else ratios * 3)
+    return {"median": median, "q1": q1, "q3": q3, "pairs": len(ratios),
+            "parent_us": statistics.median(parent_times) * 1e6}
+
+
+def compare(trees: dict, workload: str, seed: int, words: int, reps: int):
+    """Per-construction ratio summaries and the list of differences."""
+    roster = load_roster()
+    rows = build_inputs(roster, workload, seed, words)
+    calls = {name: operations(tree, workload, rows) for name, tree in trees.items()}
+    counters = {name: tree.gf.MUL_COUNTER for name, tree in trees.items()}
+    names = list(trees)
+    differences = []
+    ratios, parent_times = {}, {}
+    totals = dict.fromkeys(names, 0.0)
+    for rep in range(-1, reps):  # rep -1 is the untimed warm-up
+        gc.collect()
+        gc.disable()  # a collection would land on whichever call triggers it
+        for i, (con, _, _) in enumerate(rows):
+            order = names if (rep + i) % 2 == 0 else names[::-1]
+            outcome = {name: timed(calls[name][i], counters[name]) for name in order}
+            results = [outcome[name][0] for name in names]
+            if results[0] != results[1]:
+                differences.append(f"{workload} op {i} on {con.spec}: "
+                                   f"{results[0]!r:.200} != {results[1]!r:.200}")
+            if rep >= 0:
+                parent, change = (outcome[name][1] for name in names)
+                ratios.setdefault(con.spec, []).append(change / parent)
+                parent_times.setdefault(con.spec, []).append(parent)
+                totals[names[0]] += parent
+                totals[names[1]] += change
+        gc.enable()
+    report = {spec: summary(values, parent_times[spec]) for spec, values in ratios.items()}
+    report["all"] = summary([r for values in ratios.values() for r in values],
+                            [t for values in parent_times.values() for t in values])
+    report["total_time_ratio"] = totals[names[1]] / totals[names[0]]
+    return report, differences
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", choices=WORKLOADS, default="verify")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--words", type=int, default=4, help="words per construction")
+    ap.add_argument("--reps", type=int, default=40, help="timed repetitions of every operation")
+    args = ap.parse_args(argv)
+    trees = {f"synfuzz_{name}": load_tree(f"synfuzz_{name}", path.resolve())
+             for name, path in (("parent", args.parent), ("change", args.change))}
+    report, differences = compare(trees, args.workload, args.seed, args.words, args.reps)
+    for line in differences[:20]:
+        print(f"ab_pairs: differs: {line}", file=sys.stderr)
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed, "words": args.words, "reps": args.reps,
+        "identical": not differences, "differences": len(differences),
+        "ratio_change_over_parent": report,
+    }, indent=1))
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

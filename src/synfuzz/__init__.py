@@ -4,9 +4,14 @@ Store a hash digest and a syndrome of a noisy word; later, authenticate a
 re-acquired copy by decoding the syndrome difference and checking the
 digest.  Burst-oriented base-field layouts of Reed-Solomon codes and
 concatenated codes supply the error correction.
+
+The command line, ``synfuzz.cli``, is imported on first use: no library
+caller needs argparse.
 """
 
-from . import channel, cli, codespec, concat, errors, expand, fuzzy, gf, rs
+import importlib
+
+from . import channel, codespec, concat, errors, expand, fuzzy, gf, rs
 from .channel import ErrorPattern, Rng, gen_burst_1d, gen_burst_2d, gen_mixed
 from .codespec import parse_field, parse_spec
 from .concat import (
@@ -23,6 +28,13 @@ from .gf import MUL_COUNTER, ExtField
 from .rs import BchCode, LinearCode, RsCode
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "cli":  # importing the submodule sets it on the package
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BchCode",

@@ -22,12 +22,12 @@ capability query to its guaranteed figure, and ``bound_lines`` and
 ``guidance`` give the report text.  ``ConcatCode`` never asks which
 layout it holds: ``_BlockCode._block_order()`` lists every ``cell``,
 inner codeword by inner codeword (none for the flat layout, already in
-order), and ``LinearCode._gather`` and ``_scatter`` read and write
-through it.  The square and companion expansions are placed by
+order), ``LinearCode._gather`` reads through it and a decode's sparse
+map writes through it.  The square and companion expansions are placed by
 ``VLayout`` too.  A layout, like a code, is its ``spec_string()``
 (``rs._SpecIdentity``): ``IvLayout(7, 5) == IvLayout(a=7, b=5)``, and
 it never equals a layout of another type.  ``DecodeInfo``, the
-diagnostics of a decode, is a namedtuple.
+diagnostics of a decode, lives in ``rs`` and is re-exported here.
 
 A concatenation is an expansion whose per-symbol map is the inner
 encoder (Forney, *Concatenated Codes*, 1966), on ``rs._BlockCode``'s
@@ -40,16 +40,15 @@ The inner code alone computes its parity.  The syndrome, of N*n - K*k
 symbols and zero exactly on codewords, lists by ``segments`` the N
 residuals in block order (N*(n-k) symbols over F_p), then the N-K outer
 power sums of the blocks' symbols over F_{p^k}.  Decoding inner-decodes
-each damaged block, corrects the estimates with the outer
-decoder, rebuilds the exact pattern from the stored residuals and
-re-checks it against the whole syndrome.  A block whose inner decode
+each damaged block, corrects the estimates with the outer decoder,
+rebuilds the touched blocks from their symbol errors and stored
+residuals and re-checks them against the whole syndrome: every other
+block must have a zero residual.  A block whose inner decode
 fails is an outer erasure, at one outer syndrome instead of two; a block
 within the inner capability never fails, so every bound still holds.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 from .errors import (
     DecodeFailure,
@@ -58,7 +57,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gf import _from_digits
-from .rs import RsCode, _BlockCode, _check_symbols, _SpecIdentity
+from .rs import DecodeInfo, RsCode, _BlockCode, _check_symbols, _SpecIdentity
 
 
 class TrivialCode:
@@ -209,17 +208,6 @@ class ViLayout(_SpecIdentity):
         return "vi"
 
 
-class DecodeInfo(namedtuple("DecodeInfo", "inner_failed outer_corrected")):
-    """Diagnostics from a two-step decode: the erased blocks and the outer
-    symbols the outer decode corrected."""
-
-    __slots__ = ()
-
-    @property
-    def outer_error_count(self) -> int:
-        return len(set(self.inner_failed) | set(self.outer_corrected))
-
-
 class ConcatCode(_BlockCode):
     """Inner/outer concatenated code with one of the four layouts."""
 
@@ -271,23 +259,25 @@ class ConcatCode(_BlockCode):
         """Outer-encode, inner-encode each outer symbol, lay out."""
         return self._rebuild(self.outer.encode(message), [0] * self.N)
 
-    def decode(self, synd: tuple, with_info: bool = False):
-        """Two-step decode of a concatenated-code syndrome: inner decodes
-        of the damaged blocks (a failure is an outer erasure), the outer
-        decode, then each block rebuilt from its corrected symbol and
-        stored remainder.  The result must reproduce the input syndrome or
-        DecodeFailure is raised."""
-        cells, erasures, delta = self._decode_cells(synd)
-        if self._cells_syndrome(cells) != tuple(synd):
+    decode = _BlockCode.decode
+
+    def _recheck(self, touched, cells, parts, sums) -> None:
+        """Raise DecodeFailure unless the rebuilt pattern, the touched
+        blocks' ``cells`` with every other block zero, has the whole
+        syndrome: each touched block's residual, recomputed from its
+        cells, is its stored part; every other block's part is zero; and
+        the outer power sums of the touched blocks' symbols are ``sums``."""
+        syms, res = self._split_cells(cells)
+        got = self._parts(res) if self._chk else [0] * len(syms)
+        word = [0] * self.N
+        for i, sym in zip(touched, syms):
+            word[i] = sym
+        if (
+            got != [parts[i] for i in touched]
+            or sum(map(bool, parts)) != sum(bool(parts[i]) for i in touched)
+            or self.outer._power_sums(word) != tuple(sums)
+        ):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
-        pattern = self._scatter(cells)
-        if not with_info:
-            return pattern
-        info = DecodeInfo(
-            inner_failed=tuple(erasures),
-            outer_corrected=tuple(i for i, d in enumerate(delta) if d),
-        )
-        return pattern, info
 
     # ------------------------------------------------------------------
     # capability bounds

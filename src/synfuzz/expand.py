@@ -166,15 +166,11 @@ class ExpandedCode(_BlockCode):
     # syndrome and decoding
     # ------------------------------------------------------------------
 
-    def decode(self, synd: tuple) -> list:
-        """Base-field error pattern reproducing the syndrome.
-
-        The extension-level pattern comes from the RS decoder, with the
-        parity layout's damaged blocks as erasures; each block is rebuilt
-        from its symbol error and stored residual, so the reconstruction is
-        exact whenever the RS step is.
-        """
-        return self._scatter(self._decode_cells(synd)[0])
+    # The extension-level pattern comes from the RS decoder, with the
+    # parity layout's damaged blocks as erasures; each touched block is
+    # rebuilt from its symbol error and stored residual, so the pattern is
+    # exact whenever the RS step is.
+    decode = _BlockCode.decode
 
     # ------------------------------------------------------------------
     # burst capability

@@ -2,11 +2,16 @@
 
 Enrollment hashes a canonical serialization of the data word and stores it
 next to the word's syndrome under the chosen code; the word itself is
-never stored.  Verification subtracts the syndrome of the presented word
-from the stored one, syndrome-decodes the difference, adds the decoded
-pattern back onto the presented word and accepts only when the digest of
-the result matches the stored digest.  The hash comparison is the final
-gate: a decoder miscorrection can never produce a false accept.
+never stored.  Verification makes one pass: it reads and range-checks the
+stored syndrome once while subtracting the syndrome of the presented word
+from it (``stored_minus``), decodes the difference with the code's
+internal ``_decode`` to a sparse map from row-major cell offset to error
+value, adds those few cells onto a fresh copy of the presented word
+(``apply_pattern``) and accepts only when the digest of the result
+matches the stored digest.  The difference is in range by construction,
+so the decode runs without the public ``decode``'s syndrome check.  The
+hash comparison is the final gate: a decoder miscorrection can never
+produce a false accept.
 
 The difference is decoded as stored-minus-presented, so the recovered
 pattern v satisfies original = presented + v.  Over a binary base the
@@ -14,13 +19,14 @@ orientation is invisible; over odd characteristics it matters and is
 pinned by tests.
 
 Every code exposes the same protocol (``rs.LinearCode``): the shape and
-alphabet of its data word, ``syndrome``, ``decode``, ``syndrome_sub`` and
-``segments``, the syndrome's layout as consecutive ``(count, field)``
-runs.  Nothing here depends on which construction the code is.  A word
-is checked by the code that reads it: ``enroll`` and ``verify`` take its
-syndrome before anything else, and ``code.syndrome`` refuses every word
-that is not the code's shape of ints in its alphabet with a
-ShapeMismatchError.  This module runs no check of its own over the cells.
+alphabet of its data word, ``syndrome``, ``_decode`` (with ``decode``, its
+dense wrapper), ``syndrome_sub`` and ``segments``, the syndrome's layout
+as consecutive ``(count, field)`` runs.  Nothing here depends on which
+construction the code is.  A word is checked by the code that reads it:
+``enroll`` and ``verify`` take its syndrome before anything else, and
+``code.syndrome`` refuses every word that is not the code's shape of ints
+in its alphabet with a ShapeMismatchError.  This module runs no check of
+its own over the cells.
 
 Template files are line-oriented text:
 
@@ -106,13 +112,23 @@ def canonical_bytes(code, data) -> bytes:
     return head + body
 
 
-def apply_pattern(code, data, pattern):
-    """data + pattern, componentwise in the data alphabet: its ``add``,
-    which over characteristic 2 is XOR."""
+def apply_pattern(code, data, errors: dict):
+    """A fresh copy of the data word (a list, or a list of row lists) with
+    each error of the sparse map, by row-major flat offset, added to its
+    cell in the data alphabet: its ``add``, which over characteristic 2 is
+    XOR.  The other cells are copied as they are."""
     add = code.alphabet.add
     if len(code.shape) == 1:
-        return list(map(add, data, pattern))
-    return [list(map(add, dr, pr)) for dr, pr in zip(data, pattern)]
+        out = list(data)
+        for at, v in errors.items():
+            out[at] = add(out[at], v)
+        return out
+    cols = code.shape[1]
+    out = [list(row) for row in data]
+    for at, v in errors.items():
+        row = out[at // cols]
+        row[at % cols] = add(row[at % cols], v)
+    return out
 
 
 def syndrome_to_bytes(code, synd: tuple) -> bytes:
@@ -124,6 +140,30 @@ def syndrome_to_bytes(code, synd: tuple) -> bytes:
         out.append(bytes(run) if width == 1 else b"".join(v.to_bytes(width, "big") for v in run))
         at += count
     return b"".join(out)
+
+
+# The symbols of each binary field of one-byte symbols: a run of stored
+# bytes with these deleted keeps exactly its symbols outside the field.
+_BINARY_SYMBOLS = {1 << m: bytes(range(1 << m)) for m in range(1, 9)}
+
+
+def stored_minus(code, raw: bytes, presented: tuple):
+    """The stored syndrome bytes ``raw`` minus the presented word's
+    syndrome, after checking that they fit ``code.segments``
+    (TemplateFormatError).  Where every run is over characteristic 2 with
+    one-byte symbols, the difference is the XOR of the two byte strings
+    as ints, returned as bytes: ``presented`` is in range, so the
+    difference is in range exactly when ``raw`` is."""
+    segments = code.segments
+    if len(raw) != len(presented) or any(f.order not in _BINARY_SYMBOLS for _, f in segments):
+        return code.syndrome_sub(syndrome_from_bytes(code, raw), presented)
+    at = 0
+    for count, field in segments:
+        if raw[at : at + count].translate(None, _BINARY_SYMBOLS[field.order]):
+            raise TemplateFormatError(f"syndrome symbol outside {field.spec_string()}")
+        at += count
+    diff = int.from_bytes(raw, "little") ^ int.from_bytes(bytes(presented), "little")
+    return diff.to_bytes(len(raw), "little")
 
 
 def syndrome_from_bytes(code, raw: bytes) -> tuple:
@@ -221,15 +261,14 @@ def verify(data, template: Template, code=None) -> VerifyResult:
     if code is None:
         code = codespec.parse_spec(template.code_spec)
     presented = enrollable(code).syndrome(data)
-    stored = syndrome_from_bytes(code, template.syndrome)
-    diff = code.syndrome_sub(stored, presented)
+    diff = stored_minus(code, template.syndrome, presented)
     before = MUL_COUNTER.count
     try:
-        pattern = code.decode(diff)
+        errors = code._decode(diff)[0]
     except DecodeFailure:
         return VerifyResult(False, None, "DecodeFailure", MUL_COUNTER.count - before)
     mults = MUL_COUNTER.count - before
-    candidate = apply_pattern(code, data, pattern)
+    candidate = apply_pattern(code, data, errors)
     digest = hash_digest(template.hash_alg, canonical_bytes(code, candidate))
     if hmac.compare_digest(digest, template.digest):
         return VerifyResult(True, candidate, None, mults)

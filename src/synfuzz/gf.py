@@ -177,7 +177,9 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     else:
         candidates = (tuple(_to_digits(low, p, m)) + (1,) for low in range(p**m))
     for coeffs in candidates:
-        if coeffs[0] == 0:  # x divides it
+        # a root a in F_p means x - a divides it (a = 0: x divides it), so
+        # it is reducible for m > 1; p evaluations refuse it before the walk
+        if coeffs[0] == 0 or m > 1 and any(_from_digits(coeffs, a) % p == 0 for a in range(1, p)):
             continue
         if len(_x_powers(p, m, coeffs)) == p**m - 1:
             return coeffs

@@ -20,10 +20,10 @@ returning a silently wrong vector.
 
 ``LinearCode`` is the protocol every enrollable code follows.  Its
 ``syndrome`` is the one check of a data word, and it holds a base-field
-code's one block map: ``_gather`` reads a word's cells in block
-order and ``_scatter`` writes block-ordered cells back.  ``_BlockCode`` is
-the one block format of the expansions and concatenations: a word's outer
-symbols plus check residuals, and the decode of damaged blocks.
+code's one block map: ``_gather`` reads a word's cells in block order,
+and a decode maps the cells it rebuilt through it.  ``_BlockCode`` is the
+one block format of the expansions and concatenations: a word's outer
+symbols plus check residuals, and the sparse decode of damaged blocks.
 
 Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
@@ -58,6 +58,7 @@ them built.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from functools import reduce
 from itertools import chain, combinations, compress, repeat
 from math import comb
@@ -72,6 +73,18 @@ from .errors import (
     TooManyErasuresError,
 )
 from .gf import MUL_COUNTER, ExtField, _from_digits
+
+
+class DecodeInfo(namedtuple("DecodeInfo", "inner_failed outer_corrected")):
+    """Diagnostics of a decode: the blocks erased for the outer decode and
+    the outer symbols it corrected (every corrected symbol of a plain RS
+    code)."""
+
+    __slots__ = ()
+
+    @property
+    def outer_error_count(self) -> int:
+        return len(set(self.inner_failed) | set(self.outer_corrected))
 
 
 class _SpecIdentity:
@@ -102,16 +115,22 @@ class LinearCode(_SpecIdentity):
     alphabet, and ``segments``: the syndrome as consecutive
     ``(count, field)`` runs, each symbol an element of its run's field.  It
     implements ``syndrome(word)``, a tuple of ints laid out as
-    ``segments``, and ``decode(syndrome)``, which returns an error pattern
-    shaped like the data word.  For a plain RS or BCH code the syndrome is
+    ``segments``, and ``_decode(syndrome)``, the one decode: the error as a
+    sparse map from row-major flat cell offset to its nonzero value, and
+    the decode's ``DecodeInfo``.  ``_decode`` takes a syndrome known to
+    fit ``segments`` (``fuzzy.verify`` builds one in range) and raises
+    DecodeFailure where no pattern within reach reproduces it.
+    ``decode(syndrome)`` is its one dense wrapper: it checks the syndrome
+    and returns the pattern shaped like the data word, with the
+    ``DecodeInfo`` if asked.  For a plain RS or BCH code the syndrome is
     the power sums S_j = word(alpha^j), j = 1..count.
 
     A base-field code states only where its blocks live: ``_block_order()``
     gives the flat offsets of its cells, block by block, or None where they
-    lie in row-major order.  The first ``_gather`` or ``_scatter`` builds it
+    lie in row-major order.  The first ``_gather`` or decode builds it
     into ``_order``, which such a code sets to None in ``__init__``.
     ``_gather`` reads a word's cells in block order through one itemgetter;
-    ``_scatter`` writes a block-ordered cell list back as a data word.
+    a decode's sparse map gives each cell at its row-major offset.
 
     ``syndrome`` decides alone which data words the code accepts, and
     raises ShapeMismatchError (or its subclass LengthMismatchError or
@@ -144,8 +163,24 @@ class LinearCode(_SpecIdentity):
             at = end
         return tuple(out)
 
+    def decode(self, synd, with_info: bool = False):
+        """The error pattern, shaped like the data word, that the syndrome
+        decodes to, and its ``DecodeInfo`` if ``with_info``.  A syndrome
+        that does not fit ``segments`` is a ShapeMismatchError."""
+        self._check_syndrome(synd)
+        errors, info = self._decode(synd)
+        pattern = self._dense(errors)
+        return (pattern, info) if with_info else pattern
+
     def zero_word(self):
         return self._shaped([0] * self.base_length)
+
+    def _dense(self, errors: dict) -> list:
+        """The data word holding a sparse error map's values, zero elsewhere."""
+        flat = [0] * self.base_length
+        for at, v in errors.items():
+            flat[at] = v
+        return self._shaped(flat)
 
     def _shaped(self, flat: list) -> list:
         """A row-major cell list reshaped to the data word's shape."""
@@ -185,16 +220,6 @@ class LinearCode(_SpecIdentity):
         flat = self._flat(word)
         order = self._order or self._load_order()
         return flat if order is None else itemgetter(*order)(flat)
-
-    def _scatter(self, cells) -> list:
-        """The data word whose cells, in block order, are ``cells``."""
-        order = self._order or self._load_order()
-        if order is not None:
-            flat = [0] * self.base_length
-            for at, v in compress(zip(order, cells), cells):  # zeros are in place
-                flat[at] = v
-            cells = flat
-        return self._shaped(cells)
 
     def _load_order(self):
         self._order = self._block_order()
@@ -264,12 +289,18 @@ class _BlockCode(LinearCode):
     first where the symbol digits come first (``_sym_at == 0``), the
     residuals first otherwise, and an empty residual run is left out of
     ``segments``.  ``_syndrome`` computes it, and each subclass binds it
-    as its own ``syndrome``.  ``_decode_cells`` checks a syndrome, splits
-    it by those runs, inner-decodes or erases each damaged block, runs
-    the outer decode and rebuilds the pattern's block-ordered cells; a
-    subclass scatters them.  A subclass also gives
-    ``_inner_decode(part)``: the symbol error a damaged block's residual
-    suggests, or None to make the block an outer erasure.
+    as its own ``syndrome``.
+
+    ``_decode`` splits a syndrome by those runs, inner-decodes or erases
+    each damaged block, runs the outer decode and rebuilds only the
+    touched blocks, those with a nonzero symbol error or stored residual,
+    from their symbol errors and stored parts (over F_2 in one unpack).
+    Their nonzero cells, at the offsets ``_block_order()`` gives, are the
+    sparse error map; every other block is zero.  ``_recheck`` may check
+    the rebuilt blocks against the whole syndrome, as a concatenation
+    does.  A subclass also gives ``_inner_decode(part)``: the symbol error
+    a damaged block's residual suggests, or None to make the block an
+    outer erasure.
     """
 
     def __init__(self, outer, chk: int, sym_at: int, layout, places=None):
@@ -304,33 +335,36 @@ class _BlockCode(LinearCode):
     def _syndrome(self, word) -> tuple:
         """The outer power sums of a word's block symbols and the blocks'
         residuals, in ``segments`` order."""
-        return self._cells_syndrome(self._gather(word))
-
-    def _cells_syndrome(self, cells) -> tuple:
-        """``syndrome`` of a word's block-ordered cells."""
-        syms, res = self._split_cells(cells)
+        syms, res = self._split(word)
         sums = self.outer._power_sums(syms)
         return tuple(res) + sums if self._sym_at else sums + tuple(res)
 
-    def _decode_cells(self, synd: tuple):
-        """The block-ordered cells of the pattern a syndrome decodes to,
-        the erased blocks and the outer corrections: the residual run split
-        into parts, each block inner-decoded or erased, the outer decode,
-        then every block rebuilt from its symbol error and stored part."""
-        self._check_syndrome(synd)
+    def _decode(self, synd):
+        """The sparse error map a syndrome decodes to and its DecodeInfo:
+        the residual run split into parts, each damaged block
+        inner-decoded or erased, the outer decode, then the touched blocks
+        rebuilt from their symbol errors and stored parts and re-checked."""
         r = self.outer.redundancy
         sums, res = (synd[-r:], synd[:-r]) if self._sym_at else (synd[:r], synd[r:])
         parts = self._parts(res)
         errors, erasures, delta = self._decode_blocks(parts, sums)
-        return self._rebuild_cells(errors, parts), erasures, delta
+        touched = self._touched(errors, parts)
+        cells = self._touched_cells(touched, errors, parts)
+        self._recheck(touched, cells, parts, sums)
+        return self._cell_map(touched, cells), DecodeInfo(tuple(erasures), tuple(delta))
+
+    def _recheck(self, touched, cells, parts, sums) -> None:
+        """Nothing by default: an expansion's rebuilt blocks hold their
+        symbol errors and stored parts by construction, and the outer
+        decoder re-checked the symbol errors against the power sums."""
 
     def _split(self, word):
         """The outer symbols of a word's blocks and their flat residuals."""
         return self._split_cells(self._gather(word))
 
     def _split_cells(self, cells):
-        """The outer symbols of block-ordered cells and their flat
-        residuals, after checking the cells' range.
+        """The outer symbols of block-ordered cells, any whole number of
+        blocks, and their flat residuals, after checking the cells' range.
 
         Over F_2 the cells are read as bit lanes, with no loop over the
         blocks: lane j is the int whose byte i (bytes i*w .. i*w + w - 1,
@@ -349,7 +383,7 @@ class _BlockCode(LinearCode):
                 fits = False
             if not fits:
                 raise AlphabetMismatchError("digit outside gf(2)")
-            n, size = self.outer.n, 1 if m <= 8 else 2
+            n, size = len(cells) // width, 1 if m <= 8 else 2
             lanes, lane = [], bytearray(size * n)
             for j in range(width):
                 lane[::size] = cells[j::width]
@@ -400,45 +434,63 @@ class _BlockCode(LinearCode):
         return [(v - f) % self.alphabet.p for v, f in zip(block[at:end], self._fill(sym)[at:end])]
 
     def _parts(self, res) -> list:
-        """Each block's residual from the flat residuals: an int over F_2
-        (digit j at bit j), else a tuple; 0 where it is zero."""
-        chk, n = self._chk, self.outer.n
+        """Each block's residual from the flat residuals of consecutive
+        blocks: an int over F_2 (digit j at bit j), else a tuple; 0 where it
+        is zero.  Without check cells every one of the n parts is 0."""
+        chk = self._chk
         if not chk:
-            return [0] * n
+            return [0] * self.outer.n
         if self.alphabet.p == 2:
             return _pack_runs(res, chk)
-        parts = (tuple(res[at : at + chk]) for at in range(0, n * chk, chk))
+        parts = (tuple(res[at : at + chk]) for at in range(0, len(res), chk))
         return [part if any(part) else 0 for part in parts]
 
     def _rebuild(self, syms, parts) -> list:
         """The word whose blocks hold the symbols ``syms`` with residuals
         ``parts``."""
-        return self._scatter(self._rebuild_cells(syms, parts))
+        touched = self._touched(syms, parts)
+        return self._dense(self._cell_map(touched, self._touched_cells(touched, syms, parts)))
 
-    def _rebuild_cells(self, syms, parts) -> list:
-        """``_rebuild``'s cells in block order; only blocks with a nonzero
-        symbol or part are written."""
-        width, blocks = self._width, range(len(syms))
-        cells = [0] * self.base_length
-        for i in set(compress(blocks, syms)).union(compress(blocks, parts)):
-            cells[i * width : (i + 1) * width] = self._block_cells(syms[i], parts[i])
+    @staticmethod
+    def _touched(syms, parts) -> list:
+        """The blocks with a nonzero symbol or part, in order: the others
+        are all zero."""
+        blocks = range(len(syms))
+        return sorted(set(compress(blocks, syms)).union(compress(blocks, parts)))
+
+    def _touched_cells(self, touched, syms, parts):
+        """The cells of each touched block i in turn, the block of symbol
+        syms[i] whose residual is parts[i]; over F_2 from one unpack."""
+        at, end, p = self._chk_at, self._chk_at + self._chk, self.alphabet.p
+        if p == 2:
+            if not self._chk:
+                return _unpack_bits([syms[i] for i in touched], self._width)
+            tables, sym_at = self._checks or self._load_checks(), self._sym_at
+            return _unpack_bits([syms[i] << sym_at | (parts[i] ^ _lookup(tables, syms[i])) << at
+                                 for i in touched], self._width)
+        cells = []
+        for i in touched:
+            block = self._fill(syms[i])
+            if parts[i]:
+                block[at:end] = [(f + r) % p for f, r in zip(block[at:end], parts[i])]
+            cells += block
         return cells
 
-    def _block_cells(self, sym: int, part) -> list:
-        """The cells of the block of ``sym`` whose residual is ``part``."""
-        at, end = self._chk_at, self._chk_at + self._chk
-        if self._chk and self.alphabet.p == 2:
-            rest = part ^ _lookup(self._checks or self._load_checks(), sym)
-            return _unpack_bits([sym << self._sym_at | rest << at], self._width)
-        block = self._fill(sym)
-        if part:
-            block[at:end] = [(f + r) % self.alphabet.p for f, r in zip(block[at:end], part)]
-        return block
+    def _cell_map(self, touched, cells) -> dict:
+        """The nonzero ``cells`` of the touched blocks by row-major flat
+        offset."""
+        width = self._width
+        order = self._order or self._load_order()
+        offsets = [b for i in touched for b in range(i * width, (i + 1) * width)]
+        if order is not None:
+            offsets = [order[b] for b in offsets]
+        return dict(compress(zip(offsets, cells), cells))
 
     def _decode_blocks(self, parts, synd: tuple):
-        """The outer symbol errors, erasures and corrections: each damaged
-        block's inner decoder estimates its symbol error or erases it, then
-        the outer decoder corrects the estimates."""
+        """The outer symbol errors (a list of n), the erasures and the
+        outer corrections (a sparse map): each damaged block's inner
+        decoder estimates its symbol error or erases it, then the outer
+        decoder corrects the estimates."""
         outer = self.outer
         est = [0] * outer.n
         erasures = []
@@ -452,12 +504,13 @@ class _BlockCode(LinearCode):
                 raise TooManyErasuresError(
                     f"{len(erasures) + 1} erasures exceed redundancy {outer.redundancy}"
                 )
-        estimated = any(est)
-        if estimated:  # in range: inner decodes give base-field digits
+        if any(est):  # in range: inner decodes give base-field digits
             synd = outer.syndrome_sub(synd, outer._power_sums(est))
-        delta = outer.decode_syndrome(synd, erasures=erasures)
-        errors = list(map(outer.field.add, est, delta)) if estimated else delta
-        return errors, erasures, delta
+        delta = outer._errors(synd, erasures)
+        add = outer.field.add
+        for i, d in delta.items():
+            est[i] = add(est[i], d)
+        return est, erasures, delta
 
 
 def _poly_mul(field: ExtField, f, g):
@@ -515,7 +568,8 @@ def _gpz_decode(field: ExtField, synd, n, chien, erasures=(), base_limit=None):
 
     Returns the unique error vector v with
     2*weight(v off erasures) + |erasures| <= len(synd) that reproduces the
-    syndromes, or raises DecodeFailure.  With base_limit set, magnitudes
+    syndromes, as a map from each position to its nonzero value, or raises
+    DecodeFailure.  With base_limit set, magnitudes
     must lie in the base subfield (values below base_limit).  ``chien`` is
     the code's Chien table, or None above its cap.
 
@@ -534,7 +588,7 @@ def _gpz_decode(field: ExtField, synd, n, chien, erasures=(), base_limit=None):
     if f > r:
         raise TooManyErasuresError(f"{f} erasures exceed redundancy {r}")
     if not any(synd) and not positions_known:
-        return [0] * n
+        return {}
 
     exp, log = field._exp, field._log
     q1 = field.order - 1
@@ -636,12 +690,8 @@ def _gpz_decode(field: ExtField, synd, n, chien, erasures=(), base_limit=None):
         if base_limit is not None and any(v >= base_limit for v in mags):
             raise DecodeFailure("magnitude outside the base field")
 
-        error = [0] * n
-        support = []
-        for pos, val in zip(roots, mags):
-            if val:
-                error[pos] = val
-                support.append((pos, log[val]))
+        error = {pos: val for pos, val in zip(roots, mags) if val}
+        support = [(pos, log[val]) for pos, val in error.items()]
 
         for j in range(r):
             acc = 0
@@ -986,9 +1036,12 @@ class _CyclicCode(_SpecIdentity):
 
     The redundancy is the number of root exponents, so ``__init__`` builds
     no polynomial; the generator, the packed kernel and the Chien table
-    are built into their slots on first use.  ``_encode`` and
-    ``_decode_syndrome`` are the one encoder and decoder; each family binds
-    them in its own class (perfbench/spans.py traces them there).  The
+    are built into their slots on first use.  ``_encode`` and ``_errors``
+    are the one encoder and decoder, the decoder's result a sparse map
+    from position to error value; ``_decode_syndrome`` is its dense form.
+    Each family binds ``_encode`` and ``_decode_syndrome`` in its own
+    class (perfbench/spans.py traces them there); ``RsCode._decode`` and
+    the block codes' outer decode call ``_errors``.  The
     encoder's parity is the family's ``_remainder``, a word's unchecked
     remainder modulo the generator: ``_poly_remainder`` here, and over
     F_2 ``BchCode``'s packed kernel, the one place binary BCH parity is
@@ -1051,6 +1104,14 @@ class _CyclicCode(_SpecIdentity):
         """
         if len(synd) != self.count:
             raise LengthMismatchError(f"expected {self.count} syndrome values, got {len(synd)}")
+        error = [0] * self.n
+        for pos, v in self._errors(synd, erasures).items():
+            error[pos] = v
+        return error
+
+    def _errors(self, synd, erasures=()) -> dict:
+        """The nonzero values of ``_decode_syndrome``'s error vector by
+        position, for a syndrome known to have ``count`` values."""
         field, n = self.field, self.n
         if self._chien is None:
             self._chien = _chien_fits(field, n, self.count) and _chien_table(field, n, self.count)
@@ -1106,9 +1167,9 @@ class RsCode(_CyclicCode, LinearCode):
             chunks = self._pairs.unpack(bytes(word)[::-1].rjust(self._pairs.size, b"\0"))
         return kernel.power_sums(kernel.remainder(chunks))
 
-    def decode(self, synd: tuple) -> list[int]:
-        self._check_syndrome(synd)
-        return self.decode_syndrome(synd)
+    def _decode(self, synd):
+        errors = self._errors(synd)
+        return errors, DecodeInfo((), tuple(errors))
 
     def _kind_lines(self) -> list[str]:
         lines = [

@@ -101,6 +101,17 @@ def split_blocks(code, cells):
     return syms, res
 
 
+def scatter(code, cells):
+    """The data word whose cells, in the code's block order, are ``cells``:
+    the inverse of ``code._gather``."""
+    order = code._block_order()
+    flat = list(cells)
+    if order is not None:
+        for at, v in zip(order, cells):
+            flat[at] = v
+    return code._shaped(flat)
+
+
 def expansion_layout(kind: str, rs, n1: int = 1, n2: int = 1):
     """The shape, syndrome segments and block order of an expansion of the
     RS code ``rs``, by tile arithmetic: symbol i's tile sits at grid

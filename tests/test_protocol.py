@@ -1,7 +1,7 @@
 """The LinearCode protocol over every golden construction.
 
 A base-field code states its block order once; LinearCode gathers words
-through it and scatters patterns back.  Every decode first checks the
+through it and a decode maps the cells it rebuilt back through it.  Every decode first checks the
 syndrome against the code's ``segments``.  The expansions and the
 concatenations share one block format: a word splits into outer symbols
 and check residuals and is rebuilt from them.
@@ -50,7 +50,7 @@ def test_scatter_inverts_gather(stem, spec, shape, q, seed):
     order = code._block_order()
     assert order is None or sorted(order) == list(range(code.base_length))
     word = seeded_word(code, seed)
-    assert code._scatter(code._gather(word)) == word
+    assert oracle.scatter(code, code._gather(word)) == word
 
 
 @pytest.mark.parametrize("spec", ROW_MAJOR)
@@ -180,7 +180,7 @@ def test_residuals_vanish_exactly_on_valid_blocks(stem, spec, shape, q, seed):
             block = code.outer.n // 2
             cells = [0] * code.base_length
             cells[block * code._width + code._chk_at] = 1
-            damaged = add_words(code, word, code._scatter(cells))
+            damaged = add_words(code, word, oracle.scatter(code, cells))
             parts = code._parts(code._split(damaged)[1])
             assert [i for i, part in enumerate(parts) if part] == [block]
 
@@ -218,6 +218,27 @@ def test_lane_split_matches_the_per_block_oracle(stem, spec, shape, q, seed):
         syms, res = code._split(word)
         expected = oracle.split_blocks(code, code._gather(word))
         assert (list(syms), list(res)) == expected
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", BLOCK_GOLDEN + list(WIDE_GOLDEN),
+                         ids=[g[0] for g in BLOCK_GOLDEN + list(WIDE_GOLDEN)])
+def test_few_block_split_matches_the_lane_split(stem, spec, shape, q, seed):
+    """The decoder's re-check splits a few rebuilt blocks
+    (``_split_cells`` on a partial run): every run of three consecutive
+    blocks gives the symbols and residuals of those blocks in the full
+    split, and the same parts."""
+    code = parse_spec(spec)
+    width, chk = code._width, code._chk
+    for word in (seeded_word(code, seed), codeword(code, seed), code.zero_word()):
+        cells = code._gather(word)
+        syms, res = code._split_cells(cells)
+        parts = code._parts(res)
+        for i in range(0, code.outer.n - 2, 3):
+            few_syms, few_res = code._split_cells(cells[i * width : (i + 3) * width])
+            assert list(few_syms) == list(syms[i : i + 3])
+            assert list(few_res) == list(res[i * chk : (i + 3) * chk])
+            if chk:
+                assert code._parts(few_res) == parts[i : i + 3]
 
 
 @pytest.mark.parametrize("stem,spec,shape,q,seed", BINARY_BLOCK, ids=[g[0] for g in BINARY_BLOCK])
@@ -259,6 +280,41 @@ def test_concat_decode_refuses_a_pattern_its_syndrome_does_not_reproduce(spec, m
         code.decode(synd)
 
 
+@pytest.mark.parametrize("spec", CONCATS)
+def test_concat_decode_refuses_a_rebuilt_block_whose_residual_is_not_stored(spec, monkeypatch):
+    """The sparse re-check recomputes each touched block's residual from
+    its rebuilt cells: one check cell changed after the rebuild, which
+    leaves every symbol as it was, makes the decode fail."""
+    code = parse_spec(spec)
+    synd = code.syndrome(one_cell_word(code, 602))
+    touched_cells = code._touched_cells
+
+    def changed(touched, syms, parts):
+        cells = list(touched_cells(touched, syms, parts))
+        cells[code._chk_at] = (cells[code._chk_at] + 1) % code.p
+        return cells
+
+    monkeypatch.setattr(code, "_touched_cells", changed)
+    with pytest.raises(DecodeFailure, match="does not reproduce the syndrome"):
+        code.decode(synd)
+
+
+@pytest.mark.parametrize("spec", CONCATS)
+def test_concat_decode_refuses_a_pattern_that_leaves_out_a_damaged_block(spec, monkeypatch):
+    """Every block outside the rebuilt ones must have a zero stored part:
+    a check cell error changes no symbol, so a decode that left its block
+    out would otherwise pass the residual and power sum checks."""
+    code = parse_spec(spec)
+    cells = [0] * code.base_length
+    cells[(code.outer.n // 2) * code._width + code._chk_at] = 1
+    word = oracle.scatter(code, cells)
+    synd = code.syndrome(word)
+    assert code.decode(synd) == word
+    monkeypatch.setattr(code, "_touched", lambda syms, parts: [])
+    with pytest.raises(DecodeFailure, match="does not reproduce the syndrome"):
+        code.decode(synd)
+
+
 @pytest.mark.parametrize("spec", [
     "rs(255,223;gf(2^8))",
     "cII(rs(15,7;gf(2^4));3,5)",
@@ -294,7 +350,7 @@ def erasure_read(code, seed, blocks, cells):
     for i in rng.sample(range(code.outer.n), blocks):
         for at in rng.sample(range(width), cells):
             noise[i * width + at] = rng.randrange(1, code.alphabet.order)
-    return word, add_words(code, word, code._scatter(noise))
+    return word, add_words(code, word, oracle.scatter(code, noise))
 
 
 def test_erasure_decodes_keep_their_mult_counts():

@@ -151,3 +151,30 @@ def test_bench_pairs_reports_each_construction_median_ratio(tmp_path, monkeypatc
         assert rows["a"] == {"parent": 1.5, "change": 1.5, "ratio_change_over_parent": 1.0}
         assert rows["b"]["change"] > rows["b"]["parent"]
         assert report["reference_ms"] == {"parent": 2.25, "change": 6.75}
+
+
+@pytest.mark.parametrize("workload", ["verify", "enroll"])
+def test_ab_pairs_compares_the_checkout_with_itself(workload):
+    """An A/A run of scripts/ab_pairs.py on a few operations: both loaded
+    trees give the same results and counts, and the report has one ratio
+    summary per roster construction."""
+    root = SCRIPTS.parent
+    result = run_script("ab_pairs.py", str(root), str(root), "--workload", workload,
+                        "--seed", "3", "--words", "1", "--reps", "2")
+    assert result.returncode == 0, result.stderr.decode()
+    report = json.loads(result.stdout)
+    assert (report["identical"], report["differences"]) == (True, 0)
+    ratios = report["ratio_change_over_parent"]
+    spec = importlib.util.spec_from_file_location("perfbench_roster",
+                                                  root / "perfbench" / "roster.py")
+    roster = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = roster  # its dataclass looks its module up by name
+    spec.loader.exec_module(roster)
+    per_op = 2 * (1 if workload == "enroll" else len(roster.NOISE_FRACTIONS) + 1)
+    assert set(ratios) == {*roster.SPECS, "all", "total_time_ratio"}
+    for name in roster.SPECS:
+        row = ratios[name]
+        assert set(row) == {"median", "q1", "q3", "pairs", "parent_us"}
+        assert row["pairs"] == per_op and 0 < row["q1"] <= row["median"] <= row["q3"]
+    assert ratios["all"]["pairs"] == per_op * len(roster.SPECS)
+    assert ratios["total_time_ratio"] > 0

@@ -1,0 +1,181 @@
+"""verify's one sparse pass against the dense reference.
+
+verify reads the stored syndrome once, subtracts the presented one (over
+characteristic 2 with one-byte symbols as one XOR of two ints), decodes
+through the code's internal sparse ``_decode`` and adds the sparse error
+map onto a copy of the presented word.  The reference here is the dense
+path: the stored syndrome parsed by ``syndrome_from_bytes``, subtracted
+by ``syndrome_sub``, decoded by the public ``code.decode`` and added on
+cell by cell.  Both must give the same VerifyResult on every golden
+construction, for genuine reads at and below capability and for
+impostors.
+"""
+
+import hmac
+import random
+
+import pytest
+
+from synfuzz.codespec import parse_spec
+from synfuzz.errors import DecodeFailure, TemplateFormatError
+from synfuzz.fuzzy import (
+    Template,
+    VerifyResult,
+    canonical_bytes,
+    enroll,
+    hash_digest,
+    stored_minus,
+    syndrome_from_bytes,
+    verify,
+)
+from synfuzz.gf import MUL_COUNTER
+
+from test_golden import GOLDEN, WIDE_GOLDEN, golden_word
+
+ALL_GOLDEN = GOLDEN + WIDE_GOLDEN
+ALL_IDS = [g[0] for g in ALL_GOLDEN]
+
+
+def flat(code, word):
+    return list(word) if len(code.shape) == 1 else [v for row in word for v in row]
+
+
+def reference_verify(code, data, template):
+    """The dense verify: parse, subtract, decode to a dense pattern, add
+    every cell on."""
+    stored = syndrome_from_bytes(code, template.syndrome)
+    diff = code.syndrome_sub(stored, code.syndrome(data))
+    before = MUL_COUNTER.count
+    try:
+        pattern = code.decode(diff)
+    except DecodeFailure:
+        return VerifyResult(False, None, "DecodeFailure", MUL_COUNTER.count - before), None
+    mults = MUL_COUNTER.count - before
+    assert code.syndrome(pattern) == diff  # the dense pattern has the syndrome
+    add = code.alphabet.add
+    candidate = code._shaped(list(map(add, flat(code, data), flat(code, pattern))))
+    digest = hash_digest(template.hash_alg, canonical_bytes(code, candidate))
+    if hmac.compare_digest(digest, template.digest):
+        return VerifyResult(True, candidate, None, mults), pattern
+    return VerifyResult(False, None, "HashMismatch", mults), pattern
+
+
+def block_offsets(code, i):
+    """The flat offsets of block i's cells (a plain RS code's symbol i)."""
+    width = getattr(code, "_width", 1)
+    order = code._block_order()
+    cells = range(i * width, (i + 1) * width)
+    return [order[c] for c in cells] if order else list(cells)
+
+
+def damaged(code, word, blocks, rng):
+    """The word with random nonzero errors on random cells of ``blocks``
+    random blocks: at most one outer symbol error each."""
+    n = code.outer.n if hasattr(code, "outer") else code.n
+    cells = flat(code, word)
+    add = code.alphabet.add
+    for i in rng.sample(range(n), blocks):
+        offsets = block_offsets(code, i)
+        for at in rng.sample(offsets, rng.randint(1, len(offsets))):
+            cells[at] = add(cells[at], rng.randrange(1, code.alphabet.order))
+    return code._shaped(cells)
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", ALL_GOLDEN, ids=ALL_IDS)
+def test_verify_matches_the_dense_reference(stem, spec, shape, q, seed):
+    """Genuine reads with 0 .. t damaged blocks (t the outer capability)
+    and impostors: the same accepted, recovered, reason and decode_mults as
+    the dense reference, a sparse map equal to the dense pattern's nonzero
+    cells, and a recovered word that is a new list of new rows."""
+    code = parse_spec(spec)
+    t = code.outer.t if hasattr(code, "outer") else code.t
+    rng = random.Random(seed)
+    word = golden_word(shape, q, seed)
+    template = enroll(word, code)
+    reads = [damaged(code, word, blocks, rng) for blocks in (0, 1, t // 2, t, t)]
+    reads += [golden_word(shape, q, seed + 1000 + k) for k in range(3)]
+    outcomes = set()
+    for read in reads:
+        expected, pattern = reference_verify(code, read, template)
+        got = verify(read, template, code=code)
+        assert got == expected
+        outcomes.add(got.reason)
+        if pattern is not None:
+            diff = stored_minus(code, template.syndrome, code.syndrome(read))
+            errors, info = code._decode(diff)
+            assert errors == {at: v for at, v in enumerate(flat(code, pattern)) if v}
+            assert code.decode(diff, with_info=True) == (pattern, info)
+        if got.accepted:
+            assert got.recovered == word and got.recovered is not read
+            if len(shape) == 2:
+                assert not any(new is old for new, old in zip(got.recovered, read))
+    assert None in outcomes and outcomes - {None}
+
+
+def test_untouched_bool_cells_stay_bools():
+    """The sparse map changes only the damaged cells; the rest of the
+    presented word is copied as it is, so bool cells the decoder leaves
+    alone stay bools (the dense XOR turned them into ints).  They compare
+    and serialize as the ints they equal."""
+    code = parse_spec("cI(rs(15,7;gf(2^4)))")
+    word = golden_word(code.shape, 2, 7)
+    template = enroll(word, code)
+    read = [bool(v) for v in word]
+    read[3] = not read[3]
+    result = verify(read, template, code=code)
+    assert result.accepted and result.recovered == word
+    assert type(result.recovered[3]) is int
+    assert {type(v) for k, v in enumerate(result.recovered) if k != 3} == {bool}
+
+
+# (spec, stored byte offset, bad value): a symbol outside its run's field
+OUT_OF_RANGE = [
+    ("concat(inner=bch(15,2;gf(2)), outer=rs(127,109;gf(2^7)), layout=flat)", -1, 0x80),
+    ("concat(inner=bch(15,2;gf(2)), outer=rs(127,109;gf(2^7)), layout=flat)", 0, 2),
+    ("cII(rs(15,7;gf(2^4));3,5)", 0, 0x10),
+    ("cI+parity(rs(15,7;gf(2^4)))", 0, 0x10),
+    ("cI+parity(rs(15,7;gf(2^4)))", -1, 2),
+    ("concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)", -1, 25),
+    ("concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)", 0, 5),
+    ("cI(rs(20,12;gf(2^10)))", 0, 0x04),  # two bytes a symbol, 0x04.. >= 1024
+]
+# One spec per way of reading the stored bytes: byte-wide binary runs as
+# one XOR, gf(2^8) runs with no byte outside, two-byte runs, odd p.
+LENGTH_SPECS = [
+    "concat(inner=bch(15,2;gf(2)), outer=rs(127,109;gf(2^7)), layout=flat)",
+    "cII(rs(15,7;gf(2^4));3,5)",
+    "rs(255,223;gf(2^8))",
+    "cI(rs(20,12;gf(2^10)))",
+    "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)",
+]
+
+
+def stored_with(code, at, value):
+    word = golden_word(code.shape, code.alphabet.order, 31)
+    template = enroll(word, code)
+    raw = bytearray(template.syndrome)
+    raw[at] = value
+    return word, template._replace(syndrome=bytes(raw))
+
+
+@pytest.mark.parametrize("spec,at,value", OUT_OF_RANGE)
+def test_verify_refuses_a_stored_symbol_outside_its_field(spec, at, value):
+    """verify skips the decoder's own syndrome check, so the read of the
+    stored bytes must refuse every symbol outside its run's field."""
+    code = parse_spec(spec)
+    word, template = stored_with(code, at, value)
+    with pytest.raises(TemplateFormatError, match="syndrome symbol outside"):
+        verify(word, template, code=code)
+    with pytest.raises(TemplateFormatError):
+        verify(word, Template.from_text(template.to_text()))
+
+
+@pytest.mark.parametrize("spec", LENGTH_SPECS)
+def test_verify_refuses_a_stored_syndrome_one_byte_short_or_long(spec):
+    code = parse_spec(spec)
+    word = golden_word(code.shape, code.alphabet.order, 32)
+    template = enroll(word, code)
+    raw = template.syndrome
+    for bad, message in ((raw[:-1], "too short"), (raw + b"\x00", "longer")):
+        with pytest.raises(TemplateFormatError, match=message):
+            verify(word, template._replace(syndrome=bad), code=code)
