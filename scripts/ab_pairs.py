@@ -24,7 +24,9 @@ printed to standard error and makes the exit code 1.
 
 Standard output is one JSON object.  Per roster construction it gives
 the median of the change/parent time ratios of its operations, their
-first and third quartiles, the number of pairs and the parent's median
+first and third quartiles, a bootstrap 95% interval of the median
+(``ci95``: 1000 resamples of the ratios, drawn with ``random.Random``
+seeded from ``--seed``), the number of pairs and the parent's median
 time of one operation; ``all`` gives the same
 over every operation and ``total_time_ratio`` the change's summed time
 over the parent's.  An A/A run (one tree against itself) shows the
@@ -115,13 +117,25 @@ def timed(call, counter):
     return (tuple(result), counter.count - before), elapsed
 
 
-def summary(ratios: list, parent_times: list) -> dict:
-    """The ratios' median and quartiles, their count, and the parent's
-    median time of one operation in microseconds."""
+BOOTSTRAP_ROUNDS = 1000
+
+
+def bootstrap_interval(ratios: list, rng: random.Random) -> list:
+    """The 2.5% and 97.5% quantiles of the medians of BOOTSTRAP_ROUNDS
+    resamples of the ratios, each drawn with replacement."""
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP_ROUNDS))
+    return [medians[int(0.025 * BOOTSTRAP_ROUNDS)], medians[int(0.975 * BOOTSTRAP_ROUNDS) - 1]]
+
+
+def summary(ratios: list, parent_times: list, rng: random.Random) -> dict:
+    """The ratios' median, quartiles and bootstrap 95% interval of the
+    median, their count, and the parent's median time of one operation
+    in microseconds."""
     q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                       if len(ratios) > 1 else ratios * 3)
-    return {"median": median, "q1": q1, "q3": q3, "pairs": len(ratios),
-            "parent_us": statistics.median(parent_times) * 1e6}
+    return {"median": median, "q1": q1, "q3": q3, "ci95": bootstrap_interval(ratios, rng),
+            "pairs": len(ratios), "parent_us": statistics.median(parent_times) * 1e6}
 
 
 def compare(trees: dict, workload: str, seed: int, words: int, reps: int):
@@ -151,9 +165,10 @@ def compare(trees: dict, workload: str, seed: int, words: int, reps: int):
                 totals[names[0]] += parent
                 totals[names[1]] += change
         gc.enable()
-    report = {spec: summary(values, parent_times[spec]) for spec, values in ratios.items()}
+    rng = random.Random(seed)
+    report = {spec: summary(values, parent_times[spec], rng) for spec, values in ratios.items()}
     report["all"] = summary([r for values in ratios.values() for r in values],
-                            [t for values in parent_times.values() for t in values])
+                            [t for values in parent_times.values() for t in values], rng)
     report["total_time_ratio"] = totals[names[1]] / totals[names[0]]
     return report, differences
 

@@ -35,7 +35,8 @@ builds nothing.  The cache is bounded by weight, not by count, in units
 of about 40 bytes.  A code weighs its cells (a built block order retains
 about 40 bytes per cell), plus 2 units per element of every field it
 holds (about 84 bytes of tables), plus ``_CODE_WEIGHT`` for its objects,
-its key of at most 1024 characters and the tables it may build.  The
+its key of at most 1024 characters and the tables it may build (kernel,
+Chien table, region columns and its field's multiply rows).  The
 bound, about 45.6 MiB, admits any one code (the heaviest retains 45.5 MiB
 under tracemalloc once it has built its block map), so a stream of
 distinct hostile specs evicts entries but retains about one largest
@@ -70,8 +71,13 @@ MAX_CELLS = 1 << 20
 # about 34.  The cap bounds parse time and the cache's keys.
 MAX_SPEC_CHARS = 1024
 # Units of about 40 bytes.  A code's own objects take about 2.5 KB, and
-# its lazy tables at most about 400 KB: rs(255,191;gf(2^8)) holds 240 KB
-# of kernel and Chien table after one decode.
+# its lazy tables at most about 400 KB.  The heaviest belong to a code
+# that decodes on byte regions at r = 64 over gf(2^8): after one decode
+# rs(255,191;gf(2^8)) holds 359 KiB, of which the kernel and the Chien
+# table (at most 2^21 bits by its cap) take 258 KiB, and the rest are the
+# per-position columns (255 strings of 64 bytes) and the field's multiply
+# rows (256 strings of 256 bytes).  Every code that decodes over a field
+# weighs its rows, so rows that two cached codes share count twice.
 _CODE_WEIGHT = 1 << 14
 # A field's tables take about 84 bytes per element.
 _FIELD_WEIGHT = 2

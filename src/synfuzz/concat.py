@@ -50,6 +50,8 @@ within the inner capability never fails, so every bound still holds.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import (
     DecodeFailure,
     IndexOutOfRangeError,
@@ -211,7 +213,7 @@ class ViLayout(_SpecIdentity):
 class ConcatCode(_BlockCode):
     """Inner/outer concatenated code with one of the four layouts."""
 
-    syndrome = _BlockCode._syndrome
+    syndrome = _BlockCode.syndrome
 
     def __init__(self, inner, outer: RsCode, layout=FlatLayout()):
         if inner.p != outer.field.p:
@@ -269,13 +271,10 @@ class ConcatCode(_BlockCode):
         the outer power sums of the touched blocks' symbols are ``sums``."""
         syms, res = self._split_cells(cells)
         got = self._parts(res) if self._chk else [0] * len(syms)
-        word = [0] * self.N
-        for i, sym in zip(touched, syms):
-            word[i] = sym
         if (
             got != [parts[i] for i in touched]
             or sum(map(bool, parts)) != sum(bool(parts[i]) for i in touched)
-            or self.outer._power_sums(word) != tuple(sums)
+            or any(self.outer._minus_sums(sums, compress(zip(touched, syms), syms)))
         ):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
 

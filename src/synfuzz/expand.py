@@ -81,7 +81,7 @@ def _companion_fill(field, sym: int) -> list[int]:
 class ExpandedCode(_BlockCode):
     """A base-field expansion of an RS code with its layout bookkeeping."""
 
-    syndrome = _BlockCode._syndrome
+    syndrome = _BlockCode.syndrome
 
     def __init__(self, rs: RsCode, kind: str, n1: int | None = None, n2: int | None = None):
         self.rs = rs

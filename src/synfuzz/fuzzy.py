@@ -2,7 +2,9 @@
 
 Enrollment hashes a canonical serialization of the data word and stores it
 next to the word's syndrome under the chosen code; the word itself is
-never stored.  Verification makes one pass: it reads and range-checks the
+never stored.  Both take the code's internal ``_syndrome``, which is
+already the template's bytes where every run is binary with one-byte
+symbols.  Verification makes one pass: it reads and range-checks the
 stored syndrome once while subtracting the syndrome of the presented word
 from it (``stored_minus``), decodes the difference with the code's
 internal ``_decode`` to a sparse map from row-major cell offset to error
@@ -19,12 +21,13 @@ orientation is invisible; over odd characteristics it matters and is
 pinned by tests.
 
 Every code exposes the same protocol (``rs.LinearCode``): the shape and
-alphabet of its data word, ``syndrome``, ``_decode`` (with ``decode``, its
-dense wrapper), ``syndrome_sub`` and ``segments``, the syndrome's layout
+alphabet of its data word, ``_syndrome`` (with ``syndrome``, its tuple
+form), ``_decode`` (with ``decode``, its dense wrapper), ``syndrome_sub``
+and ``segments``, the syndrome's layout
 as consecutive ``(count, field)`` runs.  Nothing here depends on which
 construction the code is.  A word is checked by the code that reads it:
 ``enroll`` and ``verify`` take its syndrome before anything else, and
-``code.syndrome`` refuses every word that is not the code's shape of ints
+``code._syndrome`` refuses every word that is not the code's shape of ints
 in its alphabet with a ShapeMismatchError.  This module runs no check of
 its own over the cells.
 
@@ -97,7 +100,7 @@ def canonical_bytes(code, data) -> bytes:
     """Deterministic serialization hashed at enrollment: the field spec,
     the shape, then every symbol row-major as minimal big-endian bytes.
     The data must already fit the code: enroll and verify read it through
-    ``code.syndrome`` first, which refuses any other word."""
+    ``code._syndrome`` first, which refuses any other word."""
     alpha = code.alphabet
     shape = code.shape
     head = f"{alpha.canonical_spec()}|{'x'.join(str(d) for d in shape)}|".encode("ascii")
@@ -131,7 +134,9 @@ def apply_pattern(code, data, errors: dict):
     return out
 
 
-def syndrome_to_bytes(code, synd: tuple) -> bytes:
+def syndrome_to_bytes(code, synd) -> bytes:
+    """The template serialization of a syndrome, a tuple or the bytes of
+    ``code._syndrome``: every symbol big-endian in its run's width."""
     out = []
     at = 0
     for count, field in code.segments:
@@ -147,22 +152,22 @@ def syndrome_to_bytes(code, synd: tuple) -> bytes:
 _BINARY_SYMBOLS = {1 << m: bytes(range(1 << m)) for m in range(1, 9)}
 
 
-def stored_minus(code, raw: bytes, presented: tuple):
+def stored_minus(code, raw: bytes, presented):
     """The stored syndrome bytes ``raw`` minus the presented word's
     syndrome, after checking that they fit ``code.segments``
-    (TemplateFormatError).  Where every run is over characteristic 2 with
-    one-byte symbols, the difference is the XOR of the two byte strings
-    as ints, returned as bytes: ``presented`` is in range, so the
-    difference is in range exactly when ``raw`` is."""
-    segments = code.segments
-    if len(raw) != len(presented) or any(f.order not in _BINARY_SYMBOLS for _, f in segments):
+    (TemplateFormatError).  A presented syndrome in bytes (every run over
+    characteristic 2 with one-byte symbols, ``code._syndrome``) is
+    subtracted as one XOR of the two byte strings as ints, returned as
+    bytes: ``presented`` is in range, so the difference is in range
+    exactly when ``raw`` is."""
+    if type(presented) is not bytes or len(raw) != len(presented):
         return code.syndrome_sub(syndrome_from_bytes(code, raw), presented)
     at = 0
-    for count, field in segments:
+    for count, field in code.segments:
         if raw[at : at + count].translate(None, _BINARY_SYMBOLS[field.order]):
             raise TemplateFormatError(f"syndrome symbol outside {field.spec_string()}")
         at += count
-    diff = int.from_bytes(raw, "little") ^ int.from_bytes(bytes(presented), "little")
+    diff = int.from_bytes(raw, "little") ^ int.from_bytes(presented, "little")
     return diff.to_bytes(len(raw), "little")
 
 
@@ -242,7 +247,7 @@ def enroll(data, code, hash_alg: str = "sha-256") -> Template:
     """Build the stored template for a data word under a construction."""
     if hash_alg not in _HASHES:
         raise UnsupportedHashError(f"unknown hash algorithm {hash_alg!r}")
-    synd = enrollable(code).syndrome(data)
+    synd = enrollable(code)._syndrome(data)
     return Template(
         code_spec=code.spec_string(),
         hash_alg=hash_alg,
@@ -260,7 +265,7 @@ def verify(data, template: Template, code=None) -> VerifyResult:
     """
     if code is None:
         code = codespec.parse_spec(template.code_spec)
-    presented = enrollable(code).syndrome(data)
+    presented = enrollable(code)._syndrome(data)
     diff = stored_minus(code, template.syndrome, presented)
     before = MUL_COUNTER.count
     try:

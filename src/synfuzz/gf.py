@@ -27,6 +27,12 @@ characteristic 2 a field's ``add`` and ``sub`` are ``operator.xor``
 itself, bound once when the field is built, so callers use them directly
 and none tests p to add.  Every field multiplication bumps a thread-local
 counter so decoder costs can be measured.
+
+A field F_{2^m}, m <= 8, also has multiply rows for the decoders' region
+arithmetic, built on first use (``_load_rows``): row c is a 256-byte
+``bytes.translate`` table holding c*a at byte a, so one translate
+multiplies a whole byte string by c (the "region multiply" of Plank,
+Greenan and Miller, FAST 2013).
 """
 
 from __future__ import annotations
@@ -228,6 +234,7 @@ class ExtField:
             log[v] = i
         self._exp = powers + powers
         self._log = log
+        self._rows = None  # the multiply rows over F_{2^m}, m <= 8, set on first use
         if p == 2:
             self.add = self.sub = xor
         else:
@@ -236,6 +243,24 @@ class ExtField:
             self._half = half = (q - 1) // 2
             self._zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in powers]
             self._zech[half] = None
+
+    def _load_rows(self) -> tuple[bytes, ...]:
+        """Over F_{2^m}, m <= 8, row c for every element c: the 256-byte
+        ``bytes.translate`` table whose byte a holds c*a (zero past the
+        field).  Row x shifts every a and reduces by the modulus, and row
+        x^(e+1) is row x^e translated through row x, so the rows take one
+        translate each and count no multiplication."""
+        q = self.order
+        red = _from_digits(self.modulus, 2)
+        times_x = bytes([a << 1 ^ red if a & q >> 1 else a << 1 for a in range(q)])
+        times_x = times_x.ljust(256, b"\0")
+        rows = [bytes(256)] * q
+        row = bytes(range(q)).ljust(256, b"\0")
+        for e in range(q - 1):
+            rows[self._exp[e]] = row
+            row = row.translate(times_x)
+        self._rows = tuple(rows)
+        return self._rows
 
     @property
     def prime(self) -> ExtField:

@@ -38,21 +38,29 @@ through bit lanes: one int per cell position of a block, across all
 blocks, from one strided byte slice.  Odd characteristics keep the
 per-symbol paths ``_sparse_syndrome`` and ``_poly_remainder``.
 
-Decoding over characteristic 2 uses two more packed tables.  Over
-F_{2^m}, m <= 8, the Chien search evaluates the locator at every
-position at once: evaluation is F_2-linear in the locator's coefficient
-bits, so it XORs one packed column per set bit, one byte per position
-(``_chien_table``).  A small binary BCH code decodes a packed remainder
-by one lookup in its coset-leader table, the remainder of every pattern
-of weight <= design_t (``_coset_table``; standard-array decoding,
-Slepian 1956).  Above their caps the scalar ``_chien_roots`` and
-Berlekamp-Massey stay.
+Over F_{2^m}, m <= 8, a code whose Chien table fits its cap decodes on
+byte regions (``_CyclicCode._region_errors``): a polynomial is a byte
+string, and multiplying one by a constant c is one ``bytes.translate``
+through the field's row of c (``ExtField._load_rows``).  The Chien table
+evaluates a polynomial at every position at once: evaluation is
+F_2-linear in the coefficient bits, so it XORs one packed column per set
+bit, one byte per position (``_chien_table``).  It finds the locator's
+roots and gives Forney's formula its values, and per-position columns of
+the powers alpha^(ij) turn any sparse word into its power sums, one
+translate per nonzero symbol (``_CyclicCode._sums``): the decoder's
+re-check, and a block code's outer sums of the few blocks a decode
+touches.  The region decoder gives the scalar ``_gpz_decode``'s outcome
+and counts its multiplications; the scalar one stays for odd p, for
+m > 8 and above the cap.  A small binary BCH code decodes a packed
+remainder by one lookup in its coset-leader table, the remainder of
+every pattern of weight <= design_t (``_coset_table``; standard-array
+decoding, Slepian 1956).
 
-Every table (generator, kernel, Chien, coset and check tables) is built
-on a code's first use into a slot the code sets to None in ``__init__``,
-never at construction.  The tables live and die with their code;
-``codespec.parse_spec`` keeps parsed codes, so a re-parsed spec finds
-them built.
+Every table (generator, kernel, Chien table with its columns, coset and
+check tables, and a field's rows) is built on first use into a slot its
+owner sets to None in ``__init__``, never at construction.  The tables
+live and die with their code; ``codespec.parse_spec`` keeps parsed codes,
+so a re-parsed spec finds them built.
 """
 
 from __future__ import annotations
@@ -114,12 +122,16 @@ class LinearCode(_SpecIdentity):
     its symbols lie in), ``base_length`` and ``base_dimension`` over that
     alphabet, and ``segments``: the syndrome as consecutive
     ``(count, field)`` runs, each symbol an element of its run's field.  It
-    implements ``syndrome(word)``, a tuple of ints laid out as
-    ``segments``, and ``_decode(syndrome)``, the one decode: the error as a
-    sparse map from row-major flat cell offset to its nonzero value, and
-    the decode's ``DecodeInfo``.  ``_decode`` takes a syndrome known to
-    fit ``segments`` (``fuzzy.verify`` builds one in range) and raises
-    DecodeFailure where no pattern within reach reproduces it.
+    implements ``_syndrome(word)``, the syndrome laid out as ``segments``:
+    ``bytes`` where every run is over characteristic 2 with one-byte
+    symbols (byte i is symbol i, so the bytes are also the template's
+    serialization), else a tuple of ints; ``syndrome(word)`` is its public
+    form, always a tuple.  ``_decode(syndrome)`` is the one decode: the
+    error as a sparse map from row-major flat cell offset to its nonzero
+    value, and the decode's ``DecodeInfo``.  ``_decode`` takes a syndrome
+    in either form known to fit ``segments`` (``fuzzy.verify`` builds one
+    in range) and raises DecodeFailure where no pattern within reach
+    reproduces it.
     ``decode(syndrome)`` is its one dense wrapper: it checks the syndrome
     and returns the pattern shaped like the data word, with the
     ``DecodeInfo`` if asked.  For a plain RS or BCH code the syndrome is
@@ -152,6 +164,12 @@ class LinearCode(_SpecIdentity):
     base_dimension: int
     segments: tuple[tuple[int, object], ...]
     guidance: str
+
+    def syndrome(self, word) -> tuple:
+        """The syndrome of a data word, a tuple of ints laid out as
+        ``segments``; ShapeMismatchError for a word the code does not
+        take."""
+        return tuple(self._syndrome(word))
 
     def syndrome_sub(self, a: tuple, b: tuple) -> tuple:
         """a - b, symbol by symbol in each run's field."""
@@ -288,8 +306,9 @@ class _BlockCode(LinearCode):
     two runs in the order a block lists its cells: the outer power sums
     first where the symbol digits come first (``_sym_at == 0``), the
     residuals first otherwise, and an empty residual run is left out of
-    ``segments``.  ``_syndrome`` computes it, and each subclass binds it
-    as its own ``syndrome``.
+    ``segments``.  ``_syndrome`` computes it, as bytes over F_2 with
+    outer symbols of m <= 8 bits; each subclass binds the public
+    ``syndrome`` in its own class (perfbench/spans.py traces it there).
 
     ``_decode`` splits a syndrome by those runs, inner-decodes or erases
     each damaged block, runs the outer decode and rebuilds only the
@@ -332,12 +351,14 @@ class _BlockCode(LinearCode):
         return tuple([r * cols + c for i in range(1, N + 1) for p in places
                       for r, c in (cell(N, width, i, p),)])
 
-    def _syndrome(self, word) -> tuple:
+    def _syndrome(self, word):
         """The outer power sums of a word's block symbols and the blocks'
-        residuals, in ``segments`` order."""
+        residuals, in ``segments`` order: bytes where the outer sums are
+        (F_2 digits, outer symbols of m <= 8 bits), else a tuple."""
         syms, res = self._split(word)
         sums = self.outer._power_sums(syms)
-        return tuple(res) + sums if self._sym_at else sums + tuple(res)
+        runs = (res, sums) if self._sym_at else (sums, res)
+        return b"".join(runs) if type(sums) is bytes else tuple(chain(*runs))
 
     def _decode(self, synd):
         """The sparse error map a syndrome decodes to and its DecodeInfo:
@@ -394,7 +415,7 @@ class _BlockCode(LinearCode):
             packed = packed.to_bytes(size * n, "little")
             syms = packed if size == 1 else struct.unpack(f"<{n}H", packed)
             if not chk:
-                return syms, ()
+                return syms, b""
             res = bytearray(n * chk)
             for k, row in enumerate(self._lanes or self._load_lanes()):
                 digits = reduce(xor, map(lanes.__getitem__, row)).to_bytes(size * n, "little")
@@ -505,7 +526,7 @@ class _BlockCode(LinearCode):
                     f"{len(erasures) + 1} erasures exceed redundancy {outer.redundancy}"
                 )
         if any(est):  # in range: inner decodes give base-field digits
-            synd = outer.syndrome_sub(synd, outer._power_sums(est))
+            synd = outer._minus_sums(synd, compress(enumerate(est), est))
         delta = outer._errors(synd, erasures)
         add = outer.field.add
         for i, d in delta.items():
@@ -563,21 +584,23 @@ def _chien_roots(field: ExtField, psi, n):
     return roots, (i + 1) * nt
 
 
-def _gpz_decode(field: ExtField, synd, n, chien, erasures=(), base_limit=None):
-    """Errors-and-erasures decode of a syndrome vector.
+def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
+    """Errors-and-erasures decode of a syndrome vector, one symbol at a
+    time: the decoder of a code without a Chien table (odd p, m > 8, or
+    above the table's cap) and the oracle of ``_CyclicCode._region_errors``.
 
     Returns the unique error vector v with
     2*weight(v off erasures) + |erasures| <= len(synd) that reproduces the
     syndromes, as a map from each position to its nonzero value, or raises
     DecodeFailure.  With base_limit set, magnitudes
-    must lie in the base subfield (values below base_limit).  ``chien`` is
-    the code's Chien table, or None above its cap.
+    must lie in the base subfield (values below base_limit).
 
     One pass: the erasure locator Gamma seeds Berlekamp-Massey (Massey
     1969) in Blahut's errors-and-erasures form, which finds the locator
     Psi = Lambda*Gamma from the plain syndromes; a Chien search finds its
     roots X^-1, and Forney's formula (Forney 1965) gives each magnitude as
-    -Omega(X^-1)/Psi'(X^-1) with Omega = S*Psi mod x^r.
+    -Omega(X^-1)/Psi'(X^-1) with Omega = S*Psi mod x^r.  The final re-check
+    recomputes every syndrome from the pattern.
     """
     synd = list(synd)
     r = len(synd)
@@ -644,7 +667,7 @@ def _gpz_decode(field: ExtField, synd, n, chien, erasures=(), base_limit=None):
         if len(psi) - 1 != L or 2 * L - f > r:
             raise DecodeFailure(f"no locator of {L - f} errors fits the syndrome")
 
-        roots, c = _chien_search(field, psi, n, chien)
+        roots, c = _chien_search(field, psi, n, None)
         nm += c
         if len(roots) != L:
             raise DecodeFailure(f"locator of degree {L} has {len(roots)} roots in range")
@@ -846,7 +869,9 @@ class _BinaryKernel:
     ``top``, byte-indexed tables of overflow * x^R mod g.  ``power_sums``
     evaluates a packed remainder at the roots: it is F_2-linear, so it
     XORs one packed column per set remainder bit, the column of bit (k, b)
-    holding x^b alpha^(jk) for j = 1..count (zero for b >= m).
+    holding x^b alpha^(jk) for j = 1..count (zero for b >= m), one byte per
+    j for byte-wide RS symbols (so the sums come back as bytes), else m
+    bits.
 
     The tables depend only on the field, g and count, never on the code
     length: at most 512 ints of R*width bits plus R*width ints of count*m
@@ -887,14 +912,18 @@ class _BinaryKernel:
         # the high one all zero when the overflow fits one byte
         self.lo, self.hi = self.top if len(self.top) == 2 else (*self.top, (0,))
 
+        # sum j sits at bits (j-1)*w of the XOR: w = 8 for byte-wide RS
+        # symbols, so the XOR is the sums' bytes, else w = m
+        w = 8 if width == 8 else m
         self.columns = []
         for k in range(r):
             for bit in bits:
                 col = 0
                 if bit:
                     for j in range(count, 0, -1):
-                        col = (col << m) | exp[(log[bit] + j * k) % q1]
+                        col = (col << w) | exp[(log[bit] + j * k) % q1]
                 self.columns.append(col)
+        self.count, self.byte_sums = count, width == 8
         self.digit_mask = (1 << m) - 1
         self.offsets = range(0, count * m, m)
 
@@ -910,10 +939,13 @@ class _BinaryKernel:
             rem = (v & mask) ^ lo[t & 255] ^ hi[t >> 8]
         return rem
 
-    def power_sums(self, rem: int) -> tuple[int, ...]:
-        """rem(alpha^j) for j = 1..count."""
+    def power_sums(self, rem: int):
+        """rem(alpha^j) for j = 1..count: bytes for byte-wide RS symbols,
+        else a tuple."""
         bits = bin(rem)[:1:-1].encode().translate(_TO_DIGITS)
         acc = reduce(xor, compress(self.columns, bits), 0)
+        if self.byte_sums:
+            return acc.to_bytes(self.count, "little")
         mask = self.digit_mask
         return tuple([(acc >> at) & mask for at in self.offsets])
 
@@ -965,34 +997,65 @@ def _chien_fits(field: ExtField, n: int, r: int) -> bool:
     return field.p == 2 and field.m <= 8 and r * field.m * n * 8 <= _CHIEN_CAP_BITS
 
 
+def _lanes(field: ExtField, n: int, r: int, sign: int) -> list[bytes]:
+    """Lane j for j = 1..r, over F_{2^m}, m <= 8: byte i holds
+    alpha^(sign*i*j) for i < n.  Each lane is one strided slice of the exp
+    table repeated, so no lane reads the table in Python."""
+    q1 = field.order - 1
+    reps = (n - 1) * r // q1 + 1
+    powers = bytes(field._exp[:q1]) * (reps + 1)
+    start = reps * q1 if sign < 0 else 0
+    return [powers[start :: sign * j][:n] for j in range(1, r + 1)]
+
+
 def _chien_table(field: ExtField, n: int, r: int) -> tuple[int, ...]:
     """Column (j, b), at index (j-1)*m + b for j = 1..r and b < m, holds
-    x^b alpha^(-ij) in byte i for i = 0..n-1."""
-    exp, log = field._exp, field._log
-    q1 = field.order - 1
-    columns = []
-    for j in range(1, r + 1):
-        for b in range(field.m):
-            lb = log[1 << b]
-            lane = bytes([exp[(lb - i * j) % q1] for i in range(n)])
-            columns.append(int.from_bytes(lane, "little"))
-    return tuple(columns)
+    x^b alpha^(-ij) in byte i for i = 0..n-1: lane j of the negative
+    powers translated through the field's row of x^b."""
+    rows = field._rows or field._load_rows()
+    units = [rows[1 << b] for b in range(field.m)]
+    return tuple(int.from_bytes(lane.translate(row), "little")
+                 for lane in _lanes(field, n, r, -1) for row in units)
+
+
+def _power_columns(field: ExtField, n: int, r: int) -> tuple[bytes, ...]:
+    """Per position i < n, the r bytes alpha^(ij), j = 1..r: the power
+    sums of a unit error at i, read across the lanes of the positive
+    powers."""
+    grid = bytearray(n * r)
+    for j, lane in enumerate(_lanes(field, n, r, 1)):
+        grid[j::r] = lane
+    grid = bytes(grid)
+    return tuple(grid[at : at + r] for at in range(0, n * r, r))
+
+
+# Per m < 8, the bits of a byte-wide coefficient that the Chien table has
+# columns for: its low m, for up to 65 coefficients.
+_STRIDES = {m: (b"\1" * m + bytes(8 - m)) * 65 for m in range(1, 8)}
+
+
+def _chien_values(table, coeffs: int, m: int, n: int) -> bytes:
+    """Byte i: the polynomial sum c_j x^j over j >= 1, c_j byte j - 1 of
+    ``coeffs``, at alpha^-i, from the packed ``_chien_table``: evaluation
+    is F_2-linear in the coefficient bits, so it is the XOR of the columns
+    of the set bits."""
+    if not coeffs:
+        return bytes(n)
+    bits = bin(coeffs)[:1:-1].encode().translate(_TO_DIGITS)
+    if m < 8:
+        bits = compress(bits, _STRIDES[m])
+    return reduce(xor, compress(table, bits), 0).to_bytes(n, "little")
 
 
 def _chien_search(field: ExtField, psi, n: int, table):
     """``_chien_roots(field, psi, n)``, from the packed ``_chien_table``
-    where one is given (None above its cap): byte i of the XOR of the
-    columns of psi's set coefficient bits is psi(alpha^-i) - 1, so the
-    roots are the bytes equal to 1.  Counts the mults the scalar search
-    would."""
+    where one is given (None without one): byte i of ``_chien_values`` of
+    psi's coefficients past psi_0 = 1 is psi(alpha^-i) - 1, so the roots
+    are the bytes equal to 1.  Counts the mults the scalar search would.
+    psi is a list, or bytes, of its coefficients, low first."""
     if table is None:
         return _chien_roots(field, psi, n)
-    m = field.m
-    packed = 0
-    for c in reversed(psi[1:]):
-        packed = (packed << m) | c
-    bits = bin(packed)[:1:-1].encode().translate(_TO_DIGITS)
-    values = reduce(xor, compress(table, bits), 0).to_bytes(n, "little")
+    values = _chien_values(table, int.from_bytes(bytes(psi[1:]), "little"), field.m, n)
     deg = len(psi) - 1
     roots = []
     i = values.find(1)
@@ -1002,6 +1065,12 @@ def _chien_search(field: ExtField, psi, n: int, table):
     # the scalar search stops at the deg-th root, else after all n points
     stop = roots[-1] + 1 if deg and len(roots) == deg else n
     return roots, stop * (deg - psi.count(0))
+
+
+# A translate table that marks each nonzero byte 1, and the mask of the
+# odd bytes of a polynomial of up to 72 coefficients.
+_NONZERO = bytes([0]) + bytes([1]) * 255
+_ODD_BYTES = int.from_bytes(b"\0\xff" * 36, "little")
 
 
 def _coset_fits(n: int, t: int) -> bool:
@@ -1036,9 +1105,13 @@ class _CyclicCode(_SpecIdentity):
 
     The redundancy is the number of root exponents, so ``__init__`` builds
     no polynomial; the generator, the packed kernel and the Chien table
-    are built into their slots on first use.  ``_encode`` and ``_errors``
-    are the one encoder and decoder, the decoder's result a sparse map
-    from position to error value; ``_decode_syndrome`` is its dense form.
+    are built into their slots on first use, and with the Chien table the
+    per-position columns of ``_sums``.  ``_encode`` and ``_errors`` are
+    the one encoder and decoder, the decoder's result a sparse map from
+    position to error value; ``_decode_syndrome`` is its dense form.
+    ``_errors`` runs ``_region_errors`` where the code has a Chien table
+    (characteristic 2, m <= 8, within the cap) and ``_gpz_decode``
+    elsewhere; a syndrome may come as bytes or as a tuple.
     Each family binds ``_encode`` and ``_decode_syndrome`` in its own
     class (perfbench/spans.py traces them there); ``RsCode._decode`` and
     the block codes' outer decode call ``_errors``.  The
@@ -1059,10 +1132,12 @@ class _CyclicCode(_SpecIdentity):
         self.redundancy = len(_root_exponents(field.order - 1, s, count))
         self.k = n - self.redundancy
         self._symbols = symbols  # the alphabet's name in symbol errors
+        self._base_limit = s if s < field.order else None  # magnitudes held to F_s
         self._gen = None  # the generator, set on first use
         self._tables = None  # the packed kernel, set on first use
         self._pairs = None  # its chunk reader over F_{2^m}, m <= 8, set with it
         self._chien = None  # the Chien table, False above its cap; set on first use
+        self._cols = None  # the per-position power columns, set with a Chien table
 
     @property
     def generator(self) -> tuple[int, ...]:
@@ -1111,12 +1186,145 @@ class _CyclicCode(_SpecIdentity):
 
     def _errors(self, synd, erasures=()) -> dict:
         """The nonzero values of ``_decode_syndrome``'s error vector by
-        position, for a syndrome known to have ``count`` values."""
-        field, n = self.field, self.n
-        if self._chien is None:
-            self._chien = _chien_fits(field, n, self.count) and _chien_table(field, n, self.count)
-        base_limit = self.s if self.s < field.order else None
-        return _gpz_decode(field, synd, n, self._chien or None, erasures, base_limit)
+        position, for a syndrome known to have ``count`` values: on byte
+        regions where the code has a Chien table, else ``_gpz_decode``."""
+        chien = self._chien
+        if chien is None:
+            chien = self._load_chien()
+        if chien:
+            return self._region_errors(synd, erasures)
+        return _gpz_decode(self.field, synd, self.n, erasures, self._base_limit)
+
+    def _load_chien(self):
+        """The Chien table, False above its cap; with a table, the columns
+        of ``_sums`` too (the field's rows come with the table)."""
+        field, n, r = self.field, self.n, self.count
+        table = _chien_fits(field, n, r) and _chien_table(field, n, r)
+        if table:
+            self._cols = _power_columns(field, n, r)
+        self._chien = table
+        return table
+
+    def _sums(self, symbols) -> int:
+        """The power sums of the n-symbol word whose nonzero symbols are
+        the ``(position, value)`` pairs, sum j - 1 in byte j - 1 of the int:
+        each symbol's column translated through the row of its value, the
+        results XORed.  Table lookups only, so nothing is counted; the code
+        must have its Chien table."""
+        rows, cols = self.field._rows, self._cols
+        acc = 0
+        for i, v in symbols:
+            acc ^= int.from_bytes(cols[i].translate(rows[v]), "little")
+        return acc
+
+    def _region_errors(self, synd, erasures=()) -> dict:
+        """``_gpz_decode`` on byte regions, for a code with a Chien table
+        (characteristic 2, m <= 8): the same pattern or DecodeFailure, and
+        the same multiplications counted.
+
+        A polynomial is a byte string, coefficient k in byte k, and one
+        translate through the field's row of c multiplies it by c.
+        Berlekamp-Massey carries T = S*Psi beside the locator Psi, and the
+        same product beside the earlier locator (the reformulated form of
+        Sarwate and Shanbhag, IEEE Trans. VLSI 9(5), 2001): one string
+        holds T, exact, in bytes 0 .. 2r-1 and Psi from byte 2r on (deg
+        Psi <= L <= r), so step k's discrepancy is byte k, and an update is
+        one translate of the earlier string, one shift and one XOR.  Omega
+        is T's low L bytes.  The Chien table evaluates the locator, Omega
+        and Psi's even part at every position; at a root X^-1, Psi's odd
+        part x*Psi' is one plus its even part, so each magnitude
+        Omega(X^-1) / Psi'(X^-1) is one division.  The re-check is
+        ``_sums`` of the pattern against the whole syndrome.  The scalar
+        decoder's products follow from which coefficients are nonzero:
+        those of step k's discrepancy are byte k of the integer product of
+        Psi's nonzero mask past psi_0 with S's.
+        """
+        field, n, table = self.field, self.n, self._chien
+        r = len(synd)
+        known = sorted(set(map(int, erasures))) if erasures else ()
+        if known and not (0 <= known[0] and known[-1] < n):
+            raise ValueError("erasure position outside the word")
+        f = len(known)
+        if f > r:
+            raise TooManyErasuresError(f"{f} erasures exceed redundancy {r}")
+        synd = bytes(synd)
+        S = int.from_bytes(synd, "little")
+        if not S and not known:
+            return {}
+        exp, log, rows = field._exp, field._log, field._rows
+        q1 = field.order - 1
+        top, size = 2 * r, 3 * r + 1
+        nz_synd = int.from_bytes(synd.translate(_NONZERO), "little")
+        nm = 0
+        try:
+            # the erasure locator Gamma = prod (1 + alpha^pos x), T = S*Gamma
+            V = S | 1 << 8 * top
+            for pos in known:
+                Vb = V.to_bytes(size, "little")
+                nm += size - top - Vb.count(0, top)
+                V ^= int.from_bytes(Vb.translate(rows[exp[pos % q1]]), "little") << 8
+
+            # Berlekamp-Massey from Psi = prev = Gamma, as in _gpz_decode;
+            # byte k of counts is the products of step k's discrepancy
+            Vb = V.to_bytes(size, "little")
+            nz = int.from_bytes(Vb[top:].translate(_NONZERO), "little")
+            counts = ((nz ^ 1) * nz_synd).to_bytes(size, "little")
+            prev, prev_terms = Vb, nz.bit_count()
+            lb, shift, L = 0, 1, f
+            for k in range(f, r):
+                nm += counts[k]
+                d = Vb[k]
+                if not d:
+                    shift += 1
+                    continue
+                nm += prev_terms
+                row = rows[exp[(log[d] - lb) % q1]]  # d / b
+                V ^= int.from_bytes(prev.translate(row), "little") << 8 * shift
+                if 2 * L <= k + f:
+                    L = k + 1 + f - L
+                    prev, prev_terms, lb, shift = Vb, nz.bit_count(), log[d], 1
+                else:
+                    shift += 1
+                Vb = V.to_bytes(size, "little")
+                nz = int.from_bytes(Vb[top:].translate(_NONZERO), "little")
+                counts = ((nz ^ 1) * nz_synd).to_bytes(size, "little")
+            psi = Vb[top:].rstrip(b"\0")
+            if len(psi) - 1 != L or 2 * L - f > r:
+                raise DecodeFailure(f"no locator of {L - f} errors fits the syndrome")
+
+            roots, c = _chien_search(field, psi, n, table)
+            nm += c
+            if len(roots) != L:
+                raise DecodeFailure(f"locator of degree {L} has {len(roots)} roots in range")
+
+            # Forney: Omega = T mod x^L, and Psi'(X^-1) = X * odd(X^-1),
+            # where odd = 1 + even at a root (Psi = 1 + odd + even' there)
+            odd = psi[1::2]
+            nm += sum(counts[:L])
+            terms = L - Vb.count(0, 0, L) + len(odd) - odd.count(0)
+            m, w0 = field.m, Vb[0]
+            nums = _chien_values(table, int.from_bytes(Vb[1:L], "little"), m, n)
+            evens = _chien_values(table, int.from_bytes(psi[1:], "little") & _ODD_BYTES, m, n)
+            mags = []
+            for pos in roots:
+                num = nums[pos] ^ w0
+                nm += terms
+                if num:
+                    num = exp[(log[num] - log[evens[pos] ^ 1] - pos) % q1]
+                    nm += 1
+                mags.append(num)
+            if self._base_limit is not None and any(v >= self._base_limit for v in mags):
+                raise DecodeFailure("magnitude outside the base field")
+
+            error = {pos: val for pos, val in zip(roots, mags) if val}
+            diff = S ^ self._sums(error.items())
+            if diff:  # the scalar re-check stops after the first wrong sum
+                nm += (((diff & -diff).bit_length() - 1) // 8 + 1) * len(error)
+                raise DecodeFailure("candidate pattern does not match the syndrome")
+            nm += r * len(error)
+            return error
+        finally:
+            MUL_COUNTER.add(nm)
 
 
 class RsCode(_CyclicCode, LinearCode):
@@ -1148,13 +1356,16 @@ class RsCode(_CyclicCode, LinearCode):
     def distance(self) -> int:
         return self.n - self.k + 1
 
-    def syndrome(self, word) -> tuple:
-        """The power sums; over F_{2^m} from the packed kernel."""
+    syndrome = LinearCode.syndrome
+
+    def _syndrome(self, word):
+        """The power sums; over F_{2^m} from the packed kernel, as bytes for
+        m <= 8."""
         _check_symbols(word, self.n, self.s, self._symbols)
         return self._power_sums(word)
 
-    def _power_sums(self, word) -> tuple:
-        """``syndrome`` of n symbols known to lie in the field, unchecked:
+    def _power_sums(self, word):
+        """``_syndrome`` of n symbols known to lie in the field, unchecked:
         the outer symbols a block code has just read (bytes over F_{2^m},
         m <= 8) or estimated."""
         field = self.field
@@ -1170,6 +1381,19 @@ class RsCode(_CyclicCode, LinearCode):
     def _decode(self, synd):
         errors = self._errors(synd)
         return errors, DecodeInfo((), tuple(errors))
+
+    def _minus_sums(self, synd, symbols):
+        """``synd`` minus the power sums of the n-symbol word whose
+        nonzero symbols are the ``(position, value)`` pairs: bytes from
+        ``_sums`` where the code has its Chien table, else from the dense
+        word's ``_power_sums``."""
+        if self._chien:
+            diff = int.from_bytes(bytes(synd), "little") ^ self._sums(symbols)
+            return diff.to_bytes(self.count, "little")
+        word = [0] * self.n
+        for i, v in symbols:
+            word[i] = v
+        return self.syndrome_sub(synd, self._power_sums(word))
 
     def _kind_lines(self) -> list[str]:
         lines = [

@@ -146,3 +146,18 @@ def serialize(alphabet: str, order: int, shape, data) -> bytes:
     rows = data if len(shape) == 2 else [data]
     head = f"{alphabet}|{'x'.join(map(str, shape))}|".encode("ascii")
     return head + b"".join(v.to_bytes(width, "big") for row in rows for v in row)
+
+
+def chien_table(field, n: int, r: int) -> tuple:
+    """The Chien table read entry by entry off the exp table: column
+    (j, b), at index (j-1)*m + b for j = 1..r and b < m, holds
+    x^b alpha^(-ij) in byte i for i = 0..n-1."""
+    exp, log = field._exp, field._log
+    q1 = field.order - 1
+    columns = []
+    for j in range(1, r + 1):
+        for b in range(field.m):
+            lb = log[1 << b]
+            lane = bytes([exp[(lb - i * j) % q1] for i in range(n)])
+            columns.append(int.from_bytes(lane, "little"))
+    return tuple(columns)

@@ -157,7 +157,8 @@ def test_bench_pairs_reports_each_construction_median_ratio(tmp_path, monkeypatc
 def test_ab_pairs_compares_the_checkout_with_itself(workload):
     """An A/A run of scripts/ab_pairs.py on a few operations: both loaded
     trees give the same results and counts, and the report has one ratio
-    summary per roster construction."""
+    summary per roster construction, with a bootstrap interval of the
+    median that meets the quartile range."""
     root = SCRIPTS.parent
     result = run_script("ab_pairs.py", str(root), str(root), "--workload", workload,
                         "--seed", "3", "--words", "1", "--reps", "2")
@@ -174,7 +175,9 @@ def test_ab_pairs_compares_the_checkout_with_itself(workload):
     assert set(ratios) == {*roster.SPECS, "all", "total_time_ratio"}
     for name in roster.SPECS:
         row = ratios[name]
-        assert set(row) == {"median", "q1", "q3", "pairs", "parent_us"}
+        assert set(row) == {"median", "q1", "q3", "ci95", "pairs", "parent_us"}
         assert row["pairs"] == per_op and 0 < row["q1"] <= row["median"] <= row["q3"]
+        low, high = row["ci95"]  # the bootstrap interval of the median
+        assert 0 < low <= high and low <= row["q3"] and high >= row["q1"]
     assert ratios["all"]["pairs"] == per_op * len(roster.SPECS)
     assert ratios["total_time_ratio"] > 0
