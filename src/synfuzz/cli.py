@@ -31,8 +31,8 @@ EXIT_ERROR = 2
 
 def read_data_file(path: str, code):
     """The hex symbols of a data file, as a vector or as rows.  Shape and
-    range are left to the code's syndrome, which enroll and verify take
-    first."""
+    range are left to the code's one read of the word, which enroll and
+    verify make first."""
     width = len(f"{code.alphabet.order - 1:x}") + 1  # a symbol and its separator
     limit = 2 * math.prod(code.shape) * width
     with open(path, "r", encoding="ascii") as fh:

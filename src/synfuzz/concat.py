@@ -22,7 +22,7 @@ capability query to its guaranteed figure, and ``bound_lines`` and
 ``guidance`` give the report text.  ``ConcatCode`` never asks which
 layout it holds: ``_BlockCode._block_order()`` lists every ``cell``,
 inner codeword by inner codeword (none for the flat layout, already in
-order), ``LinearCode._gather`` reads through it and a decode's sparse
+order), a word's bit lanes are read through it and a decode's sparse
 map writes through it.  The square and companion expansions are placed by
 ``VLayout`` too.  A layout, like a code, is its ``spec_string()``
 (``rs._SpecIdentity``): ``IvLayout(7, 5) == IvLayout(a=7, b=5)``, and

@@ -2,15 +2,18 @@
 
 Enrollment hashes a canonical serialization of the data word and stores it
 next to the word's syndrome under the chosen code; the word itself is
-never stored.  Both take the code's internal ``_syndrome``, which is
-already the template's bytes where every run is binary with one-byte
-symbols.  Verification makes one pass: it reads and range-checks the
-stored syndrome once while subtracting the syndrome of the presented word
-from it (``stored_minus``), decodes the difference with the code's
-internal ``_decode`` to a sparse map from row-major cell offset to error
-value, adds those few cells onto a fresh copy of the presented word
-(``apply_pattern``) and accepts only when the digest of the result
-matches the stored digest.  The difference is in range by construction,
+never stored.  Both come from one read of the word (``code._read``): its
+checked canonical body, the cells row-major as bytes, which the code's
+digest head prefixes for the hash and ``code._body_syndrome`` takes the
+syndrome of, already the template's bytes where every run is binary with
+one-byte symbols.  Verification makes one pass: it reads the presented
+word once the same way, reads and range-checks the stored syndrome once
+while subtracting the presented syndrome from it (``stored_minus``),
+decodes the difference with the code's internal ``_decode`` to a sparse
+map from row-major cell offset to error value, changes those few cells
+of a copy of the body and accepts only when the digest of the result
+matches the stored digest; only then is the recovered word built as a
+list (``apply_pattern``).  The difference is in range by construction,
 so the decode runs without the public ``decode``'s syndrome check.  The
 hash comparison is the final gate: a decoder miscorrection can never
 produce a false accept.
@@ -21,15 +24,14 @@ orientation is invisible; over odd characteristics it matters and is
 pinned by tests.
 
 Every code exposes the same protocol (``rs.LinearCode``): the shape and
-alphabet of its data word, ``_syndrome`` (with ``syndrome``, its tuple
-form), ``_decode`` (with ``decode``, its dense wrapper), ``syndrome_sub``
-and ``segments``, the syndrome's layout
-as consecutive ``(count, field)`` runs.  Nothing here depends on which
-construction the code is.  A word is checked by the code that reads it:
-``enroll`` and ``verify`` take its syndrome before anything else, and
-``code._syndrome`` refuses every word that is not the code's shape of ints
-in its alphabet with a ShapeMismatchError.  This module runs no check of
-its own over the cells.
+alphabet of its data word, ``_read``, ``_body_syndrome`` (with
+``syndrome``, the tuple syndrome of a word), ``_decode`` (with
+``decode``, its dense wrapper), ``syndrome_sub`` and ``segments``, the
+syndrome's layout as consecutive ``(count, field)`` runs.  Nothing here
+depends on which construction the code is.  A word is checked by the
+code that reads it, once: ``code._read`` refuses every word that is not
+the code's shape of ints in its alphabet with a ShapeMismatchError, and
+this module runs no check of its own over the cells.
 
 Template files are line-oriented text:
 
@@ -97,22 +99,13 @@ def enrollable(code):
 
 
 def canonical_bytes(code, data) -> bytes:
-    """Deterministic serialization hashed at enrollment: the field spec,
-    the shape, then every symbol row-major as minimal big-endian bytes.
-    The data must already fit the code: enroll and verify read it through
-    ``code._syndrome`` first, which refuses any other word."""
-    alpha = code.alphabet
-    shape = code.shape
-    head = f"{alpha.canonical_spec()}|{'x'.join(str(d) for d in shape)}|".encode("ascii")
-    width = _symbol_width(alpha.order)
-    if width == 1:
-        # bytearray takes a list about twice as fast as bytes does
-        body = bytearray(data) if len(shape) == 1 else b"".join(map(bytes, data))
-    elif len(shape) == 1:
-        body = b"".join(v.to_bytes(width, "big") for v in data)
-    else:
-        body = b"".join(v.to_bytes(width, "big") for row in data for v in row)
-    return head + body
+    """Deterministic serialization hashed at enrollment: the code's digest
+    head ``canonical_spec()|shape|`` (the field spec and the shape), then
+    the body of the word's one read, every symbol row-major as minimal
+    big-endian bytes.  A word the code does not take is a
+    ShapeMismatchError."""
+    body = code._read(data)  # the first read of a code builds its head
+    return code._head + body
 
 
 def apply_pattern(code, data, errors: dict):
@@ -134,9 +127,29 @@ def apply_pattern(code, data, errors: dict):
     return out
 
 
+def _patched(code, body, errors: dict) -> bytearray:
+    """A copy of a body ``code._read`` returned with each error of the
+    sparse map added to its cell in the data alphabet; the other cells are
+    copied as they are."""
+    add, out = code.alphabet.add, bytearray(body)
+    width = len(out) // code.base_length
+    if width == 1:
+        for at, v in errors.items():
+            out[at] = add(out[at], v)
+        return out
+    for at, v in errors.items():
+        at *= width
+        cell = int.from_bytes(out[at : at + width], "big")
+        out[at : at + width] = add(cell, v).to_bytes(width, "big")
+    return out
+
+
 def syndrome_to_bytes(code, synd) -> bytes:
     """The template serialization of a syndrome, a tuple or the bytes of
-    ``code._syndrome``: every symbol big-endian in its run's width."""
+    ``code._body_syndrome``: every symbol big-endian in its run's width.
+    Bytes are returned as they are: every run of them is one byte wide."""
+    if type(synd) is bytes:
+        return synd
     out = []
     at = 0
     for count, field in code.segments:
@@ -156,7 +169,7 @@ def stored_minus(code, raw: bytes, presented):
     """The stored syndrome bytes ``raw`` minus the presented word's
     syndrome, after checking that they fit ``code.segments``
     (TemplateFormatError).  A presented syndrome in bytes (every run over
-    characteristic 2 with one-byte symbols, ``code._syndrome``) is
+    characteristic 2 with one-byte symbols, ``code._body_syndrome``) is
     subtracted as one XOR of the two byte strings as ints, returned as
     bytes: ``presented`` is in range, so the difference is in range
     exactly when ``raw`` is."""
@@ -247,12 +260,12 @@ def enroll(data, code, hash_alg: str = "sha-256") -> Template:
     """Build the stored template for a data word under a construction."""
     if hash_alg not in _HASHES:
         raise UnsupportedHashError(f"unknown hash algorithm {hash_alg!r}")
-    synd = enrollable(code)._syndrome(data)
+    body = enrollable(code)._read(data)  # and the code's _spec and _head
     return Template(
-        code_spec=code.spec_string(),
+        code_spec=code._spec,
         hash_alg=hash_alg,
-        digest=hash_digest(hash_alg, canonical_bytes(code, data)),
-        syndrome=syndrome_to_bytes(code, synd),
+        digest=hash_digest(hash_alg, code._head + body),
+        syndrome=syndrome_to_bytes(code, code._body_syndrome(body)),
     )
 
 
@@ -265,16 +278,16 @@ def verify(data, template: Template, code=None) -> VerifyResult:
     """
     if code is None:
         code = codespec.parse_spec(template.code_spec)
-    presented = enrollable(code)._syndrome(data)
-    diff = stored_minus(code, template.syndrome, presented)
+    body = enrollable(code)._read(data)
+    diff = stored_minus(code, template.syndrome, code._body_syndrome(body))
     before = MUL_COUNTER.count
     try:
         errors = code._decode(diff)[0]
     except DecodeFailure:
         return VerifyResult(False, None, "DecodeFailure", MUL_COUNTER.count - before)
     mults = MUL_COUNTER.count - before
-    candidate = apply_pattern(code, data, errors)
-    digest = hash_digest(template.hash_alg, canonical_bytes(code, candidate))
+    candidate = _patched(code, body, errors)
+    digest = hash_digest(template.hash_alg, code._head + candidate)
     if hmac.compare_digest(digest, template.digest):
-        return VerifyResult(True, candidate, None, mults)
+        return VerifyResult(True, apply_pattern(code, data, errors), None, mults)
     return VerifyResult(False, None, "HashMismatch", mults)

@@ -19,9 +19,10 @@ component; anything inconsistent raises DecodeFailure rather than
 returning a silently wrong vector.
 
 ``LinearCode`` is the protocol every enrollable code follows.  Its
-``syndrome`` is the one check of a data word, and it holds a base-field
-code's one block map: ``_gather`` reads a word's cells in block order,
-and a decode maps the cells it rebuilt through it.  ``_BlockCode`` is the
+``_read`` is the one check of a data word, and returns the word's
+canonical body: the bytes both the syndrome and the digest are taken
+from.  A base-field code's one block map gives its lanes, and a decode
+maps the cells it rebuilt through it.  ``_BlockCode`` is the
 one block format of the expansions and concatenations: a word's outer
 symbols plus check residuals, and the sparse decode of damaged blocks.
 
@@ -70,7 +71,7 @@ from collections import namedtuple
 from functools import reduce
 from itertools import chain, combinations, compress, repeat
 from math import comb
-from operator import itemgetter, xor
+from operator import countOf, itemgetter, xor
 
 from .errors import (
     AlphabetMismatchError,
@@ -122,13 +123,15 @@ class LinearCode(_SpecIdentity):
     its symbols lie in), ``base_length`` and ``base_dimension`` over that
     alphabet, and ``segments``: the syndrome as consecutive
     ``(count, field)`` runs, each symbol an element of its run's field.  It
-    implements ``_syndrome(word)``, the syndrome laid out as ``segments``:
-    ``bytes`` where every run is over characteristic 2 with one-byte
-    symbols (byte i is symbol i, so the bytes are also the template's
-    serialization), else a tuple of ints; ``syndrome(word)`` is its public
-    form, always a tuple.  ``_decode(syndrome)`` is the one decode: the
-    error as a sparse map from row-major flat cell offset to its nonzero
-    value, and the decode's ``DecodeInfo``.  ``_decode`` takes a syndrome
+    implements ``_body_syndrome(body)``, the syndrome of a word's body
+    (``_read``, below) laid out as ``segments``: ``bytes`` where every run
+    is over characteristic 2 with one-byte symbols (byte i is symbol i, so
+    the bytes are also the template's serialization), else a tuple of
+    ints.  ``_syndrome(word)`` is the syndrome of a word after its read,
+    and ``syndrome(word)`` its public form, always a tuple.
+    ``_decode(syndrome)`` is the one decode: the error as a sparse map
+    from row-major flat cell offset to its nonzero value, and the
+    decode's ``DecodeInfo``.  ``_decode`` takes a syndrome
     in either form known to fit ``segments`` (``fuzzy.verify`` builds one
     in range) and raises DecodeFailure where no pattern within reach
     reproduces it.
@@ -139,19 +142,26 @@ class LinearCode(_SpecIdentity):
 
     A base-field code states only where its blocks live: ``_block_order()``
     gives the flat offsets of its cells, block by block, or None where they
-    lie in row-major order.  The first ``_gather`` or decode builds it
-    into ``_order``, which such a code sets to None in ``__init__``.
-    ``_gather`` reads a word's cells in block order through one itemgetter;
-    a decode's sparse map gives each cell at its row-major offset.
+    lie in row-major order (``_BlockCode``).  A decode's sparse map gives
+    each cell at its row-major offset.
 
-    ``syndrome`` decides alone which data words the code accepts, and
-    raises ShapeMismatchError (or its subclass LengthMismatchError or
-    AlphabetMismatchError) for any other: exactly the words of ``shape``
-    whose cells are ints (bools are; an object that only defines
-    ``__index__`` is not) in 0 .. alphabet.order - 1.  ``_flat`` checks
-    the shape and the int type in one pass over the cells; the read of
-    the cells checks their range (``_BlockCode._split_cells`` over F_2,
-    else ``_check_range``).  An RS word gets both from ``_check_symbols``.
+    ``_read(word)`` is the one read of a data word and decides alone which
+    words the code accepts: exactly the words of ``shape`` whose cells are
+    ints (bools are; an object that only defines ``__index__`` is not) in
+    0 .. alphabet.order - 1.  It makes one shape check, one int-type test
+    (an exact-int count, with the isinstance test only past another type)
+    and one range check, and raises ShapeMismatchError or one of its
+    subclasses for any other word: ``_shape_error`` for the shape,
+    ``_type_error`` for a cell that is not an int (an RS code's are
+    LengthMismatchError and AlphabetMismatchError), AlphabetMismatchError
+    for a cell out of range.  It returns the body ``fuzzy.canonical_bytes``
+    hashes after the digest head: the cells row-major, one byte each (a
+    fresh bytearray) for an alphabet of order <= 256, else each
+    big-endian in the fewest bytes that hold order - 1 (``_cells`` reads
+    the ints back).  ``enroll`` hashes ``_head`` plus the body and takes
+    the syndrome of the same body; ``_spec``, ``_head`` and the range
+    table ``_below`` are built by the first read into slots a code sets to
+    None in ``__init__``.
 
     For the ``info`` and ``capability`` reports it also sets ``guidance``
     and implements ``_kind_lines()`` (what the code is) and
@@ -207,41 +217,82 @@ class LinearCode(_SpecIdentity):
         cols = self.shape[1]
         return [flat[at : at + cols] for at in range(0, len(flat), cols)]
 
-    def _flat(self, word) -> list:
-        """The data word's cells row-major, after checking its shape and
-        that every cell is an int (bools are; an object that only defines
-        ``__index__`` is not).  The read of the cells checks their range."""
+    # The error classes of a word of the wrong shape and of a cell that is
+    # not an int; a cell outside the alphabet is an AlphabetMismatchError.
+    _shape_error = _type_error = ShapeMismatchError
+    _spec = None  # spec_string(), set on first use
+    _head = None  # the digest head, set on first use
+    _below = None  # the byte table of the alphabet's symbols, set on first use
+
+    def _load_consts(self) -> None:
+        """Build ``_spec``, ``_head`` (``canonical_spec()|shape|`` in
+        ASCII) and ``_below`` (the bytes 0 .. min(order, 256) - 1, which a
+        one-byte body in range is made of) once per code."""
+        alphabet, shape = self.alphabet, "x".join(map(str, self.shape))
+        self._spec = self.spec_string()
+        self._head = f"{alphabet.canonical_spec()}|{shape}|".encode("ascii")
+        self._below = bytes(range(min(alphabet.order, 256)))
+
+    def _read(self, word) -> bytes:
+        """The data word's canonical body, after its one check: its cells
+        row-major, one byte each for an alphabet of order <= 256, else each
+        big-endian in the fewest bytes that hold order - 1.
+
+        The word must have ``shape`` (``_shape_error``), every cell must be
+        an int (``_type_error``; bools are, an object that only defines
+        ``__index__`` is not) and lie in 0 .. order - 1
+        (AlphabetMismatchError).  A one-byte body is a fresh bytearray."""
         shape = self.shape
         try:
             if len(shape) == 1:
-                fits, flat = len(word) == shape[0], word
+                fits, cells = len(word) == shape[0], word
             else:
                 rows, cols = shape
                 fits = len(word) == rows and all(len(row) == cols for row in word)
-                flat = list(chain.from_iterable(word)) if fits else ()
-            fits = fits and all(map(isinstance, flat, repeat(int)))
+                cells = list(chain.from_iterable(word)) if fits else ()
         except TypeError:  # a word or row without a length, e.g. None or an int
             fits = False
         if not fits:
-            raise ShapeMismatchError(f"data is not a word of ints of shape {shape}")
-        return flat
+            raise self._shape_error(f"expected a word of shape {shape}")
+        # exact ints first: the isinstance test runs only past another type
+        if countOf(map(type, cells), int) != len(cells) and not all(
+            map(isinstance, cells, repeat(int))
+        ):
+            bad = next(c for c in cells if not isinstance(c, int))
+            raise self._type_error(f"symbol {bad!r} outside {self._symbols}")
+        if self._below is None:
+            self._load_consts()
+        order = self.alphabet.order
+        if order <= 256:
+            try:
+                body = bytearray(cells)
+                if not body.translate(None, self._below):
+                    return body
+            except ValueError:  # a cell outside 0 .. 255
+                pass
+        elif min(cells) >= 0 and max(cells) < order:
+            width = ((order - 1).bit_length() + 7) // 8
+            return b"".join([v.to_bytes(width, "big") for v in cells])
+        bad = next(c for c in cells if not 0 <= c < order)
+        raise AlphabetMismatchError(f"symbol {bad} outside {self._symbols}")
 
-    _order = None  # the block order once built
+    def _cells(self, body):
+        """The ints of a body ``_read`` returned: the body itself where
+        every cell is one byte."""
+        width = len(body) // self.base_length
+        if width == 1:
+            return body
+        return [int.from_bytes(body[at : at + width], "big") for at in range(0, len(body), width)]
+
+    def _syndrome(self, word):
+        """The syndrome of a data word, laid out as ``segments``, after its
+        one read."""
+        return self._body_syndrome(self._read(word))
 
     def _block_order(self):
         """The flat offsets of the cells, block by block, as a tuple; None
         where the blocks already lie in row-major order."""
         return None
-
-    def _gather(self, word):
-        """The data word's cells in block order, after checking its shape."""
-        flat = self._flat(word)
-        order = self._order or self._load_order()
-        return flat if order is None else itemgetter(*order)(flat)
-
-    def _load_order(self):
-        self._order = self._block_order()
-        return self._order
 
     def _check_syndrome(self, synd: tuple) -> None:
         """Raise unless the syndrome fits ``segments``: ShapeMismatchError on
@@ -295,8 +346,12 @@ class _BlockCode(LinearCode):
     ``_load_checks()`` from the fills of the unit symbols, and ``_lanes``
     the symbol digits each check digit sums, read off them.  So a binary
     word splits as bit lanes, one int per cell position across all
-    blocks, with no loop over the blocks (``_split_cells``); its symbols
-    go to the outer code unchecked (``RsCode._power_sums``).
+    blocks, with no loop over the blocks (``_split_lanes``); its symbols
+    go to the outer code unchecked (``RsCode._power_sums``).  Lane j is
+    the strided slice ``body[j::_width]`` of the word's body where the
+    blocks lie row-major, else one itemgetter per lane over the body
+    (``_getters``, built from the block order into ``_order`` on first
+    use); an odd-p word is split block by block from its gathered cells.
 
     Every placement decision is the ``layout``'s (a ``concat.py`` layout
     object): ``shape`` is ``layout.shape(n, _width)``, and
@@ -306,7 +361,7 @@ class _BlockCode(LinearCode):
     two runs in the order a block lists its cells: the outer power sums
     first where the symbol digits come first (``_sym_at == 0``), the
     residuals first otherwise, and an empty residual run is left out of
-    ``segments``.  ``_syndrome`` computes it, as bytes over F_2 with
+    ``segments``.  ``_body_syndrome`` computes it, as bytes over F_2 with
     outer symbols of m <= 8 bits; each subclass binds the public
     ``syndrome`` in its own class (perfbench/spans.py traces it there).
 
@@ -332,6 +387,9 @@ class _BlockCode(LinearCode):
         self._checks = None  # the check tables over F_2, set on first use
         self._lanes = None  # the lanes of each check digit over F_2, set on first use
         self._order = None
+        self._getters = None  # per lane, the itemgetter of a 2-D body; set on first use
+        self._spec = self._head = self._below = None
+        self._symbols = f"gf({outer.field.p})"
         self.layout = layout
         self.shape = layout.shape(outer.n, self._width)
         self.base_length = outer.n * self._width
@@ -351,11 +409,11 @@ class _BlockCode(LinearCode):
         return tuple([r * cols + c for i in range(1, N + 1) for p in places
                       for r, c in (cell(N, width, i, p),)])
 
-    def _syndrome(self, word):
-        """The outer power sums of a word's block symbols and the blocks'
+    def _body_syndrome(self, body):
+        """The outer power sums of a body's block symbols and the blocks'
         residuals, in ``segments`` order: bytes where the outer sums are
         (F_2 digits, outer symbols of m <= 8 bits), else a tuple."""
-        syms, res = self._split(word)
+        syms, res = self._split_body(body)
         sums = self.outer._power_sums(syms)
         runs = (res, sums) if self._sym_at else (sums, res)
         return b"".join(runs) if type(sums) is bytes else tuple(chain(*runs))
@@ -379,54 +437,83 @@ class _BlockCode(LinearCode):
         symbol errors and stored parts by construction, and the outer
         decoder re-checked the symbol errors against the power sums."""
 
+    def _load_order(self):
+        """The block order as 4-byte offsets, a memoryview of native
+        unsigned ints (a code has at most 2^20 cells): the lane getters
+        built from it hold the only int objects."""
+        order = self._block_order()
+        self._order = order and memoryview(struct.pack(f"{len(order)}I", *order)).cast("I")
+        return self._order
+
     def _split(self, word):
         """The outer symbols of a word's blocks and their flat residuals."""
-        return self._split_cells(self._gather(word))
+        return self._split_body(self._read(word))
+
+    def _split_body(self, body):
+        """``_split`` of a word's body.  Over F_2 lane j, cell j of every
+        block, is the strided slice ``body[j::_width]`` where the blocks
+        lie row-major, else one itemgetter per lane (``_getters``); an
+        odd-p word's cells are gathered in block order."""
+        if len(self.shape) == 1:  # the blocks lie in row-major order
+            return self._split_cells(self._cells(body))
+        if self.alphabet.p == 2:
+            getters = self._getters or self._load_getters()
+            return self._split_lanes([bytes(get(body)) for get in getters])
+        order = self._order or self._load_order()
+        return self._split_cells(itemgetter(*order)(self._cells(body)))
+
+    def _load_getters(self):
+        """Per lane j, the itemgetter of cell j of every block."""
+        order, width = self._order or self._load_order(), self._width
+        self._getters = tuple(itemgetter(*order[j::width]) for j in range(width))
+        return self._getters
 
     def _split_cells(self, cells):
-        """The outer symbols of block-ordered cells, any whole number of
-        blocks, and their flat residuals, after checking the cells' range.
-
-        Over F_2 the cells are read as bit lanes, with no loop over the
-        blocks: lane j is the int whose byte i (bytes i*w .. i*w + w - 1,
-        w = 2 for m > 8) holds cell j of block i.  The symbols are the sum
-        of the symbol lanes shifted by their digit, read back as bytes (a
-        tuple for m > 8), and residual digit k is the XOR of the lanes
-        ``_lanes`` lists for it.
-        """
+        """The outer symbols of block-ordered cells in range, any whole
+        number of blocks, and their flat residuals: over F_2 from the
+        lanes ``cells[j::_width]``, else block by block."""
         m, width, chk, sym_at = self.outer.field.m, self._width, self._chk, self._sym_at
+        if self.alphabet.p == 2:
+            return self._split_lanes([cells[j::width] for j in range(width)])
         p = self.alphabet.p
-        if p == 2:
-            try:
-                cells = bytearray(cells)
-                fits = not cells.translate(None, b"\x00\x01")
-            except ValueError:  # a cell outside 0 .. 255
-                fits = False
-            if not fits:
-                raise AlphabetMismatchError("digit outside gf(2)")
-            n, size = len(cells) // width, 1 if m <= 8 else 2
-            lanes, lane = [], bytearray(size * n)
-            for j in range(width):
-                lane[::size] = cells[j::width]
-                lanes.append(int.from_bytes(lane, "little"))
-            packed = 0
-            for b in range(m):
-                packed |= lanes[sym_at + b] << b
-            packed = packed.to_bytes(size * n, "little")
-            syms = packed if size == 1 else struct.unpack(f"<{n}H", packed)
-            if not chk:
-                return syms, b""
-            res = bytearray(n * chk)
-            for k, row in enumerate(self._lanes or self._load_lanes()):
-                digits = reduce(xor, map(lanes.__getitem__, row)).to_bytes(size * n, "little")
-                res[k::chk] = digits[::size]
-            return syms, res
-        _check_range(cells, p, f"gf({p})")
         blocks = [cells[at : at + width] for at in range(0, len(cells), width)]
         syms = [_from_digits(b[sym_at : sym_at + m], p) for b in blocks]
         if not chk:
             return syms, ()
         return syms, [v for b, s in zip(blocks, syms) for v in self._residual(b, s)]
+
+    def _split_lanes(self, lanes):
+        """The outer symbols and flat residuals of the binary blocks whose
+        cell j is lane j's digit i, one lane per cell position.
+
+        Lane j is read as the int whose byte i (bytes i*w .. i*w + w - 1,
+        w = 2 for m > 8) holds cell j of block i, with no loop over the
+        blocks.  The symbols are the sum of the symbol lanes shifted by
+        their digit, read back as bytes (a tuple for m > 8), and residual
+        digit k is the XOR of the lanes ``_lanes`` lists for it.
+        """
+        m, chk, sym_at = self.outer.field.m, self._chk, self._sym_at
+        n, size = len(lanes[0]), 1 if m <= 8 else 2
+        if size == 1:
+            lanes = [int.from_bytes(lane, "little") for lane in lanes]
+        else:
+            wide, ints = bytearray(2 * n), []
+            for lane in lanes:
+                wide[::2] = lane
+                ints.append(int.from_bytes(wide, "little"))
+            lanes = ints
+        packed = 0
+        for b in range(m):
+            packed |= lanes[sym_at + b] << b
+        packed = packed.to_bytes(size * n, "little")
+        syms = packed if size == 1 else struct.unpack(f"<{n}H", packed)
+        if not chk:
+            return syms, b""
+        res = bytearray(n * chk)
+        for k, row in enumerate(self._lanes or self._load_lanes()):
+            digits = reduce(xor, map(lanes.__getitem__, row)).to_bytes(size * n, "little")
+            res[k::chk] = digits[::size]
+        return syms, res
 
     def _load_checks(self):
         """The byte tables of the F_2-linear map from a symbol to its
@@ -1336,6 +1423,7 @@ class RsCode(_CyclicCode, LinearCode):
     """
 
     guidance = "plain extension-field code: random symbol errors only"
+    _shape_error, _type_error = LengthMismatchError, AlphabetMismatchError
 
     def __init__(self, field: ExtField, n: int, k: int):
         full = field.order - 1
@@ -1348,6 +1436,7 @@ class RsCode(_CyclicCode, LinearCode):
         self.base_length = n
         self.base_dimension = k
         self.segments = ((self.redundancy, field),)
+        self._spec = self._head = self._below = None
 
     encode = _CyclicCode._encode
     decode_syndrome = _CyclicCode._decode_syndrome
@@ -1358,11 +1447,10 @@ class RsCode(_CyclicCode, LinearCode):
 
     syndrome = LinearCode.syndrome
 
-    def _syndrome(self, word):
-        """The power sums; over F_{2^m} from the packed kernel, as bytes for
-        m <= 8."""
-        _check_symbols(word, self.n, self.s, self._symbols)
-        return self._power_sums(word)
+    def _body_syndrome(self, body):
+        """The power sums of a body; over F_{2^m} from the packed kernel,
+        as bytes for m <= 8."""
+        return self._power_sums(self._cells(body))
 
     def _power_sums(self, word):
         """``_syndrome`` of n symbols known to lie in the field, unchecked:

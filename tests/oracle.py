@@ -101,9 +101,22 @@ def split_blocks(code, cells):
     return syms, res
 
 
+def cells(code, word) -> list:
+    """A data word's cells, row-major."""
+    return [v for row in word for v in row] if len(code.shape) == 2 else list(word)
+
+
+def gather(code, word) -> list:
+    """A data word's cells in the code's block order: the inverse of
+    ``scatter``."""
+    flat = cells(code, word)
+    order = code._block_order()
+    return flat if order is None else [flat[at] for at in order]
+
+
 def scatter(code, cells):
     """The data word whose cells, in the code's block order, are ``cells``:
-    the inverse of ``code._gather``."""
+    the inverse of ``gather``."""
     order = code._block_order()
     flat = list(cells)
     if order is not None:

@@ -101,6 +101,28 @@ def test_verify_accepts_in_capability_burst(tmp_path, capsys):
     assert rec.read_text(encoding="ascii").split() == [f"{v:x}" for v in x]
 
 
+def test_verify_recovered_out_round_trips_on_an_array_code(tmp_path, capsys):
+    """The recovered word of an array code is written as rows, one per
+    line, and reads back as the enrolled word."""
+    spec = "cIII(rs(15,5;gf(2^4));3,5)"
+    code = parse_spec(spec)
+    rows, cols = code.shape
+    rng = random.Random(12)
+    x = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
+    y = [list(row) for row in x]
+    for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):  # one 2x2 square burst
+        y[r][c] ^= 1
+    data, noisy, tpl, rec = (tmp_path / name for name in ("x.txt", "y.txt", "x.sfh", "r.txt"))
+    write_grid(data, x)
+    write_grid(noisy, y)
+    assert run(capsys, "enroll", "--code", spec, "--in", str(data), "--out", str(tpl))[0] == 0
+    rc, out, _ = run(capsys, "verify", "--template", str(tpl), "--in", str(noisy),
+                     "--recovered-out", str(rec))
+    assert rc == 0 and "ACCEPT" in out
+    assert read_data_file(str(rec), code) == x
+    assert rec.read_text(encoding="ascii") == data.read_text(encoding="ascii")
+
+
 def test_verify_rejects_gross_corruption(tmp_path, capsys):
     x = [random.Random(9).randrange(2) for _ in range(21)]
     y = [random.Random(10).randrange(2) for _ in range(21)]

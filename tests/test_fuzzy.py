@@ -395,8 +395,8 @@ def _counting_type_tests(monkeypatch):
     "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)",
 ])
 def test_data_is_checked_once_per_call(spec, monkeypatch):
-    """enroll and verify read a word through code.syndrome alone: each of
-    its cells is type-tested exactly once per call."""
+    """enroll and verify read a word through the code's one read alone:
+    each of its cells is type-tested exactly once per call."""
     code = parse_spec(spec)
     q = code.alphabet.order
     rng = random.Random(14)
@@ -489,6 +489,18 @@ CHECKED_DATA = [
 ]
 
 
+# The only cell that is not exactly an int is the last cell of the last
+# row, so the read's exact-int count falls back to the isinstance test.
+LAST_CELL_DATA = [
+    (VECTOR_CODE, "last cell bool", [0] * 6 + [True], True),
+    (VECTOR_CODE, "last cell IntEnum", [0] * 6 + [Bit.ONE], True),
+    (VECTOR_CODE, "last cell __index__", [0] * 6 + [Index()], False),
+    (ARRAY_CODE, "last cell bool", [[0] * 10] * 5 + [[0] * 9 + [True]], True),
+    (ARRAY_CODE, "last cell IntEnum", [[0] * 10] * 5 + [[0] * 9 + [Bit.ONE]], True),
+    (ARRAY_CODE, "last cell __index__", [[0] * 10] * 5 + [[0] * 9 + [Index()]], False),
+]
+
+
 def assert_reads(code, data, template, accepted):
     """code.syndrome, enroll and verify all accept the word when
     ``accepted``, and otherwise all raise ShapeMismatchError."""
@@ -508,6 +520,19 @@ def assert_reads(code, data, template, accepted):
 )
 def test_data_words_are_accepted_exactly_in_shape_ints_in_the_alphabet(spec, data, accepted):
     """enroll, verify and the code's own syndrome accept the same words."""
+    code = parse_spec(spec)
+    template = enroll(code.zero_word(), code)
+    assert_reads(code, data, template, accepted)
+
+
+@pytest.mark.parametrize(
+    "spec,data,accepted",
+    [(spec, data, ok) for spec, _, data, ok in LAST_CELL_DATA],
+    ids=[f"{spec}-{name}" for spec, name, _, _ in LAST_CELL_DATA],
+)
+def test_only_the_last_cell_decides_the_int_test(spec, data, accepted):
+    """A bool or IntEnum last cell passes the isinstance fallback, an
+    ``__index__`` one fails it, after every other cell was an exact int."""
     code = parse_spec(spec)
     template = enroll(code.zero_word(), code)
     assert_reads(code, data, template, accepted)

@@ -46,11 +46,14 @@ def one_cell_word(code, seed):
 
 @pytest.mark.parametrize("stem,spec,shape,q,seed", GOLDEN, ids=IDS)
 def test_scatter_inverts_gather(stem, spec, shape, q, seed):
+    """The block order is a permutation of the cells, and the read's body
+    holds the cells row-major."""
     code = parse_spec(spec)
     order = code._block_order()
     assert order is None or sorted(order) == list(range(code.base_length))
     word = seeded_word(code, seed)
-    assert oracle.scatter(code, code._gather(word)) == word
+    assert oracle.scatter(code, oracle.gather(code, word)) == word
+    assert list(code._cells(code._read(word))) == oracle.cells(code, word)
 
 
 @pytest.mark.parametrize("spec", ROW_MAJOR)
@@ -142,7 +145,7 @@ def codeword(code, seed):
 
 def add_words(code, a, b):
     add = code.alphabet.add
-    return code._shaped(list(map(add, code._flat(a), code._flat(b))))
+    return code._shaped(list(map(add, oracle.cells(code, a), oracle.cells(code, b))))
 
 
 @pytest.mark.parametrize("stem,spec,shape,q,seed", BLOCK_GOLDEN, ids=BLOCK_IDS)
@@ -194,7 +197,7 @@ def test_table_residual_is_the_inner_remainder(spec):
     for k in range(3):
         word = seeded_word(code, 400 + k)
         res = code._split(word)[1]
-        cells = code._gather(word)
+        cells = oracle.gather(code, word)
         for i in range(code.N):
             block = list(cells[i * n : (i + 1) * n])
             assert tuple(res[i * r : (i + 1) * r]) == code.inner.remainder(block)
@@ -216,7 +219,7 @@ def test_lane_split_matches_the_per_block_oracle(stem, spec, shape, q, seed):
     words += [codeword(code, seed), code.zero_word(), code._shaped([1] * code.base_length)]
     for word in words:
         syms, res = code._split(word)
-        expected = oracle.split_blocks(code, code._gather(word))
+        expected = oracle.split_blocks(code, oracle.gather(code, word))
         assert (list(syms), list(res)) == expected
 
 
@@ -230,7 +233,7 @@ def test_few_block_split_matches_the_lane_split(stem, spec, shape, q, seed):
     code = parse_spec(spec)
     width, chk = code._width, code._chk
     for word in (seeded_word(code, seed), codeword(code, seed), code.zero_word()):
-        cells = code._gather(word)
+        cells = oracle.gather(code, word)
         syms, res = code._split_cells(cells)
         parts = code._parts(res)
         for i in range(0, code.outer.n - 2, 3):
@@ -247,7 +250,7 @@ def test_binary_block_codes_refuse_cells_outside_gf2(stem, spec, shape, q, seed)
     and a cell that is not an int a plain ShapeMismatchError, from the
     syndrome and from the split alike."""
     code = parse_spec(spec)
-    flat = code._flat(seeded_word(code, seed))
+    flat = oracle.cells(code, seeded_word(code, seed))
     for at in (0, code.base_length // 2, code.base_length - 1):
         for bad, error in ((2, AlphabetMismatchError), (255, AlphabetMismatchError),
                            (256, AlphabetMismatchError), (-1, AlphabetMismatchError),
