@@ -71,22 +71,6 @@ class ErrorPattern(namedtuple("ErrorPattern", "field shape cells bursts random_e
     def is_2d(self) -> bool:
         return len(self.shape) == 2
 
-    def support(self):
-        """Yield (position, value) for nonzero cells; 2D positions are (r, c)."""
-        if self.is_2d:
-            for r, row in enumerate(self.cells):
-                for c, v in enumerate(row):
-                    if v:
-                        yield (r, c), v
-        else:
-            for i, v in enumerate(self.cells):
-                if v:
-                    yield i, v
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for _ in self.support())
-
     def dense(self):
         if self.is_2d:
             return [list(row) for row in self.cells]
@@ -101,17 +85,6 @@ class ErrorPattern(namedtuple("ErrorPattern", "field shape cells bursts random_e
                 for drow, prow in zip(data, self.cells)
             ]
         return [add(a, b) for a, b in zip(data, self.cells)]
-
-    def descriptor(self) -> str:
-        """One-line text form for simulation logs."""
-        parts = []
-        for offset, dims in self.bursts:
-            off = "x".join(str(v) for v in offset) if isinstance(offset, tuple) else str(offset)
-            dim = "x".join(str(v) for v in dims) if isinstance(dims, tuple) else str(dims)
-            parts.append(f"burst@{off}:{dim}")
-        if self.random_errors:
-            parts.append(f"random:{self.random_errors}")
-        return ";".join(parts) if parts else "clean"
 
 
 def _freeze(shape, cells):

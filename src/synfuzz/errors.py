@@ -18,10 +18,6 @@ class NonPrimitiveAlphaError(SynfuzzError, ValueError):
     reducible modulus raises this too, since x cannot be primitive on it."""
 
 
-class NotInAlgebraError(SynfuzzError, ValueError):
-    """A matrix is not a polynomial in the companion matrix P."""
-
-
 class ShapeMismatchError(SynfuzzError, ValueError):
     """A word does not fit the code that reads it: the wrong shape, or a
     cell that is not a symbol of its alphabet.  Every refused data word,

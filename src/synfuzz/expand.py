@@ -13,21 +13,21 @@ Four layouts are provided:
   image, so bursts hitting a tile still touch only one symbol.
 
 A block is one extension symbol on ``rs._BlockCode``'s block format,
-shared with the concatenations: its m coefficient digits, then the check
-cells the contraction drops (the parity digit, or the companion tile's
-columns 1..m-1 row-major), which hold ``_fill(sym)``.  An expansion has
+shared with the concatenations: its m coefficient digits, then its check
+cells (the parity digit, or the companion tile's columns 1..m-1
+row-major), which hold ``_fill(sym)``.  An expansion has
 no block order of its own: it is placed by a concatenation layout, as
 over a trivial inner code (acceptance check c08).  The row kinds use
 ``FlatLayout``; ``square-array`` is ``VLayout(n2, sqrt(m))``, and
 ``companion-array`` is ``VLayout(n2, m)`` with the tile's coefficient
 column listed first.
 
-The template syndrome of a base word is the RS syndrome of its blockwise
-contraction, then each block's residual, its check cells minus their
-fill: the parity layout's n digit sums, and the companion layout's
-off-algebra residuals over F_p, per tile the m*(m-1) entries of columns
-1..m-1 row-major (a corrupted tile usually leaves F_p[P]; the residual
-keeps the decoder exact).  ``segments`` lists the n-k RS power sums over
+The template syndrome of a base word is the RS syndrome of its block
+symbols, each read off its coefficient digits, then each block's
+residual, its check cells minus their fill: the parity layout's n digit
+sums, and the companion layout's off-algebra residuals over F_p, per
+tile the m*(m-1) entries of columns 1..m-1 row-major (a corrupted tile
+usually leaves F_p[P]; the residual keeps the decoder exact).  ``segments`` lists the n-k RS power sums over
 F_{p^m}, then the residuals.  The syndrome is zero exactly on valid
 expansions, and its symbol count equals the code's redundancy.
 
@@ -42,11 +42,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .errors import (
-    NotInAlgebraError,
-    ShapeMismatchError,
-    ShapeUnsupportedError,
-)
+from .errors import ShapeMismatchError, ShapeUnsupportedError
 from .concat import FlatLayout, VLayout
 from .rs import RsCode, _BlockCode, _check_symbols
 
@@ -141,7 +137,7 @@ class ExpandedCode(_BlockCode):
         return None if self.kind == KIND_ROW_PARITY else 0
 
     # ------------------------------------------------------------------
-    # expansion and contraction
+    # expansion
     # ------------------------------------------------------------------
 
     def expand(self, word) -> list:
@@ -149,18 +145,6 @@ class ExpandedCode(_BlockCode):
         rs = self.rs
         _check_symbols(word, rs.n, rs.s, rs._symbols)
         return self._rebuild(word, [0] * rs.n)
-
-    def contract(self, base) -> list[int]:
-        """Invert expand(); every block must be its symbol's expansion."""
-        word, res = self._split(base)
-        if any(res):
-            raise NotInAlgebraError("a block is not the expansion of its symbol")
-        return list(word)
-
-    def project(self, base) -> list[int]:
-        """Blockwise contraction tolerant of corrupted blocks: each block is
-        sent to the symbol read off its coefficient digits."""
-        return list(self._split(base)[0])
 
     # ------------------------------------------------------------------
     # syndrome and decoding

@@ -63,7 +63,7 @@ from .errors import (
     UnsupportedHashError,
 )
 from .gf import MUL_COUNTER
-from .rs import LinearCode
+from .rs import LinearCode, _symbol_width
 
 _HASHES = {
     "sha-256": hashlib.sha256,
@@ -84,10 +84,6 @@ def hash_digest(alg: str, payload: bytes) -> bytes:
         return _HASHES[alg](payload).digest()
     except KeyError:
         raise UnsupportedHashError(f"unknown hash algorithm {alg!r}") from None
-
-
-def _symbol_width(order: int) -> int:
-    return ((order - 1).bit_length() + 7) // 8 if order > 1 else 1
 
 
 def enrollable(code):

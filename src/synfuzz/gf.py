@@ -41,12 +41,7 @@ import threading
 from functools import lru_cache
 from operator import xor
 
-from .errors import (
-    NoDefaultModulusError,
-    NonPrimitiveAlphaError,
-    NotInAlgebraError,
-    NotPrimeError,
-)
+from .errors import NoDefaultModulusError, NonPrimitiveAlphaError, NotPrimeError
 
 # Primitive polynomials for F_{2^m}, coefficient tuples (c0, ..., cm) with
 # digit i holding the coefficient of x^i.  m=8 is x^8+x^4+x^3+x^2+1.
@@ -84,9 +79,6 @@ class MulCounter(threading.local):
 
     def add(self, k: int = 1) -> None:
         self.n += k
-
-    def reset(self) -> None:
-        self.n = 0
 
 
 MUL_COUNTER = MulCounter()
@@ -299,22 +291,6 @@ class ExtField:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return self._exp[self.order - 1 - self._log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        MUL_COUNTER.n += 1
-        q1 = self.order - 1
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("no inverse of 0")
-            return 0
-        return self._exp[(self._log[a] * (e % q1)) % q1]
-
     def alpha_pow(self, e: int) -> int:
         """The element x^e (e may be negative)."""
         q1 = self.order - 1
@@ -328,12 +304,6 @@ class ExtField:
         """Coefficient vector [c_0, ..., c_{m-1}] with a = sum c_i x^i."""
         return _to_digits(a, self.p, self.m)
 
-    def from_base_vector(self, digits) -> int:
-        digits = list(digits)
-        if len(digits) != self.m or any(not (0 <= d < self.p) for d in digits):
-            raise ValueError(f"need {self.m} digits below {self.p}")
-        return _from_digits(digits, self.p)
-
     def _companion_image(self, a: int) -> list[list[int]]:
         """The companion image of a, the matrix of multiplication by a, as
         its list of columns: column c is the coefficient vector of a x^c."""
@@ -346,21 +316,6 @@ class ExtField:
     def to_companion_matrix(self, a: int) -> list[list[int]]:
         """The m x m matrix sum c_i P^i representing a in F_p[P]."""
         return [list(row) for row in zip(*self._companion_image(a))]
-
-    def from_companion_matrix(self, mat) -> int:
-        """Invert to_companion_matrix; rejects matrices outside F_p[P].
-
-        The first column of the image of a is the coefficient vector of a
-        (it is where multiplication by a sends 1), so it determines the only
-        candidate element.
-        """
-        if len(mat) != self.m or any(len(row) != self.m for row in mat):
-            raise NotInAlgebraError(f"matrix is not {self.m}x{self.m}")
-        p = self.p
-        cand = _from_digits([row[0] % p for row in mat], p)
-        if [[v % p for v in row] for row in mat] != self.to_companion_matrix(cand):
-            raise NotInAlgebraError("matrix is not a polynomial in P")
-        return cand
 
     # ------------------------------------------------------------------
 

@@ -77,6 +77,7 @@ from .errors import (
     AlphabetMismatchError,
     CapacityTooLargeError,
     DecodeFailure,
+    IndexOutOfRangeError,
     LengthMismatchError,
     ShapeMismatchError,
     TooManyErasuresError,
@@ -127,8 +128,8 @@ class LinearCode(_SpecIdentity):
     (``_read``, below) laid out as ``segments``: ``bytes`` where every run
     is over characteristic 2 with one-byte symbols (byte i is symbol i, so
     the bytes are also the template's serialization), else a tuple of
-    ints.  ``_syndrome(word)`` is the syndrome of a word after its read,
-    and ``syndrome(word)`` its public form, always a tuple.
+    ints.  ``syndrome(word)`` is the syndrome of a word after its read,
+    always a tuple.
     ``_decode(syndrome)`` is the one decode: the error as a sparse map
     from row-major flat cell offset to its nonzero value, and the
     decode's ``DecodeInfo``.  ``_decode`` takes a syndrome
@@ -179,7 +180,7 @@ class LinearCode(_SpecIdentity):
         """The syndrome of a data word, a tuple of ints laid out as
         ``segments``; ShapeMismatchError for a word the code does not
         take."""
-        return tuple(self._syndrome(word))
+        return tuple(self._body_syndrome(self._read(word)))
 
     def syndrome_sub(self, a: tuple, b: tuple) -> tuple:
         """a - b, symbol by symbol in each run's field."""
@@ -271,7 +272,7 @@ class LinearCode(_SpecIdentity):
             except ValueError:  # a cell outside 0 .. 255
                 pass
         elif min(cells) >= 0 and max(cells) < order:
-            width = ((order - 1).bit_length() + 7) // 8
+            width = _symbol_width(order)
             return b"".join([v.to_bytes(width, "big") for v in cells])
         bad = next(c for c in cells if not 0 <= c < order)
         raise AlphabetMismatchError(f"symbol {bad} outside {self._symbols}")
@@ -284,24 +285,24 @@ class LinearCode(_SpecIdentity):
             return body
         return [int.from_bytes(body[at : at + width], "big") for at in range(0, len(body), width)]
 
-    def _syndrome(self, word):
-        """The syndrome of a data word, laid out as ``segments``, after its
-        one read."""
-        return self._body_syndrome(self._read(word))
-
     def _block_order(self):
         """The flat offsets of the cells, block by block, as a tuple; None
         where the blocks already lie in row-major order."""
         return None
 
-    def _check_syndrome(self, synd: tuple) -> None:
+    def _check_syndrome(self, synd) -> None:
         """Raise unless the syndrome fits ``segments``: ShapeMismatchError on
-        a wrong length, AlphabetMismatchError on a symbol outside its run."""
-        at = 0
-        if len(synd) != sum(count for count, _ in self.segments):
+        a wrong length, AlphabetMismatchError on a symbol that is not an int
+        of its run's field (``_check_symbols`` of each run)."""
+        try:
+            fits = len(synd) == sum(count for count, _ in self.segments)
+        except TypeError:  # None, an int
+            fits = False
+        if not fits:
             raise ShapeMismatchError("syndrome has the wrong length for this code")
+        at = 0
         for count, field in self.segments:
-            _check_range(synd[at : at + count], field.order, field.spec_string())
+            _check_symbols(synd[at : at + count], count, field.order, field.spec_string())
             at += count
 
     def syndrome_symbol_count(self) -> int:
@@ -445,15 +446,12 @@ class _BlockCode(LinearCode):
         self._order = order and memoryview(struct.pack(f"{len(order)}I", *order)).cast("I")
         return self._order
 
-    def _split(self, word):
-        """The outer symbols of a word's blocks and their flat residuals."""
-        return self._split_body(self._read(word))
-
     def _split_body(self, body):
-        """``_split`` of a word's body.  Over F_2 lane j, cell j of every
-        block, is the strided slice ``body[j::_width]`` where the blocks
-        lie row-major, else one itemgetter per lane (``_getters``); an
-        odd-p word's cells are gathered in block order."""
+        """The outer symbols of the blocks of a word's body and their flat
+        residuals.  Over F_2 lane j, cell j of every block, is the strided
+        slice ``body[j::_width]`` where the blocks lie row-major, else one
+        itemgetter per lane (``_getters``); an odd-p word's cells are
+        gathered in block order."""
         if len(self.shape) == 1:  # the blocks lie in row-major order
             return self._split_cells(self._cells(body))
         if self.alphabet.p == 2:
@@ -671,11 +669,13 @@ def _chien_roots(field: ExtField, psi, n):
     return roots, (i + 1) * nt
 
 
-def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
+def _gpz_decode(field: ExtField, synd, n, known=(), base_limit=None):
     """Errors-and-erasures decode of a syndrome vector, one symbol at a
     time: the decoder of a code without a Chien table (odd p, m > 8, or
     above the table's cap) and the oracle of ``_CyclicCode._region_errors``.
 
+    ``known`` holds the erasure positions, sorted, distinct, in range and
+    at most len(synd) of them (``_CyclicCode._errors`` checks them).
     Returns the unique error vector v with
     2*weight(v off erasures) + |erasures| <= len(synd) that reproduces the
     syndromes, as a map from each position to its nonzero value, or raises
@@ -690,14 +690,8 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
     recomputes every syndrome from the pattern.
     """
     synd = list(synd)
-    r = len(synd)
-    positions_known = sorted(set(int(e) for e in erasures))
-    if positions_known and not (0 <= positions_known[0] and positions_known[-1] < n):
-        raise ValueError("erasure position outside the word")
-    f = len(positions_known)
-    if f > r:
-        raise TooManyErasuresError(f"{f} erasures exceed redundancy {r}")
-    if not any(synd) and not positions_known:
+    r, f = len(synd), len(known)
+    if not any(synd) and not known:
         return {}
 
     exp, log = field._exp, field._log
@@ -707,7 +701,7 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
     try:
         # erasure locator gamma(x) = prod (1 - alpha^pos * x)
         gamma = [1]
-        for pos in positions_known:
+        for pos in known:
             lx = pos % q1
             nxt = gamma + [0]
             for idx, c in enumerate(gamma):
@@ -816,6 +810,13 @@ def _gpz_decode(field: ExtField, synd, n, erasures=(), base_limit=None):
         MUL_COUNTER.add(nm)
 
 
+def _symbol_width(order: int) -> int:
+    """The bytes of one symbol of an alphabet of ``order`` symbols, in a
+    word's body and in a template's syndrome: the fewest that hold
+    order - 1, big-endian."""
+    return ((order - 1).bit_length() + 7) // 8
+
+
 def _check_symbols(word, length: int, limit: int, name: str) -> None:
     """Raise unless the word is ``length`` ints (bools are; an object that
     only defines ``__index__`` is not) in 0 .. limit - 1; ``name`` names
@@ -829,13 +830,8 @@ def _check_symbols(word, length: int, limit: int, name: str) -> None:
     if not all(map(isinstance, word, repeat(int))):
         bad = next(c for c in word if not isinstance(c, int))
         raise AlphabetMismatchError(f"symbol {bad!r} outside {name}")
-    _check_range(word, limit, name)
-
-
-def _check_range(cells, limit: int, name: str) -> None:
-    """Raise AlphabetMismatchError unless the ints lie in 0 .. limit - 1."""
-    if cells and (min(cells) < 0 or max(cells) >= limit):
-        bad = next(c for c in cells if not 0 <= c < limit)
+    if word and (min(word) < 0 or max(word) >= limit):
+        bad = next(c for c in word if not 0 <= c < limit)
         raise AlphabetMismatchError(f"symbol {bad} outside {name}")
 
 
@@ -1195,7 +1191,8 @@ class _CyclicCode(_SpecIdentity):
     are built into their slots on first use, and with the Chien table the
     per-position columns of ``_sums``.  ``_encode`` and ``_errors`` are
     the one encoder and decoder, the decoder's result a sparse map from
-    position to error value; ``_decode_syndrome`` is its dense form.
+    position to error value; ``_decode_syndrome`` is its dense form, and
+    the one check of a syndrome given from outside.
     ``_errors`` runs ``_region_errors`` where the code has a Chien table
     (characteristic 2, m <= 8, within the cap) and ``_gpz_decode``
     elsewhere; a syndrome may come as bytes or as a tuple.
@@ -1259,13 +1256,16 @@ class _CyclicCode(_SpecIdentity):
         """word(x) mod the generator, for a word known to lie in F_s."""
         return _poly_remainder(self.field, word, self.generator)
 
-    def _decode_syndrome(self, synd: tuple, erasures=()) -> list[int]:
+    def _decode_syndrome(self, synd, erasures=()) -> list[int]:
         """Error vector consistent with the syndrome, or DecodeFailure.
+        The syndrome must be ``count`` ints of the field, else
+        ShapeMismatchError (``_check_symbols``); the erasures are checked
+        by ``_errors``.
 
         Each erasure position costs one syndrome, each error off them two.
         """
-        if len(synd) != self.count:
-            raise LengthMismatchError(f"expected {self.count} syndrome values, got {len(synd)}")
+        field = self.field
+        _check_symbols(synd, self.count, field.order, field.spec_string())
         error = [0] * self.n
         for pos, v in self._errors(synd, erasures).items():
             error[pos] = v
@@ -1274,13 +1274,27 @@ class _CyclicCode(_SpecIdentity):
     def _errors(self, synd, erasures=()) -> dict:
         """The nonzero values of ``_decode_syndrome``'s error vector by
         position, for a syndrome known to have ``count`` values: on byte
-        regions where the code has a Chien table, else ``_gpz_decode``."""
+        regions where the code has a Chien table, else ``_gpz_decode``.
+
+        The one check of the erasure positions: each must be an int in
+        0 .. n-1 (IndexOutOfRangeError), and once repeats are dropped there
+        may be at most one per syndrome value (TooManyErasuresError)."""
+        known = ()
+        if erasures:
+            if not all(map(isinstance, erasures, repeat(int))):
+                raise IndexOutOfRangeError("an erasure position is not an int")
+            known = sorted(set(erasures))
+            if known[0] < 0 or known[-1] >= self.n:
+                raise IndexOutOfRangeError(f"erasure position outside 0..{self.n - 1}")
+            if len(known) > len(synd):
+                raise TooManyErasuresError(
+                    f"{len(known)} erasures exceed redundancy {len(synd)}")
         chien = self._chien
         if chien is None:
             chien = self._load_chien()
         if chien:
-            return self._region_errors(synd, erasures)
-        return _gpz_decode(self.field, synd, self.n, erasures, self._base_limit)
+            return self._region_errors(synd, known)
+        return _gpz_decode(self.field, synd, self.n, known, self._base_limit)
 
     def _load_chien(self):
         """The Chien table, False above its cap; with a table, the columns
@@ -1304,10 +1318,11 @@ class _CyclicCode(_SpecIdentity):
             acc ^= int.from_bytes(cols[i].translate(rows[v]), "little")
         return acc
 
-    def _region_errors(self, synd, erasures=()) -> dict:
+    def _region_errors(self, synd, known=()) -> dict:
         """``_gpz_decode`` on byte regions, for a code with a Chien table
         (characteristic 2, m <= 8): the same pattern or DecodeFailure, and
-        the same multiplications counted.
+        the same multiplications counted, from the same checked erasure
+        positions ``known``.
 
         A polynomial is a byte string, coefficient k in byte k, and one
         translate through the field's row of c multiplies it by c.
@@ -1327,13 +1342,7 @@ class _CyclicCode(_SpecIdentity):
         Psi's nonzero mask past psi_0 with S's.
         """
         field, n, table = self.field, self.n, self._chien
-        r = len(synd)
-        known = sorted(set(map(int, erasures))) if erasures else ()
-        if known and not (0 <= known[0] and known[-1] < n):
-            raise ValueError("erasure position outside the word")
-        f = len(known)
-        if f > r:
-            raise TooManyErasuresError(f"{f} erasures exceed redundancy {r}")
+        r, f = len(synd), len(known)
         synd = bytes(synd)
         S = int.from_bytes(synd, "little")
         if not S and not known:
@@ -1519,6 +1528,7 @@ class BchCode(_CyclicCode):
         self._cosets = None  # the coset table, False above its cap; set on first use
 
     encode = _CyclicCode._encode
+    decode_syndrome = _CyclicCode._decode_syndrome
 
     def remainder(self, word) -> tuple[int, ...]:
         """word(x) mod g(x): the compact n-k symbol form of the syndrome."""
@@ -1546,9 +1556,6 @@ class BchCode(_CyclicCode):
             return tuple(_sparse_syndrome(self.field, list(remainder), self.count))
         kernel = self._tables or self._load_kernel()
         return kernel.power_sums(_pack_bits(remainder))
-
-    def decode_syndrome(self, synd: tuple) -> list[int]:
-        return self._decode_syndrome(synd)
 
     def decode_remainder(self, remainder) -> list[int]:
         return self.decode_syndrome(self.power_sums(remainder))

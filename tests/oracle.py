@@ -114,6 +114,16 @@ def gather(code, word) -> list:
     return flat if order is None else [flat[at] for at in order]
 
 
+def block_symbols(code, word) -> list:
+    """The outer symbol of each block of a block code's word, read off the
+    m coefficient digits at the block's symbol cells in ``gather``'s
+    order."""
+    m, width, at = code.outer.field.m, code._width, code._sym_at
+    flat = gather(code, word)
+    p = code.alphabet.p
+    return [from_digits(flat[i + at : i + at + m], p) for i in range(0, len(flat), width)]
+
+
 def scatter(code, cells):
     """The data word whose cells, in the code's block order, are ``cells``:
     the inverse of ``gather``."""

@@ -297,7 +297,8 @@ def test_v_burst_plus_off_tile_random_errors(v_code):
         }
         per_tile = {}
         ok = True
-        for (r, c), _ in pat.support():
+        support = [(r, c) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+        for r, c in support:
             tile = (r // tile_r, c // lay.b)
             if tile in burst_tiles:
                 continue

@@ -83,7 +83,7 @@ def test_records_compare_by_value_and_keep_their_field_names(c1):
     assert (info.inner_failed, info.outer_corrected, info.outer_error_count) == ((2,), (2, 5), 2)
     pattern = ErrorPattern(field=c1.alphabet, shape=(2,), cells=(0, 1))
     assert (pattern.field, pattern.shape, pattern.cells) == (c1.alphabet, (2,), (0, 1))
-    assert (pattern.bursts, pattern.random_errors, pattern.weight) == ((), 0, 1)
+    assert (pattern.bursts, pattern.random_errors, pattern.dense()) == ((), 0, [0, 1])
 
 
 def test_enroll_shape_check(c1):

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synfuzz.errors import (
-    NoDefaultModulusError,
-    NonPrimitiveAlphaError,
-    NotInAlgebraError,
-    NotPrimeError,
-)
+from synfuzz.errors import NoDefaultModulusError, NonPrimitiveAlphaError, NotPrimeError
 from synfuzz.codespec import parse_field
 from synfuzz.gf import MUL_COUNTER, ExtField, default_modulus
 
@@ -189,13 +184,13 @@ def test_f8_multiplication_matches_polynomial_oracle(f8):
 
 
 def test_f8_inverses(f8):
-    assert f8.inv(2) == 5
+    """Every nonzero element has exactly one inverse under mul, and 0 has
+    none."""
     assert f8.mul(2, 5) == 1
-    assert f8.inv(1) == 1
-    with pytest.raises(ZeroDivisionError):
-        f8.inv(0)
+    assert f8.mul(1, 1) == 1
+    assert [b for b in range(8) if f8.mul(0, b) == 1] == []
     for a in range(1, 8):
-        assert f8.mul(a, f8.inv(a)) == 1
+        assert len([b for b in range(8) if f8.mul(a, b) == 1]) == 1
 
 
 def test_mul_identity_for_all_elements(f8):
@@ -222,14 +217,14 @@ def test_field_axioms_sampled_f16(a, b, c):
     assert fld.mul(a, fld.mul(b, c)) == fld.mul(fld.mul(a, b), c)
     assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
     if a:
-        assert fld.mul(a, fld.inv(a)) == 1
+        assert any(fld.mul(a, b) == 1 for b in range(1, 16))
 
 
 def test_base_vector_round_trip(f8):
     assert f8.to_base_vector(3) == [1, 1, 0]
     assert f8.to_base_vector(0) == [0, 0, 0]
     for a in range(8):
-        assert f8.from_base_vector(f8.to_base_vector(a)) == a
+        assert oracle.from_digits(f8.to_base_vector(a), 2) == a
 
 
 def test_base_vector_addition_is_componentwise(f8):
@@ -267,15 +262,6 @@ def test_companion_representation_is_multiplicative(f8):
             assert prod == f8.to_companion_matrix(f8.mul(a, b))
 
 
-def test_companion_round_trip_and_rejection(f8):
-    for a in range(8):
-        assert f8.from_companion_matrix(f8.to_companion_matrix(a)) == a
-    bad = f8.to_companion_matrix(5)
-    bad[0][2] ^= 1
-    with pytest.raises(NotInAlgebraError):
-        f8.from_companion_matrix(bad)
-
-
 def _companion_reference(fld, a):
     """sum a_i P^i over F_p, P the companion matrix of the modulus: P sends
     x^c to x^(c+1), and x^(m-1) to -(c_0 + ... + c_{m-1} x^(m-1))."""
@@ -298,12 +284,14 @@ def _companion_reference(fld, a):
 
 
 def test_companion_image_is_the_sum_of_powers_of_P():
-    for p, m in ((2, 4), (3, 2), (5, 2), (3, 3)):
+    """The image of a is the matrix of multiplication by a, so its first
+    column, where it sends 1, is a's coefficient vector."""
+    for p, m in ((2, 3), (2, 4), (3, 2), (5, 2), (3, 3)):
         fld = ExtField(p, m)
         for a in range(fld.order):
             image = fld.to_companion_matrix(a)
             assert image == _companion_reference(fld, a), (fld, a)
-            assert fld.from_companion_matrix(image) == a
+            assert oracle.from_digits([row[0] for row in image], p) == a
 
 
 def check_odd_field_pair(fld, a, b):
@@ -362,16 +350,12 @@ def test_x_is_the_first_power_of_alpha(p, m, modulus):
     assert fld.alpha_pow(1) == fld.alpha
 
 
-def test_mul_counter_monotone_and_resettable(f8):
-    MUL_COUNTER.reset()
-    assert MUL_COUNTER.count == 0
+def test_mul_counter_counts_every_multiplication(f8):
+    before = MUL_COUNTER.count
     f8.mul(3, 6)
-    after_one = MUL_COUNTER.count
-    assert after_one >= 1
-    f8.mul(7, 7)
-    assert MUL_COUNTER.count > after_one
-    MUL_COUNTER.reset()
-    assert MUL_COUNTER.count == 0
+    assert MUL_COUNTER.count == before + 1
+    f8.mul(7, 0)
+    assert MUL_COUNTER.count == before + 2
 
 
 def test_binary_fields_add_and_subtract_by_xor():

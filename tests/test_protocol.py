@@ -75,28 +75,37 @@ def test_block_order_is_built_once():
 
 def malformed(code, kind, seed):
     values = list(code.syndrome(one_cell_word(code, seed)))
+    if kind == "none":
+        return None
     if kind == "short":
         return values[:-1]
     if kind == "long":
         return values + [0]
     if kind == "first-run":
         values[0] = code.segments[0][1].order
+    elif kind == "float":
+        values[0] = 0.5
+    elif kind == "str":
+        values[-1] = "1"
     else:
         values[-1] = code.segments[-1][1].order
     return values
 
 
-@pytest.mark.parametrize("kind", ["short", "long", "first-run", "last-run"])
+@pytest.mark.parametrize("kind", ["none", "short", "long", "first-run", "last-run", "float", "str"])
 @pytest.mark.parametrize("stem,spec,shape,q,seed", GOLDEN, ids=IDS)
 def test_decode_refuses_a_syndrome_that_does_not_fit_the_segments(
     stem, spec, shape, q, seed, kind
 ):
-    """A wrong length is a ShapeMismatchError and a symbol outside its
-    run's field an AlphabetMismatchError; no pattern is returned."""
+    """A missing syndrome or a wrong length is a ShapeMismatchError, and a
+    symbol that is not an int of its run's field an
+    AlphabetMismatchError, never a bare TypeError; no pattern is
+    returned."""
     code = parse_spec(spec)
-    error = ShapeMismatchError if kind in ("short", "long") else AlphabetMismatchError
+    error = ShapeMismatchError if kind in ("none", "short", "long") else AlphabetMismatchError
+    synd = malformed(code, kind, seed)
     with pytest.raises(error):
-        code.decode(tuple(malformed(code, kind, seed)))
+        code.decode(synd if synd is None else tuple(synd))
 
 
 # Every reader of a word besides a code's syndrome: (name, call, a word
@@ -143,6 +152,12 @@ def codeword(code, seed):
     return code.encode(message)
 
 
+def split(code, word):
+    """The outer symbols of a word's blocks and their flat residuals, from
+    the body of its one read."""
+    return code._split_body(code._read(word))
+
+
 def add_words(code, a, b):
     add = code.alphabet.add
     return code._shaped(list(map(add, oracle.cells(code, a), oracle.cells(code, b))))
@@ -155,10 +170,10 @@ def test_rebuild_inverts_split(stem, spec, shape, q, seed):
     for code in (parse_spec(spec), parse_spec(spec)):
         for k in range(3):
             word = seeded_word(code, seed + k)
-            syms, res = code._split(word)
+            syms, res = split(code, word)
             assert len(syms) == code.outer.n and len(res) == code.outer.n * code._chk
             assert code._rebuild(syms, code._parts(res)) == word
-        syms, res = code._split(code.zero_word())
+        syms, res = split(code, code.zero_word())
         assert code._rebuild(syms, code._parts(res)) == code.zero_word()
 
 
@@ -170,13 +185,13 @@ def test_residuals_vanish_exactly_on_valid_blocks(stem, spec, shape, q, seed):
     for code in (parse_spec(spec), parse_spec(spec)):
         zeros = [0] * code.outer.n
         word = codeword(code, seed)
-        syms, res = code._split(word)
+        syms, res = split(code, word)
         assert not any(res) and not any(code.outer.syndrome(syms))
         for k in range(3):
             noisy = seeded_word(code, seed + k)
-            syms, res = code._split(noisy)
+            syms, res = split(code, noisy)
             valid = code._rebuild(syms, zeros)
-            valid_syms, valid_res = code._split(valid)
+            valid_syms, valid_res = split(code, valid)
             assert valid_syms == syms and not any(valid_res)
             assert any(res) == (valid != noisy) == (code._chk > 0)
         if code._chk:
@@ -184,7 +199,7 @@ def test_residuals_vanish_exactly_on_valid_blocks(stem, spec, shape, q, seed):
             cells = [0] * code.base_length
             cells[block * code._width + code._chk_at] = 1
             damaged = add_words(code, word, oracle.scatter(code, cells))
-            parts = code._parts(code._split(damaged)[1])
+            parts = code._parts(split(code, damaged)[1])
             assert [i for i, part in enumerate(parts) if part] == [block]
 
 
@@ -196,7 +211,7 @@ def test_table_residual_is_the_inner_remainder(spec):
     n, r = code.n_in, code.inner.redundancy
     for k in range(3):
         word = seeded_word(code, 400 + k)
-        res = code._split(word)[1]
+        res = split(code, word)[1]
         cells = oracle.gather(code, word)
         for i in range(code.N):
             block = list(cells[i * n : (i + 1) * n])
@@ -218,7 +233,7 @@ def test_lane_split_matches_the_per_block_oracle(stem, spec, shape, q, seed):
     words = [seeded_word(code, seed + k) for k in range(3)]
     words += [codeword(code, seed), code.zero_word(), code._shaped([1] * code.base_length)]
     for word in words:
-        syms, res = code._split(word)
+        syms, res = split(code, word)
         expected = oracle.split_blocks(code, oracle.gather(code, word))
         assert (list(syms), list(res)) == expected
 
@@ -248,7 +263,7 @@ def test_few_block_split_matches_the_lane_split(stem, spec, shape, q, seed):
 def test_binary_block_codes_refuse_cells_outside_gf2(stem, spec, shape, q, seed):
     """A digit 2, 255, 256 or -1 in any block is an AlphabetMismatchError,
     and a cell that is not an int a plain ShapeMismatchError, from the
-    syndrome and from the split alike."""
+    syndrome and from the read alike."""
     code = parse_spec(spec)
     flat = oracle.cells(code, seeded_word(code, seed))
     for at in (0, code.base_length // 2, code.base_length - 1):
@@ -256,7 +271,7 @@ def test_binary_block_codes_refuse_cells_outside_gf2(stem, spec, shape, q, seed)
                            (256, AlphabetMismatchError), (-1, AlphabetMismatchError),
                            (0.0, ShapeMismatchError), ("1", ShapeMismatchError)):
             word = code._shaped(flat[:at] + [bad] + flat[at + 1 :])
-            for read in (code.syndrome, code._split):
+            for read in (code.syndrome, code._read):
                 with pytest.raises(ShapeMismatchError) as caught:
                     read(word)
                 assert type(caught.value) is error

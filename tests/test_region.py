@@ -180,12 +180,13 @@ def test_bch_remainder_spaces_decode_alike_through_both_decoders(monkeypatch):
 @pytest.mark.parametrize("stem,spec,shape,q,seed", GOLDEN + WIDE_GOLDEN,
                          ids=[g[0] for g in GOLDEN + WIDE_GOLDEN])
 def test_the_internal_syndrome_is_the_template_bytes_where_it_is_bytes(stem, spec, shape, q, seed):
-    """``syndrome`` is a tuple for every code; ``_syndrome`` is bytes
-    exactly where every run is binary with one-byte symbols, and then it is
-    the template serialization of the tuple, else the tuple itself."""
+    """``syndrome`` is a tuple for every code; the syndrome of the word's
+    body is bytes exactly where every run is binary with one-byte symbols,
+    and then it is the template serialization of the tuple, else the tuple
+    itself."""
     code = codespec.parse_spec(spec)
     word = golden_word(shape, q, seed)
-    public, internal = code.syndrome(word), code._syndrome(word)
+    public, internal = code.syndrome(word), code._body_syndrome(code._read(word))
     assert type(public) is tuple
     one_byte = all(f.p == 2 and f.order <= 256 for _, f in code.segments)
     assert type(internal) is (bytes if one_byte else tuple)

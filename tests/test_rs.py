@@ -9,10 +9,12 @@ from synfuzz.errors import (
     AlphabetMismatchError,
     CapacityTooLargeError,
     DecodeFailure,
+    IndexOutOfRangeError,
     LengthMismatchError,
     ShapeMismatchError,
     TooManyErasuresError,
 )
+from synfuzz.codespec import parse_spec
 from synfuzz.gf import ExtField
 from synfuzz.rs import BchCode, RsCode
 
@@ -44,8 +46,10 @@ def test_generator_divides_x_n_minus_1(rs73):
     # field itself instead: evaluate x^7-1 at each generator root
     f = rs73.field
     for j in range(1, 5):
-        root = f.alpha_pow(j)
-        assert f.pow(root, 7) == 1
+        root, power = f.alpha_pow(j), 1
+        for _ in range(7):
+            power = f.mul(power, root)
+        assert power == 1
     assert rem is not None  # oracle call kept for the binary sanity path
 
 
@@ -202,6 +206,44 @@ def test_errors_and_erasures(code):
 def test_too_many_erasures(rs157):
     with pytest.raises(TooManyErasuresError):
         rs157.decode_syndrome((0,) * 8, erasures=list(range(9)))
+
+
+# Codes on the region decoder (p = 2, m <= 8) and on the scalar one (odd p).
+CHECKED_DECODERS = ["rs(15,11;gf(2^4))", "rs(8,4;gf(3^2))", "bch(15,2;gf(2))",
+                    "rs(255,223;gf(2^8))"]
+
+
+@pytest.mark.parametrize("spec", CHECKED_DECODERS)
+@pytest.mark.parametrize("bad", ["q", "q+4", -1, "a"])
+def test_decode_syndrome_refuses_a_symbol_outside_the_field(spec, bad):
+    """The field order q, a larger value, -1 and a str, first or last in
+    the syndrome, are each an AlphabetMismatchError, and a syndrome of the
+    wrong length a LengthMismatchError: never a bare IndexError or
+    ValueError from the decoder's tables."""
+    code = parse_spec(spec)
+    q = code.field.order
+    value = {"q": q, "q+4": q + 4}.get(bad, bad)
+    for at in (0, code.count - 1):
+        synd = [0] * code.count
+        synd[at] = value
+        with pytest.raises(AlphabetMismatchError):
+            code.decode_syndrome(tuple(synd))
+    with pytest.raises(LengthMismatchError):
+        code.decode_syndrome((0,) * (code.count + 1))
+
+
+@pytest.mark.parametrize("spec", CHECKED_DECODERS[:2])
+@pytest.mark.parametrize("erasures", [[1.5], ["1"], [None], ["n"], [-1], [0, "n"]],
+                         ids=["float", "str", "none", "n", "minus-one", "zero-and-n"])
+def test_erasure_positions_are_checked_once(spec, erasures):
+    """A position that is not an int in 0 .. n-1 is an
+    IndexOutOfRangeError on both decoders; repeats are one erasure."""
+    code = parse_spec(spec)
+    erasures = [code.n if e == "n" else e for e in erasures]
+    with pytest.raises(IndexOutOfRangeError):
+        code.decode_syndrome((0,) * code.count, erasures=erasures)
+    repeated = [code.n - 1] * (code.count + 1)
+    assert code.decode_syndrome((0,) * code.count, erasures=repeated) == [0] * code.n
 
 
 def test_shortened_code_round_trip():

@@ -57,6 +57,17 @@ def test_code_lines_totals_the_package():
     assert 0 < int(code) < int(lines)
 
 
+def test_reach_leaves_only_the_allowed_functions_unreached():
+    """scripts/reach.py traces the product paths: each package function
+    they do not reach is in its allowlist, and each allowlist entry is a
+    defined function they do not reach.  Package code that only tests
+    call fails here."""
+    result = run_script("reach.py")
+    assert result.returncode == 0, (result.stdout + result.stderr).decode()
+    unreached = {line.split()[0] for line in result.stdout.decode().splitlines()}
+    assert unreached == set(load_script("reach.py").ALLOWED)
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
     module = importlib.util.module_from_spec(spec)
