@@ -4,7 +4,11 @@
     python3 scripts/bench_pairs.py PARENT CHANGE --seed 101 --out BENCH_10.json
 
 PARENT and CHANGE are checkouts, each with its own perfbench/run.py and
-src/synfuzz.  For each of the three workloads, pair i = 0..9 runs
+src/synfuzz.  First every seed is checked: one `--seconds 1` run per
+seed, workload and tree, so a seed on which perfbench reports a wrong
+result (an impostor within the code's capability of the enrolled word is
+rightly accepted) stops the script before any full-length run.  Then for
+each of the three workloads, pair i = 0..9 runs
 `perfbench/run.py --seed SEED+i --seconds T --trace 0` once in each
 tree, T being BENCHMARK.json's `run_seconds`, in the same interpreter,
 with the tree that goes first swapped from pair to pair so slow drift of
@@ -59,6 +63,15 @@ def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple
                  f"of {result['attempted']}, correct={result['correct']}")
     infos = [line for line in map(json.loads, lines[:-1]) if "info" in line]
     return result, infos[-1]["info"] if infos else {}
+
+
+def check_seeds(trees: dict, seed: int) -> None:
+    """One one-second run of every seed SEED .. SEED+9 and workload in
+    each tree; ``run`` exits naming the seed where one fails."""
+    for workload in WORKLOADS:
+        for i in range(PAIRS):
+            for name in TREES:
+                run(trees[name], workload, seed + i, 1, 0)
 
 
 def summary(values: list) -> dict:
@@ -154,6 +167,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    check_seeds(trees, args.seed)
     report = {
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "pairs": PAIRS, "seconds": spec["run_seconds"],

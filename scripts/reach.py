@@ -61,6 +61,7 @@ ALLOWED = {
     "gf.ExtField.__repr__": DUNDER,
     "gf.ExtField.mul": C01_C10,
     "gf.ExtField.to_companion_matrix": C01_C10,
+    "rs.BchCode.power_sums": TARGET,
     "rs.BchCode.remainder": TARGET,
     "rs.BchCode.syndrome": TARGET,
     "rs.DecodeInfo.outer_error_count": C01_C10,

@@ -77,7 +77,10 @@ MAX_SPEC_CHARS = 1024
 # table (at most 2^21 bits by its cap) take 258 KiB, and the rest are the
 # per-position columns (255 strings of 64 bytes) and the field's multiply
 # rows (256 strings of 256 bytes).  Every code that decodes over a field
-# weighs its rows, so rows that two cached codes share count twice.
+# weighs its rows, so rows that two cached codes share count twice.  A
+# binary block code of at most rs._COLUMN_CAP_CELLS = 256 cells adds its
+# per-cell syndrome columns: at most 256 ints of a 255-byte syndrome,
+# under 80 KB, which fits beside the heaviest tables in this weight.
 _CODE_WEIGHT = 1 << 14
 # A field's tables take about 84 bytes per element.
 _FIELD_WEIGHT = 2

@@ -43,9 +43,11 @@ power sums of the blocks' symbols over F_{p^k}.  Decoding inner-decodes
 each damaged block, corrects the estimates with the outer decoder,
 rebuilds the touched blocks from their symbol errors and stored
 residuals and re-checks them against the whole syndrome: every other
-block must have a zero residual.  A block whose inner decode
-fails is an outer erasure, at one outer syndrome instead of two; a block
-within the inner capability never fails, so every bound still holds.
+block must have a zero residual.  Under the column cap the re-check is
+the XOR of the rebuilt cells' syndrome columns (``rs._BlockCode``).  A
+block whose inner decode fails is an outer erasure, at one outer
+syndrome instead of two; a block within the inner capability never
+fails, so every bound still holds.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .gf import _from_digits
-from .rs import DecodeInfo, RsCode, _BlockCode, _check_symbols, _SpecIdentity
+from .rs import DecodeInfo, RsCode, _BlockCode, _check_symbols, _sparse_syndrome, _SpecIdentity
 
 
 class TrivialCode:
@@ -244,14 +246,17 @@ class ConcatCode(_BlockCode):
 
     def _inner_decode(self, residual):
         """The symbol error of the inner pattern with this remainder, or
-        None (an erasure) where the inner decode fails."""
-        r = self.inner.redundancy
+        None (an erasure) where the inner decode fails.  Over odd p the
+        remainder's power sums go to the inner decoder unchecked: the split
+        computed them in range."""
+        inner, r = self.inner, self.inner.redundancy
         try:
             if self.p == 2:
-                return self.inner.decode_packed(residual) >> r
-            return _from_digits(self.inner.decode_remainder(residual)[r:], self.p)
+                return inner.decode_packed(residual) >> r
+            errors = inner._errors(_sparse_syndrome(inner.field, residual, inner.count))
         except DecodeFailure:
             return None
+        return _from_digits([errors.get(i, 0) for i in range(r, inner.n)], self.p)
 
     # ------------------------------------------------------------------
     # encode / syndrome / decode
@@ -268,7 +273,13 @@ class ConcatCode(_BlockCode):
         blocks' ``cells`` with every other block zero, has the whole
         syndrome: each touched block's residual, recomputed from its
         cells, is its stored part; every other block's part is zero; and
-        the outer power sums of the touched blocks' symbols are ``sums``."""
+        the outer power sums of the touched blocks' symbols are ``sums``.
+
+        A concatenation with per-cell columns (binary, outer m <= 8, at
+        most ``rs._COLUMN_CAP_CELLS`` cells) re-checks by their XOR
+        instead (``_BlockCode._decode``); this re-split of the touched
+        blocks serves the longer codes, where one column XOR per set cell
+        would cost more than the lanes, and odd p."""
         syms, res = self._split_cells(cells)
         got = self._parts(res) if self._chk else [0] * len(syms)
         if (

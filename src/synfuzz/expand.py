@@ -34,7 +34,9 @@ expansions, and its symbol count equals the code's redundancy.
 Decoding hands the parity layout's blocks with a nonzero digit sum to
 the RS decoder as erasures (one syndrome instead of two); a companion
 tile's symbol stands.  Clean blocks are never flagged, so every bound of
-the plain layout still holds.
+the plain layout still holds.  A binary expansion of at most 256 cells
+takes its syndrome and a full re-check of each decode from per-cell
+syndrome columns (``rs._BlockCode``).
 """
 
 from __future__ import annotations
@@ -75,7 +77,15 @@ def _companion_fill(field, sym: int) -> list[int]:
 
 
 class ExpandedCode(_BlockCode):
-    """A base-field expansion of an RS code with its layout bookkeeping."""
+    """A base-field expansion of an RS code with its layout bookkeeping.
+
+    A binary expansion with outer symbols of m <= 8 bits and at most
+    ``rs._COLUMN_CAP_CELLS`` cells (the roster's cI(rs(7,3)),
+    cI+parity(rs(15,7)), cII and cIII) takes its syndrome from per-cell
+    columns and re-checks every decode against the whole syndrome by
+    their XOR.  Above the cap, where a column XOR per set cell costs more
+    than the bit lanes, and over odd p the decode re-checks only the
+    outer symbol errors, as the RS decoder does."""
 
     syndrome = _BlockCode.syndrome
 
@@ -153,7 +163,8 @@ class ExpandedCode(_BlockCode):
     # The extension-level pattern comes from the RS decoder, with the
     # parity layout's damaged blocks as erasures; each touched block is
     # rebuilt from its symbol error and stored residual, so the pattern is
-    # exact whenever the RS step is.
+    # exact whenever the RS step is, and under the column cap the
+    # columns re-check it against the whole syndrome.
     decode = _BlockCode.decode
 
     # ------------------------------------------------------------------

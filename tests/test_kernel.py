@@ -34,7 +34,7 @@ WIDE = (
     ("cIII(rs(6,2;gf(2^9));2,3)", 203),
     ("concat(inner=bch(15,1;gf(2)), outer=rs(20,12;gf(2^11)), layout=flat)", 204),
 )
-TABLE_SLOTS = ("_gen", "_tables", "_chien", "_cosets", "_checks")
+TABLE_SLOTS = ("_gen", "_tables", "_chien", "_cosets", "_checks", "_columns")
 
 
 def parts(code):
@@ -188,22 +188,28 @@ def refuse_tables(patch):
 
     patch.setattr(rs, "_BinaryKernel", refuse)
     patch.setattr(rs, "_byte_tables", refuse)
+    patch.setattr(rs, "_power_columns", refuse)
 
 
 def test_parsing_builds_no_kernel_table(monkeypatch, fresh_codes):
     """Tables are built into a code's slots on its first syndrome, never
     by parse_spec, and a re-parsed spec is the same code with its tables
-    built."""
+    built: a binary block code's per-cell columns too, which a first
+    syndrome builds with the check tables where the code is within the
+    column cap."""
     # the largest first: the golden codes evict the largest concatenation
     specs = [LARGEST_RS, LARGEST_FLAT_CONCAT] + [g[1] for g in GOLDEN]
     with monkeypatch.context() as patch:
         refuse_tables(patch)
         codes = [parse_spec(spec) for spec in specs]
     assert not any(built_tables(code) for code in codes)
+    assert all(getattr(code, "_columns", None) is None for code in codes)
     small = [(spec, code) for spec, code in zip(specs, codes) if code.base_length < 10_000]
     for _, code in small:
         code.syndrome(code.zero_word())
     assert all(code._checks for _, code in small if isinstance(code, ConcatCode) and code.p == 2)
+    capped = [code for _, code in small if getattr(code, "_columns", None)]
+    assert len(capped) == 6 and all(code.base_length <= rs._COLUMN_CAP_CELLS for code in capped)
     refuse_tables(monkeypatch)
     for spec, code in small:
         again = parse_spec(spec)

@@ -98,8 +98,9 @@ def test_bench_pairs_verdicts(parent, change, better, bound, expected):
 
 
 def test_bench_pairs_runs_for_the_benchmark_run_seconds(tmp_path, monkeypatch):
-    """Every perfbench run lasts BENCHMARK.json's run_seconds; perfbench
-    itself is replaced by a stub that records its command lines."""
+    """After one one-second check run per seed, workload and tree, every
+    perfbench run lasts BENCHMARK.json's run_seconds; perfbench itself is
+    replaced by a stub that records its command lines."""
     bench_pairs = load_script("bench_pairs.py")
     root = SCRIPTS.parent
     spec = json.loads((root / "BENCHMARK.json").read_text())
@@ -117,9 +118,37 @@ def test_bench_pairs_runs_for_the_benchmark_run_seconds(tmp_path, monkeypatch):
     assert bench_pairs.main([str(root), str(root), "--seed", "1", "--out", str(out)]) == 0
     seconds = str(spec["run_seconds"])
     assert seconds == "30"
-    assert len(commands) == 3 * (2 * bench_pairs.PAIRS + 2)
-    assert {cmd[cmd.index("--seconds") + 1] for cmd in commands} == {seconds}
+    checks = 3 * 2 * bench_pairs.PAIRS
+    assert len(commands) == checks + 3 * (2 * bench_pairs.PAIRS + 2)
+    lengths = [cmd[cmd.index("--seconds") + 1] for cmd in commands]
+    assert lengths == ["1"] * checks + [seconds] * (len(commands) - checks)
     assert json.loads(out.read_text())["seconds"] == 30
+
+
+def test_bench_pairs_stops_on_a_bad_seed_before_any_full_length_run(tmp_path, monkeypatch):
+    """A seed whose one-second run reports a wrong result stops the script
+    with exit code 1 and a message that names it, before any run of
+    BENCHMARK.json's run_seconds."""
+    bench_pairs = load_script("bench_pairs.py")
+    root = SCRIPTS.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]] + ["gf.mults"]
+    commands = []
+
+    def perfbench(cmd, **kwargs):
+        commands.append(cmd)
+        bad = cmd[cmd.index("--workload") + 1] == "verify" and cmd[cmd.index("--seed") + 1] == "8"
+        result = {"correct": not bad, "failed": 0, "attempted": 1,
+                  "metrics": {name: {"value": 1.0} for name in names}}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", perfbench)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main([str(root), str(root), "--seed", "1", "--out", str(out)])
+    assert "verify seed 8 " in str(stop.value.code)  # sys.exit(text) exits 1
+    assert {cmd[cmd.index("--seconds") + 1] for cmd in commands} == {"1"}
+    assert not out.exists()
 
 
 def test_bench_pairs_reports_each_construction_median_ratio(tmp_path, monkeypatch):

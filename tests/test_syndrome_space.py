@@ -235,7 +235,7 @@ def test_every_remainder_of_an_odd_p_bch_code_decodes_only_to_base_field_pattern
     decoded, causes = 0, Counter()
     for rem in product(range(3), repeat=code.redundancy):
         try:
-            err = code.decode_remainder(rem)
+            err = code.decode_syndrome(code.power_sums(rem))
         except DecodeFailure as exc:
             causes[str(exc)] += 1
             continue
