@@ -43,11 +43,15 @@ power sums of the blocks' symbols over F_{p^k}.  Decoding inner-decodes
 each damaged block, corrects the estimates with the outer decoder,
 rebuilds the touched blocks from their symbol errors and stored
 residuals and re-checks them against the whole syndrome: every other
-block must have a zero residual.  Under the column cap the re-check is
-the XOR of the rebuilt cells' syndrome columns (``rs._BlockCode``).  A
-block whose inner decode fails is an outer erasure, at one outer
-syndrome instead of two; a block within the inner capability never
-fails, so every bound still holds.
+block must have a zero residual.  Under the binary column cap the
+re-check is the XOR of the rebuilt cells' syndrome columns
+(``rs._BlockCode``); over odd p it stays the re-split of the touched
+blocks, whose counted products are part of the decode's count, also
+where the syndrome comes from columns.  An odd-p inner code within
+the coset cap decodes each damaged block by one lookup in its counted
+coset table (``BchCode._message_error``).  A block whose inner decode
+fails is an outer erasure, at one outer syndrome instead of two; a block
+within the inner capability never fails, so every bound still holds.
 """
 
 from __future__ import annotations
@@ -60,8 +64,7 @@ from .errors import (
     QueryUnsupportedError,
     ShapeMismatchError,
 )
-from .gf import _from_digits
-from .rs import DecodeInfo, RsCode, _BlockCode, _check_symbols, _sparse_syndrome, _SpecIdentity
+from .rs import DecodeInfo, RsCode, _BlockCode, _check_symbols, _SpecIdentity
 
 
 class TrivialCode:
@@ -86,6 +89,7 @@ class FlatLayout(_SpecIdentity):
     """The N blocks side by side in one vector."""
 
     guidance = "two-stage decoding; one long 1D burst plus extra random errors"
+    translates = True  # every block is the first one moved by an offset
 
     def shape(self, N: int, n: int) -> tuple[int, ...]:
         return (N * n,)
@@ -107,6 +111,7 @@ class FlatLayout(_SpecIdentity):
 
 class IvLayout(_SpecIdentity):
     guidance = "several wide rectangular bursts, with a limited random-error budget"
+    translates = True
 
     def __init__(self, a: int, b: int):
         self.a, self.b = a, b
@@ -141,6 +146,7 @@ class IvLayout(_SpecIdentity):
 
 class VLayout(_SpecIdentity):
     guidance = "one large burst plus random errors spread thinly over the tiles"
+    translates = True
 
     def __init__(self, a: int, b: int):
         self.a, self.b = a, b
@@ -184,6 +190,7 @@ class VLayout(_SpecIdentity):
 class ViLayout(_SpecIdentity):
     guidance = ("thin row/column bursts and random errors; a full diagonal costs "
                 "one outer symbol")
+    translates = False  # the diagonals wrap around the columns
 
     def shape(self, N: int, n: int) -> tuple[int, int]:
         if N < n:
@@ -237,7 +244,10 @@ class ConcatCode(_BlockCode):
         return self.layout.cell(self.N, self.n_in, i, p)
 
     def _fill(self, sym: int) -> list[int]:
-        return self.inner.encode(self.outer.field.to_base_vector(sym))
+        """The inner codeword of a symbol's digits, unchecked: they are in
+        range (an identity inner code's codeword is the digits)."""
+        digits = self.outer.field.to_base_vector(sym)
+        return self.inner._codeword(digits) if self._chk else digits
 
     def _residual(self, block, sym: int) -> list:
         """An odd-p block's inner remainder: its check cells minus those of
@@ -246,17 +256,14 @@ class ConcatCode(_BlockCode):
 
     def _inner_decode(self, residual):
         """The symbol error of the inner pattern with this remainder, or
-        None (an erasure) where the inner decode fails.  Over odd p the
-        remainder's power sums go to the inner decoder unchecked: the split
-        computed them in range."""
-        inner, r = self.inner, self.inner.redundancy
+        None (an erasure) where the inner decode fails: its message digits,
+        over odd p from ``BchCode._message_error``."""
+        if self.p != 2:
+            return self.inner._message_error(residual)
         try:
-            if self.p == 2:
-                return inner.decode_packed(residual) >> r
-            errors = inner._errors(_sparse_syndrome(inner.field, residual, inner.count))
+            return self.inner.decode_packed(residual) >> self.inner.redundancy
         except DecodeFailure:
             return None
-        return _from_digits([errors.get(i, 0) for i in range(r, inner.n)], self.p)
 
     # ------------------------------------------------------------------
     # encode / syndrome / decode
@@ -275,11 +282,12 @@ class ConcatCode(_BlockCode):
         cells, is its stored part; every other block's part is zero; and
         the outer power sums of the touched blocks' symbols are ``sums``.
 
-        A concatenation with per-cell columns (binary, outer m <= 8, at
+        A concatenation with binary per-cell columns (outer m <= 8, at
         most ``rs._COLUMN_CAP_CELLS`` cells) re-checks by their XOR
         instead (``_BlockCode._decode``); this re-split of the touched
         blocks serves the longer codes, where one column XOR per set cell
-        would cost more than the lanes, and odd p."""
+        would cost more than the lanes, and odd p, with or without
+        columns, whose decode counts its products."""
         syms, res = self._split_cells(cells)
         got = self._parts(res) if self._chk else [0] * len(syms)
         if (

@@ -36,7 +36,9 @@ the RS decoder as erasures (one syndrome instead of two); a companion
 tile's symbol stands.  Clean blocks are never flagged, so every bound of
 the plain layout still holds.  A binary expansion of at most 256 cells
 takes its syndrome and a full re-check of each decode from per-cell
-syndrome columns (``rs._BlockCode``).
+syndrome columns (``rs._BlockCode``); an odd-p one with one-byte outer
+symbols and cells * (p - 1) <= 255 takes its syndrome from columns as
+digit bytes.
 """
 
 from __future__ import annotations
@@ -83,9 +85,13 @@ class ExpandedCode(_BlockCode):
     ``rs._COLUMN_CAP_CELLS`` cells (the roster's cI(rs(7,3)),
     cI+parity(rs(15,7)), cII and cIII) takes its syndrome from per-cell
     columns and re-checks every decode against the whole syndrome by
-    their XOR.  Above the cap, where a column XOR per set cell costs more
-    than the bit lanes, and over odd p the decode re-checks only the
-    outer symbol errors, as the RS decoder does."""
+    their XOR.  An odd-p expansion with outer symbols of one byte and
+    cells * (p - 1) <= 255 (cI+parity(rs(8,4;gf(3^2))) and
+    cIII(rs(8,4;gf(3^2));2,4) among the golden codes) sums per-cell
+    columns into digit-byte syndromes.  Above the caps, where a column
+    XOR per set cell costs more than the bit lanes or a byte could
+    carry, and over odd p, the decode re-checks only the outer symbol
+    errors, as the RS decoder does."""
 
     syndrome = _BlockCode.syndrome
 

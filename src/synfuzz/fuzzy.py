@@ -6,9 +6,12 @@ never stored.  Both come from one read of the word (``code._read``): its
 checked canonical body, the cells row-major as bytes, which the code's
 digest head prefixes for the hash and ``code._body_syndrome`` takes the
 syndrome of, already the template's bytes where every run is binary with
-one-byte symbols.  Verification makes one pass: it reads the presented
-word once the same way, reads and range-checks the stored syndrome once
-while subtracting the presented syndrome from it (``stored_minus``),
+one-byte symbols, and digit bytes (one byte per F_p digit) for an odd-p
+block code with columns, whose outer symbols alone are packed into the
+template's bytes (``syndrome_to_bytes``).  Verification makes one pass:
+it reads the presented word once the same way, reads and range-checks
+the stored syndrome once while subtracting the presented syndrome from
+it (``stored_minus``, in bytes for both byte forms),
 decodes the difference with the code's internal ``_decode`` to a sparse
 map from row-major cell offset to error value, changes those few cells
 of a copy of the body and accepts only when the digest of the result
@@ -143,9 +146,11 @@ def _patched(code, body, errors: dict) -> bytearray:
 def syndrome_to_bytes(code, synd) -> bytes:
     """The template serialization of a syndrome, a tuple or the bytes of
     ``code._body_syndrome``: every symbol big-endian in its run's width.
-    Bytes are returned as they are: every run of them is one byte wide."""
+    Binary bytes are returned as they are, every run of them one byte
+    wide; odd-p digit bytes pack each symbol's digits into its one byte
+    (``code._template``)."""
     if type(synd) is bytes:
-        return synd
+        return code._template(synd) if code._digits else synd
     out = []
     at = 0
     for count, field in code.segments:
@@ -164,11 +169,21 @@ _BINARY_SYMBOLS = {1 << m: bytes(range(1 << m)) for m in range(1, 9)}
 def stored_minus(code, raw: bytes, presented):
     """The stored syndrome bytes ``raw`` minus the presented word's
     syndrome, after checking that they fit ``code.segments``
-    (TemplateFormatError).  A presented syndrome in bytes (every run over
-    characteristic 2 with one-byte symbols, ``code._body_syndrome``) is
-    subtracted as one XOR of the two byte strings as ints, returned as
-    bytes: ``presented`` is in range, so the difference is in range
-    exactly when ``raw`` is."""
+    (TemplateFormatError).  A presented syndrome in bytes
+    (``code._body_syndrome``) is subtracted in bytes: ``presented`` is in
+    range, so the difference is in range exactly when ``raw`` is.  Over
+    characteristic 2 with one-byte symbols it is one XOR of the two byte
+    strings as ints.  Odd-p digit bytes (``code._digits``) take ``raw``
+    as digit bytes (``code._stored_digits``), add p to every byte,
+    subtract the presented int, which no byte borrows, and reduce each
+    byte mod p by one translate."""
+    if code._digits and type(presented) is bytes:
+        stored = code._stored_digits(raw)
+        if stored is None:  # the tuple reader names the fault
+            syndrome_from_bytes(code, raw)
+        maps = code._digits
+        diff = int.from_bytes(stored, "little") + maps.carry - int.from_bytes(presented, "little")
+        return diff.to_bytes(maps.size, "little").translate(maps.reduce)
     if type(presented) is not bytes or len(raw) != len(presented):
         return code.syndrome_sub(syndrome_from_bytes(code, raw), presented)
     at = 0

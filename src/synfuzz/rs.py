@@ -38,7 +38,10 @@ The kernel counts no multiplication.  A binary block word reaches it
 through bit lanes: one int per cell position of a block, across all
 blocks, from one strided byte slice; one of at most 256 cells with outer
 symbols of m <= 8 bits skips both and XORs one per-cell syndrome column
-per set cell (``_BlockCode._columns``).  Odd characteristics keep the
+per set cell (``_BlockCode._columns``).  An odd-p block code with
+one-byte outer symbols and cells * (p - 1) <= 255 sums one column per
+cell, one byte per F_p digit of the syndrome, and reduces every byte mod
+p at the end (``_BlockCode._digit_columns``); longer ones keep the
 per-symbol paths ``_sparse_syndrome`` and ``_poly_remainder``.
 
 Over F_{2^m}, m <= 8, a code whose Chien table fits its cap decodes on
@@ -57,12 +60,16 @@ and counts its multiplications; the scalar one stays for odd p, for
 m > 8 and above the cap.  A small binary BCH code decodes a packed
 remainder by one lookup in its coset-leader table, the remainder of
 every pattern of weight <= design_t (``_coset_table``; standard-array
-decoding, Slepian 1956).
+decoding, Slepian 1956).  A small odd-p BCH code's counted coset table
+maps every remainder to the message error of the scalar decode and the
+multiplications it counted (``BchCode._load_counted_cosets``), so a
+concatenation's inner decode is one lookup that counts what the scalar
+decode would.
 
 Every table (generator, kernel, Chien table with its columns, coset and
-check tables, a block code's per-cell columns, and a field's rows) is
-built on first use into a slot its owner sets to None in ``__init__``,
-never at construction.  The tables
+check tables, a block code's per-cell columns with its digit maps, and a
+field's rows) is built on first use into a slot its owner sets to None
+in ``__init__``, never at construction.  The tables
 live and die with their code; ``codespec.parse_spec`` keeps parsed codes,
 so a re-parsed spec finds them built.
 """
@@ -72,9 +79,9 @@ from __future__ import annotations
 import struct
 from collections import namedtuple
 from functools import reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, product, repeat
 from math import comb
-from operator import countOf, itemgetter, xor
+from operator import add, countOf, getitem, itemgetter, xor
 
 from .errors import (
     AlphabetMismatchError,
@@ -85,7 +92,7 @@ from .errors import (
     ShapeMismatchError,
     TooManyErasuresError,
 )
-from .gf import MUL_COUNTER, ExtField, _from_digits
+from .gf import MUL_COUNTER, ExtField, _from_digits, _to_digits
 
 
 class DecodeInfo(namedtuple("DecodeInfo", "inner_failed outer_corrected")):
@@ -130,19 +137,21 @@ class LinearCode(_SpecIdentity):
     implements ``_body_syndrome(body)``, the syndrome of a word's body
     (``_read``, below) laid out as ``segments``: ``bytes`` where every run
     is over characteristic 2 with one-byte symbols (byte i is symbol i, so
-    the bytes are also the template's serialization), else a tuple of
-    ints.  ``syndrome(word)`` is the syndrome of a word after its read,
-    always a tuple.
+    the bytes are also the template's serialization), digit bytes where
+    ``_digits`` is set (an odd-p ``_BlockCode`` with columns: one byte per
+    F_p digit, a symbol's digits low first, which ``_template`` packs into
+    the template's bytes), else a tuple of ints.  ``syndrome(word)`` is
+    the syndrome of a word after its read, always a tuple.
     ``_decode(syndrome)`` is the one decode: the error as a sparse map
     from row-major flat cell offset to its nonzero value, and the
-    decode's ``DecodeInfo``.  ``_decode`` takes a syndrome
-    in either form known to fit ``segments`` (``fuzzy.verify`` builds one
-    in range) and raises DecodeFailure where no pattern within reach
-    reproduces it.
-    ``decode(syndrome)`` is its one dense wrapper: it checks the syndrome
-    and returns the pattern shaped like the data word, with the
-    ``DecodeInfo`` if asked.  For a plain RS or BCH code the syndrome is
-    the power sums S_j = word(alpha^j), j = 1..count.
+    decode's ``DecodeInfo``.  ``_decode`` takes a syndrome known to fit
+    ``segments``, a tuple or in the form ``_body_syndrome`` gives
+    (``fuzzy.verify`` builds one in range), and raises DecodeFailure
+    where no pattern within reach reproduces it.
+    ``decode(syndrome)`` is its one dense wrapper: it checks the syndrome,
+    decodes it as a tuple and returns the pattern shaped like the data
+    word, with the ``DecodeInfo`` if asked.  For a plain RS or BCH code
+    the syndrome is the power sums S_j = word(alpha^j), j = 1..count.
 
     A base-field code states only where its blocks live: ``_block_order()``
     gives the flat offsets of its cells, block by block, or None where they
@@ -183,7 +192,8 @@ class LinearCode(_SpecIdentity):
         """The syndrome of a data word, a tuple of ints laid out as
         ``segments``; ShapeMismatchError for a word the code does not
         take."""
-        return tuple(self._body_syndrome(self._read(word)))
+        synd = self._body_syndrome(self._read(word))
+        return tuple(self._template(synd) if self._digits else synd)
 
     def syndrome_sub(self, a: tuple, b: tuple) -> tuple:
         """a - b, symbol by symbol in each run's field."""
@@ -200,7 +210,7 @@ class LinearCode(_SpecIdentity):
         decodes to, and its ``DecodeInfo`` if ``with_info``.  A syndrome
         that does not fit ``segments`` is a ShapeMismatchError."""
         self._check_syndrome(synd)
-        errors, info = self._decode(synd)
+        errors, info = self._decode(tuple(synd))
         pattern = self._dense(errors)
         return (pattern, info) if with_info else pattern
 
@@ -227,6 +237,7 @@ class LinearCode(_SpecIdentity):
     _spec = None  # spec_string(), set on first use
     _head = None  # the digest head, set on first use
     _below = None  # the byte table of the alphabet's symbols, set on first use
+    _digits = False  # whether _body_syndrome gives digit bytes (``_BlockCode``)
 
     def _load_consts(self) -> None:
         """Build ``_spec``, ``_head`` (``canonical_spec()|shape|`` in
@@ -363,31 +374,47 @@ class _BlockCode(LinearCode):
     (``RsCode._power_sums``).  Lane j is the strided slice
     ``cells[j::_width]`` of its cells in block order: the body itself
     where the blocks lie row-major, else the body gathered by one
-    itemgetter of the block order (``_gather``, built on first use).  An
-    odd-p word is split block by block from its gathered cells.
+    itemgetter of the block order (``_gather``, built on first use).
+
+    Over odd p the syndrome is F_p-linear in the word.  A code with outer
+    symbols of one byte (p^m <= 256), at most ``_COLUMN_CAP_CELLS`` cells
+    and cells * (p - 1) <= 255 has ``_columns`` as p ints per cell, value
+    v's syndrome at that cell in digit bytes: one byte per F_p digit, an
+    outer symbol's m digits low first (``_digit_columns``).  Its
+    syndrome is the sum of one column per cell, where no byte carries,
+    reduced mod p by one translate, and ``_digits`` holds the maps that
+    convert the r outer symbols at the template boundary (``_template``,
+    ``_stored_digits``).  Above that cap an odd-p word is split block by
+    block from its gathered cells.
 
     Every placement decision is the ``layout``'s (a ``concat.py`` layout
     object): ``shape`` is ``layout.shape(n, _width)``, and
-    ``_block_order()`` asks ``layout.cell(n, _width, i, p)`` for every
-    cell, with p running over ``places`` in block-format order (default
-    1.._width); a one-row shape needs no order.  The syndrome lists its
+    ``_block_order()`` asks ``layout.cell(n, _width, i, p)`` for the
+    cells, with p running over ``places`` in block-format order (default
+    1.._width): for every cell, or only for the first block and each
+    block's origin where ``layout.translates``; a one-row shape needs no
+    order.  The syndrome lists its
     two runs in the order a block lists its cells: the outer power sums
     first where the symbol digits come first (``_sym_at == 0``), the
     residuals first otherwise, and an empty residual run is left out of
     ``segments``.  ``_body_syndrome`` computes it, as bytes over F_2 with
-    outer symbols of m <= 8 bits; each subclass binds the public
-    ``syndrome`` in its own class (perfbench/spans.py traces it there).
+    outer symbols of m <= 8 bits and as digit bytes with odd-p columns;
+    each subclass binds the public ``syndrome`` in its own class
+    (perfbench/spans.py traces it there).
 
-    ``_decode`` splits a syndrome by those runs, inner-decodes or erases
-    each damaged block, runs the outer decode and rebuilds only the
-    touched blocks, those with a nonzero symbol error or stored residual,
-    from their symbol errors and stored parts (over F_2 in one unpack).
-    Their nonzero cells, at the offsets ``_block_order()`` gives, are the
-    sparse error map; every other block is zero.  With ``_columns`` the
-    XOR of the map's columns must be the whole syndrome, a full re-check
-    for expansions and concatenations alike; without, ``_recheck`` may
-    check the rebuilt blocks against the whole syndrome, as a
-    concatenation does.  A subclass also gives ``_inner_decode(part)``:
+    ``_decode`` splits a syndrome by those runs (a digit-byte syndrome's
+    outer sums packed back into symbols), inner-decodes or erases each
+    damaged block, runs the outer decode and rebuilds only the touched
+    blocks, those with a nonzero symbol error or stored residual, from
+    their symbol errors and stored parts (over F_2 in one unpack).  Their
+    nonzero cells, at the offsets ``_block_order()`` gives, are the
+    sparse error map; every other block is zero.  With binary
+    ``_columns`` the XOR of the map's columns must be the whole syndrome,
+    a full re-check for expansions and concatenations alike; otherwise
+    ``_recheck`` may check the rebuilt blocks against the whole syndrome,
+    as a concatenation does.  Odd p keeps ``_recheck`` with columns too:
+    its counted products are part of the decode's count, which a column
+    re-check would change.  A subclass also gives ``_inner_decode(part)``:
     the symbol error a damaged block's residual suggests, or None to make
     the block an outer erasure.
     """
@@ -402,6 +429,7 @@ class _BlockCode(LinearCode):
         self._checks = None  # the check tables over F_2, set on first use
         self._lanes = None  # the lanes of each check digit over F_2, set on first use
         self._columns = None  # the per-cell syndrome columns, False without; set on first use
+        self._digits = False  # the digit-byte maps of odd-p columns, set with them
         self._order = None
         self._gather = None  # the itemgetter of a 2-D body in block order, set on first use
         self._spec = self._head = self._below = None
@@ -418,22 +446,35 @@ class _BlockCode(LinearCode):
 
     def _block_order(self):
         """The row-major offset of every cell the layout places, block by
-        block in block-format order; None for a one-row shape."""
+        block in block-format order; None for a one-row shape.  Where every
+        block is the first one moved by an offset (``layout.translates``:
+        iv and v), the first block's offsets plus each block's origin, one
+        addition per cell; else ``layout.cell`` of every cell."""
         if len(self.shape) == 1:
             return None
         N, width, cell, cols = self.outer.n, self._width, self.layout.cell, self.shape[1]
         places = self._places or range(1, width + 1)
-        return tuple([r * cols + c for i in range(1, N + 1) for p in places
-                      for r, c in (cell(N, width, i, p),)])
+        if not self.layout.translates:
+            return tuple([r * cols + c for i in range(1, N + 1) for p in places
+                          for r, c in (cell(N, width, i, p),)])
+        first = [r * cols + c for p in places for r, c in (cell(N, width, 1, p),)]
+        origins = [r * cols + c - first[0] for i in range(1, N + 1)
+                   for r, c in (cell(N, width, i, places[0]),)]
+        return tuple(map(add, first * N, chain.from_iterable(map(repeat, origins, repeat(width)))))
 
     def _body_syndrome(self, body):
         """The outer power sums of a body's block symbols and the blocks'
         residuals, in ``segments`` order: bytes where the outer sums are
-        (F_2 digits, outer symbols of m <= 8 bits), else a tuple.  With
-        ``_columns``, the XOR of the columns of the body's set cells."""
+        (F_2 digits, outer symbols of m <= 8 bits), digit bytes with odd-p
+        columns, else a tuple.  With binary ``_columns``, the XOR of the
+        columns of the body's set cells; with odd-p ones, the sum of each
+        cell's column of its value, reduced mod p byte by byte."""
         columns = self._columns
         if columns is None:
             columns = self._load_columns()
+        if self._digits:
+            total = sum(map(getitem, columns, body))
+            return total.to_bytes(self._digits.size, "little").translate(self._digits.reduce)
         if columns:
             return reduce(xor, compress(columns, body), 0).to_bytes(self._size, "little")
         syms, res = self._split_body(body)
@@ -446,19 +487,24 @@ class _BlockCode(LinearCode):
         the residual run split into parts, each damaged block
         inner-decoded or erased, the outer decode, then the touched blocks
         rebuilt from their symbol errors and stored parts and re-checked:
-        with ``_columns`` the XOR of the columns of the map's cells must be
-        the whole syndrome, else ``_recheck`` runs."""
-        r = self.outer.redundancy
+        with binary ``_columns`` the XOR of the columns of the map's cells
+        must be the whole syndrome, else ``_recheck`` runs.  A digit-byte
+        syndrome's outer sums take m bytes each."""
+        columns = self._columns
+        if columns is None:
+            columns = self._load_columns()
+        outer = self.outer
+        digits = self._digits and type(synd) is bytes
+        r = outer.redundancy * outer.field.m if digits else outer.redundancy
         sums, res = (synd[-r:], synd[:-r]) if self._sym_at else (synd[:r], synd[r:])
+        if digits:
+            sums = _pack_digits(sums, outer.field)
         parts = self._parts(res)
         errors, erasures, delta = self._decode_blocks(parts, sums)
         touched = self._touched(errors, parts)
         cells = self._touched_cells(touched, errors, parts)
         found = self._cell_map(touched, cells)
-        columns = self._columns
-        if columns is None:
-            columns = self._load_columns()
-        if not columns:
+        if not columns or self._digits:
             self._recheck(touched, cells, parts, sums)
         elif reduce(xor, map(columns.__getitem__, found), 0) != int.from_bytes(synd, "little"):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
@@ -471,16 +517,28 @@ class _BlockCode(LinearCode):
 
     def _load_columns(self):
         """Column c: the syndrome of the word with a single 1 at row-major
-        cell c, read as a little-endian int; False above the cap, for odd
-        p or for outer symbols wider than a byte.
-
-        A symbol digit b of block i has the outer power column of position
-        i times x^b as its sums and its unit fill's check cells as block
-        i's residual digits; a check cell has its one residual digit."""
-        outer, field, chk = self.outer, self.outer.field, self._chk
-        if self.alphabet.p != 2 or field.m > 8 or self.base_length > _COLUMN_CAP_CELLS:
+        cell c, read as a little-endian int (``_bit_columns``), over odd p
+        a tuple of one int per cell value (``_digit_columns``); False above
+        the cap, for outer symbols wider than a byte, or over odd p where a
+        byte could carry (cells * (p - 1) > 255)."""
+        field, p, cells = self.outer.field, self.alphabet.p, self.base_length
+        if field.order > 256 or cells > _COLUMN_CAP_CELLS or p != 2 and cells * (p - 1) > 255:
             self._columns = False
             return False
+        by_block = self._bit_columns() if p == 2 else self._digit_columns()
+        columns = [0] * len(by_block)
+        for at, col in zip(self._order or self._load_order() or range(len(by_block)), by_block):
+            columns[at] = col
+        self._columns = tuple(columns)
+        return self._columns
+
+    def _bit_columns(self) -> list:
+        """Over F_2, the column of every cell, block by block in
+        block-format order.  A symbol digit b of block i has the outer power
+        column of position i times x^b as its sums and its unit fill's
+        check cells as block i's residual digits; a check cell has its one
+        residual digit."""
+        outer, field, chk = self.outer, self.outer.field, self._chk
         rows = field._rows or field._load_rows()
         units = [rows[1 << b] for b in range(field.m)]
         fills = [0] * field.m  # per symbol digit, its unit fill's residual digits
@@ -499,11 +557,78 @@ class _BlockCode(LinearCode):
             for k in range(chk):
                 block[self._chk_at + k] = 1 << at + 8 * k
             by_block += block
-        columns = [0] * len(by_block)
-        for at, col in zip(self._order or self._load_order() or range(len(by_block)), by_block):
-            columns[at] = col
-        self._columns = tuple(columns)
-        return self._columns
+        return by_block
+
+    def _digit_columns(self) -> list:
+        """Over odd p, the column of every cell, block by block in
+        block-format order, and ``_digits``: p ints per cell, value v's the
+        syndrome of the word with v at that cell and zeros elsewhere, as
+        digit bytes (one byte per F_p digit, an outer symbol's m digits low
+        first) read as a little-endian int.  A sum of one column per cell
+        holds at most cells * (p - 1) <= 255 in a byte, so no byte carries
+        and one translate reduces the sum mod p (``_body_syndrome``).
+
+        A symbol digit b of block i has x^b alpha^(ij), j = 1..r, as its
+        outer sums and minus its unit fill's check cells as block i's
+        residual digits; a check cell has its one residual digit.  The
+        fills' products are not counted: building is not decoding."""
+        outer, field, chk, p = self.outer, self.outer.field, self._chk, self.alphabet.p
+        m, r, q1 = field.m, outer.redundancy, field.order - 1
+        size = outer.n * chk + r * m
+        sums_at, res_at = (outer.n * chk, 0) if self._sym_at else (0, r * m)
+        counted = MUL_COUNTER.n
+        fills = [[-v % p for v in self._fill(p**b)[self._chk_at : self._chk_at + chk]]
+                 for b in range(m)]
+        MUL_COUNTER.n = counted
+        scales = [bytes(v * d % p for d in range(256)) for v in range(p)]  # d -> v*d mod p
+        by_block = []
+        for i in range(outer.n):
+            at = res_at + i * chk
+            for j in range(self._width):
+                unit = bytearray(size)
+                b = j - self._sym_at
+                if 0 <= b < m:
+                    sums = (field._exp[(b + i * e) % q1] for e in range(1, r + 1))
+                    unit[sums_at : sums_at + r * m] = bytes(
+                        d for v in sums for d in _to_digits(v, p, m))
+                    unit[at : at + chk] = fills[b]
+                else:
+                    unit[at + j - self._chk_at] = 1
+                by_block.append(tuple(int.from_bytes(unit.translate(scale), "little")
+                                      for scale in scales))
+        spread = tuple(bytes(v // p**b % p if v < field.order else 255 for v in range(256))
+                       for b in range(m))
+        self._digits = _DigitMaps(size, bytes(v % p for v in range(256)),
+                                  int.from_bytes(bytes([p]) * size, "little"), spread,
+                                  bytes(range(p)))
+        return by_block
+
+    def _template(self, digits) -> bytes:
+        """The template bytes of a digit-byte syndrome, one byte per
+        symbol: each outer symbol's m digits packed (``_pack_digits``),
+        the residual digits as they are."""
+        field = self.outer.field
+        cut = self.outer.redundancy * field.m
+        if self._sym_at:
+            return digits[:-cut] + _pack_digits(digits[-cut:], field)
+        return _pack_digits(digits[:cut], field) + digits[cut:]
+
+    def _stored_digits(self, raw):
+        """The digit bytes of the template bytes ``raw`` of a code with
+        digit bytes, or None where their length is not the syndrome's or a
+        symbol lies outside its run's field: each outer symbol spread into
+        its m digits by one translate per digit (a byte past the field
+        gives 255, which no digit is), then one check that every digit is
+        below p."""
+        r, m, maps = self.outer.redundancy, self.outer.field.m, self._digits
+        if len(raw) != self._size:
+            return None
+        sums, res = (raw[-r:], raw[:-r]) if self._sym_at else (raw[:r], raw[r:])
+        spread = bytearray(r * m)
+        for b, table in enumerate(maps.spread):
+            spread[b::m] = sums.translate(table)
+        digits = res + spread if self._sym_at else spread + res
+        return None if digits.translate(None, maps.digits) else bytes(digits)
 
     def _load_order(self):
         """The block order as 4-byte offsets, a memoryview of native
@@ -603,15 +728,17 @@ class _BlockCode(LinearCode):
 
     def _parts(self, res) -> list:
         """Each block's residual from the flat residuals of consecutive
-        blocks: an int over F_2 (digit j at bit j), else a tuple; 0 where it
-        is zero.  Without check cells every one of the n parts is 0."""
+        blocks: an int over F_2 (digit j at bit j), else the bytes of its
+        digits; 0 where it is zero.  Without check cells every one of the
+        n parts is 0."""
         chk = self._chk
         if not chk:
             return [0] * self.outer.n
         if self.alphabet.p == 2:
             return _pack_runs(res, chk)
-        parts = (tuple(res[at : at + chk]) for at in range(0, len(res), chk))
-        return [part if any(part) else 0 for part in parts]
+        res, zero = bytes(res), bytes(chk)
+        parts = [res[at : at + chk] for at in range(0, len(res), chk)]
+        return [part if part != zero else 0 for part in parts]
 
     def _rebuild(self, syms, parts) -> list:
         """The word whose blocks hold the symbols ``syms`` with residuals
@@ -679,6 +806,24 @@ class _BlockCode(LinearCode):
         for i, d in delta.items():
             est[i] = add(est[i], d)
         return est, erasures, delta
+
+
+# An odd-p block code's digit-byte maps: the syndrome's size in digit
+# bytes, the translate table reducing each byte mod p, the int with p in
+# every digit byte, per digit b < m the table taking a one-byte outer
+# symbol to its digit b (255 past the field), and the bytes 0 .. p - 1.
+_DigitMaps = namedtuple("_DigitMaps", "size reduce carry spread digits")
+
+
+def _pack_digits(digits, field: ExtField) -> bytes:
+    """Each run of m digit bytes, low digit first, as the one byte of its
+    symbol of ``field`` (order <= 256): the digit slices weighted by p^b
+    and summed as ints, which no byte carries."""
+    m, p = field.m, field.p
+    if m == 1:
+        return bytes(digits)
+    total = sum(int.from_bytes(digits[b::m], "little") * p**b for b in range(m))
+    return total.to_bytes(len(digits) // m, "little")
 
 
 def _poly_mul(field: ExtField, f, g):
@@ -1317,8 +1462,12 @@ class _CyclicCode(_SpecIdentity):
     def _encode(self, message) -> list[int]:
         """Systematic cyclic encoding: message high, parity low."""
         _check_symbols(message, self.k, self.s, self._symbols)
-        parity = self._remainder([0] * self.redundancy + list(message))
-        return [self.field.neg(v) for v in parity] + list(message)
+        return self._codeword(list(message))
+
+    def _codeword(self, message: list) -> list[int]:
+        """``_encode`` of a message list known to lie in F_s, unchecked."""
+        parity = self._remainder([0] * self.redundancy + message)
+        return [self.field.neg(v) for v in parity] + message
 
     def _remainder(self, word) -> list[int]:
         """word(x) mod the generator, for a word known to lie in F_s."""
@@ -1550,11 +1699,28 @@ class RsCode(_CyclicCode, LinearCode):
     def _minus_sums(self, synd, symbols):
         """``synd`` minus the power sums of the n-symbol word whose
         nonzero symbols are the ``(position, value)`` pairs: bytes from
-        ``_sums`` where the code has its Chien table, else from the dense
-        word's ``_power_sums``."""
+        ``_sums`` where the code has its Chien table; over odd p a list,
+        each pair's terms subtracted in turn, counted as
+        ``_sparse_syndrome`` counts them; else from the dense word's
+        ``_power_sums``."""
         if self._chien:
             diff = int.from_bytes(bytes(synd), "little") ^ self._sums(symbols)
             return diff.to_bytes(self.count, "little")
+        field = self.field
+        if field.p != 2:
+            exp, log, add, q1 = field._exp, field._log, field.add, field.order - 1
+            out, nm = list(synd), 0
+            for i, v in symbols:
+                lv = (log[v] + field._half) % q1  # -v = v alpha^half
+                step = e = i % q1
+                for j in range(self.count):
+                    out[j] = add(out[j], exp[lv + e])
+                    e += step
+                    if e >= q1:
+                        e -= q1
+                nm += self.count
+            MUL_COUNTER.add(nm)
+            return out
         word = [0] * self.n
         for i, v in symbols:
             word[i] = v
@@ -1641,6 +1807,53 @@ class BchCode(_CyclicCode):
         if err is None:
             raise DecodeFailure("no pattern of weight <= t has this remainder")
         return err
+
+    def _message_error(self, remainder: bytes):
+        """Over odd p: the message digits (positions r .. n-1) of the
+        pattern of weight <= design_t with this remainder, the bytes of its
+        r digits, as one int, or None where the decode fails; the scalar
+        decode's multiplications are counted.
+
+        A lookup in the counted coset table where p^r <= ``_COSET_CAP``
+        (``_load_counted_cosets``), which adds the entry's count, else the
+        scalar decode (``_scalar_message_error``)."""
+        cosets = self._cosets
+        if cosets is None:
+            cosets = self._load_counted_cosets()
+        if cosets is False:
+            return self._scalar_message_error(remainder)
+        error, count = cosets[remainder]
+        MUL_COUNTER.add(count)
+        return error
+
+    def _scalar_message_error(self, remainder):
+        """``_message_error`` by ``_gpz_decode`` of the remainder's power
+        sums, which go to the decoder unchecked: they are in range."""
+        try:
+            errors = self._errors(_sparse_syndrome(self.field, remainder, self.count))
+        except DecodeFailure:
+            return None
+        r = self.redundancy
+        return _from_digits([errors.get(i, 0) for i in range(r, self.n)], self.p)
+
+    def _load_counted_cosets(self):
+        """Over odd p, remainder -> (``_scalar_message_error``, the
+        multiplications it counted) for every remainder, keyed by the
+        bytes of its digits; False where p^r > ``_COSET_CAP``.  Each entry
+        is one run of the scalar decode under MUL_COUNTER, so a lookup
+        counts exactly what the scalar decode would; the build leaves the
+        counter as it found it.  The inner codes a concatenation admits
+        have at most 2401 remainders, built in under 0.1 s."""
+        if self.p**self.redundancy > _COSET_CAP:
+            self._cosets = False
+            return False
+        counted, table = MUL_COUNTER.n, {}
+        for digits in product(range(self.p), repeat=self.redundancy):
+            key, before = bytes(digits), MUL_COUNTER.n
+            table[key] = self._scalar_message_error(key), MUL_COUNTER.n - before
+        MUL_COUNTER.n = counted
+        self._cosets = table
+        return table
 
     def spec_string(self) -> str:
         return f"bch({self.n},{self.design_t};gf({self.p}))"

@@ -1,25 +1,33 @@
-"""Per-cell syndrome columns against the bit lanes they stand in for.
+"""Per-cell syndrome columns against the paths they stand in for.
 
 A binary block code of at most ``rs._COLUMN_CAP_CELLS`` cells, with outer
 symbols of m <= 8 bits, takes its syndrome as the XOR of one column per
 set cell, and its decoder re-checks the sparse map it returns by the
 same XOR.  With the cap patched to 0 the same code takes the bit lanes
 and, for a concatenation, ``ConcatCode._recheck``: the oracle here.
+
+An odd-p block code with one-byte outer symbols and cells * (p - 1) <= 255
+takes its syndrome as digit bytes, the sum of one column per cell reduced
+mod p, and decodes from them; a concatenation's inner decodes read the
+counted coset table.  With both caps patched to 0 the code takes the
+per-symbol split, ``_poly_remainder`` and ``_gpz_decode``: the oracle.
 """
 
 import gc
 import random
 import sys
 import tracemalloc
+from collections import OrderedDict
 from itertools import product
 
 import pytest
 
 import test_protocol
 from synfuzz import codespec, rs
-from synfuzz.errors import DecodeFailure
-from synfuzz.fuzzy import enroll
-from synfuzz.gf import MUL_COUNTER
+from synfuzz.errors import DecodeFailure, TemplateFormatError
+from synfuzz.fuzzy import enroll, stored_minus, syndrome_from_bytes, syndrome_to_bytes, verify
+from synfuzz.gf import MUL_COUNTER, _from_digits
+from synfuzz.rs import BchCode
 
 from test_golden import GOLDEN, WIDE_GOLDEN, golden_word
 from test_syndrome_space import BLOCK_CODES, decode_all
@@ -220,3 +228,317 @@ def test_the_largest_columns_fit_the_code_weight():
         tracemalloc.stop()
     assert code._size == 190 and columns < bound
     assert retained <= codespec._weight(spec, code) * 40
+
+
+# The odd-p golden block codes: vi over gf(5), cI+parity and cIII over gf(3).
+ODD_BLOCK = [g[1] for g in GOLDEN if g[3] in (3, 5) and not g[1].startswith("rs")]
+
+
+def scalar_off(monkeypatch):
+    """Both caps at 0 and an empty code cache: the codes parsed next take
+    the per-symbol paths, their inner codes the scalar decode."""
+    monkeypatch.setattr(rs, "_COLUMN_CAP_CELLS", 0)
+    monkeypatch.setattr(rs, "_COSET_CAP", 0)
+    monkeypatch.setattr(codespec, "_codes", OrderedDict())
+
+
+def seeded_words(code, seed, count=8):
+    rng = random.Random(seed)
+    q = code.alphabet.order
+    return [code._shaped([rng.randrange(q) for _ in range(code.base_length)])
+            for _ in range(count)] + [code.zero_word()]
+
+
+def noisy_reads(code, word, seed):
+    """Reads of the word with 0 .. 2t + 1 damaged blocks, one to all cells
+    each, and two other words: within and past the capability."""
+    rng = random.Random(seed)
+    q, width, outer = code.alphabet.order, code._width, code.outer
+    flat = [v for row in word for v in row] if len(code.shape) == 2 else list(word)
+    order = code._block_order() or range(code.base_length)
+    reads = []
+    for blocks in list(range(2 * outer.t + 2)) * 3:
+        cells = list(flat)
+        for i in rng.sample(range(outer.n), blocks):
+            for j in rng.sample(range(width), rng.randint(1, width)):
+                at = order[i * width + j]
+                cells[at] = (cells[at] + rng.randrange(1, q)) % q
+        reads.append(code._shaped(cells))
+    return reads + seeded_words(code, seed + 1, 2)[:2]
+
+
+def outcome(decode, synd):
+    """The sparse map and DecodeInfo a decode returns, or None, with the
+    multiplications it counted."""
+    before = MUL_COUNTER.count
+    try:
+        got = decode(synd)
+    except DecodeFailure:
+        got = None
+    return got, MUL_COUNTER.count - before
+
+
+def digit_runs(code, symbols):
+    """The digit bytes of a syndrome tuple: each symbol's base-p digits,
+    low first."""
+    fields = [f for count, f in code.segments for _ in range(count)]
+    return bytes(d for v, f in zip(symbols, fields) for d in f.to_base_vector(v))
+
+
+@pytest.mark.parametrize("spec", ODD_BLOCK)
+def test_odd_columns_give_the_per_symbol_syndromes(spec, monkeypatch, fresh_codes):
+    """Seeded words and the zero word: digit bytes that are the
+    per-symbol syndrome's digits, the same template bytes, and each column
+    the digits of the syndrome of its cell's value alone."""
+    columns = fresh(spec)
+    words = seeded_words(columns, 0x0DD)
+    digits = [columns._body_syndrome(columns._read(w)) for w in words]
+    templates = [syndrome_to_bytes(columns, d) for d in digits]
+    units = []
+    for at in range(columns.base_length):
+        for v in range(columns.alphabet.p):
+            unit = bytearray(columns.base_length)
+            unit[at] = v
+            units.append(unit)
+    scalar_off(monkeypatch)
+    oracle_code = fresh(spec)
+    tuples = [oracle_code._body_syndrome(oracle_code._read(w)) for w in words]
+    assert oracle_code._columns is False and type(tuples[0]) is tuple
+    assert bool(columns._digits) and columns._columns
+    assert digits == [digit_runs(columns, t) for t in tuples]
+    assert templates == [syndrome_to_bytes(oracle_code, t) for t in tuples]
+    assert [columns.syndrome(w) for w in words] == tuples
+    assert [columns._columns[at][v] for at in range(columns.base_length)
+            for v in range(columns.alphabet.p)] == [
+        int.from_bytes(digit_runs(columns, oracle_code._body_syndrome(u)), "little")
+        for u in units]
+
+
+@pytest.mark.parametrize("spec", ODD_BLOCK)
+def test_odd_columns_decode_like_the_per_symbol_path(spec, monkeypatch, fresh_codes):
+    """The verify path on digit bytes (columns, coset table) and on
+    tuples (per-symbol split, scalar inner decode): the same templates,
+    VerifyResults with their decode_mults, and ``_decode`` outcomes with
+    their counts, on noisy reads and on seeded template syndromes, in
+    range and out."""
+    code = fresh(spec)
+    words = seeded_words(code, 0x0DE, 3)
+    cases = [(w, r) for k, w in enumerate(words) for r in noisy_reads(code, w, k)]
+    rng = random.Random(0x0DF)
+    raws = [bytes(rng.randrange(f.order) for count, f in code.segments for _ in range(count))
+            for _ in range(200)]
+    zero = code._body_syndrome(code._read(code.zero_word()))
+
+    def run(code):
+        results = []
+        for word, read in cases:
+            template = enroll(word, code)
+            synd = code._body_syndrome(code._read(read))
+            results.append((template, verify(read, template, code=code),
+                            outcome(code._decode, stored_minus(code, template.syndrome, synd))))
+        return results + [outcome(code._decode, stored_minus(code, raw, zero)) for raw in raws]
+
+    expected = run(code)
+    scalar_off(monkeypatch)
+    oracle_code = fresh(spec)
+    zero = oracle_code._body_syndrome(oracle_code._read(oracle_code.zero_word()))
+    assert type(zero) is tuple
+    assert run(oracle_code) == expected
+    assert oracle_code._columns is False and code._columns
+    accepted = [v.accepted for _, v, _ in expected[: len(cases)]]
+    assert any(accepted) and not all(accepted)
+    assert any(got is None for got, _ in expected[len(cases):])
+    assert any(got is not None for got, _ in expected[len(cases):])
+
+
+@pytest.mark.parametrize("spec", ODD_BLOCK)
+def test_odd_digit_bytes_refuse_what_the_tuple_reader_refuses(spec, fresh_codes):
+    """Stored syndrome bytes with a symbol outside its run's field, or of
+    the wrong length, raise the tuple reader's TemplateFormatError, with
+    its message."""
+    code = fresh(spec)
+    word = code.zero_word()
+    raw = enroll(word, code).syndrome
+    presented = code._body_syndrome(code._read(word))
+    at, bad = 0, []
+    for count, field in code.segments:
+        for value in (field.order, 255):
+            bad.append(raw[:at] + bytes([value]) + raw[at + 1 :])
+        at += count
+    bad += [raw[:-1], raw + b"\0", b""]
+    for raw in bad:
+        with pytest.raises(TemplateFormatError) as tuple_error:
+            syndrome_from_bytes(code, raw)
+        with pytest.raises(TemplateFormatError) as digit_error:
+            stored_minus(code, raw, presented)
+        assert str(digit_error.value) == str(tuple_error.value)
+
+
+@pytest.mark.parametrize("spec, takes_columns", [
+    ("cI(rs(31,23;gf(3^4)))", True),  # 124 cells: 124 * 2 = 248
+    ("cI(rs(32,24;gf(3^4)))", False),  # 128 cells: 256 could carry
+])
+def test_the_odd_cap_counts_cells_times_p_minus_one(spec, takes_columns, monkeypatch,
+                                                    fresh_codes):
+    """A code whose column sum stays under 256 in every byte takes
+    columns, one block more takes the per-symbol path; both give the
+    oracle's templates and verify results."""
+    code = fresh(spec)
+    words = seeded_words(code, 0x0E0, 2)
+    cases = [(w, r) for k, w in enumerate(words) for r in noisy_reads(code, w, k)]
+    expected = [(enroll(w, code), verify(r, enroll(w, code), code=code)) for w, r in cases]
+    assert bool(code._columns) == takes_columns == bool(code._digits)
+    assert code.base_length * 2 <= 255 if takes_columns else code.base_length * 2 > 255
+    scalar_off(monkeypatch)
+    oracle_code = fresh(spec)
+    assert [(enroll(w, oracle_code), verify(r, enroll(w, oracle_code), code=oracle_code))
+            for w, r in cases] == expected
+    assert any(v.accepted for _, v in expected) and not all(v.accepted for _, v in expected)
+
+
+def scalar_message_error(code, remainder):
+    """The inner decode a concatenation ran per damaged block before the
+    coset table: the remainder's power sums to the scalar decoder, the
+    pattern's message digits read as one int."""
+    try:
+        errors = code._errors(rs._sparse_syndrome(code.field, remainder, code.count))
+    except DecodeFailure:
+        return None
+    r = code.redundancy
+    return _from_digits([errors.get(i, 0) for i in range(r, code.n)], code.p)
+
+
+@pytest.mark.parametrize("spec, p, entries", [("bch(4,1;gf(5))", 5, 25),
+                                              ("bch(8,1;gf(3))", 3, 81)])
+def test_the_counted_coset_table_is_the_scalar_decode(spec, p, entries):
+    """bch(4,1;gf(5)) and bch(8,1;gf(3)): parsing builds no table, and
+    building the table on the first inner decode counts nothing beyond
+    that decode's own count.  Then every remainder's entry holds the
+    scalar decode's message error and the multiplications it counted,
+    and a lookup returns the error and counts them."""
+    code = fresh(spec)
+    assert code._cosets is None and code.p == p
+    zero = bytes(code.redundancy)
+    start = MUL_COUNTER.count
+    assert code._message_error(zero) == 0 and MUL_COUNTER.count == start
+    assert len(code._cosets) == entries == p**code.redundancy <= rs._COSET_CAP
+    decodable = 0
+    for digits in product(range(p), repeat=code.redundancy):
+        remainder = bytes(digits)
+        start = MUL_COUNTER.count
+        error = scalar_message_error(code, remainder)
+        count = MUL_COUNTER.count - start
+        assert code._cosets[remainder] == (error, count)
+        start = MUL_COUNTER.count
+        assert code._message_error(remainder) == error
+        assert MUL_COUNTER.count - start == count
+        decodable += error is not None
+    # the remainders of the patterns of weight <= 1: 1 + n (p - 1)
+    assert decodable == 1 + code.n * (p - 1)
+
+
+def test_an_inner_code_above_the_coset_cap_decodes_with_the_scalar_decoder(monkeypatch):
+    """bch(26,2;gf(3)) has 3^9 remainders, above the cap: no table, and
+    each inner decode runs _gpz_decode."""
+    code = BchCode(3, 3, 2)
+    assert code.p**code.redundancy == 3**9 > rs._COSET_CAP
+    calls = []
+    gpz = rs._gpz_decode
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gpz(*args, **kwargs)
+
+    monkeypatch.setattr(rs, "_gpz_decode", counting)
+    remainder = bytes(code.remainder([0] * 20 + [1] + [0] * 5))
+    assert code._message_error(remainder) == 3 ** (20 - code.redundancy)
+    assert code._cosets is False and len(calls) == 1
+    assert code._message_error(bytes(code.redundancy)) == 0 and len(calls) == 2
+
+
+def test_the_digit_walk_decodes_like_the_tuple_walk(fresh_codes):
+    """Every syndrome of the vi walk, serialized and read back into digit
+    bytes by ``stored_minus`` against the zero word, decodes by
+    ``_decode`` to the pattern the public decode gives the tuple, with
+    the same multiplications counted."""
+    spec = next(spec for spec in WALKS if spec.endswith("layout=vi)"))
+    code = fresh(spec)
+    zero = code._body_syndrome(code._read(code.zero_word()))
+    expected = walk(code)
+    got = []
+    for synd, _, _ in expected:
+        digits = stored_minus(code, syndrome_to_bytes(code, synd), zero)
+        result, count = outcome(code._decode, digits)
+        got.append((synd, None if result is None else code._dense(result[0]), count))
+    assert code._digits and type(zero) is bytes
+    assert got == expected
+
+
+def retained(objects) -> int:
+    """The bytes of the distinct objects reachable through tuples, dicts
+    and their contents from ``objects``."""
+    seen, total, todo = set(), 0, list(objects)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, tuple):
+            todo += obj
+    return total
+
+
+def test_the_odd_tables_fit_the_code_weight():
+    """The sizes codespec._CODE_WEIGHT's comment states: the largest odd-p
+    columns (p = 3, 124 cells, 120 digit bytes) under 50 KB, and of the
+    odd-p BCH codes a concatenation admits as inner codes (p^r within the
+    coset cap, outer field p^k <= 2^16) the largest coset table,
+    bch(6,2;gf(7)) with 2401 remainders, under 320 KB once full; both
+    within the 40 bytes per unit of the weight."""
+    code = fresh("cI(rs(31,1;gf(3^4)))")
+    assert code._load_columns() and code._digits.size == 120
+    assert retained([code._columns]) < 50_000
+    admitted = []
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        m = 1
+        while p**m - 1 <= codespec._MAX_BCH_LENGTH:
+            n = p**m - 1
+            for t in range(1, (n + 1) // 2):  # r grows with t
+                r = len(rs._root_exponents(n, p, 2 * t))
+                if r >= n or p**r > rs._COSET_CAP:
+                    break
+                if p ** (n - r) <= 1 << 16:
+                    admitted.append((p**r, p, m, t))
+            m += 1
+    entries, p, m, t = max(admitted)
+    assert (entries, p, m, t) == (2401, 7, 1, 2)
+    inner = BchCode(p, m, t)
+    assert len(inner._load_counted_cosets()) == entries
+    assert retained([inner._cosets]) < 320_000 < codespec._CODE_WEIGHT * 40
+
+
+def test_an_odd_identity_concatenation_takes_columns_like_the_oracle(monkeypatch):
+    """An identity inner code over gf(3) has no check cells: its columns
+    hold only outer sums, and its templates and verify results are the
+    per-symbol path's."""
+    from synfuzz.concat import ConcatCode, TrivialCode, VLayout
+    from synfuzz.gf import ExtField
+    from synfuzz.rs import RsCode
+
+    def build():
+        return ConcatCode(TrivialCode(3, 2), RsCode(ExtField(3, 2), 8, 4), VLayout(2, 2))
+
+    code = build()
+    words = seeded_words(code, 0x0E1, 3)
+    cases = [(w, r) for k, w in enumerate(words) for r in noisy_reads(code, w, k)]
+    expected = [(enroll(w, code), verify(r, enroll(w, code), code=code)) for w, r in cases]
+    assert code._digits and code._digits.size == 4 * 2
+    monkeypatch.setattr(rs, "_COLUMN_CAP_CELLS", 0)
+    oracle_code = build()
+    assert [(enroll(w, oracle_code), verify(r, enroll(w, oracle_code), code=oracle_code))
+            for w, r in cases] == expected
+    assert oracle_code._columns is False
+    assert any(v.accepted for _, v in expected) and not all(v.accepted for _, v in expected)

@@ -214,8 +214,9 @@ def test_verify_against_template_from_text(c1):
 
 def test_a_repeated_stateless_verify_builds_no_block_map(monkeypatch, fresh_codes):
     """Two verifies from the same template text parse its spec once: the
-    first builds the code's block map, one layout cell per data cell, and
-    the second finds it built and calls no cell."""
+    first builds the code's block map, and the second finds it built and
+    calls no cell.  v is translation-invariant, so the map asks for the
+    first block's cells and each block's origin: N + n cells, not N * n."""
     code = ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 100, 60), VLayout(4, 5))
     data = golden_word(code.shape, 2, 31)
     text = enroll(data, code).to_text()  # this code is not the cached one
@@ -230,7 +231,7 @@ def test_a_repeated_stateless_verify_builds_no_block_map(monkeypatch, fresh_code
 
     monkeypatch.setattr(VLayout, "cell", counting)
     assert verify(data, Template.from_text(text)).accepted
-    assert len(calls) == code.base_length == 1500
+    assert code.base_length == 1500 and len(calls) == code.outer.n + code.inner.n == 115
     calls.clear()
     assert verify(data, Template.from_text(text)).accepted
     assert not calls

@@ -209,7 +209,7 @@ def test_parsing_builds_no_kernel_table(monkeypatch, fresh_codes):
         code.syndrome(code.zero_word())
     assert all(code._checks for _, code in small if isinstance(code, ConcatCode) and code.p == 2)
     capped = [code for _, code in small if getattr(code, "_columns", None)]
-    assert len(capped) == 6 and all(code.base_length <= rs._COLUMN_CAP_CELLS for code in capped)
+    assert len(capped) == 9 and all(code.base_length <= rs._COLUMN_CAP_CELLS for code in capped)
     refuse_tables(monkeypatch)
     for spec, code in small:
         again = parse_spec(spec)
@@ -390,7 +390,8 @@ def test_bch_names_its_base_field_in_symbol_errors():
 
 def test_decoding_tables_stay_under_their_caps(fresh_codes):
     """Decoding every golden construction builds Chien tables of at most
-    2^21 bits and coset tables of at most 4096 patterns."""
+    2^21 bits and coset tables of at most 4096 entries: a binary table
+    one per pattern of weight <= t, an odd-p table one per remainder."""
     chien, cosets = [], []
     for _, spec, _, _, seed in GOLDEN:
         code = parse_spec(spec)
@@ -409,7 +410,11 @@ def test_decoding_tables_stay_under_their_caps(fresh_codes):
         assert max(c.bit_length() for c in columns) <= 8 * code.n
     for code in cosets:
         n, t = code.n, code.design_t
-        assert len(code._cosets) == sum(math.comb(n, w) for w in range(t + 1)) <= rs._COSET_CAP
+        if code.p == 2:
+            assert len(code._cosets) == sum(math.comb(n, w) for w in range(t + 1)) <= rs._COSET_CAP
+        else:
+            assert len(code._cosets) == code.p**code.redundancy <= rs._COSET_CAP
+    assert {code.p for code in cosets} == {2, 5}
 
 
 def test_codes_above_the_caps_keep_the_scalar_decoders(monkeypatch):

@@ -182,15 +182,23 @@ def test_bch_remainder_spaces_decode_alike_through_both_decoders(monkeypatch):
 def test_the_internal_syndrome_is_the_template_bytes_where_it_is_bytes(stem, spec, shape, q, seed):
     """``syndrome`` is a tuple for every code; the syndrome of the word's
     body is bytes exactly where every run is binary with one-byte symbols,
-    and then it is the template serialization of the tuple, else the tuple
+    and then it is the template serialization of the tuple, or where the
+    code is an odd-p block code with columns, and then it is the tuple's
+    digit bytes, each symbol's base-p digits low first; else the tuple
     itself."""
     code = codespec.parse_spec(spec)
     word = golden_word(shape, q, seed)
     public, internal = code.syndrome(word), code._body_syndrome(code._read(word))
     assert type(public) is tuple
     one_byte = all(f.p == 2 and f.order <= 256 for _, f in code.segments)
-    assert type(internal) is (bytes if one_byte else tuple)
-    assert internal == (syndrome_to_bytes(code, public) if one_byte else public)
+    digits = bool(code._digits)
+    assert digits == (q in (3, 5) and spec.startswith(("cI", "concat")))
+    assert type(internal) is (bytes if one_byte or digits else tuple)
+    if digits:
+        fields = [f for count, f in code.segments for _ in range(count)]
+        public = [d for v, f in zip(public, fields) for d in f.to_base_vector(v)]
+    assert internal == (syndrome_to_bytes(code, public) if one_byte else bytes(public) if digits
+                        else public)
 
 
 @pytest.mark.parametrize("spec", ["rs(255,191;gf(2^8))", "bch(255,32;gf(2))"])
