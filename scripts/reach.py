@@ -67,8 +67,6 @@ ALLOWED = {
     "rs.DecodeInfo.outer_error_count": C01_C10,
     "rs._BlockCode._load_gather": "2-D codes above the column cap: every golden and roster "
                                   "2-D code takes columns",
-    "rs._BlockCode._residual": "odd-p expansions above the column cap: the golden ones take "
-                               "columns",
     "rs.LinearCode._block_order": "test oracle: tests/oracle.py gathers a plain code's word",
     "rs.LinearCode._check_syndrome": "the syndrome check of decode, " + TARGET,
     "rs.LinearCode.decode": TARGET + " (ExpandedCode.decode, ConcatCode.decode)",

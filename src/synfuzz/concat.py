@@ -45,12 +45,17 @@ rebuilds the touched blocks from their symbol errors and stored
 residuals and re-checks them against the whole syndrome: every other
 block must have a zero residual.  Under the binary column cap the
 re-check is the XOR of the rebuilt cells' syndrome columns
-(``rs._BlockCode``); over odd p it stays the re-split of the touched
-blocks, whose counted products are part of the decode's count, also
-where the syndrome comes from columns.  An odd-p inner code within
-the coset cap decodes each damaged block by one lookup in its counted
-coset table (``BchCode._message_error``).  A block whose inner decode
-fails is an outer erasure, at one outer syndrome instead of two; a block
+(``rs._BlockCode``).  Over odd p with digit columns it is the sum of
+those cells' columns of their values, reduced mod p, and the decode
+adds the products the re-split would have counted, the touched blocks'
+from the fill table and the outer power sums' per nonzero symbol
+(``_recheck_count``), so ``decode_mults`` is unchanged; elsewhere, and
+for the tuple syndrome of the public ``decode``, the re-check is the
+re-split of the touched blocks (``_recheck``).  Each damaged block's
+inner decode is one call, ``BchCode._message_error``: a lookup in the
+coset table within its cap (the binary one, or over odd p the counted
+one), which returns None for a block it cannot decode.  Such a block
+is an outer erasure, at one outer syndrome instead of two; a block
 within the inner capability never fails, so every bound still holds.
 """
 
@@ -256,14 +261,9 @@ class ConcatCode(_BlockCode):
 
     def _inner_decode(self, residual):
         """The symbol error of the inner pattern with this remainder, or
-        None (an erasure) where the inner decode fails: its message digits,
-        over odd p from ``BchCode._message_error``."""
-        if self.p != 2:
-            return self.inner._message_error(residual)
-        try:
-            return self.inner.decode_packed(residual) >> self.inner.redundancy
-        except DecodeFailure:
-            return None
+        None (an erasure) where the inner decode fails: its message digits
+        (``BchCode._message_error``)."""
+        return self.inner._message_error(residual)
 
     # ------------------------------------------------------------------
     # encode / syndrome / decode
@@ -284,18 +284,28 @@ class ConcatCode(_BlockCode):
 
         A concatenation with binary per-cell columns (outer m <= 8, at
         most ``rs._COLUMN_CAP_CELLS`` cells) re-checks by their XOR
-        instead (``_BlockCode._decode``); this re-split of the touched
-        blocks serves the longer codes, where one column XOR per set cell
-        would cost more than the lanes, and odd p, with or without
-        columns, whose decode counts its products."""
+        instead, and an odd-p one with digit columns by their sum mod p
+        on a digit-byte syndrome, counting what this re-split would
+        (``_recheck_count``; ``_BlockCode._decode``).  This re-split of
+        the touched blocks serves the longer codes, where one column XOR
+        per set cell would cost more than the lanes, and the tuple
+        syndrome of the public ``decode``; over F_2 its parts come from
+        the same bit lanes as the decode's."""
         syms, res = self._split_cells(cells)
         got = self._parts(res) if self._chk else [0] * len(syms)
         if (
-            got != [parts[i] for i in touched]
+            list(got) != [parts[i] for i in touched]
             or sum(map(bool, parts)) != sum(bool(parts[i]) for i in touched)
             or any(self.outer._minus_sums(sums, compress(zip(touched, syms), syms)))
         ):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
+
+    def _recheck_count(self, touched, syms) -> int:
+        """The products ``_recheck`` counts on the touched blocks of these
+        symbol errors: each block's re-split, read from the fill table, and
+        the outer power sums of each nonzero symbol."""
+        fills, syms = self._fills, [syms[i] for i in touched]
+        return sum([fills[s][2] for s in syms]) + self.outer.count * (len(syms) - syms.count(0))
 
     # ------------------------------------------------------------------
     # capability bounds

@@ -38,7 +38,7 @@ the plain layout still holds.  A binary expansion of at most 256 cells
 takes its syndrome and a full re-check of each decode from per-cell
 syndrome columns (``rs._BlockCode``); an odd-p one with one-byte outer
 symbols and cells * (p - 1) <= 255 takes its syndrome from columns as
-digit bytes.
+digit bytes and re-checks each decode by their sum mod p.
 """
 
 from __future__ import annotations
@@ -88,10 +88,11 @@ class ExpandedCode(_BlockCode):
     their XOR.  An odd-p expansion with outer symbols of one byte and
     cells * (p - 1) <= 255 (cI+parity(rs(8,4;gf(3^2))) and
     cIII(rs(8,4;gf(3^2));2,4) among the golden codes) sums per-cell
-    columns into digit-byte syndromes.  Above the caps, where a column
-    XOR per set cell costs more than the bit lanes or a byte could
-    carry, and over odd p, the decode re-checks only the outer symbol
-    errors, as the RS decoder does."""
+    columns into digit-byte syndromes and re-checks each decode of one
+    by the sum of its cells' columns mod p.  Above the caps, where a
+    column XOR per set cell costs more than the bit lanes or a byte
+    could carry, the decode re-checks only the outer symbol errors, as
+    the RS decoder does."""
 
     syndrome = _BlockCode.syndrome
 

@@ -42,7 +42,12 @@ per set cell (``_BlockCode._columns``).  An odd-p block code with
 one-byte outer symbols and cells * (p - 1) <= 255 sums one column per
 cell, one byte per F_p digit of the syndrome, and reduces every byte mod
 p at the end (``_BlockCode._digit_columns``); longer ones keep the
-per-symbol paths ``_sparse_syndrome`` and ``_poly_remainder``.
+per-symbol paths ``_sparse_syndrome`` and ``_poly_remainder``.  Such a
+code's decode re-checks a digit-byte syndrome by the same columns and
+rebuilds its touched blocks from a fill table (``_BlockCode._fills``)
+whose entries carry the products the fill and its re-split count, so
+``decode_mults`` is what the per-symbol re-check gives.  A binary block
+decode reads its block parts from bit lanes, one int per check digit.
 
 Over F_{2^m}, m <= 8, a code whose Chien table fits its cap decodes on
 byte regions (``_CyclicCode._region_errors``): a polynomial is a byte
@@ -57,19 +62,25 @@ translate per nonzero symbol (``_CyclicCode._sums``): the decoder's
 re-check, and a block code's outer sums of the few blocks a decode
 touches.  The region decoder gives the scalar ``_gpz_decode``'s outcome
 and counts its multiplications; the scalar one stays for odd p, for
-m > 8 and above the cap.  A small binary BCH code decodes a packed
-remainder by one lookup in its coset-leader table, the remainder of
-every pattern of weight <= design_t (``_coset_table``; standard-array
-decoding, Slepian 1956).  A small odd-p BCH code's counted coset table
-maps every remainder to the message error of the scalar decode and the
-multiplications it counted (``BchCode._load_counted_cosets``), so a
-concatenation's inner decode is one lookup that counts what the scalar
-decode would.
+m > 8 and above the cap.  Where no syndrome symbol is zero, its
+Berlekamp-Massey step k costs one product per nonzero locator
+coefficient past psi_0 (deg Psi <= L <= k), one ``bytes.count`` per
+update; a syndrome with a zero symbol reads the counts off a mask
+product.  A small binary BCH code decodes a packed remainder by one
+lookup in its coset-leader table, the remainder of every pattern of
+weight <= design_t (``_coset_table``; standard-array decoding, Slepian
+1956).  A small odd-p BCH code's counted coset table maps every
+remainder to the message error of the scalar decode and the
+multiplications it counted (``BchCode._load_counted_cosets``).  So a
+concatenation's inner decode is one call for both p,
+``BchCode._message_error``: a lookup that gives the message digits, or
+None for an erasure, with no exception raised or caught, and counts
+what the scalar decode would.
 
 Every table (generator, kernel, Chien table with its columns, coset and
-check tables, a block code's per-cell columns with its digit maps, and a
-field's rows) is built on first use into a slot its owner sets to None
-in ``__init__``, never at construction.  The tables
+check tables, a block code's per-cell columns with its digit maps and
+fill table, and a field's rows) is built on first use into a slot its
+owner sets to None in ``__init__``, never at construction.  The tables
 live and die with their code; ``codespec.parse_spec`` keeps parsed codes,
 so a re-parsed spec finds them built.
 """
@@ -263,7 +274,7 @@ class LinearCode(_SpecIdentity):
                 fits, cells = len(word) == shape[0], word
             else:
                 rows, cols = shape
-                fits = len(word) == rows and all(len(row) == cols for row in word)
+                fits = len(word) == rows and countOf(map(len, word), cols) == rows
                 cells = list(chain.from_iterable(word)) if fits else ()
         except TypeError:  # a word or row without a length, e.g. None or an int
             fits = False
@@ -403,19 +414,32 @@ class _BlockCode(LinearCode):
     (perfbench/spans.py traces it there).
 
     ``_decode`` splits a syndrome by those runs (a digit-byte syndrome's
-    outer sums packed back into symbols), inner-decodes or erases each
-    damaged block, runs the outer decode and rebuilds only the touched
-    blocks, those with a nonzero symbol error or stored residual, from
-    their symbol errors and stored parts (over F_2 in one unpack).  Their
-    nonzero cells, at the offsets ``_block_order()`` gives, are the
-    sparse error map; every other block is zero.  With binary
-    ``_columns`` the XOR of the map's columns must be the whole syndrome,
-    a full re-check for expansions and concatenations alike; otherwise
-    ``_recheck`` may check the rebuilt blocks against the whole syndrome,
-    as a concatenation does.  Odd p keeps ``_recheck`` with columns too:
-    its counted products are part of the decode's count, which a column
-    re-check would change.  A subclass also gives ``_inner_decode(part)``:
-    the symbol error a damaged block's residual suggests, or None to make
+    outer sums packed back into symbols) and its residual run into block
+    parts: over F_2 with at most 8 check digits one int per check digit
+    k, the lane ``res[k::_chk]`` shifted by k, summed and read back as
+    bytes, byte i block i's part; wider ones by ``_pack_runs``.  It
+    inner-decodes or erases each damaged block, runs the outer decode and
+    rebuilds only the touched blocks, those with a nonzero symbol error
+    or stored residual, from their symbol errors and stored parts (over
+    F_2 in one unpack; with odd-p columns from the fill table, below).
+    Their nonzero cells, at each touched block's slice of the block
+    order, are the sparse error map; every other block is zero.  With
+    binary ``_columns`` the XOR of the map's columns must be the whole
+    syndrome, a full re-check for expansions and concatenations alike.
+    On a digit-byte syndrome the sum of the map's columns of its values,
+    reduced mod p, must be the syndrome, and the decode adds the
+    products ``_recheck`` would have counted (``_recheck_count``: a
+    concatenation's re-split of the touched blocks and outer sums of
+    their symbols), so ``decode_mults`` is unchanged.  Otherwise, and
+    for the tuple syndrome of the public ``decode``, ``_recheck`` may
+    check the rebuilt blocks against the whole syndrome, as a
+    concatenation does.  An odd-p code with digit columns takes each
+    rebuilt block's fill from ``_fills``, one entry per outer symbol
+    built on first use (``_load_fills``): the fill, the products
+    ``_fill`` counts for it and those the re-split of that block counts,
+    measured once under MUL_COUNTER, so a lookup adds what the scalar
+    path would.  A subclass also gives ``_inner_decode(part)``: the
+    symbol error a damaged block's residual suggests, or None to make
     the block an outer erasure.
     """
 
@@ -430,6 +454,7 @@ class _BlockCode(LinearCode):
         self._lanes = None  # the lanes of each check digit over F_2, set on first use
         self._columns = None  # the per-cell syndrome columns, False without; set on first use
         self._digits = False  # the digit-byte maps of odd-p columns, set with them
+        self._fills = None  # per symbol its fill and counts, with digit columns; set on first use
         self._order = None
         self._gather = None  # the itemgetter of a 2-D body in block order, set on first use
         self._spec = self._head = self._below = None
@@ -488,8 +513,10 @@ class _BlockCode(LinearCode):
         inner-decoded or erased, the outer decode, then the touched blocks
         rebuilt from their symbol errors and stored parts and re-checked:
         with binary ``_columns`` the XOR of the columns of the map's cells
-        must be the whole syndrome, else ``_recheck`` runs.  A digit-byte
-        syndrome's outer sums take m bytes each."""
+        must be the whole syndrome; a digit-byte syndrome, whose outer
+        sums take m bytes each, must be the sum of the map's columns of
+        its values reduced mod p, after ``_recheck_count``'s products are
+        counted; else ``_recheck`` runs."""
         columns = self._columns
         if columns is None:
             columns = self._load_columns()
@@ -504,7 +531,12 @@ class _BlockCode(LinearCode):
         touched = self._touched(errors, parts)
         cells = self._touched_cells(touched, errors, parts)
         found = self._cell_map(touched, cells)
-        if not columns or self._digits:
+        if digits:
+            MUL_COUNTER.add(self._recheck_count(touched, errors))
+            total = sum(map(getitem, map(columns.__getitem__, found), found.values()))
+            if total.to_bytes(len(synd), "little").translate(self._digits.reduce) != synd:
+                raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
+        elif not columns or self._digits:
             self._recheck(touched, cells, parts, sums)
         elif reduce(xor, map(columns.__getitem__, found), 0) != int.from_bytes(synd, "little"):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
@@ -514,6 +546,11 @@ class _BlockCode(LinearCode):
         """Nothing by default: an expansion's rebuilt blocks hold their
         symbol errors and stored parts by construction, and the outer
         decoder re-checked the symbol errors against the power sums."""
+
+    def _recheck_count(self, touched, syms) -> int:
+        """The products ``_recheck`` would count on the touched blocks of
+        these symbol errors: none by default."""
+        return 0
 
     def _load_columns(self):
         """Column c: the syndrome of the word with a single 1 at row-major
@@ -730,12 +767,20 @@ class _BlockCode(LinearCode):
         """Each block's residual from the flat residuals of consecutive
         blocks: an int over F_2 (digit j at bit j), else the bytes of its
         digits; 0 where it is zero.  Without check cells every one of the
-        n parts is 0."""
+        n parts is 0.  Over F_2 with at most 8 check digits the parts are
+        bytes, byte i block i's: lane k, ``res[k::chk]`` read as a
+        little-endian int, holds digit k of every block in bit 0 of its
+        byte, so the lanes shifted by k and summed are the parts."""
         chk = self._chk
         if not chk:
             return [0] * self.outer.n
         if self.alphabet.p == 2:
-            return _pack_runs(res, chk)
+            if chk > 8:
+                return _pack_runs(res, chk)
+            packed = 0
+            for k in range(chk):  # byte i of lane k is digit k of part i
+                packed |= int.from_bytes(res[k::chk], "little") << k
+            return packed.to_bytes(len(res) // chk, "little")
         res, zero = bytes(res), bytes(chk)
         parts = [res[at : at + chk] for at in range(0, len(res), chk)]
         return [part if part != zero else 0 for part in parts]
@@ -755,7 +800,9 @@ class _BlockCode(LinearCode):
 
     def _touched_cells(self, touched, syms, parts):
         """The cells of each touched block i in turn, the block of symbol
-        syms[i] whose residual is parts[i]; over F_2 from one unpack."""
+        syms[i] whose residual is parts[i]; over F_2 from one unpack, over
+        odd p with digit columns from the fill table, adding each fill's
+        count."""
         at, end, p = self._chk_at, self._chk_at + self._chk, self.alphabet.p
         if p == 2:
             if not self._chk:
@@ -763,22 +810,48 @@ class _BlockCode(LinearCode):
             tables, sym_at = self._checks or self._load_checks(), self._sym_at
             return _unpack_bits([syms[i] << sym_at | (parts[i] ^ _lookup(tables, syms[i])) << at
                                  for i in touched], self._width)
-        cells = []
+        fills = self._digits and (self._fills or self._load_fills())
+        cells, counted = [], 0
         for i in touched:
-            block = self._fill(syms[i])
+            if fills:
+                block, count, _ = fills[syms[i]]
+                counted += count
+            else:
+                block = self._fill(syms[i])
             if parts[i]:
+                block = list(block)
                 block[at:end] = [(f + r) % p for f, r in zip(block[at:end], parts[i])]
             cells += block
+        MUL_COUNTER.add(counted)
         return cells
+
+    def _load_fills(self):
+        """Per outer symbol s of an odd-p code with digit columns: its
+        fill as a tuple, the products ``_fill(s)`` counts and those the
+        re-split of that block (``_split_cells``) counts.  Each entry is
+        measured under MUL_COUNTER, which the build leaves as it found it;
+        a lookup adds the fill's count, and a concatenation's column
+        re-check the re-split's (``_recheck_count``)."""
+        counted, fills = MUL_COUNTER.n, []
+        for sym in range(self.outer.field.order):
+            before = MUL_COUNTER.n
+            fill = tuple(self._fill(sym))
+            filled = MUL_COUNTER.n
+            self._split_cells(fill)
+            fills.append((fill, filled - before, MUL_COUNTER.n - filled))
+        MUL_COUNTER.n = counted
+        self._fills = tuple(fills)
+        return self._fills
 
     def _cell_map(self, touched, cells) -> dict:
         """The nonzero ``cells`` of the touched blocks by row-major flat
-        offset."""
+        offset: each block's slice of the block order, chained; over F_2
+        every such cell is 1."""
         width = self._width
-        order = self._order or self._load_order()
-        offsets = [b for i in touched for b in range(i * width, (i + 1) * width)]
-        if order is not None:
-            offsets = [order[b] for b in offsets]
+        order = self._order or self._load_order() or range(self.base_length)
+        offsets = chain.from_iterable([order[i * width : (i + 1) * width] for i in touched])
+        if self.alphabet.p == 2:
+            return dict.fromkeys(compress(offsets, cells), 1)
         return dict(compress(zip(offsets, cells), cells))
 
     def _decode_blocks(self, parts, synd: tuple):
@@ -1116,11 +1189,13 @@ def _pack_bits(digits) -> int:
 
 
 def _unpack_bits(values, width: int) -> bytes:
-    """The low ``width`` bits of each int in turn, low bit first, one
-    digit per byte."""
-    fmt = f"0{width}b"
-    text = "".join(format(v, fmt) for v in reversed(values))
-    return text[::-1].encode().translate(_TO_DIGITS)
+    """The ``width`` bits of each int in turn, each below 2^width, low
+    bit first, one digit per byte: the ints packed into one, read by one
+    ``bin`` past a set bit above them all."""
+    packed = 1
+    for v in reversed(values):
+        packed = packed << width | v
+    return bin(packed)[:2:-1].encode().translate(_TO_DIGITS)
 
 
 def _byte_tables(basis) -> tuple[tuple[int, ...], ...]:
@@ -1347,8 +1422,13 @@ def _chien_search(field: ExtField, psi, n: int, table):
     """``_chien_roots(field, psi, n)``, from the packed ``_chien_table``
     where one is given (None without one): byte i of ``_chien_values`` of
     psi's coefficients past psi_0 = 1 is psi(alpha^-i) - 1, so the roots
-    are the bytes equal to 1.  Counts the mults the scalar search would.
+    are the bytes equal to 1.  A locator of degree 1 has its one root
+    read off psi_1's log, with the count of a scan that stops there or
+    runs past all n positions.  Counts the mults the scalar search would.
     psi is a list, or bytes, of its coefficients, low first."""
+    if len(psi) == 2 and psi[1]:  # 1 + psi_1 x vanishes at alpha^-i where alpha^i = -psi_1
+        i = field._log[field.neg(psi[1])]
+        return ([i], i + 1) if i < n else ([], n)
     if table is None:
         return _chien_roots(field, psi, n)
     values = _chien_values(table, int.from_bytes(bytes(psi[1:]), "little"), field.m, n)
@@ -1367,6 +1447,16 @@ def _chien_search(field: ExtField, psi, n: int, table):
 # odd bytes of a polynomial of up to 72 coefficients.
 _NONZERO = bytes([0]) + bytes([1]) * 255
 _ODD_BYTES = int.from_bytes(b"\0\xff" * 36, "little")
+
+
+def _step_counts(V: bytes, top: int, nz_synd: int) -> tuple[bytes, int]:
+    """Byte k: the products of Berlekamp-Massey's step-k discrepancy,
+    one per j >= 1 with psi_j and s_(k-j) nonzero, where the locator Psi
+    lies in V from byte ``top`` on and ``nz_synd`` has byte i set where
+    s_i is nonzero: byte k of the integer product of the two masks, Psi's
+    without psi_0; and the number of Psi's nonzero coefficients."""
+    nz = int.from_bytes(V[top:].translate(_NONZERO), "little")
+    return ((nz ^ 1) * nz_synd).to_bytes(len(V), "little"), nz.bit_count()
 
 
 def _coset_fits(n: int, t: int) -> bool:
@@ -1556,7 +1646,13 @@ class _CyclicCode(_SpecIdentity):
         ``_sums`` of the pattern against the whole syndrome.  The scalar
         decoder's products follow from which coefficients are nonzero:
         those of step k's discrepancy are byte k of the integer product of
-        Psi's nonzero mask past psi_0 with S's.
+        Psi's nonzero mask past psi_0 with S's (``_step_counts``).  Where no
+        syndrome symbol is zero that byte is Psi's count of nonzero
+        coefficients past psi_0, as deg Psi <= L <= k, which one
+        ``bytes.count`` per update gives without the product, and Omega's
+        count is each nonzero psi_j, 1 <= j < L, weighted by the L - j
+        coefficients it enters.  A locator of degree 1 has its root read
+        off its log (``_chien_search``).
         """
         field, n, table = self.field, self.n, self._chien
         r, f = len(synd), len(known)
@@ -1567,7 +1663,8 @@ class _CyclicCode(_SpecIdentity):
         exp, log, rows = field._exp, field._log, field._rows
         q1 = field.order - 1
         top, size = 2 * r, 3 * r + 1
-        nz_synd = int.from_bytes(synd.translate(_NONZERO), "little")
+        zeros = synd.count(0)  # zero syndrome symbols
+        nz_synd = zeros and int.from_bytes(synd.translate(_NONZERO), "little")
         nm = 0
         try:
             # the erasure locator Gamma = prod (1 + alpha^pos x), T = S*Gamma
@@ -1578,14 +1675,19 @@ class _CyclicCode(_SpecIdentity):
                 V ^= int.from_bytes(Vb.translate(rows[exp[pos % q1]]), "little") << 8
 
             # Berlekamp-Massey from Psi = prev = Gamma, as in _gpz_decode;
-            # byte k of counts is the products of step k's discrepancy
+            # terms counts Psi's nonzero coefficients, psi_0 = 1 among them.
+            # Step k's discrepancy costs one product per nonzero psi_j,
+            # 1 <= j <= deg Psi <= L <= k, whose s_(k-j) is nonzero: with no
+            # zero syndrome symbol terms - 1, else byte k of counts
             Vb = V.to_bytes(size, "little")
-            nz = int.from_bytes(Vb[top:].translate(_NONZERO), "little")
-            counts = ((nz ^ 1) * nz_synd).to_bytes(size, "little")
-            prev, prev_terms = Vb, nz.bit_count()
+            if zeros:
+                counts, terms = _step_counts(Vb, top, nz_synd)
+            else:
+                terms = size - top - Vb.count(0, top)
+            prev, prev_terms = Vb, terms
             lb, shift, L = 0, 1, f
             for k in range(f, r):
-                nm += counts[k]
+                nm += counts[k] if zeros else terms - 1
                 d = Vb[k]
                 if not d:
                     shift += 1
@@ -1595,12 +1697,14 @@ class _CyclicCode(_SpecIdentity):
                 V ^= int.from_bytes(prev.translate(row), "little") << 8 * shift
                 if 2 * L <= k + f:
                     L = k + 1 + f - L
-                    prev, prev_terms, lb, shift = Vb, nz.bit_count(), log[d], 1
+                    prev, prev_terms, lb, shift = Vb, terms, log[d], 1
                 else:
                     shift += 1
                 Vb = V.to_bytes(size, "little")
-                nz = int.from_bytes(Vb[top:].translate(_NONZERO), "little")
-                counts = ((nz ^ 1) * nz_synd).to_bytes(size, "little")
+                if zeros:
+                    counts, terms = _step_counts(Vb, top, nz_synd)
+                else:
+                    terms = size - top - Vb.count(0, top)
             psi = Vb[top:].rstrip(b"\0")
             if len(psi) - 1 != L or 2 * L - f > r:
                 raise DecodeFailure(f"no locator of {L - f} errors fits the syndrome")
@@ -1613,7 +1717,9 @@ class _CyclicCode(_SpecIdentity):
             # Forney: Omega = T mod x^L, and Psi'(X^-1) = X * odd(X^-1),
             # where odd = 1 + even at a root (Psi = 1 + odd + even' there)
             odd = psi[1::2]
-            nm += sum(counts[:L])
+            # with no zero syndrome symbol psi_j, 1 <= j < L, costs one
+            # product in each of Omega's coefficients j .. L - 1
+            nm += sum(counts[:L]) if zeros else sum(compress(range(L - 1, 0, -1), psi[1:L]))
             terms = L - Vb.count(0, 0, L) + len(odd) - odd.count(0)
             m, w0 = field.m, Vb[0]
             nums = _chien_values(table, int.from_bytes(Vb[1:L], "little"), m, n)
@@ -1798,38 +1904,57 @@ class BchCode(_CyclicCode):
         ``decode_syndrome`` of the kernel's power sums of the packed
         remainder."""
         kernel = self._tables or self._load_kernel()
-        if self._cosets is None:
-            fits = _coset_fits(self.n, self.design_t)
-            self._cosets = fits and _coset_table(kernel, self.n, self.design_t)
-        if self._cosets is False:
+        cosets = self._cosets
+        if cosets is None:
+            cosets = self._load_cosets()
+        if cosets is False:
             return _pack_bits(self.decode_syndrome(kernel.power_sums(remainder)))
-        err = self._cosets.get(remainder)
+        err = cosets.get(remainder)
         if err is None:
             raise DecodeFailure("no pattern of weight <= t has this remainder")
         return err
 
-    def _message_error(self, remainder: bytes):
-        """Over odd p: the message digits (positions r .. n-1) of the
-        pattern of weight <= design_t with this remainder, the bytes of its
-        r digits, as one int, or None where the decode fails; the scalar
-        decode's multiplications are counted.
+    def _load_cosets(self):
+        """The coset table over F_2 (``_coset_table``), over odd p the
+        counted one (``_load_counted_cosets``); False above its cap."""
+        if self.p != 2:
+            return self._load_counted_cosets()
+        fits = _coset_fits(self.n, self.design_t)
+        self._cosets = fits and _coset_table(
+            self._tables or self._load_kernel(), self.n, self.design_t)
+        return self._cosets
 
-        A lookup in the counted coset table where p^r <= ``_COSET_CAP``
+    def _message_error(self, remainder):
+        """The message digits (positions r .. n-1) of the pattern of
+        weight <= design_t with this remainder as one int, or None where
+        no such pattern exists, with no exception raised or caught on the
+        table paths.  Over F_2 the remainder and the message are packed
+        ints (digit i at bit i): within the coset cap the coset table's
+        pattern shifted down by r, None where the remainder is missing,
+        else ``decode_packed``'s.  Over odd p the remainder is the bytes of
+        its r digits and the scalar decode's multiplications are counted:
+        where p^r <= ``_COSET_CAP`` a lookup in the counted coset table
         (``_load_counted_cosets``), which adds the entry's count, else the
         scalar decode (``_scalar_message_error``)."""
         cosets = self._cosets
         if cosets is None:
-            cosets = self._load_counted_cosets()
+            cosets = self._load_cosets()
         if cosets is False:
             return self._scalar_message_error(remainder)
+        if self.p == 2:
+            err = cosets.get(remainder)
+            return None if err is None else err >> self.redundancy
         error, count = cosets[remainder]
         MUL_COUNTER.add(count)
         return error
 
     def _scalar_message_error(self, remainder):
-        """``_message_error`` by ``_gpz_decode`` of the remainder's power
-        sums, which go to the decoder unchecked: they are in range."""
+        """``_message_error`` above the coset cap: over F_2 by
+        ``decode_packed``, over odd p by ``_gpz_decode`` of the remainder's
+        power sums, which go to the decoder unchecked: they are in range."""
         try:
+            if self.p == 2:
+                return self.decode_packed(remainder) >> self.redundancy
             errors = self._errors(_sparse_syndrome(self.field, remainder, self.count))
         except DecodeFailure:
             return None

@@ -381,7 +381,8 @@ def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
     rng = random.Random(21)
     word = [rng.randrange(2) for _ in range(code.base_length)]
     synd = code.syndrome(word)
-    # over F_2 the concatenation decodes each block's packed remainder
+    # the blocks whose packed remainder decode_packed refuses; the decode
+    # erases each one, for which the inner _message_error returns None
     inner_decode = code.inner.decode_packed
     failing = 0
     for block in _pack_runs(word, code.n_in):
@@ -393,15 +394,15 @@ def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
     assert failing > code.outer.redundancy + 1
 
     failures = []
+    message_error = code.inner._message_error
 
     def counting(rem):
-        try:
-            return inner_decode(rem)
-        except DecodeFailure:
+        error = message_error(rem)
+        if error is None:
             failures.append(rem)
-            raise
+        return error
 
-    monkeypatch.setattr(code.inner, "decode_packed", counting)
+    monkeypatch.setattr(code.inner, "_message_error", counting)
     with pytest.raises(DecodeFailure):
         code.decode(synd)
     assert len(failures) == code.outer.redundancy + 1

@@ -1,0 +1,214 @@
+"""The decode's table and lane paths against the paths they stand in for.
+
+- A binary block code with at most 8 check digits reads its block parts
+  from bit lanes, one int per check digit; ``rs._pack_runs`` is the
+  oracle, and stays the path of wider parts.
+- An odd-p block code with digit columns rebuilds its touched blocks from
+  a fill table whose entries hold the counts of the fill and of the
+  re-split of its block; the inner encoder and remainder, measured under
+  MUL_COUNTER, are the oracle.
+- Its decode of a digit-byte syndrome re-checks by summing the columns
+  of the cells it returns and adds the products ``ConcatCode._recheck``
+  would count; the tuple syndrome of the public decode keeps
+  ``_recheck``, the oracle.
+- ``BchCode._message_error`` over F_2 reads the coset table without an
+  exception; ``decode_packed`` is the oracle.
+- The region decoder counts Berlekamp-Massey's discrepancy products of a
+  syndrome with no zero symbol without a mask product; the scalar
+  ``_gpz_decode`` is the oracle.
+"""
+
+import random
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from synfuzz import rs
+from synfuzz.concat import ConcatCode, TrivialCode, VLayout
+from synfuzz.errors import DecodeFailure
+from synfuzz.fuzzy import enroll, stored_minus
+from synfuzz.gf import MUL_COUNTER, ExtField
+from synfuzz.rs import BchCode, RsCode
+
+from test_columns import BINARY_BLOCK, ODD_BLOCK, fresh, noisy_reads, seeded_words
+from test_protocol import codeword, seeded_word, split
+
+
+def counted(call, *args):
+    """The call's result, or its DecodeFailure's message, with the
+    multiplications it counted."""
+    before = MUL_COUNTER.count
+    try:
+        got = call(*args)
+    except DecodeFailure as failure:
+        got = str(failure)
+    return got, MUL_COUNTER.count - before
+
+
+# The check digits per block of the binary golden block codes: each lane
+# width the decode reads and one wider than a byte.
+CHECK_DIGITS = {fresh(spec)._chk for spec in BINARY_BLOCK}
+assert {1, 3, 8} <= CHECK_DIGITS and max(CHECK_DIGITS) > 8
+
+
+@pytest.mark.parametrize("spec", BINARY_BLOCK)
+def test_lane_parts_are_the_packed_runs(spec):
+    """Every block's part, and the parts of every run of three
+    consecutive blocks, are ``_pack_runs`` of their residual digits: as
+    bytes from the lanes for at most 8 check digits, else its list."""
+    code = fresh(spec)
+    chk, n = code._chk, code.outer.n
+    words = [seeded_word(code, 0x1A + k) for k in range(3)]
+    words += [codeword(code, 0x1A), code.zero_word(), code._shaped([1] * code.base_length)]
+    for word in words:
+        res = split(code, word)[1]
+        parts = code._parts(res)
+        if not chk:
+            assert parts == [0] * n
+            continue
+        assert list(parts) == rs._pack_runs(res, chk)
+        assert type(parts) is (bytes if chk <= 8 else list)
+        for i in range(n - 2):
+            few = res[i * chk : (i + 3) * chk]
+            assert list(code._parts(few)) == rs._pack_runs(few, chk) == list(parts[i : i + 3])
+
+
+def odd_identity():
+    """A concatenation over gf(3) with an identity inner code: no check
+    cells, outer sums only."""
+    return ConcatCode(TrivialCode(3, 2), RsCode(ExtField(3, 2), 8, 4), VLayout(2, 2))
+
+
+VI = next(spec for spec in ODD_BLOCK if spec.endswith("layout=vi)"))
+
+
+@pytest.mark.parametrize("build", [lambda: fresh(VI), odd_identity], ids=["vi", "identity"])
+def test_fill_table_entries_are_the_measured_fill_and_resplit(build):
+    """Built on first use and leaving MUL_COUNTER as it found it, each
+    symbol's entry is its inner codeword, the products the inner encoder
+    counts for it and those the inner remainder of that codeword counts
+    (none for an identity inner code)."""
+    code = build()
+    assert code._fills is None
+    code._load_columns()
+    start = MUL_COUNTER.count
+    fills = code._load_fills()
+    assert MUL_COUNTER.count == start and code._fills is fills
+    field, inner = code.outer.field, code.inner
+    assert len(fills) == field.order
+    for sym, entry in enumerate(fills):
+        digits = field.to_base_vector(sym)
+        fill, fill_count = counted(inner.encode, digits)
+        if code._chk:
+            remainder, split_count = counted(inner.remainder, fill)
+            assert not any(remainder)
+        else:
+            split_count = 0
+        assert entry == (tuple(fill), fill_count, split_count)
+    counts = [entry[1:] for entry in fills]
+    assert any(map(any, counts)) == bool(code._chk)
+    # _poly_remainder's products depend only on the message digits, which
+    # a fill and its codeword share: the two counts agree entry by entry
+    assert all(fill_count == split_count for fill_count, split_count in counts)
+
+
+@pytest.mark.parametrize("build", [lambda: fresh(VI), odd_identity], ids=["vi", "identity"])
+def test_the_column_recheck_decodes_like_the_resplit(build):
+    """On noisy reads and on 200 seeded stored syndromes, the decode of a
+    digit-byte syndrome (the column re-check with the fill table's
+    counts) and of its tuple (``ConcatCode._recheck``) give the same
+    sparse map and DecodeInfo, or the same DecodeFailure message, with
+    the same multiplications counted."""
+    code = build()
+    zero = code._body_syndrome(code._read(code.zero_word()))
+    assert code._digits and type(zero) is bytes
+    digits = []
+    for k, word in enumerate(seeded_words(code, 0x2B, 3)):
+        template = enroll(word, code)
+        for read in noisy_reads(code, word, k):
+            digits.append(stored_minus(code, template.syndrome,
+                                       code._body_syndrome(code._read(read))))
+    rng = random.Random(0x2C)
+    for _ in range(200):
+        raw = bytes(rng.randrange(f.order) for count, f in code.segments for _ in range(count))
+        digits.append(stored_minus(code, raw, zero))
+    outcomes = Counter()
+    for synd in digits:
+        got = counted(code._decode, synd)
+        assert got == counted(code._decode, tuple(code._template(synd)))
+        outcomes[type(got[0])] += 1
+    assert outcomes[tuple] and outcomes[str]
+
+
+@pytest.mark.parametrize("m, t, perfect", [(3, 1, True), (4, 2, False), (4, 3, False)])
+def test_binary_message_errors_are_the_shifted_packed_decodes(m, t, perfect, monkeypatch):
+    """Every remainder of bch(2^m - 1, t; gf(2)): the message digits of
+    ``decode_packed``'s pattern, or None where it refuses (no remainder
+    of a perfect code), from the coset table and above its cap alike."""
+    code = BchCode(2, m, t)
+    r = code.redundancy
+
+    def expected(remainder):
+        try:
+            return code.decode_packed(remainder) >> r
+        except DecodeFailure:
+            return None
+
+    remainders = range(1 << r)
+    want = [expected(rem) for rem in remainders]
+    assert any(want) and (None in want) != perfect
+    assert [code._message_error(rem) for rem in remainders] == want and code._cosets
+    monkeypatch.setattr(rs, "_COSET_CAP", 0)
+    above = BchCode(2, m, t)
+    assert [above._message_error(rem) for rem in remainders] == want
+    assert above._cosets is False
+
+
+def test_zero_free_counts_are_the_product_counts_over_the_rs_15_11_walk():
+    """Every syndrome of rs(15,11;gf(2^4)), and one in seven again with
+    an erasure: the region decoder's outcome and count, read without a
+    mask product where no syndrome symbol is zero, are the scalar
+    decoder's, and both kinds of syndrome decode and fail."""
+    code = RsCode(ExtField(2, 4), 15, 11)
+    assert code._load_chien()
+    kinds = Counter()
+    for k, synd in enumerate(product(range(16), repeat=4)):
+        cases = [()] if k % 7 else [(), (k % 15,)]
+        for known in cases:
+            got = counted(code._region_errors, bytes(synd), known)
+            assert got == counted(rs._gpz_decode, code.field, synd, 15, known)
+            kinds[0 in synd, type(got[0])] += 1
+    assert all(kinds[zero, kind] for zero in (False, True) for kind in (dict, str))
+
+
+def test_the_fill_table_fits_the_code_weight():
+    """The size codespec._CODE_WEIGHT's comment states: about
+    112 + 8 * width bytes per entry and 8 in the table's tuple, 26 KB for
+    the 81 entries of width 26 of concat(inner=bch(26,7;gf(3)),
+    outer=rs(2,1;gf(3^4))), and under 160 KB for 256 entries of width 63."""
+    from synfuzz import codespec
+    from test_columns import retained
+
+    spec = "concat(inner=bch(26,7;gf(3)), outer=rs(2,1;gf(3^4)), layout=flat)"
+    code = codespec._parse_code(spec)
+    assert code._load_columns() and code._digits
+    fills = code._load_fills()
+    assert (len(fills), code._width) == (81, 26)
+    assert 25_000 < retained([fills]) <= 81 * (120 + 8 * 26) + 56 < 27_000
+    assert 256 * (120 + 8 * 63) + 56 < 160_000 < codespec._CODE_WEIGHT * 40
+
+
+@pytest.mark.parametrize("p, m, n", [(2, 3, 7), (2, 3, 5), (2, 8, 200), (3, 2, 8), (5, 2, 20)])
+def test_degree_one_locators_find_the_scanned_root_and_count(p, m, n):
+    """Every locator 1 + c1 x, with a Chien table over F_{2^m} and without
+    one over odd p: the root read off c1's log is the scalar scan's, with
+    its count, full length and shortened."""
+    field = ExtField(p, m)
+    table = rs._chien_fits(field, n, 2) and rs._chien_table(field, n, 2)
+    found = Counter()
+    for c1 in range(1, field.order):
+        got = rs._chien_search(field, [1, c1], n, table or None)
+        assert got == rs._chien_roots(field, [1, c1], n), c1
+        found[len(got[0])] += 1
+    assert found[1] and bool(found[0]) == (n < field.order - 1)
