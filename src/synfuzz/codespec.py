@@ -91,8 +91,8 @@ MAX_SPEC_CHARS = 1024
 # which leaves at most 2401 remainders (bch(6,2;gf(7)), 297 KB), within
 # the 640 KiB of this weight.  An odd-p block code with columns also
 # fills, on its first decode, one fill-table entry per outer symbol: at
-# most q <= 256 entries of width cells and two counts, about
-# 120 + 8 * width bytes each, so under 160 KB at the cap (n >= 2 blocks
+# most q <= 256 entries of width cells and one count, about
+# 112 + 8 * width bytes each, so under 160 KB at the cap (n >= 2 blocks
 # share at most 127 cells, so width <= 63) and 26 KB for
 # concat(inner=bch(26,7;gf(3)), outer=rs(2,1;gf(3^4))).
 _CODE_WEIGHT = 1 << 14

@@ -42,16 +42,19 @@ residuals in block order (N*(n-k) symbols over F_p), then the N-K outer
 power sums of the blocks' symbols over F_{p^k}.  Decoding inner-decodes
 each damaged block, corrects the estimates with the outer decoder,
 rebuilds the touched blocks from their symbol errors and stored
-residuals and re-checks them against the whole syndrome: every other
-block must have a zero residual.  Under the binary column cap the
-re-check is the XOR of the rebuilt cells' syndrome columns
-(``rs._BlockCode``).  Over odd p with digit columns it is the sum of
-those cells' columns of their values, reduced mod p, and the decode
-adds the products the re-split would have counted, the touched blocks'
-from the fill table and the outer power sums' per nonzero symbol
-(``_recheck_count``), so ``decode_mults`` is unchanged; elsewhere, and
-for the tuple syndrome of the public ``decode``, the re-check is the
-re-split of the touched blocks (``_recheck``).  Each damaged block's
+residuals into a sparse map and re-checks that map against the whole
+syndrome by ``rs._BlockCode``'s one rule: the columns where the code
+has them, else the re-split of the returned map.  Under the binary
+column cap the re-check is the XOR of the map's syndrome columns.  Over
+odd p with digit columns it is the sum of the map's columns of its
+values, reduced mod p, and the decode adds the products the re-split
+would have counted, the touched blocks' from the fill table and the
+outer power sums' per nonzero symbol (``_recheck_count``), so
+``decode_mults`` is unchanged; elsewhere, and for the tuple syndrome of
+the public ``decode``, the touched blocks are read back from the map
+and re-split (``_BlockCode._recheck``): each one's residual must be its
+stored one, every other block's must be zero and the outer power sums
+of their symbols the stored ones.  Each damaged block's
 inner decode is one call, ``BchCode._message_error``: a lookup in the
 coset table within its cap (the binary one, or over odd p the counted
 one), which returns None for a block it cannot decode.  Such a block
@@ -61,10 +64,7 @@ within the inner capability never fails, so every bound still holds.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .errors import (
-    DecodeFailure,
     IndexOutOfRangeError,
     QueryUnsupportedError,
     ShapeMismatchError,
@@ -238,6 +238,9 @@ class ConcatCode(_BlockCode):
             )
         super().__init__(outer, inner.redundancy, inner.redundancy, layout)
         self.inner = inner
+        # a damaged block's symbol error from its residual, None to erase it;
+        # an identity inner code has none, as none of its blocks is damaged
+        self._inner_decode = getattr(inner, "_message_error", None)
         self.p = inner.p
         self.N, self.n_in = outer.n, inner.n
         self.guidance = layout.guidance
@@ -259,12 +262,6 @@ class ConcatCode(_BlockCode):
         its symbol's inner codeword."""
         return self.inner._remainder(block)
 
-    def _inner_decode(self, residual):
-        """The symbol error of the inner pattern with this remainder, or
-        None (an erasure) where the inner decode fails: its message digits
-        (``BchCode._message_error``)."""
-        return self.inner._message_error(residual)
-
     # ------------------------------------------------------------------
     # encode / syndrome / decode
     # ------------------------------------------------------------------
@@ -275,37 +272,12 @@ class ConcatCode(_BlockCode):
 
     decode = _BlockCode.decode
 
-    def _recheck(self, touched, cells, parts, sums) -> None:
-        """Raise DecodeFailure unless the rebuilt pattern, the touched
-        blocks' ``cells`` with every other block zero, has the whole
-        syndrome: each touched block's residual, recomputed from its
-        cells, is its stored part; every other block's part is zero; and
-        the outer power sums of the touched blocks' symbols are ``sums``.
-
-        A concatenation with binary per-cell columns (outer m <= 8, at
-        most ``rs._COLUMN_CAP_CELLS`` cells) re-checks by their XOR
-        instead, and an odd-p one with digit columns by their sum mod p
-        on a digit-byte syndrome, counting what this re-split would
-        (``_recheck_count``; ``_BlockCode._decode``).  This re-split of
-        the touched blocks serves the longer codes, where one column XOR
-        per set cell would cost more than the lanes, and the tuple
-        syndrome of the public ``decode``; over F_2 its parts come from
-        the same bit lanes as the decode's."""
-        syms, res = self._split_cells(cells)
-        got = self._parts(res) if self._chk else [0] * len(syms)
-        if (
-            list(got) != [parts[i] for i in touched]
-            or sum(map(bool, parts)) != sum(bool(parts[i]) for i in touched)
-            or any(self.outer._minus_sums(sums, compress(zip(touched, syms), syms)))
-        ):
-            raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
-
     def _recheck_count(self, touched, syms) -> int:
         """The products ``_recheck`` counts on the touched blocks of these
-        symbol errors: each block's re-split, read from the fill table, and
-        the outer power sums of each nonzero symbol."""
+        symbol errors: each block's re-split, the fill's count in the fill
+        table, and the outer power sums of each nonzero symbol."""
         fills, syms = self._fills, [syms[i] for i in touched]
-        return sum([fills[s][2] for s in syms]) + self.outer.count * (len(syms) - syms.count(0))
+        return sum([fills[s][1] for s in syms]) + self.outer.count * (len(syms) - syms.count(0))
 
     # ------------------------------------------------------------------
     # capability bounds

@@ -34,11 +34,13 @@ expansions, and its symbol count equals the code's redundancy.
 Decoding hands the parity layout's blocks with a nonzero digit sum to
 the RS decoder as erasures (one syndrome instead of two); a companion
 tile's symbol stands.  Clean blocks are never flagged, so every bound of
-the plain layout still holds.  A binary expansion of at most 256 cells
-takes its syndrome and a full re-check of each decode from per-cell
-syndrome columns (``rs._BlockCode``); an odd-p one with one-byte outer
-symbols and cells * (p - 1) <= 255 takes its syndrome from columns as
-digit bytes and re-checks each decode by their sum mod p.
+the plain layout still holds.  Every decode re-checks the sparse map it
+returns against the whole syndrome by ``rs._BlockCode``'s one rule: the
+columns where the code has them, else the re-split of the returned map.
+A binary expansion of at most 256 cells takes its syndrome and that
+re-check from per-cell syndrome columns; an odd-p one with one-byte
+outer symbols and cells * (p - 1) <= 255 takes its syndrome from
+columns as digit bytes and re-checks by their sum mod p.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from functools import partial
 
 from .errors import ShapeMismatchError, ShapeUnsupportedError
 from .concat import FlatLayout, VLayout
+from .gf import MUL_COUNTER
 from .rs import RsCode, _BlockCode, _check_symbols
 
 KIND_ROW = "row-vector"
@@ -81,18 +84,22 @@ def _companion_fill(field, sym: int) -> list[int]:
 class ExpandedCode(_BlockCode):
     """A base-field expansion of an RS code with its layout bookkeeping.
 
-    A binary expansion with outer symbols of m <= 8 bits and at most
-    ``rs._COLUMN_CAP_CELLS`` cells (the roster's cI(rs(7,3)),
-    cI+parity(rs(15,7)), cII and cIII) takes its syndrome from per-cell
-    columns and re-checks every decode against the whole syndrome by
-    their XOR.  An odd-p expansion with outer symbols of one byte and
-    cells * (p - 1) <= 255 (cI+parity(rs(8,4;gf(3^2))) and
-    cIII(rs(8,4;gf(3^2));2,4) among the golden codes) sums per-cell
-    columns into digit-byte syndromes and re-checks each decode of one
-    by the sum of its cells' columns mod p.  Above the caps, where a
-    column XOR per set cell costs more than the bit lanes or a byte
-    could carry, the decode re-checks only the outer symbol errors, as
-    the RS decoder does."""
+    Every decode re-checks the sparse map it returns against the whole
+    syndrome: by the columns where the code has them, else by the
+    re-split of the map.  A binary expansion with outer symbols of m <= 8
+    bits and at most ``rs._COLUMN_CAP_CELLS`` cells (the roster's
+    cI(rs(7,3)), cI+parity(rs(15,7)), cII and cIII) takes its syndrome
+    from per-cell columns and re-checks by their XOR.  An odd-p
+    expansion with outer symbols of one byte and cells * (p - 1) <= 255
+    (cI+parity(rs(8,4;gf(3^2))) and cIII(rs(8,4;gf(3^2));2,4) among the
+    golden codes) sums per-cell columns into digit-byte syndromes and
+    re-checks a decode of one by the sum of its map's columns mod p.
+    Above the caps, where a column XOR per set cell costs more than the
+    bit lanes or a byte could carry (the roster's cI(rs(255,223))), the
+    decode reads the touched blocks back from the map, re-splits them
+    and compares their parts and outer power sums with the syndrome;
+    without check cells the outer sums of the re-read symbols are the
+    whole check."""
 
     syndrome = _BlockCode.syndrome
 
@@ -153,6 +160,15 @@ class ExpandedCode(_BlockCode):
         """Parity: a damaged block is an erasure; companion: its symbol stands."""
         return None if self.kind == KIND_ROW_PARITY else 0
 
+    def _recheck(self, found, touched, parts, sums) -> None:
+        """``_BlockCode._recheck``, counting nothing: an expansion's decode
+        counts the products of its outer decode alone."""
+        counted = MUL_COUNTER.n
+        try:
+            super()._recheck(found, touched, parts, sums)
+        finally:
+            MUL_COUNTER.n = counted
+
     # ------------------------------------------------------------------
     # expansion
     # ------------------------------------------------------------------
@@ -169,9 +185,8 @@ class ExpandedCode(_BlockCode):
 
     # The extension-level pattern comes from the RS decoder, with the
     # parity layout's damaged blocks as erasures; each touched block is
-    # rebuilt from its symbol error and stored residual, so the pattern is
-    # exact whenever the RS step is, and under the column cap the
-    # columns re-check it against the whole syndrome.
+    # rebuilt from its symbol error and stored residual, and the returned
+    # map is re-checked against the whole syndrome.
     decode = _BlockCode.decode
 
     # ------------------------------------------------------------------

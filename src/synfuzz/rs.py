@@ -45,9 +45,11 @@ p at the end (``_BlockCode._digit_columns``); longer ones keep the
 per-symbol paths ``_sparse_syndrome`` and ``_poly_remainder``.  Such a
 code's decode re-checks a digit-byte syndrome by the same columns and
 rebuilds its touched blocks from a fill table (``_BlockCode._fills``)
-whose entries carry the products the fill and its re-split count, so
-``decode_mults`` is what the per-symbol re-check gives.  A binary block
-decode reads its block parts from bit lanes, one int per check digit.
+whose entries carry the products the fill counts, which its re-split
+counts too, so ``decode_mults`` is what the per-symbol re-check gives.
+A block code without columns re-checks the sparse map a decode returns
+by re-splitting the blocks it touches.  A binary block decode reads its
+block parts from bit lanes, one int per check digit.
 
 Over F_{2^m}, m <= 8, a code whose Chien table fits its cap decodes on
 byte regions (``_CyclicCode._region_errors``): a polynomial is a byte
@@ -423,24 +425,27 @@ class _BlockCode(LinearCode):
     or stored residual, from their symbol errors and stored parts (over
     F_2 in one unpack; with odd-p columns from the fill table, below).
     Their nonzero cells, at each touched block's slice of the block
-    order, are the sparse error map; every other block is zero.  With
-    binary ``_columns`` the XOR of the map's columns must be the whole
-    syndrome, a full re-check for expansions and concatenations alike.
-    On a digit-byte syndrome the sum of the map's columns of its values,
+    order, are the sparse error map (``_cells_of``); every other block
+    is zero.  One rule re-checks that map against the whole syndrome,
+    for expansions and concatenations alike: the columns where the code
+    has them, else the re-split of the returned map.  With binary
+    ``_columns`` the XOR of the map's columns must be the syndrome.  On
+    a digit-byte syndrome the sum of the map's columns of its values,
     reduced mod p, must be the syndrome, and the decode adds the
-    products ``_recheck`` would have counted (``_recheck_count``: a
+    products the re-split would have counted (``_recheck_count``: a
     concatenation's re-split of the touched blocks and outer sums of
     their symbols), so ``decode_mults`` is unchanged.  Otherwise, and
-    for the tuple syndrome of the public ``decode``, ``_recheck`` may
-    check the rebuilt blocks against the whole syndrome, as a
-    concatenation does.  An odd-p code with digit columns takes each
-    rebuilt block's fill from ``_fills``, one entry per outer symbol
-    built on first use (``_load_fills``): the fill, the products
-    ``_fill`` counts for it and those the re-split of that block counts,
-    measured once under MUL_COUNTER, so a lookup adds what the scalar
-    path would.  A subclass also gives ``_inner_decode(part)``: the
-    symbol error a damaged block's residual suggests, or None to make
-    the block an outer erasure.
+    for the tuple syndrome of the public ``decode``, ``_recheck`` reads
+    the touched blocks back from the map and compares their parts and
+    outer power sums with the syndrome; an expansion's counts no
+    product (``ExpandedCode._recheck``).  An odd-p code with digit
+    columns takes each rebuilt block's fill from ``_fills``, one entry
+    per outer symbol built on first use (``_load_fills``): the fill and
+    the products ``_fill`` counts for it, which the re-split of that
+    block counts too, measured once under MUL_COUNTER, so a lookup adds
+    what the scalar path would.  A subclass also gives
+    ``_inner_decode(part)``: the symbol error a damaged block's residual
+    suggests, or None to make the block an outer erasure.
     """
 
     def __init__(self, outer, chk: int, sym_at: int, layout, places=None):
@@ -453,11 +458,9 @@ class _BlockCode(LinearCode):
         self._checks = None  # the check tables over F_2, set on first use
         self._lanes = None  # the lanes of each check digit over F_2, set on first use
         self._columns = None  # the per-cell syndrome columns, False without; set on first use
-        self._digits = False  # the digit-byte maps of odd-p columns, set with them
-        self._fills = None  # per symbol its fill and counts, with digit columns; set on first use
+        self._fills = None  # per symbol its fill and count, with digit columns; set on first use
         self._order = None
         self._gather = None  # the itemgetter of a 2-D body in block order, set on first use
-        self._spec = self._head = self._below = None
         self._symbols = f"gf({outer.field.p})"
         self.layout = layout
         self.shape = layout.shape(outer.n, self._width)
@@ -511,12 +514,13 @@ class _BlockCode(LinearCode):
         """The sparse error map a syndrome decodes to and its DecodeInfo:
         the residual run split into parts, each damaged block
         inner-decoded or erased, the outer decode, then the touched blocks
-        rebuilt from their symbol errors and stored parts and re-checked:
-        with binary ``_columns`` the XOR of the columns of the map's cells
-        must be the whole syndrome; a digit-byte syndrome, whose outer
-        sums take m bytes each, must be the sum of the map's columns of
-        its values reduced mod p, after ``_recheck_count``'s products are
-        counted; else ``_recheck`` runs."""
+        rebuilt from their symbol errors and stored parts into the map
+        (``_cells_of``) and the map re-checked: with binary ``_columns``
+        the XOR of the columns of its cells must be the whole syndrome; a
+        digit-byte syndrome, whose outer sums take m bytes each, must be
+        the sum of its columns of its values reduced mod p, after
+        ``_recheck_count``'s products are counted; else ``_recheck``
+        re-splits it."""
         columns = self._columns
         if columns is None:
             columns = self._load_columns()
@@ -529,27 +533,43 @@ class _BlockCode(LinearCode):
         parts = self._parts(res)
         errors, erasures, delta = self._decode_blocks(parts, sums)
         touched = self._touched(errors, parts)
-        cells = self._touched_cells(touched, errors, parts)
-        found = self._cell_map(touched, cells)
+        found = self._cells_of(touched, errors, parts)
         if digits:
             MUL_COUNTER.add(self._recheck_count(touched, errors))
             total = sum(map(getitem, map(columns.__getitem__, found), found.values()))
             if total.to_bytes(len(synd), "little").translate(self._digits.reduce) != synd:
                 raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         elif not columns or self._digits:
-            self._recheck(touched, cells, parts, sums)
+            self._recheck(found, touched, parts, sums)
         elif reduce(xor, map(columns.__getitem__, found), 0) != int.from_bytes(synd, "little"):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         return found, DecodeInfo(tuple(erasures), tuple(delta))
 
-    def _recheck(self, touched, cells, parts, sums) -> None:
-        """Nothing by default: an expansion's rebuilt blocks hold their
-        symbol errors and stored parts by construction, and the outer
-        decoder re-checked the symbol errors against the power sums."""
+    def _recheck(self, found, touched, parts, sums) -> None:
+        """Raise DecodeFailure unless the sparse map ``found`` has the
+        whole syndrome, its touched blocks read back from it: every cell
+        of the map lies in a touched block; each touched block's residual,
+        recomputed from its cells, is its stored part; every other block's
+        part is zero; and the outer power sums of the touched blocks'
+        symbols are ``sums``.  Without check cells every part is zero and
+        the outer sums of the re-read symbols are the whole check.  It
+        serves every code without columns and the tuple syndrome of the
+        public ``decode``; over F_2 its parts come from the same bit lanes
+        as the decode's."""
+        width, order = self._width, self._order or self._load_order()
+        cells = [found.get(at, 0) for i in touched for at in order[i * width : (i + 1) * width]]
+        syms, res = self._split_cells(bytes(cells) if self.alphabet.p == 2 else cells)
+        if (
+            len(found) != len(cells) - cells.count(0)
+            or self._chk and (list(self._parts(res)) != [parts[i] for i in touched]
+                              or sum(map(bool, parts)) != sum(bool(parts[i]) for i in touched))
+            or any(self.outer._minus_sums(sums, compress(zip(touched, syms), syms)))
+        ):
+            raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
 
     def _recheck_count(self, touched, syms) -> int:
-        """The products ``_recheck`` would count on the touched blocks of
-        these symbol errors: none by default."""
+        """The products ``_recheck`` counts on the touched blocks of these
+        symbol errors, for a code with digit columns: none by default."""
         return 0
 
     def _load_columns(self):
@@ -564,7 +584,7 @@ class _BlockCode(LinearCode):
             return False
         by_block = self._bit_columns() if p == 2 else self._digit_columns()
         columns = [0] * len(by_block)
-        for at, col in zip(self._order or self._load_order() or range(len(by_block)), by_block):
+        for at, col in zip(self._order or self._load_order(), by_block):
             columns[at] = col
         self._columns = tuple(columns)
         return self._columns
@@ -670,9 +690,11 @@ class _BlockCode(LinearCode):
     def _load_order(self):
         """The block order as 4-byte offsets, a memoryview of native
         unsigned ints (a code has at most 2^20 cells): the getter built
-        from it holds the only int objects."""
+        from it holds the only int objects.  A one-row code's is the
+        identity, a range."""
         order = self._block_order()
-        self._order = order and memoryview(struct.pack(f"{len(order)}I", *order)).cast("I")
+        self._order = (memoryview(struct.pack(f"{len(order)}I", *order)).cast("I") if order
+                       else range(self.base_length))
         return self._order
 
     def _split_body(self, body):
@@ -788,8 +810,7 @@ class _BlockCode(LinearCode):
     def _rebuild(self, syms, parts) -> list:
         """The word whose blocks hold the symbols ``syms`` with residuals
         ``parts``."""
-        touched = self._touched(syms, parts)
-        return self._dense(self._cell_map(touched, self._touched_cells(touched, syms, parts)))
+        return self._dense(self._cells_of(self._touched(syms, parts), syms, parts))
 
     @staticmethod
     def _touched(syms, parts) -> list:
@@ -798,23 +819,29 @@ class _BlockCode(LinearCode):
         blocks = range(len(syms))
         return sorted(set(compress(blocks, syms)).union(compress(blocks, parts)))
 
-    def _touched_cells(self, touched, syms, parts):
-        """The cells of each touched block i in turn, the block of symbol
-        syms[i] whose residual is parts[i]; over F_2 from one unpack, over
-        odd p with digit columns from the fill table, adding each fill's
-        count."""
-        at, end, p = self._chk_at, self._chk_at + self._chk, self.alphabet.p
+    def _cells_of(self, touched, syms, parts) -> dict:
+        """The sparse map of the word whose touched block i holds symbol
+        syms[i] with residual parts[i], every other block zero: the
+        nonzero cells by row-major flat offset, at each touched block's
+        slice of the block order.  Over F_2 the cells come from one unpack
+        and every set cell is 1; over odd p with digit columns each block
+        comes from the fill table, whose count is added."""
+        at, end, p, width = self._chk_at, self._chk_at + self._chk, self.alphabet.p, self._width
+        order = self._order or self._load_order()
+        offsets = chain.from_iterable([order[i * width : (i + 1) * width] for i in touched])
         if p == 2:
-            if not self._chk:
-                return _unpack_bits([syms[i] for i in touched], self._width)
-            tables, sym_at = self._checks or self._load_checks(), self._sym_at
-            return _unpack_bits([syms[i] << sym_at | (parts[i] ^ _lookup(tables, syms[i])) << at
-                                 for i in touched], self._width)
+            if self._chk:
+                tables, sym_at = self._checks or self._load_checks(), self._sym_at
+                blocks = [syms[i] << sym_at | (parts[i] ^ _lookup(tables, syms[i])) << at
+                          for i in touched]
+            else:
+                blocks = [syms[i] for i in touched]
+            return dict.fromkeys(compress(offsets, _unpack_bits(blocks, width)), 1)
         fills = self._digits and (self._fills or self._load_fills())
         cells, counted = [], 0
         for i in touched:
             if fills:
-                block, count, _ = fills[syms[i]]
+                block, count = fills[syms[i]]
                 counted += count
             else:
                 block = self._fill(syms[i])
@@ -823,36 +850,23 @@ class _BlockCode(LinearCode):
                 block[at:end] = [(f + r) % p for f, r in zip(block[at:end], parts[i])]
             cells += block
         MUL_COUNTER.add(counted)
-        return cells
+        return dict(compress(zip(offsets, cells), cells))
 
     def _load_fills(self):
         """Per outer symbol s of an odd-p code with digit columns: its
-        fill as a tuple, the products ``_fill(s)`` counts and those the
-        re-split of that block (``_split_cells``) counts.  Each entry is
-        measured under MUL_COUNTER, which the build leaves as it found it;
-        a lookup adds the fill's count, and a concatenation's column
-        re-check the re-split's (``_recheck_count``)."""
+        fill as a tuple and the products ``_fill(s)`` counts, measured
+        under MUL_COUNTER, which the build leaves as it found it.  A
+        lookup adds the count, and so does a concatenation's column
+        re-check (``_recheck_count``) for the re-split of that block:
+        ``_poly_remainder`` counts by the message digits alone, which a
+        fill and its re-split share."""
         counted, fills = MUL_COUNTER.n, []
         for sym in range(self.outer.field.order):
-            before = MUL_COUNTER.n
-            fill = tuple(self._fill(sym))
-            filled = MUL_COUNTER.n
-            self._split_cells(fill)
-            fills.append((fill, filled - before, MUL_COUNTER.n - filled))
+            MUL_COUNTER.n = 0
+            fills.append((tuple(self._fill(sym)), MUL_COUNTER.n))
         MUL_COUNTER.n = counted
         self._fills = tuple(fills)
         return self._fills
-
-    def _cell_map(self, touched, cells) -> dict:
-        """The nonzero ``cells`` of the touched blocks by row-major flat
-        offset: each block's slice of the block order, chained; over F_2
-        every such cell is 1."""
-        width = self._width
-        order = self._order or self._load_order() or range(self.base_length)
-        offsets = chain.from_iterable([order[i * width : (i + 1) * width] for i in touched])
-        if self.alphabet.p == 2:
-            return dict.fromkeys(compress(offsets, cells), 1)
-        return dict(compress(zip(offsets, cells), cells))
 
     def _decode_blocks(self, parts, synd: tuple):
         """The outer symbol errors (a list of n), the erasures and the
@@ -1768,7 +1782,6 @@ class RsCode(_CyclicCode, LinearCode):
         self.base_length = n
         self.base_dimension = k
         self.segments = ((self.redundancy, field),)
-        self._spec = self._head = self._below = None
 
     encode = _CyclicCode._encode
     decode_syndrome = _CyclicCode._decode_syndrome

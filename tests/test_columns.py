@@ -4,7 +4,8 @@ A binary block code of at most ``rs._COLUMN_CAP_CELLS`` cells, with outer
 symbols of m <= 8 bits, takes its syndrome as the XOR of one column per
 set cell, and its decoder re-checks the sparse map it returns by the
 same XOR.  With the cap patched to 0 the same code takes the bit lanes
-and, for a concatenation, ``ConcatCode._recheck``: the oracle here.
+and the re-split of the map it returns, ``_BlockCode._recheck``: the
+oracle here.
 
 An odd-p block code with one-byte outer symbols and cells * (p - 1) <= 255
 takes its syndrome as digit bytes, the sum of one column per cell reduced
@@ -153,8 +154,8 @@ REFUSALS = [
 @pytest.mark.parametrize("spec", test_protocol.CONCATS)
 def test_concat_refusals_hold_on_the_lanes_too(spec, refusal, monkeypatch, fresh_codes):
     """The concatenations' refusal tests run on the column re-check for
-    iv and v (under the cap) and on ``ConcatCode._recheck`` for the rest;
-    with the cap at 0 every one runs on ``_recheck``."""
+    iv and v (under the cap) and on ``_BlockCode._recheck`` for the
+    rest; with the cap at 0 every one runs on ``_recheck``."""
     lanes_off(monkeypatch)
     refusal(spec, monkeypatch)
     assert codespec.parse_spec(spec)._columns is False
@@ -167,35 +168,92 @@ def one_cell_word(code, seed):
     return code._shaped(flat)
 
 
+def drop_a_cell(code, found, touched):
+    del found[next(iter(found))]
+
+
+def set_a_cell_outside(code, found, touched):
+    """The first cell of the first block the decode did not touch."""
+    order = code._block_order() or range(code.base_length)
+    found[order[min(set(range(code.outer.n)) - set(touched)) * code._width]] = 1
+
+
+def change_a_check_cell(code, found, touched):
+    """The first touched block's first check cell plus one."""
+    order = code._block_order() or range(code.base_length)
+    at = order[touched[0] * code._width + code._chk_at]
+    value = (found.pop(at, 0) + 1) % code.alphabet.p
+    if value:
+        found[at] = value
+
+
+def spoil(code, fault, monkeypatch):
+    """Make the code's decodes leave the first touched block out, or
+    apply ``fault`` to the map they rebuild."""
+    if fault == "leave_out_a_block":
+        touched = code._touched
+        monkeypatch.setattr(code, "_touched", lambda syms, parts: touched(syms, parts)[1:])
+        return
+    cells_of = code._cells_of
+
+    def faulty(touched, syms, parts):
+        found = cells_of(touched, syms, parts)
+        fault(code, found, touched)
+        return found
+
+    monkeypatch.setattr(code, "_cells_of", faulty)
+
+
 @pytest.mark.parametrize("spec", ["cI+parity(rs(15,7;gf(2^4)))", "cII(rs(15,7;gf(2^4));3,5)",
                                   "cIII(rs(15,5;gf(2^4));3,5)"])
 def test_an_expansion_refuses_a_pattern_with_a_dropped_cell(spec, monkeypatch):
-    """An expansion under the cap re-checks its sparse map against the
-    whole syndrome: a rebuilt block with one set cell dropped makes the
-    decode fail.  On the lanes an expansion re-checks nothing, and the
-    same decode returns the wrong pattern."""
-    outcomes = []
+    """An expansion re-checks its sparse map against the whole syndrome:
+    a rebuilt block with one set cell dropped makes the decode fail,
+    under the cap by the columns and on the lanes by the re-split of the
+    map (``_BlockCode._recheck``)."""
     for cap in (rs._COLUMN_CAP_CELLS, 0):
         monkeypatch.setattr(rs, "_COLUMN_CAP_CELLS", cap)
         code = fresh(spec)
         word = one_cell_word(code, 700)
         synd = code.syndrome(word)
         assert code.decode(synd) == word
-        touched_cells = code._touched_cells
+        spoil(code, drop_a_cell, monkeypatch)
+        with pytest.raises(DecodeFailure, match="does not reproduce the syndrome"):
+            code.decode(synd)
 
-        def dropped(touched, syms, parts):
-            cells = bytearray(touched_cells(touched, syms, parts))
-            cells[cells.index(1)] = 0
-            return cells
 
-        monkeypatch.setattr(code, "_touched_cells", dropped)
-        try:
-            outcomes.append(code.decode(synd))
-        except DecodeFailure as exc:
-            assert "does not reproduce the syndrome" in str(exc)
-            outcomes.append(None)
-    assert outcomes[0] is None
-    assert outcomes[1] is not None and outcomes[1] != word
+# Every golden block code with each fault that applies to it: a code
+# without check cells has none to change.
+FAULTY_MAPS = [(g[1], fault) for g in GOLDEN + WIDE_GOLDEN if not g[1].startswith("rs")
+               for fault in (drop_a_cell, set_a_cell_outside, change_a_check_cell,
+                             "leave_out_a_block")
+               if fault is not change_a_check_cell or fresh(g[1])._chk]
+
+
+@pytest.mark.parametrize("cap", [rs._COLUMN_CAP_CELLS, 0], ids=["cap", "no-columns"])
+@pytest.mark.parametrize("spec,fault", FAULTY_MAPS,
+                         ids=[f"{spec}-{getattr(f, '__name__', f)}" for spec, f in FAULTY_MAPS])
+def test_a_block_code_refuses_a_faulty_map(spec, fault, cap, monkeypatch):
+    """Every golden block code, with its columns and without: a decode
+    whose map has one set cell dropped, one cell set in a block it did
+    not touch, one check cell changed or one damaged block left out
+    fails, on the verify path's syndrome (bytes, or digit bytes with odd-p
+    columns) and on the public decode's tuple.  The word has two damaged
+    blocks, one cell each."""
+    monkeypatch.setattr(rs, "_COLUMN_CAP_CELLS", cap)
+    code = fresh(spec)
+    rng = random.Random(702)
+    flat = [0] * code.base_length
+    order = code._block_order() or range(code.base_length)
+    for i in rng.sample(range(code.outer.n), 2):
+        flat[order[i * code._width + rng.randrange(code._width)]] = 1
+    word = code._shaped(flat)
+    synd = code._body_syndrome(code._read(word))
+    assert code._dense(code._decode(synd)[0]) == code.decode(code.syndrome(word)) == word
+    spoil(code, fault, monkeypatch)
+    for decode, given in ((code._decode, synd), (code.decode, code.syndrome(word))):
+        with pytest.raises(DecodeFailure, match="does not reproduce the syndrome"):
+            decode(given)
 
 
 def test_the_largest_columns_fit_the_code_weight():

@@ -394,7 +394,7 @@ def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
     assert failing > code.outer.redundancy + 1
 
     failures = []
-    message_error = code.inner._message_error
+    message_error = code._inner_decode  # the inner code's bound _message_error
 
     def counting(rem):
         error = message_error(rem)
@@ -402,7 +402,7 @@ def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
             failures.append(rem)
         return error
 
-    monkeypatch.setattr(code.inner, "_message_error", counting)
+    monkeypatch.setattr(code, "_inner_decode", counting)
     with pytest.raises(DecodeFailure):
         code.decode(synd)
     assert len(failures) == code.outer.redundancy + 1

@@ -4,13 +4,13 @@
   from bit lanes, one int per check digit; ``rs._pack_runs`` is the
   oracle, and stays the path of wider parts.
 - An odd-p block code with digit columns rebuilds its touched blocks from
-  a fill table whose entries hold the counts of the fill and of the
-  re-split of its block; the inner encoder and remainder, measured under
-  MUL_COUNTER, are the oracle.
+  a fill table whose entries hold the count of the fill, which is also
+  that of the re-split of its block; the inner encoder and remainder,
+  measured under MUL_COUNTER, are the oracle.
 - Its decode of a digit-byte syndrome re-checks by summing the columns
-  of the cells it returns and adds the products ``ConcatCode._recheck``
-  would count; the tuple syndrome of the public decode keeps
-  ``_recheck``, the oracle.
+  of the cells it returns and adds the products ``_BlockCode._recheck``
+  would count on a concatenation; the tuple syndrome of the public decode
+  keeps ``_recheck``, the oracle.
 - ``BchCode._message_error`` over F_2 reads the coset table without an
   exception; ``decode_packed`` is the oracle.
 - The region decoder counts Berlekamp-Massey's discrepancy products of a
@@ -86,9 +86,9 @@ VI = next(spec for spec in ODD_BLOCK if spec.endswith("layout=vi)"))
 @pytest.mark.parametrize("build", [lambda: fresh(VI), odd_identity], ids=["vi", "identity"])
 def test_fill_table_entries_are_the_measured_fill_and_resplit(build):
     """Built on first use and leaving MUL_COUNTER as it found it, each
-    symbol's entry is its inner codeword, the products the inner encoder
-    counts for it and those the inner remainder of that codeword counts
-    (none for an identity inner code)."""
+    symbol's entry is its inner codeword and the products the inner
+    encoder counts for it, which are also those the inner remainder of
+    that codeword counts (none for an identity inner code)."""
     code = build()
     assert code._fills is None
     code._load_columns()
@@ -105,19 +105,17 @@ def test_fill_table_entries_are_the_measured_fill_and_resplit(build):
             assert not any(remainder)
         else:
             split_count = 0
-        assert entry == (tuple(fill), fill_count, split_count)
-    counts = [entry[1:] for entry in fills]
-    assert any(map(any, counts)) == bool(code._chk)
-    # _poly_remainder's products depend only on the message digits, which
-    # a fill and its codeword share: the two counts agree entry by entry
-    assert all(fill_count == split_count for fill_count, split_count in counts)
+        # _poly_remainder's products depend only on the message digits,
+        # which a fill and its codeword share: one count serves both
+        assert entry == (tuple(fill), fill_count) and fill_count == split_count
+    assert any(count for _, count in fills) == bool(code._chk)
 
 
 @pytest.mark.parametrize("build", [lambda: fresh(VI), odd_identity], ids=["vi", "identity"])
 def test_the_column_recheck_decodes_like_the_resplit(build):
     """On noisy reads and on 200 seeded stored syndromes, the decode of a
     digit-byte syndrome (the column re-check with the fill table's
-    counts) and of its tuple (``ConcatCode._recheck``) give the same
+    counts) and of its tuple (``_BlockCode._recheck``) give the same
     sparse map and DecodeInfo, or the same DecodeFailure message, with
     the same multiplications counted."""
     code = build()
@@ -195,8 +193,8 @@ def test_the_fill_table_fits_the_code_weight():
     assert code._load_columns() and code._digits
     fills = code._load_fills()
     assert (len(fills), code._width) == (81, 26)
-    assert 25_000 < retained([fills]) <= 81 * (120 + 8 * 26) + 56 < 27_000
-    assert 256 * (120 + 8 * 63) + 56 < 160_000 < codespec._CODE_WEIGHT * 40
+    assert 25_000 < retained([fills]) <= 81 * (112 + 8 * 26) + 56 < 27_000
+    assert 256 * (112 + 8 * 63) + 56 < 160_000 < codespec._CODE_WEIGHT * 40
 
 
 @pytest.mark.parametrize("p, m, n", [(2, 3, 7), (2, 3, 5), (2, 8, 200), (3, 2, 8), (5, 2, 20)])

@@ -58,11 +58,13 @@ def test_scatter_inverts_gather(stem, spec, shape, q, seed):
 
 @pytest.mark.parametrize("spec", ROW_MAJOR)
 def test_row_major_codes_build_no_block_order(spec):
+    """A one-row code's block order is the identity: it keeps a range,
+    no table of offsets."""
     code = parse_spec(spec)
     word = one_cell_word(code, 7)
     assert code.decode(code.syndrome(word)) == word
     assert code._block_order() is None
-    assert vars(code)["_order"] is None
+    assert vars(code)["_order"] == range(code.base_length)
 
 
 def test_block_order_is_built_once():
@@ -305,14 +307,18 @@ def test_concat_decode_refuses_a_rebuilt_block_whose_residual_is_not_stored(spec
     leaves every symbol as it was, makes the decode fail."""
     code = parse_spec(spec)
     synd = code.syndrome(one_cell_word(code, 602))
-    touched_cells = code._touched_cells
+    cells_of = code._cells_of
+    order = code._block_order() or range(code.base_length)
 
     def changed(touched, syms, parts):
-        cells = list(touched_cells(touched, syms, parts))
-        cells[code._chk_at] = (cells[code._chk_at] + 1) % code.p
-        return cells
+        found = cells_of(touched, syms, parts)
+        at = order[touched[0] * code._width + code._chk_at]
+        value = (found.pop(at, 0) + 1) % code.p
+        if value:
+            found[at] = value
+        return found
 
-    monkeypatch.setattr(code, "_touched_cells", changed)
+    monkeypatch.setattr(code, "_cells_of", changed)
     with pytest.raises(DecodeFailure, match="does not reproduce the syndrome"):
         code.decode(synd)
 

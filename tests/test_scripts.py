@@ -7,9 +7,11 @@ capability lines of each construction must reproduce it byte for byte.
 
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -204,7 +206,7 @@ def test_ab_pairs_compares_the_checkout_with_itself(workload):
                         "--seed", "3", "--words", "1", "--reps", "2")
     assert result.returncode == 0, result.stderr.decode()
     report = json.loads(result.stdout)
-    assert (report["identical"], report["differences"]) == (True, 0)
+    assert (report["identical"], report["differences"], report["mult_differences"]) == (True, 0, 0)
     ratios = report["ratio_change_over_parent"]
     spec = importlib.util.spec_from_file_location("perfbench_roster",
                                                   root / "perfbench" / "roster.py")
@@ -212,12 +214,66 @@ def test_ab_pairs_compares_the_checkout_with_itself(workload):
     sys.modules[spec.name] = roster  # its dataclass looks its module up by name
     spec.loader.exec_module(roster)
     per_op = 2 * (1 if workload == "enroll" else len(roster.NOISE_FRACTIONS) + 1)
-    assert set(ratios) == {*roster.SPECS, "all", "total_time_ratio"}
+    assert set(ratios) == {*roster.SPECS, "all", "total_time_ratio", "geomean_ratio"}
     for name in roster.SPECS:
         row = ratios[name]
-        assert set(row) == {"median", "q1", "q3", "ci95", "pairs", "parent_us"}
+        assert set(row) == {"median", "q1", "q3", "ci95", "pairs", "parent_us",
+                            "median_time_ratio"}
+        assert row["median_time_ratio"] > 0
         assert row["pairs"] == per_op and 0 < row["q1"] <= row["median"] <= row["q3"]
         low, high = row["ci95"]  # the bootstrap interval of the median
         assert 0 < low <= high and low <= row["q3"] and high >= row["q1"]
     assert ratios["all"]["pairs"] == per_op * len(roster.SPECS)
-    assert ratios["total_time_ratio"] > 0
+    assert ratios["total_time_ratio"] > 0 and ratios["geomean_ratio"] > 0
+
+
+def test_ab_pairs_gives_the_ratio_of_median_times_beside_the_median_ratio():
+    """Parent times 1, 2, 4 against change times 1, 1, 4: the median of
+    the per-operation ratios is 1, the ratio of the median times 0.5."""
+    ab_pairs = load_script("ab_pairs.py")
+    row = ab_pairs.summary([1.0, 0.5, 1.0], [1.0, 2.0, 4.0], [1.0, 1.0, 4.0], random.Random(1))
+    assert (row["median"], row["median_time_ratio"], row["parent_us"]) == (1.0, 0.5, 2e6)
+
+
+def fake_tree(counter, salt=0):
+    """A loaded tree's stand-in for the enroll workload: the code is its
+    spec, an enrollment the spec with the word's length plus ``salt``."""
+    fuzzy = SimpleNamespace(enroll=lambda word, code: (code, len(word) + salt))
+    return SimpleNamespace(fuzzy=fuzzy, codespec=SimpleNamespace(parse_spec=str),
+                           gf=SimpleNamespace(MUL_COUNTER=counter))
+
+
+@pytest.mark.parametrize("salt", [0, 1])
+def test_ab_pairs_fails_only_on_differing_results(salt, monkeypatch, capsys):
+    """A change whose every call counts one more product but returns the
+    same result exits 0 and reports the count differences apart; one
+    that returns another result exits 1.  The change takes twice the
+    parent's time on the first roster construction only, so the
+    geometric mean of the median times reads 2^(1/constructions)."""
+    ab_pairs = load_script("ab_pairs.py")
+    # a stand-in MUL_COUNTER whose count is the delta of every call
+    trees = {"synfuzz_parent": fake_tree(SimpleNamespace(count=0)),
+             "synfuzz_change": fake_tree(SimpleNamespace(count=1), salt)}
+    monkeypatch.setattr(ab_pairs, "load_tree", lambda name, root: trees[name])
+    first = ab_pairs.load_roster().SPECS[0]
+
+    def timed(call, counter):
+        result = call()
+        slow = counter.count and result[0] == first
+        return (result, counter.count), 2.0 if slow else 1.0
+
+    monkeypatch.setattr(ab_pairs, "timed", timed)
+    argv = ["parent", "change", "--workload", "enroll", "--seed", "4", "--words", "1",
+            "--reps", "3"]
+    assert ab_pairs.main(argv) == salt
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    constructions = len(ab_pairs.load_roster().SPECS)
+    assert report["identical"] == (not salt)
+    assert report["differences"] == salt * 4 * constructions
+    assert report["mult_differences"] == 4 * constructions
+    assert "ab_pairs: counts differ: enroll op" in out.err
+    assert ("ab_pairs: differs:" in out.err) == bool(salt)
+    ratios = report["ratio_change_over_parent"]
+    assert ratios[first]["median_time_ratio"] == ratios[first]["median"] == 2.0
+    assert ratios["geomean_ratio"] == pytest.approx(2 ** (1 / constructions))

@@ -262,8 +262,8 @@ def test_every_outer_syndrome_of_a_block_code_decodes_to_a_pattern_that_reproduc
     spec, decodable, residual
 ):
     """Every outer syndrome beside one residual run decodes to a pattern
-    with exactly that whole syndrome: the contract the expansions, which
-    run no re-check, keep by construction.  The residual run is zero, or
+    with exactly that whole syndrome: the contract every block code's
+    re-check of the map it returns holds.  The residual run is zero, or
     nonzero in t seeded blocks.  With the zero run the decodable
     syndromes are the outer Hamming ball."""
     code = codespec.parse_spec(spec)
