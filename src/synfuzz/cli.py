@@ -20,7 +20,6 @@ import math
 import sys
 
 from . import fuzzy
-from .channel import Rng, gen_mixed
 from .codespec import MAX_CELLS, parse_spec
 from .errors import SynfuzzError
 
@@ -91,7 +90,7 @@ def parse_model(text: str):
     return bursts, random_errors
 
 
-def _random_data(rng: Rng, code):
+def _random_data(rng, code):
     shape = code.shape
     order = code.alphabet.order
     if len(shape) == 1:
@@ -142,6 +141,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .channel import Rng, gen_mixed  # only simulations draw errors
+
     code = fuzzy.enrollable(parse_spec(args.code))
     bursts, random_errors = parse_model(args.model)
     shape = code.shape

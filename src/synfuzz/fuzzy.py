@@ -21,6 +21,11 @@ so the decode runs without the public ``decode``'s syndrome check.  The
 hash comparison is the final gate: a decoder miscorrection can never
 produce a false accept.
 
+``hashlib`` and ``hmac`` are imported on the first hash (``_modules``),
+since they load OpenSSL, which a parse never needs; ``_HASHES`` gives
+each algorithm id its constructor name and digest size, so a template's
+digest length is checked without building a hasher.
+
 The difference is decoded as stored-minus-presented, so the recovered
 pattern v satisfies original = presented + v.  Over a binary base the
 orientation is invisible; over odd characteristics it matters and is
@@ -54,9 +59,8 @@ word give equal templates.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from collections import namedtuple
+from functools import cache
 
 from . import codespec
 from .errors import (
@@ -68,11 +72,12 @@ from .errors import (
 from .gf import MUL_COUNTER
 from .rs import LinearCode, _symbol_width
 
+# Each algorithm id's ``hashlib`` constructor name and digest size.
 _HASHES = {
-    "sha-256": hashlib.sha256,
-    "sha-384": hashlib.sha384,
-    "sha-512": hashlib.sha512,
-    "sha3-256": hashlib.sha3_256,
+    "sha-256": ("sha256", 32),
+    "sha-384": ("sha384", 48),
+    "sha-512": ("sha512", 64),
+    "sha3-256": ("sha3_256", 32),
 }
 
 _MAGIC = "sfh1"
@@ -82,11 +87,22 @@ _MAGIC = "sfh1"
 MAX_TEMPLATE_CHARS = 256 + codespec.MAX_SPEC_CHARS + 4 * codespec.MAX_CELLS
 
 
+@cache
+def _modules():
+    """``hashlib`` and ``hmac``, imported on the first hash: they load
+    OpenSSL, which a caller that only parses specs never needs."""
+    import hashlib
+    import hmac
+
+    return hashlib, hmac
+
+
 def hash_digest(alg: str, payload: bytes) -> bytes:
     try:
-        return _HASHES[alg](payload).digest()
+        name = _HASHES[alg][0]
     except KeyError:
         raise UnsupportedHashError(f"unknown hash algorithm {alg!r}") from None
+    return getattr(_modules()[0], name)(payload).digest()
 
 
 def enrollable(code):
@@ -253,7 +269,7 @@ class Template(namedtuple("Template", "code_spec hash_alg digest syndrome")):
             raise TemplateFormatError("digest/syndrome must be hex") from None
         if alg not in _HASHES:
             raise UnsupportedHashError(f"unknown hash algorithm {alg!r}")
-        if len(digest) != _HASHES[alg]().digest_size:
+        if len(digest) != _HASHES[alg][1]:
             raise TemplateFormatError("digest length does not match the hash")
         template = cls(spec, alg, digest, syndrome)
         canonical = template.to_text()
@@ -299,6 +315,6 @@ def verify(data, template: Template, code=None) -> VerifyResult:
     mults = MUL_COUNTER.count - before
     candidate = _patched(code, body, errors)
     digest = hash_digest(template.hash_alg, code._head + candidate)
-    if hmac.compare_digest(digest, template.digest):
+    if _modules()[1].compare_digest(digest, template.digest):
         return VerifyResult(True, apply_pattern(code, data, errors), None, mults)
     return VerifyResult(False, None, "HashMismatch", mults)

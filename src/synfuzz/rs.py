@@ -34,7 +34,9 @@ Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
 come from the packed kernel ``_BinaryKernel``: a table-driven LFSR
 reduces the word modulo the generator, two symbols per step for m <= 8,
 and one packed F_2-linear map takes the remainder to the power sums.
-The kernel counts no multiplication.  A binary block word reaches it
+For m <= 8 the map's columns are power-sum columns translated through
+the field's multiply rows, which the Chien table reuses.  The kernel
+counts no multiplication.  A binary block word reaches it
 through bit lanes: one int per cell position of a block, across all
 blocks, from one strided byte slice; one of at most 256 cells with outer
 symbols of m <= 8 bits skips both and XORs one per-cell syndrome column
@@ -1259,7 +1261,6 @@ class _BinaryKernel:
 
     def __init__(self, field: ExtField, g, width: int, step: int, count: int):
         exp, log = field._exp, field._log
-        q1 = field.order - 1
         m = field.m
         r = len(g) - 1
         size = r * width
@@ -1292,16 +1293,15 @@ class _BinaryKernel:
         self.lo, self.hi = self.top if len(self.top) == 2 else (*self.top, (0,))
 
         # sum j sits at bits (j-1)*w of the XOR: w = 8 for byte-wide RS
-        # symbols, so the XOR is the sums' bytes, else w = m
-        w = 8 if width == 8 else m
-        self.columns = []
-        for k in range(r):
-            for bit in bits:
-                col = 0
-                if bit:
-                    for j in range(count, 0, -1):
-                        col = (col << w) | exp[(log[bit] + j * k) % q1]
-                self.columns.append(col)
+        # symbols, so the XOR is the sums' bytes, each column the power
+        # sums of x^k translated through the field's row of x^b (row 0,
+        # all zero, for b >= m); else w = m, column by column
+        if width == 8:
+            rows = field._rows or field._load_rows()
+            self.columns = [int.from_bytes(sums.translate(rows[bit]), "little")
+                            for sums in _power_columns(field, r, count) for bit in bits]
+        else:
+            self.columns = _kernel_columns(field, r, bits, count, m)
         self.count, self.byte_sums = count, width == 8
         self.digit_mask = (1 << m) - 1
         self.offsets = range(0, count * m, m)
@@ -1327,6 +1327,23 @@ class _BinaryKernel:
             return acc.to_bytes(self.count, "little")
         mask = self.digit_mask
         return tuple([(acc >> at) & mask for at in self.offsets])
+
+
+def _kernel_columns(field: ExtField, r: int, bits, count: int, w: int) -> list[int]:
+    """The power-sum column of remainder bit (k, b) for k < r and each
+    ``bits`` entry x^b (0 for a bit past the field), entry by entry off
+    the exp table: x^b alpha^(jk) at bits (j-1)*w for j = 1..count."""
+    exp, log = field._exp, field._log
+    q1 = field.order - 1
+    columns = []
+    for k in range(r):
+        for bit in bits:
+            col = 0
+            if bit:
+                for j in range(count, 0, -1):
+                    col = (col << w) | exp[(log[bit] + j * k) % q1]
+            columns.append(col)
+    return columns
 
 
 # ---------------------------------------------------------------------------

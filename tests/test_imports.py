@@ -3,6 +3,8 @@ names a module of the standard library, and importing it loads no module
 that only costs set-up time."""
 
 import ast
+import functools
+import importlib.util
 import os
 import subprocess
 import sys
@@ -66,3 +68,68 @@ def test_importing_the_package_loads_no_argparse():
     run = subprocess.run([sys.executable, "-m", "synfuzz", "--help"], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert run.returncode == 0 and "usage" in run.stdout
+
+
+ROSTER = Path(__file__).resolve().parents[1] / "perfbench" / "roster.py"
+# hashlib, its OpenSSL backend and hmac, then the error channel
+LAZY = ("hashlib", "_hashlib", "hmac", "synfuzz.channel")
+
+
+@functools.cache
+def roster_specs():
+    spec = importlib.util.spec_from_file_location("perfbench_roster", ROSTER)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(module)
+    return module.SPECS
+
+
+def loaded(names, then="pass"):
+    """The given modules that a fresh interpreter holds after importing
+    synfuzz and running ``then``."""
+    return fresh_import(f"{then}; print(*[m for m in {names!r} if m in sys.modules])")
+
+
+def test_importing_and_parsing_load_no_openssl_and_no_channel():
+    """Only enroll and verify hash, and only simulations draw errors:
+    a parse of every roster spec loads neither OpenSSL nor the channel."""
+    specs = roster_specs()
+    assert len(specs) == 10
+    assert loaded(LAZY) == ""
+    assert loaded(LAZY, f"from synfuzz.codespec import parse_spec; "
+                        f"codes = [parse_spec(s) for s in {specs!r}]") == ""
+
+
+def test_the_first_enroll_loads_hashlib():
+    assert loaded(LAZY, "code = synfuzz.parse_spec('cI(rs(7,3;gf(2^3)))'); "
+                        "synfuzz.enroll([0] * 21, code)") == "hashlib _hashlib hmac"
+
+
+def test_every_exported_name_resolves():
+    """The lazy names resolve on attribute access and through ``import *``,
+    each to the object its module defines."""
+    for name in synfuzz.__all__:
+        assert getattr(synfuzz, name) is not None, name
+    assert synfuzz.Rng is synfuzz.channel.Rng
+    assert synfuzz.gen_mixed is synfuzz.channel.gen_mixed
+    assert fresh_import("ns = {}; exec('from synfuzz import *', ns); "
+                        "print(sorted(set(synfuzz.__all__) - set(ns)), ns['Rng'].__module__)") \
+        == "[] synfuzz.channel"
+
+
+def test_hash_sizes_match_hashlib():
+    """``Template.from_text`` checks a digest's length from the table,
+    without building a hasher."""
+    import hashlib
+
+    for alg, (name, size) in synfuzz.fuzzy._HASHES.items():
+        assert getattr(hashlib, name)().digest_size == size, alg
+
+
+@pytest.mark.parametrize("command", ["info", "capability"])
+def test_cli_reports_load_no_openssl(command):
+    """``synfuzz info`` and ``capability`` hash nothing and draw no errors."""
+    spec = roster_specs()[6]
+    then = (f"import io; from synfuzz.cli import main; sys.stdout = io.StringIO(); "
+            f"rc = main([{command!r}, '--code', {spec!r}]); report = sys.stdout.getvalue(); "
+            f"sys.stdout = sys.__stdout__; print(rc, bool(report))")
+    assert loaded(LAZY, then) == "0 True"

@@ -164,6 +164,20 @@ def test_two_symbol_kernel_matches_the_per_symbol_power_sums(m):
         assert code._pairs.size == n + n % 2
 
 
+@pytest.mark.parametrize("spec", [f"rs({2**m - 1},{2**m - 1 - 2 * m};gf(2^{m}))"
+                                  for m in range(3, 9)] + ["rs(255,191;gf(2^8))"])
+def test_byte_wide_kernel_columns_are_the_scalar_columns(spec):
+    """A byte-wide RS kernel takes its power-sum columns from the field's
+    multiply rows; they are the columns the scalar loop, which BCH and
+    m > 8 kernels use, writes entry by entry: bits b >= m zero columns."""
+    code = parse_spec(spec)
+    field, r = code.field, code.redundancy
+    kernel = code._load_kernel()
+    bits = [(1 << b) * (b < field.m) for b in range(8)]
+    assert len(kernel.columns) == 8 * r
+    assert kernel.columns == rs._kernel_columns(field, r, bits, code.count, 8)
+
+
 @pytest.mark.parametrize("m,t", [(4, 2), (6, 5)], ids=["bch(15,2)", "bch(63,5)"])
 def test_bch_remainder_and_power_sums_match_the_oracle(m, t):
     code = BchCode(2, m, t)

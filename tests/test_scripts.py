@@ -227,6 +227,25 @@ def test_ab_pairs_compares_the_checkout_with_itself(workload):
     assert ratios["total_time_ratio"] > 0 and ratios["geomean_ratio"] > 0
 
 
+def test_cold_pairs_compares_the_checkout_with_itself():
+    """A short A/A run of scripts/cold_pairs.py: one roster spec, two
+    pairs, a stream of three specs.  Every command gives the same output
+    in both trees, and each is summarised per tree."""
+    root = str(SCRIPTS.parent)
+    result = run_script("cold_pairs.py", root, root, "--seed", "7", "--pairs", "2",
+                        "--specs", "1", "--stream", "3")
+    assert result.returncode == 0, result.stderr.decode()
+    report = json.loads(result.stdout)
+    assert report["child_flags"] == "-I -S"
+    commands = report["commands"]
+    assert set(commands) == {"info", "capability", "enroll", "verify", "stream_enroll",
+                             "stream_verify"}
+    for row in commands.values():
+        assert row["pairs"] == 2 and row["ratio"] > 0 and 0 <= row["change_faster"] <= 2
+        assert all(len(row[tree]["runs"]) == 2 for tree in ("parent", "change"))
+    assert list(report["by_spec"]) == ["rs(255,223;gf(2^8))"]
+
+
 def test_ab_pairs_gives_the_ratio_of_median_times_beside_the_median_ratio():
     """Parent times 1, 2, 4 against change times 1, 1, 4: the median of
     the per-operation ratios is 1, the ratio of the median times 0.5."""
