@@ -52,14 +52,14 @@ ALLOWED = {
     "channel.gen_burst_1d": C01_C10,
     "channel.gen_burst_2d": C01_C10,
     "concat.ConcatCode.layout_index": C01_C10,
-    "concat.ConcatCode._residual": "odd-p concatenations above the column cap, and the "
-                                   "re-check of the public decode's tuple: the golden one "
-                                   "takes columns",
+    "concat.ConcatCode._residual": "odd-p concatenations past the column caps, which hold "
+                                   "a tuple syndrome: the golden one takes columns",
     "concat.FlatLayout.cell": "layout protocol: layout_index (c01-c10) refuses through it",
     "concat.TrivialCode.__init__": C01_C10,
     "concat.TrivialCode.encode": C01_C10,
     "concat.TrivialCode.spec_string": C01_C10,
     "fuzzy.canonical_bytes": TARGET,
+    "fuzzy.syndrome_from_bytes": TARGET + ": verify reads the stored bytes through the code",
     "gf.ExtField.__eq__": DUNDER,
     "gf.ExtField.__hash__": DUNDER,
     "gf.ExtField.__repr__": DUNDER,
@@ -71,8 +71,9 @@ ALLOWED = {
     "rs.DecodeInfo.outer_error_count": C01_C10,
     "rs._BlockCode._load_gather": "2-D codes above the column cap: every golden and roster "
                                   "2-D code takes columns",
-    "rs._BlockCode._residual": "odd-p expansions above the column cap, and the re-check of "
-                               "the public decode's tuple: the golden ones take columns",
+    "rs._BlockCode._residual": "odd-p expansions past the column caps, which hold a tuple "
+                               "syndrome: the golden ones take columns",
+    "rs._CyclicCode._decode_syndrome": TARGET + " (RsCode and BchCode.decode_syndrome)",
     "rs.LinearCode._block_order": "test oracle: tests/oracle.py gathers a plain code's word",
     "rs.LinearCode._check_syndrome": "the syndrome check of decode, " + TARGET,
     "rs.LinearCode.decode": TARGET + " (ExpandedCode.decode, ConcatCode.decode)",

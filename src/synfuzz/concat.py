@@ -50,16 +50,16 @@ odd p with digit columns it is the sum of the map's columns of its
 values, reduced mod p, and the decode adds the products the re-split
 would have counted, the touched blocks' from the fill table and the
 outer power sums' per nonzero symbol (``_recheck_count``), so
-``decode_mults`` is unchanged; elsewhere, and for the tuple syndrome of
-the public ``decode``, the touched blocks are read back from the map
-and re-split (``_BlockCode._recheck``): each one's residual must be its
-stored one, every other block's must be zero and the outer power sums
-of their symbols the stored ones.  Each damaged block's
-inner decode is one call, ``BchCode._message_error``: a lookup in the
-coset table within its cap (the binary one, or over odd p the counted
-one), which returns None for a block it cannot decode.  Such a block
-is an outer erasure, at one outer syndrome instead of two; a block
-within the inner capability never fails, so every bound still holds.
+``decode_mults`` is unchanged; elsewhere the touched blocks are read
+back from the map and re-split (``_BlockCode._recheck``): each one's
+residual must be its stored one, every other block's must be zero and
+the outer power sums of their symbols the stored ones.  Each damaged
+block's inner decode is one call, ``BchCode._message_error``: a lookup
+in the coset table within its cap (the binary one, or over odd p the
+counted one), which returns None for a block it cannot decode.  Such a
+block is an outer erasure, at one outer syndrome instead of two; a
+block within the inner capability never fails, so every bound still
+holds.
 """
 
 from __future__ import annotations

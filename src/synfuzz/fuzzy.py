@@ -5,21 +5,20 @@ next to the word's syndrome under the chosen code; the word itself is
 never stored.  Both come from one read of the word (``code._read``): its
 checked canonical body, the cells row-major as bytes, which the code's
 digest head prefixes for the hash and ``code._body_syndrome`` takes the
-syndrome of, already the template's bytes where every run is binary with
-one-byte symbols, and digit bytes (one byte per F_p digit) for an odd-p
-block code with columns, whose outer symbols alone are packed into the
-template's bytes (``syndrome_to_bytes``).  Verification makes one pass:
-it reads the presented word once the same way, reads and range-checks
-the stored syndrome once while subtracting the presented syndrome from
-it (``stored_minus``, in bytes for both byte forms),
-decodes the difference with the code's internal ``_decode`` to a sparse
-map from row-major cell offset to error value, changes those few cells
-of a copy of the body and accepts only when the digest of the result
-matches the stored digest; only then is the recovered word built as a
-list (``apply_pattern``).  The difference is in range by construction,
-so the decode runs without the public ``decode``'s syndrome check.  The
-hash comparison is the final gate: a decoder miscorrection can never
-produce a false accept.
+syndrome of, in the code's own form (the form rule of the ``rs``
+module docstring), which the code turns into the template's bytes
+(``syndrome_to_bytes``).  This module tests no syndrome's form: the code
+converts, range-checks and subtracts.  Verification makes one pass: it
+reads the presented word once the same way, has the code read and
+range-check the stored syndrome once while subtracting the presented
+syndrome from it (``stored_minus``), decodes the difference with the
+code's internal ``_decode`` to a sparse map from row-major cell offset
+to error value, changes those few cells of a copy of the body and
+accepts only when the digest of the result matches the stored digest;
+only then is the recovered word built as a list (``apply_pattern``).
+The difference is in range by construction, so the decode runs without
+the public ``decode``'s syndrome check.  The hash comparison is the
+final gate: a decoder miscorrection can never produce a false accept.
 
 ``hashlib`` and ``hmac`` are imported on the first hash (``_modules``),
 since they load OpenSSL, which a parse never needs; ``_HASHES`` gives
@@ -34,12 +33,14 @@ pinned by tests.
 Every code exposes the same protocol (``rs.LinearCode``): the shape and
 alphabet of its data word, ``_read``, ``_body_syndrome`` (with
 ``syndrome``, the tuple syndrome of a word), ``_decode`` (with
-``decode``, its dense wrapper), ``syndrome_sub`` and ``segments``, the
-syndrome's layout as consecutive ``(count, field)`` runs.  Nothing here
-depends on which construction the code is.  A word is checked by the
-code that reads it, once: ``code._read`` refuses every word that is not
-the code's shape of ints in its alphabet with a ShapeMismatchError, and
-this module runs no check of its own over the cells.
+``decode``, its dense wrapper), ``_template``, ``_stored`` and
+``_stored_minus`` (the syndrome's conversions), ``syndrome_sub`` and
+``segments``, the syndrome's layout as consecutive ``(count, field)``
+runs.  Nothing here depends on which construction the code is.  A word
+is checked by the code that reads it, once: ``code._read`` refuses
+every word that is not the code's shape of ints in its alphabet with a
+ShapeMismatchError, and this module runs no check of its own over the
+cells.
 
 Template files are line-oriented text:
 
@@ -70,7 +71,7 @@ from .errors import (
     UnsupportedHashError,
 )
 from .gf import MUL_COUNTER
-from .rs import LinearCode, _symbol_width
+from .rs import LinearCode
 
 # Each algorithm id's ``hashlib`` constructor name and digest size.
 _HASHES = {
@@ -160,77 +161,22 @@ def _patched(code, body, errors: dict) -> bytearray:
 
 
 def syndrome_to_bytes(code, synd) -> bytes:
-    """The template serialization of a syndrome, a tuple or the bytes of
-    ``code._body_syndrome``: every symbol big-endian in its run's width.
-    Binary bytes are returned as they are, every run of them one byte
-    wide; odd-p digit bytes pack each symbol's digits into its one byte
-    (``code._template``)."""
-    if type(synd) is bytes:
-        return code._template(synd) if code._digits else synd
-    out = []
-    at = 0
-    for count, field in code.segments:
-        width = _symbol_width(field.order)
-        run = synd[at : at + count]
-        out.append(bytes(run) if width == 1 else b"".join(v.to_bytes(width, "big") for v in run))
-        at += count
-    return b"".join(out)
-
-
-# The symbols of each binary field of one-byte symbols: a run of stored
-# bytes with these deleted keeps exactly its symbols outside the field.
-_BINARY_SYMBOLS = {1 << m: bytes(range(1 << m)) for m in range(1, 9)}
+    """The template serialization of a syndrome, a tuple or the code's
+    own form (``code._body_syndrome``): every symbol big-endian in its
+    run's width."""
+    return code._template(synd)
 
 
 def stored_minus(code, raw: bytes, presented):
-    """The stored syndrome bytes ``raw`` minus the presented word's
-    syndrome, after checking that they fit ``code.segments``
-    (TemplateFormatError).  A presented syndrome in bytes
-    (``code._body_syndrome``) is subtracted in bytes: ``presented`` is in
-    range, so the difference is in range exactly when ``raw`` is.  Over
-    characteristic 2 with one-byte symbols it is one XOR of the two byte
-    strings as ints.  Odd-p digit bytes (``code._digits``) take ``raw``
-    as digit bytes (``code._stored_digits``), add p to every byte,
-    subtract the presented int, which no byte borrows, and reduce each
-    byte mod p by one translate."""
-    if code._digits and type(presented) is bytes:
-        stored = code._stored_digits(raw)
-        if stored is None:  # the tuple reader names the fault
-            syndrome_from_bytes(code, raw)
-        maps = code._digits
-        diff = int.from_bytes(stored, "little") + maps.carry - int.from_bytes(presented, "little")
-        return diff.to_bytes(maps.size, "little").translate(maps.reduce)
-    if type(presented) is not bytes or len(raw) != len(presented):
-        return code.syndrome_sub(syndrome_from_bytes(code, raw), presented)
-    at = 0
-    for count, field in code.segments:
-        if raw[at : at + count].translate(None, _BINARY_SYMBOLS[field.order]):
-            raise TemplateFormatError(f"syndrome symbol outside {field.spec_string()}")
-        at += count
-    diff = int.from_bytes(raw, "little") ^ int.from_bytes(presented, "little")
-    return diff.to_bytes(len(raw), "little")
+    """The stored syndrome bytes ``raw`` minus a presented syndrome in the
+    code's own form, in that form, after checking that ``raw`` fits
+    ``code.segments`` (TemplateFormatError)."""
+    return code._stored_minus(raw, presented)
 
 
 def syndrome_from_bytes(code, raw: bytes) -> tuple:
     """Inverse of syndrome_to_bytes; every symbol must lie in its run's field."""
-    values = []
-    at = 0
-    for count, field in code.segments:
-        width = _symbol_width(field.order)
-        end = at + count * width
-        if len(raw) < end:
-            raise TemplateFormatError("syndrome too short for this code")
-        if width == 1:
-            run = raw[at:end]
-        else:
-            run = [int.from_bytes(raw[i : i + width], "big") for i in range(at, end, width)]
-        if run and max(run) >= field.order:
-            raise TemplateFormatError(f"syndrome symbol outside {field.spec_string()}")
-        values.extend(run)
-        at = end
-    if len(raw) > at:
-        raise TemplateFormatError("syndrome longer than the code redundancy")
-    return tuple(values)
+    return code._stored(raw)
 
 
 # ---------------------------------------------------------------------------

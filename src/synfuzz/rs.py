@@ -26,6 +26,23 @@ maps the cells it rebuilt through it.  ``_BlockCode`` is the
 one block format of the expansions and concatenations: a word's outer
 symbols plus check residuals, and the sparse decode of damaged blocks.
 
+One rule gives a code's own syndrome form, the form ``_body_syndrome``
+returns, ``_decode`` takes and the stored syndrome is read into:
+
+- a code over characteristic 2 holds its template bytes, one byte a
+  symbol for m <= 8 and two big-endian bytes for m > 8, so two of them
+  subtract by one XOR at every m;
+- an odd-p block code with digit columns holds digit bytes, one byte
+  per F_p digit;
+- every other odd-p code holds a tuple of ints.
+
+The tuple is the public form: ``syndrome``, ``decode``,
+``decode_syndrome`` and ``syndrome_sub`` take or give it.  Only this
+module converts between the forms: ``LinearCode._template`` packs a
+syndrome into template bytes, ``_from_template`` reads stored bytes into
+the code's own form and checks their range, ``_stored_minus`` subtracts
+a presented syndrome from them, and ``_stored`` reads the public tuple.
+
 Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
 parity symbols in positions 0..n-k-1.
@@ -33,10 +50,11 @@ parity symbols in positions 0..n-k-1.
 Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
 come from the packed kernel ``_BinaryKernel``: a table-driven LFSR
 reduces the word modulo the generator, two symbols per step for m <= 8,
-and one packed F_2-linear map takes the remainder to the power sums.
-For m <= 8 the map's columns are power-sum columns translated through
-the field's multiply rows, which the Chien table reuses.  The kernel
-counts no multiplication.  A binary block word reaches it
+and one packed F_2-linear map takes the remainder to the power sums,
+in the byte form of the rule above.  For m <= 8 the map's columns are
+power-sum columns translated through the field's multiply rows, which
+the Chien table reuses.  The kernel counts no multiplication.  A binary
+block word reaches it
 through bit lanes: one int per cell position of a block, across all
 blocks, from one strided byte slice; one of at most 256 cells with outer
 symbols of m <= 8 bits skips both and XORs one per-cell syndrome column
@@ -105,6 +123,7 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     ShapeMismatchError,
+    TemplateFormatError,
     TooManyErasuresError,
 )
 from .gf import MUL_COUNTER, ExtField, _from_digits, _to_digits
@@ -150,23 +169,27 @@ class LinearCode(_SpecIdentity):
     alphabet, and ``segments``: the syndrome as consecutive
     ``(count, field)`` runs, each symbol an element of its run's field.  It
     implements ``_body_syndrome(body)``, the syndrome of a word's body
-    (``_read``, below) laid out as ``segments``: ``bytes`` where every run
-    is over characteristic 2 with one-byte symbols (byte i is symbol i, so
-    the bytes are also the template's serialization), digit bytes where
-    ``_digits`` is set (an odd-p ``_BlockCode`` with columns: one byte per
-    F_p digit, a symbol's digits low first, which ``_template`` packs into
-    the template's bytes), else a tuple of ints.  ``syndrome(word)`` is
+    (``_read``, below) laid out as ``segments``, in the code's own form
+    (the module's form rule): over characteristic 2 the template's bytes,
+    one byte a symbol for m <= 8 and two big-endian bytes for m > 8;
+    digit bytes for an odd-p ``_BlockCode`` with columns (one byte per
+    F_p digit, a symbol's digits low first, which ``_template`` packs
+    into the template's bytes); else a tuple of ints.  The code alone
+    converts between its form and the template (``_template``,
+    ``_stored``) and subtracts a presented syndrome from stored bytes
+    (``_stored_minus``, which checks their range).  ``syndrome(word)`` is
     the syndrome of a word after its read, always a tuple.
     ``_decode(syndrome)`` is the one decode: the error as a sparse map
     from row-major flat cell offset to its nonzero value, and the
     decode's ``DecodeInfo``.  ``_decode`` takes a syndrome known to fit
-    ``segments``, a tuple or in the form ``_body_syndrome`` gives
-    (``fuzzy.verify`` builds one in range), and raises DecodeFailure
-    where no pattern within reach reproduces it.
-    ``decode(syndrome)`` is its one dense wrapper: it checks the syndrome,
-    decodes it as a tuple and returns the pattern shaped like the data
-    word, with the ``DecodeInfo`` if asked.  For a plain RS or BCH code
-    the syndrome is the power sums S_j = word(alpha^j), j = 1..count.
+    ``segments``, in the code's own form only (``fuzzy.verify`` builds
+    one in range), and raises DecodeFailure where no pattern within
+    reach reproduces it.  ``decode(syndrome)`` is its one dense wrapper:
+    it checks the tuple syndrome, converts it once into the code's own
+    form through the template bytes (``_from_template``), so it runs
+    verify's path, and returns the pattern shaped like the data word, with the
+    ``DecodeInfo`` if asked.  For a plain RS or BCH code the syndrome is
+    the power sums S_j = word(alpha^j), j = 1..count.
 
     A base-field code states only where its blocks live: ``_block_order()``
     gives the flat offsets of its cells, block by block, or None where they
@@ -207,8 +230,7 @@ class LinearCode(_SpecIdentity):
         """The syndrome of a data word, a tuple of ints laid out as
         ``segments``; ShapeMismatchError for a word the code does not
         take."""
-        synd = self._body_syndrome(self._read(word))
-        return tuple(self._template(synd) if self._digits else synd)
+        return self._stored(self._template(self._body_syndrome(self._read(word))))
 
     def syndrome_sub(self, a: tuple, b: tuple) -> tuple:
         """a - b, symbol by symbol in each run's field."""
@@ -225,9 +247,63 @@ class LinearCode(_SpecIdentity):
         decodes to, and its ``DecodeInfo`` if ``with_info``.  A syndrome
         that does not fit ``segments`` is a ShapeMismatchError."""
         self._check_syndrome(synd)
-        errors, info = self._decode(tuple(synd))
+        errors, info = self._decode(self._from_template(self._template(tuple(synd))))
         pattern = self._dense(errors)
         return (pattern, info) if with_info else pattern
+
+    def _template(self, synd) -> bytes:
+        """The template bytes of a syndrome in the code's own form or a
+        tuple: over characteristic 2 the own form's bytes as they are,
+        else every symbol big-endian in its run's width, one byte or two
+        (a spec's field has at most 2^16 elements)."""
+        if type(synd) is bytes:
+            return synd
+        runs = "".join([f"{count}{'BH'[field.order > 256]}" for count, field in self.segments])
+        return struct.pack(">" + runs, *synd)
+
+    def _stored(self, raw) -> tuple:
+        """The tuple of template bytes, ``_template``'s inverse; a
+        TemplateFormatError where they are too short or too long for
+        ``segments`` or a symbol lies outside its run's field, the runs
+        read in order."""
+        values, at = [], 0
+        for count, field in self.segments:
+            width = _symbol_width(field.order)
+            end = at + count * width
+            if len(raw) < end:
+                raise TemplateFormatError("syndrome too short for this code")
+            run = raw[at:end] if width == 1 else struct.unpack(f">{count}H", raw[at:end])
+            if run and max(run) >= field.order:
+                raise TemplateFormatError(f"syndrome symbol outside {field.spec_string()}")
+            values.extend(run)
+            at = end
+        if len(raw) > at:
+            raise TemplateFormatError("syndrome longer than the code redundancy")
+        return tuple(values)
+
+    def _from_template(self, raw):
+        """Template bytes in the code's own form: over characteristic 2
+        the bytes themselves, unchecked; else read by ``_stored``, which
+        checks that they fit ``segments``."""
+        return raw if self.alphabet.p == 2 else self._stored(raw)
+
+    def _stored_minus(self, raw, presented):
+        """The stored template bytes ``raw`` minus a presented syndrome,
+        both in the code's own form, after checking that ``raw`` fits
+        ``segments`` (TemplateFormatError, as ``_stored`` names it).
+        Over characteristic 2 ``raw`` is in range when it is as long as
+        ``presented`` and sets no bit of ``_spill``, and the difference
+        is one XOR of the two byte strings as ints: ``presented`` is in
+        range, so the difference is in range exactly when ``raw`` is.
+        Over odd p the tuples' ``syndrome_sub``."""
+        if self.alphabet.p != 2:
+            return self.syndrome_sub(self._from_template(raw), presented)
+        if self._below is None:
+            self._load_consts()
+        stored = int.from_bytes(raw, "little")
+        if len(raw) != len(presented) or stored & self._spill:
+            self._stored(raw)  # raises, naming the fault
+        return (stored ^ int.from_bytes(presented, "little")).to_bytes(len(raw), "little")
 
     def zero_word(self):
         return self._shaped([0] * self.base_length)
@@ -252,16 +328,22 @@ class LinearCode(_SpecIdentity):
     _spec = None  # spec_string(), set on first use
     _head = None  # the digest head, set on first use
     _below = None  # the byte table of the alphabet's symbols, set on first use
-    _digits = False  # whether _body_syndrome gives digit bytes (``_BlockCode``)
+    _spill = None  # the bits no stored symbol over F_{2^m} sets, set on first use
 
     def _load_consts(self) -> None:
         """Build ``_spec``, ``_head`` (``canonical_spec()|shape|`` in
-        ASCII) and ``_below`` (the bytes 0 .. min(order, 256) - 1, which a
-        one-byte body in range is made of) once per code."""
+        ASCII), ``_below`` (the bytes 0 .. min(order, 256) - 1, which a
+        one-byte body in range is made of) and ``_spill`` once per code:
+        over characteristic 2, the template bytes as a little-endian int
+        with every bit set that no symbol sets, a symbol of m bits being
+        any value below 2^m (for m > 8, its high byte's bits past m - 8)."""
         alphabet, shape = self.alphabet, "x".join(map(str, self.shape))
         self._spec = self.spec_string()
         self._head = f"{alphabet.canonical_spec()}|{shape}|".encode("ascii")
         self._below = bytes(range(min(alphabet.order, 256)))
+        self._spill = int.from_bytes(b"".join([
+            (bytes([256 - f.order]) if f.order <= 256 else bytes([256 - (f.order >> 8), 0])) * count
+            for count, f in self.segments]), "little")
 
     def _read(self, word) -> bytes:
         """The data word's canonical body, after its one check: its cells
@@ -399,7 +481,7 @@ class _BlockCode(LinearCode):
     syndrome is the sum of one column per cell, where no byte carries,
     reduced mod p by one translate, and ``_digits`` holds the maps that
     convert the r outer symbols at the template boundary (``_template``,
-    ``_stored_digits``).  Above that cap an odd-p word is split block by
+    ``_from_template``).  Above that cap an odd-p word is split block by
     block from its gathered cells.
 
     Every placement decision is the ``layout``'s (a ``concat.py`` layout
@@ -412,16 +494,17 @@ class _BlockCode(LinearCode):
     two runs in the order a block lists its cells: the outer power sums
     first where the symbol digits come first (``_sym_at == 0``), the
     residuals first otherwise, and an empty residual run is left out of
-    ``segments``.  ``_body_syndrome`` computes it, as bytes over F_2 with
-    outer symbols of m <= 8 bits and as digit bytes with odd-p columns;
-    each subclass binds the public ``syndrome`` in its own class
-    (perfbench/spans.py traces it there).
+    ``segments``.  ``_body_syndrome`` computes it, as bytes over F_2 and
+    as digit bytes with odd-p columns; each subclass binds the public
+    ``syndrome`` in its own class (perfbench/spans.py traces it there).
 
-    ``_decode`` splits a syndrome by those runs (a digit-byte syndrome's
-    outer sums packed back into symbols) and its residual run into block
-    parts: over F_2 with at most 8 check digits one int per check digit
-    k, the lane ``res[k::_chk]`` shifted by k, summed and read back as
-    bytes, byte i block i's part; wider ones by ``_pack_runs``.  It
+    ``_decode`` takes only the code's own form.  It cuts the outer sums
+    from the residual run by the residual run's length, N * chk, in every
+    form (a digit-byte syndrome's outer sums then packed back into
+    symbols), and splits the residual run into block parts: over F_2
+    with at most 8 check digits one int per check digit k, the lane
+    ``res[k::_chk]`` shifted by k, summed and read back as bytes, byte i
+    block i's part; wider ones by ``_pack_runs``.  It
     inner-decodes or erases each damaged block, runs the outer decode and
     rebuilds only the touched blocks, those with a nonzero symbol error
     or stored residual, from their symbol errors and stored parts (over
@@ -436,13 +519,12 @@ class _BlockCode(LinearCode):
     reduced mod p, must be the syndrome, and the decode adds the
     products the re-split would have counted (``_recheck_count``: a
     concatenation's re-split of the touched blocks and outer sums of
-    their symbols), so ``decode_mults`` is unchanged.  Otherwise, and
-    for the tuple syndrome of the public ``decode``, ``_recheck`` reads
-    the touched blocks back from the map and compares their parts and
-    outer power sums with the syndrome; an expansion's counts no
-    product (``ExpandedCode._recheck``).  An odd-p code with digit
-    columns takes each rebuilt block's fill from ``_fills``, one entry
-    per outer symbol built on first use (``_load_fills``): the fill and
+    their symbols), so ``decode_mults`` is unchanged.  Without columns
+    ``_recheck`` reads the touched blocks back from the map and compares
+    their parts and outer power sums with the syndrome; an expansion's
+    counts no product (``ExpandedCode._recheck``).  An odd-p code with
+    digit columns takes each rebuilt block's fill from ``_fills``, one
+    entry per outer symbol built on first use (``_load_fills``): the fill and
     the products ``_fill`` counts for it, which the re-split of that
     block counts too, measured once under MUL_COUNTER, so a lookup adds
     what the scalar path would.  A subclass also gives
@@ -460,6 +542,7 @@ class _BlockCode(LinearCode):
         self._checks = None  # the check tables over F_2, set on first use
         self._lanes = None  # the lanes of each check digit over F_2, set on first use
         self._columns = None  # the per-cell syndrome columns, False without; set on first use
+        self._digits = False  # the digit-byte maps of odd-p columns, set with them
         self._fills = None  # per symbol its fill and count, with digit columns; set on first use
         self._order = None
         self._gather = None  # the itemgetter of a 2-D body in block order, set on first use
@@ -494,11 +577,11 @@ class _BlockCode(LinearCode):
 
     def _body_syndrome(self, body):
         """The outer power sums of a body's block symbols and the blocks'
-        residuals, in ``segments`` order: bytes where the outer sums are
-        (F_2 digits, outer symbols of m <= 8 bits), digit bytes with odd-p
-        columns, else a tuple.  With binary ``_columns``, the XOR of the
-        columns of the body's set cells; with odd-p ones, the sum of each
-        cell's column of its value, reduced mod p byte by byte."""
+        residuals, in ``segments`` order and the code's own form: bytes
+        over F_2, digit bytes with odd-p columns, else a tuple.  With
+        binary ``_columns``, the XOR of the columns of the body's set
+        cells; with odd-p ones, the sum of each cell's column of its
+        value, reduced mod p byte by byte."""
         columns = self._columns
         if columns is None:
             columns = self._load_columns()
@@ -510,26 +593,26 @@ class _BlockCode(LinearCode):
         syms, res = self._split_body(body)
         sums = self.outer._power_sums(syms)
         runs = (res, sums) if self._sym_at else (sums, res)
-        return b"".join(runs) if type(sums) is bytes else tuple(chain(*runs))
+        return b"".join(runs) if self.alphabet.p == 2 else tuple(chain(*runs))
 
     def _decode(self, synd):
-        """The sparse error map a syndrome decodes to and its DecodeInfo:
-        the residual run split into parts, each damaged block
-        inner-decoded or erased, the outer decode, then the touched blocks
-        rebuilt from their symbol errors and stored parts into the map
-        (``_cells_of``) and the map re-checked: with binary ``_columns``
-        the XOR of the columns of its cells must be the whole syndrome; a
-        digit-byte syndrome, whose outer sums take m bytes each, must be
-        the sum of its columns of its values reduced mod p, after
-        ``_recheck_count``'s products are counted; else ``_recheck``
-        re-splits it."""
+        """The sparse error map a syndrome in the code's own form decodes
+        to and its DecodeInfo: the outer sums cut from the residual run by
+        its length, N * chk, the residual run split into parts, each
+        damaged block inner-decoded or erased, the outer decode, then the
+        touched blocks rebuilt from their symbol errors and stored parts
+        into the map (``_cells_of``) and the map re-checked: with binary
+        ``_columns`` the XOR of the columns of its cells must be the whole
+        syndrome; a digit-byte syndrome, whose outer sums take m bytes
+        each, must be the sum of its columns of its values reduced mod p,
+        after ``_recheck_count``'s products are counted; else
+        ``_recheck`` re-splits it."""
         columns = self._columns
         if columns is None:
             columns = self._load_columns()
-        outer = self.outer
-        digits = self._digits and type(synd) is bytes
-        r = outer.redundancy * outer.field.m if digits else outer.redundancy
-        sums, res = (synd[-r:], synd[:-r]) if self._sym_at else (synd[:r], synd[r:])
+        outer, digits = self.outer, self._digits
+        cut = outer.n * self._chk if self._sym_at else len(synd) - outer.n * self._chk
+        res, sums = (synd[:cut], synd[cut:]) if self._sym_at else (synd[cut:], synd[:cut])
         if digits:
             sums = _pack_digits(sums, outer.field)
         parts = self._parts(res)
@@ -539,9 +622,9 @@ class _BlockCode(LinearCode):
         if digits:
             MUL_COUNTER.add(self._recheck_count(touched, errors))
             total = sum(map(getitem, map(columns.__getitem__, found), found.values()))
-            if total.to_bytes(len(synd), "little").translate(self._digits.reduce) != synd:
+            if total.to_bytes(len(synd), "little").translate(digits.reduce) != synd:
                 raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
-        elif not columns or self._digits:
+        elif not columns:
             self._recheck(found, touched, parts, sums)
         elif reduce(xor, map(columns.__getitem__, found), 0) != int.from_bytes(synd, "little"):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
@@ -555,9 +638,8 @@ class _BlockCode(LinearCode):
         part is zero; and the outer power sums of the touched blocks'
         symbols are ``sums``.  Without check cells every part is zero and
         the outer sums of the re-read symbols are the whole check.  It
-        serves every code without columns and the tuple syndrome of the
-        public ``decode``; over F_2 its parts come from the same bit lanes
-        as the decode's."""
+        serves every code without columns; over F_2 its parts come from
+        the same bit lanes as the decode's."""
         width, order = self._width, self._order or self._load_order()
         cells = [found.get(at, 0) for i in touched for at in order[i * width : (i + 1) * width]]
         syms, res = self._split_cells(bytes(cells) if self.alphabet.p == 2 else cells)
@@ -662,32 +744,60 @@ class _BlockCode(LinearCode):
                                   bytes(range(p)))
         return by_block
 
+    def _digit_maps(self):
+        """``_digits``, after the columns are built: falsy without digit
+        columns.  A code builds its columns before it answers for its
+        form, as only they tell whether it holds digit bytes."""
+        if self._columns is None:
+            self._load_columns()
+        return self._digits
+
+    def _stored_minus(self, raw, presented):
+        """``LinearCode._stored_minus``; with digit columns ``raw`` is read
+        as digit bytes (``_from_template``), p is added to every byte,
+        the presented int, which no byte borrows, subtracted, and each
+        byte reduced mod p by one translate."""
+        maps = self._digit_maps()
+        if not maps:
+            return super()._stored_minus(raw, presented)
+        stored = int.from_bytes(self._from_template(raw), "little")
+        diff = stored + maps.carry - int.from_bytes(presented, "little")
+        return diff.to_bytes(maps.size, "little").translate(maps.reduce)
+
     def _template(self, digits) -> bytes:
-        """The template bytes of a digit-byte syndrome, one byte per
-        symbol: each outer symbol's m digits packed (``_pack_digits``),
-        the residual digits as they are."""
+        """``LinearCode._template``; a digit-byte syndrome takes one byte
+        per symbol: each outer symbol's m digits packed
+        (``_pack_digits``), the residual digits as they are."""
+        if type(digits) is not bytes:
+            return super()._template(digits)
+        if not self._digit_maps():
+            return digits
         field = self.outer.field
         cut = self.outer.redundancy * field.m
         if self._sym_at:
             return digits[:-cut] + _pack_digits(digits[-cut:], field)
         return _pack_digits(digits[:cut], field) + digits[cut:]
 
-    def _stored_digits(self, raw):
-        """The digit bytes of the template bytes ``raw`` of a code with
-        digit bytes, or None where their length is not the syndrome's or a
-        symbol lies outside its run's field: each outer symbol spread into
-        its m digits by one translate per digit (a byte past the field
-        gives 255, which no digit is), then one check that every digit is
-        below p."""
+    def _from_template(self, raw):
+        """``LinearCode._from_template``; with digit columns the digit
+        bytes of ``raw``, or the TemplateFormatError ``_stored`` names
+        where their length is not the syndrome's or a symbol lies outside
+        its run's field: each outer symbol spread into its m digits by one
+        translate per digit (a byte past the field gives 255, which no
+        digit is), then one check that every digit is below p."""
+        if not self._digit_maps():
+            return super()._from_template(raw)
         r, m, maps = self.outer.redundancy, self.outer.field.m, self._digits
         if len(raw) != self._size:
-            return None
+            self._stored(raw)  # raises, naming the fault
         sums, res = (raw[-r:], raw[:-r]) if self._sym_at else (raw[:r], raw[r:])
         spread = bytearray(r * m)
         for b, table in enumerate(maps.spread):
             spread[b::m] = sums.translate(table)
         digits = res + spread if self._sym_at else spread + res
-        return None if digits.translate(None, maps.digits) else bytes(digits)
+        if digits.translate(None, maps.digits):
+            self._stored(raw)  # raises, naming the fault
+        return bytes(digits)
 
     def _load_order(self):
         """The block order as 4-byte offsets, a memoryview of native
@@ -870,7 +980,7 @@ class _BlockCode(LinearCode):
         self._fills = tuple(fills)
         return self._fills
 
-    def _decode_blocks(self, parts, synd: tuple):
+    def _decode_blocks(self, parts, synd):
         """The outer symbol errors (a list of n), the erasures and the
         outer corrections (a sparse map): each damaged block's inner
         decoder estimates its symbol error or erases it, then the outer
@@ -970,8 +1080,10 @@ def _gpz_decode(field: ExtField, synd, n, known=(), base_limit=None):
     time: the decoder of a code without a Chien table (odd p, m > 8, or
     above the table's cap) and the oracle of ``_CyclicCode._region_errors``.
 
+    ``synd`` is a sequence of ints, or bytes in the code's own form: two
+    big-endian bytes a sum past one byte a symbol, unpacked here.
     ``known`` holds the erasure positions, sorted, distinct, in range and
-    at most len(synd) of them (``_CyclicCode._errors`` checks them).
+    at most one per sum (``_CyclicCode._errors`` checks them).
     Returns the unique error vector v with
     2*weight(v off erasures) + |erasures| <= len(synd) that reproduces the
     syndromes, as a map from each position to its nonzero value, or raises
@@ -985,6 +1097,8 @@ def _gpz_decode(field: ExtField, synd, n, known=(), base_limit=None):
     -Omega(X^-1)/Psi'(X^-1) with Omega = S*Psi mod x^r.  The final re-check
     recomputes every syndrome from the pattern.
     """
+    if type(synd) is bytes and field.order > 256:
+        synd = struct.unpack(f">{len(synd) // 2}H", synd)
     synd = list(synd)
     r, f = len(synd), len(known)
     if not any(synd) and not known:
@@ -1250,9 +1364,11 @@ class _BinaryKernel:
     ``top``, byte-indexed tables of overflow * x^R mod g.  ``power_sums``
     evaluates a packed remainder at the roots: it is F_2-linear, so it
     XORs one packed column per set remainder bit, the column of bit (k, b)
-    holding x^b alpha^(jk) for j = 1..count (zero for b >= m), one byte per
-    j for byte-wide RS symbols (so the sums come back as bytes), else m
-    bits.
+    holding x^b alpha^(jk) for j = 1..count (zero for b >= m).  Sum j
+    takes one byte for m <= 8 and two for m > 8, their bytes swapped in
+    the column, so the XOR's little-endian bytes are the sums in the
+    template's form (the ``rs`` module's form rule): one byte a sum, or
+    two big-endian bytes.
 
     The tables depend only on the field, g and count, never on the code
     length: at most 512 ints of R*width bits plus R*width ints of count*m
@@ -1292,19 +1408,16 @@ class _BinaryKernel:
         # the high one all zero when the overflow fits one byte
         self.lo, self.hi = self.top if len(self.top) == 2 else (*self.top, (0,))
 
-        # sum j sits at bits (j-1)*w of the XOR: w = 8 for byte-wide RS
-        # symbols, so the XOR is the sums' bytes, each column the power
-        # sums of x^k translated through the field's row of x^b (row 0,
-        # all zero, for b >= m); else w = m, column by column
+        # sum j sits at bits (j-1)*w of the XOR, w = 8 for m <= 8 and 16
+        # above; a byte-wide RS column is the power sums of x^k translated
+        # through the field's row of x^b (row 0, all zero, for b >= m)
         if width == 8:
             rows = field._rows or field._load_rows()
             self.columns = [int.from_bytes(sums.translate(rows[bit]), "little")
                             for sums in _power_columns(field, r, count) for bit in bits]
         else:
-            self.columns = _kernel_columns(field, r, bits, count, m)
-        self.count, self.byte_sums = count, width == 8
-        self.digit_mask = (1 << m) - 1
-        self.offsets = range(0, count * m, m)
+            self.columns = _kernel_columns(field, r, bits, count, 8 if m <= 8 else 16)
+        self.sums_size = count if m <= 8 else 2 * count
 
     def remainder(self, chunks) -> int:
         """The packed remainder mod g of the word whose ``step``-bit
@@ -1318,21 +1431,18 @@ class _BinaryKernel:
             rem = (v & mask) ^ lo[t & 255] ^ hi[t >> 8]
         return rem
 
-    def power_sums(self, rem: int):
-        """rem(alpha^j) for j = 1..count: bytes for byte-wide RS symbols,
-        else a tuple."""
+    def power_sums(self, rem: int) -> bytes:
+        """rem(alpha^j) for j = 1..count, one byte a sum for m <= 8, two
+        big-endian bytes for m > 8."""
         bits = bin(rem)[:1:-1].encode().translate(_TO_DIGITS)
-        acc = reduce(xor, compress(self.columns, bits), 0)
-        if self.byte_sums:
-            return acc.to_bytes(self.count, "little")
-        mask = self.digit_mask
-        return tuple([(acc >> at) & mask for at in self.offsets])
+        return reduce(xor, compress(self.columns, bits), 0).to_bytes(self.sums_size, "little")
 
 
 def _kernel_columns(field: ExtField, r: int, bits, count: int, w: int) -> list[int]:
     """The power-sum column of remainder bit (k, b) for k < r and each
     ``bits`` entry x^b (0 for a bit past the field), entry by entry off
-    the exp table: x^b alpha^(jk) at bits (j-1)*w for j = 1..count."""
+    the exp table: x^b alpha^(jk) at bits (j-1)*w for j = 1..count, its
+    two bytes swapped where w = 16."""
     exp, log = field._exp, field._log
     q1 = field.order - 1
     columns = []
@@ -1341,7 +1451,8 @@ def _kernel_columns(field: ExtField, r: int, bits, count: int, w: int) -> list[i
             col = 0
             if bit:
                 for j in range(count, 0, -1):
-                    col = (col << w) | exp[(log[bit] + j * k) % q1]
+                    v = exp[(log[bit] + j * k) % q1]
+                    col = (col << w) | (v if w == 8 else (v & 255) << 8 | v >> 8)
             columns.append(col)
     return columns
 
@@ -1529,7 +1640,9 @@ class _CyclicCode(_SpecIdentity):
     the one check of a syndrome given from outside.
     ``_errors`` runs ``_region_errors`` where the code has a Chien table
     (characteristic 2, m <= 8, within the cap) and ``_gpz_decode``
-    elsewhere; a syndrome may come as bytes or as a tuple.
+    elsewhere, on the byte form over characteristic 2 or on a tuple (the
+    public ``_decode_syndrome``'s), and on a sequence of ints over odd
+    p.
     Each family binds ``_encode`` and ``_decode_syndrome`` in its own
     class (perfbench/spans.py traces them there); ``RsCode._decode`` and
     the block codes' outer decode call ``_errors``.  The
@@ -1611,7 +1724,8 @@ class _CyclicCode(_SpecIdentity):
 
     def _errors(self, synd, erasures=()) -> dict:
         """The nonzero values of ``_decode_syndrome``'s error vector by
-        position, for a syndrome known to have ``count`` values: on byte
+        position, for a syndrome known to have ``count`` values, over
+        F_{2^m} in the byte form (``_BinaryKernel.power_sums``): on byte
         regions where the code has a Chien table, else ``_gpz_decode``.
 
         The one check of the erasure positions: each must be an int in
@@ -1624,9 +1738,9 @@ class _CyclicCode(_SpecIdentity):
             known = sorted(set(erasures))
             if known[0] < 0 or known[-1] >= self.n:
                 raise IndexOutOfRangeError(f"erasure position outside 0..{self.n - 1}")
-            if len(known) > len(synd):
+            if len(known) > self.count:
                 raise TooManyErasuresError(
-                    f"{len(known)} erasures exceed redundancy {len(synd)}")
+                    f"{len(known)} erasures exceed redundancy {self.count}")
         chien = self._chien
         if chien is None:
             chien = self._load_chien()
@@ -1660,7 +1774,7 @@ class _CyclicCode(_SpecIdentity):
         """``_gpz_decode`` on byte regions, for a code with a Chien table
         (characteristic 2, m <= 8): the same pattern or DecodeFailure, and
         the same multiplications counted, from the same checked erasure
-        positions ``known``.
+        positions ``known``, the syndrome read as bytes.
 
         A polynomial is a byte string, coefficient k in byte k, and one
         translate through the field's row of c multiplies it by c.
@@ -1810,14 +1924,14 @@ class RsCode(_CyclicCode, LinearCode):
     syndrome = LinearCode.syndrome
 
     def _body_syndrome(self, body):
-        """The power sums of a body; over F_{2^m} from the packed kernel,
-        as bytes for m <= 8."""
+        """The power sums of a body; over F_{2^m} the packed kernel's
+        bytes."""
         return self._power_sums(self._cells(body))
 
     def _power_sums(self, word):
-        """``_syndrome`` of n symbols known to lie in the field, unchecked:
-        the outer symbols a block code has just read (bytes over F_{2^m},
-        m <= 8) or estimated."""
+        """The power sums of n symbols known to lie in the field, unchecked,
+        in the code's own form: the outer symbols a block code has just
+        read (bytes over F_{2^m}, m <= 8) or estimated."""
         field = self.field
         if field.p != 2 or field.m > 16:
             return tuple(_sparse_syndrome(field, word, self.count))
@@ -1834,33 +1948,22 @@ class RsCode(_CyclicCode, LinearCode):
 
     def _minus_sums(self, synd, symbols):
         """``synd`` minus the power sums of the n-symbol word whose
-        nonzero symbols are the ``(position, value)`` pairs: bytes from
-        ``_sums`` where the code has its Chien table; over odd p a list,
-        each pair's terms subtracted in turn, counted as
-        ``_sparse_syndrome`` counts them; else from the dense word's
-        ``_power_sums``."""
-        if self._chien:
-            diff = int.from_bytes(bytes(synd), "little") ^ self._sums(symbols)
-            return diff.to_bytes(self.count, "little")
+        nonzero symbols are the ``(position, value)`` pairs.  Over
+        characteristic 2 the bytes XOR the sums: ``_sums`` where the code
+        has its Chien table, built here on first use, else the dense
+        word's ``_power_sums``.  Over odd p a list, symbol by symbol, of
+        the dense word's ``_power_sums``, which count their products."""
         field = self.field
-        if field.p != 2:
-            exp, log, add, q1 = field._exp, field._log, field.add, field.order - 1
-            out, nm = list(synd), 0
+        if field.p == 2 and (self._chien or self._load_chien()):
+            sums = self._sums(symbols)
+        else:
+            word = [0] * self.n
             for i, v in symbols:
-                lv = (log[v] + field._half) % q1  # -v = v alpha^half
-                step = e = i % q1
-                for j in range(self.count):
-                    out[j] = add(out[j], exp[lv + e])
-                    e += step
-                    if e >= q1:
-                        e -= q1
-                nm += self.count
-            MUL_COUNTER.add(nm)
-            return out
-        word = [0] * self.n
-        for i, v in symbols:
-            word[i] = v
-        return self.syndrome_sub(synd, self._power_sums(word))
+                word[i] = v
+            if field.p != 2:
+                return list(map(field.sub, synd, self._power_sums(word)))
+            sums = int.from_bytes(self._power_sums(word), "little")
+        return (int.from_bytes(synd, "little") ^ sums).to_bytes(len(synd), "little")
 
     def _kind_lines(self) -> list[str]:
         lines = [
@@ -1925,20 +2028,20 @@ class BchCode(_CyclicCode):
         if self.p != 2:
             return tuple(_sparse_syndrome(self.field, list(remainder), self.count))
         kernel = self._tables or self._load_kernel()
-        return kernel.power_sums(_pack_bits(remainder))
+        width = "B" if self.field.m <= 8 else "H"
+        return struct.unpack(f">{self.count}{width}", kernel.power_sums(_pack_bits(remainder)))
 
     def decode_packed(self, remainder: int) -> int:
         """The pattern of weight <= design_t with this remainder, both
         packed into ints (digit i at bit i), or DecodeFailure; over F_2
-        only.  A lookup in the coset table where it fits, else
-        ``decode_syndrome`` of the kernel's power sums of the packed
-        remainder."""
+        only.  A lookup in the coset table where it fits, else ``_errors``
+        of the kernel's power sums of the packed remainder."""
         kernel = self._tables or self._load_kernel()
         cosets = self._cosets
         if cosets is None:
             cosets = self._load_cosets()
         if cosets is False:
-            return _pack_bits(self.decode_syndrome(kernel.power_sums(remainder)))
+            return sum([1 << i for i in self._errors(kernel.power_sums(remainder))])
         err = cosets.get(remainder)
         if err is None:
             raise DecodeFailure("no pattern of weight <= t has this remainder")

@@ -9,8 +9,8 @@
   measured under MUL_COUNTER, are the oracle.
 - Its decode of a digit-byte syndrome re-checks by summing the columns
   of the cells it returns and adds the products ``_BlockCode._recheck``
-  would count on a concatenation; the tuple syndrome of the public decode
-  keeps ``_recheck``, the oracle.
+  would count on a concatenation; the same code built with the column
+  cap at 0 decodes the tuple and keeps ``_recheck``, the oracle.
 - ``BchCode._message_error`` over F_2 reads the coset table without an
   exception; ``decode_packed`` is the oracle.
 - The region decoder counts Berlekamp-Massey's discrepancy products of a
@@ -112,13 +112,18 @@ def test_fill_table_entries_are_the_measured_fill_and_resplit(build):
 
 
 @pytest.mark.parametrize("build", [lambda: fresh(VI), odd_identity], ids=["vi", "identity"])
-def test_the_column_recheck_decodes_like_the_resplit(build):
+def test_the_column_recheck_decodes_like_the_resplit(build, monkeypatch):
     """On noisy reads and on 200 seeded stored syndromes, the decode of a
     digit-byte syndrome (the column re-check with the fill table's
-    counts) and of its tuple (``_BlockCode._recheck``) give the same
-    sparse map and DecodeInfo, or the same DecodeFailure message, with
-    the same multiplications counted."""
+    counts) and the decode of its tuple by the same code built with the
+    column cap at 0 (``_BlockCode._recheck``) give the same sparse map
+    and DecodeInfo, or the same DecodeFailure message, with the same
+    multiplications counted."""
     code = build()
+    with monkeypatch.context() as patch:
+        patch.setattr(rs, "_COLUMN_CAP_CELLS", 0)
+        oracle = build()
+        assert oracle is not code and oracle._load_columns() is False
     zero = code._body_syndrome(code._read(code.zero_word()))
     assert code._digits and type(zero) is bytes
     digits = []
@@ -134,7 +139,7 @@ def test_the_column_recheck_decodes_like_the_resplit(build):
     outcomes = Counter()
     for synd in digits:
         got = counted(code._decode, synd)
-        assert got == counted(code._decode, tuple(code._template(synd)))
+        assert got == counted(oracle._decode, oracle._stored(code._template(synd)))
         outcomes[type(got[0])] += 1
     assert outcomes[tuple] and outcomes[str]
 

@@ -20,6 +20,7 @@ from synfuzz.codespec import parse_spec
 from synfuzz.concat import ConcatCode
 from synfuzz.expand import KIND_COMPANION, KIND_ROW_PARITY, ExpandedCode
 from synfuzz.errors import AlphabetMismatchError
+from synfuzz.fuzzy import syndrome_to_bytes
 from synfuzz.gf import MUL_COUNTER, ExtField
 from synfuzz.rs import BchCode, RsCode
 
@@ -236,7 +237,8 @@ def kernel_ints(kernel):
 
 def test_kernel_tables_are_bounded_by_the_description():
     """At most 512 + r*m ints of r*m bits for RS, whatever the length;
-    the concatenation adds one inner kernel of 256 + (n-k) ints."""
+    the concatenation adds one inner kernel of 256 + (n-k) ints, whose
+    power-sum columns take one byte a sum."""
     code = parse_spec(LARGEST_RS)
     r, m = code.redundancy, code.field.m
     ints = kernel_ints(code._load_kernel())
@@ -248,7 +250,7 @@ def test_kernel_tables_are_bounded_by_the_description():
     assert (outer.field, outer.redundancy) == (code.field, r)
     ints = kernel_ints(inner._load_kernel())
     assert len(ints) <= 256 + inner.redundancy
-    assert max(v.bit_length() for v in ints) <= max(inner.redundancy, 2 * inner.t * inner.field.m)
+    assert max(v.bit_length() for v in ints) <= max(inner.redundancy, 2 * inner.t * 8)
 
 
 def test_dropped_codes_free_their_fields_and_tables():
@@ -458,3 +460,42 @@ def test_codes_above_the_caps_keep_the_scalar_decoders(monkeypatch):
     monkeypatch.setattr(rs, "_coset_table", refuse)
     assert inner.decode_packed(rs._pack_bits(inner.remainder(error))) == rs._pack_bits(error)
     assert inner._cosets is False
+
+
+@pytest.mark.parametrize("spec,seed", [
+    ("rs(6,2;gf(2^9))", 211), ("rs(20,12;gf(2^10))", 212),
+    ("rs(60,36;gf(2^12))", 213), ("rs(20,12;gf(2^16))", 214),
+])
+def test_wide_rs_kernel_bytes_are_the_template_of_the_scalar_sums(spec, seed):
+    """Over F_{2^m}, m > 8, the kernel's power sums are their template
+    bytes, two big-endian bytes a sum: ``syndrome_to_bytes`` of the
+    scalar power sums, whose tuple ``syndrome`` still returns."""
+    code = parse_spec(spec)
+    field = code.field
+    rng = random.Random(seed)
+    words = [[rng.randrange(field.order) for _ in range(code.n)] for _ in range(20)]
+    words += [[0] * code.n, [field.order - 1] * code.n, [0] * (code.n - 1) + [1]]
+    for word in words:
+        scalar = rs._sparse_syndrome(field, word, code.count)
+        sums = code._power_sums(word)
+        assert type(sums) is bytes and sums == syndrome_to_bytes(code, scalar)
+        assert code.syndrome(word) == tuple(scalar)
+
+
+@pytest.mark.parametrize("m,t", [(4, 2), (8, 5), (9, 3), (12, 2)])
+def test_bch_kernel_bytes_are_the_template_of_the_scalar_sums(m, t):
+    """A binary BCH kernel's power sums of a remainder are one byte a sum
+    for m <= 8 and two big-endian bytes above; ``power_sums`` and
+    ``syndrome`` still return the scalar sums' tuple."""
+    code = BchCode(2, m, t)
+    field, width = code.field, 1 if m <= 8 else 2
+    rng = random.Random(220 + m)
+    words = [[rng.randrange(2) for _ in range(code.n)] for _ in range(10)]
+    words += [[int(i == at) for i in range(code.n)] for at in (0, code.redundancy, code.n - 1)]
+    kernel = code._load_kernel()
+    for word in words:
+        rem = code.remainder(word)
+        scalar = rs._sparse_syndrome(field, list(rem), code.count)
+        sums = kernel.power_sums(rs._pack_bits(rem))
+        assert sums == b"".join(v.to_bytes(width, "big") for v in scalar)
+        assert code.power_sums(rem) == code.syndrome(word) == tuple(scalar)

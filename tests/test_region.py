@@ -20,8 +20,9 @@ import pytest
 
 import oracle
 from synfuzz import codespec, rs
+from synfuzz.concat import ConcatCode
 from synfuzz.errors import DecodeFailure
-from synfuzz.fuzzy import syndrome_to_bytes
+from synfuzz.fuzzy import enroll, syndrome_to_bytes, verify
 from synfuzz.gf import MUL_COUNTER, ExtField
 from synfuzz.rs import BchCode, RsCode
 
@@ -181,23 +182,23 @@ def test_bch_remainder_spaces_decode_alike_through_both_decoders(monkeypatch):
                          ids=[g[0] for g in GOLDEN + WIDE_GOLDEN])
 def test_the_internal_syndrome_is_the_template_bytes_where_it_is_bytes(stem, spec, shape, q, seed):
     """``syndrome`` is a tuple for every code; the syndrome of the word's
-    body is bytes exactly where every run is binary with one-byte symbols,
-    and then it is the template serialization of the tuple, or where the
-    code is an odd-p block code with columns, and then it is the tuple's
-    digit bytes, each symbol's base-p digits low first; else the tuple
-    itself."""
+    body is bytes for every code over characteristic 2, two big-endian
+    bytes a symbol past eight bits, and then it is the template
+    serialization of the tuple; for an odd-p block code with columns it
+    is the tuple's digit bytes, each symbol's base-p digits low first;
+    else the tuple itself."""
     code = codespec.parse_spec(spec)
     word = golden_word(shape, q, seed)
     public, internal = code.syndrome(word), code._body_syndrome(code._read(word))
     assert type(public) is tuple
-    one_byte = all(f.p == 2 and f.order <= 256 for _, f in code.segments)
-    digits = bool(code._digits)
+    binary = code.alphabet.p == 2
+    digits = bool(getattr(code, "_digits", False))
     assert digits == (q in (3, 5) and spec.startswith(("cI", "concat")))
-    assert type(internal) is (bytes if one_byte or digits else tuple)
+    assert type(internal) is (bytes if binary or digits else tuple)
     if digits:
         fields = [f for count, f in code.segments for _ in range(count)]
         public = [d for v, f in zip(public, fields) for d in f.to_base_vector(v)]
-    assert internal == (syndrome_to_bytes(code, public) if one_byte else bytes(public) if digits
+    assert internal == (syndrome_to_bytes(code, public) if binary else bytes(public) if digits
                         else public)
 
 
@@ -234,3 +235,29 @@ def test_parsing_builds_no_region_table(fresh_codes):
     word[40] = 1
     assert code.decode(code.syndrome(word)) == word
     assert outer._chien and outer._cols and outer.field._rows
+
+
+def test_a_fresh_codes_first_decode_takes_the_warm_path(monkeypatch):
+    """A freshly built concatenation whose first decode has a nonzero
+    inner estimate (one flipped message digit of block 0) subtracts it
+    through the Chien table's ``_sums``, which ``_minus_sums`` builds on
+    first use, and so does its second: both verifies call ``_sums`` as
+    often, get bytes from every ``_minus_sums`` and accept with no
+    multiplication counted."""
+    code = ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 127, 109))
+    assert code.outer._chien is None
+    calls, kinds = [], set()
+    sums, minus = RsCode._sums, RsCode._minus_sums
+    monkeypatch.setattr(RsCode, "_sums", lambda self, pairs: calls.append(1) or sums(self, pairs))
+    monkeypatch.setattr(RsCode, "_minus_sums",
+                        lambda self, *args: kinds.add(type(got := minus(self, *args))) or got)
+    word = code.zero_word()
+    template = enroll(word, code)
+    read = list(word)
+    read[12] = 1
+    per_verify = []
+    for _ in range(2):
+        calls.clear()
+        assert verify(read, template, code=code) == (True, word, None, 0)
+        per_verify.append(len(calls))
+    assert per_verify[0] == per_verify[1] > 0 and kinds == {bytes}

@@ -8,11 +8,13 @@ path: the stored syndrome parsed by ``syndrome_from_bytes``, subtracted
 by ``syndrome_sub``, decoded by the public ``code.decode`` and added on
 cell by cell.  Both must give the same VerifyResult on every golden
 construction, for genuine reads at and below capability and for
-impostors.
+impostors.  The difference verify decodes, in the code's own form, is
+the template serialization of the dense path's tuple difference.
 """
 
 import hmac
 import random
+import re
 
 import pytest
 
@@ -26,6 +28,7 @@ from synfuzz.fuzzy import (
     hash_digest,
     stored_minus,
     syndrome_from_bytes,
+    syndrome_to_bytes,
     verify,
 )
 from synfuzz.gf import MUL_COUNTER
@@ -101,10 +104,15 @@ def test_verify_matches_the_dense_reference(stem, spec, shape, q, seed):
         assert got == expected
         outcomes.add(got.reason)
         if pattern is not None:
-            diff = stored_minus(code, template.syndrome, code.syndrome(read))
+            diff = stored_minus(code, template.syndrome, code._body_syndrome(code._read(read)))
+            dense = code.syndrome_sub(syndrome_from_bytes(code, template.syndrome),
+                                      code.syndrome(read))
+            own_bytes = code.alphabet.p == 2 or getattr(code, "_digits", False)
+            assert type(diff) is (bytes if own_bytes else tuple)
+            assert syndrome_to_bytes(code, diff) == syndrome_to_bytes(code, dense)
             errors, info = code._decode(diff)
             assert errors == {at: v for at, v in enumerate(flat(code, pattern)) if v}
-            assert code.decode(diff, with_info=True) == (pattern, info)
+            assert code.decode(dense, with_info=True) == (pattern, info)
         if got.accepted:
             assert got.recovered == word and got.recovered is not read
             if len(shape) == 2:
@@ -179,3 +187,32 @@ def test_verify_refuses_a_stored_syndrome_one_byte_short_or_long(spec):
     for bad, message in ((raw[:-1], "too short"), (raw + b"\x00", "longer")):
         with pytest.raises(TemplateFormatError, match=message):
             verify(word, template._replace(syndrome=bad), code=code)
+
+
+BINARY_GOLDEN = [g for g in ALL_GOLDEN if g[3] == 2 or g[0] == "rs-255-223"]
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", BINARY_GOLDEN, ids=[g[0] for g in BINARY_GOLDEN])
+def test_every_stored_symbol_is_range_checked_where_it_lies(stem, spec, shape, q, seed):
+    """Over characteristic 2 the read of the stored bytes checks every
+    symbol at its own place: with every other symbol zero, the largest
+    symbol of its run's field is taken as it is, and the smallest value
+    past the field and the largest value of its bytes are refused (for
+    m > 8 a high byte of 2^(m-8) or more)."""
+    code = parse_spec(spec)
+    zero = code._body_syndrome(code._read(code.zero_word()))
+    assert type(zero) is bytes and not any(zero)
+    at = 0
+    for count, field in code.segments:
+        width = 1 if field.order <= 256 else 2
+        for end in range(at + width, at + count * width + 1, width):
+            for value in (field.order - 1, field.order, (1 << 8 * width) - 1):
+                raw = bytearray(len(zero))
+                raw[end - width : end] = value.to_bytes(width + 1, "big")[1:]
+                if value < field.order or value == field.order == 1 << 8 * width:
+                    assert stored_minus(code, bytes(raw), zero) == raw
+                else:
+                    with pytest.raises(TemplateFormatError, match=re.escape(field.spec_string())):
+                        stored_minus(code, bytes(raw), zero)
+        at += count * width
+    assert at == len(zero)
