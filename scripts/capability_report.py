@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from synfuzz.codespec import parse_spec  # noqa: E402
 from synfuzz.errors import SynfuzzError  # noqa: E402
-from synfuzz.fuzzy import enrollable  # noqa: E402
+from synfuzz.rs import enrollable  # noqa: E402
 
 DEFAULT_ROSTER = [
     "cI(rs(7,3;gf(2^3)))",

@@ -40,12 +40,20 @@ and exit code, and each template, must be the same in both trees, and
 every verify must accept; a difference is printed to standard error and
 makes the exit code 1.
 
+After its time, a CLI process lists the table entries its command's
+first-use builds wrote, untimed: the code it parsed, taken from the parse
+cache under the roster spec, its outer and inner codes and their fields,
+each non-empty ``_``-prefixed attribute by its length (a table object,
+such as a syndrome kernel, by the summed lengths of its own attributes;
+numbers, strings and methods are not tables).
+
 Standard output is one JSON object: per command (``info``,
 ``capability``, ``enroll``, ``verify``, over every roster spec, and
 ``stream_enroll``, ``stream_verify``, per spec of the stream) each tree's
 runs in milliseconds with their median and quartiles, the change/parent
 ratio of the medians, and the number of pairs in which the change was
-faster; per roster spec and CLI command the two medians.
+faster; per roster spec and CLI command the two medians and, per tree,
+the table entries of the first pair's process.
 """
 
 from __future__ import annotations
@@ -68,14 +76,37 @@ TREES = ("parent", "change")
 COMMANDS = ("info", "capability", "enroll", "verify")
 NOISE = 2 / 3  # of each roster construction's guaranteed bound
 
-# argv: src, then the CLI arguments.  The last line of output is the time.
+# argv: src, the roster spec, then the CLI arguments.  The last two lines
+# of output are the time and the JSON of the table entries.
 CLI_PROBE = """\
 import sys, time
 t0 = time.perf_counter()
 sys.path.insert(0, sys.argv[1])
 from synfuzz.cli import main
-rc = main(sys.argv[2:])
+rc = main(sys.argv[3:])
 print(repr((time.perf_counter() - t0) * 1e3))
+import json
+from synfuzz.codespec import _codes
+code = _codes[sys.argv[2]][0]
+held = {"code": code, "outer": getattr(code, "outer", None),
+        "inner": getattr(code, "inner", None)}
+for name, c in list(held.items()):
+    for field in ("alphabet", "field"):
+        held[f"{name}.{field}"] = getattr(c, field, None)
+def size(value):
+    if isinstance(value, (int, float, str)) or callable(value):
+        return 0
+    if hasattr(value, "__len__"):
+        return len(value)
+    return sum(map(size, getattr(value, "__dict__", {}).values()))
+entries, seen = {}, set()
+for name, obj in held.items():
+    if obj is not None and id(obj) not in seen:
+        seen.add(id(obj))
+        for key, value in vars(obj).items():
+            if key.startswith("_") and size(value):
+                entries[f"{name}.{key}"] = size(value)
+print(json.dumps(entries))
 sys.exit(rc)
 """
 
@@ -143,6 +174,7 @@ class Pairs:
     def __init__(self, trees: dict):
         self.trees = trees
         self.times = {}  # (command, spec or None) -> tree -> list of ms
+        self.entries = {}  # (command, spec) -> tree -> the first run's table entries
         self.faults: list[str] = []
         self.turn = 0
 
@@ -157,14 +189,16 @@ class Pairs:
     def cli_pair(self, work: Path, command: str, spec: str, at: int) -> None:
         seen = {}
         for name in self.order():
-            run = child(self.trees[name], CLI_PROBE, *cli_argv(command, spec, at),
+            run = child(self.trees[name], CLI_PROBE, spec, *cli_argv(command, spec, at),
                         cwd=work / name)
-            *report, ms = run.stdout.splitlines() or [""]
-            if run.returncode not in (0, 1) or run.stderr:
+            lines = run.stdout.splitlines()
+            if run.returncode not in (0, 1) or run.stderr or len(lines) < 2:
                 self.faults.append(f"{command} {spec} in {name}: {run.stderr.strip()}")
                 return
+            *report, ms, entries = lines
             seen[name] = (run.returncode, report)
             self.record((command, spec), name, float(ms))
+            self.entries.setdefault((command, spec), {}).setdefault(name, json.loads(entries))
         if seen["parent"] != seen["change"]:
             self.faults.append(f"{command} {spec}: {seen}")
         elif seen["parent"][0] != 0:
@@ -215,7 +249,10 @@ def report(pairs: Pairs, args, specs) -> dict:
                 for command in COMMANDS}
     for step in ("stream_enroll", "stream_verify"):  # per spec of the stream
         commands[step] = compare(times[(step, None)])
-    by_spec = {spec: {command: {t: statistics.median(times[(command, spec)][t]) for t in TREES}
+    by_spec = {spec: {command: {**{t: statistics.median(times[(command, spec)][t])
+                                   for t in TREES},
+                                "entries": {t: pairs.entries[(command, spec)][t]
+                                            for t in TREES}}
                       for command in COMMANDS} for spec in specs}
     return {"seed": args.seed, "pairs": args.pairs, "stream": args.stream,
             "python": platform.python_version(), "child_flags": "-I -S",

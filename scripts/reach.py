@@ -46,8 +46,8 @@ DUNDER = "protocol dunder"
 # Each package function no product path reaches, by module.qualname, and
 # why it stays.
 ALLOWED = {
-    "__init__.__getattr__": "lazy cli and channel imports: run only for their names "
-                            "before an import",
+    "__init__.__getattr__": "lazy fuzzy, cli and channel imports: run only for their "
+                            "names before an import, then bound in the package",
     "channel.ErrorPattern.dense": C01_C10,
     "channel.gen_burst_1d": C01_C10,
     "channel.gen_burst_2d": C01_C10,

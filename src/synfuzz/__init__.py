@@ -5,17 +5,19 @@ re-acquired copy by decoding the syndrome difference and checking the
 digest.  Burst-oriented base-field layouts of Reed-Solomon codes and
 concatenated codes supply the error correction.
 
-Two submodules are imported on first use, through the module
-``__getattr__``: the command line, ``synfuzz.cli``, since no library
-caller needs argparse, and the error channel, ``synfuzz.channel``, with
-its five names, which only simulations draw from.  ``fuzzy`` imports
-``hashlib`` and ``hmac`` on the first hash.  So ``import synfuzz`` and
-spec parsing load neither OpenSSL nor the channel.
+Three submodules are imported on first use, through the module
+``__getattr__``: ``synfuzz.fuzzy``, with ``Template``, ``VerifyResult``,
+``enroll`` and ``verify``, which only enrollment and verification need;
+the command line, ``synfuzz.cli``, since no library caller needs
+argparse; and the error channel, ``synfuzz.channel``, with its five
+names, which only simulations draw from.  The hook binds each name it
+resolves here, so it runs once per name.  ``fuzzy`` imports ``hashlib``
+and ``hmac`` on the first hash.  So ``import synfuzz`` and spec parsing
+load the codes, their parser and the errors, and neither ``fuzzy``,
+OpenSSL nor the channel.
 """
 
-import importlib
-
-from . import codespec, concat, errors, expand, fuzzy, gf, rs
+from . import codespec, concat, errors, expand, gf, rs
 from .codespec import parse_field, parse_spec
 from .concat import (
     ConcatCode,
@@ -26,21 +28,27 @@ from .concat import (
     VLayout,
 )
 from .expand import ExpandedCode
-from .fuzzy import Template, VerifyResult, enroll, verify
 from .gf import MUL_COUNTER, ExtField
 from .rs import BchCode, LinearCode, RsCode
 
 __version__ = "0.1.0"
 
-_CHANNEL_NAMES = ("ErrorPattern", "Rng", "gen_burst_1d", "gen_burst_2d", "gen_mixed")
+# each first-use name and the submodule that defines it (a submodule itself)
+_LAZY = {
+    "channel": "channel", "cli": "cli", "fuzzy": "fuzzy",
+    **dict.fromkeys(("Template", "VerifyResult", "enroll", "verify"), "fuzzy"),
+    **dict.fromkeys(("ErrorPattern", "Rng", "gen_burst_1d", "gen_burst_2d", "gen_mixed"),
+                    "channel"),
+}
 
 
 def __getattr__(name):
-    if name in ("channel", "cli"):  # importing the submodule sets it on the package
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _CHANNEL_NAMES:
-        return getattr(importlib.import_module(f"{__name__}.channel"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = __import__(home, globals(), level=1)  # the submodule, set on the package too
+    globals()[name] = value = module if name == home else getattr(module, name)
+    return value
 
 
 __all__ = [

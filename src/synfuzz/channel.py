@@ -8,8 +8,6 @@ and parameters reproduce identical patterns on any platform;
 ``Rng.split`` derives independent streams for per-trial use.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import product
 from math import prod

@@ -10,18 +10,17 @@ or data errors.
 
 The ``info`` and ``capability`` reports are each code's own
 ``info_lines()`` and ``capability_lines()``; nothing here branches on the
-construction.
+construction.  Only ``enroll``, ``verify`` and ``simulate`` import
+``synfuzz.fuzzy``, so a report loads no more than the parse needs.
 """
-
-from __future__ import annotations
 
 import argparse
 import math
 import sys
 
-from . import fuzzy
 from .codespec import MAX_CELLS, parse_spec
 from .errors import SynfuzzError
+from .rs import enrollable
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -99,7 +98,9 @@ def _random_data(rng, code):
 
 
 def cmd_enroll(args) -> int:
-    code = fuzzy.enrollable(parse_spec(args.code))
+    from . import fuzzy
+
+    code = enrollable(parse_spec(args.code))
     data = read_data_file(args.infile, code)
     template = fuzzy.enroll(data, code, hash_alg=args.hash)
     with open(args.out, "w", encoding="ascii", newline="") as fh:
@@ -111,9 +112,11 @@ def cmd_enroll(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import fuzzy
+
     with open(args.template, "r", encoding="ascii") as fh:
         template = fuzzy.Template.from_text(fh.read(fuzzy.MAX_TEMPLATE_CHARS + 1))
-    code = fuzzy.enrollable(parse_spec(template.code_spec))
+    code = enrollable(parse_spec(template.code_spec))
     data = read_data_file(args.infile, code)
     result = fuzzy.verify(data, template, code=code)
     if result.accepted:
@@ -126,7 +129,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_capability(args) -> int:
-    code = fuzzy.enrollable(parse_spec(args.code))
+    code = enrollable(parse_spec(args.code))
     print(f"code: {code.spec_string()}")
     for line in code.capability_lines():
         print(line)
@@ -134,16 +137,17 @@ def cmd_capability(args) -> int:
 
 
 def cmd_info(args) -> int:
-    code = fuzzy.enrollable(parse_spec(args.code))
+    code = enrollable(parse_spec(args.code))
     for line in code.info_lines():
         print(line)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    from . import fuzzy
     from .channel import Rng, gen_mixed  # only simulations draw errors
 
-    code = fuzzy.enrollable(parse_spec(args.code))
+    code = enrollable(parse_spec(args.code))
     bursts, random_errors = parse_model(args.model)
     shape = code.shape
     prime = code.alphabet

@@ -49,8 +49,6 @@ nothing mutates it after its lazy slots fill, and two threads filling
 the same slot at once build equal tables.
 """
 
-from __future__ import annotations
-
 import threading
 from collections import OrderedDict
 from functools import partial

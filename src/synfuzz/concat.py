@@ -62,8 +62,6 @@ block within the inner capability never fails, so every bound still
 holds.
 """
 
-from __future__ import annotations
-
 from .errors import (
     IndexOutOfRangeError,
     QueryUnsupportedError,

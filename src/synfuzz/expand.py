@@ -43,8 +43,6 @@ outer symbols and cells * (p - 1) <= 255 takes its syndrome from
 columns as digit bytes and re-checks by their sum mod p.
 """
 
-from __future__ import annotations
-
 import math
 from functools import partial
 

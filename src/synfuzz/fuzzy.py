@@ -20,9 +20,13 @@ The difference is in range by construction, so the decode runs without
 the public ``decode``'s syndrome check.  The hash comparison is the
 final gate: a decoder miscorrection can never produce a false accept.
 
-``hashlib`` and ``hmac`` are imported on the first hash (``_modules``),
-since they load OpenSSL, which a parse never needs; ``_HASHES`` gives
-each algorithm id its constructor name and digest size, so a template's
+This module is itself imported on first use: by the package's
+``__getattr__`` (``synfuzz.enroll`` and the other names defined here) and
+by the CLI's ``enroll``, ``verify`` and ``simulate``, so a parse, or
+``synfuzz info``, loads only the codes and their parser.  ``hashlib``
+and ``hmac`` are imported on the first hash (``_modules``), since they
+load OpenSSL, which a parse never needs; ``_HASHES`` gives each
+algorithm id its constructor name and digest size, so a template's
 digest length is checked without building a hasher.
 
 The difference is decoded as stored-minus-presented, so the recovered
@@ -58,20 +62,17 @@ final newline optional, and at most ``MAX_TEMPLATE_CHARS`` characters.
 word give equal templates.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cache
 
 from . import codespec
 from .errors import (
     DecodeFailure,
-    ShapeMismatchError,
     TemplateFormatError,
     UnsupportedHashError,
 )
 from .gf import MUL_COUNTER
-from .rs import LinearCode
+from .rs import enrollable
 
 # Each algorithm id's ``hashlib`` constructor name and digest size.
 _HASHES = {
@@ -104,14 +105,6 @@ def hash_digest(alg: str, payload: bytes) -> bytes:
     except KeyError:
         raise UnsupportedHashError(f"unknown hash algorithm {alg!r}") from None
     return getattr(_modules()[0], name)(payload).digest()
-
-
-def enrollable(code):
-    """The code itself if it follows the LinearCode protocol (a bare BCH
-    code does not), else ShapeMismatchError."""
-    if not isinstance(code, LinearCode):
-        raise ShapeMismatchError(f"not an enrollable code: {code!r}")
-    return code
 
 
 def canonical_bytes(code, data) -> bytes:

@@ -35,8 +35,6 @@ multiplies a whole byte string by c (the "region multiply" of Plank,
 Greenan and Miller, FAST 2013).
 """
 
-from __future__ import annotations
-
 import threading
 from functools import lru_cache
 from operator import xor
@@ -255,7 +253,7 @@ class ExtField:
         return self._rows
 
     @property
-    def prime(self) -> ExtField:
+    def prime(self) -> "ExtField":
         """The base field F_p as a degree-1 field (itself when m = 1).  Not
         cached: a write to ``__dict__`` after construction slows every later
         attribute read on this object, and its tables are read per symbol."""

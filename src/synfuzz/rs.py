@@ -18,7 +18,8 @@ re-checks that the returned error pattern reproduces every input syndrome
 component; anything inconsistent raises DecodeFailure rather than
 returning a silently wrong vector.
 
-``LinearCode`` is the protocol every enrollable code follows.  Its
+``LinearCode`` is the protocol every enrollable code follows
+(``enrollable`` checks it for enroll, verify and the CLI).  Its
 ``_read`` is the one check of a data word, and returns the word's
 canonical body: the bytes both the syndrome and the digest are taken
 from.  A base-field code's one block map gives its lanes, and a decode
@@ -106,8 +107,6 @@ owner sets to None in ``__init__``, never at construction.  The tables
 live and die with their code; ``codespec.parse_spec`` keeps parsed codes,
 so a re-parsed spec finds them built.
 """
-
-from __future__ import annotations
 
 import struct
 from collections import namedtuple
@@ -444,6 +443,14 @@ class LinearCode(_SpecIdentity):
             f"base shape: {shape} over {self.alphabet.spec_string()}",
             f"base dimension: {self.base_dimension}",
         ]
+
+
+def enrollable(code):
+    """The code itself if it follows the LinearCode protocol (a bare BCH
+    code does not), else ShapeMismatchError."""
+    if not isinstance(code, LinearCode):
+        raise ShapeMismatchError(f"not an enrollable code: {code!r}")
+    return code
 
 
 class _BlockCode(LinearCode):

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import synfuzz  # noqa: F401  (the tracer wraps the loaded synfuzz modules)
+import synfuzz.fuzzy  # noqa: F401  (the tracer wraps the modules run.py loads)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

@@ -133,3 +133,54 @@ def test_cli_reports_load_no_openssl(command):
             f"rc = main([{command!r}, '--code', {spec!r}]); report = sys.stdout.getvalue(); "
             f"sys.stdout = sys.__stdout__; print(rc, bool(report))")
     assert loaded(LAZY, then) == "0 True"
+
+
+# loaded only by enrollment and verification, and by nothing at all
+PARSE_FREE = ("synfuzz.fuzzy", "__future__")
+
+
+def test_importing_and_parsing_load_no_fuzzy_and_no_future():
+    """A parse needs the codes and their parser only: ``fuzzy`` waits for
+    the first enroll or verify, and no module of the package imports
+    ``__future__``."""
+    then = f"codes = [synfuzz.parse_spec(s) for s in {roster_specs()!r}]"
+    assert loaded(PARSE_FREE) == ""
+    assert loaded(PARSE_FREE, then) == ""
+
+
+def test_the_package_hook_loads_no_importlib():
+    """``python -I -S``, as scripts/cold_pairs.py runs the CLI, starts
+    without ``importlib``; the import, a parse and the lazy names leave
+    it out."""
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import synfuzz; "
+             f"synfuzz.parse_spec({roster_specs()[6]!r}); synfuzz.Template; synfuzz.Rng; "
+             f"print('importlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["info", "capability"])
+def test_cli_reports_load_no_fuzzy(command):
+    then = (f"import io; from synfuzz.cli import main; sys.stdout = io.StringIO(); "
+            f"rc = main([{command!r}, '--code', {roster_specs()[6]!r}]); "
+            f"sys.stdout = sys.__stdout__; print(rc)")
+    assert loaded(PARSE_FREE, then) == "0"
+
+
+def test_the_first_enroll_loads_fuzzy_and_binds_enroll():
+    """The hook runs once per name: the first ``synfuzz.enroll`` imports
+    ``fuzzy`` and binds ``enroll`` in the package, where a loop finds it."""
+    then = ("print('enroll' in vars(synfuzz)); code = synfuzz.parse_spec('cI(rs(7,3;gf(2^3)))'); "
+            "t = synfuzz.enroll([0] * 21, code); "
+            "print(vars(synfuzz)['enroll'] is sys.modules['synfuzz.fuzzy'].enroll)")
+    assert loaded(PARSE_FREE, then).split() == ["False", "True", "synfuzz.fuzzy"]
+
+
+def test_no_module_imports_future():
+    """Every annotation in the package evaluates at definition time, which
+    Python 3.10 allows, so none needs ``from __future__ import annotations``."""
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "__future__"]
+    assert found == []

@@ -296,3 +296,28 @@ def test_ab_pairs_fails_only_on_differing_results(salt, monkeypatch, capsys):
     ratios = report["ratio_change_over_parent"]
     assert ratios[first]["median_time_ratio"] == ratios[first]["median"] == 2.0
     assert ratios["geomean_ratio"] == pytest.approx(2 ** (1 / constructions))
+
+
+def test_cold_pairs_lists_the_tables_a_command_built(tmp_path):
+    """A cold CLI process of scripts/cold_pairs.py ends with the table
+    entries its command's first-use builds wrote: ``info`` on a flat
+    concatenation builds the field tables only, and ``enroll`` adds the
+    outer code's generator and syndrome kernel."""
+    cold_pairs = load_script("cold_pairs.py")
+    spec = "concat(inner=bch(15,2;gf(2)), outer=rs(127,109;gf(2^7)), layout=flat)"
+    tree = SCRIPTS.parent
+
+    def entries(*argv, cwd=None):
+        run = cold_pairs.child(tree, cold_pairs.CLI_PROBE, spec, *argv, cwd=cwd)
+        assert run.returncode == 0, run.stderr
+        return json.loads(run.stdout.splitlines()[-1])
+
+    info = entries("info", "--code", spec)
+    assert info["outer.alphabet._exp"] == 254 and info["inner.field._log"] == 16
+    assert not any(key.startswith(("code._", "outer._", "inner._")) for key in info)
+    assert all(size > 0 for size in info.values())
+    cold_pairs.write_word(tmp_path / "word.txt", [0] * 1905)
+    enroll = entries("enroll", "--code", spec, "--in", "word.txt", "--out", "t.sfh",
+                     cwd=tmp_path)
+    assert info.items() <= enroll.items()
+    assert enroll["outer._gen"] == 19 and enroll["outer._tables"] > 0
