@@ -9,9 +9,10 @@ Three submodules are imported on first use, through the module
 ``__getattr__``: ``synfuzz.fuzzy``, with ``Template``, ``VerifyResult``,
 ``enroll`` and ``verify``, which only enrollment and verification need;
 the command line, ``synfuzz.cli``, since no library caller needs
-argparse; and the error channel, ``synfuzz.channel``, with its five
-names, which only simulations draw from.  The hook binds each name it
-resolves here, so it runs once per name.  ``fuzzy`` imports ``hashlib``
+argparse (nor is it in ``__all__``, so a star import leaves it); and
+the error channel, ``synfuzz.channel``, with its five names, which only
+simulations draw from.  The hook binds each name it resolves here, so
+it runs once per name.  ``fuzzy`` imports ``hashlib``
 and ``hmac`` on the first hash.  So ``import synfuzz`` and spec parsing
 load the codes, their parser and the errors, and neither ``fuzzy``,
 OpenSSL nor the channel.
@@ -69,7 +70,6 @@ __all__ = [
     "VerifyResult",
     "ViLayout",
     "channel",
-    "cli",
     "codespec",
     "concat",
     "enroll",

@@ -76,13 +76,13 @@ MAX_SPEC_CHARS = 1024
 # per-position columns (255 strings of 64 bytes) and the field's multiply
 # rows (256 strings of 256 bytes).  Every code that decodes over a field
 # weighs its rows, so rows that two cached codes share count twice.  A
-# binary block code of at most rs._COLUMN_CAP_CELLS = 256 cells adds its
-# per-cell syndrome columns: at most 256 ints of a 255-byte syndrome,
-# under 80 KB, which fits beside the heaviest tables in this weight.
-# Odd-p codes build none of the binary tables.  An odd-p block code's
-# columns, under cells * (p - 1) <= 255, hold p ints of fewer digit bytes
-# than cells per cell: at most 127 cells of 3 ints at p = 3, about 50 KB
-# (cI(rs(31,1;gf(3^4))) holds 49 KB).  An odd-p BCH code's counted coset
+# block code that takes per-cell syndrome columns (rs._columns_fit) adds
+# them: over F_2 at most 256 ints of a 255-byte syndrome, under 80 KB,
+# which fits beside the heaviest tables in this weight.  Odd-p codes
+# build none of the binary tables.  An odd-p block code's columns hold p
+# ints of fewer digit bytes than cells per cell: at most 127 cells of 3
+# ints at p = 3, about 50 KB (cI(rs(31,1;gf(3^4))) holds 49 KB).  An
+# odd-p BCH code's counted coset
 # table holds at most p^r <= rs._COSET_CAP = 4096 remainders, about 180
 # bytes each, so 740 KB at the cap; but only a concatenation's inner code
 # fills one, and its dimension k must give an outer field p^k <= 2^16,

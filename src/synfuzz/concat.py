@@ -43,23 +43,21 @@ power sums of the blocks' symbols over F_{p^k}.  Decoding inner-decodes
 each damaged block, corrects the estimates with the outer decoder,
 rebuilds the touched blocks from their symbol errors and stored
 residuals into a sparse map and re-checks that map against the whole
-syndrome by ``rs._BlockCode``'s one rule: the columns where the code
-has them, else the re-split of the returned map.  Under the binary
-column cap the re-check is the XOR of the map's syndrome columns.  Over
-odd p with digit columns it is the sum of the map's columns of its
-values, reduced mod p, and the decode adds the products the re-split
-would have counted, the touched blocks' from the fill table and the
-outer power sums' per nonzero symbol (``_recheck_count``), so
-``decode_mults`` is unchanged; elsewhere the touched blocks are read
-back from the map and re-split (``_BlockCode._recheck``): each one's
-residual must be its stored one, every other block's must be zero and
-the outer power sums of their symbols the stored ones.  Each damaged
-block's inner decode is one call, ``BchCode._message_error``: a lookup
-in the coset table within its cap (the binary one, or over odd p the
-counted one), which returns None for a block it cannot decode.  Such a
-block is an outer erasure, at one outer syndrome instead of two; a
-block within the inner capability never fails, so every bound still
-holds.
+syndrome by ``rs._BlockCode``'s one rule: the per-cell syndrome
+columns where ``rs._columns_fit`` gives the code them, else the
+re-split of the returned map.  By columns over odd p the decode adds
+the products the re-split would have counted, the touched blocks' from
+the fill table and the outer power sums' per nonzero symbol
+(``_recheck_count``), so ``decode_mults`` is unchanged; the re-split
+(``_BlockCode._recheck``) requires each touched block's residual to be
+its stored one, every other block's to be zero and the outer power
+sums of their symbols to be the stored ones.  Each damaged block's
+inner decode is one call, ``BchCode._message_error``: where the inner
+code takes cosets (``BchCode._by_cosets``), a lookup in the coset table
+(over odd p the counted one), which returns None for a block it cannot
+decode.  Such a block is an outer erasure, at one outer syndrome
+instead of two; a block within the inner capability never fails, so
+every bound still holds.
 """
 
 from .errors import (
@@ -274,7 +272,7 @@ class ConcatCode(_BlockCode):
         """The products ``_recheck`` counts on the touched blocks of these
         symbol errors: each block's re-split, the fill's count in the fill
         table, and the outer power sums of each nonzero symbol."""
-        fills, syms = self._fills, [syms[i] for i in touched]
+        fills, syms = self._fills or self._load_fills(), [syms[i] for i in touched]
         return sum([fills[s][1] for s in syms]) + self.outer.count * (len(syms) - syms.count(0))
 
     # ------------------------------------------------------------------

@@ -36,11 +36,8 @@ the RS decoder as erasures (one syndrome instead of two); a companion
 tile's symbol stands.  Clean blocks are never flagged, so every bound of
 the plain layout still holds.  Every decode re-checks the sparse map it
 returns against the whole syndrome by ``rs._BlockCode``'s one rule: the
-columns where the code has them, else the re-split of the returned map.
-A binary expansion of at most 256 cells takes its syndrome and that
-re-check from per-cell syndrome columns; an odd-p one with one-byte
-outer symbols and cells * (p - 1) <= 255 takes its syndrome from
-columns as digit bytes and re-checks by their sum mod p.
+per-cell syndrome columns where ``rs._columns_fit`` gives the code
+them, else the re-split of the returned map.
 """
 
 import math
@@ -83,21 +80,12 @@ class ExpandedCode(_BlockCode):
     """A base-field expansion of an RS code with its layout bookkeeping.
 
     Every decode re-checks the sparse map it returns against the whole
-    syndrome: by the columns where the code has them, else by the
-    re-split of the map.  A binary expansion with outer symbols of m <= 8
-    bits and at most ``rs._COLUMN_CAP_CELLS`` cells (the roster's
-    cI(rs(7,3)), cI+parity(rs(15,7)), cII and cIII) takes its syndrome
-    from per-cell columns and re-checks by their XOR.  An odd-p
-    expansion with outer symbols of one byte and cells * (p - 1) <= 255
-    (cI+parity(rs(8,4;gf(3^2))) and cIII(rs(8,4;gf(3^2));2,4) among the
-    golden codes) sums per-cell columns into digit-byte syndromes and
-    re-checks a decode of one by the sum of its map's columns mod p.
-    Above the caps, where a column XOR per set cell costs more than the
-    bit lanes or a byte could carry (the roster's cI(rs(255,223))), the
-    decode reads the touched blocks back from the map, re-splits them
-    and compares their parts and outer power sums with the syndrome;
-    without check cells the outer sums of the re-read symbols are the
-    whole check."""
+    syndrome: by the per-cell columns where the code takes them
+    (``rs._columns_fit``), by their XOR over F_2 and their sum mod p
+    over odd p; else the decode reads the touched blocks back from the
+    map, re-splits them and compares their parts and outer power sums
+    with the syndrome, and without check cells the outer sums of the
+    re-read symbols are the whole check."""
 
     syndrome = _BlockCode.syndrome
 

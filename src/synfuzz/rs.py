@@ -33,8 +33,8 @@ returns, ``_decode`` takes and the stored syndrome is read into:
 - a code over characteristic 2 holds its template bytes, one byte a
   symbol for m <= 8 and two big-endian bytes for m > 8, so two of them
   subtract by one XOR at every m;
-- an odd-p block code with digit columns holds digit bytes, one byte
-  per F_p digit;
+- an odd-p block code that takes columns (``_by_columns``, below) holds
+  digit bytes, one byte per F_p digit;
 - every other odd-p code holds a tuple of ints.
 
 The tuple is the public form: ``syndrome``, ``decode``,
@@ -48,6 +48,17 @@ Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
 parity symbols in positions 0..n-k-1.
 
+Each code chooses three table paths once, in ``__init__``, each by one
+rule that sits beside its cap and sets a boolean.  Every path reads the
+boolean; none reads a missing table as a decision:
+
+- ``_BlockCode._by_columns`` (``_columns_fit``): per-cell syndrome
+  columns and the column re-check, and over odd p the digit-byte form;
+- ``_CyclicCode._by_region`` (``_chien_fits``): the byte-region decoder
+  and its packed Chien search, else ``_gpz_decode`` and ``_chien_roots``;
+- ``BchCode._by_cosets`` (``_coset_fits``): the coset table, over odd p
+  the counted one, else the algebraic decode.
+
 Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
 come from the packed kernel ``_BinaryKernel``: a table-driven LFSR
 reduces the word modulo the generator, two symbols per step for m <= 8,
@@ -55,16 +66,14 @@ and one packed F_2-linear map takes the remainder to the power sums,
 in the byte form of the rule above.  For m <= 8 the map's columns are
 power-sum columns translated through the field's multiply rows, which
 the Chien table reuses.  The kernel counts no multiplication.  A binary
-block word reaches it
-through bit lanes: one int per cell position of a block, across all
-blocks, from one strided byte slice; one of at most 256 cells with outer
-symbols of m <= 8 bits skips both and XORs one per-cell syndrome column
-per set cell (``_BlockCode._columns``).  An odd-p block code with
-one-byte outer symbols and cells * (p - 1) <= 255 sums one column per
-cell, one byte per F_p digit of the syndrome, and reduces every byte mod
-p at the end (``_BlockCode._digit_columns``); longer ones keep the
-per-symbol paths ``_sparse_syndrome`` and ``_poly_remainder``.  Such a
-code's decode re-checks a digit-byte syndrome by the same columns and
+block word reaches it through bit lanes: one int per cell position of a
+block, across all blocks, from one strided byte slice; a binary block
+code with columns skips both and XORs one per-cell syndrome column per
+set cell (``_BlockCode._columns``).  An odd-p block code with columns
+sums one column per cell, one byte per F_p digit of the syndrome, and
+reduces every byte mod p at the end (``_BlockCode._digit_columns``);
+one without keeps the per-symbol paths ``_sparse_syndrome`` and
+``_poly_remainder``.  Such a code's decode re-checks a digit-byte syndrome by the same columns and
 rebuilds its touched blocks from a fill table (``_BlockCode._fills``)
 whose entries carry the products the fill counts, which its re-split
 counts too, so ``decode_mults`` is what the per-symbol re-check gives.
@@ -72,8 +81,7 @@ A block code without columns re-checks the sparse map a decode returns
 by re-splitting the blocks it touches.  A binary block decode reads its
 block parts from bit lanes, one int per check digit.
 
-Over F_{2^m}, m <= 8, a code whose Chien table fits its cap decodes on
-byte regions (``_CyclicCode._region_errors``): a polynomial is a byte
+A cyclic code on the region path decodes on byte regions (``_CyclicCode._region_errors``): a polynomial is a byte
 string, and multiplying one by a constant c is one ``bytes.translate``
 through the field's row of c (``ExtField._load_rows``).  The Chien table
 evaluates a polynomial at every position at once: evaluation is
@@ -84,15 +92,14 @@ the powers alpha^(ij) turn any sparse word into its power sums, one
 translate per nonzero symbol (``_CyclicCode._sums``): the decoder's
 re-check, and a block code's outer sums of the few blocks a decode
 touches.  The region decoder gives the scalar ``_gpz_decode``'s outcome
-and counts its multiplications; the scalar one stays for odd p, for
-m > 8 and above the cap.  Where no syndrome symbol is zero, its
+and counts its multiplications.  Where no syndrome symbol is zero, its
 Berlekamp-Massey step k costs one product per nonzero locator
 coefficient past psi_0 (deg Psi <= L <= k), one ``bytes.count`` per
 update; a syndrome with a zero symbol reads the counts off a mask
-product.  A small binary BCH code decodes a packed remainder by one
+product.  A binary BCH code with cosets decodes a packed remainder by one
 lookup in its coset-leader table, the remainder of every pattern of
 weight <= design_t (``_coset_table``; standard-array decoding, Slepian
-1956).  A small odd-p BCH code's counted coset table maps every
+1956).  An odd-p one's counted coset table maps every
 remainder to the message error of the scalar decode and the
 multiplications it counted (``BchCode._load_counted_cosets``).  So a
 concatenation's inner decode is one call for both p,
@@ -100,10 +107,11 @@ concatenation's inner decode is one call for both p,
 None for an erasure, with no exception raised or caught, and counts
 what the scalar decode would.
 
-Every table (generator, kernel, Chien table with its columns, coset and
-check tables, a block code's per-cell columns with its digit maps and
-fill table, and a field's rows) is built on first use into a slot its
-owner sets to None in ``__init__``, never at construction.  The tables
+Every table (generator, kernel, Chien table, the columns of ``_sums``,
+coset and check tables, a block code's per-cell columns, digit maps and
+fill table, and a field's rows) is built on first use by its own loader
+into a slot its owner sets to None in ``__init__``, never at
+construction, and the slot holds None or the table.  The tables
 live and die with their code; ``codespec.parse_spec`` keeps parsed codes,
 so a re-parsed spec finds them built.
 """
@@ -125,7 +133,7 @@ from .errors import (
     TemplateFormatError,
     TooManyErasuresError,
 )
-from .gf import MUL_COUNTER, ExtField, _from_digits, _to_digits
+from .gf import _MAX_DEFAULT_ORDER, MUL_COUNTER, ExtField, _from_digits, _to_digits
 
 
 class DecodeInfo(namedtuple("DecodeInfo", "inner_failed outer_corrected")):
@@ -465,31 +473,28 @@ class _BlockCode(LinearCode):
     ``_load_checks()`` from the fills of the unit symbols, and ``_lanes``
     the symbol digits each check digit sums, read off them.
 
-    The whole syndrome is then F_2-linear in the word, so a binary code
-    with outer symbols of m <= 8 bits and at most ``_COLUMN_CAP_CELLS``
-    cells has ``_columns``: per row-major cell, the syndrome of the word
-    with a single 1 there as a little-endian int (``_load_columns``).  Its
+    ``__init__`` sets ``_by_columns`` by ``_columns_fit``, the one rule
+    of which block codes take per-cell syndrome columns.  The whole
+    syndrome is F_2-linear in a binary word, so such a code's
+    ``_columns`` hold, per row-major cell, the syndrome of the word with
+    a single 1 there as a little-endian int (``_load_columns``).  Its
     syndrome is the XOR of the columns of the set cells, one C-level pass
-    with no split and no LFSR.  A column costs one big-int XOR per set
-    cell, which loses to the lanes' fixed cost on longer codes: above
-    the cap a binary word splits as bit lanes, one int per cell position
-    across all blocks, with no loop over the blocks (``_split_lanes``),
-    and its symbols go to the outer code unchecked
-    (``RsCode._power_sums``).  Lane j is the strided slice
+    with no split and no LFSR.  Any other binary word splits as bit
+    lanes, one int per cell position across all blocks, with no loop
+    over the blocks (``_split_lanes``), and its symbols go to the outer
+    code unchecked (``RsCode._power_sums``).  Lane j is the strided slice
     ``cells[j::_width]`` of its cells in block order: the body itself
     where the blocks lie row-major, else the body gathered by one
     itemgetter of the block order (``_gather``, built on first use).
 
-    Over odd p the syndrome is F_p-linear in the word.  A code with outer
-    symbols of one byte (p^m <= 256), at most ``_COLUMN_CAP_CELLS`` cells
-    and cells * (p - 1) <= 255 has ``_columns`` as p ints per cell, value
-    v's syndrome at that cell in digit bytes: one byte per F_p digit, an
-    outer symbol's m digits low first (``_digit_columns``).  Its
-    syndrome is the sum of one column per cell, where no byte carries,
-    reduced mod p by one translate, and ``_digits`` holds the maps that
-    convert the r outer symbols at the template boundary (``_template``,
-    ``_from_template``).  Above that cap an odd-p word is split block by
-    block from its gathered cells.
+    Over odd p the syndrome is F_p-linear in the word.  A code with
+    columns holds p ints per cell, value v's syndrome at that cell in
+    digit bytes: one byte per F_p digit, an outer symbol's m digits low
+    first (``_digit_columns``).  Its syndrome is the sum of one column
+    per cell, where no byte carries, reduced mod p by one translate, and
+    ``_digits`` holds the maps that convert the r outer symbols at the
+    template boundary (``_template``, ``_from_template``).  Any other
+    odd-p word is split block by block from its gathered cells.
 
     Every placement decision is the ``layout``'s (a ``concat.py`` layout
     object): ``shape`` is ``layout.shape(n, _width)``, and
@@ -520,7 +525,7 @@ class _BlockCode(LinearCode):
     order, are the sparse error map (``_cells_of``); every other block
     is zero.  One rule re-checks that map against the whole syndrome,
     for expansions and concatenations alike: the columns where the code
-    has them, else the re-split of the returned map.  With binary
+    takes them (``_by_columns``), else the re-split of the returned map.  With binary
     ``_columns`` the XOR of the map's columns must be the syndrome.  On
     a digit-byte syndrome the sum of the map's columns of its values,
     reduced mod p, must be the syndrome, and the decode adds the
@@ -548,8 +553,8 @@ class _BlockCode(LinearCode):
         self._places = places
         self._checks = None  # the check tables over F_2, set on first use
         self._lanes = None  # the lanes of each check digit over F_2, set on first use
-        self._columns = None  # the per-cell syndrome columns, False without; set on first use
-        self._digits = False  # the digit-byte maps of odd-p columns, set with them
+        self._columns = None  # the per-cell syndrome columns, set on first use
+        self._digits = None  # the digit-byte maps of odd-p columns, set on first use
         self._fills = None  # per symbol its fill and count, with digit columns; set on first use
         self._order = None
         self._gather = None  # the itemgetter of a 2-D body in block order, set on first use
@@ -557,6 +562,8 @@ class _BlockCode(LinearCode):
         self.layout = layout
         self.shape = layout.shape(outer.n, self._width)
         self.base_length = outer.n * self._width
+        # per-cell columns and the column re-check, over odd p in digit bytes
+        self._by_columns = _columns_fit(outer.field, self.base_length)
         self.base_dimension = outer.k * m
         self.alphabet = outer.field.prime
         sums = ((outer.redundancy, outer.field),)
@@ -589,14 +596,13 @@ class _BlockCode(LinearCode):
         binary ``_columns``, the XOR of the columns of the body's set
         cells; with odd-p ones, the sum of each cell's column of its
         value, reduced mod p byte by byte."""
-        columns = self._columns
-        if columns is None:
-            columns = self._load_columns()
-        if self._digits:
-            total = sum(map(getitem, columns, body))
-            return total.to_bytes(self._digits.size, "little").translate(self._digits.reduce)
-        if columns:
-            return reduce(xor, compress(columns, body), 0).to_bytes(self._size, "little")
+        if self._by_columns:
+            columns = self._columns or self._load_columns()
+            if self.alphabet.p == 2:
+                return reduce(xor, compress(columns, body), 0).to_bytes(self._size, "little")
+            maps = self._digits or self._load_digits()
+            return sum(map(getitem, columns, body)).to_bytes(maps.size, "little").translate(
+                maps.reduce)
         syms, res = self._split_body(body)
         sums = self.outer._power_sums(syms)
         runs = (res, sums) if self._sym_at else (sums, res)
@@ -614,10 +620,7 @@ class _BlockCode(LinearCode):
         each, must be the sum of its columns of its values reduced mod p,
         after ``_recheck_count``'s products are counted; else
         ``_recheck`` re-splits it."""
-        columns = self._columns
-        if columns is None:
-            columns = self._load_columns()
-        outer, digits = self.outer, self._digits
+        outer, digits = self.outer, self._by_columns and self.alphabet.p != 2
         cut = outer.n * self._chk if self._sym_at else len(synd) - outer.n * self._chk
         res, sums = (synd[:cut], synd[cut:]) if self._sym_at else (synd[cut:], synd[:cut])
         if digits:
@@ -626,14 +629,16 @@ class _BlockCode(LinearCode):
         errors, erasures, delta = self._decode_blocks(parts, sums)
         touched = self._touched(errors, parts)
         found = self._cells_of(touched, errors, parts)
-        if digits:
-            MUL_COUNTER.add(self._recheck_count(touched, errors))
-            total = sum(map(getitem, map(columns.__getitem__, found), found.values()))
-            if total.to_bytes(len(synd), "little").translate(digits.reduce) != synd:
-                raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
-        elif not columns:
+        if not self._by_columns:
             self._recheck(found, touched, parts, sums)
-        elif reduce(xor, map(columns.__getitem__, found), 0) != int.from_bytes(synd, "little"):
+        elif digits:
+            MUL_COUNTER.add(self._recheck_count(touched, errors))
+            columns, maps = self._columns or self._load_columns(), self._digits or self._load_digits()
+            total = sum(map(getitem, map(columns.__getitem__, found), found.values()))
+            if total.to_bytes(len(synd), "little").translate(maps.reduce) != synd:
+                raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
+        elif reduce(xor, map((self._columns or self._load_columns()).__getitem__, found), 0) != (
+                int.from_bytes(synd, "little")):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         return found, DecodeInfo(tuple(erasures), tuple(delta))
 
@@ -666,14 +671,8 @@ class _BlockCode(LinearCode):
     def _load_columns(self):
         """Column c: the syndrome of the word with a single 1 at row-major
         cell c, read as a little-endian int (``_bit_columns``), over odd p
-        a tuple of one int per cell value (``_digit_columns``); False above
-        the cap, for outer symbols wider than a byte, or over odd p where a
-        byte could carry (cells * (p - 1) > 255)."""
-        field, p, cells = self.outer.field, self.alphabet.p, self.base_length
-        if field.order > 256 or cells > _COLUMN_CAP_CELLS or p != 2 and cells * (p - 1) > 255:
-            self._columns = False
-            return False
-        by_block = self._bit_columns() if p == 2 else self._digit_columns()
+        a tuple of one int per cell value (``_digit_columns``)."""
+        by_block = self._bit_columns() if self.alphabet.p == 2 else self._digit_columns()
         columns = [0] * len(by_block)
         for at, col in zip(self._order or self._load_order(), by_block):
             columns[at] = col
@@ -709,7 +708,7 @@ class _BlockCode(LinearCode):
 
     def _digit_columns(self) -> list:
         """Over odd p, the column of every cell, block by block in
-        block-format order, and ``_digits``: p ints per cell, value v's the
+        block-format order: p ints per cell, value v's the
         syndrome of the word with v at that cell and zeros elsewhere, as
         digit bytes (one byte per F_p digit, an outer symbol's m digits low
         first) read as a little-endian int.  A sum of one column per cell
@@ -722,7 +721,7 @@ class _BlockCode(LinearCode):
         fills' products are not counted: building is not decoding."""
         outer, field, chk, p = self.outer, self.outer.field, self._chk, self.alphabet.p
         m, r, q1 = field.m, outer.redundancy, field.order - 1
-        size = outer.n * chk + r * m
+        size = (self._digits or self._load_digits()).size
         sums_at, res_at = (outer.n * chk, 0) if self._sym_at else (0, r * m)
         counted = MUL_COUNTER.n
         fills = [[-v % p for v in self._fill(p**b)[self._chk_at : self._chk_at + chk]]
@@ -744,19 +743,18 @@ class _BlockCode(LinearCode):
                     unit[at + j - self._chk_at] = 1
                 by_block.append(tuple(int.from_bytes(unit.translate(scale), "little")
                                       for scale in scales))
+        return by_block
+
+    def _load_digits(self):
+        """The ``_DigitMaps`` of an odd-p code with columns: a syndrome of
+        r outer symbols of m digits and N * chk residual digits."""
+        field, p = self.outer.field, self.alphabet.p
+        size = self.outer.n * self._chk + self.outer.redundancy * field.m
         spread = tuple(bytes(v // p**b % p if v < field.order else 255 for v in range(256))
-                       for b in range(m))
+                       for b in range(field.m))
         self._digits = _DigitMaps(size, bytes(v % p for v in range(256)),
                                   int.from_bytes(bytes([p]) * size, "little"), spread,
                                   bytes(range(p)))
-        return by_block
-
-    def _digit_maps(self):
-        """``_digits``, after the columns are built: falsy without digit
-        columns.  A code builds its columns before it answers for its
-        form, as only they tell whether it holds digit bytes."""
-        if self._columns is None:
-            self._load_columns()
         return self._digits
 
     def _stored_minus(self, raw, presented):
@@ -764,9 +762,9 @@ class _BlockCode(LinearCode):
         as digit bytes (``_from_template``), p is added to every byte,
         the presented int, which no byte borrows, subtracted, and each
         byte reduced mod p by one translate."""
-        maps = self._digit_maps()
-        if not maps:
+        if not self._by_columns or self.alphabet.p == 2:
             return super()._stored_minus(raw, presented)
+        maps = self._digits or self._load_digits()
         stored = int.from_bytes(self._from_template(raw), "little")
         diff = stored + maps.carry - int.from_bytes(presented, "little")
         return diff.to_bytes(maps.size, "little").translate(maps.reduce)
@@ -777,7 +775,7 @@ class _BlockCode(LinearCode):
         (``_pack_digits``), the residual digits as they are."""
         if type(digits) is not bytes:
             return super()._template(digits)
-        if not self._digit_maps():
+        if not self._by_columns or self.alphabet.p == 2:
             return digits
         field = self.outer.field
         cut = self.outer.redundancy * field.m
@@ -792,9 +790,9 @@ class _BlockCode(LinearCode):
         its run's field: each outer symbol spread into its m digits by one
         translate per digit (a byte past the field gives 255, which no
         digit is), then one check that every digit is below p."""
-        if not self._digit_maps():
+        if not self._by_columns or self.alphabet.p == 2:
             return super()._from_template(raw)
-        r, m, maps = self.outer.redundancy, self.outer.field.m, self._digits
+        r, m, maps = self.outer.redundancy, self.outer.field.m, self._digits or self._load_digits()
         if len(raw) != self._size:
             self._stored(raw)  # raises, naming the fault
         sums, res = (raw[-r:], raw[:-r]) if self._sym_at else (raw[:r], raw[r:])
@@ -956,7 +954,7 @@ class _BlockCode(LinearCode):
             else:
                 blocks = [syms[i] for i in touched]
             return dict.fromkeys(compress(offsets, _unpack_bits(blocks, width)), 1)
-        fills = self._digits and (self._fills or self._load_fills())
+        fills = self._by_columns and (self._fills or self._load_fills())
         cells, counted = [], 0
         for i in touched:
             if fills:
@@ -1084,8 +1082,8 @@ def _chien_roots(field: ExtField, psi, n):
 
 def _gpz_decode(field: ExtField, synd, n, known=(), base_limit=None):
     """Errors-and-erasures decode of a syndrome vector, one symbol at a
-    time: the decoder of a code without a Chien table (odd p, m > 8, or
-    above the table's cap) and the oracle of ``_CyclicCode._region_errors``.
+    time: the decoder of a code off the region path (``_chien_fits``) and
+    the oracle of ``_CyclicCode._region_errors``.
 
     ``synd`` is a sequence of ints, or bytes in the code's own form: two
     big-endian bytes a sum past one byte a symbol, unpacked here.
@@ -1493,7 +1491,8 @@ def _generator(field: ExtField, s: int, count: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Packed decoding tables for characteristic 2
+# The three path rules: each class's constructor reads its one rule, and
+# its paths read the flag it sets.  Packed decoding tables follow.
 # ---------------------------------------------------------------------------
 
 # A Chien table holds r*m columns of n bytes; past this many bits the
@@ -1506,15 +1505,45 @@ _CHIEN_CAP_BITS = 1 << 21
 # 441 cells, but 0.81x at 889 and 0.70x for cI(rs(255,223;gf(2^8))).
 _COLUMN_CAP_CELLS = 256
 # Coset tables hold at most this many patterns: bch(15,2;gf(2)) has 121,
-# bch(63,2;gf(2)) 2017, bch(63,3;gf(2)) 41,728 (above it).
+# bch(63,2;gf(2)) 2017, bch(63,3;gf(2)) 41,728 (above it).  A counted
+# table over odd p holds one entry per remainder.
 _COSET_CAP = 4096
 
 
+def _columns_fit(field: ExtField, cells: int) -> bool:
+    """Whether a block code of ``cells`` cells with outer symbols in
+    ``field`` takes per-cell syndrome columns (``_BlockCode._by_columns``):
+    outer symbols of one byte (p^m <= 256), at most ``_COLUMN_CAP_CELLS``
+    cells, and over odd p no byte of a sum of one column per cell that
+    could carry (cells * (p - 1) <= 255).  Such a code takes its syndrome
+    from the columns, in digit bytes over odd p, and re-checks each
+    decode by them; any other takes bit lanes over F_2, else the
+    per-block split, and the re-split re-check."""
+    p = field.p
+    return field.order <= 256 and cells <= _COLUMN_CAP_CELLS and (p == 2 or cells * (p - 1) <= 255)
+
+
 def _chien_fits(field: ExtField, n: int, r: int) -> bool:
-    """Whether the search over n positions for locators of degree <= r
-    has a packed table: characteristic 2, one byte per position (m <= 8)
-    and r*m columns of n bytes within the cap."""
+    """Whether a cyclic code of length n with r syndrome roots decodes on
+    byte regions with the packed Chien search (``_CyclicCode._by_region``):
+    characteristic 2, one byte per position (m <= 8) and a Chien table of
+    r*m columns of n bytes within the cap.  Any other takes the scalar
+    ``_gpz_decode`` and its scalar search."""
     return field.p == 2 and field.m <= 8 and r * field.m * n * 8 <= _CHIEN_CAP_BITS
+
+
+def _coset_fits(n: int, t: int) -> bool:
+    """Whether a binary BCH code of length n and design capability t
+    decodes from its coset table (``BchCode._by_cosets``): the patterns
+    of weight <= t over n positions number at most ``_COSET_CAP``.  An
+    odd-p code takes its counted coset table where its p^r remainders
+    do; any other decodes algebraically."""
+    total = 0
+    for w in range(t + 1):
+        total += comb(n, w)
+        if total > _COSET_CAP:
+            return False
+    return True
 
 
 def _lanes(field: ExtField, n: int, r: int, sign: int) -> list[bytes]:
@@ -1608,17 +1637,6 @@ def _step_counts(V: bytes, top: int, nz_synd: int) -> tuple[bytes, int]:
     return ((nz ^ 1) * nz_synd).to_bytes(len(V), "little"), nz.bit_count()
 
 
-def _coset_fits(n: int, t: int) -> bool:
-    """Whether the patterns of weight <= t over n positions number at most
-    the coset-table cap."""
-    total = 0
-    for w in range(t + 1):
-        total += comb(n, w)
-        if total > _COSET_CAP:
-            return False
-    return True
-
-
 def _coset_table(kernel: _BinaryKernel, n: int, t: int) -> dict[int, int]:
     """Packed remainder -> packed error over every binary pattern of
     weight <= t of the BCH code of length n and design capability t whose
@@ -1639,15 +1657,14 @@ class _CyclicCode(_SpecIdentity):
     alpha^count in ``field`` = F_q: what both families share.
 
     The redundancy is the number of root exponents, so ``__init__`` builds
-    no polynomial; the generator, the packed kernel and the Chien table
-    are built into their slots on first use, and with the Chien table the
-    per-position columns of ``_sums``.  ``_encode`` and ``_errors`` are
+    no polynomial, and ``_by_region`` is ``_chien_fits``; the generator,
+    the packed kernel, the Chien table and the per-position columns of
+    ``_sums`` are built into their slots on first use.  ``_encode`` and ``_errors`` are
     the one encoder and decoder, the decoder's result a sparse map from
     position to error value; ``_decode_syndrome`` is its dense form, and
     the one check of a syndrome given from outside.
-    ``_errors`` runs ``_region_errors`` where the code has a Chien table
-    (characteristic 2, m <= 8, within the cap) and ``_gpz_decode``
-    elsewhere, on the byte form over characteristic 2 or on a tuple (the
+    ``_errors`` runs ``_region_errors`` where ``_by_region`` and
+    ``_gpz_decode`` elsewhere, on the byte form over characteristic 2 or on a tuple (the
     public ``_decode_syndrome``'s), and on a sequence of ints over odd
     p.
     Each family binds ``_encode`` and ``_decode_syndrome`` in its own
@@ -1674,8 +1691,10 @@ class _CyclicCode(_SpecIdentity):
         self._gen = None  # the generator, set on first use
         self._tables = None  # the packed kernel, set on first use
         self._pairs = None  # its chunk reader over F_{2^m}, m <= 8, set with it
-        self._chien = None  # the Chien table, False above its cap; set on first use
-        self._cols = None  # the per-position power columns, set with a Chien table
+        # the byte-region decoder and the packed Chien search, else the scalar ones
+        self._by_region = _chien_fits(field, n, count)
+        self._chien = None  # the Chien table, set on first use
+        self._cols = None  # the per-position power columns of ``_sums``, set on first use
 
     @property
     def generator(self) -> tuple[int, ...]:
@@ -1733,7 +1752,7 @@ class _CyclicCode(_SpecIdentity):
         """The nonzero values of ``_decode_syndrome``'s error vector by
         position, for a syndrome known to have ``count`` values, over
         F_{2^m} in the byte form (``_BinaryKernel.power_sums``): on byte
-        regions where the code has a Chien table, else ``_gpz_decode``.
+        regions where ``_by_region``, else ``_gpz_decode``.
 
         The one check of the erasure positions: each must be an int in
         0 .. n-1 (IndexOutOfRangeError), and once repeats are dropped there
@@ -1748,38 +1767,35 @@ class _CyclicCode(_SpecIdentity):
             if len(known) > self.count:
                 raise TooManyErasuresError(
                     f"{len(known)} erasures exceed redundancy {self.count}")
-        chien = self._chien
-        if chien is None:
-            chien = self._load_chien()
-        if chien:
+        if self._by_region:
             return self._region_errors(synd, known)
         return _gpz_decode(self.field, synd, self.n, known, self._base_limit)
 
     def _load_chien(self):
-        """The Chien table, False above its cap; with a table, the columns
-        of ``_sums`` too (the field's rows come with the table)."""
-        field, n, r = self.field, self.n, self.count
-        table = _chien_fits(field, n, r) and _chien_table(field, n, r)
-        if table:
-            self._cols = _power_columns(field, n, r)
-        self._chien = table
-        return table
+        """The Chien table of the region decoder."""
+        self._chien = _chien_table(self.field, self.n, self.count)
+        return self._chien
+
+    def _load_cols(self):
+        """The per-position power columns of ``_sums``."""
+        self._cols = _power_columns(self.field, self.n, self.count)
+        return self._cols
 
     def _sums(self, symbols) -> int:
         """The power sums of the n-symbol word whose nonzero symbols are
         the ``(position, value)`` pairs, sum j - 1 in byte j - 1 of the int:
         each symbol's column translated through the row of its value, the
         results XORed.  Table lookups only, so nothing is counted; the code
-        must have its Chien table."""
-        rows, cols = self.field._rows, self._cols
+        must decode on byte regions."""
+        rows, cols = self.field._rows or self.field._load_rows(), self._cols or self._load_cols()
         acc = 0
         for i, v in symbols:
             acc ^= int.from_bytes(cols[i].translate(rows[v]), "little")
         return acc
 
     def _region_errors(self, synd, known=()) -> dict:
-        """``_gpz_decode`` on byte regions, for a code with a Chien table
-        (characteristic 2, m <= 8): the same pattern or DecodeFailure, and
+        """``_gpz_decode`` on byte regions, for a code on the region path
+        (``_by_region``): the same pattern or DecodeFailure, and
         the same multiplications counted, from the same checked erasure
         positions ``known``, the syndrome read as bytes.
 
@@ -1806,13 +1822,13 @@ class _CyclicCode(_SpecIdentity):
         coefficients it enters.  A locator of degree 1 has its root read
         off its log (``_chien_search``).
         """
-        field, n, table = self.field, self.n, self._chien
+        field, n, table = self.field, self.n, self._chien or self._load_chien()
         r, f = len(synd), len(known)
         synd = bytes(synd)
         S = int.from_bytes(synd, "little")
         if not S and not known:
             return {}
-        exp, log, rows = field._exp, field._log, field._rows
+        exp, log, rows = field._exp, field._log, field._rows or field._load_rows()
         q1 = field.order - 1
         top, size = 2 * r, 3 * r + 1
         zeros = synd.count(0)  # zero syndrome symbols
@@ -1903,7 +1919,8 @@ class RsCode(_CyclicCode, LinearCode):
 
     Full length is p^m - 1; passing a smaller n gives the shortened code
     (the dropped high-order information positions are pinned to zero).
-    Minimum distance is n - k + 1 either way.
+    Minimum distance is n - k + 1 either way.  The field has at most 2^16
+    elements, as many as a template's two-byte symbol holds.
     """
 
     guidance = "plain extension-field code: random symbol errors only"
@@ -1911,6 +1928,9 @@ class RsCode(_CyclicCode, LinearCode):
 
     def __init__(self, field: ExtField, n: int, k: int):
         full = field.order - 1
+        if field.order > _MAX_DEFAULT_ORDER:
+            raise ValueError(f"need a field of at most {_MAX_DEFAULT_ORDER} elements, "
+                             f"got {field.spec_string()}")
         if not 0 < k < n <= full:
             raise ValueError(f"need 0 < k < n <= {full}, got n={n} k={k}")
         super().__init__(field, field.order, n, n - k, f"alphabet of {field.order}")
@@ -1940,7 +1960,7 @@ class RsCode(_CyclicCode, LinearCode):
         in the code's own form: the outer symbols a block code has just
         read (bytes over F_{2^m}, m <= 8) or estimated."""
         field = self.field
-        if field.p != 2 or field.m > 16:
+        if field.p != 2:
             return tuple(_sparse_syndrome(field, word, self.count))
         kernel = self._tables or self._load_kernel()
         if field.m > 8:
@@ -1957,11 +1977,10 @@ class RsCode(_CyclicCode, LinearCode):
         """``synd`` minus the power sums of the n-symbol word whose
         nonzero symbols are the ``(position, value)`` pairs.  Over
         characteristic 2 the bytes XOR the sums: ``_sums`` where the code
-        has its Chien table, built here on first use, else the dense
-        word's ``_power_sums``.  Over odd p a list, symbol by symbol, of
+        decodes on byte regions, else the dense word's ``_power_sums``.  Over odd p a list, symbol by symbol, of
         the dense word's ``_power_sums``, which count their products."""
         field = self.field
-        if field.p == 2 and (self._chien or self._load_chien()):
+        if self._by_region:
             sums = self._sums(symbols)
         else:
             word = [0] * self.n
@@ -2005,7 +2024,9 @@ class BchCode(_CyclicCode):
         self.p = p
         self.design_t = design_t
         self._width = (n + 7) // 8  # bytes of a packed word
-        self._cosets = None  # the coset table, False above its cap; set on first use
+        # a coset table over F_2, a counted one over odd p, else the scalar decode
+        self._by_cosets = _coset_fits(n, design_t) if p == 2 else p**self.redundancy <= _COSET_CAP
+        self._cosets = None  # the coset table, set on first use
 
     encode = _CyclicCode._encode
     decode_syndrome = _CyclicCode._decode_syndrome
@@ -2041,27 +2062,22 @@ class BchCode(_CyclicCode):
     def decode_packed(self, remainder: int) -> int:
         """The pattern of weight <= design_t with this remainder, both
         packed into ints (digit i at bit i), or DecodeFailure; over F_2
-        only.  A lookup in the coset table where it fits, else ``_errors``
+        only.  A lookup in the coset table where ``_by_cosets``, else ``_errors``
         of the kernel's power sums of the packed remainder."""
-        kernel = self._tables or self._load_kernel()
-        cosets = self._cosets
-        if cosets is None:
-            cosets = self._load_cosets()
-        if cosets is False:
+        if not self._by_cosets:
+            kernel = self._tables or self._load_kernel()
             return sum([1 << i for i in self._errors(kernel.power_sums(remainder))])
-        err = cosets.get(remainder)
+        err = (self._cosets or self._load_cosets()).get(remainder)
         if err is None:
             raise DecodeFailure("no pattern of weight <= t has this remainder")
         return err
 
     def _load_cosets(self):
         """The coset table over F_2 (``_coset_table``), over odd p the
-        counted one (``_load_counted_cosets``); False above its cap."""
+        counted one (``_load_counted_cosets``)."""
         if self.p != 2:
             return self._load_counted_cosets()
-        fits = _coset_fits(self.n, self.design_t)
-        self._cosets = fits and _coset_table(
-            self._tables or self._load_kernel(), self.n, self.design_t)
+        self._cosets = _coset_table(self._tables or self._load_kernel(), self.n, self.design_t)
         return self._cosets
 
     def _message_error(self, remainder):
@@ -2069,18 +2085,16 @@ class BchCode(_CyclicCode):
         weight <= design_t with this remainder as one int, or None where
         no such pattern exists, with no exception raised or caught on the
         table paths.  Over F_2 the remainder and the message are packed
-        ints (digit i at bit i): within the coset cap the coset table's
-        pattern shifted down by r, None where the remainder is missing,
-        else ``decode_packed``'s.  Over odd p the remainder is the bytes of
-        its r digits and the scalar decode's multiplications are counted:
-        where p^r <= ``_COSET_CAP`` a lookup in the counted coset table
+        ints (digit i at bit i): with cosets (``_by_cosets``) the coset
+        table's pattern shifted down by r, None where the remainder is
+        missing, else ``decode_packed``'s.  Over odd p the remainder is the
+        bytes of its r digits and the scalar decode's multiplications are
+        counted: with cosets a lookup in the counted coset table
         (``_load_counted_cosets``), which adds the entry's count, else the
         scalar decode (``_scalar_message_error``)."""
-        cosets = self._cosets
-        if cosets is None:
-            cosets = self._load_cosets()
-        if cosets is False:
+        if not self._by_cosets:
             return self._scalar_message_error(remainder)
+        cosets = self._cosets or self._load_cosets()
         if self.p == 2:
             err = cosets.get(remainder)
             return None if err is None else err >> self.redundancy
@@ -2089,7 +2103,7 @@ class BchCode(_CyclicCode):
         return error
 
     def _scalar_message_error(self, remainder):
-        """``_message_error`` above the coset cap: over F_2 by
+        """``_message_error`` without cosets: over F_2 by
         ``decode_packed``, over odd p by ``_gpz_decode`` of the remainder's
         power sums, which go to the decoder unchecked: they are in range."""
         try:
@@ -2104,14 +2118,11 @@ class BchCode(_CyclicCode):
     def _load_counted_cosets(self):
         """Over odd p, remainder -> (``_scalar_message_error``, the
         multiplications it counted) for every remainder, keyed by the
-        bytes of its digits; False where p^r > ``_COSET_CAP``.  Each entry
+        bytes of its digits.  Each entry
         is one run of the scalar decode under MUL_COUNTER, so a lookup
         counts exactly what the scalar decode would; the build leaves the
         counter as it found it.  The inner codes a concatenation admits
         have at most 2401 remainders, built in under 0.1 s."""
-        if self.p**self.redundancy > _COSET_CAP:
-            self._cosets = False
-            return False
         counted, table = MUL_COUNTER.n, {}
         for digits in product(range(self.p), repeat=self.redundancy):
             key, before = bytes(digits), MUL_COUNTER.n

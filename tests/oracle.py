@@ -2,11 +2,53 @@
 
 Everything here works on explicit coefficient lists with schoolbook
 algorithms, independent of the table-driven paths in the package.
+``fresh_code`` builds a code with chosen table paths switched back to
+their scalar oracles.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+
+# Each code's path flags, set in its constructor: a block code's
+# per-cell columns, a cyclic code's byte-region decoder, a BCH code's
+# coset table.
+PATH_FLAGS = ("_by_columns", "_by_region", "_by_cosets")
+
+
+def paths_on(code) -> tuple:
+    """The path flags that are on in the code, its ``outer`` and its
+    ``inner``, named as ``fresh_code`` takes them: ``"_by_columns"``,
+    ``"outer._by_region"``, ``"inner._by_cosets"``, ..."""
+    parts = [("", code)] + [(f"{name}.", getattr(code, name))
+                            for name in ("outer", "inner") if hasattr(code, name)]
+    return tuple(f"{prefix}{flag}" for prefix, part in parts for flag in PATH_FLAGS
+                 if getattr(part, flag, False))
+
+
+def fresh_code(spec, off=()):
+    """A new code outside the parse cache, its RS and BCH components new
+    too, with each flag named in ``off`` (as ``paths_on`` names it, and
+    on) turned off.  ``spec`` is a spec string or a function that builds
+    the code; the parse cache is left as it was."""
+    from synfuzz import codespec
+
+    if callable(spec):
+        code = spec()
+    else:
+        saved = codespec._codes, codespec._codes_weight
+        codespec._codes, codespec._codes_weight = OrderedDict(), 0
+        try:
+            code = codespec.parse_spec(spec)
+        finally:
+            codespec._codes, codespec._codes_weight = saved
+    for path in off:
+        owner, _, flag = path.rpartition(".")
+        part = getattr(code, owner) if owner else code
+        assert getattr(part, flag) is True, path
+        setattr(part, flag, False)
+    return code
 
 
 def to_digits(value: int, p: int, m: int) -> list[int]:

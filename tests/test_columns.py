@@ -60,9 +60,9 @@ def test_columns_give_the_lane_syndromes(spec, monkeypatch):
     lanes_off(monkeypatch)
     lanes = fresh(spec)
     assert [lanes._body_syndrome(lanes._read(w)) for w in words] == expected
-    assert lanes._columns is False
+    assert lanes._by_columns is False and lanes._columns is None
     capped = columns.base_length <= 256 and columns.outer.field.m <= 8
-    assert bool(columns._columns) == capped
+    assert columns._by_columns == bool(columns._columns) == capped
     if not capped:
         return
     for at, column in enumerate(columns._columns):
@@ -113,11 +113,11 @@ def test_syndrome_walks_decode_alike_on_both_paths(spec, monkeypatch):
     columns = fresh(spec)
     expected = walk(columns)
     assert any(got is not None for _, got, _ in expected)
-    assert columns._columns or columns.alphabet.p != 2
+    assert columns._by_columns or columns.alphabet.p != 2
     lanes_off(monkeypatch)
     lanes = fresh(spec)
     assert walk(lanes) == expected
-    assert lanes._columns is False
+    assert lanes._by_columns is False and lanes._columns is None
 
 
 @pytest.mark.parametrize("at_cap, above", [
@@ -135,12 +135,12 @@ def test_the_cap_is_inclusive_and_either_path_gives_the_same_template(at_cap, ab
         word = golden_word(code.shape, 2, code.base_length)
         templates.append(enroll(word, code).to_text())
     assert low.base_length <= 256 < high.base_length
-    assert low._columns and high._columns is False
+    assert low._by_columns and high._by_columns is False
     for cap, code, text in ((0, low, templates[0]), (1 << 20, high, templates[1])):
         monkeypatch.setattr(rs, "_COLUMN_CAP_CELLS", cap)
         other = fresh(code.spec_string())
         assert enroll(golden_word(code.shape, 2, code.base_length), other).to_text() == text
-        assert bool(other._columns) == (cap > 0)
+        assert other._by_columns == (cap > 0)
 
 
 REFUSALS = [
@@ -158,7 +158,7 @@ def test_concat_refusals_hold_on_the_lanes_too(spec, refusal, monkeypatch, fresh
     rest; with the cap at 0 every one runs on ``_recheck``."""
     lanes_off(monkeypatch)
     refusal(spec, monkeypatch)
-    assert codespec.parse_spec(spec)._columns is False
+    assert codespec.parse_spec(spec)._by_columns is False
 
 
 def one_cell_word(code, seed):
@@ -361,8 +361,8 @@ def test_odd_columns_give_the_per_symbol_syndromes(spec, monkeypatch, fresh_code
     scalar_off(monkeypatch)
     oracle_code = fresh(spec)
     tuples = [oracle_code._body_syndrome(oracle_code._read(w)) for w in words]
-    assert oracle_code._columns is False and type(tuples[0]) is tuple
-    assert bool(columns._digits) and columns._columns
+    assert oracle_code._by_columns is False and type(tuples[0]) is tuple
+    assert columns._by_columns and columns._digits and columns._columns
     assert digits == [digit_runs(columns, t) for t in tuples]
     assert templates == [syndrome_to_bytes(oracle_code, t) for t in tuples]
     assert [columns.syndrome(w) for w in words] == tuples
@@ -402,7 +402,7 @@ def test_odd_columns_decode_like_the_per_symbol_path(spec, monkeypatch, fresh_co
     zero = oracle_code._body_syndrome(oracle_code._read(oracle_code.zero_word()))
     assert type(zero) is tuple
     assert run(oracle_code) == expected
-    assert oracle_code._columns is False and code._columns
+    assert oracle_code._by_columns is False and code._by_columns
     accepted = [v.accepted for _, v, _ in expected[: len(cases)]]
     assert any(accepted) and not all(accepted)
     assert any(got is None for got, _ in expected[len(cases):])
@@ -510,7 +510,7 @@ def test_an_inner_code_above_the_coset_cap_decodes_with_the_scalar_decoder(monke
     monkeypatch.setattr(rs, "_gpz_decode", counting)
     remainder = bytes(code.remainder([0] * 20 + [1] + [0] * 5))
     assert code._message_error(remainder) == 3 ** (20 - code.redundancy)
-    assert code._cosets is False and len(calls) == 1
+    assert code._by_cosets is False and code._cosets is None and len(calls) == 1
     assert code._message_error(bytes(code.redundancy)) == 0 and len(calls) == 2
 
 
@@ -557,7 +557,7 @@ def test_the_odd_tables_fit_the_code_weight():
     bch(6,2;gf(7)) with 2401 remainders, under 320 KB once full; both
     within the 40 bytes per unit of the weight."""
     code = fresh("cI(rs(31,1;gf(3^4)))")
-    assert code._load_columns() and code._digits.size == 120
+    assert code._by_columns and code._load_columns() and code._digits.size == 120
     assert retained([code._columns]) < 50_000
     admitted = []
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
@@ -593,10 +593,10 @@ def test_an_odd_identity_concatenation_takes_columns_like_the_oracle(monkeypatch
     words = seeded_words(code, 0x0E1, 3)
     cases = [(w, r) for k, w in enumerate(words) for r in noisy_reads(code, w, k)]
     expected = [(enroll(w, code), verify(r, enroll(w, code), code=code)) for w, r in cases]
-    assert code._digits and code._digits.size == 4 * 2
+    assert code._by_columns and code._digits.size == 4 * 2
     monkeypatch.setattr(rs, "_COLUMN_CAP_CELLS", 0)
     oracle_code = build()
     assert [(enroll(w, oracle_code), verify(r, enroll(w, oracle_code), code=oracle_code))
             for w, r in cases] == expected
-    assert oracle_code._columns is False
+    assert oracle_code._by_columns is False and oracle_code._columns is None
     assert any(v.accepted for _, v in expected) and not all(v.accepted for _, v in expected)

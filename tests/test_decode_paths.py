@@ -123,7 +123,7 @@ def test_the_column_recheck_decodes_like_the_resplit(build, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_COLUMN_CAP_CELLS", 0)
         oracle = build()
-        assert oracle is not code and oracle._load_columns() is False
+        assert oracle is not code and oracle._by_columns is False
     zero = code._body_syndrome(code._read(code.zero_word()))
     assert code._digits and type(zero) is bytes
     digits = []
@@ -165,7 +165,7 @@ def test_binary_message_errors_are_the_shifted_packed_decodes(m, t, perfect, mon
     monkeypatch.setattr(rs, "_COSET_CAP", 0)
     above = BchCode(2, m, t)
     assert [above._message_error(rem) for rem in remainders] == want
-    assert above._cosets is False
+    assert above._by_cosets is False and above._cosets is None
 
 
 def test_zero_free_counts_are_the_product_counts_over_the_rs_15_11_walk():
@@ -195,7 +195,7 @@ def test_the_fill_table_fits_the_code_weight():
 
     spec = "concat(inner=bch(26,7;gf(3)), outer=rs(2,1;gf(3^4)), layout=flat)"
     code = codespec._parse_code(spec)
-    assert code._load_columns() and code._digits
+    assert code._by_columns and code._load_columns() and code._digits
     fills = code._load_fills()
     assert (len(fills), code._width) == (81, 26)
     assert 25_000 < retained([fills]) <= 81 * (112 + 8 * 26) + 56 < 27_000

@@ -70,6 +70,16 @@ def test_importing_the_package_loads_no_argparse():
     assert run.returncode == 0 and "usage" in run.stdout
 
 
+def test_a_star_import_loads_no_command_line():
+    """``cli`` is not in ``__all__``, so ``from synfuzz import *`` binds
+    the library's names without loading argparse or gettext, and
+    ``synfuzz.cli`` still resolves as an attribute."""
+    assert "cli" not in synfuzz.__all__
+    assert fresh_import("from synfuzz import *; print('argparse' in sys.modules, "
+                        "'gettext' in sys.modules, callable(enroll))") == "False False True"
+    assert fresh_import("print(callable(synfuzz.cli.main))") == "True"
+
+
 ROSTER = Path(__file__).resolve().parents[1] / "perfbench" / "roster.py"
 # hashlib, its OpenSSL backend and hmac, then the error channel
 LAZY = ("hashlib", "_hashlib", "hmac", "synfuzz.channel")

@@ -454,12 +454,12 @@ def test_codes_above_the_caps_keep_the_scalar_decoders(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_chien_table", refuse)
         assert code.decode(code.syndrome(error)) == error
-    assert code._chien is False
+    assert code._by_region is False and code._chien is None
     inner = BchCode(2, 6, 3)
     error = [int(i in (0, 9, 62)) for i in range(63)]
     monkeypatch.setattr(rs, "_coset_table", refuse)
     assert inner.decode_packed(rs._pack_bits(inner.remainder(error))) == rs._pack_bits(error)
-    assert inner._cosets is False
+    assert inner._by_cosets is False and inner._cosets is None
 
 
 @pytest.mark.parametrize("spec,seed", [

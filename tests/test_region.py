@@ -45,7 +45,7 @@ def region_and_scalar(monkeypatch, cyclic, decode, cases):
     region = [outcome(decode, *case) for case in cases]
     assert cyclic._chien  # the region path ran
     with monkeypatch.context() as patch:
-        patch.setattr(cyclic, "_chien", False)
+        patch.setattr(cyclic, "_by_region", False)
         scalar = [outcome(decode, *case) for case in cases]
     assert region == scalar
     return region

@@ -246,6 +246,17 @@ def test_erasure_positions_are_checked_once(spec, erasures):
     assert code.decode_syndrome((0,) * code.count, erasures=repeated) == [0] * code.n
 
 
+def test_a_field_above_two_to_the_sixteen_is_refused_at_construction():
+    """A template symbol holds at most two bytes, so an RS code over
+    gf(2^17) is refused when it is built, with the ValueError of its n/k
+    check, rather than failing later in its syndrome or its enrollment;
+    gf(2^16) is still taken."""
+    field = ExtField(2, 17, modulus=(1, 0, 0, 1) + (0,) * 13 + (1,))  # x^17 + x^3 + 1
+    with pytest.raises(ValueError, match=r"at most 65536 elements, got gf\(2\^17;"):
+        RsCode(field, 20, 12)
+    assert RsCode(ExtField(2, 16), 20, 12).redundancy == 8
+
+
 def test_shortened_code_round_trip():
     full = ExtField(2, 7)
     code = RsCode(full, 30, 12)
@@ -452,7 +463,7 @@ def test_rs_decode_with_the_packed_search_matches_the_scalar_one(code, monkeypat
 
     packed = outcomes()
     assert code._chien  # the packed search ran
-    monkeypatch.setattr(code, "_chien", False)  # as above the cap
+    monkeypatch.setattr(code, "_by_region", False)  # as above the cap
     assert packed == outcomes()
     assert any(got is None for got, _ in packed) and any(got for got, _ in packed)
 

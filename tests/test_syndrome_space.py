@@ -77,7 +77,7 @@ def test_scalar_chien_search_matches_the_packed_one(monkeypatch):
     monkeypatch.setattr(rs, "_chien_fits", lambda field, n, r: False)
     scalar = RsCode(ExtField(2, 3), 7, 3)
     assert decode_all(scalar) == expected
-    assert scalar._chien is False
+    assert scalar._by_region is False and scalar._chien is None
 
 
 def test_every_syndrome_of_rs_15_11_decodes_alike_by_packed_and_scalar_search(monkeypatch):
@@ -97,7 +97,7 @@ def test_every_syndrome_of_rs_15_11_decodes_alike_by_packed_and_scalar_search(mo
     monkeypatch.setattr(rs, "_chien_fits", lambda field, n, r: False)
     scalar = RsCode(ExtField(2, 4), 15, 11)
     assert decode_all(scalar) == expected
-    assert scalar._chien is False
+    assert scalar._by_region is False and scalar._chien is None
 
 
 RS73 = RsCode(ExtField(2, 3), 7, 3)
@@ -216,7 +216,7 @@ def test_coset_table_and_fallback_agree_on_every_remainder(m, t, decodable, monk
     monkeypatch.setattr(rs, "_coset_fits", lambda n, t: False)
     fallback = BchCode(2, m, t)
     assert outcomes(fallback) == from_table
-    assert fallback._cosets is False
+    assert fallback._by_cosets is False and fallback._cosets is None
     found = [(rem, err) for rem, err in enumerate(from_table) if err is not None]
     assert len(found) == decodable == ball_volume(table.n, 2, t)
     for rem, err in found:
