@@ -52,8 +52,6 @@ ALLOWED = {
     "channel.gen_burst_1d": C01_C10,
     "channel.gen_burst_2d": C01_C10,
     "concat.ConcatCode.layout_index": C01_C10,
-    "concat.ConcatCode._residual": "odd-p concatenations past the column caps, which hold "
-                                   "a tuple syndrome: the golden one takes columns",
     "concat.FlatLayout.cell": "layout protocol: layout_index (c01-c10) refuses through it",
     "concat.TrivialCode.__init__": C01_C10,
     "concat.TrivialCode.encode": C01_C10,
@@ -71,8 +69,8 @@ ALLOWED = {
     "rs.DecodeInfo.outer_error_count": C01_C10,
     "rs._BlockCode._load_gather": "2-D codes above the column cap: every golden and roster "
                                   "2-D code takes columns",
-    "rs._BlockCode._residual": "odd-p expansions past the column caps, which hold a tuple "
-                               "syndrome: the golden ones take columns",
+    "rs._BlockCode._residual": "odd-p expansions and concatenations past the column caps, "
+                               "which hold a tuple syndrome: the golden ones take columns",
     "rs._CyclicCode._decode_syndrome": TARGET + " (RsCode and BchCode.decode_syndrome)",
     "rs.LinearCode._block_order": "test oracle: tests/oracle.py gathers a plain code's word",
     "rs.LinearCode._check_syndrome": "the syndrome check of decode, " + TARGET,

@@ -33,9 +33,10 @@ A concatenation is an expansion whose per-symbol map is the inner
 encoder (Forney, *Concatenated Codes*, 1966), on ``rs._BlockCode``'s
 block format: block i is outer symbol i's inner codeword, parity first,
 and its residual is its inner remainder, its check cells minus those of
-its symbol's codeword (over F_2, its parity XOR the image of its symbol
-under ``_BlockCode``'s check tables, built from the inner codewords of
-the unit symbols; over odd p, the inner code's remainder of the block).
+its symbol's codeword, by ``_BlockCode``'s one residual for every block
+code (over F_2, its parity XOR the image of its symbol under the check
+tables, built from the inner codewords of the unit symbols; over odd p,
+``_BlockCode._residual``, which counts what the inner remainder would).
 The inner code alone computes its parity.  The syndrome, of N*n - K*k
 symbols and zero exactly on codewords, lists by ``segments`` the N
 residuals in block order (N*(n-k) symbols over F_p), then the N-K outer
@@ -52,12 +53,13 @@ the fill table and the outer power sums' per nonzero symbol
 (``_BlockCode._recheck``) requires each touched block's residual to be
 its stored one, every other block's to be zero and the outer power
 sums of their symbols to be the stored ones.  Each damaged block's
-inner decode is one call, ``BchCode._message_error``: where the inner
-code takes cosets (``BchCode._by_cosets``), a lookup in the coset table
-(over odd p the counted one), which returns None for a block it cannot
-decode.  Such a block is an outer erasure, at one outer syndrome
-instead of two; a block within the inner capability never fails, so
-every bound still holds.
+inner decode is one call, ``BchCode._message_error``, the coset table's
+one reader: where the inner code takes cosets (``BchCode._by_cosets``,
+one rule for both p: p^r <= ``rs._COSET_CAP``), a lookup in the coset
+table (over odd p the counted one), else the algebraic decode; either
+returns None for a block it cannot decode.  Such a block is an outer
+erasure, at one outer syndrome instead of two; a block within the inner
+capability never fails, so every bound still holds.
 """
 
 from .errors import (
@@ -252,11 +254,6 @@ class ConcatCode(_BlockCode):
         range (an identity inner code's codeword is the digits)."""
         digits = self.outer.field.to_base_vector(sym)
         return self.inner._codeword(digits) if self._chk else digits
-
-    def _residual(self, block, sym: int) -> list:
-        """An odd-p block's inner remainder: its check cells minus those of
-        its symbol's inner codeword."""
-        return self.inner._remainder(block)
 
     # ------------------------------------------------------------------
     # encode / syndrome / decode

@@ -56,8 +56,8 @@ boolean; none reads a missing table as a decision:
   columns and the column re-check, and over odd p the digit-byte form;
 - ``_CyclicCode._by_region`` (``_chien_fits``): the byte-region decoder
   and its packed Chien search, else ``_gpz_decode`` and ``_chien_roots``;
-- ``BchCode._by_cosets`` (``_coset_fits``): the coset table, over odd p
-  the counted one, else the algebraic decode.
+- ``BchCode._by_cosets`` (p^r <= ``_COSET_CAP``, one rule for both p):
+  the coset table, over odd p the counted one, else the algebraic decode.
 
 Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
 come from the packed kernel ``_BinaryKernel``: a table-driven LFSR
@@ -96,16 +96,17 @@ and counts its multiplications.  Where no syndrome symbol is zero, its
 Berlekamp-Massey step k costs one product per nonzero locator
 coefficient past psi_0 (deg Psi <= L <= k), one ``bytes.count`` per
 update; a syndrome with a zero symbol reads the counts off a mask
-product.  A binary BCH code with cosets decodes a packed remainder by one
-lookup in its coset-leader table, the remainder of every pattern of
-weight <= design_t (``_coset_table``; standard-array decoding, Slepian
-1956).  An odd-p one's counted coset table maps every
-remainder to the message error of the scalar decode and the
-multiplications it counted (``BchCode._load_counted_cosets``).  So a
-concatenation's inner decode is one call for both p,
-``BchCode._message_error``: a lookup that gives the message digits, or
-None for an erasure, with no exception raised or caught, and counts
-what the scalar decode would.
+product.  A binary BCH code with cosets decodes a packed remainder in
+its inner decode by one lookup in its coset-leader table, the remainder
+of every pattern of weight <= design_t (``_coset_table``; standard-array
+decoding, Slepian 1956); ``decode_packed`` is the algebraic decode.  An
+odd-p one's counted coset table maps every remainder to the message
+error of the scalar decode and the multiplications it counted
+(``BchCode._load_counted_cosets``).  So a concatenation's inner decode
+is one call for both p, ``BchCode._message_error``, the coset table's
+one reader: a lookup that gives the message digits, or None for an
+erasure, with no exception raised or caught; over odd p it counts what
+the scalar decode would, over F_2 it counts no product.
 
 Every table (generator, kernel, Chien table, the columns of ``_sums``,
 coset and check tables, a block code's per-cell columns, digit maps and
@@ -120,7 +121,6 @@ import struct
 from collections import namedtuple
 from functools import reduce
 from itertools import chain, combinations, compress, product, repeat
-from math import comb
 from operator import add, countOf, getitem, itemgetter, xor
 
 from .errors import (
@@ -467,8 +467,9 @@ class _BlockCode(LinearCode):
     A block has ``_width`` cells: the symbol's m digits at ``_sym_at`` and
     ``_chk`` check cells at ``_chk_at`` (none for cI, cII or an identity
     inner code).  ``_fill(sym)`` is a symbol's valid block, and a block's
-    residual is its check cells minus those of its symbol's fill
-    (``_residual``).  Over F_2 the fill's check cells are linear in the
+    residual is its check cells minus those of its symbol's fill, one
+    rule for every block code (``_residual``; a concatenation's is its
+    inner remainder).  Over F_2 the fill's check cells are linear in the
     symbol: ``_checks`` holds their byte tables, built on first use by
     ``_load_checks()`` from the fills of the unit symbols, and ``_lanes``
     the symbol digits each check digit sums, read off them.
@@ -657,8 +658,8 @@ class _BlockCode(LinearCode):
         syms, res = self._split_cells(bytes(cells) if self.alphabet.p == 2 else cells)
         if (
             len(found) != len(cells) - cells.count(0)
-            or self._chk and (list(self._parts(res)) != [parts[i] for i in touched]
-                              or sum(map(bool, parts)) != sum(bool(parts[i]) for i in touched))
+            or self._chk and ((got := list(self._parts(res))) != [parts[i] for i in touched]
+                              or len(parts) - parts.count(0) != len(got) - got.count(0))
             or any(self.outer._minus_sums(sums, compress(zip(touched, syms), syms)))
         ):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
@@ -898,7 +899,10 @@ class _BlockCode(LinearCode):
         return self._lanes
 
     def _residual(self, block, sym: int) -> list:
-        """An odd-p block's check cells minus those of its symbol's fill."""
+        """An odd-p block's check cells minus those of its symbol's fill,
+        for every block code: a concatenation's is the block's inner
+        remainder, counted alike (``_poly_remainder`` counts by the
+        message digits alone, which the block and its fill share)."""
         at, end = self._chk_at, self._chk_at + self._chk
         return [(v - f) % self.alphabet.p for v, f in zip(block[at:end], self._fill(sym)[at:end])]
 
@@ -1504,9 +1508,12 @@ _CHIEN_CAP_BITS = 1 << 21
 # 26.9 us for cIII(rs(15,5;gf(2^4));3,5), 240 cells, 1.2x faster still at
 # 441 cells, but 0.81x at 889 and 0.70x for cI(rs(255,223;gf(2^8))).
 _COLUMN_CAP_CELLS = 256
-# Coset tables hold at most this many patterns: bch(15,2;gf(2)) has 121,
-# bch(63,2;gf(2)) 2017, bch(63,3;gf(2)) 41,728 (above it).  A counted
-# table over odd p holds one entry per remainder.
+# A BCH code of redundancy r over F_p takes its coset table where its p^r
+# remainders number at most this many, for both p (``BchCode._by_cosets``).
+# A binary table holds one entry per pattern of weight <= t, at most 2^r:
+# bch(15,2;gf(2)) 121 of 256, bch(63,2;gf(2)) 2017 of 4096, and
+# bch(63,3;gf(2)) (r = 18) is above it.  A counted table over odd p holds
+# one entry per remainder.
 _COSET_CAP = 4096
 
 
@@ -1530,20 +1537,6 @@ def _chien_fits(field: ExtField, n: int, r: int) -> bool:
     r*m columns of n bytes within the cap.  Any other takes the scalar
     ``_gpz_decode`` and its scalar search."""
     return field.p == 2 and field.m <= 8 and r * field.m * n * 8 <= _CHIEN_CAP_BITS
-
-
-def _coset_fits(n: int, t: int) -> bool:
-    """Whether a binary BCH code of length n and design capability t
-    decodes from its coset table (``BchCode._by_cosets``): the patterns
-    of weight <= t over n positions number at most ``_COSET_CAP``.  An
-    odd-p code takes its counted coset table where its p^r remainders
-    do; any other decodes algebraically."""
-    total = 0
-    for w in range(t + 1):
-        total += comb(n, w)
-        if total > _COSET_CAP:
-            return False
-    return True
 
 
 def _lanes(field: ExtField, n: int, r: int, sign: int) -> list[bytes]:
@@ -2012,7 +2005,11 @@ class BchCode(_CyclicCode):
 
     Its 2*design_t syndrome roots alpha^1 .. alpha^(2*design_t) lie in
     F_{p^m}; their cyclotomic cosets fix the redundancy.  Decoding reuses
-    the shared syndrome decoder with base-field magnitudes.
+    the shared syndrome decoder with base-field magnitudes.  One rule for
+    both p gives the coset table, ``_by_cosets``: p^r <= ``_COSET_CAP``.
+    Only a concatenation's inner decode, ``_message_error``, reads it (over
+    odd p the counted one); ``decode_packed`` and a code above the cap
+    decode algebraically.
     """
 
     def __init__(self, p: int, m: int, design_t: int):
@@ -2024,8 +2021,8 @@ class BchCode(_CyclicCode):
         self.p = p
         self.design_t = design_t
         self._width = (n + 7) // 8  # bytes of a packed word
-        # a coset table over F_2, a counted one over odd p, else the scalar decode
-        self._by_cosets = _coset_fits(n, design_t) if p == 2 else p**self.redundancy <= _COSET_CAP
+        # the coset table (over odd p the counted one), else the algebraic decode
+        self._by_cosets = p**self.redundancy <= _COSET_CAP
         self._cosets = None  # the coset table, set on first use
 
     encode = _CyclicCode._encode
@@ -2062,15 +2059,11 @@ class BchCode(_CyclicCode):
     def decode_packed(self, remainder: int) -> int:
         """The pattern of weight <= design_t with this remainder, both
         packed into ints (digit i at bit i), or DecodeFailure; over F_2
-        only.  A lookup in the coset table where ``_by_cosets``, else ``_errors``
-        of the kernel's power sums of the packed remainder."""
-        if not self._by_cosets:
-            kernel = self._tables or self._load_kernel()
-            return sum([1 << i for i in self._errors(kernel.power_sums(remainder))])
-        err = (self._cosets or self._load_cosets()).get(remainder)
-        if err is None:
-            raise DecodeFailure("no pattern of weight <= t has this remainder")
-        return err
+        only.  The algebraic decode alone: ``_errors`` of the kernel's
+        power sums of the packed remainder.  The coset table has one
+        reader, ``_message_error``."""
+        kernel = self._tables or self._load_kernel()
+        return sum([1 << i for i in self._errors(kernel.power_sums(remainder))])
 
     def _load_cosets(self):
         """The coset table over F_2 (``_coset_table``), over odd p the
@@ -2084,14 +2077,17 @@ class BchCode(_CyclicCode):
         """The message digits (positions r .. n-1) of the pattern of
         weight <= design_t with this remainder as one int, or None where
         no such pattern exists, with no exception raised or caught on the
-        table paths.  Over F_2 the remainder and the message are packed
-        ints (digit i at bit i): with cosets (``_by_cosets``) the coset
-        table's pattern shifted down by r, None where the remainder is
-        missing, else ``decode_packed``'s.  Over odd p the remainder is the
-        bytes of its r digits and the scalar decode's multiplications are
-        counted: with cosets a lookup in the counted coset table
-        (``_load_counted_cosets``), which adds the entry's count, else the
-        scalar decode (``_scalar_message_error``)."""
+        table paths.  It is the coset table's one reader, and one rule
+        gives both p the table: ``_by_cosets``, p^r <= ``_COSET_CAP``.
+        Over F_2 the remainder and the message are packed ints (digit i
+        at bit i): with cosets the coset table's pattern shifted down by
+        r, None where the remainder is missing, a lookup that counts no
+        product; else ``decode_packed``'s, which counts the algebraic
+        decode's.  Over odd p the remainder is the bytes of its r digits
+        and the scalar decode's multiplications are counted: with cosets
+        a lookup in the counted coset table (``_load_counted_cosets``),
+        which adds the entry's count, else the scalar decode
+        (``_scalar_message_error``)."""
         if not self._by_cosets:
             return self._scalar_message_error(remainder)
         cosets = self._cosets or self._load_cosets()

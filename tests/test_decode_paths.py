@@ -12,12 +12,19 @@
   would count on a concatenation; the same code built with the column
   cap at 0 decodes the tuple and keeps ``_recheck``, the oracle.
 - ``BchCode._message_error`` over F_2 reads the coset table without an
-  exception; ``decode_packed`` is the oracle.
+  exception; ``decode_packed``, the algebraic decode alone, is the
+  oracle.  One rule gives both p the table, p^r <= ``rs._COSET_CAP``; over
+  F_2 the count of patterns of weight <= t is the oracle of its side of
+  the cap on every code a concatenation can hold.
+- A concatenation's odd-p residual is ``_BlockCode._residual``, the check
+  cells minus the fill's; the inner remainder is the oracle, values and
+  counts.
 - The region decoder counts Berlekamp-Massey's discrepancy products of a
   syndrome with no zero symbol without a mask product; the scalar
   ``_gpz_decode`` is the oracle.
 """
 
+import math
 import random
 from collections import Counter
 from itertools import product
@@ -28,7 +35,7 @@ from synfuzz import rs
 from synfuzz.concat import ConcatCode, TrivialCode, VLayout
 from synfuzz.errors import DecodeFailure
 from synfuzz.fuzzy import enroll, stored_minus
-from synfuzz.gf import MUL_COUNTER, ExtField
+from synfuzz.gf import MUL_COUNTER, ExtField, _from_digits
 from synfuzz.rs import BchCode, RsCode
 
 from test_columns import BINARY_BLOCK, ODD_BLOCK, fresh, noisy_reads, seeded_words
@@ -142,6 +149,49 @@ def test_the_column_recheck_decodes_like_the_resplit(build, monkeypatch):
         assert got == counted(oracle._decode, oracle._stored(code._template(synd)))
         outcomes[type(got[0])] += 1
     assert outcomes[tuple] and outcomes[str]
+
+
+def test_one_coset_rule_keeps_every_inner_code_on_its_side():
+    """``_by_cosets`` is p^r <= ``_COSET_CAP`` over F_2 too.  On every
+    binary BCH code with n <= 4095 and 2t <= 64 it agrees with the count
+    of patterns, at most ``_COSET_CAP`` of weight <= t, wherever an outer
+    field's degree can be the dimension (k in 2..16: 22 codes);
+    bch(15,4;gf(2)), k = 1, is the one code where the two differ."""
+    inner, differ = [], []
+    for m in range(2, 13):
+        for t in range(1, min(32, (2**m - 2) // 2) + 1):
+            code = BchCode(2, m, t)
+            by_patterns = sum(math.comb(code.n, w) for w in range(t + 1)) <= rs._COSET_CAP
+            assert code._by_cosets == (2**code.redundancy <= rs._COSET_CAP)
+            if code._by_cosets != by_patterns:
+                differ.append((code.spec_string(), code.k))
+            if 2 <= code.k <= 16:
+                inner.append(code._by_cosets == by_patterns)
+    assert differ == [("bch(15,4;gf(2))", 1)]
+    assert len(inner) == 22 and all(inner)
+
+
+@pytest.mark.parametrize("spec", [
+    "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)",
+    "concat(inner=bch(8,2;gf(3)), outer=rs(26,20;gf(3^3)), layout=flat)",
+])
+def test_an_odd_block_residual_is_the_inner_remainder(spec):
+    """On 200 seeded blocks, the block code's one residual (its check
+    cells minus its symbol's fill's) is the inner remainder of the block
+    and counts the same products: both reduce the same message digits.
+    bch(8,2;gf(3)) in rs(26,20;gf(3^3)) takes no columns, so its syndrome
+    reaches the residual."""
+    code = fresh(spec)
+    inner, p, m = code.inner, code.p, code.outer.field.m
+    assert type(code)._residual is rs._BlockCode._residual
+    assert code._by_columns == (inner.n == 4)
+    rng = random.Random(0x8E5)
+    for _ in range(200):
+        block = [rng.randrange(p) for _ in range(code._width)]
+        sym = _from_digits(block[code._sym_at : code._sym_at + m], p)
+        got = counted(rs._BlockCode._residual, code, block, sym)
+        assert got == counted(inner._remainder, block)
+        assert got[1] == counted(inner._remainder, [0] * code._chk + block[code._chk :])[1]
 
 
 @pytest.mark.parametrize("m, t, perfect", [(3, 1, True), (4, 2, False), (4, 3, False)])

@@ -275,7 +275,7 @@ def test_dropped_codes_free_their_fields_and_tables():
     assert again.syndrome(word) == synd
 
     inner = BchCode(2, 4, 2)
-    assert inner.decode_packed(1) == 1 and inner._cosets
+    assert inner.decode_packed(1) == 1 and inner._message_error(1) == 0 and inner._cosets
     refs = [weakref.ref(inner.field), weakref.ref(inner._tables)]
     del inner
     gc.collect()
@@ -441,8 +441,8 @@ def test_codes_above_the_caps_keep_the_scalar_decoders(monkeypatch):
     assert not rs._chien_fits(ExtField(2, 8), 255, 155)  # 155 * 8 columns of 255 bytes
     assert rs._chien_fits(ExtField(2, 8), 255, 128)
     assert not rs._chien_fits(ExtField(3, 4), 80, 8)  # odd p
-    assert not rs._coset_fits(63, 3)  # 41,728 patterns
-    assert rs._coset_fits(63, 2) and rs._coset_fits(7, 1)
+    assert not BchCode(2, 6, 3)._by_cosets  # 2^18 remainders
+    assert BchCode(2, 6, 2)._by_cosets and BchCode(2, 3, 1)._by_cosets  # 2^12 and 2^3
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a decoding table above its cap")
@@ -458,7 +458,9 @@ def test_codes_above_the_caps_keep_the_scalar_decoders(monkeypatch):
     inner = BchCode(2, 6, 3)
     error = [int(i in (0, 9, 62)) for i in range(63)]
     monkeypatch.setattr(rs, "_coset_table", refuse)
-    assert inner.decode_packed(rs._pack_bits(inner.remainder(error))) == rs._pack_bits(error)
+    remainder = rs._pack_bits(inner.remainder(error))
+    assert inner.decode_packed(remainder) == rs._pack_bits(error)
+    assert inner._message_error(remainder) == rs._pack_bits(error) >> inner.redundancy
     assert inner._by_cosets is False and inner._cosets is None
 
 

@@ -3,7 +3,7 @@
 A code decides its paths once, in its constructor, from its parameters:
 a block code's per-cell columns (``_by_columns``, ``rs._columns_fit``),
 a cyclic code's byte-region decoder (``_by_region``, ``rs._chien_fits``)
-and a BCH code's coset table (``_by_cosets``, ``rs._coset_fits``).
+and a BCH code's coset table (``_by_cosets``, p^r <= ``rs._COSET_CAP``).
 Turning a flag off switches that code back to the scalar oracle, and
 everything that follows from the flag with it.  Every combination must
 enroll the same templates and verify alike.

@@ -124,7 +124,7 @@ def test_region_decoder_keeps_bch_magnitudes_in_the_base_field(monkeypatch):
     Power sums of a remainder are conjugate-closed and decode to binary
     magnitudes; uniformly random power sums often do not."""
     code = BchCode(2, 6, 3)
-    assert not rs._coset_fits(code.n, code.design_t)
+    assert code._by_cosets is False
     rng = random.Random(0xB63)
     cases = []
     for errors in range(6):
@@ -171,9 +171,10 @@ def test_region_decoder_matches_the_scalar_one_on_every_outer_syndrome(spec, mon
 def test_bch_remainder_spaces_decode_alike_through_both_decoders(monkeypatch):
     """Every remainder of bch(7,1;gf(2)) and bch(15,2;gf(2)) through the
     syndrome decoder, the coset table switched off."""
-    monkeypatch.setattr(rs, "_coset_fits", lambda n, t: False)
+    monkeypatch.setattr(rs, "_COSET_CAP", 0)
     for m, t in ((3, 1), (4, 2)):
         code = BchCode(2, m, t)
+        assert code._by_cosets is False
         cases = [(rem,) for rem in range(1 << code.redundancy)]
         region_and_scalar(monkeypatch, code, code.decode_packed, cases)
 

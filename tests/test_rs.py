@@ -501,11 +501,13 @@ def test_decode_rechecks_the_pattern_it_returns(code, monkeypatch):
 )
 def test_coset_table_matches_berlekamp_massey(m, t):
     """On the remainders of seeded patterns of weight 0..t+2, the coset
-    lookup gives Berlekamp-Massey's pattern, or DecodeFailure where it
-    fails."""
+    lookup of the inner decode (``_message_error``) gives the message
+    digits of Berlekamp-Massey's pattern, or None where it fails, and
+    ``decode_packed`` gives that pattern, or DecodeFailure."""
     from synfuzz.rs import _pack_bits
 
     code = BchCode(2, m, t)
+    r = code.redundancy
     rng = random.Random(100 * m + t)
     failures = 0
     for weight in range(t + 3):
@@ -520,11 +522,13 @@ def test_coset_table_matches_berlekamp_massey(m, t):
                 expected = None
                 failures += 1
             try:
-                got = code.decode_packed(_pack_bits(rem))
+                packed = code.decode_packed(_pack_bits(rem))
             except DecodeFailure:
-                got = None
-            assert got == expected, (weight, err)
+                packed = None
+            got = code._message_error(_pack_bits(rem))
+            assert packed == expected, (weight, err)
+            assert got == (None if expected is None else expected >> r), (weight, err)
             if weight <= t:
-                assert got == _pack_bits(err)
+                assert packed == _pack_bits(err) and got == _pack_bits(err) >> r
     # bch(7,1) is the perfect Hamming code: every remainder has a pattern
     assert code._cosets and (failures > 0) == (m != 3)

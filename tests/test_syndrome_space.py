@@ -197,31 +197,28 @@ def test_flagged_parity_blocks_are_the_erasures_of_the_outer_decode():
 
 @pytest.mark.parametrize("m,t,decodable", [(3, 1, 8), (4, 2, 121)], ids=["bch(7,1)", "bch(15,2)"])
 def test_coset_table_and_fallback_agree_on_every_remainder(m, t, decodable, monkeypatch):
-    """Every packed remainder of a binary BCH code decodes alike from the
-    coset table and, above its cap, through the syndrome decoder; each
-    pattern found has that remainder."""
+    """Every packed remainder of a binary BCH code gives the same message
+    digits through the inner decode (``_message_error``) from the coset
+    table and, above its cap, through the syndrome decoder; each pattern
+    found, the table's, has that remainder and those message digits, and
+    is the algebraic decode's (``decode_packed``)."""
 
     def outcomes(code):
-        out = []
-        for rem in range(1 << code.redundancy):
-            try:
-                out.append(code.decode_packed(rem))
-            except DecodeFailure:
-                out.append(None)
-        return out
+        return [code._message_error(rem) for rem in range(1 << code.redundancy)]
 
     table = BchCode(2, m, t)
     from_table = outcomes(table)
     assert table._cosets
-    monkeypatch.setattr(rs, "_coset_fits", lambda n, t: False)
+    monkeypatch.setattr(rs, "_COSET_CAP", 0)
     fallback = BchCode(2, m, t)
     assert outcomes(fallback) == from_table
     assert fallback._by_cosets is False and fallback._cosets is None
-    found = [(rem, err) for rem, err in enumerate(from_table) if err is not None]
-    assert len(found) == decodable == ball_volume(table.n, 2, t)
+    found = [(rem, table._cosets[rem]) for rem, err in enumerate(from_table) if err is not None]
+    assert len(found) == decodable == ball_volume(table.n, 2, t) == len(table._cosets)
     for rem, err in found:
         bits = [err >> i & 1 for i in range(table.n)]
         assert table.remainder(bits) == tuple(rem >> i & 1 for i in range(table.redundancy))
+        assert err >> table.redundancy == from_table[rem] and fallback.decode_packed(rem) == err
 
 
 def test_every_remainder_of_an_odd_p_bch_code_decodes_only_to_base_field_patterns():
