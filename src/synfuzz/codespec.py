@@ -69,12 +69,15 @@ MAX_CELLS = 1 << 20
 # about 34.  The cap bounds parse time and the cache's keys.
 MAX_SPEC_CHARS = 1024
 # Units of about 40 bytes.  A code's own objects take about 2.5 KB, and
-# its lazy tables at most about 400 KB.  The heaviest belong to a code
+# its lazy tables at most about 600 KB.  The heaviest belong to a code
 # that decodes on byte regions at r = 64 over gf(2^8): after one decode
-# rs(255,191;gf(2^8)) holds 359 KiB, of which the kernel and the Chien
-# table (at most 2^21 bits by its cap) take 258 KiB, and the rest are the
+# rs(255,191;gf(2^8)) retains 584 KB under tracemalloc, of which its
+# byte-wide kernel takes 314 KB (four step tables of 256 ints of 544
+# bits, and 128 nibble tables of 16 ints of 512 bits), the Chien table
+# (at most 2^21 bits by its cap) 156 KB, and the rest are the
 # per-position columns (255 strings of 64 bytes) and the field's multiply
-# rows (256 strings of 256 bytes).  Every code that decodes over a field
+# rows (256 strings of 256 bytes).  It weighs 17151 units, 686 KB, about
+# 100 KB above what it retains.  Every code that decodes over a field
 # weighs its rows, so rows that two cached codes share count twice.  A
 # block code that takes per-cell syndrome columns (rs._columns_fit) adds
 # them: over F_2 at most 256 ints of a 255-byte syndrome, under 80 KB,

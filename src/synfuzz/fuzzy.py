@@ -99,12 +99,19 @@ def _modules():
     return hashlib, hmac
 
 
-def hash_digest(alg: str, payload: bytes) -> bytes:
+@cache
+def _hasher(alg: str):
+    """The ``hashlib`` constructor of an algorithm id, looked up on its
+    first hash and kept."""
     try:
         name = _HASHES[alg][0]
     except KeyError:
         raise UnsupportedHashError(f"unknown hash algorithm {alg!r}") from None
-    return getattr(_modules()[0], name)(payload).digest()
+    return getattr(_modules()[0], name)
+
+
+def hash_digest(alg: str, payload: bytes) -> bytes:
+    return _hasher(alg)(payload).digest()
 
 
 def canonical_bytes(code, data) -> bytes:
@@ -227,12 +234,9 @@ def enroll(data, code, hash_alg: str = "sha-256") -> Template:
     if hash_alg not in _HASHES:
         raise UnsupportedHashError(f"unknown hash algorithm {hash_alg!r}")
     body = enrollable(code)._read(data)  # and the code's _spec and _head
-    return Template(
-        code_spec=code._spec,
-        hash_alg=hash_alg,
-        digest=hash_digest(hash_alg, code._head + body),
-        syndrome=syndrome_to_bytes(code, code._body_syndrome(body)),
-    )
+    # the fields in order: code_spec, hash_alg, digest, syndrome
+    return Template(code._spec, hash_alg, hash_digest(hash_alg, code._head + body),
+                    syndrome_to_bytes(code, code._body_syndrome(body)))
 
 
 def verify(data, template: Template, code=None) -> VerifyResult:

@@ -60,12 +60,18 @@ boolean; none reads a missing table as a decision:
   the coset table, over odd p the counted one, else the algebraic decode.
 
 Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
-come from the packed kernel ``_BinaryKernel``: a table-driven LFSR
-reduces the word modulo the generator, two symbols per step for m <= 8,
-and one packed F_2-linear map takes the remainder to the power sums,
-in the byte form of the rule above.  For m <= 8 the map's columns are
-power-sum columns translated through the field's multiply rows, which
-the Chien table reuses.  The kernel counts no multiplication.  A binary
+come from a packed kernel: a table-driven LFSR reduces the word modulo
+the generator, and one packed F_2-linear map takes the remainder to the
+power sums, in the byte form of the rule above.  An RS code over
+F_{2^m}, m <= 8, takes ``_ByteKernel``: four symbols a step, slicing by
+4 (Kounavis and Berry, ISCC 2005), through four tables of 2^m entries
+that also clear the overflow they are looked up by, so its loop
+needs no mask, and one nibble table per 4 remainder bits for the power
+sums, their single-bit entries the power-sum columns translated through
+the field's multiply rows, which the Chien table reuses.  A binary BCH
+code, and an RS code over F_{2^m}, m > 8, takes ``_BinaryKernel``: one
+masked step of eight digits or one symbol, and one column per remainder
+bit.  Neither kernel counts a multiplication.  A binary
 block word reaches it through bit lanes: one int per cell position of a
 block, across all blocks, from one strided byte slice; a binary block
 code with columns skips both and XORs one per-cell syndrome column per
@@ -368,7 +374,10 @@ class LinearCode(_SpecIdentity):
             else:
                 rows, cols = shape
                 fits = len(word) == rows and countOf(map(len, word), cols) == rows
-                cells = list(chain.from_iterable(word)) if fits else ()
+                cells = []
+                if fits:
+                    for row in word:
+                        cells += row
         except TypeError:  # a word or row without a length, e.g. None or an int
             fits = False
         if not fits:
@@ -1337,13 +1346,14 @@ def _unpack_bits(values, width: int) -> bytes:
     return bin(packed)[:2:-1].encode().translate(_TO_DIGITS)
 
 
-def _byte_tables(basis) -> tuple[tuple[int, ...], ...]:
+def _byte_tables(basis, bits: int = 8) -> tuple[tuple[int, ...], ...]:
     """Lookup tables of the F_2-linear map sending index bit b to basis[b]:
-    table i holds the image of every value of index bits 8i .. 8i+7."""
+    table i holds the image of every value of index bits bits*i ..
+    bits*(i+1) - 1, eight by default."""
     tables = []
-    for at in range(0, len(basis), 8):
+    for at in range(0, len(basis), bits):
         table = [0]
-        for image in basis[at : at + 8]:
+        for image in basis[at : at + bits]:
             table += [t ^ image for t in table]
         tables.append(tuple(table))
     return tuple(tables)
@@ -1358,26 +1368,40 @@ def _lookup(tables, v: int) -> int:
     return out
 
 
+def _overflow_polys(field: ExtField, g, terms: int) -> list[list[int]]:
+    """x^(r+u) mod g for u < ``terms``, r = deg g, low coefficient first:
+    the terms a step pushes past x^r, each folded back below it."""
+    exp, log = field._exp, field._log
+    low = list(g[:-1])
+    polys = [low]
+    for _ in range(terms - 1):
+        prev = polys[-1]
+        top = prev[-1]
+        polys.append([c ^ (exp[log[top] + log[gk]] if top and gk else 0)
+                      for c, gk in zip([0] + prev[:-1], low)])
+    return polys
+
+
 class _BinaryKernel:
-    """Packed syndrome tables of a narrow-sense code over F_2 or F_{2^m},
-    m <= 16: syndrome roots alpha^1 .. alpha^count in F_{2^m}, monic
-    generator g of degree R.
+    """Packed syndrome tables of a binary BCH code, or of an RS code over
+    F_{2^m}, 8 < m <= 16: syndrome roots alpha^1 .. alpha^count in
+    F_{2^m}, monic generator g of degree R.  An RS code over F_{2^m},
+    m <= 8, takes the byte-wide ``_ByteKernel`` instead.
 
     A remainder modulo g packs into one int, coefficient k in bits
-    k*width .. (k+1)*width - 1 (width 8 for RS symbols of m <= 8 bits,
-    m for wider ones, 1 for BCH bits); bits b >= m of a coefficient are
-    always zero.  ``remainder`` is a table-driven LFSR in the style of
-    Sarwate's table-lookup CRC (CACM 31(8), 1988): each step shifts in
-    ``step`` bits (two byte-wide RS symbols, one wider symbol, or eight
-    BCH digits) and folds the bits pushed past x^R back in through
-    ``top``, byte-indexed tables of overflow * x^R mod g.  ``power_sums``
-    evaluates a packed remainder at the roots: it is F_2-linear, so it
-    XORs one packed column per set remainder bit, the column of bit (k, b)
-    holding x^b alpha^(jk) for j = 1..count (zero for b >= m).  Sum j
-    takes one byte for m <= 8 and two for m > 8, their bytes swapped in
-    the column, so the XOR's little-endian bytes are the sums in the
-    template's form (the ``rs`` module's form rule): one byte a sum, or
-    two big-endian bytes.
+    k*width .. (k+1)*width - 1 (width m for RS symbols, 1 for BCH bits).
+    ``remainder`` is a table-driven LFSR in the style of Sarwate's
+    table-lookup CRC (CACM 31(8), 1988): each step shifts in ``step``
+    bits (one m-bit symbol or eight BCH digits), masks the remainder's
+    bits and folds the bits pushed past x^R back in through ``top``,
+    byte-indexed tables of overflow * x^R mod g (``_overflow_polys``).
+    ``power_sums`` evaluates a packed remainder at the roots: it is
+    F_2-linear, so it XORs one packed column per set remainder bit, the
+    column of bit (k, b) holding x^b alpha^(jk) for j = 1..count
+    (``_kernel_columns``).  Sum j takes one byte for m <= 8 and two for
+    m > 8, their bytes swapped in the column, so the XOR's little-endian
+    bytes are the sums in the template's form (the ``rs`` module's form
+    rule): one byte a sum, or two big-endian bytes.
 
     The tables depend only on the field, g and count, never on the code
     length: at most 512 ints of R*width bits plus R*width ints of count*m
@@ -1386,16 +1410,10 @@ class _BinaryKernel:
 
     def __init__(self, field: ExtField, g, width: int, step: int, count: int):
         exp, log = field._exp, field._log
-        m = field.m
-        r = len(g) - 1
-        size = r * width
+        m, r = field.m, len(g) - 1
         self.step = step
-        self.size = size
-        self.mask = (1 << size) - 1
-        low = list(g[:r])
-
-        def mul(a, b):
-            return exp[log[a] + log[b]] if a and b else 0
+        self.size = r * width
+        self.mask = (1 << self.size) - 1
 
         def pack(coeffs):
             acc = 0
@@ -1403,29 +1421,17 @@ class _BinaryKernel:
                 acc = (acc << width) | c
             return acc
 
-        # x^(r+u) mod g for each coefficient u of a step, then each bit of
-        # it; bits b >= m of a coefficient are always zero
-        polys = [low]
-        for _ in range(step // width - 1):
-            top = polys[-1][-1]
-            shifted = [0] + polys[-1][:-1]
-            polys.append([c ^ mul(top, gk) for c, gk in zip(shifted, low)])
+        # the image of each bit (u, b) of a step's overflow, x^b x^(r+u) mod g
+        # packed; bits b >= m of a coefficient are always zero
         bits = [(1 << b) * (b < m) for b in range(width)]
-        basis = [pack([mul(bit, c) for c in poly]) for poly in polys for bit in bits]
-        self.top = _byte_tables(basis)
+        self.top = _byte_tables([pack([exp[log[bit] + log[c]] if bit and c else 0 for c in poly])
+                                 for poly in _overflow_polys(field, g, step // width)
+                                 for bit in bits])
         # a step overflows by at most 16 bits: a low and a high byte table,
         # the high one all zero when the overflow fits one byte
         self.lo, self.hi = self.top if len(self.top) == 2 else (*self.top, (0,))
-
-        # sum j sits at bits (j-1)*w of the XOR, w = 8 for m <= 8 and 16
-        # above; a byte-wide RS column is the power sums of x^k translated
-        # through the field's row of x^b (row 0, all zero, for b >= m)
-        if width == 8:
-            rows = field._rows or field._load_rows()
-            self.columns = [int.from_bytes(sums.translate(rows[bit]), "little")
-                            for sums in _power_columns(field, r, count) for bit in bits]
-        else:
-            self.columns = _kernel_columns(field, r, bits, count, 8 if m <= 8 else 16)
+        # sum j sits at bits (j-1)*w of the XOR, w = 8 for m <= 8 and 16 above
+        self.columns = _kernel_columns(field, r, bits, count, 8 if m <= 8 else 16)
         self.sums_size = count if m <= 8 else 2 * count
 
     def remainder(self, chunks) -> int:
@@ -1445,6 +1451,86 @@ class _BinaryKernel:
         big-endian bytes for m > 8."""
         bits = bin(rem)[:1:-1].encode().translate(_TO_DIGITS)
         return reduce(xor, compress(self.columns, bits), 0).to_bytes(self.sums_size, "little")
+
+
+# A translate table from the characters of ``hex`` to the nibbles they write.
+_FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+class _ByteKernel:
+    """Packed syndrome tables of an RS code over F_{2^m}, m <= 8, slicing
+    by 4: syndrome roots alpha^1 .. alpha^count, monic generator g of
+    degree R.
+
+    A remainder modulo g packs into one int, coefficient k in byte k (bits
+    b >= m of a byte always zero).  ``remainder`` is Sarwate's
+    table-lookup CRC (CACM 31(8), 1988) widened to 32 bits a step, as
+    slicing-by-4 widens it (Kounavis and Berry, ISCC 2005): each step
+    shifts in four symbols, one 32-bit chunk of the word (chunks highest
+    first, symbol 4i + u in byte u of chunk i), and folds the four bytes
+    pushed past x^R back in through ``steps``, one byte table per
+    overflow byte u, entry v the image of v x^(R+u) mod g
+    (``_overflow_polys``).  Each entry also holds v itself at bits
+    8(R+u) .., the overflow byte it is looked up by, so the XOR of the
+    four lookups clears every bit past x^R as it folds them in, and the
+    loop needs no mask.
+
+    Bits b >= m of a coefficient are always zero, so a step table has
+    2^m entries, indexed by the m bits its overflow byte can set.
+
+    ``power_sums`` evaluates a packed remainder at the roots.  It is
+    F_2-linear, so per 4 remainder bits it XORs the entry of their value
+    in that nibble's table of ``nibbles``.  Nibble i holds bits 4i ..
+    4i+3, and its single-bit entries 1, 2, 4 and 8 are the power-sum
+    columns of bits (k, b), k = i // 2: x^b alpha^(jk) in byte j - 1, the
+    power sums of x^k translated through the field's row of x^b, and
+    entry v is the XOR of the columns of v's set bits.  The XOR's
+    little-endian bytes are the sums in the template's form, one byte a
+    sum.
+
+    The tables depend only on the field, g and count, never on the code
+    length: 4 * 2^m <= 1024 ints of 8R + 32 bits and 32R ints of
+    8*count bits.  Building them spends no counted multiplication.
+    """
+
+    def __init__(self, field: ExtField, g, count: int):
+        m, r = field.m, len(g) - 1
+        self.size = 8 * r
+        # a polynomial times x^b is one translate through the row of x^b
+        # (row 0, all zero, for b >= m)
+        rows = field._rows or field._load_rows()
+        units = [rows[(1 << b) * (b < m)] for b in range(8)]
+        images = product(enumerate(map(bytes, _overflow_polys(field, g, 4))), enumerate(units[:m]))
+        self.steps = _byte_tables([int.from_bytes(poly.translate(row), "little") ^ 1 << self.size + 8 * u + b
+                                   for (u, poly), (b, row) in images], m)
+        columns = iter([int.from_bytes(sums.translate(row), "little")
+                        for sums in _power_columns(field, r, count) for row in units])
+        nibbles = []
+        for a, b, c, d in zip(columns, columns, columns, columns):
+            # entry v: the XOR of the columns of v's set bits
+            ab, cd = a ^ b, c ^ d
+            nibbles.append((0, a, b, ab, c, a ^ c, b ^ c, ab ^ c,
+                            d, a ^ d, b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd))
+        self.nibbles = tuple(nibbles)
+        self.sums_size = count
+
+    def remainder(self, chunks) -> int:
+        """The packed remainder mod g of the word whose 32-bit chunks,
+        four symbols each, highest first, are ``chunks``."""
+        t0, t1, t2, t3 = self.steps
+        shift = self.size
+        rem = 0
+        for c in chunks:
+            v = rem << 32 | c
+            t = v >> shift
+            rem = v ^ t0[t & 255] ^ t1[t >> 8 & 255] ^ t2[t >> 16 & 255] ^ t3[t >> 24]
+        return rem
+
+    def power_sums(self, rem: int) -> bytes:
+        """rem(alpha^j) for j = 1..count, one byte a sum: one nibble
+        table's entry per hex digit of rem, low digit first."""
+        nibbles = hex(rem)[:1:-1].encode().translate(_FROM_HEX)
+        return reduce(xor, map(getitem, self.nibbles, nibbles), 0).to_bytes(self.sums_size, "little")
 
 
 def _kernel_columns(field: ExtField, r: int, bits, count: int, w: int) -> list[int]:
@@ -1683,7 +1769,7 @@ class _CyclicCode(_SpecIdentity):
         self._base_limit = s if s < field.order else None  # magnitudes held to F_s
         self._gen = None  # the generator, set on first use
         self._tables = None  # the packed kernel, set on first use
-        self._pairs = None  # its chunk reader over F_{2^m}, m <= 8, set with it
+        self._quads = None  # its 32-bit chunk reader over F_{2^m}, m <= 8, set with it
         # the byte-region decoder and the packed Chien search, else the scalar ones
         self._by_region = _chien_fits(field, n, count)
         self._chien = None  # the Chien table, set on first use
@@ -1696,20 +1782,20 @@ class _CyclicCode(_SpecIdentity):
             self._gen = _generator(self.field, self.s, self.count)
         return self._gen
 
-    def _load_kernel(self) -> _BinaryKernel:
+    def _load_kernel(self):
         """The packed syndrome tables.  Each LFSR step shifts in eight
-        one-bit digits over F_2; over F_{2^m}, m <= 8, two symbols packed
-        one byte wide, which ``_pairs`` reads as 16-bit chunks off the
-        reversed word; above, one m-bit symbol."""
+        one-bit digits over F_2 and one m-bit symbol over F_{2^m}, m > 8
+        (``_BinaryKernel``); over F_{2^m}, m <= 8, four symbols packed one
+        byte wide (``_ByteKernel``), which ``_quads`` reads as 32-bit
+        chunks off the word, zero bytes past its end."""
         field = self.field
         if self.s < field.order:
-            width, step = 1, 8
+            self._tables = _BinaryKernel(field, self.generator, 1, 8, self.count)
         elif field.m <= 8:
-            width, step = 8, 16
-            self._pairs = struct.Struct(f">{(self.n + 1) // 2}H")
+            self._quads = struct.Struct(f"<{(self.n + 3) // 4}I")
+            self._tables = _ByteKernel(field, self.generator, self.count)
         else:
-            width, step = field.m, field.m
-        self._tables = _BinaryKernel(field, self.generator, width, step, self.count)
+            self._tables = _BinaryKernel(field, self.generator, field.m, field.m, self.count)
         return self._tables
 
     def _encode(self, message) -> list[int]:
@@ -1720,6 +1806,8 @@ class _CyclicCode(_SpecIdentity):
     def _codeword(self, message: list) -> list[int]:
         """``_encode`` of a message list known to lie in F_s, unchecked."""
         parity = self._remainder([0] * self.redundancy + message)
+        if self.field.p == 2:  # negation is the identity
+            return [*parity, *message]
         return [self.field.neg(v) for v in parity] + message
 
     def _remainder(self, word) -> list[int]:
@@ -1744,8 +1832,9 @@ class _CyclicCode(_SpecIdentity):
     def _errors(self, synd, erasures=()) -> dict:
         """The nonzero values of ``_decode_syndrome``'s error vector by
         position, for a syndrome known to have ``count`` values, over
-        F_{2^m} in the byte form (``_BinaryKernel.power_sums``): on byte
-        regions where ``_by_region``, else ``_gpz_decode``.
+        F_{2^m} in the byte form (``_ByteKernel.power_sums`` for m <= 8,
+        ``_BinaryKernel.power_sums`` above): on byte regions where
+        ``_by_region``, else ``_gpz_decode``.
 
         The one check of the erasure positions: each must be an int in
         0 .. n-1 (IndexOutOfRangeError), and once repeats are dropped there
@@ -1958,8 +2047,8 @@ class RsCode(_CyclicCode, LinearCode):
         kernel = self._tables or self._load_kernel()
         if field.m > 8:
             chunks = reversed(word)
-        else:  # the reversed word, a zero byte ahead when n is odd
-            chunks = self._pairs.unpack(bytes(word)[::-1].rjust(self._pairs.size, b"\0"))
+        else:  # four symbols a chunk, symbol 4i + u in byte u of chunk i
+            chunks = reversed(self._quads.unpack(bytes(word).ljust(self._quads.size, b"\0")))
         return kernel.power_sums(kernel.remainder(chunks))
 
     def _decode(self, synd):

@@ -147,10 +147,11 @@ def test_syndrome_matches_the_oracle(spec, seed):
 
 
 @pytest.mark.parametrize("m", range(2, 9))
-def test_two_symbol_kernel_matches_the_per_symbol_power_sums(m):
-    """Over F_{2^m}, m <= 8, the kernel shifts in two byte-wide symbols per
+def test_four_symbol_kernel_matches_the_per_symbol_power_sums(m):
+    """Over F_{2^m}, m <= 8, the kernel shifts in four byte-wide symbols per
     step; its power sums equal the per-symbol ones for full and shortened
-    codes of odd and even length (an odd length reads a zero byte first)."""
+    codes of every length mod 4 (the reader pads the word's high end with
+    zero bytes to whole chunks)."""
     field = ExtField(2, m)
     full = field.order - 1
     rng = random.Random(300 + m)
@@ -162,21 +163,61 @@ def test_two_symbol_kernel_matches_the_per_symbol_power_sums(m):
         for word in words:
             expected = rs._sparse_syndrome(field, word, code.count)
             assert list(code.syndrome(word)) == expected, (n, word)
-        assert code._pairs.size == n + n % 2
+        assert code._quads.size == n + -n % 4
 
 
 @pytest.mark.parametrize("spec", [f"rs({2**m - 1},{2**m - 1 - 2 * m};gf(2^{m}))"
                                   for m in range(3, 9)] + ["rs(255,191;gf(2^8))"])
 def test_byte_wide_kernel_columns_are_the_scalar_columns(spec):
     """A byte-wide RS kernel takes its power-sum columns from the field's
-    multiply rows; they are the columns the scalar loop, which BCH and
-    m > 8 kernels use, writes entry by entry: bits b >= m zero columns."""
+    multiply rows, as the single-bit entries 1, 2, 4 and 8 of its nibble
+    tables; they are the columns the scalar loop, which BCH and m > 8
+    kernels use, writes entry by entry: bits b >= m zero columns."""
     code = parse_spec(spec)
     field, r = code.field, code.redundancy
     kernel = code._load_kernel()
     bits = [(1 << b) * (b < field.m) for b in range(8)]
-    assert len(kernel.columns) == 8 * r
-    assert kernel.columns == rs._kernel_columns(field, r, bits, code.count, 8)
+    columns = [table[1 << b] for table in kernel.nibbles for b in range(4)]
+    assert len(kernel.nibbles) == 2 * r and {len(table) for table in kernel.nibbles} == {16}
+    assert len(columns) == 8 * r
+    assert columns == rs._kernel_columns(field, r, bits, code.count, 8)
+
+
+def byte_wide_codes(m):
+    """RS codes over F_{2^m} of the four lengths mod 4 from the full one
+    down, each at a few redundancies: 1, 3, 2m and up to 64."""
+    full = 2**m - 1
+    for n in range(full, full - 4, -1):
+        for r in sorted({min(n - 1, r) for r in (1, 3, 2 * m, 64)}):
+            yield RsCode(ExtField(2, m), n, n - r)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_four_symbol_remainder_and_nibble_sums_match_the_scalar_ones(m):
+    """The byte-wide kernel's four-symbol remainder is ``_poly_remainder``
+    of the word and its nibble-table power sums are ``_sparse_syndrome``'s,
+    on zero, one-hot, all-(q - 1) and seeded random words, for n of every
+    residue mod 4 and r up to 64 (rs(255,191;gf(2^8))); each nibble
+    table's single-bit entries are the scalar power-sum columns."""
+    rng = random.Random(400 + m)
+    codes = list(byte_wide_codes(m))
+    assert {code.n % 4 for code in codes} == {0, 1, 2, 3}
+    assert m < 8 or any(code.redundancy == 64 for code in codes)
+    for code in codes:
+        field, n, r = code.field, code.n, code.redundancy
+        kernel, quads = code._load_kernel(), code._quads
+        bits = [(1 << b) * (b < m) for b in range(8)]
+        assert [table[1 << b] for table in kernel.nibbles for b in range(4)] == \
+            rs._kernel_columns(field, r, bits, code.count, 8)
+        words = [[0] * n, [field.order - 1] * n]
+        words += [[int(i == at) for i in range(n)] for at in (0, r, n - 1)]
+        words += [[rng.randrange(field.order) for _ in range(n)] for _ in range(3)]
+        for word in words:
+            chunks = reversed(quads.unpack(bytes(word).ljust(quads.size, b"\0")))
+            rem = kernel.remainder(chunks)
+            assert list(rem.to_bytes(r, "little")) == rs._poly_remainder(field, word, code.generator)
+            assert list(kernel.power_sums(rem)) == rs._sparse_syndrome(field, word, code.count)
+            assert list(code._power_sums(bytes(word))) == rs._sparse_syndrome(field, word, code.count)
 
 
 @pytest.mark.parametrize("m,t", [(4, 2), (6, 5)], ids=["bch(15,2)", "bch(63,5)"])
@@ -251,6 +292,20 @@ def test_kernel_tables_are_bounded_by_the_description():
     ints = kernel_ints(inner._load_kernel())
     assert len(ints) <= 256 + inner.redundancy
     assert max(v.bit_length() for v in ints) <= max(inner.redundancy, 2 * inner.t * 8)
+
+
+@pytest.mark.parametrize("spec", ["rs(255,191;gf(2^8))", "rs(31,21;gf(2^5))"])
+def test_byte_wide_kernel_tables_are_bounded_by_the_description(spec):
+    """A byte-wide RS kernel holds four step tables of 2^m ints of at most
+    8r + 32 bits and 2r nibble tables of 16 ints of at most 8*count bits:
+    at most 1024 + 32r ints, whatever the length."""
+    code = parse_spec(spec)
+    r, m = code.redundancy, code.field.m
+    kernel = code._load_kernel()
+    assert [len(table) for table in kernel.steps] == [2**m] * 4
+    assert max(v.bit_length() for table in kernel.steps for v in table) <= 8 * r + 32
+    assert [len(table) for table in kernel.nibbles] == [16] * (2 * r)
+    assert max(v.bit_length() for table in kernel.nibbles for v in table) <= 8 * code.count
 
 
 def test_dropped_codes_free_their_fields_and_tables():

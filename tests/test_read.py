@@ -9,6 +9,7 @@ changing the decoded cells of a copy of the body, and builds the
 recovered list word only on accept.
 """
 
+import operator
 import random
 
 import pytest
@@ -16,10 +17,11 @@ import pytest
 import oracle
 from synfuzz import fuzzy
 from synfuzz.codespec import parse_spec
+from synfuzz.errors import AlphabetMismatchError, ShapeMismatchError
 from synfuzz.fuzzy import canonical_bytes, enroll, verify
 from synfuzz.rs import LinearCode
 
-from test_golden import GOLDEN, WIDE_GOLDEN
+from test_golden import GOLDEN, GOLDEN_DIR, WIDE_GOLDEN, golden_word
 from test_verify_path import damaged
 
 # Codes whose alphabet has more than 256 elements: two bytes a cell.
@@ -132,3 +134,56 @@ def test_the_body_is_a_fresh_copy():
     body = code._read(word)
     body[0] = 0
     assert word[0] == 1 and body is not word
+
+
+# The golden 2-D codes: (spec, shape, alphabet size, word seed).
+GOLDEN_2D = [(g[1], g[2], g[3], g[4]) for g in GOLDEN if len(g[2]) == 2]
+
+
+@pytest.mark.parametrize("spec,shape,q,seed", GOLDEN_2D, ids=[g[0] for g in GOLDEN_2D])
+def test_a_2d_read_leaves_the_word_and_takes_any_row_type(spec, shape, q, seed):
+    """The 2-D read flattens the rows into a list of its own: enroll and
+    verify leave the caller's word as it was, the same row objects
+    holding the same values, on accept and on reject alike.  Rows given
+    as lists, tuples or bytes give the golden template.  No golden row
+    of ranges lies in its alphabet (each has more columns than symbols),
+    so rows of ranges read as their lists do: refused with the same
+    error.  A ragged row or a None row is a ShapeMismatchError."""
+    code = parse_spec(spec)
+    word = golden_word(shape, q, seed)
+    template = enroll(word, code)
+    stem = next(g[0] for g in GOLDEN if g[1] == spec)
+    assert template.to_text() == (GOLDEN_DIR / f"{stem}.sfh").read_text()
+    impostor = seeded(code, seed + 1)
+    for presented in (word, damaged(code, word, 1, random.Random(seed)), impostor):
+        rows, values = list(presented), [list(row) for row in presented]
+        enroll(presented, code)
+        result = verify(presented, template, code=code)
+        assert result.accepted == (presented is not impostor)
+        assert len(presented) == len(rows) and all(map(operator.is_, presented, rows))
+        assert [list(row) for row in presented] == values
+    for row_type in (list, tuple, bytes):
+        assert enroll([row_type(row) for row in word], code) == template
+    ranged = [range(at, at + shape[1]) for at in range(shape[0])]
+    with pytest.raises(AlphabetMismatchError) as by_lists:
+        enroll([list(row) for row in ranged], code)
+    with pytest.raises(AlphabetMismatchError) as by_ranges:
+        enroll(ranged, code)
+    assert str(by_ranges.value) == str(by_lists.value)
+    for bad in (word[:-1] + [word[-1][:-1]], word[:-1] + [None]):
+        with pytest.raises(ShapeMismatchError):
+            enroll(bad, code)
+        with pytest.raises(ShapeMismatchError):
+            verify(bad, template, code=code)
+
+
+def test_rows_of_ranges_read_as_their_lists():
+    """Over an alphabet with more symbols than columns, rows given as
+    ranges enroll to the template of the same rows given as lists, and
+    verify accepts them against it."""
+    code = parse_spec("cIII(rs(8,4;gf(11^2));2,4)")
+    rows, cols = code.shape
+    ranged = [range(at, at + cols) for at in range(rows)]
+    template = enroll([list(row) for row in ranged], code)
+    assert enroll(ranged, code) == template
+    assert verify(ranged, template, code=code).accepted
