@@ -18,9 +18,12 @@ repetitions runs every operation on both trees back to back, the tree
 that goes first switching from one operation to the next and from one
 repetition to the next.  The garbage collector runs between repetitions
 only, so no collection lands on the call that happens to trigger it.
-Every call's result must be the same in both trees (for verify the
-result carries ``decode_mults``); each difference is printed to standard
-error and makes the exit code 1.  A call whose MUL_COUNTER delta differs
+Every call's result must be the same in both trees; each difference is
+printed to standard error and makes the exit code 1.  A verify result is
+compared by its ``accepted``, ``recovered`` and ``reason``, and with
+``--count`` by its ``decode_mults`` too: a tree whose ``verify`` takes
+``count`` is asked to count, and one that does not counts anyway.  A
+call whose MUL_COUNTER delta differs
 between the trees is printed and counted apart (``mult_differences``)
 and does not change the exit code: a change may count the products of a
 syndrome differently without changing what verify reports.
@@ -48,6 +51,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import inspect
 import json
 import random
 import statistics
@@ -99,9 +103,13 @@ def build_inputs(roster, workload: str, seed: int, words: int):
     return rows
 
 
-def operations(tree, workload: str, rows):
-    """One zero-argument call per row, run on ``tree``."""
+def operations(tree, workload: str, rows, count: bool = False):
+    """One zero-argument call per row, run on ``tree``: a verify gives
+    its first three fields, or with ``count`` all four, asking to count
+    where the tree's ``verify`` takes ``count``."""
     fuzzy, parse_spec = tree.fuzzy, tree.codespec.parse_spec
+    asks = {"count": True} if count and "count" in inspect.signature(fuzzy.verify).parameters else {}
+    fields = 4 if count else 3
     calls = []
     for con, word, enrolled in rows:
         code = parse_spec(con.spec)
@@ -110,11 +118,12 @@ def operations(tree, workload: str, rows):
             continue
         template = fuzzy.enroll(enrolled, code)
         if workload == "verify":
-            calls.append(lambda word=word, t=template, code=code: fuzzy.verify(word, t, code=code))
+            calls.append(lambda word=word, t=template, code=code:
+                         fuzzy.verify(word, t, code=code, **asks)[:fields])
         else:
             text = template.to_text()
             calls.append(lambda word=word, text=text:
-                         fuzzy.verify(word, fuzzy.Template.from_text(text)))
+                         fuzzy.verify(word, fuzzy.Template.from_text(text), **asks)[:fields])
     return calls
 
 
@@ -150,12 +159,12 @@ def summary(ratios: list, parent_times: list, change_times: list, rng: random.Ra
             "median_time_ratio": statistics.median(change_times) / parent}
 
 
-def compare(trees: dict, workload: str, seed: int, words: int, reps: int):
+def compare(trees: dict, workload: str, seed: int, words: int, reps: int, count: bool = False):
     """Per-construction ratio summaries, the calls whose results differ
     and the calls whose MUL_COUNTER deltas differ."""
     roster = load_roster()
     rows = build_inputs(roster, workload, seed, words)
-    calls = {name: operations(tree, workload, rows) for name, tree in trees.items()}
+    calls = {name: operations(tree, workload, rows, count) for name, tree in trees.items()}
     counters = {name: tree.gf.MUL_COUNTER for name, tree in trees.items()}
     names = list(trees)  # the parent's, then the change's
     differences, mult_differences = [], []
@@ -198,17 +207,20 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--words", type=int, default=4, help="words per construction")
     ap.add_argument("--reps", type=int, default=40, help="timed repetitions of every operation")
+    ap.add_argument("--count", action="store_true",
+                    help="compare verify's decode_mults, asking each tree to count")
     args = ap.parse_args(argv)
     trees = {f"synfuzz_{name}": load_tree(f"synfuzz_{name}", path.resolve())
              for name, path in (("parent", args.parent), ("change", args.change))}
     report, differences, mult_differences = compare(trees, args.workload, args.seed,
-                                                    args.words, args.reps)
+                                                    args.words, args.reps, args.count)
     for line in differences[:20]:
         print(f"ab_pairs: differs: {line}", file=sys.stderr)
     for line in mult_differences[:20]:
         print(f"ab_pairs: counts differ: {line}", file=sys.stderr)
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "words": args.words, "reps": args.reps,
+        "count": args.count,
         "identical": not differences, "differences": len(differences),
         "mult_differences": len(mult_differences), "ratio_change_over_parent": report,
     }, indent=1))

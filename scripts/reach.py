@@ -63,14 +63,14 @@ ALLOWED = {
     "gf.ExtField.__repr__": DUNDER,
     "gf.ExtField.mul": C01_C10,
     "gf.ExtField.to_companion_matrix": C01_C10,
+    "gf.MulCounter.count": "read by perfbench/spans.py for the traced gf.mults",
+    "rs.BchCode.decode_packed": "the public algebraic decode of a packed binary remainder; "
+                                "an inner decode reaches its decoder through "
+                                "_scalar_message_error",
     "rs.BchCode.power_sums": TARGET,
     "rs.BchCode.remainder": TARGET,
     "rs.BchCode.syndrome": TARGET,
     "rs.DecodeInfo.outer_error_count": C01_C10,
-    "rs._BlockCode._load_gather": "2-D codes above the column cap: every golden and roster "
-                                  "2-D code takes columns",
-    "rs._BlockCode._residual": "odd-p expansions and concatenations past the column caps, "
-                               "which hold a tuple syndrome: the golden ones take columns",
     "rs._CyclicCode._decode_syndrome": TARGET + " (RsCode and BchCode.decode_syndrome)",
     "rs.LinearCode._block_order": "test oracle: tests/oracle.py gathers a plain code's word",
     "rs.LinearCode._check_syndrome": "the syndrome check of decode, " + TARGET,
@@ -80,6 +80,7 @@ ALLOWED = {
     "rs._SpecIdentity.__eq__": DUNDER,
     "rs._SpecIdentity.__hash__": DUNDER,
     "rs._SpecIdentity.__repr__": DUNDER,
+    "rs._decoder": "the code or its reference twin for the public decodes, each " + TARGET,
 }
 
 

@@ -162,7 +162,7 @@ def cmd_simulate(args) -> int:
         x = _random_data(rng, code)
         template = fuzzy.enroll(x, code)
         pattern = gen_mixed(rng, prime, shape, dims, random_errors=random_errors)
-        result = fuzzy.verify(pattern.apply_to(x), template, code=code)
+        result = fuzzy.verify(pattern.apply_to(x), template, code=code, count=True)
         mults += result.decode_mults
         if result.accepted:
             accepts += 1

@@ -87,16 +87,20 @@ MAX_SPEC_CHARS = 1024
 # ints at p = 3, about 50 KB (cI(rs(31,1;gf(3^4))) holds 49 KB).  One
 # rule for both p gives a BCH code its coset table: p^r <= rs._COSET_CAP
 # = 4096 remainders.  A binary table keeps one int pair per pattern of
-# weight <= t, at most 2^r of them; an odd-p counted table keeps every
-# remainder, about 180 bytes each, so 740 KB at the cap; but only a
-# concatenation's inner code fills one, and its dimension k must give an
-# outer field p^k <= 2^16, which leaves at most 2401 remainders
-# (bch(6,2;gf(7)), 297 KB), within the 640 KiB of this weight.  An odd-p
-# block code with columns also fills, on its first decode, one fill-table
-# entry per outer symbol: at most q <= 256 entries of width cells and one
-# count, about 112 + 8 * width bytes each, so under 160 KB at the cap (n >= 2 blocks
-# share at most 127 cells, so width <= 63) and 26 KB for
-# concat(inner=bch(26,7;gf(3)), outer=rs(2,1;gf(3^4))).
+# weight <= t, at most 2^r of them; an odd-p table keeps every
+# remainder; but only a concatenation's inner code fills one, and its
+# dimension k must give an outer field p^k <= 2^16, which leaves at most
+# 2401 remainders (bch(6,2;gf(7)), under 320 KB), within the 640 KiB of
+# this weight.  An odd-p block code with columns also fills, on its
+# first decode, one fill-table entry per outer symbol: at most q <= 256
+# entries of width cells, about 48 + 8 * width bytes each, so under
+# 160 KB at the cap (n >= 2 blocks share at most 127 cells, so
+# width <= 63) and 21 KB for concat(inner=bch(26,7;gf(3)),
+# outer=rs(2,1;gf(3^4))).  A code's reference twin, built on the first
+# counted decode, shares the tables built so far and adds what its
+# scalar paths build: for a code with columns its outer kernel and its
+# gather, at most about 130 KB (cI(rs(32,1;gf(2^8))) retains 330 KB
+# with its twin after counted verifies), else under 3 KB.
 _CODE_WEIGHT = 1 << 14
 # A field's tables take about 84 bytes per element.
 _FIELD_WEIGHT = 2

@@ -36,7 +36,7 @@ and its residual is its inner remainder, its check cells minus those of
 its symbol's codeword, by ``_BlockCode``'s one residual for every block
 code (over F_2, its parity XOR the image of its symbol under the check
 tables, built from the inner codewords of the unit symbols; over odd p,
-``_BlockCode._residual``, which counts what the inner remainder would).
+``_BlockCode._residual``).
 The inner code alone computes its parity.  The syndrome, of N*n - K*k
 symbols and zero exactly on codewords, lists by ``segments`` the N
 residuals in block order (N*(n-k) symbols over F_p), then the N-K outer
@@ -46,20 +46,17 @@ rebuilds the touched blocks from their symbol errors and stored
 residuals into a sparse map and re-checks that map against the whole
 syndrome by ``rs._BlockCode``'s one rule: the per-cell syndrome
 columns where ``rs._columns_fit`` gives the code them, else the
-re-split of the returned map.  By columns over odd p the decode adds
-the products the re-split would have counted, the touched blocks' from
-the fill table and the outer power sums' per nonzero symbol
-(``_recheck_count``), so ``decode_mults`` is unchanged; the re-split
-(``_BlockCode._recheck``) requires each touched block's residual to be
-its stored one, every other block's to be zero and the outer power
-sums of their symbols to be the stored ones.  Each damaged block's
+re-split of the returned map, which (``_BlockCode._recheck``) requires
+each touched block's residual to be its stored one, every other block's
+to be zero and the outer power sums of their symbols to be the stored
+ones.  Each damaged block's
 inner decode is one call, ``BchCode._message_error``, the coset table's
 one reader: where the inner code takes cosets (``BchCode._by_cosets``,
 one rule for both p: p^r <= ``rs._COSET_CAP``), a lookup in the coset
-table (over odd p the counted one), else the algebraic decode; either
-returns None for a block it cannot decode.  Such a block is an outer
-erasure, at one outer syndrome instead of two; a block within the inner
-capability never fails, so every bound still holds.
+table, else the algebraic decode; either returns None for a block it
+cannot decode.  Such a block is an outer erasure, at one outer syndrome
+instead of two; a block within the inner capability never fails, so
+every bound still holds.
 """
 
 from .errors import (
@@ -67,7 +64,7 @@ from .errors import (
     QueryUnsupportedError,
     ShapeMismatchError,
 )
-from .rs import DecodeInfo, RsCode, _BlockCode, _check_symbols, _SpecIdentity
+from .rs import DecodeInfo, RsCode, _BlockCode, _check_symbols, _SpecIdentity, _twin
 
 
 class TrivialCode:
@@ -79,6 +76,7 @@ class TrivialCode:
         self.k = n
         self.t = 0
         self.redundancy = 0
+        self._twin = self  # no table paths: its own reference twin
 
     def encode(self, message) -> list[int]:
         _check_symbols(message, self.k, self.p, f"gf({self.p})")
@@ -236,9 +234,6 @@ class ConcatCode(_BlockCode):
             )
         super().__init__(outer, inner.redundancy, inner.redundancy, layout)
         self.inner = inner
-        # a damaged block's symbol error from its residual, None to erase it;
-        # an identity inner code has none, as none of its blocks is damaged
-        self._inner_decode = getattr(inner, "_message_error", None)
         self.p = inner.p
         self.N, self.n_in = outer.n, inner.n
         self.guidance = layout.guidance
@@ -265,12 +260,18 @@ class ConcatCode(_BlockCode):
 
     decode = _BlockCode.decode
 
-    def _recheck_count(self, touched, syms) -> int:
-        """The products ``_recheck`` counts on the touched blocks of these
-        symbol errors: each block's re-split, the fill's count in the fill
-        table, and the outer power sums of each nonzero symbol."""
-        fills, syms = self._fills or self._load_fills(), [syms[i] for i in touched]
-        return sum([fills[s][1] for s in syms]) + self.outer.count * (len(syms) - syms.count(0))
+    def _inner_decode(self, part):
+        """A damaged block's symbol error from its residual, None to erase
+        it (``BchCode._message_error``); an identity inner code has none,
+        as none of its blocks is damaged."""
+        return self.inner._message_error(part)
+
+    def _load_twin(self):
+        """The reference twin: without columns, on the outer and inner
+        codes' twins."""
+        outer, inner = (code._twin or code._load_twin() for code in (self.outer, self.inner))
+        self._twin = _twin(self, _by_columns=False, outer=outer, inner=inner)
+        return self._twin
 
     # ------------------------------------------------------------------
     # capability bounds

@@ -90,7 +90,6 @@ class ExpandedCode(_BlockCode):
     syndrome = _BlockCode.syndrome
 
     def __init__(self, rs: RsCode, kind: str, n1: int | None = None, n2: int | None = None):
-        self.rs = rs
         self.kind = kind
         field = rs.field
         m = field.m
@@ -137,6 +136,11 @@ class ExpandedCode(_BlockCode):
     @classmethod
     def companion_array(cls, rs: RsCode, n1: int, n2: int) -> "ExpandedCode":
         return cls(rs, KIND_COMPANION, n1, n2)
+
+    @property
+    def rs(self) -> RsCode:
+        """The RS code expanded, the block format's outer code."""
+        return self.outer
 
     @property
     def is_array(self) -> bool:

@@ -174,6 +174,19 @@ def stored_minus(code, raw: bytes, presented):
     return code._stored_minus(raw, presented)
 
 
+def _twin_mults(code, raw: bytes, body) -> int:
+    """The multiplications the code's reference twin counts decoding the
+    stored syndrome bytes ``raw`` minus the syndrome of a read body."""
+    twin = code._twin or code._load_twin()
+    diff = twin._stored_minus(raw, twin._body_syndrome(body))
+    before = MUL_COUNTER.n
+    try:
+        twin._decode(diff)
+    except DecodeFailure:
+        pass
+    return MUL_COUNTER.n - before
+
+
 def syndrome_from_bytes(code, raw: bytes) -> tuple:
     """Inverse of syndrome_to_bytes; every symbol must lie in its run's field."""
     return code._stored(raw)
@@ -225,7 +238,8 @@ class Template(namedtuple("Template", "code_spec hash_alg digest syndrome")):
 
 
 # ``recovered`` is the accepted word, else None; ``reason`` is None on
-# accept, else "DecodeFailure" or "HashMismatch".
+# accept, else "DecodeFailure" or "HashMismatch"; ``decode_mults`` is None
+# unless verify is asked to count.
 VerifyResult = namedtuple("VerifyResult", "accepted recovered reason decode_mults")
 
 
@@ -239,23 +253,27 @@ def enroll(data, code, hash_alg: str = "sha-256") -> Template:
                     syndrome_to_bytes(code, code._body_syndrome(body)))
 
 
-def verify(data, template: Template, code=None) -> VerifyResult:
+def verify(data, template: Template, code=None, count: bool = False) -> VerifyResult:
     """Authenticate a presented word against a template.
 
     Accepts only when the decoded difference leads back to a word whose
     digest matches the template; otherwise reports DecodeFailure or
     HashMismatch.
+
+    ``decode_mults`` is None unless ``count``: then verify also takes the
+    word's syndrome, the stored difference and its decode on the code's
+    reference twin (the ``rs`` module docstring), and reports the
+    multiplications that decode counts.  Its outcome is verify's.
     """
     if code is None:
         code = codespec.parse_spec(template.code_spec)
     body = enrollable(code)._read(data)
     diff = stored_minus(code, template.syndrome, code._body_syndrome(body))
-    before = MUL_COUNTER.count
+    mults = _twin_mults(code, template.syndrome, body) if count else None
     try:
         errors = code._decode(diff)[0]
     except DecodeFailure:
-        return VerifyResult(False, None, "DecodeFailure", MUL_COUNTER.count - before)
-    mults = MUL_COUNTER.count - before
+        return VerifyResult(False, None, "DecodeFailure", mults)
     candidate = _patched(code, body, errors)
     digest = hash_digest(template.hash_alg, code._head + candidate)
     if _modules()[1].compare_digest(digest, template.digest):

@@ -57,7 +57,19 @@ boolean; none reads a missing table as a decision:
 - ``_CyclicCode._by_region`` (``_chien_fits``): the byte-region decoder
   and its packed Chien search, else ``_gpz_decode`` and ``_chien_roots``;
 - ``BchCode._by_cosets`` (p^r <= ``_COSET_CAP``, one rule for both p):
-  the coset table, over odd p the counted one, else the algebraic decode.
+  the coset table, else the algebraic decode.
+
+A code's reference twin is the same code with ``_by_columns`` off,
+``_by_region`` off, an odd-p ``_by_cosets`` off and a binary one as
+built: a shallow copy made on first request (``_load_twin``, ``_twin``),
+which shares the tables built so far, or the code itself where it takes
+none of those paths.  ``decode_mults`` is the twin's count: its scalar
+paths count one multiplication per nonzero product (``_gpz_decode``,
+``_poly_remainder``, ``_sparse_syndrome``) and no fast path counts.  A
+table build counts nothing (``_uncounted``).  The public ``decode``,
+``decode_syndrome`` and ``decode_packed``, like ``fuzzy.verify``, take
+``count``: with it the twin decodes and counts, else the code itself
+(``_decoder``).
 
 Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
 come from a packed kernel: a table-driven LFSR reduces the word modulo
@@ -79,11 +91,9 @@ set cell (``_BlockCode._columns``).  An odd-p block code with columns
 sums one column per cell, one byte per F_p digit of the syndrome, and
 reduces every byte mod p at the end (``_BlockCode._digit_columns``);
 one without keeps the per-symbol paths ``_sparse_syndrome`` and
-``_poly_remainder``.  Such a code's decode re-checks a digit-byte syndrome by the same columns and
-rebuilds its touched blocks from a fill table (``_BlockCode._fills``)
-whose entries carry the products the fill counts, which its re-split
-counts too, so ``decode_mults`` is what the per-symbol re-check gives.
-A block code without columns re-checks the sparse map a decode returns
+``_poly_remainder``.  Such a code's decode re-checks a digit-byte
+syndrome by the same columns and rebuilds its touched blocks from a fill
+table (``_BlockCode._fills``).  A block code without columns re-checks the sparse map a decode returns
 by re-splitting the blocks it touches.  A binary block decode reads its
 block parts from bit lanes, one int per check digit.
 
@@ -97,26 +107,22 @@ roots and gives Forney's formula its values, and per-position columns of
 the powers alpha^(ij) turn any sparse word into its power sums, one
 translate per nonzero symbol (``_CyclicCode._sums``): the decoder's
 re-check, and a block code's outer sums of the few blocks a decode
-touches.  The region decoder gives the scalar ``_gpz_decode``'s outcome
-and counts its multiplications.  Where no syndrome symbol is zero, its
-Berlekamp-Massey step k costs one product per nonzero locator
-coefficient past psi_0 (deg Psi <= L <= k), one ``bytes.count`` per
-update; a syndrome with a zero symbol reads the counts off a mask
-product.  A binary BCH code with cosets decodes a packed remainder in
-its inner decode by one lookup in its coset-leader table, the remainder
-of every pattern of weight <= design_t (``_coset_table``; standard-array
+touches.  The region decoder gives the scalar ``_gpz_decode``'s outcome,
+first trying one error, which one translate of the syndrome tests.  A
+binary BCH code with cosets decodes a packed remainder in its inner
+decode by one lookup in its coset-leader table, the remainder of every
+pattern of weight <= design_t (``_coset_table``; standard-array
 decoding, Slepian 1956); ``decode_packed`` is the algebraic decode.  An
-odd-p one's counted coset table maps every remainder to the message
-error of the scalar decode and the multiplications it counted
-(``BchCode._load_counted_cosets``).  So a concatenation's inner decode
-is one call for both p, ``BchCode._message_error``, the coset table's
-one reader: a lookup that gives the message digits, or None for an
-erasure, with no exception raised or caught; over odd p it counts what
-the scalar decode would, over F_2 it counts no product.
+odd-p one's coset table maps every remainder to the message error of
+the scalar decode (``BchCode._load_cosets``).  So a concatenation's
+inner decode is one call for both p, ``BchCode._message_error``, the
+coset table's one reader: a lookup that gives the message digits, or
+None for an erasure, with no exception raised or caught.
 
 Every table (generator, kernel, Chien table, the columns of ``_sums``,
 coset and check tables, a block code's per-cell columns, digit maps and
-fill table, and a field's rows) is built on first use by its own loader
+fill table, a field's rows, and the reference twin) is built on first
+use by its own loader
 into a slot its owner sets to None in ``__init__``, never at
 construction, and the slot holds None or the table.  The tables
 live and die with their code; ``codespec.parse_spec`` keeps parsed codes,
@@ -255,12 +261,15 @@ class LinearCode(_SpecIdentity):
             at = end
         return tuple(out)
 
-    def decode(self, synd, with_info: bool = False):
+    def decode(self, synd, with_info: bool = False, count: bool = False):
         """The error pattern, shaped like the data word, that the syndrome
         decodes to, and its ``DecodeInfo`` if ``with_info``.  A syndrome
-        that does not fit ``segments`` is a ShapeMismatchError."""
+        that does not fit ``segments`` is a ShapeMismatchError.  With
+        ``count`` the reference twin decodes, and MUL_COUNTER advances by
+        its multiplications (``_decoder``)."""
         self._check_syndrome(synd)
-        errors, info = self._decode(self._from_template(self._template(tuple(synd))))
+        code = _decoder(self, count)
+        errors, info = code._decode(code._from_template(code._template(tuple(synd))))
         pattern = self._dense(errors)
         return (pattern, info) if with_info else pattern
 
@@ -470,6 +479,36 @@ def enrollable(code):
     return code
 
 
+def _twin(code, **paths):
+    """A code's reference twin: the code itself where each attribute in
+    ``paths`` is already that object, else a shallow copy holding them,
+    which shares the tables built so far and is its own twin.  The copy
+    takes every instance attribute as it stands when the twin is built,
+    a method patched onto the instance included."""
+    if all(getattr(code, name) is value for name, value in paths.items()):
+        return code
+    twin = object.__new__(type(code))
+    twin.__dict__.update(vars(code), **paths, _twin=twin)
+    return twin
+
+
+def _decoder(code, count: bool):
+    """The code the public decodes run: the code itself, or with
+    ``count`` its reference twin, whose scalar paths count the decode's
+    multiplications in MUL_COUNTER."""
+    return (code._twin or code._load_twin()) if count else code
+
+
+def _uncounted(build):
+    """``build()``, with MUL_COUNTER left as it found it: a table build
+    is no decode, whatever scalar products it runs."""
+    counted = MUL_COUNTER.n
+    try:
+        return build()
+    finally:
+        MUL_COUNTER.n = counted
+
+
 class _BlockCode(LinearCode):
     """A base-field code whose block i holds outer Reed-Solomon symbol i.
 
@@ -538,20 +577,16 @@ class _BlockCode(LinearCode):
     takes them (``_by_columns``), else the re-split of the returned map.  With binary
     ``_columns`` the XOR of the map's columns must be the syndrome.  On
     a digit-byte syndrome the sum of the map's columns of its values,
-    reduced mod p, must be the syndrome, and the decode adds the
-    products the re-split would have counted (``_recheck_count``: a
-    concatenation's re-split of the touched blocks and outer sums of
-    their symbols), so ``decode_mults`` is unchanged.  Without columns
-    ``_recheck`` reads the touched blocks back from the map and compares
-    their parts and outer power sums with the syndrome; an expansion's
-    counts no product (``ExpandedCode._recheck``).  An odd-p code with
-    digit columns takes each rebuilt block's fill from ``_fills``, one
-    entry per outer symbol built on first use (``_load_fills``): the fill and
-    the products ``_fill`` counts for it, which the re-split of that
-    block counts too, measured once under MUL_COUNTER, so a lookup adds
-    what the scalar path would.  A subclass also gives
-    ``_inner_decode(part)``: the symbol error a damaged block's residual
-    suggests, or None to make the block an outer erasure.
+    reduced mod p, must be the syndrome.  Without columns ``_recheck``
+    reads the touched blocks back from the map and compares their parts
+    and outer power sums with the syndrome; an expansion's counts no
+    product (``ExpandedCode._recheck``).  An odd-p code with digit
+    columns takes each rebuilt block's fill from ``_fills``, one entry
+    per outer symbol built on first use (``_load_fills``).  A subclass
+    also gives ``_inner_decode(part)``: the symbol error a damaged
+    block's residual suggests, or None to make the block an outer
+    erasure.  The reference twin (``_load_twin``) takes no columns and
+    decodes on the outer code's twin.
     """
 
     def __init__(self, outer, chk: int, sym_at: int, layout, places=None):
@@ -568,6 +603,7 @@ class _BlockCode(LinearCode):
         self._fills = None  # per symbol its fill and count, with digit columns; set on first use
         self._order = None
         self._gather = None  # the itemgetter of a 2-D body in block order, set on first use
+        self._twin = None  # the reference twin, set on first request
         self._symbols = f"gf({outer.field.p})"
         self.layout = layout
         self.shape = layout.shape(outer.n, self._width)
@@ -627,9 +663,8 @@ class _BlockCode(LinearCode):
         into the map (``_cells_of``) and the map re-checked: with binary
         ``_columns`` the XOR of the columns of its cells must be the whole
         syndrome; a digit-byte syndrome, whose outer sums take m bytes
-        each, must be the sum of its columns of its values reduced mod p,
-        after ``_recheck_count``'s products are counted; else
-        ``_recheck`` re-splits it."""
+        each, must be the sum of its columns of its values reduced mod p;
+        else ``_recheck`` re-splits it."""
         outer, digits = self.outer, self._by_columns and self.alphabet.p != 2
         cut = outer.n * self._chk if self._sym_at else len(synd) - outer.n * self._chk
         res, sums = (synd[:cut], synd[cut:]) if self._sym_at else (synd[cut:], synd[:cut])
@@ -642,7 +677,6 @@ class _BlockCode(LinearCode):
         if not self._by_columns:
             self._recheck(found, touched, parts, sums)
         elif digits:
-            MUL_COUNTER.add(self._recheck_count(touched, errors))
             columns, maps = self._columns or self._load_columns(), self._digits or self._load_digits()
             total = sum(map(getitem, map(columns.__getitem__, found), found.values()))
             if total.to_bytes(len(synd), "little").translate(maps.reduce) != synd:
@@ -651,6 +685,11 @@ class _BlockCode(LinearCode):
                 int.from_bytes(synd, "little")):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         return found, DecodeInfo(tuple(erasures), tuple(delta))
+
+    def _load_twin(self):
+        """The reference twin: without columns, on the outer code's twin."""
+        self._twin = _twin(self, _by_columns=False, outer=self.outer._twin or self.outer._load_twin())
+        return self._twin
 
     def _recheck(self, found, touched, parts, sums) -> None:
         """Raise DecodeFailure unless the sparse map ``found`` has the
@@ -673,16 +712,11 @@ class _BlockCode(LinearCode):
         ):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
 
-    def _recheck_count(self, touched, syms) -> int:
-        """The products ``_recheck`` counts on the touched blocks of these
-        symbol errors, for a code with digit columns: none by default."""
-        return 0
-
     def _load_columns(self):
         """Column c: the syndrome of the word with a single 1 at row-major
         cell c, read as a little-endian int (``_bit_columns``), over odd p
         a tuple of one int per cell value (``_digit_columns``)."""
-        by_block = self._bit_columns() if self.alphabet.p == 2 else self._digit_columns()
+        by_block = self._bit_columns() if self.alphabet.p == 2 else _uncounted(self._digit_columns)
         columns = [0] * len(by_block)
         for at, col in zip(self._order or self._load_order(), by_block):
             columns[at] = col
@@ -727,16 +761,13 @@ class _BlockCode(LinearCode):
 
         A symbol digit b of block i has x^b alpha^(ij), j = 1..r, as its
         outer sums and minus its unit fill's check cells as block i's
-        residual digits; a check cell has its one residual digit.  The
-        fills' products are not counted: building is not decoding."""
+        residual digits; a check cell has its one residual digit."""
         outer, field, chk, p = self.outer, self.outer.field, self._chk, self.alphabet.p
         m, r, q1 = field.m, outer.redundancy, field.order - 1
         size = (self._digits or self._load_digits()).size
         sums_at, res_at = (outer.n * chk, 0) if self._sym_at else (0, r * m)
-        counted = MUL_COUNTER.n
         fills = [[-v % p for v in self._fill(p**b)[self._chk_at : self._chk_at + chk]]
                  for b in range(m)]
-        MUL_COUNTER.n = counted
         scales = [bytes(v * d % p for d in range(256)) for v in range(p)]  # d -> v*d mod p
         by_block = []
         for i in range(outer.n):
@@ -910,8 +941,7 @@ class _BlockCode(LinearCode):
     def _residual(self, block, sym: int) -> list:
         """An odd-p block's check cells minus those of its symbol's fill,
         for every block code: a concatenation's is the block's inner
-        remainder, counted alike (``_poly_remainder`` counts by the
-        message digits alone, which the block and its fill share)."""
+        remainder."""
         at, end = self._chk_at, self._chk_at + self._chk
         return [(v - f) % self.alphabet.p for v, f in zip(block[at:end], self._fill(sym)[at:end])]
 
@@ -955,7 +985,7 @@ class _BlockCode(LinearCode):
         nonzero cells by row-major flat offset, at each touched block's
         slice of the block order.  Over F_2 the cells come from one unpack
         and every set cell is 1; over odd p with digit columns each block
-        comes from the fill table, whose count is added."""
+        comes from the fill table."""
         at, end, p, width = self._chk_at, self._chk_at + self._chk, self.alphabet.p, self._width
         order = self._order or self._load_order()
         offsets = chain.from_iterable([order[i * width : (i + 1) * width] for i in touched])
@@ -967,35 +997,21 @@ class _BlockCode(LinearCode):
             else:
                 blocks = [syms[i] for i in touched]
             return dict.fromkeys(compress(offsets, _unpack_bits(blocks, width)), 1)
-        fills = self._by_columns and (self._fills or self._load_fills())
-        cells, counted = [], 0
+        fill = (self._fills or self._load_fills()).__getitem__ if self._by_columns else self._fill
+        cells = []
         for i in touched:
-            if fills:
-                block, count = fills[syms[i]]
-                counted += count
-            else:
-                block = self._fill(syms[i])
+            block = fill(syms[i])
             if parts[i]:
                 block = list(block)
                 block[at:end] = [(f + r) % p for f, r in zip(block[at:end], parts[i])]
             cells += block
-        MUL_COUNTER.add(counted)
         return dict(compress(zip(offsets, cells), cells))
 
     def _load_fills(self):
-        """Per outer symbol s of an odd-p code with digit columns: its
-        fill as a tuple and the products ``_fill(s)`` counts, measured
-        under MUL_COUNTER, which the build leaves as it found it.  A
-        lookup adds the count, and so does a concatenation's column
-        re-check (``_recheck_count``) for the re-split of that block:
-        ``_poly_remainder`` counts by the message digits alone, which a
-        fill and its re-split share."""
-        counted, fills = MUL_COUNTER.n, []
-        for sym in range(self.outer.field.order):
-            MUL_COUNTER.n = 0
-            fills.append((tuple(self._fill(sym)), MUL_COUNTER.n))
-        MUL_COUNTER.n = counted
-        self._fills = tuple(fills)
+        """Per outer symbol of an odd-p code with digit columns, its fill
+        as a tuple."""
+        self._fills = _uncounted(lambda: tuple([tuple(self._fill(sym))
+                                                for sym in range(self.outer.field.order)]))
         return self._fills
 
     def _decode_blocks(self, parts, synd):
@@ -1061,9 +1077,14 @@ def _chien_roots(field: ExtField, psi, n):
 
     psi[0] is 1, so each point compares the sum of the other terms with -1
     and spends no multiplication on the constant.  The search stops at the
-    deg(psi)-th root: a polynomial has no more roots than its degree.
+    deg(psi)-th root: a polynomial has no more roots than its degree.  A
+    locator of degree 1 has its one root read off psi_1's log, with the
+    count of a scan that stops there or runs past all n positions.
     """
     exp, log = field._exp, field._log
+    if len(psi) == 2 and psi[1]:  # 1 + psi_1 x vanishes at alpha^-i where alpha^i = -psi_1
+        i = log[field.neg(psi[1])]
+        return ([i], i + 1) if i < n else ([], n)
     q1 = field.order - 1
     add = field.add
     minus_one = field.neg(1)
@@ -1176,7 +1197,7 @@ def _gpz_decode(field: ExtField, synd, n, known=(), base_limit=None):
         if len(psi) - 1 != L or 2 * L - f > r:
             raise DecodeFailure(f"no locator of {L - f} errors fits the syndrome")
 
-        roots, c = _chien_search(field, psi, n, None)
+        roots, c = _chien_roots(field, psi, n)
         nm += c
         if len(roots) != L:
             raise DecodeFailure(f"locator of degree {L} has {len(roots)} roots in range")
@@ -1598,8 +1619,8 @@ _COLUMN_CAP_CELLS = 256
 # remainders number at most this many, for both p (``BchCode._by_cosets``).
 # A binary table holds one entry per pattern of weight <= t, at most 2^r:
 # bch(15,2;gf(2)) 121 of 256, bch(63,2;gf(2)) 2017 of 4096, and
-# bch(63,3;gf(2)) (r = 18) is above it.  A counted table over odd p holds
-# one entry per remainder.
+# bch(63,3;gf(2)) (r = 18) is above it.  A table over odd p holds one
+# entry per remainder.
 _COSET_CAP = 4096
 
 
@@ -1675,45 +1696,27 @@ def _chien_values(table, coeffs: int, m: int, n: int) -> bytes:
     return reduce(xor, compress(table, bits), 0).to_bytes(n, "little")
 
 
-def _chien_search(field: ExtField, psi, n: int, table):
-    """``_chien_roots(field, psi, n)``, from the packed ``_chien_table``
-    where one is given (None without one): byte i of ``_chien_values`` of
+def _chien_search(field: ExtField, psi: bytes, n: int, table) -> list:
+    """The roots of ``_chien_roots(field, psi, n)`` over F_{2^m}, m <= 8,
+    from the packed ``_chien_table``: byte i of ``_chien_values`` of
     psi's coefficients past psi_0 = 1 is psi(alpha^-i) - 1, so the roots
-    are the bytes equal to 1.  A locator of degree 1 has its one root
-    read off psi_1's log, with the count of a scan that stops there or
-    runs past all n positions.  Counts the mults the scalar search would.
-    psi is a list, or bytes, of its coefficients, low first."""
-    if len(psi) == 2 and psi[1]:  # 1 + psi_1 x vanishes at alpha^-i where alpha^i = -psi_1
-        i = field._log[field.neg(psi[1])]
-        return ([i], i + 1) if i < n else ([], n)
-    if table is None:
-        return _chien_roots(field, psi, n)
-    values = _chien_values(table, int.from_bytes(bytes(psi[1:]), "little"), field.m, n)
+    are the bytes equal to 1, at most deg psi of them; a locator of
+    degree 1 has ``_chien_roots``' one root, read off psi_1's log.  psi
+    is the bytes of its coefficients, low first, the last nonzero."""
+    if len(psi) == 2:
+        return _chien_roots(field, psi, n)[0]
+    values = _chien_values(table, int.from_bytes(psi[1:], "little"), field.m, n)
     deg = len(psi) - 1
     roots = []
     i = values.find(1)
     while i >= 0 and len(roots) < deg:
         roots.append(i)
         i = values.find(1, i + 1)
-    # the scalar search stops at the deg-th root, else after all n points
-    stop = roots[-1] + 1 if deg and len(roots) == deg else n
-    return roots, stop * (deg - psi.count(0))
+    return roots
 
 
-# A translate table that marks each nonzero byte 1, and the mask of the
-# odd bytes of a polynomial of up to 72 coefficients.
-_NONZERO = bytes([0]) + bytes([1]) * 255
+# The mask of the odd bytes of a polynomial of up to 72 coefficients.
 _ODD_BYTES = int.from_bytes(b"\0\xff" * 36, "little")
-
-
-def _step_counts(V: bytes, top: int, nz_synd: int) -> tuple[bytes, int]:
-    """Byte k: the products of Berlekamp-Massey's step-k discrepancy,
-    one per j >= 1 with psi_j and s_(k-j) nonzero, where the locator Psi
-    lies in V from byte ``top`` on and ``nz_synd`` has byte i set where
-    s_i is nonzero: byte k of the integer product of the two masks, Psi's
-    without psi_0; and the number of Psi's nonzero coefficients."""
-    nz = int.from_bytes(V[top:].translate(_NONZERO), "little")
-    return ((nz ^ 1) * nz_synd).to_bytes(len(V), "little"), nz.bit_count()
 
 
 def _coset_table(kernel: _BinaryKernel, n: int, t: int) -> dict[int, int]:
@@ -1774,6 +1777,7 @@ class _CyclicCode(_SpecIdentity):
         self._by_region = _chien_fits(field, n, count)
         self._chien = None  # the Chien table, set on first use
         self._cols = None  # the per-position power columns of ``_sums``, set on first use
+        self._twin = None  # the reference twin, set on first request
 
     @property
     def generator(self) -> tuple[int, ...]:
@@ -1805,29 +1809,37 @@ class _CyclicCode(_SpecIdentity):
 
     def _codeword(self, message: list) -> list[int]:
         """``_encode`` of a message list known to lie in F_s, unchecked."""
-        parity = self._remainder([0] * self.redundancy + message)
-        if self.field.p == 2:  # negation is the identity
+        parity, field = self._remainder([0] * self.redundancy + message), self.field
+        if field.p == 2:  # negation is the identity
             return [*parity, *message]
-        return [self.field.neg(v) for v in parity] + message
+        if self.s == field.p:  # digits of F_p negate mod p
+            return [-v % field.p for v in parity] + message
+        return [field.neg(v) for v in parity] + message
 
     def _remainder(self, word) -> list[int]:
         """word(x) mod the generator, for a word known to lie in F_s."""
         return _poly_remainder(self.field, word, self.generator)
 
-    def _decode_syndrome(self, synd, erasures=()) -> list[int]:
+    def _decode_syndrome(self, synd, erasures=(), count: bool = False) -> list[int]:
         """Error vector consistent with the syndrome, or DecodeFailure.
         The syndrome must be ``count`` ints of the field, else
         ShapeMismatchError (``_check_symbols``); the erasures are checked
         by ``_errors``.
 
         Each erasure position costs one syndrome, each error off them two.
+        With ``count`` the reference twin decodes (``_decoder``).
         """
         field = self.field
         _check_symbols(synd, self.count, field.order, field.spec_string())
         error = [0] * self.n
-        for pos, v in self._errors(synd, erasures).items():
+        for pos, v in _decoder(self, count)._errors(synd, erasures).items():
             error[pos] = v
         return error
+
+    def _load_twin(self):
+        """The reference twin: off the region path."""
+        self._twin = _twin(self, _by_region=False)
+        return self._twin
 
     def _errors(self, synd, erasures=()) -> dict:
         """The nonzero values of ``_decode_syndrome``'s error vector by
@@ -1877,9 +1889,16 @@ class _CyclicCode(_SpecIdentity):
 
     def _region_errors(self, synd, known=()) -> dict:
         """``_gpz_decode`` on byte regions, for a code on the region path
-        (``_by_region``): the same pattern or DecodeFailure, and
-        the same multiplications counted, from the same checked erasure
-        positions ``known``, the syndrome read as bytes.
+        (``_by_region``): the same pattern or DecodeFailure from the same
+        checked erasure positions ``known``, the syndrome read as bytes.
+        It counts no multiplication.
+
+        Without erasures a syndrome with s_(j+1) = s_j X for every j, X =
+        alpha^i, i < n, has one error, of magnitude s_1 / X: one translate
+        of its first r - 1 sums through the row of X is its last r - 1.
+        That test re-checks every sum, and a magnitude outside the base
+        field, or i >= n, goes on to the full decode, which gives its
+        DecodeFailure.
 
         A polynomial is a byte string, coefficient k in byte k, and one
         translate through the field's row of c multiplies it by c.
@@ -1893,16 +1912,7 @@ class _CyclicCode(_SpecIdentity):
         and Psi's even part at every position; at a root X^-1, Psi's odd
         part x*Psi' is one plus its even part, so each magnitude
         Omega(X^-1) / Psi'(X^-1) is one division.  The re-check is
-        ``_sums`` of the pattern against the whole syndrome.  The scalar
-        decoder's products follow from which coefficients are nonzero:
-        those of step k's discrepancy are byte k of the integer product of
-        Psi's nonzero mask past psi_0 with S's (``_step_counts``).  Where no
-        syndrome symbol is zero that byte is Psi's count of nonzero
-        coefficients past psi_0, as deg Psi <= L <= k, which one
-        ``bytes.count`` per update gives without the product, and Omega's
-        count is each nonzero psi_j, 1 <= j < L, weighted by the L - j
-        coefficients it enters.  A locator of degree 1 has its root read
-        off its log (``_chien_search``).
+        ``_sums`` of the pattern against the whole syndrome.
         """
         field, n, table = self.field, self.n, self._chien or self._load_chien()
         r, f = len(synd), len(known)
@@ -1912,88 +1922,58 @@ class _CyclicCode(_SpecIdentity):
             return {}
         exp, log, rows = field._exp, field._log, field._rows or field._load_rows()
         q1 = field.order - 1
+        if not known and r > 1 and synd[0] and synd[1]:
+            i = (log[synd[1]] - log[synd[0]]) % q1  # X = s_2 / s_1
+            if i < n and synd[:-1].translate(rows[exp[i]]) == synd[1:]:
+                value = exp[(log[synd[0]] - i) % q1]
+                if self._base_limit is None or value < self._base_limit:
+                    return {i: value}
+
+        # the erasure locator Gamma = prod (1 + alpha^pos x), T = S*Gamma
         top, size = 2 * r, 3 * r + 1
-        zeros = synd.count(0)  # zero syndrome symbols
-        nz_synd = zeros and int.from_bytes(synd.translate(_NONZERO), "little")
-        nm = 0
-        try:
-            # the erasure locator Gamma = prod (1 + alpha^pos x), T = S*Gamma
-            V = S | 1 << 8 * top
-            for pos in known:
-                Vb = V.to_bytes(size, "little")
-                nm += size - top - Vb.count(0, top)
-                V ^= int.from_bytes(Vb.translate(rows[exp[pos % q1]]), "little") << 8
+        V = S | 1 << 8 * top
+        for pos in known:
+            V ^= int.from_bytes(V.to_bytes(size, "little").translate(rows[exp[pos % q1]]),
+                                "little") << 8
 
-            # Berlekamp-Massey from Psi = prev = Gamma, as in _gpz_decode;
-            # terms counts Psi's nonzero coefficients, psi_0 = 1 among them.
-            # Step k's discrepancy costs one product per nonzero psi_j,
-            # 1 <= j <= deg Psi <= L <= k, whose s_(k-j) is nonzero: with no
-            # zero syndrome symbol terms - 1, else byte k of counts
-            Vb = V.to_bytes(size, "little")
-            if zeros:
-                counts, terms = _step_counts(Vb, top, nz_synd)
+        # Berlekamp-Massey from Psi = prev = Gamma, as in _gpz_decode
+        prev = Vb = V.to_bytes(size, "little")
+        lb, shift, L = 0, 1, f
+        for k in range(f, r):
+            d = Vb[k]
+            if not d:
+                shift += 1
+                continue
+            row = rows[exp[(log[d] - lb) % q1]]  # d / b
+            V ^= int.from_bytes(prev.translate(row), "little") << 8 * shift
+            if 2 * L <= k + f:
+                L = k + 1 + f - L
+                prev, lb, shift = Vb, log[d], 1
             else:
-                terms = size - top - Vb.count(0, top)
-            prev, prev_terms = Vb, terms
-            lb, shift, L = 0, 1, f
-            for k in range(f, r):
-                nm += counts[k] if zeros else terms - 1
-                d = Vb[k]
-                if not d:
-                    shift += 1
-                    continue
-                nm += prev_terms
-                row = rows[exp[(log[d] - lb) % q1]]  # d / b
-                V ^= int.from_bytes(prev.translate(row), "little") << 8 * shift
-                if 2 * L <= k + f:
-                    L = k + 1 + f - L
-                    prev, prev_terms, lb, shift = Vb, terms, log[d], 1
-                else:
-                    shift += 1
-                Vb = V.to_bytes(size, "little")
-                if zeros:
-                    counts, terms = _step_counts(Vb, top, nz_synd)
-                else:
-                    terms = size - top - Vb.count(0, top)
-            psi = Vb[top:].rstrip(b"\0")
-            if len(psi) - 1 != L or 2 * L - f > r:
-                raise DecodeFailure(f"no locator of {L - f} errors fits the syndrome")
+                shift += 1
+            Vb = V.to_bytes(size, "little")
+        psi = Vb[top:].rstrip(b"\0")
+        if len(psi) - 1 != L or 2 * L - f > r:
+            raise DecodeFailure(f"no locator of {L - f} errors fits the syndrome")
 
-            roots, c = _chien_search(field, psi, n, table)
-            nm += c
-            if len(roots) != L:
-                raise DecodeFailure(f"locator of degree {L} has {len(roots)} roots in range")
+        roots = _chien_search(field, psi, n, table)
+        if len(roots) != L:
+            raise DecodeFailure(f"locator of degree {L} has {len(roots)} roots in range")
 
-            # Forney: Omega = T mod x^L, and Psi'(X^-1) = X * odd(X^-1),
-            # where odd = 1 + even at a root (Psi = 1 + odd + even' there)
-            odd = psi[1::2]
-            # with no zero syndrome symbol psi_j, 1 <= j < L, costs one
-            # product in each of Omega's coefficients j .. L - 1
-            nm += sum(counts[:L]) if zeros else sum(compress(range(L - 1, 0, -1), psi[1:L]))
-            terms = L - Vb.count(0, 0, L) + len(odd) - odd.count(0)
-            m, w0 = field.m, Vb[0]
-            nums = _chien_values(table, int.from_bytes(Vb[1:L], "little"), m, n)
-            evens = _chien_values(table, int.from_bytes(psi[1:], "little") & _ODD_BYTES, m, n)
-            mags = []
-            for pos in roots:
-                num = nums[pos] ^ w0
-                nm += terms
-                if num:
-                    num = exp[(log[num] - log[evens[pos] ^ 1] - pos) % q1]
-                    nm += 1
-                mags.append(num)
-            if self._base_limit is not None and any(v >= self._base_limit for v in mags):
-                raise DecodeFailure("magnitude outside the base field")
+        # Forney: Omega = T mod x^L, and Psi'(X^-1) = X * odd(X^-1),
+        # where odd = 1 + even at a root (Psi = 1 + odd + even' there)
+        m, w0 = field.m, Vb[0]
+        nums = _chien_values(table, int.from_bytes(Vb[1:L], "little"), m, n)
+        evens = _chien_values(table, int.from_bytes(psi[1:], "little") & _ODD_BYTES, m, n)
+        mags = [exp[(log[num] - log[evens[pos] ^ 1] - pos) % q1] if (num := nums[pos] ^ w0) else 0
+                for pos in roots]
+        if self._base_limit is not None and any(v >= self._base_limit for v in mags):
+            raise DecodeFailure("magnitude outside the base field")
 
-            error = {pos: val for pos, val in zip(roots, mags) if val}
-            diff = S ^ self._sums(error.items())
-            if diff:  # the scalar re-check stops after the first wrong sum
-                nm += (((diff & -diff).bit_length() - 1) // 8 + 1) * len(error)
-                raise DecodeFailure("candidate pattern does not match the syndrome")
-            nm += r * len(error)
-            return error
-        finally:
-            MUL_COUNTER.add(nm)
+        error = {pos: val for pos, val in zip(roots, mags) if val}
+        if S != self._sums(error.items()):
+            raise DecodeFailure("candidate pattern does not match the syndrome")
+        return error
 
 
 class RsCode(_CyclicCode, LinearCode):
@@ -2096,9 +2076,10 @@ class BchCode(_CyclicCode):
     F_{p^m}; their cyclotomic cosets fix the redundancy.  Decoding reuses
     the shared syndrome decoder with base-field magnitudes.  One rule for
     both p gives the coset table, ``_by_cosets``: p^r <= ``_COSET_CAP``.
-    Only a concatenation's inner decode, ``_message_error``, reads it (over
-    odd p the counted one); ``decode_packed`` and a code above the cap
-    decode algebraically.
+    Only a concatenation's inner decode, ``_message_error``, reads it;
+    ``decode_packed`` and a code above the cap decode algebraically.  The
+    reference twin (``_load_twin``) leaves the region path, and over odd
+    p the coset table too.
     """
 
     def __init__(self, p: int, m: int, design_t: int):
@@ -2110,7 +2091,7 @@ class BchCode(_CyclicCode):
         self.p = p
         self.design_t = design_t
         self._width = (n + 7) // 8  # bytes of a packed word
-        # the coset table (over odd p the counted one), else the algebraic decode
+        # the coset table, else the algebraic decode
         self._by_cosets = p**self.redundancy <= _COSET_CAP
         self._cosets = None  # the coset table, set on first use
 
@@ -2145,21 +2126,33 @@ class BchCode(_CyclicCode):
         width = "B" if self.field.m <= 8 else "H"
         return struct.unpack(f">{self.count}{width}", kernel.power_sums(_pack_bits(remainder)))
 
-    def decode_packed(self, remainder: int) -> int:
+    def decode_packed(self, remainder: int, count: bool = False) -> int:
         """The pattern of weight <= design_t with this remainder, both
         packed into ints (digit i at bit i), or DecodeFailure; over F_2
         only.  The algebraic decode alone: ``_errors`` of the kernel's
-        power sums of the packed remainder.  The coset table has one
-        reader, ``_message_error``."""
-        kernel = self._tables or self._load_kernel()
-        return sum([1 << i for i in self._errors(kernel.power_sums(remainder))])
+        power sums of the packed remainder, with ``count`` the reference
+        twin's (``_decoder``).  The coset table has one reader,
+        ``_message_error``."""
+        sums = (self._tables or self._load_kernel()).power_sums(remainder)
+        return sum([1 << i for i in _decoder(self, count)._errors(sums)])
+
+    def _load_twin(self):
+        """The reference twin: off the region path, and over odd p off the
+        coset table; a binary coset table stays as it is."""
+        self._twin = _twin(self, _by_region=False, _by_cosets=self._by_cosets and self.p == 2)
+        return self._twin
 
     def _load_cosets(self):
-        """The coset table over F_2 (``_coset_table``), over odd p the
-        counted one (``_load_counted_cosets``)."""
-        if self.p != 2:
-            return self._load_counted_cosets()
-        self._cosets = _coset_table(self._tables or self._load_kernel(), self.n, self.design_t)
+        """The coset table: over F_2 ``_coset_table``, over odd p every
+        remainder, keyed by the bytes of its digits, mapped to its
+        ``_scalar_message_error``.  The inner codes a concatenation admits
+        have at most 2401 remainders, built in under 0.1 s."""
+        if self.p == 2:
+            self._cosets = _coset_table(self._tables or self._load_kernel(), self.n, self.design_t)
+        else:
+            self._cosets = _uncounted(lambda: {
+                key: self._scalar_message_error(key)
+                for key in map(bytes, product(range(self.p), repeat=self.redundancy))})
         return self._cosets
 
     def _message_error(self, remainder):
@@ -2169,13 +2162,10 @@ class BchCode(_CyclicCode):
         table paths.  It is the coset table's one reader, and one rule
         gives both p the table: ``_by_cosets``, p^r <= ``_COSET_CAP``.
         Over F_2 the remainder and the message are packed ints (digit i
-        at bit i): with cosets the coset table's pattern shifted down by
-        r, None where the remainder is missing, a lookup that counts no
-        product; else ``decode_packed``'s, which counts the algebraic
-        decode's.  Over odd p the remainder is the bytes of its r digits
-        and the scalar decode's multiplications are counted: with cosets
-        a lookup in the counted coset table (``_load_counted_cosets``),
-        which adds the entry's count, else the scalar decode
+        at bit i), and with cosets the coset table's pattern shifted down
+        by r, None where the remainder is missing.  Over odd p the
+        remainder is the bytes of its r digits, and with cosets the
+        table's entry.  Without cosets the scalar decode
         (``_scalar_message_error``)."""
         if not self._by_cosets:
             return self._scalar_message_error(remainder)
@@ -2183,38 +2173,21 @@ class BchCode(_CyclicCode):
         if self.p == 2:
             err = cosets.get(remainder)
             return None if err is None else err >> self.redundancy
-        error, count = cosets[remainder]
-        MUL_COUNTER.add(count)
-        return error
+        return cosets[remainder]
 
     def _scalar_message_error(self, remainder):
-        """``_message_error`` without cosets: over F_2 by
-        ``decode_packed``, over odd p by ``_gpz_decode`` of the remainder's
-        power sums, which go to the decoder unchecked: they are in range."""
+        """``_message_error`` without cosets: ``_errors`` of the
+        remainder's power sums, which go to the decoder unchecked: they are
+        in range.  Over F_2 the kernel's, over odd p ``_sparse_syndrome``'s."""
+        if self.p == 2:
+            sums = (self._tables or self._load_kernel()).power_sums(remainder)
+        else:
+            sums = _sparse_syndrome(self.field, remainder, self.count)
         try:
-            if self.p == 2:
-                return self.decode_packed(remainder) >> self.redundancy
-            errors = self._errors(_sparse_syndrome(self.field, remainder, self.count))
+            errors = self._errors(sums)
         except DecodeFailure:
             return None
-        r = self.redundancy
-        return _from_digits([errors.get(i, 0) for i in range(r, self.n)], self.p)
-
-    def _load_counted_cosets(self):
-        """Over odd p, remainder -> (``_scalar_message_error``, the
-        multiplications it counted) for every remainder, keyed by the
-        bytes of its digits.  Each entry
-        is one run of the scalar decode under MUL_COUNTER, so a lookup
-        counts exactly what the scalar decode would; the build leaves the
-        counter as it found it.  The inner codes a concatenation admits
-        have at most 2401 remainders, built in under 0.1 s."""
-        counted, table = MUL_COUNTER.n, {}
-        for digits in product(range(self.p), repeat=self.redundancy):
-            key, before = bytes(digits), MUL_COUNTER.n
-            table[key] = self._scalar_message_error(key), MUL_COUNTER.n - before
-        MUL_COUNTER.n = counted
-        self._cosets = table
-        return table
+        return _from_digits([errors.get(i, 0) for i in range(self.redundancy, self.n)], self.p)
 
     def spec_string(self) -> str:
         return f"bch({self.n},{self.design_t};gf({self.p}))"

@@ -221,6 +221,28 @@ def test_simulate_reproducible(capsys):
     assert out1 == out2
 
 
+# Whole simulate outputs, recorded before verify counted on request: a
+# code on the region path and the roster's odd-p vi concatenation.
+SIMULATE_PINS = [
+    (["--code", "cI(rs(15,7;gf(2^4)))", "--model", "random=6"],
+     "code: cI(rs(15,7;gf(2^4)))\nmodel: random=6 seed: 41\ntrials: 40\naccepts: 3\n"
+     "decode_failures: 36\nhash_mismatches: 1\naccept_rate: 0.0750\nmean_decode_mults: 81.5\n"),
+    (["--code", "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)",
+      "--model", "bursts=1x3;random=2"],
+     "code: concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)\n"
+     "model: bursts=1x3;random=2 seed: 41\ntrials: 40\naccepts: 23\ndecode_failures: 17\n"
+     "hash_mismatches: 0\naccept_rate: 0.5750\nmean_decode_mults: 133.2\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", SIMULATE_PINS, ids=["cI-15-7", "vi"])
+def test_simulate_keeps_its_recorded_output(argv, expected, capsys):
+    """40 seeded trials print what they printed when every verify
+    counted: ``mean_decode_mults`` is the reference twin's count."""
+    rc, out, _ = run(capsys, "simulate", *argv, "--trials", "40", "--seed", "41")
+    assert rc == 0 and out == expected
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["enroll", "--code", "cI(rs(7,3;gf(2^3)))"]) == 2
 

@@ -10,7 +10,7 @@ oracle here.
 An odd-p block code with one-byte outer symbols and cells * (p - 1) <= 255
 takes its syndrome as digit bytes, the sum of one column per cell reduced
 mod p, and decodes from them; a concatenation's inner decodes read the
-counted coset table.  With both caps patched to 0 the code takes the
+coset table.  With both caps patched to 0 the code takes the
 per-symbol split, ``_poly_remainder`` and ``_gpz_decode``: the oracle.
 """
 
@@ -74,8 +74,8 @@ def test_columns_give_the_lane_syndromes(spec, monkeypatch):
 def walk(code):
     """``decode_all`` of every syndrome of cI(rs(7,3;gf(2^3))), else the
     outer walk of tests/test_syndrome_space.py beside a zero residual run
-    and one nonzero in t seeded blocks: per syndrome the pattern or None,
-    and the multiplications its decode counted."""
+    and one nonzero in t seeded blocks: per syndrome the pattern or
+    None."""
     if not hasattr(code, "_chk") or not code._chk:
         return decode_all(code)
     outer = code.outer
@@ -94,12 +94,11 @@ def walk(code):
     for res in runs:
         for sums in product(range(outer.field.order), repeat=outer.redundancy):
             synd = sums + res if at == 0 else res + sums
-            before = MUL_COUNTER.count
             try:
                 got = code.decode(synd)
             except DecodeFailure:
                 got = None
-            out.append((synd, got, MUL_COUNTER.count - before))
+            out.append((synd, got))
     return out
 
 
@@ -108,11 +107,11 @@ WALKS = ["cI(rs(7,3;gf(2^3)))"] + [spec for spec, _ in BLOCK_CODES]
 
 @pytest.mark.parametrize("spec", WALKS)
 def test_syndrome_walks_decode_alike_on_both_paths(spec, monkeypatch):
-    """The same outcome and the same counted multiplications for every
-    syndrome the syndrome-space walks decode, with columns and with lanes."""
+    """The same outcome for every syndrome the syndrome-space walks
+    decode, with columns and with lanes."""
     columns = fresh(spec)
     expected = walk(columns)
-    assert any(got is not None for _, got, _ in expected)
+    assert any(got is not None for _, got in expected)
     assert columns._by_columns or columns.alphabet.p != 2
     lanes_off(monkeypatch)
     lanes = fresh(spec)
@@ -326,14 +325,11 @@ def noisy_reads(code, word, seed):
 
 
 def outcome(decode, synd):
-    """The sparse map and DecodeInfo a decode returns, or None, with the
-    multiplications it counted."""
-    before = MUL_COUNTER.count
+    """The sparse map and DecodeInfo a decode returns, or None."""
     try:
-        got = decode(synd)
+        return decode(synd)
     except DecodeFailure:
-        got = None
-    return got, MUL_COUNTER.count - before
+        return None
 
 
 def digit_runs(code, symbols):
@@ -376,9 +372,9 @@ def test_odd_columns_give_the_per_symbol_syndromes(spec, monkeypatch, fresh_code
 def test_odd_columns_decode_like_the_per_symbol_path(spec, monkeypatch, fresh_codes):
     """The verify path on digit bytes (columns, coset table) and on
     tuples (per-symbol split, scalar inner decode): the same templates,
-    VerifyResults with their decode_mults, and ``_decode`` outcomes with
-    their counts, on noisy reads and on seeded template syndromes, in
-    range and out."""
+    VerifyResults with their decode_mults (verify asked to count), and
+    ``_decode`` outcomes, on noisy reads and on seeded template
+    syndromes, in range and out."""
     code = fresh(spec)
     words = seeded_words(code, 0x0DE, 3)
     cases = [(w, r) for k, w in enumerate(words) for r in noisy_reads(code, w, k)]
@@ -392,7 +388,7 @@ def test_odd_columns_decode_like_the_per_symbol_path(spec, monkeypatch, fresh_co
         for word, read in cases:
             template = enroll(word, code)
             synd = code._body_syndrome(code._read(read))
-            results.append((template, verify(read, template, code=code),
+            results.append((template, verify(read, template, code=code, count=True),
                             outcome(code._decode, stored_minus(code, template.syndrome, synd))))
         return results + [outcome(code._decode, stored_minus(code, raw, zero)) for raw in raws]
 
@@ -405,8 +401,8 @@ def test_odd_columns_decode_like_the_per_symbol_path(spec, monkeypatch, fresh_co
     assert oracle_code._by_columns is False and code._by_columns
     accepted = [v.accepted for _, v, _ in expected[: len(cases)]]
     assert any(accepted) and not all(accepted)
-    assert any(got is None for got, _ in expected[len(cases):])
-    assert any(got is not None for got, _ in expected[len(cases):])
+    assert any(got is None for got in expected[len(cases):])
+    assert any(got is not None for got in expected[len(cases):])
 
 
 @pytest.mark.parametrize("spec", ODD_BLOCK)
@@ -468,28 +464,21 @@ def scalar_message_error(code, remainder):
 
 @pytest.mark.parametrize("spec, p, entries", [("bch(4,1;gf(5))", 5, 25),
                                               ("bch(8,1;gf(3))", 3, 81)])
-def test_the_counted_coset_table_is_the_scalar_decode(spec, p, entries):
+def test_the_odd_coset_table_is_the_scalar_decode(spec, p, entries):
     """bch(4,1;gf(5)) and bch(8,1;gf(3)): parsing builds no table, and
-    building the table on the first inner decode counts nothing beyond
-    that decode's own count.  Then every remainder's entry holds the
-    scalar decode's message error and the multiplications it counted,
-    and a lookup returns the error and counts them."""
+    the first inner decode builds it counting nothing, as a lookup counts
+    nothing.  Then every remainder's entry, which a lookup returns, is the
+    scalar decode's message error."""
     code = fresh(spec)
     assert code._cosets is None and code.p == p
-    zero = bytes(code.redundancy)
     start = MUL_COUNTER.count
-    assert code._message_error(zero) == 0 and MUL_COUNTER.count == start
+    assert code._message_error(bytes(code.redundancy)) == 0 and MUL_COUNTER.count == start
     assert len(code._cosets) == entries == p**code.redundancy <= rs._COSET_CAP
     decodable = 0
     for digits in product(range(p), repeat=code.redundancy):
         remainder = bytes(digits)
-        start = MUL_COUNTER.count
         error = scalar_message_error(code, remainder)
-        count = MUL_COUNTER.count - start
-        assert code._cosets[remainder] == (error, count)
-        start = MUL_COUNTER.count
-        assert code._message_error(remainder) == error
-        assert MUL_COUNTER.count - start == count
+        assert code._cosets[remainder] == error == code._message_error(remainder)
         decodable += error is not None
     # the remainders of the patterns of weight <= 1: 1 + n (p - 1)
     assert decodable == 1 + code.n * (p - 1)
@@ -517,17 +506,16 @@ def test_an_inner_code_above_the_coset_cap_decodes_with_the_scalar_decoder(monke
 def test_the_digit_walk_decodes_like_the_tuple_walk(fresh_codes):
     """Every syndrome of the vi walk, serialized and read back into digit
     bytes by ``stored_minus`` against the zero word, decodes by
-    ``_decode`` to the pattern the public decode gives the tuple, with
-    the same multiplications counted."""
+    ``_decode`` to the pattern the public decode gives the tuple."""
     spec = next(spec for spec in WALKS if spec.endswith("layout=vi)"))
     code = fresh(spec)
     zero = code._body_syndrome(code._read(code.zero_word()))
     expected = walk(code)
     got = []
-    for synd, _, _ in expected:
+    for synd, _ in expected:
         digits = stored_minus(code, syndrome_to_bytes(code, synd), zero)
-        result, count = outcome(code._decode, digits)
-        got.append((synd, None if result is None else code._dense(result[0]), count))
+        result = outcome(code._decode, digits)
+        got.append((synd, None if result is None else code._dense(result[0])))
     assert code._digits and type(zero) is bytes
     assert got == expected
 
@@ -574,7 +562,7 @@ def test_the_odd_tables_fit_the_code_weight():
     entries, p, m, t = max(admitted)
     assert (entries, p, m, t) == (2401, 7, 1, 2)
     inner = BchCode(p, m, t)
-    assert len(inner._load_counted_cosets()) == entries
+    assert len(inner._load_cosets()) == entries
     assert retained([inner._cosets]) < 320_000 < codespec._CODE_WEIGHT * 40
 
 

@@ -394,7 +394,7 @@ def test_impostor_decode_stops_at_first_surplus_inner_failure(monkeypatch):
     assert failing > code.outer.redundancy + 1
 
     failures = []
-    message_error = code._inner_decode  # the inner code's bound _message_error
+    message_error = code._inner_decode  # the inner code's _message_error
 
     def counting(rem):
         error = message_error(rem)

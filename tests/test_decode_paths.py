@@ -4,13 +4,10 @@
   from bit lanes, one int per check digit; ``rs._pack_runs`` is the
   oracle, and stays the path of wider parts.
 - An odd-p block code with digit columns rebuilds its touched blocks from
-  a fill table whose entries hold the count of the fill, which is also
-  that of the re-split of its block; the inner encoder and remainder,
-  measured under MUL_COUNTER, are the oracle.
+  a fill table of its symbols' fills; the inner encoder is the oracle.
 - Its decode of a digit-byte syndrome re-checks by summing the columns
-  of the cells it returns and adds the products ``_BlockCode._recheck``
-  would count on a concatenation; the same code built with the column
-  cap at 0 decodes the tuple and keeps ``_recheck``, the oracle.
+  of the cells it returns; the same code built with the column cap at 0
+  decodes the tuple and keeps ``_BlockCode._recheck``, the oracle.
 - ``BchCode._message_error`` over F_2 reads the coset table without an
   exception; ``decode_packed``, the algebraic decode alone, is the
   oracle.  One rule gives both p the table, p^r <= ``rs._COSET_CAP``; over
@@ -19,9 +16,9 @@
 - A concatenation's odd-p residual is ``_BlockCode._residual``, the check
   cells minus the fill's; the inner remainder is the oracle, values and
   counts.
-- The region decoder counts Berlekamp-Massey's discrepancy products of a
-  syndrome with no zero symbol without a mask product; the scalar
-  ``_gpz_decode`` is the oracle.
+- The region decoder gives the scalar ``_gpz_decode``'s outcome, with
+  and without an erasure, and its one-error exit gives the reference
+  twin's outcome on every one-error-shaped syndrome.
 """
 
 import math
@@ -46,11 +43,16 @@ def counted(call, *args):
     """The call's result, or its DecodeFailure's message, with the
     multiplications it counted."""
     before = MUL_COUNTER.count
-    try:
-        got = call(*args)
-    except DecodeFailure as failure:
-        got = str(failure)
+    got = outcome(call, *args)
     return got, MUL_COUNTER.count - before
+
+
+def outcome(call, *args):
+    """The call's result, or its DecodeFailure's message."""
+    try:
+        return call(*args)
+    except DecodeFailure as failure:
+        return str(failure)
 
 
 # The check digits per block of the binary golden block codes: each lane
@@ -91,41 +93,31 @@ VI = next(spec for spec in ODD_BLOCK if spec.endswith("layout=vi)"))
 
 
 @pytest.mark.parametrize("build", [lambda: fresh(VI), odd_identity], ids=["vi", "identity"])
-def test_fill_table_entries_are_the_measured_fill_and_resplit(build):
-    """Built on first use and leaving MUL_COUNTER as it found it, each
-    symbol's entry is its inner codeword and the products the inner
-    encoder counts for it, which are also those the inner remainder of
-    that codeword counts (none for an identity inner code)."""
+def test_fill_table_entries_are_the_inner_codewords(build):
+    """Built on first use and, like the columns, leaving MUL_COUNTER as it
+    found it, each symbol's entry is its inner codeword (its digits for an
+    identity inner code), which has no inner remainder."""
     code = build()
     assert code._fills is None
-    code._load_columns()
     start = MUL_COUNTER.count
+    code._load_columns()
     fills = code._load_fills()
     assert MUL_COUNTER.count == start and code._fills is fills
     field, inner = code.outer.field, code.inner
     assert len(fills) == field.order
     for sym, entry in enumerate(fills):
-        digits = field.to_base_vector(sym)
-        fill, fill_count = counted(inner.encode, digits)
-        if code._chk:
-            remainder, split_count = counted(inner.remainder, fill)
-            assert not any(remainder)
-        else:
-            split_count = 0
-        # _poly_remainder's products depend only on the message digits,
-        # which a fill and its codeword share: one count serves both
-        assert entry == (tuple(fill), fill_count) and fill_count == split_count
-    assert any(count for _, count in fills) == bool(code._chk)
+        fill = inner.encode(field.to_base_vector(sym))
+        assert entry == tuple(fill)
+        assert not code._chk or not any(inner.remainder(fill))
 
 
 @pytest.mark.parametrize("build", [lambda: fresh(VI), odd_identity], ids=["vi", "identity"])
 def test_the_column_recheck_decodes_like_the_resplit(build, monkeypatch):
     """On noisy reads and on 200 seeded stored syndromes, the decode of a
-    digit-byte syndrome (the column re-check with the fill table's
-    counts) and the decode of its tuple by the same code built with the
-    column cap at 0 (``_BlockCode._recheck``) give the same sparse map
-    and DecodeInfo, or the same DecodeFailure message, with the same
-    multiplications counted."""
+    digit-byte syndrome (the column re-check and the fill table) and the
+    decode of its tuple by the same code built with the column cap at 0
+    (``_BlockCode._recheck``) give the same sparse map and DecodeInfo, or
+    the same DecodeFailure message."""
     code = build()
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_COLUMN_CAP_CELLS", 0)
@@ -145,9 +137,9 @@ def test_the_column_recheck_decodes_like_the_resplit(build, monkeypatch):
         digits.append(stored_minus(code, raw, zero))
     outcomes = Counter()
     for synd in digits:
-        got = counted(code._decode, synd)
-        assert got == counted(oracle._decode, oracle._stored(code._template(synd)))
-        outcomes[type(got[0])] += 1
+        got = outcome(code._decode, synd)
+        assert got == outcome(oracle._decode, oracle._stored(code._template(synd)))
+        outcomes[type(got)] += 1
     assert outcomes[tuple] and outcomes[str]
 
 
@@ -194,6 +186,24 @@ def test_an_odd_block_residual_is_the_inner_remainder(spec):
         assert got[1] == counted(inner._remainder, [0] * code._chk + block[code._chk :])[1]
 
 
+def test_the_odd_residual_holds_for_every_outer_symbol():
+    """concat(inner=bch(8,2;gf(3)), outer=rs(26,20;gf(3^3)), layout=flat),
+    past the column caps: for every outer symbol the fill negates the
+    inner parity digits as ``ExtField.neg`` does, and the residual of a
+    block with seeded check cells is the block's inner remainder."""
+    code = fresh("concat(inner=bch(8,2;gf(3)), outer=rs(26,20;gf(3^3)), layout=flat)")
+    inner, field = code.inner, code.outer.field
+    assert not code._by_columns and code._sym_at == code._chk == inner.redundancy
+    rng = random.Random(0x8E6)
+    for sym in range(field.order):
+        digits = field.to_base_vector(sym)
+        parity = inner._remainder([0] * inner.redundancy + digits)
+        assert code._fill(sym) == [inner.field.neg(v) for v in parity] + digits
+        for _ in range(4):
+            block = [rng.randrange(3) for _ in range(code._chk)] + digits
+            assert code._residual(block, sym) == list(inner.remainder(block))
+
+
 @pytest.mark.parametrize("m, t, perfect", [(3, 1, True), (4, 2, False), (4, 3, False)])
 def test_binary_message_errors_are_the_shifted_packed_decodes(m, t, perfect, monkeypatch):
     """Every remainder of bch(2^m - 1, t; gf(2)): the message digits of
@@ -218,27 +228,26 @@ def test_binary_message_errors_are_the_shifted_packed_decodes(m, t, perfect, mon
     assert above._by_cosets is False and above._cosets is None
 
 
-def test_zero_free_counts_are_the_product_counts_over_the_rs_15_11_walk():
+def test_the_region_decoder_gives_the_scalar_outcome_over_the_rs_15_11_walk():
     """Every syndrome of rs(15,11;gf(2^4)), and one in seven again with
-    an erasure: the region decoder's outcome and count, read without a
-    mask product where no syndrome symbol is zero, are the scalar
-    decoder's, and both kinds of syndrome decode and fail."""
+    an erasure: the region decoder's outcome is the scalar decoder's, and
+    syndromes with and without a zero symbol both decode and fail."""
     code = RsCode(ExtField(2, 4), 15, 11)
-    assert code._load_chien()
+    assert code._by_region
     kinds = Counter()
     for k, synd in enumerate(product(range(16), repeat=4)):
         cases = [()] if k % 7 else [(), (k % 15,)]
         for known in cases:
-            got = counted(code._region_errors, bytes(synd), known)
-            assert got == counted(rs._gpz_decode, code.field, synd, 15, known)
-            kinds[0 in synd, type(got[0])] += 1
+            got = outcome(code._region_errors, bytes(synd), known)
+            assert got == outcome(rs._gpz_decode, code.field, synd, 15, known)
+            kinds[0 in synd, type(got)] += 1
     assert all(kinds[zero, kind] for zero in (False, True) for kind in (dict, str))
 
 
 def test_the_fill_table_fits_the_code_weight():
     """The size codespec._CODE_WEIGHT's comment states: about
-    112 + 8 * width bytes per entry and 8 in the table's tuple, 26 KB for
-    the 81 entries of width 26 of concat(inner=bch(26,7;gf(3)),
+    48 + 8 * width bytes per entry, 8 of them in the table's tuple, 21 KB
+    for the 81 entries of width 26 of concat(inner=bch(26,7;gf(3)),
     outer=rs(2,1;gf(3^4))), and under 160 KB for 256 entries of width 63."""
     from synfuzz import codespec
     from test_columns import retained
@@ -248,20 +257,24 @@ def test_the_fill_table_fits_the_code_weight():
     assert code._by_columns and code._load_columns() and code._digits
     fills = code._load_fills()
     assert (len(fills), code._width) == (81, 26)
-    assert 25_000 < retained([fills]) <= 81 * (112 + 8 * 26) + 56 < 27_000
-    assert 256 * (112 + 8 * 63) + 56 < 160_000 < codespec._CODE_WEIGHT * 40
+    # the p = 3 small ints the entries share: 28 bytes each
+    assert 20_000 < retained([fills]) <= 81 * (48 + 8 * 26) + 40 + 3 * 28 < 21_000
+    assert 256 * (48 + 8 * 63) + 40 < 160_000 < codespec._CODE_WEIGHT * 40
 
 
 @pytest.mark.parametrize("p, m, n", [(2, 3, 7), (2, 3, 5), (2, 8, 200), (3, 2, 8), (5, 2, 20)])
 def test_degree_one_locators_find_the_scanned_root_and_count(p, m, n):
-    """Every locator 1 + c1 x, with a Chien table over F_{2^m} and without
-    one over odd p: the root read off c1's log is the scalar scan's, with
-    its count, full length and shortened."""
+    """Every locator 1 + c1 x: the root the scalar search reads off c1's
+    log, and its count, are those of a scan that stops at the root or
+    runs past all n positions, full length and shortened; over F_{2^m}
+    the packed search, from a Chien table, finds the same root."""
     field = ExtField(p, m)
     table = rs._chien_fits(field, n, 2) and rs._chien_table(field, n, 2)
     found = Counter()
     for c1 in range(1, field.order):
-        got = rs._chien_search(field, [1, c1], n, table or None)
-        assert got == rs._chien_roots(field, [1, c1], n), c1
-        found[len(got[0])] += 1
+        scan = [i for i in range(n) if field.add(1, field.mul(c1, field.alpha_pow(-i))) == 0]
+        assert rs._chien_roots(field, [1, c1], n) == (scan, scan[0] + 1 if scan else n), c1
+        if table:
+            assert rs._chien_search(field, bytes([1, c1]), n, table) == scan, c1
+        found[len(scan)] += 1
     assert found[1] and bool(found[0]) == (n < field.order - 1)

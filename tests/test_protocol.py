@@ -284,7 +284,7 @@ def test_concat_decode_refuses_a_pattern_its_syndrome_does_not_reproduce(spec, m
     """The decoder re-checks its rebuilt pattern against the whole
     syndrome: an outer step that returns a wrong symbol error makes the
     decode fail instead of returning the pattern."""
-    code = parse_spec(spec)
+    code = oracle.fresh_code(spec)  # patched below: keep the parse cache's code clean
     word = one_cell_word(code, 600)
     synd = code.syndrome(word)
     assert code.decode(synd) == word
@@ -305,7 +305,7 @@ def test_concat_decode_refuses_a_rebuilt_block_whose_residual_is_not_stored(spec
     """The sparse re-check recomputes each touched block's residual from
     its rebuilt cells: one check cell changed after the rebuild, which
     leaves every symbol as it was, makes the decode fail."""
-    code = parse_spec(spec)
+    code = oracle.fresh_code(spec)  # patched below: keep the parse cache's code clean
     synd = code.syndrome(one_cell_word(code, 602))
     cells_of = code._cells_of
     order = code._block_order() or range(code.base_length)
@@ -328,7 +328,7 @@ def test_concat_decode_refuses_a_pattern_that_leaves_out_a_damaged_block(spec, m
     """Every block outside the rebuilt ones must have a zero stored part:
     a check cell error changes no symbol, so a decode that left its block
     out would otherwise pass the residual and power sum checks."""
-    code = parse_spec(spec)
+    code = oracle.fresh_code(spec)  # patched below: keep the parse cache's code clean
     cells = [0] * code.base_length
     cells[(code.outer.n // 2) * code._width + code._chk_at] = 1
     word = oracle.scatter(code, cells)
@@ -384,7 +384,7 @@ def test_erasure_decodes_keep_their_mult_counts():
     for spec, seed, blocks, cells in ERASURE_CASES:
         code = parse_spec(spec)
         word, read = erasure_read(code, seed, blocks, cells)
-        result = verify(read, enroll(word, code))
+        result = verify(read, enroll(word, code), count=True)
         assert result.accepted and result.recovered == word
         synd = code.syndrome_sub(code.syndrome(word), code.syndrome(read))
         if hasattr(code, "inner"):

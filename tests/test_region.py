@@ -2,11 +2,13 @@
 
 Over F_{2^m}, m <= 8, a code with a Chien table decodes on byte regions
 (``_CyclicCode._region_errors``) and takes sparse power sums from its
-per-position columns (``_sums``).  Setting a code's ``_chien`` slot to
+per-position columns (``_sums``).  Setting a code's ``_by_region`` to
 False switches both off: the code then decodes with the scalar
 ``_gpz_decode`` and the dense ``_power_sums``, the oracle here.  Every
 outcome must agree: the same error map, or the same DecodeFailure type
-and message, and the same multiplications counted.  The syndrome-space
+and message.  The region decoder counts no multiplication; what the
+public decode counts is its reference twin's, on the scalar path
+(tests/test_paths.py compares those counts).  The syndrome-space
 walks of ``rs(7,3;gf(2^3))`` and ``rs(15,11;gf(2^4))`` in
 test_syndrome_space.py make the same comparison over their whole spaces.
 """
@@ -14,6 +16,7 @@ test_syndrome_space.py make the same comparison over their whole spaces.
 import gc
 import random
 import tracemalloc
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -23,20 +26,18 @@ from synfuzz import codespec, rs
 from synfuzz.concat import ConcatCode
 from synfuzz.errors import DecodeFailure
 from synfuzz.fuzzy import enroll, syndrome_to_bytes, verify
-from synfuzz.gf import MUL_COUNTER, ExtField
+from synfuzz.gf import ExtField
 from synfuzz.rs import BchCode, RsCode
 
 from test_golden import GOLDEN, WIDE_GOLDEN, golden_word
 
 
 def outcome(decode, *args):
-    """The decode's result or its DecodeFailure, with the mults counted."""
-    before = MUL_COUNTER.count
+    """The decode's result or its DecodeFailure."""
     try:
-        got = decode(*args)
+        return decode(*args)
     except DecodeFailure as exc:
-        got = (type(exc), str(exc))
-    return got, MUL_COUNTER.count - before
+        return type(exc), str(exc)
 
 
 def region_and_scalar(monkeypatch, cyclic, decode, cases):
@@ -102,8 +103,8 @@ def test_region_decoder_matches_the_scalar_one_on_rs_255_223(monkeypatch):
                 err[pos] = rng.randrange(1, 256)
             cases.append((code.syndrome(err), tuple(where[errors:])))
     got = region_and_scalar(monkeypatch, code, code._errors, cases)
-    decoded = [errors for errors, _ in got if isinstance(errors, dict)]
-    assert len(decoded) > 18 * 12 // 2 and any(isinstance(e, tuple) for e, _ in got)
+    decoded = [errors for errors in got if isinstance(errors, dict)]
+    assert len(decoded) > 18 * 12 // 2 and any(isinstance(e, tuple) for e in got)
 
 
 def test_region_decoder_matches_the_scalar_one_on_rs_7_3_erasure_sets(monkeypatch):
@@ -115,7 +116,7 @@ def test_region_decoder_matches_the_scalar_one_on_rs_7_3_erasure_sets(monkeypatc
              for size in range(1, 5) for erased in combinations(range(7), size)
              for _ in range(48)]
     got = region_and_scalar(monkeypatch, code, code._decode_syndrome, cases)
-    assert any(isinstance(e, list) for e, _ in got) and any(isinstance(e, tuple) for e, _ in got)
+    assert any(isinstance(e, list) for e in got) and any(isinstance(e, tuple) for e in got)
 
 
 def test_region_decoder_keeps_bch_magnitudes_in_the_base_field(monkeypatch):
@@ -137,7 +138,7 @@ def test_region_decoder_keeps_bch_magnitudes_in_the_base_field(monkeypatch):
     region_and_scalar(monkeypatch, code, code.decode_packed, cases)
     cases = [(bytes(rng.randrange(64) for _ in range(code.count)),) for _ in range(300)]
     got = region_and_scalar(monkeypatch, code, code._errors, cases)
-    causes = {e[1] for e, _ in got if isinstance(e, tuple)}
+    causes = {e[1] for e in got if isinstance(e, tuple)}
     assert "magnitude outside the base field" in causes
 
 
@@ -165,7 +166,7 @@ def test_region_decoder_matches_the_scalar_one_on_every_outer_syndrome(spec, mon
              for res in {(0,) * count, tuple(seeded)}
              for sums in product(range(outer.field.order), repeat=outer.redundancy)]
     got = region_and_scalar(monkeypatch, outer, lambda synd: code._decode(bytes(synd))[0], cases)
-    assert any(e for e, _ in got if isinstance(e, dict))
+    assert any(e for e in got if isinstance(e, dict))
 
 
 def test_bch_remainder_spaces_decode_alike_through_both_decoders(monkeypatch):
@@ -206,19 +207,20 @@ def test_the_internal_syndrome_is_the_template_bytes_where_it_is_bytes(stem, spe
 @pytest.mark.parametrize("spec", ["rs(255,191;gf(2^8))", "bch(255,32;gf(2))"])
 def test_the_region_tables_fit_the_code_weight(spec):
     """The heaviest codes that decode on regions (r = 64 over gf(2^8)):
-    once a decode has built the kernel, the Chien table, the columns and
-    the field's rows, what the code retains stays under 40 bytes per unit
-    of its cache weight."""
+    once a decode of two errors (one error takes the one-error exit, which
+    needs no columns) has built the kernel, the Chien table, the columns
+    and the field's rows, what the code retains, its reference twin
+    included, stays under 40 bytes per unit of its cache weight."""
     gc.collect()
     tracemalloc.start()
     try:
         code = codespec._parse_code(spec)
         error = [0] * code.n
-        error[3] = 1
+        error[3] = error[7] = 1
         synd = code.syndrome(error)
         decode = code.decode if isinstance(code, RsCode) else code.decode_syndrome
         assert decode(synd) == error
-        assert code._chien and code._cols and code.field._rows
+        assert code._chien and code._cols and code.field._rows and code._twin is not code
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
@@ -243,8 +245,8 @@ def test_a_fresh_codes_first_decode_takes_the_warm_path(monkeypatch):
     inner estimate (one flipped message digit of block 0) subtracts it
     through the Chien table's ``_sums``, which ``_minus_sums`` builds on
     first use, and so does its second: both verifies call ``_sums`` as
-    often, get bytes from every ``_minus_sums`` and accept with no
-    multiplication counted."""
+    often, get bytes from every ``_minus_sums`` and accept, counting
+    nothing unasked."""
     code = ConcatCode(BchCode(2, 4, 2), RsCode(ExtField(2, 7), 127, 109))
     assert code.outer._chien is None
     calls, kinds = [], set()
@@ -259,6 +261,54 @@ def test_a_fresh_codes_first_decode_takes_the_warm_path(monkeypatch):
     per_verify = []
     for _ in range(2):
         calls.clear()
-        assert verify(read, template, code=code) == (True, word, None, 0)
+        assert verify(read, template, code=code) == (True, word, None, None)
         per_verify.append(len(calls))
     assert per_verify[0] == per_verify[1] > 0 and kinds == {bytes}
+
+
+def one_error_syndromes(code, positions, values):
+    """The syndrome bytes s_j = v alpha^(ij), j = 1..count, of one error
+    of value v at position i, for every position and value; a position
+    of n or more gives a syndrome of the one-error shape that no error in
+    range has."""
+    field = code.field
+    return [bytes(field.mul(v, field.alpha_pow(i * j)) for j in range(1, code.count + 1))
+            for i in positions for v in values]
+
+
+@pytest.mark.parametrize("build, positions, values, exits", [
+    (lambda: RsCode(ExtField(2, 4), 15, 7), range(15), range(1, 16), 225),
+    (lambda: RsCode(ExtField(2, 7), 40, 22), range(40), range(1, 128), 40 * 127),
+    (lambda: RsCode(ExtField(2, 7), 40, 22), range(40, 127), (1, 2, 77, 127), 0),
+    (lambda: BchCode(2, 4, 2), range(15), range(1, 16), 15),
+], ids=["rs(15,7)", "rs(40,22)", "rs(40,22)-past-n", "bch(15,2)"])
+def test_the_one_error_exit_gives_the_reference_twins_outcome(build, positions, values, exits,
+                                                             monkeypatch):
+    """Every one-error syndrome of rs(15,7;gf(2^4)) and of the shortened
+    rs(40,22;gf(2^7)) (all n positions times all q - 1 values), the
+    one-error-shaped syndromes of rs(40,22) at positions n .. q - 2, and
+    those of bch(15,2;gf(2)) at every value, whose magnitude lies in the
+    base field only at 1: the region decoder's pattern or DecodeFailure
+    cause is the reference twin's.  The exit answers the ``exits``
+    syndromes in range without a Chien search; the others go on to the
+    full decode."""
+    code = build()
+    twin = code._twin or code._load_twin()
+    assert code._by_region and twin._by_region is False
+    searches = []
+    search = rs._chien_search
+    monkeypatch.setattr(rs, "_chien_search", lambda *args: searches.append(1) or search(*args))
+    syndromes = one_error_syndromes(code, positions, values)
+    exited = 0
+    for synd in syndromes:
+        before = len(searches)
+        got = outcome(code._errors, synd)
+        assert got == outcome(twin._errors, synd), synd
+        exited += len(searches) == before
+    assert exited == exits
+    if exits < len(syndromes):
+        causes = {got[1] for got in map(partial(outcome, code._errors), syndromes)
+                  if isinstance(got, tuple)}
+        past = "magnitude outside the base field" if code.s == 2 else (
+            "locator of degree 1 has 0 roots in range")
+        assert causes == {past}

@@ -227,6 +227,18 @@ def test_ab_pairs_compares_the_checkout_with_itself(workload):
     assert ratios["total_time_ratio"] > 0 and ratios["geomean_ratio"] > 0
 
 
+def test_ab_pairs_with_count_compares_the_checkout_with_itself():
+    """An A/A ``--count`` run: verify is asked to count in both trees,
+    and every result, ``decode_mults`` included, and every count agree."""
+    root = str(SCRIPTS.parent)
+    result = run_script("ab_pairs.py", root, root, "--workload", "verify", "--seed", "3",
+                        "--words", "1", "--reps", "1", "--count")
+    assert result.returncode == 0, result.stderr.decode()
+    report = json.loads(result.stdout)
+    assert (report["count"], report["identical"], report["differences"],
+            report["mult_differences"]) == (True, True, 0, 0)
+
+
 def test_cold_pairs_compares_the_checkout_with_itself():
     """A short A/A run of scripts/cold_pairs.py: one roster spec, two
     pairs, a stream of three specs.  Every command gives the same output

@@ -11,12 +11,12 @@ checked against the results of the tuple path, not against itself.
 For each code, from one seeded word and its template: reads with 0, t/2
 and t damaged blocks (t the outer capability), four of each, and four
 impostors, each with a SHA-256 prefix of its own template's syndrome and
-verify's accepted, reason and decode_mults; then 200 seeded stored
+verify's accepted, reason and decode_mults (verify asked to count); then 200 seeded stored
 syndromes, half drawn whole at random and half the word's own syndrome
 with a few symbols redrawn, each with verify's outcome against the word
 and the public ``decode`` of the stored-minus-presented tuple: its
 error (class and message) or a SHA-256 prefix of its dense pattern, and the
-multiplications it counted.
+multiplications it counts when asked to.
 """
 
 import hashlib
@@ -59,12 +59,18 @@ def random_syndrome(code, rng, base):
 
 
 def public_decode(code, synd):
+    """The public decode's outcome, which the decode asked to count
+    repeats, and the multiplications that one counted."""
+    def outcome(**count):
+        try:
+            return sha(str(code.decode(synd, **count)).encode())
+        except SynfuzzError as e:
+            return f"{type(e).__name__}: {e}"
+
+    got = outcome()
     before = MUL_COUNTER.count
-    try:
-        outcome = sha(str(code.decode(synd)).encode())
-    except SynfuzzError as e:
-        outcome = f"{type(e).__name__}: {e}"
-    return outcome, MUL_COUNTER.count - before
+    assert outcome(count=True) == got
+    return got, MUL_COUNTER.count - before
 
 
 def record(spec, shape, q, seed) -> dict:
@@ -77,12 +83,13 @@ def record(spec, shape, q, seed) -> dict:
     reads += [golden_word(shape, q, seed + 2000 + k) for k in range(4)]
     out = {"template": template.syndrome.hex(), "reads": [], "stored": []}
     for read in reads:
-        got = verify(read, template, code=code)
+        got = verify(read, template, code=code, count=True)
         out["reads"].append([sha(enroll(read, code).syndrome), *got[0:1], *got[2:]])
     own = syndrome_from_bytes(code, template.syndrome)
     for _ in range(200):
         synd = random_syndrome(code, rng, own)
-        got = verify(word, template._replace(syndrome=syndrome_to_bytes(code, synd)), code=code)
+        got = verify(word, template._replace(syndrome=syndrome_to_bytes(code, synd)), code=code,
+                     count=True)
         diff = code.syndrome_sub(synd, code.syndrome(word))
         out["stored"].append([got.accepted, got.reason, got.decode_mults,
                               *public_decode(code, diff)])

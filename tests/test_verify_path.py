@@ -5,8 +5,8 @@ characteristic 2 with one-byte symbols as one XOR of two ints), decodes
 through the code's internal sparse ``_decode`` and adds the sparse error
 map onto a copy of the presented word.  The reference here is the dense
 path: the stored syndrome parsed by ``syndrome_from_bytes``, subtracted
-by ``syndrome_sub``, decoded by the public ``code.decode`` and added on
-cell by cell.  Both must give the same VerifyResult on every golden
+by ``syndrome_sub``, decoded by the public ``code.decode`` asked to
+count and added on cell by cell.  Both must give the same VerifyResult on every golden
 construction, for genuine reads at and below capability and for
 impostors.  The difference verify decodes, in the code's own form, is
 the template serialization of the dense path's tuple difference.
@@ -50,7 +50,7 @@ def reference_verify(code, data, template):
     diff = code.syndrome_sub(stored, code.syndrome(data))
     before = MUL_COUNTER.count
     try:
-        pattern = code.decode(diff)
+        pattern = code.decode(diff, count=True)
     except DecodeFailure:
         return VerifyResult(False, None, "DecodeFailure", MUL_COUNTER.count - before), None
     mults = MUL_COUNTER.count - before
@@ -87,8 +87,8 @@ def damaged(code, word, blocks, rng):
 @pytest.mark.parametrize("stem,spec,shape,q,seed", ALL_GOLDEN, ids=ALL_IDS)
 def test_verify_matches_the_dense_reference(stem, spec, shape, q, seed):
     """Genuine reads with 0 .. t damaged blocks (t the outer capability)
-    and impostors: the same accepted, recovered, reason and decode_mults as
-    the dense reference, a sparse map equal to the dense pattern's nonzero
+    and impostors: the same accepted, recovered, reason and, asked for,
+    decode_mults as the dense reference (None unasked), a sparse map equal to the dense pattern's nonzero
     cells, and a recovered word that is a new list of new rows."""
     code = parse_spec(spec)
     t = code.outer.t if hasattr(code, "outer") else code.t
@@ -100,8 +100,9 @@ def test_verify_matches_the_dense_reference(stem, spec, shape, q, seed):
     outcomes = set()
     for read in reads:
         expected, pattern = reference_verify(code, read, template)
-        got = verify(read, template, code=code)
+        got = verify(read, template, code=code, count=True)
         assert got == expected
+        assert verify(read, template, code=code) == expected._replace(decode_mults=None)
         outcomes.add(got.reason)
         if pattern is not None:
             diff = stored_minus(code, template.syndrome, code._body_syndrome(code._read(read)))
@@ -216,3 +217,66 @@ def test_every_stored_symbol_is_range_checked_where_it_lies(stem, spec, shape, q
                         stored_minus(code, bytes(raw), zero)
         at += count * width
     assert at == len(zero)
+
+
+class Untouchable:
+    """A MUL_COUNTER stand-in that fails any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"MUL_COUNTER.{name} used")
+
+    def __setattr__(self, name, value):
+        raise AssertionError(f"MUL_COUNTER.{name} set")
+
+
+@pytest.mark.parametrize("spec", ["rs(255,223;gf(2^8))", "cI(rs(7,3;gf(2^3)))"])
+def test_a_default_verify_on_the_region_path_uses_no_counter(spec, monkeypatch):
+    """Genuine reads with 0 .. t damaged blocks and an impostor: unasked,
+    verify makes no MUL_COUNTER call and reports ``decode_mults`` None;
+    asked, it reports the reference twin's count."""
+    from synfuzz import expand, fuzzy, gf, rs
+
+    code = parse_spec(spec)
+    t = code.outer.t if hasattr(code, "outer") else code.t
+    rng = random.Random(41)
+    word = golden_word(code.shape, 2, 41)
+    template = enroll(word, code)
+    reads = [damaged(code, word, blocks, rng) for blocks in range(t + 1)]
+    reads.append(golden_word(code.shape, 2, 42))
+    counted = [verify(read, template, code=code, count=True) for read in reads]
+    assert any(r.decode_mults for r in counted) and any(not r.accepted for r in counted)
+    for module in (expand, fuzzy, gf, rs):
+        monkeypatch.setattr(module, "MUL_COUNTER", Untouchable())
+    assert [verify(read, template, code=code) for read in reads] == [
+        r._replace(decode_mults=None) for r in counted]
+
+
+@pytest.mark.parametrize("spec", [
+    "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)",
+    "concat(inner=bch(8,2;gf(3)), outer=rs(26,20;gf(3^3)), layout=flat)",
+])
+def test_an_odd_codes_table_builds_count_nothing(spec):
+    """On a new odd-p concatenation, whose first reads build its coset
+    table and, for vi, its columns and fill table: each default verify
+    counts in MUL_COUNTER what it counts again on the built tables (the
+    scalar pieces of its path alone) and reports ``decode_mults`` None."""
+    import oracle
+
+    code = oracle.fresh_code(spec)
+    assert code.inner._cosets is None and code._fills is None
+    rng = random.Random(43)
+    word = golden_word(code.shape, code.alphabet.order, 43)
+    template = enroll(word, code)
+    reads = [damaged(code, word, blocks, rng) for blocks in range(code.outer.t + 1)]
+    reads.append(golden_word(code.shape, code.alphabet.order, 44))
+
+    def counts():
+        out = []
+        for read in reads:
+            before = MUL_COUNTER.count
+            assert verify(read, template, code=code).decode_mults is None
+            out.append(MUL_COUNTER.count - before)
+        return out
+
+    assert counts() == counts()
+    assert code.inner._cosets and bool(code._fills) == code._by_columns
