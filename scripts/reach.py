@@ -64,9 +64,9 @@ ALLOWED = {
     "gf.ExtField.mul": C01_C10,
     "gf.ExtField.to_companion_matrix": C01_C10,
     "gf.MulCounter.count": "read by perfbench/spans.py for the traced gf.mults",
-    "rs.BchCode.decode_packed": "the public algebraic decode of a packed binary remainder; "
-                                "an inner decode reaches its decoder through "
-                                "_scalar_message_error",
+    "rs.BchCode.decode_packed": "the public algebraic decode of a packed binary remainder, "
+                                "which counts on no request; an inner decode reaches "
+                                "the same _errors through _scalar_message_error",
     "rs.BchCode.power_sums": TARGET,
     "rs.BchCode.remainder": TARGET,
     "rs.BchCode.syndrome": TARGET,
@@ -80,7 +80,6 @@ ALLOWED = {
     "rs._SpecIdentity.__eq__": DUNDER,
     "rs._SpecIdentity.__hash__": DUNDER,
     "rs._SpecIdentity.__repr__": DUNDER,
-    "rs._decoder": "the code or its reference twin for the public decodes, each " + TARGET,
 }
 
 

@@ -45,8 +45,7 @@ from functools import partial
 
 from .errors import ShapeMismatchError, ShapeUnsupportedError
 from .concat import FlatLayout, VLayout
-from .gf import MUL_COUNTER
-from .rs import RsCode, _BlockCode, _check_symbols
+from .rs import RsCode, _BlockCode, _check_symbols, _uncounted
 
 KIND_ROW = "row-vector"
 KIND_ROW_PARITY = "row-vector-parity"
@@ -151,13 +150,9 @@ class ExpandedCode(_BlockCode):
         return None if self.kind == KIND_ROW_PARITY else 0
 
     def _recheck(self, found, touched, parts, sums) -> None:
-        """``_BlockCode._recheck``, counting nothing: an expansion's decode
-        counts the products of its outer decode alone."""
-        counted = MUL_COUNTER.n
-        try:
-            super()._recheck(found, touched, parts, sums)
-        finally:
-            MUL_COUNTER.n = counted
+        """``_BlockCode._recheck`` under ``rs._uncounted``: an expansion's
+        decode counts the products of its outer decode alone."""
+        _uncounted(partial(super()._recheck, found, touched, parts, sums))
 
     # ------------------------------------------------------------------
     # expansion

@@ -72,7 +72,7 @@ from .errors import (
     UnsupportedHashError,
 )
 from .gf import MUL_COUNTER
-from .rs import enrollable
+from .rs import _decoder, enrollable
 
 # Each algorithm id's ``hashlib`` constructor name and digest size.
 _HASHES = {
@@ -174,19 +174,6 @@ def stored_minus(code, raw: bytes, presented):
     return code._stored_minus(raw, presented)
 
 
-def _twin_mults(code, raw: bytes, body) -> int:
-    """The multiplications the code's reference twin counts decoding the
-    stored syndrome bytes ``raw`` minus the syndrome of a read body."""
-    twin = code._twin or code._load_twin()
-    diff = twin._stored_minus(raw, twin._body_syndrome(body))
-    before = MUL_COUNTER.n
-    try:
-        twin._decode(diff)
-    except DecodeFailure:
-        pass
-    return MUL_COUNTER.n - before
-
-
 def syndrome_from_bytes(code, raw: bytes) -> tuple:
     """Inverse of syndrome_to_bytes; every symbol must lie in its run's field."""
     return code._stored(raw)
@@ -260,19 +247,23 @@ def verify(data, template: Template, code=None, count: bool = False) -> VerifyRe
     digest matches the template; otherwise reports DecodeFailure or
     HashMismatch.
 
-    ``decode_mults`` is None unless ``count``: then verify also takes the
-    word's syndrome, the stored difference and its decode on the code's
-    reference twin (the ``rs`` module docstring), and reports the
-    multiplications that decode counts.  Its outcome is verify's.
+    ``decode_mults`` is None unless ``count``: then the code's reference
+    twin (``rs._decoder``, the ``rs`` module docstring) reads the word,
+    subtracts, decodes and hashes in the code's place, and reports the
+    multiplications its one decode counts.  Its outcome is the code's.
     """
     if code is None:
         code = codespec.parse_spec(template.code_spec)
-    body = enrollable(code)._read(data)
+    code = _decoder(enrollable(code), count)
+    body = code._read(data)
     diff = stored_minus(code, template.syndrome, code._body_syndrome(body))
-    mults = _twin_mults(code, template.syndrome, body) if count else None
+    counted = MUL_COUNTER.n if count else None
     try:
         errors = code._decode(diff)[0]
     except DecodeFailure:
+        errors = None
+    mults = None if counted is None else MUL_COUNTER.n - counted
+    if errors is None:
         return VerifyResult(False, None, "DecodeFailure", mults)
     candidate = _patched(code, body, errors)
     digest = hash_digest(template.hash_alg, code._head + candidate)

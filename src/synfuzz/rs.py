@@ -66,10 +66,11 @@ which shares the tables built so far, or the code itself where it takes
 none of those paths.  ``decode_mults`` is the twin's count: its scalar
 paths count one multiplication per nonzero product (``_gpz_decode``,
 ``_poly_remainder``, ``_sparse_syndrome``) and no fast path counts.  A
-table build counts nothing (``_uncounted``).  The public ``decode``,
-``decode_syndrome`` and ``decode_packed``, like ``fuzzy.verify``, take
-``count``: with it the twin decodes and counts, else the code itself
-(``_decoder``).
+table build counts nothing (``_uncounted``, the one writer of the
+counter back).  One rule serves every entry point that takes ``count``:
+the public ``decode`` and ``decode_syndrome`` and ``fuzzy.verify`` run
+on ``_decoder``'s code, the twin alone with ``count`` and the code
+itself without, so a counted call runs one decode, never two.
 
 Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
 come from a packed kernel: a table-driven LFSR reduces the word modulo
@@ -112,12 +113,14 @@ first trying one error, which one translate of the syndrome tests.  A
 binary BCH code with cosets decodes a packed remainder in its inner
 decode by one lookup in its coset-leader table, the remainder of every
 pattern of weight <= design_t (``_coset_table``; standard-array
-decoding, Slepian 1956); ``decode_packed`` is the algebraic decode.  An
-odd-p one's coset table maps every remainder to the message error of
-the scalar decode (``BchCode._load_cosets``).  So a concatenation's
-inner decode is one call for both p, ``BchCode._message_error``, the
-coset table's one reader: a lookup that gives the message digits, or
-None for an erasure, with no exception raised or caught.
+decoding, Slepian 1956), which its coset table keys to the pattern's
+message digits; ``decode_packed`` is the algebraic decode.  An odd-p
+one's coset table maps every remainder, a tuple of its digits, to the
+message error of the scalar decode (``BchCode._load_cosets``).  So a
+concatenation's inner decode is one call for both p,
+``BchCode._message_error``, the coset table's one reader: one ``get``
+that gives the message digits, or None for an erasure, with no
+exception raised or caught.
 
 Every table (generator, kernel, Chien table, the columns of ``_sums``,
 coset and check tables, a block code's per-cell columns, digit maps and
@@ -493,8 +496,9 @@ def _twin(code, **paths):
 
 
 def _decoder(code, count: bool):
-    """The code the public decodes run: the code itself, or with
-    ``count`` its reference twin, whose scalar paths count the decode's
+    """The code a call with ``count`` runs on, for the public decodes and
+    ``fuzzy.verify`` alike: the code itself, or with ``count`` its
+    reference twin alone, whose scalar paths count the decode's
     multiplications in MUL_COUNTER."""
     return (code._twin or code._load_twin()) if count else code
 
@@ -947,12 +951,13 @@ class _BlockCode(LinearCode):
 
     def _parts(self, res) -> list:
         """Each block's residual from the flat residuals of consecutive
-        blocks: an int over F_2 (digit j at bit j), else the bytes of its
-        digits; 0 where it is zero.  Without check cells every one of the
-        n parts is 0.  Over F_2 with at most 8 check digits the parts are
-        bytes, byte i block i's: lane k, ``res[k::chk]`` read as a
-        little-endian int, holds digit k of every block in bit 0 of its
-        byte, so the lanes shifted by k and summed are the parts."""
+        blocks: an int over F_2 (digit j at bit j), else the tuple of its
+        digits, which over F_p, p > 256, may exceed a byte; 0 where it is
+        zero.  Without check cells every one of the n parts is 0.  Over
+        F_2 with at most 8 check digits the parts are bytes, byte i block
+        i's: lane k, ``res[k::chk]`` read as a little-endian int, holds
+        digit k of every block in bit 0 of its byte, so the lanes shifted
+        by k and summed are the parts."""
         chk = self._chk
         if not chk:
             return [0] * self.outer.n
@@ -963,9 +968,8 @@ class _BlockCode(LinearCode):
             for k in range(chk):  # byte i of lane k is digit k of part i
                 packed |= int.from_bytes(res[k::chk], "little") << k
             return packed.to_bytes(len(res) // chk, "little")
-        res, zero = bytes(res), bytes(chk)
-        parts = [res[at : at + chk] for at in range(0, len(res), chk)]
-        return [part if part != zero else 0 for part in parts]
+        parts = [tuple(res[at : at + chk]) for at in range(0, len(res), chk)]
+        return [part if any(part) else 0 for part in parts]
 
     def _rebuild(self, syms, parts) -> list:
         """The word whose blocks hold the symbols ``syms`` with residuals
@@ -2126,15 +2130,14 @@ class BchCode(_CyclicCode):
         width = "B" if self.field.m <= 8 else "H"
         return struct.unpack(f">{self.count}{width}", kernel.power_sums(_pack_bits(remainder)))
 
-    def decode_packed(self, remainder: int, count: bool = False) -> int:
+    def decode_packed(self, remainder: int) -> int:
         """The pattern of weight <= design_t with this remainder, both
         packed into ints (digit i at bit i), or DecodeFailure; over F_2
         only.  The algebraic decode alone: ``_errors`` of the kernel's
-        power sums of the packed remainder, with ``count`` the reference
-        twin's (``_decoder``).  The coset table has one reader,
-        ``_message_error``."""
+        power sums of the packed remainder.  The coset table has one
+        reader, ``_message_error``."""
         sums = (self._tables or self._load_kernel()).power_sums(remainder)
-        return sum([1 << i for i in _decoder(self, count)._errors(sums)])
+        return sum([1 << i for i in self._errors(sums)])
 
     def _load_twin(self):
         """The reference twin: off the region path, and over odd p off the
@@ -2143,16 +2146,19 @@ class BchCode(_CyclicCode):
         return self._twin
 
     def _load_cosets(self):
-        """The coset table: over F_2 ``_coset_table``, over odd p every
-        remainder, keyed by the bytes of its digits, mapped to its
-        ``_scalar_message_error``.  The inner codes a concatenation admits
-        have at most 2401 remainders, built in under 0.1 s."""
+        """The coset table, remainder to message digits: over F_2 the
+        remainder of every pattern of ``_coset_table`` to the pattern
+        shifted down by r; over odd p every remainder, a tuple of its
+        digits, to its ``_scalar_message_error``.  The inner codes a
+        concatenation admits have at most 2401 remainders, built in under
+        0.1 s."""
+        r = self.redundancy
         if self.p == 2:
-            self._cosets = _coset_table(self._tables or self._load_kernel(), self.n, self.design_t)
+            patterns = _coset_table(self._tables or self._load_kernel(), self.n, self.design_t)
+            self._cosets = {rem: err >> r for rem, err in patterns.items()}
         else:
             self._cosets = _uncounted(lambda: {
-                key: self._scalar_message_error(key)
-                for key in map(bytes, product(range(self.p), repeat=self.redundancy))})
+                key: self._scalar_message_error(key) for key in product(range(self.p), repeat=r)})
         return self._cosets
 
     def _message_error(self, remainder):
@@ -2162,18 +2168,13 @@ class BchCode(_CyclicCode):
         table paths.  It is the coset table's one reader, and one rule
         gives both p the table: ``_by_cosets``, p^r <= ``_COSET_CAP``.
         Over F_2 the remainder and the message are packed ints (digit i
-        at bit i), and with cosets the coset table's pattern shifted down
-        by r, None where the remainder is missing.  Over odd p the
-        remainder is the bytes of its r digits, and with cosets the
-        table's entry.  Without cosets the scalar decode
+        at bit i); over odd p the remainder is the tuple of its r digits.
+        With cosets one lookup in the table, which over F_2 misses a
+        remainder no such pattern has; without, the scalar decode
         (``_scalar_message_error``)."""
         if not self._by_cosets:
             return self._scalar_message_error(remainder)
-        cosets = self._cosets or self._load_cosets()
-        if self.p == 2:
-            err = cosets.get(remainder)
-            return None if err is None else err >> self.redundancy
-        return cosets[remainder]
+        return (self._cosets or self._load_cosets()).get(remainder)
 
     def _scalar_message_error(self, remainder):
         """``_message_error`` without cosets: ``_errors`` of the

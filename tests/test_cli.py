@@ -85,6 +85,25 @@ def test_verify_accepts_same_file(tmp_path, capsys):
     assert rc == 0 and "ACCEPT" in out
 
 
+@pytest.mark.parametrize("spec,p", [("cI+parity(rs(20,12;gf(257)))", 257),
+                                    ("cI+parity(rs(40,30;gf(65521)))", 65521)])
+def test_verify_accepts_one_wide_prime_cell_at_every_magnitude(tmp_path, capsys, spec, p):
+    """A parity expansion over gf(p), p > 256: one cell changed by 1,
+    255, 256 or p - 1, a residual digit past a byte, verifies (exit 0)."""
+    code = parse_spec(spec)
+    rng = random.Random(49)
+    x = code.expand(code.rs.encode([rng.randrange(p) for _ in range(code.rs.k)]))
+    data, noisy, tpl = tmp_path / "x.txt", tmp_path / "y.txt", tmp_path / "x.sfh"
+    write_word(data, x)
+    assert run(capsys, "enroll", "--code", spec, "--in", str(data), "--out", str(tpl))[0] == 0
+    for magnitude in (1, 255, 256, p - 1):
+        read = list(x)
+        read[5] = (read[5] + magnitude) % p
+        write_word(noisy, read)
+        rc, out, _ = run(capsys, "verify", "--template", str(tpl), "--in", str(noisy))
+        assert rc == 0 and "ACCEPT" in out, magnitude
+
+
 def test_verify_accepts_in_capability_burst(tmp_path, capsys):
     code = parse_spec("cI(rs(7,3;gf(2^3)))")
     x = [random.Random(7).randrange(2) for _ in range(21)]

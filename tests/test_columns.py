@@ -467,16 +467,15 @@ def scalar_message_error(code, remainder):
 def test_the_odd_coset_table_is_the_scalar_decode(spec, p, entries):
     """bch(4,1;gf(5)) and bch(8,1;gf(3)): parsing builds no table, and
     the first inner decode builds it counting nothing, as a lookup counts
-    nothing.  Then every remainder's entry, which a lookup returns, is the
-    scalar decode's message error."""
+    nothing.  Then every remainder's entry, keyed by the tuple of its
+    digits, which a lookup returns, is the scalar decode's message error."""
     code = fresh(spec)
     assert code._cosets is None and code.p == p
     start = MUL_COUNTER.count
-    assert code._message_error(bytes(code.redundancy)) == 0 and MUL_COUNTER.count == start
+    assert code._message_error((0,) * code.redundancy) == 0 and MUL_COUNTER.count == start
     assert len(code._cosets) == entries == p**code.redundancy <= rs._COSET_CAP
     decodable = 0
-    for digits in product(range(p), repeat=code.redundancy):
-        remainder = bytes(digits)
+    for remainder in product(range(p), repeat=code.redundancy):
         error = scalar_message_error(code, remainder)
         assert code._cosets[remainder] == error == code._message_error(remainder)
         decodable += error is not None

@@ -13,6 +13,7 @@ from synfuzz.errors import (
     DecodeFailure,
     ShapeMismatchError,
     ShapeUnsupportedError,
+    SynfuzzError,
 )
 from synfuzz.expand import ExpandedCode
 from synfuzz.fuzzy import canonical_bytes, enroll, verify
@@ -453,3 +454,42 @@ def test_odd_p_expansions_without_check_cells(spec, alphabet, kind, n1, n2):
     result = verify(word(noisy), enroll(word(flat), code), code=code)
     assert result.accepted and result.recovered == word(flat)
     assert canonical_bytes(code, word(flat)) == oracle.serialize(alphabet, p, shape, word(flat))
+
+
+WIDE_PARITY = [("cI+parity(rs(20,12;gf(257)))", 257), ("cI+parity(rs(40,30;gf(65521)))", 65521)]
+
+
+@pytest.mark.parametrize("spec,p", WIDE_PARITY)
+def test_a_wide_prime_parity_expansion_corrects_one_cell_at_every_magnitude(spec, p):
+    """Over gf(p), p > 256, a block's residual digit may exceed a byte.
+    A read with one cell changed by 1, 255, 256 or p - 1 verifies back to
+    the enrolled word, counted or not; one with a cell changed in every
+    block but one, past the parity layout's erasure capability, is
+    refused with DecodeFailure."""
+    code = parse_spec(spec)
+    rng = random.Random(47)
+    word = code.expand(code.rs.encode([rng.randrange(p) for _ in range(code.rs.k)]))
+    template = enroll(word, code)
+    for magnitude in (1, 255, 256, p - 1):
+        read = list(word)
+        read[3] = (read[3] + magnitude) % p
+        assert verify(read, template, code=code) == (True, word, None, None)
+        assert verify(read, template, code=code, count=True)[:3] == (True, word, None)
+    past = list(word)
+    for block in range(code.rs.redundancy + 1):
+        past[2 * block] = (past[2 * block] + 256) % p
+    assert verify(past, template, code=code)[:3] == (False, None, "DecodeFailure")
+
+
+@pytest.mark.parametrize("spec,p", WIDE_PARITY)
+def test_a_wide_prime_parity_decode_raises_only_library_errors(spec, p):
+    """Random syndromes, whose residual digits mostly exceed a byte,
+    decode or raise a SynfuzzError."""
+    code = parse_spec(spec)
+    rng = random.Random(48)
+    for _ in range(20):
+        synd = [rng.randrange(p) for _ in range(code.syndrome_symbol_count())]
+        try:
+            code.decode(synd)
+        except SynfuzzError:
+            pass

@@ -119,10 +119,10 @@ def reads_of(code, seed):
 def test_every_path_combination_enrolls_and_verifies_alike(spec):
     """Every combination of the flags the code has on, each turned off on
     a fresh code: the same template text, and per read the same
-    acceptance, recovered word and reason.  ``decode_mults``, asked for,
-    is the same too, except between combinations that differ in a binary
-    inner code's coset table, which the reference twin keeps as built and
-    whose lookups count no product."""
+    acceptance, recovered word and reason, counted or not.
+    ``decode_mults``, asked for, is the same too, except between
+    combinations that differ in a binary inner code's coset table, which
+    the reference twin keeps as built and whose lookups count no product."""
     base = fresh_code(spec)
     on, (word, reads) = paths_on(base), reads_of(base, 0x9A7)
     binary_inner = "inner._by_cosets" in on and base.inner.p == 2
@@ -133,6 +133,7 @@ def test_every_path_combination_enrolls_and_verifies_alike(spec):
             template = enroll(word, code)
             results = [verify(read, template, code=code, count=True) for read in reads]
             got = (template.to_text(), [result[:3] for result in results])
+            assert [verify(read, template, code=code)[:3] for read in reads] == got[1], off
             if first is None:
                 first = got
                 assert any(r.accepted for r in results) and not all(r.accepted for r in results)

@@ -196,9 +196,10 @@ def test_flagged_parity_blocks_are_the_erasures_of_the_outer_decode():
 def test_coset_table_and_fallback_agree_on_every_remainder(m, t, decodable, monkeypatch):
     """Every packed remainder of a binary BCH code gives the same message
     digits through the inner decode (``_message_error``) from the coset
-    table and, above its cap, through the syndrome decoder; each pattern
-    found, the table's, has that remainder and those message digits, and
-    is the algebraic decode's (``decode_packed``)."""
+    table and, above its cap, through the syndrome decoder; the table
+    holds exactly the decodable remainders, and each pattern found
+    (``rs._coset_table``'s) has that remainder and those message digits,
+    and is the algebraic decode's (``decode_packed``)."""
 
     def outcomes(code):
         return [code._message_error(rem) for rem in range(1 << code.redundancy)]
@@ -210,7 +211,9 @@ def test_coset_table_and_fallback_agree_on_every_remainder(m, t, decodable, monk
     fallback = BchCode(2, m, t)
     assert outcomes(fallback) == from_table
     assert fallback._by_cosets is False and fallback._cosets is None
-    found = [(rem, table._cosets[rem]) for rem, err in enumerate(from_table) if err is not None]
+    patterns = rs._coset_table(table._tables, table.n, t)
+    found = sorted(patterns.items())
+    assert [rem for rem, _ in found] == [rem for rem, e in enumerate(from_table) if e is not None]
     assert len(found) == decodable == ball_volume(table.n, 2, t) == len(table._cosets)
     for rem, err in found:
         bits = [err >> i & 1 for i in range(table.n)]

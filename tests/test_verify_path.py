@@ -234,7 +234,7 @@ def test_a_default_verify_on_the_region_path_uses_no_counter(spec, monkeypatch):
     """Genuine reads with 0 .. t damaged blocks and an impostor: unasked,
     verify makes no MUL_COUNTER call and reports ``decode_mults`` None;
     asked, it reports the reference twin's count."""
-    from synfuzz import expand, fuzzy, gf, rs
+    from synfuzz import fuzzy, gf, rs
 
     code = parse_spec(spec)
     t = code.outer.t if hasattr(code, "outer") else code.t
@@ -245,10 +245,40 @@ def test_a_default_verify_on_the_region_path_uses_no_counter(spec, monkeypatch):
     reads.append(golden_word(code.shape, 2, 42))
     counted = [verify(read, template, code=code, count=True) for read in reads]
     assert any(r.decode_mults for r in counted) and any(not r.accepted for r in counted)
-    for module in (expand, fuzzy, gf, rs):
+    for module in (fuzzy, gf, rs):
         monkeypatch.setattr(module, "MUL_COUNTER", Untouchable())
     assert [verify(read, template, code=code) for read in reads] == [
         r._replace(decode_mults=None) for r in counted]
+
+
+@pytest.mark.parametrize("spec", [
+    "cI(rs(7,3;gf(2^3)))",
+    "concat(inner=bch(15,2;gf(2)), outer=rs(127,109;gf(2^7)), layout=flat)",
+    "concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)",
+])
+def test_a_counted_verify_runs_on_the_reference_twin_alone(spec):
+    """With the twin built and the code's own ``_decode`` made to raise,
+    a counted verify still gives the default verify's outcome, with
+    ``decode_mults`` set: the code's own decoder never runs."""
+    import oracle
+
+    code = oracle.fresh_code(spec)
+    rng = random.Random(45)
+    word = golden_word(code.shape, code.alphabet.order, 45)
+    template = enroll(word, code)
+    reads = [damaged(code, word, blocks, rng) for blocks in range(code.outer.t + 1)]
+    reads.append(golden_word(code.shape, code.alphabet.order, 46))
+    defaults = [verify(read, template, code=code) for read in reads]
+    assert any(r.accepted for r in defaults) and not all(r.accepted for r in defaults)
+    assert code._load_twin() is not code
+
+    def refuse(synd):
+        raise AssertionError("the fast decoder ran")
+
+    code._decode = refuse
+    counted = [verify(read, template, code=code, count=True) for read in reads]
+    assert [r[:3] for r in counted] == [r[:3] for r in defaults]
+    assert all(r.decode_mults is not None for r in counted) and any(r.decode_mults for r in counted)
 
 
 @pytest.mark.parametrize("spec", [
