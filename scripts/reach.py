@@ -74,8 +74,12 @@ ALLOWED = {
     "rs._CyclicCode._decode_syndrome": TARGET + " (RsCode and BchCode.decode_syndrome)",
     "rs.LinearCode._block_order": "test oracle: tests/oracle.py gathers a plain code's word",
     "rs.LinearCode._check_syndrome": "the syndrome check of decode, " + TARGET,
+    "rs.LinearCode._stored": "the tuple reader behind syndrome and syndrome_from_bytes (each "
+                             + TARGET + ") and the messages of a malformed stored syndrome",
     "rs.LinearCode.decode": TARGET + " (ExpandedCode.decode, ConcatCode.decode)",
     "rs.LinearCode.syndrome": TARGET + " (RsCode, ExpandedCode and ConcatCode.syndrome)",
+    "rs.LinearCode.syndrome_sub": "the public difference of two tuple syndromes, the "
+                                  "reference the tests hold _stored_minus to",
     "rs.LinearCode.zero_word": C01_C10,
     "rs._SpecIdentity.__eq__": DUNDER,
     "rs._SpecIdentity.__hash__": DUNDER,

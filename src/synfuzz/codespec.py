@@ -49,7 +49,7 @@ nothing mutates it after its lazy slots fill, and two threads filling
 the same slot at once build equal tables.
 """
 
-import threading
+import _thread
 from collections import OrderedDict
 from functools import partial
 
@@ -110,7 +110,7 @@ _FIELD_WEIGHT = 2
 # outer=rs(16644,16580;gf(2^16)), layout=flat) weighs the whole bound.
 _CACHE_BOUND = MAX_CELLS + (1 << 17) + (1 << 14) + (1 << 7)
 _codes: OrderedDict = OrderedDict()  # spec text -> (code, weight)
-_codes_lock = threading.Lock()
+_codes_lock = _thread.allocate_lock()  # threading.Lock, without importing threading
 _codes_weight = 0
 
 

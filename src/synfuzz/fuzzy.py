@@ -5,17 +5,17 @@ next to the word's syndrome under the chosen code; the word itself is
 never stored.  Both come from one read of the word (``code._read``): its
 checked canonical body, the cells row-major as bytes, which the code's
 digest head prefixes for the hash and ``code._body_syndrome`` takes the
-syndrome of, in the code's own form (the form rule of the ``rs``
-module docstring), which the code turns into the template's bytes
-(``syndrome_to_bytes``).  This module tests no syndrome's form: the code
-converts, range-checks and subtracts.  Verification makes one pass: it
-reads the presented word once the same way, has the code read and
-range-check the stored syndrome once while subtracting the presented
-syndrome from it (``stored_minus``), decodes the difference with the
-code's internal ``_decode`` to a sparse map from row-major cell offset
-to error value, changes those few cells of a copy of the body and
-accepts only when the digest of the result matches the stored digest;
-only then is the recovered word built as a list (``apply_pattern``).
+syndrome of, as the template's bytes (the form rule of the ``rs``
+module docstring), stored as they are (``syndrome_to_bytes``).  This
+module tests no syndrome's form: the code range-checks and subtracts.
+Verification makes one pass: it reads the presented word once the same
+way, has the code range-check the stored syndrome bytes once while
+subtracting the presented syndrome's from them (``code._stored_minus``),
+decodes the difference with the code's internal ``_decode`` to a sparse
+map from row-major cell offset to error value, changes those few cells
+of a copy of the body and accepts only when the digest of the result
+matches the stored digest; only then is the recovered word built as a
+list (``apply_pattern``).
 The difference is in range by construction, so the decode runs without
 the public ``decode``'s syndrome check.  The hash comparison is the
 final gate: a decoder miscorrection can never produce a false accept.
@@ -37,8 +37,8 @@ pinned by tests.
 Every code exposes the same protocol (``rs.LinearCode``): the shape and
 alphabet of its data word, ``_read``, ``_body_syndrome`` (with
 ``syndrome``, the tuple syndrome of a word), ``_decode`` (with
-``decode``, its dense wrapper), ``_template``, ``_stored`` and
-``_stored_minus`` (the syndrome's conversions), ``syndrome_sub`` and
+``decode``, its dense wrapper), ``_template`` and ``_stored`` (between
+template bytes and the tuple), ``_stored_minus``, ``syndrome_sub`` and
 ``segments``, the syndrome's layout as consecutive ``(count, field)``
 runs.  Nothing here depends on which construction the code is.  A word
 is checked by the code that reads it, once: ``code._read`` refuses
@@ -161,17 +161,10 @@ def _patched(code, body, errors: dict) -> bytearray:
 
 
 def syndrome_to_bytes(code, synd) -> bytes:
-    """The template serialization of a syndrome, a tuple or the code's
-    own form (``code._body_syndrome``): every symbol big-endian in its
-    run's width."""
+    """The template serialization of a syndrome, a tuple or already its
+    template bytes (``code._body_syndrome``): every symbol big-endian in
+    its run's width."""
     return code._template(synd)
-
-
-def stored_minus(code, raw: bytes, presented):
-    """The stored syndrome bytes ``raw`` minus a presented syndrome in the
-    code's own form, in that form, after checking that ``raw`` fits
-    ``code.segments`` (TemplateFormatError)."""
-    return code._stored_minus(raw, presented)
 
 
 def syndrome_from_bytes(code, raw: bytes) -> tuple:
@@ -256,7 +249,7 @@ def verify(data, template: Template, code=None, count: bool = False) -> VerifyRe
         code = codespec.parse_spec(template.code_spec)
     code = _decoder(enrollable(code), count)
     body = code._read(data)
-    diff = stored_minus(code, template.syndrome, code._body_syndrome(body))
+    diff = code._stored_minus(template.syndrome, code._body_syndrome(body))
     counted = MUL_COUNTER.n if count else None
     try:
         errors = code._decode(diff)[0]

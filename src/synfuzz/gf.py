@@ -35,7 +35,7 @@ multiplies a whole byte string by c (the "region multiply" of Plank,
 Greenan and Miller, FAST 2013).
 """
 
-import threading
+import _thread
 from functools import lru_cache
 from operator import xor
 
@@ -66,8 +66,10 @@ _BINARY_DEFAULT_MODULI = {
 _MAX_DEFAULT_ORDER = 1 << 16
 
 
-class MulCounter(threading.local):
-    """Thread-local running total of extension-field multiplications."""
+class MulCounter(_thread._local):
+    """Thread-local running total of extension-field multiplications
+    (``_thread._local`` is ``threading.local``, without importing
+    ``threading``)."""
 
     n = 0
 

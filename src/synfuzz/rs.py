@@ -27,22 +27,13 @@ maps the cells it rebuilt through it.  ``_BlockCode`` is the
 one block format of the expansions and concatenations: a word's outer
 symbols plus check residuals, and the sparse decode of damaged blocks.
 
-One rule gives a code's own syndrome form, the form ``_body_syndrome``
-returns, ``_decode`` takes and the stored syndrome is read into:
-
-- a code over characteristic 2 holds its template bytes, one byte a
-  symbol for m <= 8 and two big-endian bytes for m > 8, so two of them
-  subtract by one XOR at every m;
-- an odd-p block code that takes columns (``_by_columns``, below) holds
-  digit bytes, one byte per F_p digit;
-- every other odd-p code holds a tuple of ints.
-
-The tuple is the public form: ``syndrome``, ``decode``,
-``decode_syndrome`` and ``syndrome_sub`` take or give it.  Only this
-module converts between the forms: ``LinearCode._template`` packs a
-syndrome into template bytes, ``_from_template`` reads stored bytes into
-the code's own form and checks their range, ``_stored_minus`` subtracts
-a presented syndrome from them, and ``_stored`` reads the public tuple.
+Every code, for both p, on every path and in its reference twin, holds
+a syndrome as its template bytes: per run of ``segments`` one byte a
+symbol, or two big-endian bytes past 256 elements (``_read_run`` reads a
+run, ``_pack_run`` packs one and ``_run_minus`` subtracts two).  The
+tuple is the public form: ``syndrome``, ``decode``, ``decode_syndrome``
+and ``syndrome_sub`` take or give it, ``LinearCode._template`` packs it
+and ``_stored`` reads it back.
 
 Words are lists of ints, index i holding the coefficient of x^i.
 Systematic encoding puts the message in the high-order positions and the
@@ -53,7 +44,7 @@ rule that sits beside its cap and sets a boolean.  Every path reads the
 boolean; none reads a missing table as a decision:
 
 - ``_BlockCode._by_columns`` (``_columns_fit``): per-cell syndrome
-  columns and the column re-check, and over odd p the digit-byte form;
+  columns and the column re-check;
 - ``_CyclicCode._by_region`` (``_chien_fits``): the byte-region decoder
   and its packed Chien search, else ``_gpz_decode`` and ``_chien_roots``;
 - ``BchCode._by_cosets`` (p^r <= ``_COSET_CAP``, one rule for both p):
@@ -89,12 +80,13 @@ block word reaches it through bit lanes: one int per cell position of a
 block, across all blocks, from one strided byte slice; a binary block
 code with columns skips both and XORs one per-cell syndrome column per
 set cell (``_BlockCode._columns``).  An odd-p block code with columns
-sums one column per cell, one byte per F_p digit of the syndrome, and
-reduces every byte mod p at the end (``_BlockCode._digit_columns``);
-one without keeps the per-symbol paths ``_sparse_syndrome`` and
-``_poly_remainder``.  Such a code's decode re-checks a digit-byte
-syndrome by the same columns and rebuilds its touched blocks from a fill
-table (``_BlockCode._fills``).  A block code without columns re-checks the sparse map a decode returns
+sums one column per cell, one byte per F_p digit of the syndrome,
+reduces every byte mod p at the end and packs each outer symbol's digits
+into its template byte (``_BlockCode._digit_columns``,
+``_column_template``); one without keeps the per-symbol paths
+``_sparse_syndrome`` and ``_poly_remainder``.  Such a code's decode
+re-checks a syndrome by the same columns and rebuilds its touched blocks
+from a fill table (``_BlockCode._fills``).  A block code without columns re-checks the sparse map a decode returns
 by re-splitting the blocks it touches.  A binary block decode reads its
 block parts from bit lanes, one int per check digit.
 
@@ -123,7 +115,7 @@ that gives the message digits, or None for an erasure, with no
 exception raised or caught.
 
 Every table (generator, kernel, Chien table, the columns of ``_sums``,
-coset and check tables, a block code's per-cell columns, digit maps and
+coset and check tables, a block code's per-cell columns and
 fill table, a field's rows, and the reference twin) is built on first
 use by its own loader
 into a slot its owner sets to None in ``__init__``, never at
@@ -134,7 +126,7 @@ so a re-parsed spec finds them built.
 
 import struct
 from collections import namedtuple
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations, compress, product, repeat
 from operator import add, countOf, getitem, itemgetter, xor
 
@@ -191,27 +183,22 @@ class LinearCode(_SpecIdentity):
     alphabet, and ``segments``: the syndrome as consecutive
     ``(count, field)`` runs, each symbol an element of its run's field.  It
     implements ``_body_syndrome(body)``, the syndrome of a word's body
-    (``_read``, below) laid out as ``segments``, in the code's own form
-    (the module's form rule): over characteristic 2 the template's bytes,
-    one byte a symbol for m <= 8 and two big-endian bytes for m > 8;
-    digit bytes for an odd-p ``_BlockCode`` with columns (one byte per
-    F_p digit, a symbol's digits low first, which ``_template`` packs
-    into the template's bytes); else a tuple of ints.  The code alone
-    converts between its form and the template (``_template``,
-    ``_stored``) and subtracts a presented syndrome from stored bytes
-    (``_stored_minus``, which checks their range).  ``syndrome(word)`` is
-    the syndrome of a word after its read, always a tuple.
-    ``_decode(syndrome)`` is the one decode: the error as a sparse map
-    from row-major flat cell offset to its nonzero value, and the
-    decode's ``DecodeInfo``.  ``_decode`` takes a syndrome known to fit
-    ``segments``, in the code's own form only (``fuzzy.verify`` builds
-    one in range), and raises DecodeFailure where no pattern within
-    reach reproduces it.  ``decode(syndrome)`` is its one dense wrapper:
-    it checks the tuple syndrome, converts it once into the code's own
-    form through the template bytes (``_from_template``), so it runs
-    verify's path, and returns the pattern shaped like the data word, with the
-    ``DecodeInfo`` if asked.  For a plain RS or BCH code the syndrome is
-    the power sums S_j = word(alpha^j), j = 1..count.
+    (``_read``, below) laid out as ``segments``, as its template bytes
+    (the module's form rule).  The code alone converts between those
+    bytes and the public tuple (``_template``, ``_stored``) and subtracts
+    a presented syndrome from stored bytes (``_stored_minus``, which
+    checks their range).  ``syndrome(word)`` is the syndrome of a word
+    after its read, always a tuple.  ``_decode(syndrome)`` is the one
+    decode: the error as a sparse map from row-major flat cell offset to
+    its nonzero value, and the decode's ``DecodeInfo``.  ``_decode``
+    takes template bytes known to fit ``segments`` (``fuzzy.verify``
+    builds them in range) and raises DecodeFailure where no pattern
+    within reach reproduces them.  ``decode(syndrome)`` is its one dense
+    wrapper: it checks the tuple syndrome, packs it into template bytes,
+    so it runs verify's path, and returns the pattern shaped like the
+    data word, with the ``DecodeInfo`` if asked.  For a plain RS or BCH
+    code the syndrome is the power sums S_j = word(alpha^j), j =
+    1..count.
 
     A base-field code states only where its blocks live: ``_block_order()``
     gives the flat offsets of its cells, block by block, or None where they
@@ -252,7 +239,7 @@ class LinearCode(_SpecIdentity):
         """The syndrome of a data word, a tuple of ints laid out as
         ``segments``; ShapeMismatchError for a word the code does not
         take."""
-        return self._stored(self._template(self._body_syndrome(self._read(word))))
+        return self._stored(self._body_syndrome(self._read(word)))
 
     def syndrome_sub(self, a: tuple, b: tuple) -> tuple:
         """a - b, symbol by symbol in each run's field."""
@@ -272,63 +259,73 @@ class LinearCode(_SpecIdentity):
         its multiplications (``_decoder``)."""
         self._check_syndrome(synd)
         code = _decoder(self, count)
-        errors, info = code._decode(code._from_template(code._template(tuple(synd))))
+        errors, info = code._decode(code._template(tuple(synd)))
         pattern = self._dense(errors)
         return (pattern, info) if with_info else pattern
 
     def _template(self, synd) -> bytes:
-        """The template bytes of a syndrome in the code's own form or a
-        tuple: over characteristic 2 the own form's bytes as they are,
-        else every symbol big-endian in its run's width, one byte or two
-        (a spec's field has at most 2^16 elements)."""
+        """The template bytes of a tuple syndrome, every symbol packed in
+        its run's width (``_pack_run``), or of template bytes, which are
+        returned as they are."""
         if type(synd) is bytes:
             return synd
-        runs = "".join([f"{count}{'BH'[field.order > 256]}" for count, field in self.segments])
-        return struct.pack(">" + runs, *synd)
+        runs, at = [], 0
+        for count, field in self.segments:
+            runs.append(_pack_run(synd[at : at + count], field.order))
+            at += count
+        return b"".join(runs)
 
     def _stored(self, raw) -> tuple:
         """The tuple of template bytes, ``_template``'s inverse; a
         TemplateFormatError where they are too short or too long for
-        ``segments`` or a symbol lies outside its run's field, the runs
-        read in order."""
-        values, at = [], 0
-        for count, field in self.segments:
-            width = _symbol_width(field.order)
-            end = at + count * width
+        ``segments`` or a symbol lies outside its run's field, the runs of
+        ``_runs`` read in order (``_read_run``)."""
+        if self._below is None:
+            self._load_consts()
+        values = []
+        for at, end, field, _ in self._runs:
             if len(raw) < end:
                 raise TemplateFormatError("syndrome too short for this code")
-            run = raw[at:end] if width == 1 else struct.unpack(f">{count}H", raw[at:end])
+            run = _read_run(raw[at:end], field.order)
             if run and max(run) >= field.order:
                 raise TemplateFormatError(f"syndrome symbol outside {field.spec_string()}")
             values.extend(run)
-            at = end
-        if len(raw) > at:
+        if len(raw) > end:
             raise TemplateFormatError("syndrome longer than the code redundancy")
         return tuple(values)
 
-    def _from_template(self, raw):
-        """Template bytes in the code's own form: over characteristic 2
-        the bytes themselves, unchecked; else read by ``_stored``, which
-        checks that they fit ``segments``."""
-        return raw if self.alphabet.p == 2 else self._stored(raw)
-
-    def _stored_minus(self, raw, presented):
-        """The stored template bytes ``raw`` minus a presented syndrome,
-        both in the code's own form, after checking that ``raw`` fits
-        ``segments`` (TemplateFormatError, as ``_stored`` names it).
-        Over characteristic 2 ``raw`` is in range when it is as long as
-        ``presented`` and sets no bit of ``_spill``, and the difference
-        is one XOR of the two byte strings as ints: ``presented`` is in
-        range, so the difference is in range exactly when ``raw`` is.
-        Over odd p the tuples' ``syndrome_sub``."""
-        if self.alphabet.p != 2:
-            return self.syndrome_sub(self._from_template(raw), presented)
+    def _stored_minus(self, raw, presented) -> bytes:
+        """The stored template bytes ``raw`` minus a presented syndrome's
+        template bytes, after checking that ``raw`` fits ``segments``
+        (TemplateFormatError, as ``_stored`` names it): ``presented`` is
+        in range, so the difference is in range exactly when ``raw`` is
+        as long and in range.  Over characteristic 2 ``raw`` is in range
+        when it sets no bit of ``_spill``, and the difference is one XOR
+        of the two byte strings as ints.  Over odd p it is in range when
+        every symbol lies in its run's field, and each run of ``_runs``
+        subtracts: over F_p, p < 128, as ints with p added to every byte,
+        so that none borrows, and each byte reduced mod p by one
+        translate; else symbol by symbol (``_run_minus``)."""
         if self._below is None:
             self._load_consts()
-        stored = int.from_bytes(raw, "little")
-        if len(raw) != len(presented) or stored & self._spill:
+        if self.alphabet.p == 2:
+            stored = int.from_bytes(raw, "little")
+            if len(raw) != len(presented) or stored & self._spill:
+                self._stored(raw)  # raises, naming the fault
+            return (stored ^ int.from_bytes(presented, "little")).to_bytes(len(raw), "little")
+        if len(raw) != len(presented):
             self._stored(raw)  # raises, naming the fault
-        return (stored ^ int.from_bytes(presented, "little")).to_bytes(len(raw), "little")
+        diff = []
+        for at, end, field, carry in self._runs:
+            stored, given = raw[at:end], presented[at:end]
+            if max(_read_run(stored, field.order)) >= field.order:
+                self._stored(raw)  # raises, naming the fault
+            if carry:
+                run = int.from_bytes(stored, "little") + carry - int.from_bytes(given, "little")
+                diff.append(run.to_bytes(end - at, "little").translate(_mod_table(field.p)))
+            else:
+                diff.append(_run_minus(field, stored, given))
+        return b"".join(diff)
 
     def zero_word(self):
         return self._shaped([0] * self.base_length)
@@ -354,14 +351,18 @@ class LinearCode(_SpecIdentity):
     _head = None  # the digest head, set on first use
     _below = None  # the byte table of the alphabet's symbols, set on first use
     _spill = None  # the bits no stored symbol over F_{2^m} sets, set on first use
+    _runs = None  # the byte span, field and carry of each run of segments, set on first use
 
     def _load_consts(self) -> None:
         """Build ``_spec``, ``_head`` (``canonical_spec()|shape|`` in
         ASCII), ``_below`` (the bytes 0 .. min(order, 256) - 1, which a
-        one-byte body in range is made of) and ``_spill`` once per code:
-        over characteristic 2, the template bytes as a little-endian int
-        with every bit set that no symbol sets, a symbol of m bits being
-        any value below 2^m (for m > 8, its high byte's bits past m - 8)."""
+        one-byte body in range is made of), ``_spill`` and ``_runs`` once
+        per code.  ``_spill``: over characteristic 2, the template bytes as
+        a little-endian int with every bit set that no symbol sets, a
+        symbol of m bits being any value below 2^m (for m > 8, its high
+        byte's bits past m - 8).  ``_runs``: per run of ``segments`` its
+        template bytes' start and end, its field and, over F_p, 2 < p <
+        128, the int with p in each of its bytes (else 0)."""
         alphabet, shape = self.alphabet, "x".join(map(str, self.shape))
         self._spec = self.spec_string()
         self._head = f"{alphabet.canonical_spec()}|{shape}|".encode("ascii")
@@ -369,6 +370,13 @@ class LinearCode(_SpecIdentity):
         self._spill = int.from_bytes(b"".join([
             (bytes([256 - f.order]) if f.order <= 256 else bytes([256 - (f.order >> 8), 0])) * count
             for count, f in self.segments]), "little")
+        runs, at = [], 0
+        for count, f in self.segments:
+            end = at + count * _symbol_width(f.order)
+            carry = int.from_bytes(bytes([f.order]) * count, "little") if f.m == 1 and 2 < f.order < 128 else 0
+            runs.append((at, end, f, carry))
+            at = end
+        self._runs = tuple(runs)
 
     def _read(self, word) -> bytes:
         """The data word's canonical body, after its one check: its cells
@@ -544,10 +552,10 @@ class _BlockCode(LinearCode):
     columns holds p ints per cell, value v's syndrome at that cell in
     digit bytes: one byte per F_p digit, an outer symbol's m digits low
     first (``_digit_columns``).  Its syndrome is the sum of one column
-    per cell, where no byte carries, reduced mod p by one translate, and
-    ``_digits`` holds the maps that convert the r outer symbols at the
-    template boundary (``_template``, ``_from_template``).  Any other
-    odd-p word is split block by block from its gathered cells.
+    per cell, where no byte carries, reduced mod p by one translate and
+    packed into template bytes (``_column_template``, with the maps of
+    ``_digits``).  Any other odd-p word is split block by block from its
+    gathered cells.
 
     Every placement decision is the ``layout``'s (a ``concat.py`` layout
     object): ``shape`` is ``layout.shape(n, _width)``, and
@@ -559,17 +567,16 @@ class _BlockCode(LinearCode):
     two runs in the order a block lists its cells: the outer power sums
     first where the symbol digits come first (``_sym_at == 0``), the
     residuals first otherwise, and an empty residual run is left out of
-    ``segments``.  ``_body_syndrome`` computes it, as bytes over F_2 and
-    as digit bytes with odd-p columns; each subclass binds the public
-    ``syndrome`` in its own class (perfbench/spans.py traces it there).
+    ``segments``.  ``_body_syndrome`` computes its template bytes; each
+    subclass binds the public ``syndrome`` in its own class
+    (perfbench/spans.py traces it there).
 
-    ``_decode`` takes only the code's own form.  It cuts the outer sums
-    from the residual run by the residual run's length, N * chk, in every
-    form (a digit-byte syndrome's outer sums then packed back into
-    symbols), and splits the residual run into block parts: over F_2
-    with at most 8 check digits one int per check digit k, the lane
-    ``res[k::_chk]`` shifted by k, summed and read back as bytes, byte i
-    block i's part; wider ones by ``_pack_runs``.  It
+    ``_decode`` takes template bytes.  It cuts the outer sums from the
+    residual run by the residual run's length, N * chk symbols, and
+    splits the residual run into block parts: over F_2 with at most 8
+    check digits one int per check digit k, the lane ``res[k::_chk]``
+    shifted by k, summed and read back as bytes, byte i block i's part;
+    wider ones by ``_pack_runs``; over odd p tuples of digits.  It
     inner-decodes or erases each damaged block, runs the outer decode and
     rebuilds only the touched blocks, those with a nonzero symbol error
     or stored residual, from their symbol errors and stored parts (over
@@ -579,13 +586,13 @@ class _BlockCode(LinearCode):
     is zero.  One rule re-checks that map against the whole syndrome,
     for expansions and concatenations alike: the columns where the code
     takes them (``_by_columns``), else the re-split of the returned map.  With binary
-    ``_columns`` the XOR of the map's columns must be the syndrome.  On
-    a digit-byte syndrome the sum of the map's columns of its values,
-    reduced mod p, must be the syndrome.  Without columns ``_recheck``
+    ``_columns`` the XOR of the map's columns must be the syndrome; with
+    odd-p ones the sum of the map's columns of its values, reduced mod p
+    and packed, must be.  Without columns ``_recheck``
     reads the touched blocks back from the map and compares their parts
     and outer power sums with the syndrome; an expansion's counts no
-    product (``ExpandedCode._recheck``).  An odd-p code with digit
-    columns takes each rebuilt block's fill from ``_fills``, one entry
+    product (``ExpandedCode._recheck``).  An odd-p code with columns
+    takes each rebuilt block's fill from ``_fills``, one entry
     per outer symbol built on first use (``_load_fills``).  A subclass
     also gives ``_inner_decode(part)``: the symbol error a damaged
     block's residual suggests, or None to make the block an outer
@@ -604,7 +611,7 @@ class _BlockCode(LinearCode):
         self._lanes = None  # the lanes of each check digit over F_2, set on first use
         self._columns = None  # the per-cell syndrome columns, set on first use
         self._digits = None  # the digit-byte maps of odd-p columns, set on first use
-        self._fills = None  # per symbol its fill and count, with digit columns; set on first use
+        self._fills = None  # per symbol its fill, with odd-p columns; set on first use
         self._order = None
         self._gather = None  # the itemgetter of a 2-D body in block order, set on first use
         self._twin = None  # the reference twin, set on first request
@@ -612,7 +619,7 @@ class _BlockCode(LinearCode):
         self.layout = layout
         self.shape = layout.shape(outer.n, self._width)
         self.base_length = outer.n * self._width
-        # per-cell columns and the column re-check, over odd p in digit bytes
+        # per-cell columns and the column re-check
         self._by_columns = _columns_fit(outer.field, self.base_length)
         self.base_dimension = outer.k * m
         self.alphabet = outer.field.prime
@@ -639,51 +646,60 @@ class _BlockCode(LinearCode):
                    for r, c in (cell(N, width, i, places[0]),)]
         return tuple(map(add, first * N, chain.from_iterable(map(repeat, origins, repeat(width)))))
 
-    def _body_syndrome(self, body):
-        """The outer power sums of a body's block symbols and the blocks'
-        residuals, in ``segments`` order and the code's own form: bytes
-        over F_2, digit bytes with odd-p columns, else a tuple.  With
+    def _body_syndrome(self, body) -> bytes:
+        """The template bytes of the outer power sums of a body's block
+        symbols and the blocks' residuals, in ``segments`` order.  With
         binary ``_columns``, the XOR of the columns of the body's set
-        cells; with odd-p ones, the sum of each cell's column of its
-        value, reduced mod p byte by byte."""
+        cells; with odd-p ones, the ``_column_template`` of the sum of
+        each cell's column of its value."""
         if self._by_columns:
             columns = self._columns or self._load_columns()
             if self.alphabet.p == 2:
                 return reduce(xor, compress(columns, body), 0).to_bytes(self._size, "little")
-            maps = self._digits or self._load_digits()
-            return sum(map(getitem, columns, body)).to_bytes(maps.size, "little").translate(
-                maps.reduce)
+            return self._column_template(sum(map(getitem, columns, body)))
         syms, res = self._split_body(body)
         sums = self.outer._power_sums(syms)
-        runs = (res, sums) if self._sym_at else (sums, res)
-        return b"".join(runs) if self.alphabet.p == 2 else tuple(chain(*runs))
+        return b"".join((res, sums) if self._sym_at else (sums, res))
+
+    def _column_template(self, total: int) -> bytes:
+        """The template bytes of a sum of odd-p columns: its digit bytes,
+        each reduced mod p by one translate, then each outer symbol's m
+        digits, low first, packed into its byte by one multiplication.
+        Read as an int, the outer sums hold symbol j's digit b in byte
+        j*m + b; times ``pack``, the sum of p^c 256^(m-1-c) over c < m,
+        byte j*m + m - 1 holds the sum of digit b times p^b, symbol j,
+        and no byte carries: each byte sums at most one digit times p^c
+        for each c, at most p^m - 1 <= 255."""
+        size, cut, reduce, pack, m = self._digits or self._load_digits()
+        digits = total.to_bytes(size, "little").translate(reduce)
+        res, sums = (digits[:-cut], digits[-cut:]) if self._sym_at else (digits[cut:], digits[:cut])
+        packed = (int.from_bytes(sums, "little") * pack >> 8 * m - 8).to_bytes(cut, "little")[::m]
+        return res + packed if self._sym_at else packed + res
 
     def _decode(self, synd):
-        """The sparse error map a syndrome in the code's own form decodes
-        to and its DecodeInfo: the outer sums cut from the residual run by
-        its length, N * chk, the residual run split into parts, each
+        """The sparse error map template bytes decode to and its
+        DecodeInfo: the outer sums cut from the residual run by its
+        length, N * chk symbols, the residual run split into parts, each
         damaged block inner-decoded or erased, the outer decode, then the
         touched blocks rebuilt from their symbol errors and stored parts
         into the map (``_cells_of``) and the map re-checked: with binary
         ``_columns`` the XOR of the columns of its cells must be the whole
-        syndrome; a digit-byte syndrome, whose outer sums take m bytes
-        each, must be the sum of its columns of its values reduced mod p;
-        else ``_recheck`` re-splits it."""
-        outer, digits = self.outer, self._by_columns and self.alphabet.p != 2
-        cut = outer.n * self._chk if self._sym_at else len(synd) - outer.n * self._chk
+        syndrome; with odd-p ones the ``_column_template`` of the sum of
+        its columns of its values; else ``_recheck`` re-splits it."""
+        outer = self.outer
+        size = outer.n * self._chk * _symbol_width(self.alphabet.order)  # residual run bytes
+        cut = size if self._sym_at else len(synd) - size
         res, sums = (synd[:cut], synd[cut:]) if self._sym_at else (synd[cut:], synd[:cut])
-        if digits:
-            sums = _pack_digits(sums, outer.field)
         parts = self._parts(res)
         errors, erasures, delta = self._decode_blocks(parts, sums)
         touched = self._touched(errors, parts)
         found = self._cells_of(touched, errors, parts)
         if not self._by_columns:
             self._recheck(found, touched, parts, sums)
-        elif digits:
-            columns, maps = self._columns or self._load_columns(), self._digits or self._load_digits()
+        elif self.alphabet.p != 2:
+            columns = self._columns or self._load_columns()
             total = sum(map(getitem, map(columns.__getitem__, found), found.values()))
-            if total.to_bytes(len(synd), "little").translate(maps.reduce) != synd:
+            if self._column_template(total) != synd:
                 raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
         elif reduce(xor, map((self._columns or self._load_columns()).__getitem__, found), 0) != (
                 int.from_bytes(synd, "little")):
@@ -792,62 +808,12 @@ class _BlockCode(LinearCode):
 
     def _load_digits(self):
         """The ``_DigitMaps`` of an odd-p code with columns: a syndrome of
-        r outer symbols of m digits and N * chk residual digits."""
-        field, p = self.outer.field, self.alphabet.p
-        size = self.outer.n * self._chk + self.outer.redundancy * field.m
-        spread = tuple(bytes(v // p**b % p if v < field.order else 255 for v in range(256))
-                       for b in range(field.m))
-        self._digits = _DigitMaps(size, bytes(v % p for v in range(256)),
-                                  int.from_bytes(bytes([p]) * size, "little"), spread,
-                                  bytes(range(p)))
+        N * chk residual digits and r outer symbols of m digits."""
+        p, m = self.alphabet.p, self.outer.field.m
+        sums = self.outer.redundancy * m
+        pack = sum(p**c << 8 * (m - 1 - c) for c in range(m))
+        self._digits = _DigitMaps(self.outer.n * self._chk + sums, sums, _mod_table(p), pack, m)
         return self._digits
-
-    def _stored_minus(self, raw, presented):
-        """``LinearCode._stored_minus``; with digit columns ``raw`` is read
-        as digit bytes (``_from_template``), p is added to every byte,
-        the presented int, which no byte borrows, subtracted, and each
-        byte reduced mod p by one translate."""
-        if not self._by_columns or self.alphabet.p == 2:
-            return super()._stored_minus(raw, presented)
-        maps = self._digits or self._load_digits()
-        stored = int.from_bytes(self._from_template(raw), "little")
-        diff = stored + maps.carry - int.from_bytes(presented, "little")
-        return diff.to_bytes(maps.size, "little").translate(maps.reduce)
-
-    def _template(self, digits) -> bytes:
-        """``LinearCode._template``; a digit-byte syndrome takes one byte
-        per symbol: each outer symbol's m digits packed
-        (``_pack_digits``), the residual digits as they are."""
-        if type(digits) is not bytes:
-            return super()._template(digits)
-        if not self._by_columns or self.alphabet.p == 2:
-            return digits
-        field = self.outer.field
-        cut = self.outer.redundancy * field.m
-        if self._sym_at:
-            return digits[:-cut] + _pack_digits(digits[-cut:], field)
-        return _pack_digits(digits[:cut], field) + digits[cut:]
-
-    def _from_template(self, raw):
-        """``LinearCode._from_template``; with digit columns the digit
-        bytes of ``raw``, or the TemplateFormatError ``_stored`` names
-        where their length is not the syndrome's or a symbol lies outside
-        its run's field: each outer symbol spread into its m digits by one
-        translate per digit (a byte past the field gives 255, which no
-        digit is), then one check that every digit is below p."""
-        if not self._by_columns or self.alphabet.p == 2:
-            return super()._from_template(raw)
-        r, m, maps = self.outer.redundancy, self.outer.field.m, self._digits or self._load_digits()
-        if len(raw) != self._size:
-            self._stored(raw)  # raises, naming the fault
-        sums, res = (raw[-r:], raw[:-r]) if self._sym_at else (raw[:r], raw[r:])
-        spread = bytearray(r * m)
-        for b, table in enumerate(maps.spread):
-            spread[b::m] = sums.translate(table)
-        digits = res + spread if self._sym_at else spread + res
-        if digits.translate(None, maps.digits):
-            self._stored(raw)  # raises, naming the fault
-        return bytes(digits)
 
     def _load_order(self):
         """The block order as 4-byte offsets, a memoryview of native
@@ -876,8 +842,8 @@ class _BlockCode(LinearCode):
 
     def _split_cells(self, cells):
         """The outer symbols of block-ordered cells in range, any whole
-        number of blocks, and their flat residuals: over F_2 from the
-        lanes ``cells[j::_width]``, else block by block."""
+        number of blocks, and their flat residuals as template bytes: over
+        F_2 from the lanes ``cells[j::_width]``, else block by block."""
         m, width, chk, sym_at = self.outer.field.m, self._width, self._chk, self._sym_at
         if self.alphabet.p == 2:
             return self._split_lanes([cells[j::width] for j in range(width)])
@@ -885,8 +851,8 @@ class _BlockCode(LinearCode):
         blocks = [cells[at : at + width] for at in range(0, len(cells), width)]
         syms = [_from_digits(b[sym_at : sym_at + m], p) for b in blocks]
         if not chk:
-            return syms, ()
-        return syms, [v for b, s in zip(blocks, syms) for v in self._residual(b, s)]
+            return syms, b""
+        return syms, _pack_run([v for b, s in zip(blocks, syms) for v in self._residual(b, s)], p)
 
     def _split_lanes(self, lanes):
         """The outer symbols and flat residuals of the binary blocks whose
@@ -950,14 +916,15 @@ class _BlockCode(LinearCode):
         return [(v - f) % self.alphabet.p for v, f in zip(block[at:end], self._fill(sym)[at:end])]
 
     def _parts(self, res) -> list:
-        """Each block's residual from the flat residuals of consecutive
-        blocks: an int over F_2 (digit j at bit j), else the tuple of its
-        digits, which over F_p, p > 256, may exceed a byte; 0 where it is
-        zero.  Without check cells every one of the n parts is 0.  Over
-        F_2 with at most 8 check digits the parts are bytes, byte i block
-        i's: lane k, ``res[k::chk]`` read as a little-endian int, holds
-        digit k of every block in bit 0 of its byte, so the lanes shifted
-        by k and summed are the parts."""
+        """Each block's residual from the template bytes of the flat
+        residuals of consecutive blocks: an int over F_2 (digit j at bit
+        j), else the tuple of its digits (``_read_run``), which over F_p,
+        p > 256, may exceed a byte; 0 where it is zero.  Without check
+        cells every one of the n parts is 0.  Over F_2 with at most 8
+        check digits the parts are bytes, byte i block i's: lane k,
+        ``res[k::chk]`` read as a little-endian int, holds digit k of
+        every block in bit 0 of its byte, so the lanes shifted by k and
+        summed are the parts."""
         chk = self._chk
         if not chk:
             return [0] * self.outer.n
@@ -968,6 +935,7 @@ class _BlockCode(LinearCode):
             for k in range(chk):  # byte i of lane k is digit k of part i
                 packed |= int.from_bytes(res[k::chk], "little") << k
             return packed.to_bytes(len(res) // chk, "little")
+        res = _read_run(res, self.alphabet.order)
         parts = [tuple(res[at : at + chk]) for at in range(0, len(res), chk)]
         return [part if any(part) else 0 for part in parts]
 
@@ -1046,21 +1014,10 @@ class _BlockCode(LinearCode):
 
 
 # An odd-p block code's digit-byte maps: the syndrome's size in digit
-# bytes, the translate table reducing each byte mod p, the int with p in
-# every digit byte, per digit b < m the table taking a one-byte outer
-# symbol to its digit b (255 past the field), and the bytes 0 .. p - 1.
-_DigitMaps = namedtuple("_DigitMaps", "size reduce carry spread digits")
-
-
-def _pack_digits(digits, field: ExtField) -> bytes:
-    """Each run of m digit bytes, low digit first, as the one byte of its
-    symbol of ``field`` (order <= 256): the digit slices weighted by p^b
-    and summed as ints, which no byte carries."""
-    m, p = field.m, field.p
-    if m == 1:
-        return bytes(digits)
-    total = sum(int.from_bytes(digits[b::m], "little") * p**b for b in range(m))
-    return total.to_bytes(len(digits) // m, "little")
+# bytes, the digit bytes of its outer sums, the translate table reducing
+# each byte mod p, the multiplier packing each outer symbol's digits
+# (``_BlockCode._column_template``) and m.
+_DigitMaps = namedtuple("_DigitMaps", "size sums reduce pack m")
 
 
 def _poly_mul(field: ExtField, f, g):
@@ -1123,8 +1080,7 @@ def _gpz_decode(field: ExtField, synd, n, known=(), base_limit=None):
     time: the decoder of a code off the region path (``_chien_fits``) and
     the oracle of ``_CyclicCode._region_errors``.
 
-    ``synd`` is a sequence of ints, or bytes in the code's own form: two
-    big-endian bytes a sum past one byte a symbol, unpacked here.
+    ``synd`` is the template bytes of the sums (``_read_run``).
     ``known`` holds the erasure positions, sorted, distinct, in range and
     at most one per sum (``_CyclicCode._errors`` checks them).
     Returns the unique error vector v with
@@ -1140,9 +1096,7 @@ def _gpz_decode(field: ExtField, synd, n, known=(), base_limit=None):
     -Omega(X^-1)/Psi'(X^-1) with Omega = S*Psi mod x^r.  The final re-check
     recomputes every syndrome from the pattern.
     """
-    if type(synd) is bytes and field.order > 256:
-        synd = struct.unpack(f">{len(synd) // 2}H", synd)
-    synd = list(synd)
+    synd = list(_read_run(synd, field.order))
     r, f = len(synd), len(known)
     if not any(synd) and not known:
         return {}
@@ -1268,6 +1222,32 @@ def _symbol_width(order: int) -> int:
     word's body and in a template's syndrome: the fewest that hold
     order - 1, big-endian."""
     return ((order - 1).bit_length() + 7) // 8
+
+
+@cache
+def _mod_table(p: int) -> bytes:
+    """The translate table taking every byte to its residue mod p."""
+    return bytes(v % p for v in range(256))
+
+
+def _read_run(raw, order: int):
+    """The symbols of a run of template bytes over a field of ``order``
+    elements, unchecked: the bytes themselves where a symbol takes one
+    byte, else the ints of two big-endian bytes each."""
+    return raw if order <= 256 else struct.unpack(f">{len(raw) // 2}H", raw)
+
+
+def _pack_run(symbols, order: int) -> bytes:
+    """``_read_run``'s inverse: a sequence of symbols of a field of
+    ``order`` elements as a run of template bytes."""
+    return bytes(symbols) if order <= 256 else struct.pack(f">{len(symbols)}H", *symbols)
+
+
+def _run_minus(field: ExtField, a, b) -> bytes:
+    """Run ``a`` minus run ``b`` of template bytes over ``field``, both
+    in range, symbol by symbol in the field."""
+    order = field.order
+    return _pack_run(list(map(field.sub, _read_run(a, order), _read_run(b, order))), order)
 
 
 def _check_symbols(word, length: int, limit: int, name: str) -> None:
@@ -1634,8 +1614,8 @@ def _columns_fit(field: ExtField, cells: int) -> bool:
     outer symbols of one byte (p^m <= 256), at most ``_COLUMN_CAP_CELLS``
     cells, and over odd p no byte of a sum of one column per cell that
     could carry (cells * (p - 1) <= 255).  Such a code takes its syndrome
-    from the columns, in digit bytes over odd p, and re-checks each
-    decode by them; any other takes bit lanes over F_2, else the
+    from the columns, summed in digit bytes over odd p, and re-checks
+    each decode by them; any other takes bit lanes over F_2, else the
     per-block split, and the re-split re-check."""
     p = field.p
     return field.order <= 256 and cells <= _COLUMN_CAP_CELLS and (p == 2 or cells * (p - 1) <= 255)
@@ -1750,9 +1730,8 @@ class _CyclicCode(_SpecIdentity):
     position to error value; ``_decode_syndrome`` is its dense form, and
     the one check of a syndrome given from outside.
     ``_errors`` runs ``_region_errors`` where ``_by_region`` and
-    ``_gpz_decode`` elsewhere, on the byte form over characteristic 2 or on a tuple (the
-    public ``_decode_syndrome``'s), and on a sequence of ints over odd
-    p.
+    ``_gpz_decode`` elsewhere, on the sums' template bytes, which the
+    public ``_decode_syndrome`` packs from its tuple.
     Each family binds ``_encode`` and ``_decode_syndrome`` in its own
     class (perfbench/spans.py traces them there); ``RsCode._decode`` and
     the block codes' outer decode call ``_errors``.  The
@@ -1836,7 +1815,7 @@ class _CyclicCode(_SpecIdentity):
         field = self.field
         _check_symbols(synd, self.count, field.order, field.spec_string())
         error = [0] * self.n
-        for pos, v in _decoder(self, count)._errors(synd, erasures).items():
+        for pos, v in _decoder(self, count)._errors(_pack_run(synd, field.order), erasures).items():
             error[pos] = v
         return error
 
@@ -1847,10 +1826,9 @@ class _CyclicCode(_SpecIdentity):
 
     def _errors(self, synd, erasures=()) -> dict:
         """The nonzero values of ``_decode_syndrome``'s error vector by
-        position, for a syndrome known to have ``count`` values, over
-        F_{2^m} in the byte form (``_ByteKernel.power_sums`` for m <= 8,
-        ``_BinaryKernel.power_sums`` above): on byte regions where
-        ``_by_region``, else ``_gpz_decode``.
+        position, for the template bytes of ``count`` values known to lie
+        in the field: on byte regions where ``_by_region``, else
+        ``_gpz_decode``.
 
         The one check of the erasure positions: each must be an int in
         0 .. n-1 (IndexOutOfRangeError), and once repeats are dropped there
@@ -1920,7 +1898,6 @@ class _CyclicCode(_SpecIdentity):
         """
         field, n, table = self.field, self.n, self._chien or self._load_chien()
         r, f = len(synd), len(known)
-        synd = bytes(synd)
         S = int.from_bytes(synd, "little")
         if not S and not known:
             return {}
@@ -2016,18 +1993,19 @@ class RsCode(_CyclicCode, LinearCode):
 
     syndrome = LinearCode.syndrome
 
-    def _body_syndrome(self, body):
-        """The power sums of a body; over F_{2^m} the packed kernel's
-        bytes."""
+    def _body_syndrome(self, body) -> bytes:
+        """The template bytes of the power sums of a body."""
         return self._power_sums(self._cells(body))
 
-    def _power_sums(self, word):
-        """The power sums of n symbols known to lie in the field, unchecked,
-        in the code's own form: the outer symbols a block code has just
-        read (bytes over F_{2^m}, m <= 8) or estimated."""
+    def _power_sums(self, word) -> bytes:
+        """The template bytes of the power sums of n symbols known to lie
+        in the field, unchecked: the outer symbols a block code has just
+        read (bytes over F_{2^m}, m <= 8) or estimated.  Over
+        characteristic 2 the packed kernel's, else ``_sparse_syndrome``'s
+        packed."""
         field = self.field
         if field.p != 2:
-            return tuple(_sparse_syndrome(field, word, self.count))
+            return _pack_run(_sparse_syndrome(field, word, self.count), field.order)
         kernel = self._tables or self._load_kernel()
         if field.m > 8:
             chunks = reversed(word)
@@ -2039,22 +2017,18 @@ class RsCode(_CyclicCode, LinearCode):
         errors = self._errors(synd)
         return errors, DecodeInfo((), tuple(errors))
 
-    def _minus_sums(self, synd, symbols):
-        """``synd`` minus the power sums of the n-symbol word whose
-        nonzero symbols are the ``(position, value)`` pairs.  Over
-        characteristic 2 the bytes XOR the sums: ``_sums`` where the code
-        decodes on byte regions, else the dense word's ``_power_sums``.  Over odd p a list, symbol by symbol, of
-        the dense word's ``_power_sums``, which count their products."""
-        field = self.field
-        if self._by_region:
-            sums = self._sums(symbols)
-        else:
+    def _minus_sums(self, synd, symbols) -> bytes:
+        """The template bytes ``synd`` minus the power sums of the
+        n-symbol word whose nonzero symbols are the ``(position, value)``
+        pairs.  Where the code decodes on byte regions the bytes XOR
+        ``_sums``; else ``_run_minus`` takes the dense word's
+        ``_power_sums``, which count their products."""
+        if not self._by_region:
             word = [0] * self.n
             for i, v in symbols:
                 word[i] = v
-            if field.p != 2:
-                return list(map(field.sub, synd, self._power_sums(word)))
-            sums = int.from_bytes(self._power_sums(word), "little")
+            return _run_minus(self.field, synd, self._power_sums(word))
+        sums = self._sums(symbols)
         return (int.from_bytes(synd, "little") ^ sums).to_bytes(len(synd), "little")
 
     def _kind_lines(self) -> list[str]:
@@ -2177,13 +2151,14 @@ class BchCode(_CyclicCode):
         return (self._cosets or self._load_cosets()).get(remainder)
 
     def _scalar_message_error(self, remainder):
-        """``_message_error`` without cosets: ``_errors`` of the
-        remainder's power sums, which go to the decoder unchecked: they are
-        in range.  Over F_2 the kernel's, over odd p ``_sparse_syndrome``'s."""
+        """``_message_error`` without cosets: ``_errors`` of the template
+        bytes of the remainder's power sums, which go to the decoder
+        unchecked: they are in range.  Over F_2 the kernel's, over odd p
+        ``_sparse_syndrome``'s packed."""
         if self.p == 2:
             sums = (self._tables or self._load_kernel()).power_sums(remainder)
         else:
-            sums = _sparse_syndrome(self.field, remainder, self.count)
+            sums = _pack_run(_sparse_syndrome(self.field, remainder, self.count), self.field.order)
         try:
             errors = self._errors(sums)
         except DecodeFailure:

@@ -8,10 +8,11 @@ and the re-split of the map it returns, ``_BlockCode._recheck``: the
 oracle here.
 
 An odd-p block code with one-byte outer symbols and cells * (p - 1) <= 255
-takes its syndrome as digit bytes, the sum of one column per cell reduced
-mod p, and decodes from them; a concatenation's inner decodes read the
-coset table.  With both caps patched to 0 the code takes the
-per-symbol split, ``_poly_remainder`` and ``_gpz_decode``: the oracle.
+takes its syndrome as the sum of one column per cell in digit bytes,
+reduced mod p and packed into template bytes, and re-checks its decodes
+by the same sum; a concatenation's inner decodes read the coset table.
+With both caps patched to 0 the code takes the per-symbol split,
+``_poly_remainder`` and ``_gpz_decode``: the oracle.
 """
 
 import gc
@@ -26,7 +27,7 @@ import pytest
 import test_protocol
 from synfuzz import codespec, rs
 from synfuzz.errors import DecodeFailure, TemplateFormatError
-from synfuzz.fuzzy import enroll, stored_minus, syndrome_from_bytes, syndrome_to_bytes, verify
+from synfuzz.fuzzy import enroll, syndrome_from_bytes, syndrome_to_bytes, verify
 from synfuzz.gf import MUL_COUNTER, _from_digits
 from synfuzz.rs import BchCode
 
@@ -236,9 +237,8 @@ def test_a_block_code_refuses_a_faulty_map(spec, fault, cap, monkeypatch):
     """Every golden block code, with its columns and without: a decode
     whose map has one set cell dropped, one cell set in a block it did
     not touch, one check cell changed or one damaged block left out
-    fails, on the verify path's syndrome (bytes, or digit bytes with odd-p
-    columns) and on the public decode's tuple.  The word has two damaged
-    blocks, one cell each."""
+    fails, on the verify path's template bytes and on the public decode's
+    tuple.  The word has two damaged blocks, one cell each."""
     monkeypatch.setattr(rs, "_COLUMN_CAP_CELLS", cap)
     code = fresh(spec)
     rng = random.Random(702)
@@ -341,13 +341,12 @@ def digit_runs(code, symbols):
 
 @pytest.mark.parametrize("spec", ODD_BLOCK)
 def test_odd_columns_give_the_per_symbol_syndromes(spec, monkeypatch, fresh_codes):
-    """Seeded words and the zero word: digit bytes that are the
-    per-symbol syndrome's digits, the same template bytes, and each column
-    the digits of the syndrome of its cell's value alone."""
+    """Seeded words and the zero word: the per-symbol path's template
+    bytes, and each column the digits of the syndrome of its cell's
+    value alone."""
     columns = fresh(spec)
     words = seeded_words(columns, 0x0DD)
-    digits = [columns._body_syndrome(columns._read(w)) for w in words]
-    templates = [syndrome_to_bytes(columns, d) for d in digits]
+    templates = [columns._body_syndrome(columns._read(w)) for w in words]
     units = []
     for at in range(columns.base_length):
         for v in range(columns.alphabet.p):
@@ -356,22 +355,22 @@ def test_odd_columns_give_the_per_symbol_syndromes(spec, monkeypatch, fresh_code
             units.append(unit)
     scalar_off(monkeypatch)
     oracle_code = fresh(spec)
-    tuples = [oracle_code._body_syndrome(oracle_code._read(w)) for w in words]
-    assert oracle_code._by_columns is False and type(tuples[0]) is tuple
+    expected = [oracle_code._body_syndrome(oracle_code._read(w)) for w in words]
+    assert oracle_code._by_columns is False and type(expected[0]) is bytes
     assert columns._by_columns and columns._digits and columns._columns
-    assert digits == [digit_runs(columns, t) for t in tuples]
-    assert templates == [syndrome_to_bytes(oracle_code, t) for t in tuples]
-    assert [columns.syndrome(w) for w in words] == tuples
+    assert templates == expected
+    assert [columns.syndrome(w) for w in words] == [oracle_code._stored(t) for t in expected]
     assert [columns._columns[at][v] for at in range(columns.base_length)
             for v in range(columns.alphabet.p)] == [
-        int.from_bytes(digit_runs(columns, oracle_code._body_syndrome(u)), "little")
+        int.from_bytes(digit_runs(columns, oracle_code._stored(oracle_code._body_syndrome(u))),
+                       "little")
         for u in units]
 
 
 @pytest.mark.parametrize("spec", ODD_BLOCK)
 def test_odd_columns_decode_like_the_per_symbol_path(spec, monkeypatch, fresh_codes):
-    """The verify path on digit bytes (columns, coset table) and on
-    tuples (per-symbol split, scalar inner decode): the same templates,
+    """The verify path with columns and coset table and with the
+    per-symbol split and scalar inner decode: the same templates,
     VerifyResults with their decode_mults (verify asked to count), and
     ``_decode`` outcomes, on noisy reads and on seeded template
     syndromes, in range and out."""
@@ -389,14 +388,14 @@ def test_odd_columns_decode_like_the_per_symbol_path(spec, monkeypatch, fresh_co
             template = enroll(word, code)
             synd = code._body_syndrome(code._read(read))
             results.append((template, verify(read, template, code=code, count=True),
-                            outcome(code._decode, stored_minus(code, template.syndrome, synd))))
-        return results + [outcome(code._decode, stored_minus(code, raw, zero)) for raw in raws]
+                            outcome(code._decode, code._stored_minus(template.syndrome, synd))))
+        return results + [outcome(code._decode, code._stored_minus(raw, zero)) for raw in raws]
 
     expected = run(code)
     scalar_off(monkeypatch)
     oracle_code = fresh(spec)
     zero = oracle_code._body_syndrome(oracle_code._read(oracle_code.zero_word()))
-    assert type(zero) is tuple
+    assert type(zero) is bytes
     assert run(oracle_code) == expected
     assert oracle_code._by_columns is False and code._by_columns
     accepted = [v.accepted for _, v, _ in expected[: len(cases)]]
@@ -409,7 +408,7 @@ def test_odd_columns_decode_like_the_per_symbol_path(spec, monkeypatch, fresh_co
 def test_odd_digit_bytes_refuse_what_the_tuple_reader_refuses(spec, fresh_codes):
     """Stored syndrome bytes with a symbol outside its run's field, or of
     the wrong length, raise the tuple reader's TemplateFormatError, with
-    its message."""
+    its message, from ``_stored_minus`` too."""
     code = fresh(spec)
     word = code.zero_word()
     raw = enroll(word, code).syndrome
@@ -423,9 +422,9 @@ def test_odd_digit_bytes_refuse_what_the_tuple_reader_refuses(spec, fresh_codes)
     for raw in bad:
         with pytest.raises(TemplateFormatError) as tuple_error:
             syndrome_from_bytes(code, raw)
-        with pytest.raises(TemplateFormatError) as digit_error:
-            stored_minus(code, raw, presented)
-        assert str(digit_error.value) == str(tuple_error.value)
+        with pytest.raises(TemplateFormatError) as minus_error:
+            code._stored_minus(raw, presented)
+        assert str(minus_error.value) == str(tuple_error.value)
 
 
 @pytest.mark.parametrize("spec, takes_columns", [
@@ -455,7 +454,8 @@ def scalar_message_error(code, remainder):
     coset table: the remainder's power sums to the scalar decoder, the
     pattern's message digits read as one int."""
     try:
-        errors = code._errors(rs._sparse_syndrome(code.field, remainder, code.count))
+        sums = rs._sparse_syndrome(code.field, remainder, code.count)
+        errors = code._errors(rs._pack_run(sums, code.field.order))
     except DecodeFailure:
         return None
     r = code.redundancy
@@ -503,17 +503,18 @@ def test_an_inner_code_above_the_coset_cap_decodes_with_the_scalar_decoder(monke
 
 
 def test_the_digit_walk_decodes_like_the_tuple_walk(fresh_codes):
-    """Every syndrome of the vi walk, serialized and read back into digit
-    bytes by ``stored_minus`` against the zero word, decodes by
-    ``_decode`` to the pattern the public decode gives the tuple."""
+    """Every syndrome of the vi walk, serialized and taken through
+    ``_stored_minus`` against the zero word, decodes by ``_decode`` with
+    the column re-check to the pattern the public decode gives the
+    tuple."""
     spec = next(spec for spec in WALKS if spec.endswith("layout=vi)"))
     code = fresh(spec)
     zero = code._body_syndrome(code._read(code.zero_word()))
     expected = walk(code)
     got = []
     for synd, _ in expected:
-        digits = stored_minus(code, syndrome_to_bytes(code, synd), zero)
-        result = outcome(code._decode, digits)
+        diff = code._stored_minus(syndrome_to_bytes(code, synd), zero)
+        result = outcome(code._decode, diff)
         got.append((synd, None if result is None else code._dense(result[0])))
     assert code._digits and type(zero) is bytes
     assert got == expected
@@ -534,6 +535,33 @@ def retained(objects) -> int:
         elif isinstance(obj, tuple):
             todo += obj
     return total
+
+
+PACKED_FIELDS = [(p, m) for p in (3, 5, 7, 11, 13) for m in range(1, 6) if 3 <= p**m <= 256]
+
+
+@pytest.mark.parametrize("p, m", PACKED_FIELDS, ids=[f"gf({p}^{m})" for p, m in PACKED_FIELDS])
+def test_one_multiplication_packs_the_outer_digits(p, m):
+    """``_column_template`` on the widest row expansion over gf(p^m)
+    that takes columns: every byte of a column sum, the largest (255)
+    among them, reduced mod p, and each outer symbol's m digits packed
+    into its byte as the sum of digit b times p^b, without a carry
+    between the symbols."""
+    from synfuzz.expand import ExpandedCode
+    from synfuzz.gf import ExtField
+    from synfuzz.rs import RsCode
+
+    n = min(p**m - 1, 255 // (m * (p - 1)))
+    code = ExpandedCode(RsCode(ExtField(p, m), n, max(1, n - 3)), "row-vector")
+    assert code._by_columns
+    maps = code._load_digits()
+    rng = random.Random(p * 8 + m)
+    sums = [bytes([255] * maps.size)] + [bytes(rng.randrange(256) for _ in range(maps.size))
+                                         for _ in range(50)]
+    for total in sums:
+        digits = bytes(v % p for v in total)
+        want = bytes(sum(digits[j + b] * p**b for b in range(m)) for j in range(0, maps.sums, m))
+        assert code._column_template(int.from_bytes(total, "little")) == want + digits[maps.sums:]
 
 
 def test_the_odd_tables_fit_the_code_weight():

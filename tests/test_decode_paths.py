@@ -3,11 +3,11 @@
 - A binary block code with at most 8 check digits reads its block parts
   from bit lanes, one int per check digit; ``rs._pack_runs`` is the
   oracle, and stays the path of wider parts.
-- An odd-p block code with digit columns rebuilds its touched blocks from
-  a fill table of its symbols' fills; the inner encoder is the oracle.
-- Its decode of a digit-byte syndrome re-checks by summing the columns
-  of the cells it returns; the same code built with the column cap at 0
-  decodes the tuple and keeps ``_BlockCode._recheck``, the oracle.
+- An odd-p block code with columns rebuilds its touched blocks from a
+  fill table of its symbols' fills; the inner encoder is the oracle.
+- Its decode re-checks by summing the columns of the cells it returns;
+  the same code built with the column cap at 0 decodes the same template
+  bytes and keeps ``_BlockCode._recheck``, the oracle.
 - ``BchCode._message_error`` over F_2 reads the coset table without an
   exception; ``decode_packed``, the algebraic decode alone, is the
   oracle.  One rule gives both p the table, p^r <= ``rs._COSET_CAP``; over
@@ -31,7 +31,7 @@ import pytest
 from synfuzz import rs
 from synfuzz.concat import ConcatCode, TrivialCode, VLayout
 from synfuzz.errors import DecodeFailure
-from synfuzz.fuzzy import enroll, stored_minus
+from synfuzz.fuzzy import enroll
 from synfuzz.gf import MUL_COUNTER, ExtField, _from_digits
 from synfuzz.rs import BchCode, RsCode
 
@@ -113,9 +113,9 @@ def test_fill_table_entries_are_the_inner_codewords(build):
 
 @pytest.mark.parametrize("build", [lambda: fresh(VI), odd_identity], ids=["vi", "identity"])
 def test_the_column_recheck_decodes_like_the_resplit(build, monkeypatch):
-    """On noisy reads and on 200 seeded stored syndromes, the decode of a
-    digit-byte syndrome (the column re-check and the fill table) and the
-    decode of its tuple by the same code built with the column cap at 0
+    """On noisy reads and on 200 seeded stored syndromes, the decode with
+    the column re-check and the fill table and the decode of the same
+    bytes by the same code built with the column cap at 0
     (``_BlockCode._recheck``) give the same sparse map and DecodeInfo, or
     the same DecodeFailure message."""
     code = build()
@@ -125,20 +125,20 @@ def test_the_column_recheck_decodes_like_the_resplit(build, monkeypatch):
         assert oracle is not code and oracle._by_columns is False
     zero = code._body_syndrome(code._read(code.zero_word()))
     assert code._digits and type(zero) is bytes
-    digits = []
+    diffs = []
     for k, word in enumerate(seeded_words(code, 0x2B, 3)):
         template = enroll(word, code)
         for read in noisy_reads(code, word, k):
-            digits.append(stored_minus(code, template.syndrome,
-                                       code._body_syndrome(code._read(read))))
+            diffs.append(code._stored_minus(template.syndrome,
+                                            code._body_syndrome(code._read(read))))
     rng = random.Random(0x2C)
     for _ in range(200):
         raw = bytes(rng.randrange(f.order) for count, f in code.segments for _ in range(count))
-        digits.append(stored_minus(code, raw, zero))
+        diffs.append(code._stored_minus(raw, zero))
     outcomes = Counter()
-    for synd in digits:
+    for synd in diffs:
         got = outcome(code._decode, synd)
-        assert got == outcome(oracle._decode, oracle._stored(code._template(synd)))
+        assert type(synd) is bytes and got == outcome(oracle._decode, synd)
         outcomes[type(got)] += 1
     assert outcomes[tuple] and outcomes[str]
 
@@ -239,7 +239,7 @@ def test_the_region_decoder_gives_the_scalar_outcome_over_the_rs_15_11_walk():
         cases = [()] if k % 7 else [(), (k % 15,)]
         for known in cases:
             got = outcome(code._region_errors, bytes(synd), known)
-            assert got == outcome(rs._gpz_decode, code.field, synd, 15, known)
+            assert got == outcome(rs._gpz_decode, code.field, bytes(synd), 15, known)
             kinds[0 in synd, type(got)] += 1
     assert all(kinds[zero, kind] for zero in (False, True) for kind in (dict, str))
 

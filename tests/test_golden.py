@@ -50,6 +50,19 @@ WIDE_GOLDEN = (
      (1260,), 2, 115),
 )
 
+# Odd-p codes past the edges of the golden ones, for the syndrome-form
+# tests: symbols of two bytes (p > 256), two-byte residual digits, a
+# block code past the carry bound of odd-p columns and an odd-p
+# concatenation without columns.  No template file pins them.
+FORM_EDGES = (
+    ("rs-40-30-gf257", "rs(40,30;gf(257))", (40,), 257, 116),
+    ("cIp-40-30-gf65521", "cI+parity(rs(40,30;gf(65521)))", (80,), 65521, 117),
+    ("cI-32-24-gf81", "cI(rs(32,24;gf(3^4)))", (128,), 3, 118),
+    ("concat-bch8-gf27",
+     "concat(inner=bch(8,2;gf(3)), outer=rs(26,20;gf(3^3)), layout=flat)",
+     (208,), 3, 119),
+)
+
 
 def golden_word(shape, q, seed):
     rng = random.Random(seed)

@@ -170,6 +170,19 @@ def test_the_package_hook_loads_no_importlib():
     assert out.stdout.strip() == "False"
 
 
+def test_importing_and_parsing_load_no_threading():
+    """``gf`` takes its thread-local counter and ``codespec`` its cache
+    lock from ``_thread``, so ``import synfuzz`` and a parse of every
+    roster spec load no ``threading``.  ``-S`` leaves out the site hooks,
+    which on some installations import ``threading`` themselves."""
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import synfuzz; "
+             f"codes = [synfuzz.parse_spec(s) for s in {roster_specs()!r}]; "
+             f"print(len(codes), 'threading' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "10 False"
+
+
 @pytest.mark.parametrize("command", ["info", "capability"])
 def test_cli_reports_load_no_fuzzy(command):
     then = (f"import io; from synfuzz.cli import main; sys.stdout = io.StringIO(); "

@@ -118,8 +118,9 @@ def reads_of(code, seed):
 @pytest.mark.parametrize("spec", CASES, ids=IDS)
 def test_every_path_combination_enrolls_and_verifies_alike(spec):
     """Every combination of the flags the code has on, each turned off on
-    a fresh code: the same template text, and per read the same
-    acceptance, recovered word and reason, counted or not.
+    a fresh code: the same template text, per read the same syndrome of
+    its body, as bytes, and the same acceptance, recovered word and
+    reason, counted or not.
     ``decode_mults``, asked for, is the same too, except between
     combinations that differ in a binary inner code's coset table, which
     the reference twin keeps as built and whose lookups count no product."""
@@ -132,7 +133,9 @@ def test_every_path_combination_enrolls_and_verifies_alike(spec):
             code = fresh_code(spec, off)
             template = enroll(word, code)
             results = [verify(read, template, code=code, count=True) for read in reads]
-            got = (template.to_text(), [result[:3] for result in results])
+            synds = [code._body_syndrome(code._read(read)) for read in reads]
+            assert all(type(synd) is bytes for synd in synds), off
+            got = (template.to_text(), [result[:3] for result in results], synds)
             assert [verify(read, template, code=code)[:3] for read in reads] == got[1], off
             if first is None:
                 first = got

@@ -25,11 +25,11 @@ import oracle
 from synfuzz import codespec, rs
 from synfuzz.concat import ConcatCode
 from synfuzz.errors import DecodeFailure
-from synfuzz.fuzzy import enroll, syndrome_to_bytes, verify
+from synfuzz.fuzzy import enroll, syndrome_from_bytes, syndrome_to_bytes, verify
 from synfuzz.gf import ExtField
 from synfuzz.rs import BchCode, RsCode
 
-from test_golden import GOLDEN, WIDE_GOLDEN, golden_word
+from test_golden import FORM_EDGES, GOLDEN, WIDE_GOLDEN, golden_word
 
 
 def outcome(decode, *args):
@@ -93,7 +93,7 @@ def test_region_decoder_matches_the_scalar_one_on_rs_255_223(monkeypatch):
             err = [0] * code.n
             for pos in rng.sample(range(code.n), errors):
                 err[pos] = rng.randrange(1, 256)
-            cases.append((code.syndrome(err), ()))
+            cases.append((code._body_syndrome(bytes(err)), ()))
     cases += [(bytes(rng.randrange(256) for _ in range(32)), ()) for _ in range(100)]
     for erased in (1, 5, 16, 31):
         for errors in (0, (32 - erased) // 2, (32 - erased) // 2 + 1):
@@ -101,7 +101,7 @@ def test_region_decoder_matches_the_scalar_one_on_rs_255_223(monkeypatch):
             where = rng.sample(range(code.n), erased + errors)
             for pos in where[: errors + erased // 2]:
                 err[pos] = rng.randrange(1, 256)
-            cases.append((code.syndrome(err), tuple(where[errors:])))
+            cases.append((code._body_syndrome(bytes(err)), tuple(where[errors:])))
     got = region_and_scalar(monkeypatch, code, code._errors, cases)
     decoded = [errors for errors in got if isinstance(errors, dict)]
     assert len(decoded) > 18 * 12 // 2 and any(isinstance(e, tuple) for e in got)
@@ -180,28 +180,25 @@ def test_bch_remainder_spaces_decode_alike_through_both_decoders(monkeypatch):
         region_and_scalar(monkeypatch, code, code.decode_packed, cases)
 
 
-@pytest.mark.parametrize("stem,spec,shape,q,seed", GOLDEN + WIDE_GOLDEN,
-                         ids=[g[0] for g in GOLDEN + WIDE_GOLDEN])
-def test_the_internal_syndrome_is_the_template_bytes_where_it_is_bytes(stem, spec, shape, q, seed):
+FORMS = GOLDEN + WIDE_GOLDEN + FORM_EDGES
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", FORMS, ids=[g[0] for g in FORMS])
+def test_the_internal_syndrome_is_the_template_bytes(stem, spec, shape, q, seed):
     """``syndrome`` is a tuple for every code; the syndrome of the word's
-    body is bytes for every code over characteristic 2, two big-endian
-    bytes a symbol past eight bits, and then it is the template
-    serialization of the tuple; for an odd-p block code with columns it
-    is the tuple's digit bytes, each symbol's base-p digits low first;
-    else the tuple itself."""
+    body is the template bytes enroll stores, for both p, two big-endian
+    bytes a symbol past 256 elements, from the code and from its
+    reference twin alike, and the tuple is read from them."""
     code = codespec.parse_spec(spec)
-    word = golden_word(shape, q, seed)
-    public, internal = code.syndrome(word), code._body_syndrome(code._read(word))
-    assert type(public) is tuple
-    binary = code.alphabet.p == 2
-    digits = bool(getattr(code, "_digits", False))
-    assert digits == (q in (3, 5) and spec.startswith(("cI", "concat")))
-    assert type(internal) is (bytes if binary or digits else tuple)
-    if digits:
-        fields = [f for count, f in code.segments for _ in range(count)]
-        public = [d for v, f in zip(public, fields) for d in f.to_base_vector(v)]
-    assert internal == (syndrome_to_bytes(code, public) if binary else bytes(public) if digits
-                        else public)
+    twin = code._twin or code._load_twin()
+    for word in (code.zero_word(), golden_word(shape, q, seed)):
+        stored = enroll(word, code).syndrome
+        internal = code._body_syndrome(code._read(word))
+        assert type(internal) is bytes and internal == stored
+        assert twin._body_syndrome(twin._read(word)) == stored
+        public = code.syndrome(word)
+        assert type(public) is tuple and syndrome_to_bytes(code, public) == stored
+        assert public == syndrome_from_bytes(code, stored)
 
 
 @pytest.mark.parametrize("spec", ["rs(255,191;gf(2^8))", "bch(255,32;gf(2))"])

@@ -8,13 +8,14 @@ path: the stored syndrome parsed by ``syndrome_from_bytes``, subtracted
 by ``syndrome_sub``, decoded by the public ``code.decode`` asked to
 count and added on cell by cell.  Both must give the same VerifyResult on every golden
 construction, for genuine reads at and below capability and for
-impostors.  The difference verify decodes, in the code's own form, is
-the template serialization of the dense path's tuple difference.
+impostors.  The difference verify decodes is the template serialization
+of the dense path's tuple difference.
 """
 
 import hmac
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -26,14 +27,13 @@ from synfuzz.fuzzy import (
     canonical_bytes,
     enroll,
     hash_digest,
-    stored_minus,
     syndrome_from_bytes,
     syndrome_to_bytes,
     verify,
 )
 from synfuzz.gf import MUL_COUNTER
 
-from test_golden import GOLDEN, WIDE_GOLDEN, golden_word
+from test_golden import FORM_EDGES, GOLDEN, WIDE_GOLDEN, golden_word
 
 ALL_GOLDEN = GOLDEN + WIDE_GOLDEN
 ALL_IDS = [g[0] for g in ALL_GOLDEN]
@@ -105,11 +105,10 @@ def test_verify_matches_the_dense_reference(stem, spec, shape, q, seed):
         assert verify(read, template, code=code) == expected._replace(decode_mults=None)
         outcomes.add(got.reason)
         if pattern is not None:
-            diff = stored_minus(code, template.syndrome, code._body_syndrome(code._read(read)))
+            diff = code._stored_minus(template.syndrome, code._body_syndrome(code._read(read)))
             dense = code.syndrome_sub(syndrome_from_bytes(code, template.syndrome),
                                       code.syndrome(read))
-            own_bytes = code.alphabet.p == 2 or getattr(code, "_digits", False)
-            assert type(diff) is (bytes if own_bytes else tuple)
+            assert type(diff) is bytes
             assert syndrome_to_bytes(code, diff) == syndrome_to_bytes(code, dense)
             errors, info = code._decode(diff)
             assert errors == {at: v for at, v in enumerate(flat(code, pattern)) if v}
@@ -211,12 +210,46 @@ def test_every_stored_symbol_is_range_checked_where_it_lies(stem, spec, shape, q
                 raw = bytearray(len(zero))
                 raw[end - width : end] = value.to_bytes(width + 1, "big")[1:]
                 if value < field.order or value == field.order == 1 << 8 * width:
-                    assert stored_minus(code, bytes(raw), zero) == raw
+                    assert code._stored_minus(bytes(raw), zero) == raw
                 else:
                     with pytest.raises(TemplateFormatError, match=re.escape(field.spec_string())):
-                        stored_minus(code, bytes(raw), zero)
+                        code._stored_minus(bytes(raw), zero)
         at += count * width
     assert at == len(zero)
+
+
+FORMS = GOLDEN + WIDE_GOLDEN + FORM_EDGES
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", FORMS, ids=[g[0] for g in FORMS])
+def test_a_malformed_stored_syndrome_keeps_its_message(stem, spec, shape, q, seed):
+    """A stored syndrome cut short, one byte too long, or holding the
+    first value past its run's field in that run's first symbol (where
+    its bytes can hold one) is refused by verify, counted or not, and by
+    ``syndrome_from_bytes`` with these TemplateFormatError messages."""
+    code = parse_spec(spec)
+    word = golden_word(shape, q, seed)
+    template = enroll(word, code)
+    raw = template.syndrome
+    cases = [(raw[:-1], "syndrome too short for this code"),
+             (b"", "syndrome too short for this code"),
+             (raw + b"\0", "syndrome longer than the code redundancy")]
+    at = 0
+    for count, field in code.segments:
+        width = 1 if field.order <= 256 else 2
+        if field.order < 1 << 8 * width:
+            bad = raw[:at] + field.order.to_bytes(width, "big") + raw[at + width :]
+            cases.append((bad, f"syndrome symbol outside {field.spec_string()}"))
+        at += count * width
+    assert len(cases) > 3 or all(f.order in (1 << 8, 1 << 16) for _, f in code.segments)
+    for bad, message in cases:
+        for call in (partial(verify, word, template._replace(syndrome=bad), code=code),
+                     partial(verify, word, template._replace(syndrome=bad), code=code,
+                             count=True),
+                     partial(syndrome_from_bytes, code, bad)):
+            with pytest.raises(TemplateFormatError) as error:
+                call()
+            assert str(error.value) == message
 
 
 class Untouchable:
