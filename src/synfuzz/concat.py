@@ -40,16 +40,17 @@ tables, built from the inner codewords of the unit symbols; over odd p,
 The inner code alone computes its parity.  The syndrome, of N*n - K*k
 symbols and zero exactly on codewords, lists by ``segments`` the N
 residuals in block order (N*(n-k) symbols over F_p), then the N-K outer
-power sums of the blocks' symbols over F_{p^k}.  Decoding inner-decodes
-each damaged block, corrects the estimates with the outer decoder,
-rebuilds the touched blocks from their symbol errors and stored
-residuals into a sparse map and re-checks that map against the whole
-syndrome by ``rs._BlockCode``'s one rule: the per-cell syndrome
-columns where ``rs._columns_fit`` gives the code them, else the
-re-split of the returned map, which (``_BlockCode._recheck``) requires
-each touched block's residual to be its stored one, every other block's
-to be zero and the outer power sums of their symbols to be the stored
-ones.  Each damaged block's
+power sums of the blocks' symbols over F_{p^k}.  A decode's Python-level
+work is per damaged and touched block: it inner-decodes each damaged
+block, corrects the estimates with the outer decoder into one sparse map
+of symbol errors by block, rebuilds the touched blocks from their symbol
+errors and stored residuals into a sparse map of cells and re-checks
+that map against the whole syndrome by ``rs._BlockCode``'s one rule: the
+per-cell syndrome columns where ``rs._columns_fit`` gives the code them,
+else the re-read of the touched blocks from the map
+(``_BlockCode._recheck``), which requires each touched block's residual
+to be its stored one, every other block's to be zero and the outer power
+sums of the re-read symbols to be the stored ones.  Each damaged block's
 inner decode is one call, ``BchCode._message_error``, the coset table's
 one reader: where the inner code takes cosets (``BchCode._by_cosets``,
 one rule for both p: p^r <= ``rs._COSET_CAP``), a lookup in the coset

@@ -34,10 +34,12 @@ expansions, and its symbol count equals the code's redundancy.
 Decoding hands the parity layout's blocks with a nonzero digit sum to
 the RS decoder as erasures (one syndrome instead of two); a companion
 tile's symbol stands.  Clean blocks are never flagged, so every bound of
-the plain layout still holds.  Every decode re-checks the sparse map it
-returns against the whole syndrome by ``rs._BlockCode``'s one rule: the
-per-cell syndrome columns where ``rs._columns_fit`` gives the code
-them, else the re-split of the returned map.
+the plain layout still holds.  A decode's Python-level work is per
+damaged and touched block, and the row and square kinds, which have no
+check cells, read no block part.  Every decode re-checks the sparse map it returns against
+the whole syndrome by ``rs._BlockCode``'s one rule: the per-cell
+syndrome columns where ``rs._columns_fit`` gives the code them, else the
+re-read of the blocks the map touches.
 """
 
 import math
@@ -81,10 +83,10 @@ class ExpandedCode(_BlockCode):
     Every decode re-checks the sparse map it returns against the whole
     syndrome: by the per-cell columns where the code takes them
     (``rs._columns_fit``), by their XOR over F_2 and their sum mod p
-    over odd p; else the decode reads the touched blocks back from the
-    map, re-splits them and compares their parts and outer power sums
-    with the syndrome, and without check cells the outer sums of the
-    re-read symbols are the whole check."""
+    over odd p; else the decode re-reads each touched block from the map
+    once and compares its residual with its stored part and the outer
+    power sums of the re-read symbols with the syndrome's, and without
+    check cells the outer sums are the whole check."""
 
     syndrome = _BlockCode.syndrome
 
@@ -149,10 +151,10 @@ class ExpandedCode(_BlockCode):
         """Parity: a damaged block is an erasure; companion: its symbol stands."""
         return None if self.kind == KIND_ROW_PARITY else 0
 
-    def _recheck(self, found, touched, parts, sums) -> None:
+    def _recheck(self, found, offsets, syms, parts, sums) -> None:
         """``_BlockCode._recheck`` under ``rs._uncounted``: an expansion's
         decode counts the products of its outer decode alone."""
-        _uncounted(partial(super()._recheck, found, touched, parts, sums))
+        _uncounted(partial(super()._recheck, found, offsets, syms, parts, sums))
 
     # ------------------------------------------------------------------
     # expansion

@@ -86,9 +86,13 @@ into its template byte (``_BlockCode._digit_columns``,
 ``_column_template``); one without keeps the per-symbol paths
 ``_sparse_syndrome`` and ``_poly_remainder``.  Such a code's decode
 re-checks a syndrome by the same columns and rebuilds its touched blocks
-from a fill table (``_BlockCode._fills``).  A block code without columns re-checks the sparse map a decode returns
-by re-splitting the blocks it touches.  A binary block decode reads its
-block parts from bit lanes, one int per check digit.
+from a fill table (``_BlockCode._fills``).  A block decode costs per
+damaged and touched block: its symbol errors are one sparse map by
+block, and a code without check cells reads no block part.  A block code
+without columns re-checks the sparse map a decode returns by re-reading
+each block it touches from the map once.  A binary block decode with
+check cells reads its block parts from bit lanes, one int per check
+digit.
 
 A cyclic code on the region path decodes on byte regions (``_CyclicCode._region_errors``): a polynomial is a byte
 string, and multiplying one by a constant c is one ``bytes.translate``
@@ -571,33 +575,41 @@ class _BlockCode(LinearCode):
     subclass binds the public ``syndrome`` in its own class
     (perfbench/spans.py traces it there).
 
-    ``_decode`` takes template bytes.  It cuts the outer sums from the
-    residual run by the residual run's length, N * chk symbols, and
-    splits the residual run into block parts: over F_2 with at most 8
-    check digits one int per check digit k, the lane ``res[k::_chk]``
-    shifted by k, summed and read back as bytes, byte i block i's part;
-    wider ones by ``_pack_runs``; over odd p tuples of digits.  It
-    inner-decodes or erases each damaged block, runs the outer decode and
-    rebuilds only the touched blocks, those with a nonzero symbol error
-    or stored residual, from their symbol errors and stored parts (over
-    F_2 in one unpack; with odd-p columns from the fill table, below).
-    Their nonzero cells, at each touched block's slice of the block
-    order, are the sparse error map (``_cells_of``); every other block
-    is zero.  One rule re-checks that map against the whole syndrome,
-    for expansions and concatenations alike: the columns where the code
-    takes them (``_by_columns``), else the re-split of the returned map.  With binary
-    ``_columns`` the XOR of the map's columns must be the syndrome; with
-    odd-p ones the sum of the map's columns of its values, reduced mod p
-    and packed, must be.  Without columns ``_recheck``
-    reads the touched blocks back from the map and compares their parts
-    and outer power sums with the syndrome; an expansion's counts no
-    product (``ExpandedCode._recheck``).  An odd-p code with columns
-    takes each rebuilt block's fill from ``_fills``, one entry
-    per outer symbol built on first use (``_load_fills``).  A subclass
-    also gives ``_inner_decode(part)``: the symbol error a damaged
-    block's residual suggests, or None to make the block an outer
-    erasure.  The reference twin (``_load_twin``) takes no columns and
-    decodes on the outer code's twin.
+    ``_decode`` takes template bytes, and its Python-level work is per
+    damaged and touched block; only C-level passes (the part split, the
+    search for nonzero parts) run over every block.  With check cells it
+    cuts the outer sums from the residual run by the residual run's
+    length, N * chk symbols, and splits the residual run into block
+    parts: over F_2 with at most 8 check digits one int per check digit
+    k, the lane ``res[k::_chk]`` shifted by k, summed and read back as
+    bytes, byte i block i's part; wider ones by ``_pack_runs``; over odd
+    p tuples of digits.  Without check cells (cI, cII, an identity inner code) it
+    reads no part: the outer sums are the whole syndrome.  The symbol
+    errors are one sparse map by block (``_decode_blocks``): each damaged
+    block, one with a nonzero part, in ascending order, with its inner
+    estimate or as an erasure, then the blocks the outer decode corrects.
+    The map's blocks are the touched ones, and only they are rebuilt,
+    from their symbol errors and stored parts (over F_2 in one unpack;
+    with odd-p columns from the fill table, below).  Their nonzero cells,
+    at each touched block's slice of the block order, are the sparse
+    error map (``_cells_of``); every other block is zero.  One rule
+    re-checks that map against the whole syndrome, for expansions and
+    concatenations alike: the columns where the code takes them
+    (``_by_columns``), else the re-read of the touched blocks.  With
+    binary ``_columns`` the XOR of the map's columns must be the
+    syndrome; with odd-p ones the sum of the map's columns of its values,
+    reduced mod p and packed, must be.  Without columns ``_recheck``
+    reads each touched block's cells from the map once and compares its
+    residual with its stored part, every other part with zero and the
+    outer power sums of the re-read symbols, recomputed, with the
+    syndrome's; an expansion's counts no product
+    (``ExpandedCode._recheck``).  An odd-p code with columns takes each
+    rebuilt block's fill from ``_fills``, one entry per outer symbol
+    built on first use (``_load_fills``).  A subclass also gives
+    ``_inner_decode(part)``: the symbol error a damaged block's residual
+    suggests, or None to make the block an outer erasure.  The reference
+    twin (``_load_twin``) takes no columns and decodes on the outer
+    code's twin.
     """
 
     def __init__(self, outer, chk: int, sym_at: int, layout, places=None):
@@ -678,24 +690,28 @@ class _BlockCode(LinearCode):
 
     def _decode(self, synd):
         """The sparse error map template bytes decode to and its
-        DecodeInfo: the outer sums cut from the residual run by its
-        length, N * chk symbols, the residual run split into parts, each
-        damaged block inner-decoded or erased, the outer decode, then the
-        touched blocks rebuilt from their symbol errors and stored parts
-        into the map (``_cells_of``) and the map re-checked: with binary
+        DecodeInfo: with check cells, the outer sums cut from the residual
+        run by its length, N * chk symbols, and the residual run split into
+        parts; without, the outer sums are the whole syndrome and no part
+        is read.  Then the damaged blocks' symbol errors, the outer decode
+        (``_decode_blocks``), the touched blocks rebuilt from their symbol
+        errors and stored parts into the map at their cells' offsets
+        (``_offsets``, ``_cells_of``) and the map re-checked: with binary
         ``_columns`` the XOR of the columns of its cells must be the whole
         syndrome; with odd-p ones the ``_column_template`` of the sum of
-        its columns of its values; else ``_recheck`` re-splits it."""
-        outer = self.outer
-        size = outer.n * self._chk * _symbol_width(self.alphabet.order)  # residual run bytes
-        cut = size if self._sym_at else len(synd) - size
-        res, sums = (synd[:cut], synd[cut:]) if self._sym_at else (synd[cut:], synd[:cut])
-        parts = self._parts(res)
+        its columns of its values; else ``_recheck`` re-reads the touched
+        blocks at the same offsets."""
+        sums, parts = synd, ()
+        if self._chk:
+            size = self.outer.n * self._chk * _symbol_width(self.alphabet.order)  # residual run bytes
+            res, sums = (synd[:size], synd[size:]) if self._sym_at else (synd[-size:], synd[:-size])
+            parts = self._parts(res)
         errors, erasures, delta = self._decode_blocks(parts, sums)
-        touched = self._touched(errors, parts)
-        found = self._cells_of(touched, errors, parts)
+        # a list where the re-check reads the offsets a second time
+        offsets = self._offsets(errors) if self._by_columns else list(self._offsets(errors))
+        found = self._cells_of(offsets, errors, parts)
         if not self._by_columns:
-            self._recheck(found, touched, parts, sums)
+            self._recheck(found, offsets, errors, parts, sums)
         elif self.alphabet.p != 2:
             columns = self._columns or self._load_columns()
             total = sum(map(getitem, map(columns.__getitem__, found), found.values()))
@@ -711,26 +727,46 @@ class _BlockCode(LinearCode):
         self._twin = _twin(self, _by_columns=False, outer=self.outer._twin or self.outer._load_twin())
         return self._twin
 
-    def _recheck(self, found, touched, parts, sums) -> None:
+    def _recheck(self, found, offsets, syms, parts, sums) -> None:
         """Raise DecodeFailure unless the sparse map ``found`` has the
-        whole syndrome, its touched blocks read back from it: every cell
-        of the map lies in a touched block; each touched block's residual,
-        recomputed from its cells, is its stored part; every other block's
-        part is zero; and the outer power sums of the touched blocks'
-        symbols are ``sums``.  Without check cells every part is zero and
-        the outer sums of the re-read symbols are the whole check.  It
-        serves every code without columns; over F_2 its parts come from
-        the same bit lanes as the decode's."""
-        width, order = self._width, self._order or self._load_order()
-        cells = [found.get(at, 0) for i in touched for at in order[i * width : (i + 1) * width]]
-        syms, res = self._split_cells(bytes(cells) if self.alphabet.p == 2 else cells)
+        whole syndrome, the touched blocks (the blocks of the symbol error
+        map ``syms``, their cells at ``offsets``) read back from it once
+        (``_read_blocks``): every cell of the map lies in a touched block;
+        each touched block's residual, recomputed from its cells, is its
+        stored part; every other block's part is zero; and the outer power
+        sums of the re-read symbols, recomputed, are ``sums``.  Without
+        check cells the outer sums are the whole check.  It serves every
+        code without columns."""
+        cells = list(map(found.get, offsets, repeat(0)))
+        if len(found) != (countOf(cells, 1) if self.alphabet.p == 2 else len(cells) - cells.count(0)):
+            raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
+        got_syms, got = self._read_blocks(cells)
         if (
-            len(found) != len(cells) - cells.count(0)
-            or self._chk and ((got := list(self._parts(res))) != [parts[i] for i in touched]
-                              or len(parts) - parts.count(0) != len(got) - got.count(0))
-            or any(self.outer._minus_sums(sums, compress(zip(touched, syms), syms)))
+            self._chk and (got != [parts[i] for i in syms]
+                           or len(parts) - parts.count(0) != len(got) - got.count(0))
+            or any(self.outer._minus_sums(sums, compress(zip(syms, got_syms), got_syms)))
         ):
             raise DecodeFailure("reconstructed pattern does not reproduce the syndrome")
+
+    def _read_blocks(self, cells):
+        """The outer symbols and the parts (as ``_parts`` gives them, none
+        without check cells) of whole blocks from their cells in block
+        order, block by block.  Over F_2, where every cell is 0 or 1, a
+        block's cells pack into one int: its symbol bits are its symbol,
+        and its check bits XOR the check-table image of the symbol its
+        part.  Over odd p a block's symbol is ``_from_digits`` of its
+        digits and its part its ``_residual``."""
+        m, width, chk, p = self.outer.field.m, self._width, self._chk, self.alphabet.p
+        if p == 2:
+            blocks = _pack_runs(cells, width)
+            syms = [(v >> self._sym_at) & ((1 << m) - 1) for v in blocks]
+            return syms, [(v >> self._chk_at) & ((1 << chk) - 1)
+                          ^ _lookup(self._checks or self._load_checks(), s)
+                          for v, s in zip(blocks, syms)] if chk else []
+        blocks = [cells[at : at + width] for at in range(0, len(cells), width)]
+        syms = [_from_digits(b[self._sym_at : self._sym_at + m], p) for b in blocks]
+        return syms, [tuple(r) if any(r) else 0
+                      for r in map(self._residual, blocks, syms)] if chk else []
 
     def _load_columns(self):
         """Column c: the syndrome of the word with a single 1 at row-major
@@ -827,32 +863,22 @@ class _BlockCode(LinearCode):
 
     def _split_body(self, body):
         """The outer symbols of the blocks of a word's body and their flat
-        residuals, from its cells in block order (``_split_cells``): the
+        residuals as template bytes, from its cells in block order: the
         body itself where the blocks lie row-major, else its cells
-        gathered through the block order, as bytes over F_2."""
-        if len(self.shape) == 1:  # the blocks lie in row-major order
-            return self._split_cells(self._cells(body))
-        cells = (self._gather or self._load_gather())(self._cells(body))
-        return self._split_cells(bytes(cells) if self.alphabet.p == 2 else cells)
+        gathered through the block order.  Over F_2 from the lanes
+        ``cells[j::_width]``, else block by block (``_read_blocks``)."""
+        cells, width, p = self._cells(body), self._width, self.alphabet.p
+        if len(self.shape) > 1:
+            cells = (self._gather or self._load_gather())(cells)
+        if p == 2:
+            return self._split_lanes([cells[j::width] for j in range(width)])
+        syms, parts = self._read_blocks(cells)
+        return syms, _pack_run([d for part in parts for d in part or repeat(0, self._chk)], p)
 
     def _load_gather(self):
         """The itemgetter of a 2-D body's cells in block order."""
         self._gather = itemgetter(*(self._order or self._load_order()))
         return self._gather
-
-    def _split_cells(self, cells):
-        """The outer symbols of block-ordered cells in range, any whole
-        number of blocks, and their flat residuals as template bytes: over
-        F_2 from the lanes ``cells[j::_width]``, else block by block."""
-        m, width, chk, sym_at = self.outer.field.m, self._width, self._chk, self._sym_at
-        if self.alphabet.p == 2:
-            return self._split_lanes([cells[j::width] for j in range(width)])
-        p = self.alphabet.p
-        blocks = [cells[at : at + width] for at in range(0, len(cells), width)]
-        syms = [_from_digits(b[sym_at : sym_at + m], p) for b in blocks]
-        if not chk:
-            return syms, b""
-        return syms, _pack_run([v for b, s in zip(blocks, syms) for v in self._residual(b, s)], p)
 
     def _split_lanes(self, lanes):
         """The outer symbols and flat residuals of the binary blocks whose
@@ -919,15 +945,13 @@ class _BlockCode(LinearCode):
         """Each block's residual from the template bytes of the flat
         residuals of consecutive blocks: an int over F_2 (digit j at bit
         j), else the tuple of its digits (``_read_run``), which over F_p,
-        p > 256, may exceed a byte; 0 where it is zero.  Without check
-        cells every one of the n parts is 0.  Over F_2 with at most 8
+        p > 256, may exceed a byte; 0 where it is zero.  A code without
+        check cells has none to read.  Over F_2 with at most 8
         check digits the parts are bytes, byte i block i's: lane k,
         ``res[k::chk]`` read as a little-endian int, holds digit k of
         every block in bit 0 of its byte, so the lanes shifted by k and
         summed are the parts."""
         chk = self._chk
-        if not chk:
-            return [0] * self.outer.n
         if self.alphabet.p == 2:
             if chk > 8:
                 return _pack_runs(res, chk)
@@ -942,40 +966,39 @@ class _BlockCode(LinearCode):
     def _rebuild(self, syms, parts) -> list:
         """The word whose blocks hold the symbols ``syms`` with residuals
         ``parts``."""
-        return self._dense(self._cells_of(self._touched(syms, parts), syms, parts))
+        syms = dict(enumerate(syms))
+        return self._dense(self._cells_of(self._offsets(syms), syms, parts))
 
-    @staticmethod
-    def _touched(syms, parts) -> list:
-        """The blocks with a nonzero symbol or part, in order: the others
-        are all zero."""
-        blocks = range(len(syms))
-        return sorted(set(compress(blocks, syms)).union(compress(blocks, parts)))
+    def _offsets(self, blocks):
+        """The row-major offsets of the cells of ``blocks``, block by block
+        in block-format order: each block's slice of the block order."""
+        width, order = self._width, self._order or self._load_order()
+        return chain.from_iterable([order[i * width : (i + 1) * width] for i in blocks])
 
-    def _cells_of(self, touched, syms, parts) -> dict:
-        """The sparse map of the word whose touched block i holds symbol
-        syms[i] with residual parts[i], every other block zero: the
-        nonzero cells by row-major flat offset, at each touched block's
-        slice of the block order.  Over F_2 the cells come from one unpack
-        and every set cell is 1; over odd p with digit columns each block
-        comes from the fill table."""
-        at, end, p, width = self._chk_at, self._chk_at + self._chk, self.alphabet.p, self._width
-        order = self._order or self._load_order()
-        offsets = chain.from_iterable([order[i * width : (i + 1) * width] for i in touched])
+    def _cells_of(self, offsets, syms, parts) -> dict:
+        """The sparse map of the word whose block i, for each block of the
+        map ``syms``, holds symbol syms[i] with residual parts[i], every
+        other block zero: the nonzero cells by row-major flat offset, the
+        cells of the map's blocks lying at ``offsets`` in turn.  Over F_2
+        the cells come from one unpack and every set cell is 1; over odd p
+        with digit columns each block comes from the fill table.  A code
+        without check cells reads no part."""
+        at, chk, p, width = self._chk_at, self._chk, self.alphabet.p, self._width
         if p == 2:
-            if self._chk:
+            if chk:
                 tables, sym_at = self._checks or self._load_checks(), self._sym_at
-                blocks = [syms[i] << sym_at | (parts[i] ^ _lookup(tables, syms[i])) << at
-                          for i in touched]
+                blocks = [s << sym_at | (parts[i] ^ _lookup(tables, s)) << at
+                          for i, s in syms.items()]
             else:
-                blocks = [syms[i] for i in touched]
+                blocks = list(syms.values())
             return dict.fromkeys(compress(offsets, _unpack_bits(blocks, width)), 1)
         fill = (self._fills or self._load_fills()).__getitem__ if self._by_columns else self._fill
         cells = []
-        for i in touched:
-            block = fill(syms[i])
-            if parts[i]:
+        for i, s in syms.items():
+            block = fill(s)
+            if chk and parts[i]:
                 block = list(block)
-                block[at:end] = [(f + r) % p for f, r in zip(block[at:end], parts[i])]
+                block[at : at + chk] = [(f + r) % p for f, r in zip(block[at : at + chk], parts[i])]
             cells += block
         return dict(compress(zip(offsets, cells), cells))
 
@@ -986,31 +1009,33 @@ class _BlockCode(LinearCode):
                                                 for sym in range(self.outer.field.order)]))
         return self._fills
 
-    def _decode_blocks(self, parts, synd):
-        """The outer symbol errors (a list of n), the erasures and the
-        outer corrections (a sparse map): each damaged block's inner
-        decoder estimates its symbol error or erases it, then the outer
-        decoder corrects the estimates."""
+    def _decode_blocks(self, parts, sums):
+        """The outer symbol errors as a sparse map by block, ascending,
+        the erasures and the outer corrections (a sparse map).  Each
+        damaged block, one with a nonzero part, enters the map with its
+        inner decoder's estimate of its symbol error, or 0 as an erasure;
+        the outer decoder corrects the estimates, and a block it alone
+        corrects joins the map.  So the map's blocks are the touched ones:
+        the damaged and the corrected."""
         outer = self.outer
-        est = [0] * outer.n
-        erasures = []
+        errors, erasures = {}, []
         for i in compress(range(len(parts)), parts):
             e = self._inner_decode(parts[i])
-            if e is not None:
-                est[i] = e
-            elif len(erasures) < outer.redundancy:
+            if e is None:
+                if len(erasures) == outer.redundancy:  # the outer decode would refuse one more
+                    raise TooManyErasuresError(f"{len(erasures) + 1} erasures exceed redundancy "
+                                               f"{outer.redundancy}")
                 erasures.append(i)
-            else:  # the outer decode would refuse this many erasures
-                raise TooManyErasuresError(
-                    f"{len(erasures) + 1} erasures exceed redundancy {outer.redundancy}"
-                )
-        if any(est):  # in range: inner decodes give base-field digits
-            synd = outer._minus_sums(synd, compress(enumerate(est), est))
-        delta = outer._errors(synd, erasures)
-        add = outer.field.add
+            errors[i] = e or 0
+        if any(errors.values()):  # in range: inner decodes give base-field digits
+            sums = outer._minus_sums(sums, compress(errors.items(), errors.values()))
+        delta = outer._errors(sums, erasures)
+        if not errors:  # no damaged block: the corrections, ascending as every outer decode gives them
+            return delta, erasures, delta
+        add, damaged = outer.field.add, len(errors)
         for i, d in delta.items():
-            est[i] = add(est[i], d)
-        return est, erasures, delta
+            errors[i] = add(errors[i], d) if i in errors else d
+        return errors if len(errors) == damaged else dict(sorted(errors.items())), erasures, delta
 
 
 # An odd-p block code's digit-byte maps: the syndrome's size in digit
@@ -1616,7 +1641,7 @@ def _columns_fit(field: ExtField, cells: int) -> bool:
     could carry (cells * (p - 1) <= 255).  Such a code takes its syndrome
     from the columns, summed in digit bytes over odd p, and re-checks
     each decode by them; any other takes bit lanes over F_2, else the
-    per-block split, and the re-split re-check."""
+    per-block split, and the re-check that re-reads the touched blocks."""
     p = field.p
     return field.order <= 256 and cells <= _COLUMN_CAP_CELLS and (p == 2 or cells * (p - 1) <= 255)
 

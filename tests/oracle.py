@@ -130,8 +130,14 @@ def split_blocks(code, cells):
     """A binary block code's outer symbols and flat residual digits, one
     block at a time: each block packed into one int (cell j at bit j), its
     symbol read off bits sym_at .. sym_at + m - 1, and its residual the
-    check bits XOR the code's check-table image of the symbol."""
+    check bits XOR the code's check-table image of the symbol.  An odd-p
+    code without check cells has no residual digits, and each block's
+    symbol is its digits read in base p."""
     m, width, chk = code.outer.field.m, code._width, code._chk
+    p = code.alphabet.p
+    if p != 2:
+        assert not chk, "odd-p residuals are not split here"
+        return [from_digits(cells[at : at + width], p) for at in range(0, len(cells), width)], []
     tables = (code._checks or code._load_checks()) if chk else ()
     syms, res = [], []
     for at in range(0, len(cells), width):

@@ -4,8 +4,8 @@ A binary block code of at most ``rs._COLUMN_CAP_CELLS`` cells, with outer
 symbols of m <= 8 bits, takes its syndrome as the XOR of one column per
 set cell, and its decoder re-checks the sparse map it returns by the
 same XOR.  With the cap patched to 0 the same code takes the bit lanes
-and the re-split of the map it returns, ``_BlockCode._recheck``: the
-oracle here.
+and the re-read of the blocks the map it returns touches,
+``_BlockCode._recheck``: the oracle here.
 
 An odd-p block code with one-byte outer symbols and cells * (p - 1) <= 255
 takes its syndrome as the sum of one column per cell in digit bytes,
@@ -188,17 +188,24 @@ def change_a_check_cell(code, found, touched):
 
 
 def spoil(code, fault, monkeypatch):
-    """Make the code's decodes leave the first touched block out, or
-    apply ``fault`` to the map they rebuild."""
+    """Make the code's decodes leave the first touched block out of the
+    symbol error map they rebuild from, or apply ``fault`` to the map of
+    cells they rebuild."""
     if fault == "leave_out_a_block":
-        touched = code._touched
-        monkeypatch.setattr(code, "_touched", lambda syms, parts: touched(syms, parts)[1:])
+        decode_blocks = code._decode_blocks
+
+        def left_out(parts, sums):
+            errors, erasures, delta = decode_blocks(parts, sums)
+            del errors[next(iter(errors))]
+            return errors, erasures, delta
+
+        monkeypatch.setattr(code, "_decode_blocks", left_out)
         return
     cells_of = code._cells_of
 
-    def faulty(touched, syms, parts):
-        found = cells_of(touched, syms, parts)
-        fault(code, found, touched)
+    def faulty(offsets, syms, parts):
+        found = cells_of(offsets, syms, parts)
+        fault(code, found, list(syms))
         return found
 
     monkeypatch.setattr(code, "_cells_of", faulty)
@@ -209,8 +216,8 @@ def spoil(code, fault, monkeypatch):
 def test_an_expansion_refuses_a_pattern_with_a_dropped_cell(spec, monkeypatch):
     """An expansion re-checks its sparse map against the whole syndrome:
     a rebuilt block with one set cell dropped makes the decode fail,
-    under the cap by the columns and on the lanes by the re-split of the
-    map (``_BlockCode._recheck``)."""
+    under the cap by the columns and without them by the re-read of the
+    touched blocks (``_BlockCode._recheck``)."""
     for cap in (rs._COLUMN_CAP_CELLS, 0):
         monkeypatch.setattr(rs, "_COLUMN_CAP_CELLS", cap)
         code = fresh(spec)

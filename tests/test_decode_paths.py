@@ -19,6 +19,9 @@
 - The region decoder gives the scalar ``_gpz_decode``'s outcome, with
   and without an erasure, and its one-error exit gives the reference
   twin's outcome on every one-error-shaped syndrome.
+- A block code without check cells reads no block part: with
+  ``_BlockCode._parts`` made to raise, its decodes and verifies give the
+  same outcomes and counts.
 """
 
 import math
@@ -28,14 +31,16 @@ from itertools import product
 
 import pytest
 
+import oracle
 from synfuzz import rs
 from synfuzz.concat import ConcatCode, TrivialCode, VLayout
 from synfuzz.errors import DecodeFailure
-from synfuzz.fuzzy import enroll
+from synfuzz.fuzzy import enroll, verify
 from synfuzz.gf import MUL_COUNTER, ExtField, _from_digits
 from synfuzz.rs import BchCode, RsCode
 
 from test_columns import BINARY_BLOCK, ODD_BLOCK, fresh, noisy_reads, seeded_words
+from test_golden import GOLDEN, WIDE_GOLDEN
 from test_protocol import codeword, seeded_word, split
 
 
@@ -65,17 +70,19 @@ assert {1, 3, 8} <= CHECK_DIGITS and max(CHECK_DIGITS) > 8
 def test_lane_parts_are_the_packed_runs(spec):
     """Every block's part, and the parts of every run of three
     consecutive blocks, are ``_pack_runs`` of their residual digits: as
-    bytes from the lanes for at most 8 check digits, else its list."""
+    bytes from the lanes for at most 8 check digits, else its list.  A
+    code without check cells has an empty residual run and no parts to
+    read."""
     code = fresh(spec)
     chk, n = code._chk, code.outer.n
     words = [seeded_word(code, 0x1A + k) for k in range(3)]
     words += [codeword(code, 0x1A), code.zero_word(), code._shaped([1] * code.base_length)]
     for word in words:
         res = split(code, word)[1]
-        parts = code._parts(res)
         if not chk:
-            assert parts == [0] * n
+            assert res == b""
             continue
+        parts = code._parts(res)
         assert list(parts) == rs._pack_runs(res, chk)
         assert type(parts) is (bytes if chk <= 8 else list)
         for i in range(n - 2):
@@ -278,3 +285,76 @@ def test_degree_one_locators_find_the_scanned_root_and_count(p, m, n):
             assert rs._chien_search(field, bytes([1, c1]), n, table) == scan, c1
         found[len(scan)] += 1
     assert found[1] and bool(found[0]) == (n < field.order - 1)
+
+
+# Every golden code without check cells (cI, cII) and three odd-p ones:
+# over gf(3) on the row and square layouts, and over gf(257), whose cells
+# take two bytes.
+NO_CHECK_CELLS = [g[1] for g in GOLDEN + WIDE_GOLDEN if g[1].startswith(("cI(", "cII("))] + [
+    "cI(rs(8,4;gf(3^2)))", "cII(rs(80,40;gf(3^4));8,10)", "cII(rs(256,200;gf(257));16,16)"]
+
+
+def damaged_reads(code, word, seed):
+    """Reads of the word with 0, 1, t, t + 1 and 2t + 1 damaged blocks,
+    one to all cells each, and another word, each beside its number of
+    damaged blocks (the other word's as 2t + 2)."""
+    rng = random.Random(seed)
+    q, width, outer = code.alphabet.order, code._width, code.outer
+    flat = oracle.cells(code, word)
+    order = code._block_order() or range(code.base_length)
+    reads = []
+    for blocks in (0, 1, outer.t, outer.t + 1, 2 * outer.t + 1):
+        cells = list(flat)
+        for i in rng.sample(range(outer.n), blocks):
+            for j in rng.sample(range(width), rng.randint(1, width)):
+                at = order[i * width + j]
+                cells[at] = (cells[at] + rng.randrange(1, q)) % q
+        reads.append((blocks, code._shaped(cells)))
+    other = code._shaped([rng.randrange(q) for _ in range(code.base_length)])
+    return reads + [(2 * outer.t + 2, other)]
+
+
+@pytest.mark.parametrize("spec", NO_CHECK_CELLS)
+def test_a_code_without_check_cells_does_no_part_work(spec, monkeypatch):
+    """With ``_BlockCode._parts`` made to raise, the public ``decode``,
+    with and without ``count``, and ``verify``, with and without
+    ``count``, give the outcomes and counts they give without the patch,
+    on reads with up to 2t + 1 damaged blocks and on another word.  Every
+    pattern decoded within the capability has the blocks
+    (``oracle.split_blocks``) of the read's error word, and every
+    accepted verify recovers the blocks of the enrolled word."""
+    code = fresh(spec)
+    assert code._chk == 0 and code.segments == ((code.outer.redundancy, code.outer.field),)
+    word = seeded_words(code, 0x5C, 1)[0]
+    template = enroll(word, code)
+    q, t = code.alphabet.order, code.outer.t
+    reads = damaged_reads(code, word, 0x5D)
+    errors = [code._shaped([(a - b) % q for a, b in zip(oracle.cells(code, read),
+                                                         oracle.cells(code, word))])
+              for _, read in reads]
+
+    def blocks(w):
+        return oracle.split_blocks(code, oracle.gather(code, w))
+
+    def run():
+        out = []
+        for (damaged, read), error in zip(reads, errors):
+            synd = code.syndrome(error)
+            for count in (False, True):
+                pattern = counted(code.decode, synd, False, count)
+                if damaged <= t:
+                    assert pattern[0] == error and blocks(pattern[0]) == blocks(error)
+                result = counted(lambda: tuple(verify(read, template, code=code, count=count)))
+                if damaged <= t:
+                    assert result[0][0] and blocks(result[0][1]) == blocks(word)
+                out += [pattern, result]
+        return out
+
+    expected = run()
+
+    def no_parts(self, res):
+        raise AssertionError("a code without check cells read its block parts")
+
+    monkeypatch.setattr(rs._BlockCode, "_parts", no_parts)
+    assert run() == expected
+    assert any(type(got) is str for got, _ in expected)  # some decode fails

@@ -160,6 +160,11 @@ def split(code, word):
     return code._split_body(code._read(word))
 
 
+def parts_of(code, res):
+    """The block parts of flat residuals, none without check cells."""
+    return code._parts(res) if code._chk else []
+
+
 def add_words(code, a, b):
     add = code.alphabet.add
     return code._shaped(list(map(add, oracle.cells(code, a), oracle.cells(code, b))))
@@ -174,9 +179,9 @@ def test_rebuild_inverts_split(stem, spec, shape, q, seed):
             word = seeded_word(code, seed + k)
             syms, res = split(code, word)
             assert len(syms) == code.outer.n and len(res) == code.outer.n * code._chk
-            assert code._rebuild(syms, code._parts(res)) == word
+            assert code._rebuild(syms, parts_of(code, res)) == word
         syms, res = split(code, code.zero_word())
-        assert code._rebuild(syms, code._parts(res)) == code.zero_word()
+        assert code._rebuild(syms, parts_of(code, res)) == code.zero_word()
 
 
 @pytest.mark.parametrize("stem,spec,shape,q,seed", BLOCK_GOLDEN, ids=BLOCK_IDS)
@@ -243,22 +248,21 @@ def test_lane_split_matches_the_per_block_oracle(stem, spec, shape, q, seed):
 @pytest.mark.parametrize("stem,spec,shape,q,seed", BLOCK_GOLDEN + list(WIDE_GOLDEN),
                          ids=[g[0] for g in BLOCK_GOLDEN + list(WIDE_GOLDEN)])
 def test_few_block_split_matches_the_lane_split(stem, spec, shape, q, seed):
-    """The decoder's re-check splits a few rebuilt blocks
-    (``_split_cells`` on a partial run): every run of three consecutive
-    blocks gives the symbols and residuals of those blocks in the full
-    split, and the same parts."""
+    """The decoder's re-check re-reads a few rebuilt blocks block by
+    block (``_read_blocks`` on a partial run): every run of three
+    consecutive blocks gives the symbols and parts of those blocks in the
+    full split of the word's body, and every block's re-read alone its
+    own."""
     code = parse_spec(spec)
-    width, chk = code._width, code._chk
+    width, n = code._width, code.outer.n
     for word in (seeded_word(code, seed), codeword(code, seed), code.zero_word()):
         cells = oracle.gather(code, word)
-        syms, res = code._split_cells(cells)
-        parts = code._parts(res)
-        for i in range(0, code.outer.n - 2, 3):
-            few_syms, few_res = code._split_cells(cells[i * width : (i + 3) * width])
-            assert list(few_syms) == list(syms[i : i + 3])
-            assert list(few_res) == list(res[i * chk : (i + 3) * chk])
-            if chk:
-                assert code._parts(few_res) == parts[i : i + 3]
+        syms, res = split(code, word)
+        parts = list(parts_of(code, res))
+        for i in range(n - 2):
+            few_syms, few_parts = code._read_blocks(cells[i * width : (i + 3) * width])
+            assert few_syms == list(syms[i : i + 3]) and few_parts == parts[i : i + 3]
+        assert code._read_blocks(cells) == (list(syms), parts)
 
 
 @pytest.mark.parametrize("stem,spec,shape,q,seed", BINARY_BLOCK, ids=[g[0] for g in BINARY_BLOCK])
@@ -292,8 +296,9 @@ def test_concat_decode_refuses_a_pattern_its_syndrome_does_not_reproduce(spec, m
 
     def wrong(parts, outer_synd):
         errors, erasures, delta = decode_blocks(parts, outer_synd)
-        return [errors[0] ^ 1 if code.p == 2 else (errors[0] + 1) % code.outer.field.order,
-                *errors[1:]], erasures, delta
+        e = errors.get(0, 0)
+        errors[0] = e ^ 1 if code.p == 2 else (e + 1) % code.outer.field.order
+        return errors, erasures, delta
 
     monkeypatch.setattr(code, "_decode_blocks", wrong)
     with pytest.raises(DecodeFailure, match="does not reproduce the syndrome"):
@@ -310,9 +315,9 @@ def test_concat_decode_refuses_a_rebuilt_block_whose_residual_is_not_stored(spec
     cells_of = code._cells_of
     order = code._block_order() or range(code.base_length)
 
-    def changed(touched, syms, parts):
-        found = cells_of(touched, syms, parts)
-        at = order[touched[0] * code._width + code._chk_at]
+    def changed(offsets, syms, parts):
+        found = cells_of(offsets, syms, parts)
+        at = order[next(iter(syms)) * code._width + code._chk_at]
         value = (found.pop(at, 0) + 1) % code.p
         if value:
             found[at] = value
@@ -334,7 +339,12 @@ def test_concat_decode_refuses_a_pattern_that_leaves_out_a_damaged_block(spec, m
     word = oracle.scatter(code, cells)
     synd = code.syndrome(word)
     assert code.decode(synd) == word
-    monkeypatch.setattr(code, "_touched", lambda syms, parts: [])
+    decode_blocks = code._decode_blocks
+
+    def none_touched(parts, outer_synd):
+        return {}, *decode_blocks(parts, outer_synd)[1:]
+
+    monkeypatch.setattr(code, "_decode_blocks", none_touched)
     with pytest.raises(DecodeFailure, match="does not reproduce the syndrome"):
         code.decode(synd)
 
