@@ -37,10 +37,10 @@ about 40 bytes per cell), plus 2 units per element of every field it
 holds (about 84 bytes of tables), plus ``_CODE_WEIGHT`` for its objects,
 its key of at most 1024 characters and the tables it may build (kernel,
 Chien table, region columns and its field's multiply rows).  The
-bound, about 45.6 MiB, admits any one code (the heaviest retains 45.5 MiB
-under tracemalloc once it has built its block map), so a stream of
-distinct hostile specs evicts entries but retains about one largest
-code, never more.
+bound, about 45.6 MiB, admits any one code (the heaviest retains 47.0 MiB
+under tracemalloc once it has built its block map and its kernels), so a
+stream of distinct hostile specs evicts entries but retains about one
+largest code, never more.
 A construction parses its RS and BCH components through the same cache,
 so constructions on the same component spec share its code and tables.
 Failed parses are not cached (a refused construction's components that
@@ -69,15 +69,25 @@ MAX_CELLS = 1 << 20
 # about 34.  The cap bounds parse time and the cache's keys.
 MAX_SPEC_CHARS = 1024
 # Units of about 40 bytes.  A code's own objects take about 2.5 KB, and
-# its lazy tables at most about 600 KB.  The heaviest belong to a code
-# that decodes on byte regions at r = 64 over gf(2^8): after one decode
-# rs(255,191;gf(2^8)) retains 584 KB under tracemalloc, of which its
-# byte-wide kernel takes 314 KB (four step tables of 256 ints of 544
-# bits, and 128 nibble tables of 16 ints of 512 bits), the Chien table
-# (at most 2^21 bits by its cap) 156 KB, and the rest are the
-# per-position columns (255 strings of 64 bytes) and the field's multiply
-# rows (256 strings of 256 bytes).  It weighs 17151 units, 686 KB, about
-# 100 KB above what it retains.  Every code that decodes over a field
+# its lazy tables over a field of at most 256 elements at most about
+# 600 KB.  The heaviest of those belong to a code that decodes on byte
+# regions at r = 64 over gf(2^8): after one decode rs(255,191;gf(2^8))
+# retains 581 KB under tracemalloc, of which its kernel takes 314 KB
+# (four step tables of 256 ints of 544 bits, and 128 nibble tables of 16
+# ints of 512 bits), the Chien table (at most 2^21 bits by its cap)
+# 156 KB, and the rest are the per-position columns (255 strings of 64
+# bytes) and the field's multiply rows (256 strings of 256 bytes).  It
+# weighs 17151 units, 686 KB, about 100 KB above what it retains.  Over a
+# larger field the kernel takes two bytes a coefficient and a sum: at
+# r = 64 over gf(2^16) four step tables of 256 ints of 1056 bits and 256
+# nibble tables of 16 ints of 1024 bits, about 850 KB beside the field's
+# 5.5 MB.  rs(65535,65471;gf(2^16)) retains 6.05 MiB after one decode
+# against a weight of 8.12 MiB, its 65535 cell units (an RS code builds
+# no block map) covering the kernel.  rs(65,1;gf(2^16)), the same kernel
+# with 65 cells, retains 6.05 MiB against 5.63 MiB, 43 bytes a unit.  A
+# binary BCH kernel has four step tables of 256 ints: bch(15,2;gf(2))'s
+# takes 43 KB, and bch(255,32;gf(2)) retains 420 KB after one decode,
+# within its 686 KB weight.  Every code that decodes over a field
 # weighs its rows, so rows that two cached codes share count twice.  A
 # block code that takes per-cell syndrome columns (rs._columns_fit) adds
 # them: over F_2 at most 256 ints of a 255-byte syndrome, under 80 KB,
@@ -99,8 +109,12 @@ MAX_SPEC_CHARS = 1024
 # outer=rs(2,1;gf(3^4))).  A code's reference twin, built on the first
 # counted decode, shares the tables built so far and adds what its
 # scalar paths build: for a code with columns its outer kernel and its
-# gather, at most about 130 KB (cI(rs(32,1;gf(2^8))) retains 330 KB
-# with its twin after counted verifies), else under 3 KB.
+# gather, at most about 130 KB (cI(rs(32,1;gf(2^8))) retains 342 KB
+# with its twin after counted verifies), else under 3 KB plus the
+# per-position power columns its outer twin's sums read where the code
+# had not built them first (cI(rs(255,223;gf(2^8))) retains 422 KB with
+# its twin after counted verifies, 19 KB more than with one pass over
+# the dense word).
 _CODE_WEIGHT = 1 << 14
 # A field's tables take about 84 bytes per element.
 _FIELD_WEIGHT = 2

@@ -64,18 +64,17 @@ on ``_decoder``'s code, the twin alone with ``count`` and the code
 itself without, so a counted call runs one decode, never two.
 
 Over characteristic 2 (syndrome roots in F_{2^m}, m <= 16) syndromes
-come from a packed kernel: a table-driven LFSR reduces the word modulo
-the generator, and one packed F_2-linear map takes the remainder to the
-power sums, in the byte form of the rule above.  An RS code over
-F_{2^m}, m <= 8, takes ``_ByteKernel``: four symbols a step, slicing by
-4 (Kounavis and Berry, ISCC 2005), through four tables of 2^m entries
-that also clear the overflow they are looked up by, so its loop
-needs no mask, and one nibble table per 4 remainder bits for the power
-sums, their single-bit entries the power-sum columns translated through
-the field's multiply rows, which the Chien table reuses.  A binary BCH
-code, and an RS code over F_{2^m}, m > 8, takes ``_BinaryKernel``: one
-masked step of eight digits or one symbol, and one column per remainder
-bit.  Neither kernel counts a multiplication.  A binary
+come from one packed kernel, ``_Kernel``, for binary BCH and RS codes
+alike: a table-driven LFSR reduces the word modulo the generator, and
+one packed F_2-linear map takes the remainder to the power sums, in the
+byte form of the rule above.  A word is its packed little-endian bytes,
+w bits a coefficient: one over F_2, one byte over F_{2^m}, m <= 8, two
+above (``_CyclicCode._quads`` reads them as 32-bit chunks).  Each step
+shifts in one chunk, slicing by 4 (Kounavis and Berry, ISCC 2005),
+through four tables, one per overflow byte, that also clear the overflow
+they are looked up by, so the loop needs no mask; one nibble table per
+4 remainder bits gives the power sums.  The kernel counts no
+multiplication.  A binary
 block word reaches it through bit lanes: one int per cell position of a
 block, across all blocks, from one strided byte slice; a binary block
 code with columns skips both and XORs one per-cell syndrome column per
@@ -887,8 +886,9 @@ class _BlockCode(LinearCode):
         Lane j is read as the int whose byte i (bytes i*w .. i*w + w - 1,
         w = 2 for m > 8) holds cell j of block i, with no loop over the
         blocks.  The symbols are the sum of the symbol lanes shifted by
-        their digit, read back as bytes (a tuple for m > 8), and residual
-        digit k is the XOR of the lanes ``_lanes`` lists for it.
+        their digit, read back as bytes: the packed little-endian word the
+        outer kernel reads.  Residual digit k is the XOR of the lanes
+        ``_lanes`` lists for it.
         """
         m, chk, sym_at = self.outer.field.m, self._chk, self._sym_at
         n, size = len(lanes[0]), 1 if m <= 8 else 2
@@ -903,8 +903,7 @@ class _BlockCode(LinearCode):
         packed = 0
         for b in range(m):
             packed |= lanes[sym_at + b] << b
-        packed = packed.to_bytes(size * n, "little")
-        syms = packed if size == 1 else struct.unpack(f"<{n}H", packed)
+        syms = packed.to_bytes(size * n, "little")
         if not chk:
             return syms, b""
         res = bytearray(n * chk)
@@ -1316,14 +1315,15 @@ def _poly_remainder(field: ExtField, word, g) -> list[int]:
     return work[:r]
 
 
-def _sparse_syndrome(field: ExtField, word, count):
-    """Power sums word(alpha^1) .. word(alpha^count), skipping zero symbols."""
+def _sparse_syndrome(field: ExtField, symbols, count):
+    """Power sums word(alpha^1) .. word(alpha^count) of the word whose
+    symbols are the ``(position, value)`` pairs, skipping zero values."""
     exp, log = field._exp, field._log
     q1 = field.order - 1
     add = field.add
     out = [0] * count
     nm = 0
-    for i, c in enumerate(word):
+    for i, c in symbols:
         if c:
             lc = log[c]
             step = i % q1
@@ -1412,129 +1412,74 @@ def _overflow_polys(field: ExtField, g, terms: int) -> list[list[int]]:
     return polys
 
 
-class _BinaryKernel:
-    """Packed syndrome tables of a binary BCH code, or of an RS code over
-    F_{2^m}, 8 < m <= 16: syndrome roots alpha^1 .. alpha^count in
-    F_{2^m}, monic generator g of degree R.  An RS code over F_{2^m},
-    m <= 8, takes the byte-wide ``_ByteKernel`` instead.
-
-    A remainder modulo g packs into one int, coefficient k in bits
-    k*width .. (k+1)*width - 1 (width m for RS symbols, 1 for BCH bits).
-    ``remainder`` is a table-driven LFSR in the style of Sarwate's
-    table-lookup CRC (CACM 31(8), 1988): each step shifts in ``step``
-    bits (one m-bit symbol or eight BCH digits), masks the remainder's
-    bits and folds the bits pushed past x^R back in through ``top``,
-    byte-indexed tables of overflow * x^R mod g (``_overflow_polys``).
-    ``power_sums`` evaluates a packed remainder at the roots: it is
-    F_2-linear, so it XORs one packed column per set remainder bit, the
-    column of bit (k, b) holding x^b alpha^(jk) for j = 1..count
-    (``_kernel_columns``).  Sum j takes one byte for m <= 8 and two for
-    m > 8, their bytes swapped in the column, so the XOR's little-endian
-    bytes are the sums in the template's form (the ``rs`` module's form
-    rule): one byte a sum, or two big-endian bytes.
-
-    The tables depend only on the field, g and count, never on the code
-    length: at most 512 ints of R*width bits plus R*width ints of count*m
-    bits.  Building them spends no counted multiplication.
-    """
-
-    def __init__(self, field: ExtField, g, width: int, step: int, count: int):
-        exp, log = field._exp, field._log
-        m, r = field.m, len(g) - 1
-        self.step = step
-        self.size = r * width
-        self.mask = (1 << self.size) - 1
-
-        def pack(coeffs):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc << width) | c
-            return acc
-
-        # the image of each bit (u, b) of a step's overflow, x^b x^(r+u) mod g
-        # packed; bits b >= m of a coefficient are always zero
-        bits = [(1 << b) * (b < m) for b in range(width)]
-        self.top = _byte_tables([pack([exp[log[bit] + log[c]] if bit and c else 0 for c in poly])
-                                 for poly in _overflow_polys(field, g, step // width)
-                                 for bit in bits])
-        # a step overflows by at most 16 bits: a low and a high byte table,
-        # the high one all zero when the overflow fits one byte
-        self.lo, self.hi = self.top if len(self.top) == 2 else (*self.top, (0,))
-        # sum j sits at bits (j-1)*w of the XOR, w = 8 for m <= 8 and 16 above
-        self.columns = _kernel_columns(field, r, bits, count, 8 if m <= 8 else 16)
-        self.sums_size = count if m <= 8 else 2 * count
-
-    def remainder(self, chunks) -> int:
-        """The packed remainder mod g of the word whose ``step``-bit
-        chunks, highest first, are ``chunks``."""
-        step, shift, mask = self.step, self.size, self.mask
-        lo, hi = self.lo, self.hi
-        rem = 0
-        for c in chunks:
-            v = (rem << step) | c
-            t = v >> shift
-            rem = (v & mask) ^ lo[t & 255] ^ hi[t >> 8]
-        return rem
-
-    def power_sums(self, rem: int) -> bytes:
-        """rem(alpha^j) for j = 1..count, one byte a sum for m <= 8, two
-        big-endian bytes for m > 8."""
-        bits = bin(rem)[:1:-1].encode().translate(_TO_DIGITS)
-        return reduce(xor, compress(self.columns, bits), 0).to_bytes(self.sums_size, "little")
-
-
 # A translate table from the characters of ``hex`` to the nibbles they write.
 _FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-class _ByteKernel:
-    """Packed syndrome tables of an RS code over F_{2^m}, m <= 8, slicing
-    by 4: syndrome roots alpha^1 .. alpha^count, monic generator g of
-    degree R.
+class _Kernel:
+    """Packed syndrome tables of a cyclic code over characteristic 2,
+    slicing by 4: syndrome roots alpha^1 .. alpha^count in F_{2^m}, monic
+    generator g of degree R over F_s, and coefficient width w, the bits of
+    one coefficient in a packed word: 1 over F_2 (binary BCH), else a
+    template symbol's, 8 for m <= 8 and 16 above (RS).
 
-    A remainder modulo g packs into one int, coefficient k in byte k (bits
-    b >= m of a byte always zero).  ``remainder`` is Sarwate's
-    table-lookup CRC (CACM 31(8), 1988) widened to 32 bits a step, as
-    slicing-by-4 widens it (Kounavis and Berry, ISCC 2005): each step
-    shifts in four symbols, one 32-bit chunk of the word (chunks highest
-    first, symbol 4i + u in byte u of chunk i), and folds the four bytes
-    pushed past x^R back in through ``steps``, one byte table per
-    overflow byte u, entry v the image of v x^(R+u) mod g
-    (``_overflow_polys``).  Each entry also holds v itself at bits
-    8(R+u) .., the overflow byte it is looked up by, so the XOR of the
-    four lookups clears every bit past x^R as it folds them in, and the
-    loop needs no mask.
-
-    Bits b >= m of a coefficient are always zero, so a step table has
-    2^m entries, indexed by the m bits its overflow byte can set.
+    A word or a remainder modulo g packs into one int, coefficient k at
+    bits k*w .. (k+1)*w - 1 (bits b >= m of a coefficient always zero).
+    ``remainder`` is Sarwate's table-lookup CRC (CACM 31(8), 1988)
+    widened to 32 bits a step, as slicing-by-4 widens it (Kounavis and
+    Berry, ISCC 2005): each step shifts in one 32-bit chunk of the packed
+    word, 32/w coefficients (``_CyclicCode._quads`` reads the chunks), and
+    folds the four bytes pushed past x^R back in through ``steps``, one
+    table per overflow byte u.  Overflow bit 8u + c is bit b of
+    coefficient x^(R+k), 8u + c = k*w + b, and its image x^b x^(R+k) mod
+    g (``_overflow_polys``); entry v of table u is the XOR of the images
+    of v's set bits.  Each entry also holds v itself at bits R*w + 8u ..,
+    the overflow byte it is looked up by, so the XOR of the four lookups
+    clears every bit past x^R as it folds them in, and the loop needs no
+    mask.  Table u is built from the valid bits of byte u, those below m
+    in their coefficient, which are its low bits: 256 entries for w = 1,
+    2^m for w = 8, and 256 and 2^(m-8) in turn for w = 16.
 
     ``power_sums`` evaluates a packed remainder at the roots.  It is
     F_2-linear, so per 4 remainder bits it XORs the entry of their value
-    in that nibble's table of ``nibbles``.  Nibble i holds bits 4i ..
-    4i+3, and its single-bit entries 1, 2, 4 and 8 are the power-sum
-    columns of bits (k, b), k = i // 2: x^b alpha^(jk) in byte j - 1, the
-    power sums of x^k translated through the field's row of x^b, and
-    entry v is the XOR of the columns of v's set bits.  The XOR's
-    little-endian bytes are the sums in the template's form, one byte a
-    sum.
+    in that nibble's table of ``nibbles``.  The single-bit entries of
+    nibble i, bits 4i .. 4i+3, are the power-sum columns of those bits:
+    bit (k, b) holds x^b alpha^(jk) in sum j (``_kernel_columns``; for
+    w = 8 the power sums of x^k translated through the field's multiply
+    row of x^b, rows the Chien table reuses), and entry v is the XOR of
+    the columns of v's set bits.  Sum j takes one byte for m <= 8 and two
+    big-endian ones above, so the XOR's little-endian bytes are the sums
+    in the template's form (the ``rs`` module's form rule).
 
-    The tables depend only on the field, g and count, never on the code
-    length: 4 * 2^m <= 1024 ints of 8R + 32 bits and 32R ints of
-    8*count bits.  Building them spends no counted multiplication.
+    The tables depend only on the field, g, w and count, never on the
+    code length: four step tables of at most 256 ints of at most R*w + 32
+    bits, and ceil(R*w/4) nibble tables of 16 ints of 8*count bits, or
+    16*count for m > 8.  Building them spends no counted multiplication.
     """
 
-    def __init__(self, field: ExtField, g, count: int):
+    def __init__(self, field: ExtField, g, w: int, count: int):
+        exp, log = field._exp, field._log
         m, r = field.m, len(g) - 1
-        self.size = 8 * r
-        # a polynomial times x^b is one translate through the row of x^b
-        # (row 0, all zero, for b >= m)
-        rows = field._rows or field._load_rows()
-        units = [rows[(1 << b) * (b < m)] for b in range(8)]
-        images = product(enumerate(map(bytes, _overflow_polys(field, g, 4))), enumerate(units[:m]))
-        self.steps = _byte_tables([int.from_bytes(poly.translate(row), "little") ^ 1 << self.size + 8 * u + b
-                                   for (u, poly), (b, row) in images], m)
-        columns = iter([int.from_bytes(sums.translate(row), "little")
-                        for sums in _power_columns(field, r, count) for row in units])
+        self.size = r * w
+        bits = [(1 << b) * (b < m) for b in range(w)]  # x^b, 0 past the field
+        rows = (field._rows or field._load_rows()) if w == 8 else None
+
+        def times(coeffs, bit) -> int:  # coeffs times bit, packed w bits a coefficient
+            if rows:  # one translate through the field's multiply row
+                return int.from_bytes(bytes(coeffs).translate(rows[bit]), "little")
+            values = [exp[log[c] + log[bit]] if c else 0 for c in coeffs]
+            return _pack_bits(values) if w == 1 else int.from_bytes(struct.pack(f"<{r}H", *values), "little")
+
+        polys = _overflow_polys(field, g, 32 // w)
+        self.steps = tuple(_byte_tables([
+            times(polys[at // w], bits[at % w]) ^ 1 << self.size + at
+            for at in range(8 * u, 8 * u + 8) if at % w < m])[0] for u in range(4))
+        if rows:
+            columns = [int.from_bytes(sums.translate(rows[bit]), "little")
+                       for sums in _power_columns(field, r, count) for bit in bits]
+        else:
+            columns = _kernel_columns(field, r, bits, count, 8 if m <= 8 else 16)
+        columns = iter(columns + [0] * (-len(columns) % 4))
         nibbles = []
         for a, b, c, d in zip(columns, columns, columns, columns):
             # entry v: the XOR of the columns of v's set bits
@@ -1542,11 +1487,11 @@ class _ByteKernel:
             nibbles.append((0, a, b, ab, c, a ^ c, b ^ c, ab ^ c,
                             d, a ^ d, b ^ d, ab ^ d, cd, a ^ cd, b ^ cd, ab ^ cd))
         self.nibbles = tuple(nibbles)
-        self.sums_size = count
+        self.sums_size = count * _symbol_width(field.order)
 
     def remainder(self, chunks) -> int:
         """The packed remainder mod g of the word whose 32-bit chunks,
-        four symbols each, highest first, are ``chunks``."""
+        highest first, are ``chunks``."""
         t0, t1, t2, t3 = self.steps
         shift = self.size
         rem = 0
@@ -1557,8 +1502,9 @@ class _ByteKernel:
         return rem
 
     def power_sums(self, rem: int) -> bytes:
-        """rem(alpha^j) for j = 1..count, one byte a sum: one nibble
-        table's entry per hex digit of rem, low digit first."""
+        """rem(alpha^j) for j = 1..count, one byte a sum for m <= 8, two
+        big-endian bytes above: one nibble table's entry per hex digit of
+        rem, low digit first."""
         nibbles = hex(rem)[:1:-1].encode().translate(_FROM_HEX)
         return reduce(xor, map(getitem, self.nibbles, nibbles), 0).to_bytes(self.sums_size, "little")
 
@@ -1728,17 +1674,19 @@ def _chien_search(field: ExtField, psi: bytes, n: int, table) -> list:
 _ODD_BYTES = int.from_bytes(b"\0\xff" * 36, "little")
 
 
-def _coset_table(kernel: _BinaryKernel, n: int, t: int) -> dict[int, int]:
+def _coset_table(remainder, n: int, t: int) -> dict[int, int]:
     """Packed remainder -> packed error over every binary pattern of
     weight <= t of the BCH code of length n and design capability t whose
-    kernel is ``kernel``.  Distance >= 2t + 1 makes each remainder's
-    pattern unique, so a remainder missing here has none."""
+    packed remainder of a packed word's little-endian bytes is
+    ``remainder`` (``_CyclicCode._packed_remainder``).  Distance >= 2t + 1
+    makes each remainder's pattern unique, so a remainder missing here has
+    none."""
     width = (n + 7) // 8
     table = {}
     for w in range(t + 1):
         for support in combinations(range(n), w):
             err = sum(1 << i for i in support)
-            table[kernel.remainder(err.to_bytes(width, "big"))] = err
+            table[remainder(err.to_bytes(width, "little"))] = err
     return table
 
 
@@ -1780,7 +1728,7 @@ class _CyclicCode(_SpecIdentity):
         self._base_limit = s if s < field.order else None  # magnitudes held to F_s
         self._gen = None  # the generator, set on first use
         self._tables = None  # the packed kernel, set on first use
-        self._quads = None  # its 32-bit chunk reader over F_{2^m}, m <= 8, set with it
+        self._quads = None  # the 32-bit chunk reader of a packed word, set with the kernel
         # the byte-region decoder and the packed Chien search, else the scalar ones
         self._by_region = _chien_fits(field, n, count)
         self._chien = None  # the Chien table, set on first use
@@ -1795,20 +1743,24 @@ class _CyclicCode(_SpecIdentity):
         return self._gen
 
     def _load_kernel(self):
-        """The packed syndrome tables.  Each LFSR step shifts in eight
-        one-bit digits over F_2 and one m-bit symbol over F_{2^m}, m > 8
-        (``_BinaryKernel``); over F_{2^m}, m <= 8, four symbols packed one
-        byte wide (``_ByteKernel``), which ``_quads`` reads as 32-bit
-        chunks off the word, zero bytes past its end."""
-        field = self.field
-        if self.s < field.order:
-            self._tables = _BinaryKernel(field, self.generator, 1, 8, self.count)
-        elif field.m <= 8:
-            self._quads = struct.Struct(f"<{(self.n + 3) // 4}I")
-            self._tables = _ByteKernel(field, self.generator, self.count)
-        else:
-            self._tables = _BinaryKernel(field, self.generator, field.m, field.m, self.count)
+        """The packed syndrome tables over characteristic 2 (``_Kernel``)
+        and ``_quads``, the one reader of a packed word's chunks.  A
+        coefficient of F_s takes w bits of a packed word: one over F_2,
+        else a template symbol's bytes.  ``_quads`` reads the n*w bits,
+        padded at the high end with zero bits to whole chunks, as 32-bit
+        little-endian chunks."""
+        w = 1 if self.s == 2 else 8 * _symbol_width(self.s)
+        self._quads = struct.Struct(f"<{(self.n * w + 31) // 32}I")
+        self._tables = _Kernel(self.field, self.generator, w, self.count)
         return self._tables
+
+    def _packed_remainder(self, packed) -> int:
+        """The kernel's packed remainder of a word over characteristic 2
+        given as its packed little-endian bytes, coefficient k at bits
+        k*w .., at most ``_quads.size`` bytes: their 32-bit chunks (zero
+        bytes past their end), highest first, through the LFSR."""
+        kernel = self._tables or self._load_kernel()
+        return kernel.remainder(reversed(self._quads.unpack(packed.ljust(self._quads.size, b"\0"))))
 
     def _encode(self, message) -> list[int]:
         """Systematic cyclic encoding: message high, parity low."""
@@ -1886,8 +1838,8 @@ class _CyclicCode(_SpecIdentity):
         """The power sums of the n-symbol word whose nonzero symbols are
         the ``(position, value)`` pairs, sum j - 1 in byte j - 1 of the int:
         each symbol's column translated through the row of its value, the
-        results XORed.  Table lookups only, so nothing is counted; the code
-        must decode on byte regions."""
+        results XORed.  Table lookups only, so nothing is counted; the
+        field is F_{2^m}, m <= 8."""
         rows, cols = self.field._rows or self.field._load_rows(), self._cols or self._load_cols()
         acc = 0
         for i, v in symbols:
@@ -2019,24 +1971,31 @@ class RsCode(_CyclicCode, LinearCode):
     syndrome = LinearCode.syndrome
 
     def _body_syndrome(self, body) -> bytes:
-        """The template bytes of the power sums of a body."""
-        return self._power_sums(self._cells(body))
+        """The template bytes of the power sums of a body.  Over
+        characteristic 2 the kernel reads the body's bytes: as they are
+        for m <= 8, and for m > 8 with each symbol's two big-endian bytes
+        swapped into little-endian order by two strided slice
+        assignments.  Over odd p, the body's ints (``_cells``)."""
+        field = self.field
+        if field.p != 2:
+            return self._power_sums(self._cells(body))
+        if field.m > 8:
+            body, wide = bytearray(len(body)), body
+            body[::2], body[1::2] = wide[1::2], wide[::2]
+        return self._power_sums(body)
 
     def _power_sums(self, word) -> bytes:
         """The template bytes of the power sums of n symbols known to lie
         in the field, unchecked: the outer symbols a block code has just
-        read (bytes over F_{2^m}, m <= 8) or estimated.  Over
-        characteristic 2 the packed kernel's, else ``_sparse_syndrome``'s
-        packed."""
+        read or estimated.  Over characteristic 2 the word is its packed
+        little-endian bytes, one byte a symbol for m <= 8 and two above,
+        and the sums are the packed kernel's; over odd p it is a sequence
+        of ints, and the sums are ``_sparse_syndrome``'s packed."""
         field = self.field
         if field.p != 2:
-            return _pack_run(_sparse_syndrome(field, word, self.count), field.order)
-        kernel = self._tables or self._load_kernel()
-        if field.m > 8:
-            chunks = reversed(word)
-        else:  # four symbols a chunk, symbol 4i + u in byte u of chunk i
-            chunks = reversed(self._quads.unpack(bytes(word).ljust(self._quads.size, b"\0")))
-        return kernel.power_sums(kernel.remainder(chunks))
+            return _pack_run(_sparse_syndrome(field, enumerate(word), self.count), field.order)
+        rem = self._packed_remainder(word)
+        return self._tables.power_sums(rem)
 
     def _decode(self, synd):
         errors = self._errors(synd)
@@ -2045,16 +2004,20 @@ class RsCode(_CyclicCode, LinearCode):
     def _minus_sums(self, synd, symbols) -> bytes:
         """The template bytes ``synd`` minus the power sums of the
         n-symbol word whose nonzero symbols are the ``(position, value)``
-        pairs.  Where the code decodes on byte regions the bytes XOR
-        ``_sums``; else ``_run_minus`` takes the dense word's
-        ``_power_sums``, which count their products."""
-        if not self._by_region:
-            word = [0] * self.n
-            for i, v in symbols:
-                word[i] = v
-            return _run_minus(self.field, synd, self._power_sums(word))
-        sums = self._sums(symbols)
-        return (int.from_bytes(synd, "little") ^ sums).to_bytes(len(synd), "little")
+        pairs, from the pairs alone.  Over F_{2^m}, m <= 8, the bytes XOR
+        ``_sums``, table lookups that count nothing.  Else ``_run_minus``
+        takes ``_sparse_syndrome`` of the pairs: over odd p it counts
+        ``count`` products per nonzero symbol, as the dense word's sums
+        do, and over F_{2^m}, m > 8, it runs uncounted, as the kernel's
+        sums do."""
+        field = self.field
+        if field.p == 2 and field.m <= 8:
+            return (int.from_bytes(synd, "little") ^ self._sums(symbols)).to_bytes(len(synd), "little")
+        if field.p == 2:
+            sums = _uncounted(lambda: _sparse_syndrome(field, symbols, self.count))
+        else:
+            sums = _sparse_syndrome(field, symbols, self.count)
+        return _run_minus(field, synd, _pack_run(sums, field.order))
 
     def _kind_lines(self) -> list[str]:
         lines = [
@@ -2093,7 +2056,6 @@ class BchCode(_CyclicCode):
         super().__init__(ext, p, n, 2 * design_t, f"gf({p})")
         self.p = p
         self.design_t = design_t
-        self._width = (n + 7) // 8  # bytes of a packed word
         # the coset table, else the algebraic decode
         self._by_cosets = p**self.redundancy <= _COSET_CAP
         self._cosets = None  # the coset table, set on first use
@@ -2111,8 +2073,7 @@ class BchCode(_CyclicCode):
         counts no multiplication."""
         if self.p != 2:  # called directly: this is the odd-p residual's hot path
             return _poly_remainder(self.field, word, self.generator)
-        kernel = self._tables or self._load_kernel()
-        rem = kernel.remainder(_pack_bits(word).to_bytes(self._width, "big"))
+        rem = self._packed_remainder(_pack_bits(word).to_bytes((self.n + 7) // 8, "little"))
         return _unpack_bits([rem], self.redundancy)
 
     def syndrome(self, word) -> tuple:
@@ -2124,10 +2085,9 @@ class BchCode(_CyclicCode):
         """Evaluate a mod-g remainder at the syndrome roots."""
         _check_symbols(remainder, self.redundancy, self.p, self._symbols)
         if self.p != 2:
-            return tuple(_sparse_syndrome(self.field, list(remainder), self.count))
+            return tuple(_sparse_syndrome(self.field, enumerate(remainder), self.count))
         kernel = self._tables or self._load_kernel()
-        width = "B" if self.field.m <= 8 else "H"
-        return struct.unpack(f">{self.count}{width}", kernel.power_sums(_pack_bits(remainder)))
+        return tuple(_read_run(kernel.power_sums(_pack_bits(remainder)), self.field.order))
 
     def decode_packed(self, remainder: int) -> int:
         """The pattern of weight <= design_t with this remainder, both
@@ -2153,7 +2113,7 @@ class BchCode(_CyclicCode):
         0.1 s."""
         r = self.redundancy
         if self.p == 2:
-            patterns = _coset_table(self._tables or self._load_kernel(), self.n, self.design_t)
+            patterns = _coset_table(self._packed_remainder, self.n, self.design_t)
             self._cosets = {rem: err >> r for rem, err in patterns.items()}
         else:
             self._cosets = _uncounted(lambda: {
@@ -2183,7 +2143,8 @@ class BchCode(_CyclicCode):
         if self.p == 2:
             sums = (self._tables or self._load_kernel()).power_sums(remainder)
         else:
-            sums = _pack_run(_sparse_syndrome(self.field, remainder, self.count), self.field.order)
+            sums = _pack_run(_sparse_syndrome(self.field, enumerate(remainder), self.count),
+                             self.field.order)
         try:
             errors = self._errors(sums)
         except DecodeFailure:

@@ -461,7 +461,7 @@ def scalar_message_error(code, remainder):
     coset table: the remainder's power sums to the scalar decoder, the
     pattern's message digits read as one int."""
     try:
-        sums = rs._sparse_syndrome(code.field, remainder, code.count)
+        sums = rs._sparse_syndrome(code.field, enumerate(remainder), code.count)
         errors = code._errors(rs._pack_run(sums, code.field.order))
     except DecodeFailure:
         return None

@@ -10,6 +10,7 @@ block map and the generators as the only inputs taken from the package.
 import gc
 import math
 import random
+import struct
 import weakref
 
 import pytest
@@ -28,7 +29,7 @@ from test_golden import GOLDEN, WIDE_GOLDEN
 
 LARGEST_FLAT_CONCAT = "concat(inner=bch(63,11;gf(2)), outer=rs(16644,16580;gf(2^16)), layout=flat)"
 LARGEST_RS = "rs(65535,65471;gf(2^16))"
-# Symbols of more than eight bits take the kernel's two-table path.
+# Symbols of more than eight bits take the kernel with two-byte coefficients.
 WIDE = (
     ("rs(60,36;gf(2^12))", 201),
     ("cI+parity(rs(20,12;gf(2^10)))", 202),
@@ -146,24 +147,43 @@ def test_syndrome_matches_the_oracle(spec, seed):
         assert list(code.syndrome(word)) == oracle_syndrome(code, word)
 
 
-@pytest.mark.parametrize("m", range(2, 9))
-def test_four_symbol_kernel_matches_the_per_symbol_power_sums(m):
-    """Over F_{2^m}, m <= 8, the kernel shifts in four byte-wide symbols per
-    step; its power sums equal the per-symbol ones for full and shortened
-    codes of every length mod 4 (the reader pads the word's high end with
-    zero bytes to whole chunks)."""
+# The coefficient widths w of a packed word, with the fields the kernel
+# tests walk at each: binary BCH (w = 1), and RS over F_{2^m} with m <= 8
+# (w = 8) and m > 8 (w = 16).
+WIDTHS = [(1, m) for m in range(2, 13)] + [(8, m) for m in range(2, 9)] + [(16, m) for m in range(9, 17)]
+
+
+def width_of(code):
+    """A code's coefficient width: one bit over F_2, else the bytes of a
+    template symbol."""
+    return 1 if isinstance(code, BchCode) else 8 if code.field.m <= 8 else 16
+
+
+@pytest.mark.parametrize("w,m", WIDTHS, ids=[f"w{w}-m{m}" for w, m in WIDTHS])
+def test_four_symbol_kernel_matches_the_per_symbol_power_sums(w, m):
+    """The kernel shifts in one 32-bit chunk, 32/w coefficients, per step;
+    its power sums equal the per-symbol ones for full and shortened RS
+    codes of every length mod 4 (w = 8) and mod 2 (w = 16; lengths 130
+    and 129 where q > 1024), and for the binary BCH codes of t = 1 and 2
+    (w = 1).  The reader pads the word's packed bytes at the high end
+    with zero bytes to whole chunks."""
     field = ExtField(2, m)
     full = field.order - 1
-    rng = random.Random(300 + m)
-    for n in sorted({full, full - 1, min(full, 5), min(full, 4)}):
-        r = min(n - 1, 2 + m % 5)
-        code = RsCode(field, n, n - r)
-        words = [[rng.randrange(field.order) for _ in range(n)] for _ in range(5)]
-        words += [[0] * (n - 1) + [1], [1] + [0] * (n - 1), [field.order - 1] * n]
+    rng = random.Random(300 + m if w == 8 else 300 + 20 * w + m)
+    if w == 1:
+        codes = [BchCode(2, m, t) for t in (1, 2) if 2 * t < full]
+    else:
+        top = full if full <= 1023 else 130
+        codes = [RsCode(field, n, n - min(n - 1, 2 + m % 5))
+                 for n in sorted({top, top - 1, min(full, 5), min(full, 4)})]
+    for code in codes:
+        n, q = code.n, code.s
+        words = [[rng.randrange(q) for _ in range(n)] for _ in range(5)]
+        words += [[0] * (n - 1) + [1], [1] + [0] * (n - 1), [q - 1] * n]
         for word in words:
-            expected = rs._sparse_syndrome(field, word, code.count)
+            expected = rs._sparse_syndrome(field, enumerate(word), code.count)
             assert list(code.syndrome(word)) == expected, (n, word)
-        assert code._quads.size == n + -n % 4
+        assert width_of(code) == w and code._quads.size == 4 * -(-n * w // 32)
 
 
 @pytest.mark.parametrize("spec", [f"rs({2**m - 1},{2**m - 1 - 2 * m};gf(2^{m}))"
@@ -183,41 +203,82 @@ def test_byte_wide_kernel_columns_are_the_scalar_columns(spec):
     assert columns == rs._kernel_columns(field, r, bits, code.count, 8)
 
 
-def byte_wide_codes(m):
-    """RS codes over F_{2^m} of the four lengths mod 4 from the full one
-    down, each at a few redundancies: 1, 3, 2m and up to 64."""
-    full = 2**m - 1
-    for n in range(full, full - 4, -1):
+def kernel_codes(w, m):
+    """Codes over F_{2^m} whose kernels take coefficient width w.  RS: the
+    four lengths mod 4 from the full one down (w = 8) or two lengths of
+    each parity, the full ones while q <= 1024, else 130 and 129 (w = 16),
+    each at redundancies 1, 3, 2m and up to 64.  Binary BCH: t = 1, t = 2
+    and the largest t with r <= 64, and at m = 12 bch(4095,30), r = 360."""
+    field, full = ExtField(2, m), 2**m - 1
+    if w == 1:
+        codes = [BchCode(2, m, 1)]  # t = 1, 2, .. while r <= 64
+        while 2 * len(codes) + 2 < full:
+            code = BchCode(2, m, len(codes) + 1)
+            if code.redundancy > 64:
+                break
+            codes.append(code)
+        yield from codes[:2] + codes[2:][-1:]
+        if m == 12:
+            yield BchCode(2, m, 30)
+        return
+    top = full if full <= 1023 else 130
+    for n in range(top, top - (4 if w == 8 else 2), -1):
         for r in sorted({min(n - 1, r) for r in (1, 3, 2 * m, 64)}):
-            yield RsCode(ExtField(2, m), n, n - r)
+            yield RsCode(field, n, n - r)
 
 
-@pytest.mark.parametrize("m", range(3, 9))
-def test_four_symbol_remainder_and_nibble_sums_match_the_scalar_ones(m):
-    """The byte-wide kernel's four-symbol remainder is ``_poly_remainder``
-    of the word and its nibble-table power sums are ``_sparse_syndrome``'s,
-    on zero, one-hot, all-(q - 1) and seeded random words, for n of every
-    residue mod 4 and r up to 64 (rs(255,191;gf(2^8))); each nibble
-    table's single-bit entries are the scalar power-sum columns."""
-    rng = random.Random(400 + m)
-    codes = list(byte_wide_codes(m))
-    assert {code.n % 4 for code in codes} == {0, 1, 2, 3}
-    assert m < 8 or any(code.redundancy == 64 for code in codes)
+def packed(word, w):
+    """A word's packed little-endian bytes, w bits a coefficient."""
+    return sum(v << i * w for i, v in enumerate(word)).to_bytes(-(-len(word) * w // 8), "little")
+
+
+KERNEL_WIDTHS = ([(1, m) for m in (2, 4, 6, 7, 8, 9, 12)] + [(8, m) for m in range(3, 9)]
+                 + [(16, m) for m in (9, 10, 16)])
+
+
+@pytest.mark.parametrize("w,m", KERNEL_WIDTHS, ids=[f"w{w}-m{m}" for w, m in KERNEL_WIDTHS])
+def test_four_symbol_remainder_and_nibble_sums_match_the_scalar_ones(w, m):
+    """The kernel's chunk-a-step remainder is ``_poly_remainder`` of the
+    word and its nibble-table power sums are ``_sparse_syndrome``'s, on
+    zero, one-hot, all-(q - 1) and seeded random words.  RS codes cover
+    every residue of n*w mod 32 (n mod 4 for w = 8, n mod 2 for w = 16)
+    and r up to 64 (rs(255,191;gf(2^8))); binary BCH r up to 64 and
+    bch(4095,30), r = 360, and below n = 4095 words of every length
+    n - 31 .. n cover every residue of a word's bit length mod 32, which
+    the reader pads.  Each nibble table's single-bit entries are the
+    scalar power-sum columns, zero past the remainder's R*w bits."""
+    rng = random.Random(400 + m if w == 8 else 400 + 20 * w + m)
+    codes = list(kernel_codes(w, m))
+    residues = {code.n * w % 32 for code in codes}
+    assert w == 1 or residues == set(range(0, 32, w))
+    # the walk reaches r = 64 wherever an RS code's n allows, and 360 at m = 12
+    most = max(code.redundancy for code in codes)
+    assert most == 360 if m == 12 else most <= 64
+    assert w == 1 or m < 7 or most == 64
     for code in codes:
-        field, n, r = code.field, code.n, code.redundancy
-        kernel, quads = code._load_kernel(), code._quads
-        bits = [(1 << b) * (b < m) for b in range(8)]
+        field, n, r, q = code.field, code.n, code.redundancy, code.s
+        kernel = code._load_kernel()
+        assert width_of(code) == w
+        bits = [(1 << b) * (b < m) for b in range(w)]
+        columns = rs._kernel_columns(field, r, bits, code.count, 8 if m <= 8 else 16)
+        assert len(kernel.nibbles) == -(-r * w // 4)
         assert [table[1 << b] for table in kernel.nibbles for b in range(4)] == \
-            rs._kernel_columns(field, r, bits, code.count, 8)
-        words = [[0] * n, [field.order - 1] * n]
+            columns + [0] * (-len(columns) % 4)
+        words = [[0] * n, [q - 1] * n]
         words += [[int(i == at) for i in range(n)] for at in (0, r, n - 1)]
-        words += [[rng.randrange(field.order) for _ in range(n)] for _ in range(3)]
+        words += [[rng.randrange(q) for _ in range(n)] for _ in range(3 if r <= 64 else 1)]
+        if w == 1 and 63 <= n < 4095:
+            words += [[rng.randrange(2) for _ in range(length)] for length in range(n - 31, n + 1)]
         for word in words:
-            chunks = reversed(quads.unpack(bytes(word).ljust(quads.size, b"\0")))
-            rem = kernel.remainder(chunks)
-            assert list(rem.to_bytes(r, "little")) == rs._poly_remainder(field, word, code.generator)
-            assert list(kernel.power_sums(rem)) == rs._sparse_syndrome(field, word, code.count)
-            assert list(code._power_sums(bytes(word))) == rs._sparse_syndrome(field, word, code.count)
+            rem = code._packed_remainder(packed(word, w))
+            scalar = rs._poly_remainder(field, word, code.generator)
+            assert [rem >> k * w & (1 << w) - 1 for k in range(r)] == scalar + [0] * (r - len(scalar))
+            sums = rs._pack_run(rs._sparse_syndrome(field, enumerate(word), code.count), field.order)
+            assert kernel.power_sums(rem) == sums
+            if w == 1:
+                assert code.syndrome(word + [0] * (n - len(word))) == tuple(rs._read_run(sums, field.order))
+            else:
+                assert code._power_sums(packed(word, w)) == sums
 
 
 @pytest.mark.parametrize("m,t", [(4, 2), (6, 5)], ids=["bch(15,2)", "bch(63,5)"])
@@ -242,7 +303,7 @@ def refuse_tables(patch):
     def refuse(*args, **kwargs):
         raise AssertionError("built syndrome tables")
 
-    patch.setattr(rs, "_BinaryKernel", refuse)
+    patch.setattr(rs, "_Kernel", refuse)
     patch.setattr(rs, "_byte_tables", refuse)
     patch.setattr(rs, "_power_columns", refuse)
 
@@ -272,40 +333,25 @@ def test_parsing_builds_no_kernel_table(monkeypatch, fresh_codes):
         assert again is code and not any(again.syndrome(again.zero_word()))
 
 
-def kernel_ints(kernel):
-    return [v for table in kernel.top for v in table] + list(kernel.columns)
-
-
-def test_kernel_tables_are_bounded_by_the_description():
-    """At most 512 + r*m ints of r*m bits for RS, whatever the length;
-    the concatenation adds one inner kernel of 256 + (n-k) ints, whose
-    power-sum columns take one byte a sum."""
-    code = parse_spec(LARGEST_RS)
-    r, m = code.redundancy, code.field.m
-    ints = kernel_ints(code._load_kernel())
-    assert len(ints) <= 512 + r * m
-    assert max(v.bit_length() for v in ints) <= r * m
-
-    concat = parse_spec(LARGEST_FLAT_CONCAT)
-    outer, inner = concat.outer, concat.inner
-    assert (outer.field, outer.redundancy) == (code.field, r)
-    ints = kernel_ints(inner._load_kernel())
-    assert len(ints) <= 256 + inner.redundancy
-    assert max(v.bit_length() for v in ints) <= max(inner.redundancy, 2 * inner.t * 8)
-
-
-@pytest.mark.parametrize("spec", ["rs(255,191;gf(2^8))", "rs(31,21;gf(2^5))"])
-def test_byte_wide_kernel_tables_are_bounded_by_the_description(spec):
-    """A byte-wide RS kernel holds four step tables of 2^m ints of at most
-    8r + 32 bits and 2r nibble tables of 16 ints of at most 8*count bits:
-    at most 1024 + 32r ints, whatever the length."""
+@pytest.mark.parametrize("spec", [LARGEST_RS, "rs(255,191;gf(2^8))", "rs(31,21;gf(2^5))",
+                                  LARGEST_FLAT_CONCAT, "bch(15,2;gf(2))", "bch(4095,30;gf(2))"])
+def test_kernel_tables_are_bounded_by_the_description(spec):
+    """Every kernel, whatever the code's length: four step tables of at
+    most 2^8 ints of at most R*w + 32 bits, table u one entry per value of
+    the valid bits of overflow byte u (those below m in their
+    coefficient), and ceil(R*w/4) nibble tables of 16 ints of one byte a
+    sum, two for m > 8.  The concatenation's is its inner BCH code's."""
     code = parse_spec(spec)
-    r, m = code.redundancy, code.field.m
+    code = getattr(code, "inner", code)
+    r, m, w = code.redundancy, code.field.m, width_of(code)
     kernel = code._load_kernel()
-    assert [len(table) for table in kernel.steps] == [2**m] * 4
-    assert max(v.bit_length() for table in kernel.steps for v in table) <= 8 * r + 32
-    assert [len(table) for table in kernel.nibbles] == [16] * (2 * r)
-    assert max(v.bit_length() for table in kernel.nibbles for v in table) <= 8 * code.count
+    assert [len(table) for table in kernel.steps] == [
+        2 ** sum(at % w < m for at in range(8 * u, 8 * u + 8)) for u in range(4)]
+    assert max(len(table) for table in kernel.steps) <= 2**8
+    assert max(v.bit_length() for table in kernel.steps for v in table) <= r * w + 32
+    assert [len(table) for table in kernel.nibbles] == [16] * -(-r * w // 4)
+    sum_bits = 8 if m <= 8 else 16
+    assert max(v.bit_length() for table in kernel.nibbles for v in table) <= sum_bits * code.count
 
 
 def test_dropped_codes_free_their_fields_and_tables():
@@ -533,8 +579,8 @@ def test_wide_rs_kernel_bytes_are_the_template_of_the_scalar_sums(spec, seed):
     words = [[rng.randrange(field.order) for _ in range(code.n)] for _ in range(20)]
     words += [[0] * code.n, [field.order - 1] * code.n, [0] * (code.n - 1) + [1]]
     for word in words:
-        scalar = rs._sparse_syndrome(field, word, code.count)
-        sums = code._power_sums(word)
+        scalar = rs._sparse_syndrome(field, enumerate(word), code.count)
+        sums = code._power_sums(struct.pack(f"<{code.n}H", *word))
         assert type(sums) is bytes and sums == syndrome_to_bytes(code, scalar)
         assert code.syndrome(word) == tuple(scalar)
 
@@ -552,7 +598,7 @@ def test_bch_kernel_bytes_are_the_template_of_the_scalar_sums(m, t):
     kernel = code._load_kernel()
     for word in words:
         rem = code.remainder(word)
-        scalar = rs._sparse_syndrome(field, list(rem), code.count)
+        scalar = rs._sparse_syndrome(field, enumerate(rem), code.count)
         sums = kernel.power_sums(rs._pack_bits(rem))
         assert sums == b"".join(v.to_bytes(width, "big") for v in scalar)
         assert code.power_sums(rem) == code.syndrome(word) == tuple(scalar)

@@ -8,6 +8,7 @@ and check residuals and is rebuilt from them.
 """
 
 import random
+import struct
 
 import pytest
 
@@ -156,8 +157,13 @@ def codeword(code, seed):
 
 def split(code, word):
     """The outer symbols of a word's blocks and their flat residuals, from
-    the body of its one read."""
-    return code._split_body(code._read(word))
+    the body of its one read.  A binary code over F_{2^m}, m > 8, splits
+    its symbols into the outer kernel's packed little-endian bytes, two a
+    symbol, read back here as ints."""
+    syms, res = code._split_body(code._read(word))
+    if code.alphabet.p == 2 and code.outer.field.m > 8:
+        syms = struct.unpack(f"<{code.outer.n}H", syms)
+    return syms, res
 
 
 def parts_of(code, res):

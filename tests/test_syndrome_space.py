@@ -211,7 +211,7 @@ def test_coset_table_and_fallback_agree_on_every_remainder(m, t, decodable, monk
     fallback = BchCode(2, m, t)
     assert outcomes(fallback) == from_table
     assert fallback._by_cosets is False and fallback._cosets is None
-    patterns = rs._coset_table(table._tables, table.n, t)
+    patterns = rs._coset_table(table._packed_remainder, table.n, t)
     found = sorted(patterns.items())
     assert [rem for rem, _ in found] == [rem for rem, e in enumerate(from_table) if e is not None]
     assert len(found) == decodable == ball_volume(table.n, 2, t) == len(table._cosets)
