@@ -31,16 +31,13 @@ A template stores its code's spec string, so every verify from template
 text parses it again.  ``parse_spec`` therefore keeps parsed codes in one
 least-recently-used cache keyed by the spec text: a re-parsed spec is the
 same code object, with the fields, block map and tables it has built, and
-builds nothing.  The cache is bounded by weight, not by count, in units
-of about 40 bytes.  A code weighs its cells (a built block order retains
-about 40 bytes per cell), plus 2 units per element of every field it
-holds (about 84 bytes of tables), plus ``_CODE_WEIGHT`` for its objects,
-its key of at most 1024 characters and the tables it may build (kernel,
-Chien table, region columns and its field's multiply rows).  The
-bound, about 45.6 MiB, admits any one code (the heaviest retains 47.0 MiB
-under tracemalloc once it has built its block map and its kernels), so a
-stream of distinct hostile specs evicts entries but retains about one
-largest code, never more.
+builds nothing.  The cache is bounded by weight, not by count: a code
+weighs the bytes of its key text and of every table it can build
+(``rs._cost``, its price, worked out from its parameters), in units of
+40 bytes.  The bound, 49 MiB, admits any one code, so a stream of
+distinct hostile specs evicts entries but retains about one largest
+code, never more.  Codes that share a field or a component are each
+charged for it.
 A construction parses its RS and BCH components through the same cache,
 so constructions on the same component spec share its code and tables.
 Failed parses are not cached (a refused construction's components that
@@ -57,7 +54,7 @@ from .concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
 from .errors import SpecParseError, SynfuzzError
 from .expand import ExpandedCode
 from .gf import _MAX_DEFAULT_ORDER, ExtField
-from .rs import BchCode, RsCode
+from .rs import BchCode, RsCode, _cost
 
 # BCH generator building grows about fourfold per doubling of the length.
 _MAX_BCH_LENGTH = (1 << 12) - 1
@@ -68,61 +65,11 @@ MAX_CELLS = 1 << 20
 # The longest spec in use has 77 characters, and a gf(2^16) modulus= adds
 # about 34.  The cap bounds parse time and the cache's keys.
 MAX_SPEC_CHARS = 1024
-# Units of about 40 bytes.  A code's own objects take about 2.5 KB, and
-# its lazy tables over a field of at most 256 elements at most about
-# 600 KB.  The heaviest of those belong to a code that decodes on byte
-# regions at r = 64 over gf(2^8): after one decode rs(255,191;gf(2^8))
-# retains 581 KB under tracemalloc, of which its kernel takes 314 KB
-# (four step tables of 256 ints of 544 bits, and 128 nibble tables of 16
-# ints of 512 bits), the Chien table (at most 2^21 bits by its cap)
-# 156 KB, and the rest are the per-position columns (255 strings of 64
-# bytes) and the field's multiply rows (256 strings of 256 bytes).  It
-# weighs 17151 units, 686 KB, about 100 KB above what it retains.  Over a
-# larger field the kernel takes two bytes a coefficient and a sum: at
-# r = 64 over gf(2^16) four step tables of 256 ints of 1056 bits and 256
-# nibble tables of 16 ints of 1024 bits, about 850 KB beside the field's
-# 5.5 MB.  rs(65535,65471;gf(2^16)) retains 6.05 MiB after one decode
-# against a weight of 8.12 MiB, its 65535 cell units (an RS code builds
-# no block map) covering the kernel.  rs(65,1;gf(2^16)), the same kernel
-# with 65 cells, retains 6.05 MiB against 5.63 MiB, 43 bytes a unit.  A
-# binary BCH kernel has four step tables of 256 ints: bch(15,2;gf(2))'s
-# takes 43 KB, and bch(255,32;gf(2)) retains 420 KB after one decode,
-# within its 686 KB weight.  Every code that decodes over a field
-# weighs its rows, so rows that two cached codes share count twice.  A
-# block code that takes per-cell syndrome columns (rs._columns_fit) adds
-# them: over F_2 at most 256 ints of a 255-byte syndrome, under 80 KB,
-# which fits beside the heaviest tables in this weight.  Odd-p codes
-# build none of the binary tables.  An odd-p block code's columns hold p
-# ints of fewer digit bytes than cells per cell: at most 127 cells of 3
-# ints at p = 3, about 50 KB (cI(rs(31,1;gf(3^4))) holds 49 KB).  One
-# rule for both p gives a BCH code its coset table: p^r <= rs._COSET_CAP
-# = 4096 remainders.  A binary table keeps one int pair per pattern of
-# weight <= t, at most 2^r of them; an odd-p table keeps every
-# remainder; but only a concatenation's inner code fills one, and its
-# dimension k must give an outer field p^k <= 2^16, which leaves at most
-# 2401 remainders (bch(6,2;gf(7)), under 320 KB), within the 640 KiB of
-# this weight.  An odd-p block code with columns also fills, on its
-# first decode, one fill-table entry per outer symbol: at most q <= 256
-# entries of width cells, about 48 + 8 * width bytes each, so under
-# 160 KB at the cap (n >= 2 blocks share at most 127 cells, so
-# width <= 63) and 21 KB for concat(inner=bch(26,7;gf(3)),
-# outer=rs(2,1;gf(3^4))).  A code's reference twin, built on the first
-# counted decode, shares the tables built so far and adds what its
-# scalar paths build: for a code with columns its outer kernel and its
-# gather, at most about 130 KB (cI(rs(32,1;gf(2^8))) retains 342 KB
-# with its twin after counted verifies), else under 3 KB plus the
-# per-position power columns its outer twin's sums read where the code
-# had not built them first (cI(rs(255,223;gf(2^8))) retains 422 KB with
-# its twin after counted verifies, 19 KB more than with one pass over
-# the dense word).
-_CODE_WEIGHT = 1 << 14
-# A field's tables take about 84 bytes per element.
-_FIELD_WEIGHT = 2
-# The heaviest admitted codes weigh up to 2^20 cells, 2 units for each of
-# 2^16 outer field elements, _CODE_WEIGHT, and at most 2^7 units of a
-# concat's inner fields: concat(inner=bch(63,11;gf(2)),
-# outer=rs(16644,16580;gf(2^16)), layout=flat) weighs the whole bound.
-_CACHE_BOUND = MAX_CELLS + (1 << 17) + (1 << 14) + (1 << 7)
+# In units of 40 bytes.  The heaviest admitted codes weigh up to about
+# 1.27 million: 2^20 cells of block order and gather beside a field of
+# 2^16 elements.  A code over gf(2^16) alone weighs about 145,000, so the
+# bound keeps eight of them.
+_CACHE_BOUND = (49 << 20) // 40
 _codes: OrderedDict = OrderedDict()  # spec text -> (code, weight)
 _codes_lock = _thread.allocate_lock()  # threading.Lock, without importing threading
 _codes_weight = 0
@@ -328,17 +275,13 @@ def parse_spec(text: str):
 
 
 def _weight(text: str, code) -> int:
-    """The cache weight of a code: its cells, ``_FIELD_WEIGHT`` times the
-    order of every field it or its RS and BCH codes hold, and
-    ``_CODE_WEIGHT``.  A code of more than ``MAX_CELLS`` cells is
-    refused."""
+    """The cache weight of a code: its price (``rs._cost``) and its key
+    text, in units of 40 bytes.  A code of more than ``MAX_CELLS`` cells
+    is refused."""
     cells = code.n if isinstance(code, BchCode) else code.base_length
     if cells > MAX_CELLS:
         raise SpecParseError(f"{text} has {cells} cells, above {MAX_CELLS}")
-    held = (code, getattr(code, "outer", None), getattr(code, "inner", None))
-    fields = (getattr(c, name, None) for c in held for name in ("field", "alphabet"))
-    orders = {id(f): f.order for f in fields if f}  # equal fields may be distinct objects
-    return cells + _FIELD_WEIGHT * sum(orders.values()) + _CODE_WEIGHT
+    return -(-(_cost(code) + len(text)) // 40)
 
 
 def _component(text: str, name: str):

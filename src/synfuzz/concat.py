@@ -269,9 +269,12 @@ class ConcatCode(_BlockCode):
 
     def _load_twin(self):
         """The reference twin: without columns, on the outer and inner
-        codes' twins."""
-        outer, inner = (code._twin or code._load_twin() for code in (self.outer, self.inner))
-        self._twin = _twin(self, _by_columns=False, outer=outer, inner=inner)
+        codes' twins.  Both inner decodes read a binary coset table, which
+        the inner twin keeps: it is given the inner code's."""
+        inner = self.inner._twin or self.inner._load_twin()
+        if inner is not self.inner and inner._by_cosets:
+            inner._cosets = self.inner._cosets or self.inner._load_cosets()
+        self._twin = _twin(self, _by_columns=False, outer=self._outer_twin(), inner=inner)
         return self._twin
 
     # ------------------------------------------------------------------

@@ -45,20 +45,24 @@ boolean; none reads a missing table as a decision:
 
 - ``_BlockCode._by_columns`` (``_columns_fit``): per-cell syndrome
   columns and the column re-check;
-- ``_CyclicCode._by_region`` (``_chien_fits``): the byte-region decoder
-  and its packed Chien search, else ``_gpz_decode`` and ``_chien_roots``;
+- ``_CyclicCode._by_region`` (``_chien_fits``, characteristic 2 and
+  m <= 8): the byte-region decoder and its packed Chien search, else
+  ``_gpz_decode`` and ``_chien_roots``;
 - ``BchCode._by_cosets`` (p^r <= ``_COSET_CAP``, one rule for both p):
   the coset table, else the algebraic decode.
 
 A code's reference twin is the same code with ``_by_columns`` off,
 ``_by_region`` off, an odd-p ``_by_cosets`` off and a binary one as
 built: a shallow copy made on first request (``_load_twin``, ``_twin``),
-which shares the tables built so far, or the code itself where it takes
-none of those paths.  ``decode_mults`` is the twin's count: its scalar
-paths count one multiplication per nonzero product (``_gpz_decode``,
-``_poly_remainder``, ``_sparse_syndrome``) and no fast path counts.  A
-table build counts nothing (``_uncounted``, the one writer of the
-counter back).  One rule serves every entry point that takes ``count``:
+after the code builds every table both read (``_share``), so that it
+holds the code's tables; or the code itself where it takes none of those
+paths.  A block code gives its held codes' twins the tables only that
+role reads: the outer code's columns of ``_sums`` (``_outer_twin``) and
+a binary inner coset table.  ``decode_mults`` is the twin's count: its
+scalar paths count one multiplication per nonzero product
+(``_gpz_decode``, ``_poly_remainder``, ``_sparse_syndrome``) and no fast
+path counts.  A table build counts nothing (``_uncounted``, the one
+writer of the counter back).  One rule serves every entry point that takes ``count``:
 the public ``decode`` and ``decode_syndrome`` and ``fuzzy.verify`` run
 on ``_decoder``'s code, the twin alone with ``count`` and the code
 itself without, so a counted call runs one decode, never two.
@@ -118,19 +122,23 @@ that gives the message digits, or None for an erasure, with no
 exception raised or caught.
 
 Every table (generator, kernel, Chien table, the columns of ``_sums``,
-coset and check tables, a block code's per-cell columns and
-fill table, a field's rows, and the reference twin) is built on first
-use by its own loader
-into a slot its owner sets to None in ``__init__``, never at
-construction, and the slot holds None or the table.  The tables
-live and die with their code; ``codespec.parse_spec`` keeps parsed codes,
-so a re-parsed spec finds them built.
+coset and check tables, a block code's block order, gather, per-cell
+columns and fill table, a field's rows, and the reference twin) is built
+on first use by its own loader into a slot its owner sets to None in
+``__init__``, never at construction, and the slot holds None or the
+table.  A twin is made after its code builds the tables both read
+(``_share``), so it holds the code's.  The tables live and die with
+their code; ``codespec.parse_spec`` keeps parsed codes, so a re-parsed
+spec finds them built, and weighs each by its price, ``_cost``: the
+bytes of every table the code or its twin can build, worked out from
+the code's parameters beside the loaders that build them.
 """
 
 import struct
 from collections import namedtuple
 from functools import cache, reduce
 from itertools import chain, combinations, compress, product, repeat
+from math import comb
 from operator import add, countOf, getitem, itemgetter, xor
 
 from .errors import (
@@ -356,6 +364,11 @@ class LinearCode(_SpecIdentity):
     _spill = None  # the bits no stored symbol over F_{2^m} sets, set on first use
     _runs = None  # the byte span, field and carry of each run of segments, set on first use
 
+    def _share(self) -> None:
+        """Build the read constants, which a reference twin reads too."""
+        if self._below is None:
+            self._load_consts()
+
     def _load_consts(self) -> None:
         """Build ``_spec``, ``_head`` (``canonical_spec()|shape|`` in
         ASCII), ``_below`` (the bytes 0 .. min(order, 256) - 1, which a
@@ -496,11 +509,14 @@ def enrollable(code):
 def _twin(code, **paths):
     """A code's reference twin: the code itself where each attribute in
     ``paths`` is already that object, else a shallow copy holding them,
-    which shares the tables built so far and is its own twin.  The copy
-    takes every instance attribute as it stands when the twin is built,
-    a method patched onto the instance included."""
+    which is its own twin.  The code first builds every table both it and
+    the twin read (``_share``), so the copy holds the code's tables and
+    builds none that the code builds too.  The copy takes every instance
+    attribute as it stands when the twin is built, a method patched onto
+    the instance included."""
     if all(getattr(code, name) is value for name, value in paths.items()):
         return code
+    _uncounted(code._share)
     twin = object.__new__(type(code))
     twin.__dict__.update(vars(code), **paths, _twin=twin)
     return twin
@@ -723,8 +739,28 @@ class _BlockCode(LinearCode):
 
     def _load_twin(self):
         """The reference twin: without columns, on the outer code's twin."""
-        self._twin = _twin(self, _by_columns=False, outer=self.outer._twin or self.outer._load_twin())
+        self._twin = _twin(self, _by_columns=False, outer=self._outer_twin())
         return self._twin
+
+    def _outer_twin(self):
+        """The outer code's reference twin, given the outer code's columns
+        of ``_sums`` on the region path: both outer decodes' ``_minus_sums``
+        read them, and the twin may be older than this code's."""
+        twin = self.outer._twin or self.outer._load_twin()
+        if twin is not self.outer:
+            twin._cols = self.outer._cols or self.outer._load_cols()
+        return twin
+
+    def _share(self) -> None:
+        """Build what the reference twin reads besides the outer code: the
+        read constants, the block order, a 2-D code's gather and over F_2
+        the check tables and lanes."""
+        super()._share()
+        self._order or self._load_order()
+        if len(self.shape) > 1:
+            self._gather or self._load_gather()
+        if self._chk and self.alphabet.p == 2:
+            self._lanes or self._load_lanes()
 
     def _recheck(self, found, offsets, syms, parts, sums) -> None:
         """Raise DecodeFailure unless the sparse map ``found`` has the
@@ -852,12 +888,11 @@ class _BlockCode(LinearCode):
 
     def _load_order(self):
         """The block order as 4-byte offsets, a memoryview of native
-        unsigned ints (a code has at most 2^20 cells): the getter built
-        from it holds the only int objects.  A one-row code's is the
-        identity, a range."""
-        order = self._block_order()
-        self._order = (memoryview(struct.pack(f"{len(order)}I", *order)).cast("I") if order
-                       else range(self.base_length))
+        unsigned ints (a code has at most 2^20 cells), the identity for a
+        one-row code: the getter built from it holds the only int
+        objects, and a block's slice is a view."""
+        order = self._block_order() or range(self.base_length)
+        self._order = memoryview(struct.pack(f"{len(order)}I", *order)).cast("I")
         return self._order
 
     def _split_body(self, body):
@@ -1351,12 +1386,9 @@ _TO_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 def _pack_runs(digits, width: int) -> list[int]:
     """Each run of ``width`` F_2 digits d_0, d_1, ... in turn as the int
     sum d_i 2^i."""
-    try:
-        chars = bytearray(digits).translate(_TO_CHARS)
-        chars.reverse()
-        packed = [int(chars[at : at + width], 2) for at in range(0, len(chars), width)]
-    except (TypeError, ValueError):
-        raise AlphabetMismatchError("digit outside gf(2)") from None
+    chars = bytearray(digits).translate(_TO_CHARS)
+    chars.reverse()
+    packed = [int(chars[at : at + width], 2) for at in range(0, len(chars), width)]
     packed.reverse()
     return packed
 
@@ -1558,12 +1590,10 @@ def _generator(field: ExtField, s: int, count: int) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # The three path rules: each class's constructor reads its one rule, and
-# its paths read the flag it sets.  Packed decoding tables follow.
+# its paths read the flag it sets.  The price of a code's tables and the
+# packed decoding tables follow.
 # ---------------------------------------------------------------------------
 
-# A Chien table holds r*m columns of n bytes; past this many bits the
-# search stays scalar.  rs(255,223;gf(2^8)) needs just under 2^19.
-_CHIEN_CAP_BITS = 1 << 21
 # A binary block code of at most this many cells has per-cell syndrome
 # columns.  One big-int XOR per set cell beats the bit lanes' fixed cost
 # on short codes and loses on long ones (Python 3.11, 2 CPUs): 7.6 against
@@ -1592,13 +1622,104 @@ def _columns_fit(field: ExtField, cells: int) -> bool:
     return field.order <= 256 and cells <= _COLUMN_CAP_CELLS and (p == 2 or cells * (p - 1) <= 255)
 
 
-def _chien_fits(field: ExtField, n: int, r: int) -> bool:
-    """Whether a cyclic code of length n with r syndrome roots decodes on
+def _chien_fits(field: ExtField) -> bool:
+    """Whether a cyclic code with syndrome roots in ``field`` decodes on
     byte regions with the packed Chien search (``_CyclicCode._by_region``):
-    characteristic 2, one byte per position (m <= 8) and a Chien table of
-    r*m columns of n bytes within the cap.  Any other takes the scalar
-    ``_gpz_decode`` and its scalar search."""
-    return field.p == 2 and field.m <= 8 and r * field.m * n * 8 <= _CHIEN_CAP_BITS
+    characteristic 2 and one byte per position (m <= 8).  Any other takes
+    the scalar ``_gpz_decode`` and its scalar search.  Admission bounds
+    the Chien table: r*m*n*8 <= 64*8*255*8 bits for every parsed code."""
+    return field.p == 2 and field.m <= 8
+
+
+# An object with its instance dict and strings (a code, its reference
+# twin, a field, a kernel) or a small view (the block order's memoryviews,
+# a gather's itemgetter): under 2 KB each, measured with tracemalloc.
+_OBJECT_BYTES = 2048
+
+
+def _int_bytes(bits: int) -> int:
+    """The bytes of an int of at most ``bits`` bits: CPython's 24 and 4
+    per 30-bit digit, with the spare digit a shift or an XOR leaves."""
+    return 28 + 4 * -(-bits // 30)
+
+
+def _ints(count: int, bits: int) -> int:
+    """The bytes of a tuple of ``count`` ints of at most ``bits`` bits."""
+    return 40 + count * (8 + _int_bytes(bits))
+
+
+def _cost(code) -> int:
+    """The bytes of every table that ``code`` or its reference twin can
+    build, from the code's parameters and path flags alone: it builds
+    nothing.  It sums each table over the codes ``code`` holds (itself,
+    ``outer`` and ``inner``) and every distinct field they hold, with two
+    objects per code, for the code and its twin.  A twin reads the tables
+    its code builds (``_share``, ``_outer_twin``), so each is counted
+    once.  The sizes are CPython's: a tuple 40 bytes and 8 a slot, bytes
+    33 and 1 a byte, a list 56 and 8 a slot, a dict up to 60 bytes an
+    entry."""
+    held = [c for c in (code, getattr(code, "outer", None), getattr(code, "inner", None)) if c]
+    fields = {id(f): f for c in held for f in (getattr(c, "field", 0), getattr(c, "alphabet", 0)) if f}
+    total = 0
+    for f in fields.values():
+        # the exp and log lists, an int of 32 bytes an entry past the small
+        # ints, and over odd p the Zech list (a comprehension's, an eighth
+        # spare), over F_{2^m}, m <= 8, the multiply rows
+        q = f.order
+        total += _OBJECT_BYTES + 112 + 24 * q + 64 * max(q - 257, 0)
+        total += 56 + 9 * q if f.p != 2 else (40 + 297 * q) * (f.m <= 8)
+    for c in held:
+        total += 2 * _OBJECT_BYTES
+        if isinstance(c, LinearCode):  # the read constants: _spill, and over odd p the carries
+            total += 2 * _int_bytes(8 * sum(count * _symbol_width(f.order) for count, f in c.segments))
+        if isinstance(c, _CyclicCode):
+            total += _cyclic_cost(c)
+        elif isinstance(c, _BlockCode):
+            total += _block_cost(c)
+    return total
+
+
+def _cyclic_cost(code) -> int:
+    """A cyclic code's generator, over characteristic 2 its kernel (four
+    step tables of at most 256 entries, 2^m for w = 8, and its nibble
+    tables), on the region path its Chien table and the columns of
+    ``_sums``, and a BCH code's coset table: a binary one keeps every
+    pattern of weight <= design_t, an odd-p one every remainder."""
+    field, r, n, count = code.field, code.redundancy, code.n, code.count
+    total = _ints(r + 1, 16)
+    if field.p == 2:
+        w = 1 if code.s == 2 else 8 * _symbol_width(code.s)
+        total += 4 * _ints(1 << (field.m if w == 8 else 8), r * w + 32) + _OBJECT_BYTES
+        total += -(-r * w // 4) * _ints(16, 8 * count * _symbol_width(field.order))
+    if code._by_region:
+        total += _ints(count * field.m, 8 * n) + 40 + n * (41 + count)
+    if getattr(code, "_by_cosets", False):
+        if field.p == 2:
+            entries, key = sum(comb(n, w) for w in range(code.design_t + 1)), _int_bytes(r)
+        else:
+            entries, key = field.p**r, 40 + 8 * r
+        total += 232 + entries * (60 + key + _int_bytes(n - r))
+    return total
+
+
+def _block_cost(code) -> int:
+    """A block code's block order (4 bytes a cell), a 2-D code's gather
+    (a slot and a 28-byte int per cell: offsets read from the order carry
+    no spare digit), the check tables and lanes over F_2, and where it
+    takes columns, the per-cell columns and over odd p the fill table."""
+    cells, p, chk, m = code.base_length, code.alphabet.p, code._chk, code.outer.field.m
+    total = 4 * cells + _OBJECT_BYTES
+    if len(code.shape) > 1:
+        total += 40 + 36 * cells + _OBJECT_BYTES
+    if p == 2 and chk:
+        total += -(-m // 8) * _ints(256, chk) + 40 + chk * (88 + 40 * m)
+    if code._by_columns and p == 2:
+        total += _ints(cells, 8 * code._size)
+    elif code._by_columns:
+        size, q = code.outer.n * chk + code.outer.redundancy * m, code.outer.field.order
+        total += 40 + cells * (48 + 8 * p + (p - 1) * _int_bytes(8 * size)) + _OBJECT_BYTES
+        total += 40 + q * (48 + 8 * code._width)
+    return total
 
 
 def _lanes(field: ExtField, n: int, r: int, sign: int) -> list[bytes]:
@@ -1634,8 +1755,9 @@ def _power_columns(field: ExtField, n: int, r: int) -> tuple[bytes, ...]:
 
 
 # Per m < 8, the bits of a byte-wide coefficient that the Chien table has
-# columns for: its low m, for up to 65 coefficients.
-_STRIDES = {m: (b"\1" * m + bytes(8 - m)) * 65 for m in range(1, 8)}
+# columns for: its low m, for the at most 126 coefficients past the first
+# of a locator of a code of length at most 2^m - 1.
+_STRIDES = {m: (b"\1" * m + bytes(8 - m)) * 126 for m in range(1, 8)}
 
 
 def _chien_values(table, coeffs: int, m: int, n: int) -> bytes:
@@ -1670,8 +1792,9 @@ def _chien_search(field: ExtField, psi: bytes, n: int, table) -> list:
     return roots
 
 
-# The mask of the odd bytes of a polynomial of up to 72 coefficients.
-_ODD_BYTES = int.from_bytes(b"\0\xff" * 36, "little")
+# The mask of the odd bytes of a polynomial of up to 256 coefficients, as
+# a locator over F_{2^m}, m <= 8, has.
+_ODD_BYTES = int.from_bytes(b"\0\xff" * 128, "little")
 
 
 def _coset_table(remainder, n: int, t: int) -> dict[int, int]:
@@ -1730,7 +1853,7 @@ class _CyclicCode(_SpecIdentity):
         self._tables = None  # the packed kernel, set on first use
         self._quads = None  # the 32-bit chunk reader of a packed word, set with the kernel
         # the byte-region decoder and the packed Chien search, else the scalar ones
-        self._by_region = _chien_fits(field, n, count)
+        self._by_region = _chien_fits(field)
         self._chien = None  # the Chien table, set on first use
         self._cols = None  # the per-position power columns of ``_sums``, set on first use
         self._twin = None  # the reference twin, set on first request
@@ -1800,6 +1923,13 @@ class _CyclicCode(_SpecIdentity):
         """The reference twin: off the region path."""
         self._twin = _twin(self, _by_region=False)
         return self._twin
+
+    def _share(self) -> None:
+        """Build the tables the reference twin reads too: the generator
+        and over characteristic 2 the kernel."""
+        self.generator
+        if self.field.p == 2:
+            self._tables or self._load_kernel()
 
     def _errors(self, synd, erasures=()) -> dict:
         """The nonzero values of ``_decode_syndrome``'s error vector by
@@ -2000,6 +2130,11 @@ class RsCode(_CyclicCode, LinearCode):
     def _decode(self, synd):
         errors = self._errors(synd)
         return errors, DecodeInfo((), tuple(errors))
+
+    def _share(self) -> None:
+        """The shared tables of every cyclic code and the read constants."""
+        _CyclicCode._share(self)
+        LinearCode._share(self)
 
     def _minus_sums(self, synd, symbols) -> bytes:
         """The template bytes ``synd`` minus the power sums of the

@@ -216,6 +216,12 @@ def test_simulate_in_capability_accepts_everything(capsys):
     assert "accept_rate: 1.0000" in out
 
 
+def test_simulate_refuses_zero_trials(capsys):
+    rc, out, err = run(capsys, "simulate", "--code", "cI(rs(7,3;gf(2^3)))",
+                       "--model", "random=1", "--trials", "0")
+    assert (rc, out) == (2, "") and "trials must be >= 1" in err
+
+
 def test_simulate_zero_error_model(capsys):
     rc, out, _ = run(capsys, "simulate", "--code", "cII(rs(15,7;gf(2^4));3,5)",
                      "--model", "random=0", "--trials", "10", "--seed", "3")

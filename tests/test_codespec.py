@@ -12,11 +12,18 @@ import synfuzz
 from synfuzz import codespec, fuzzy, gf, rs
 from synfuzz.codespec import parse_field, parse_spec
 from synfuzz.concat import ConcatCode, FlatLayout, IvLayout, ViLayout, VLayout
-from synfuzz.errors import NonPrimitiveAlphaError, ShapeMismatchError, SpecParseError, SynfuzzError
+from synfuzz.errors import (
+    NonPrimitiveAlphaError,
+    NotPrimeError,
+    ShapeMismatchError,
+    SpecParseError,
+    SynfuzzError,
+)
 from synfuzz.expand import ExpandedCode
 from synfuzz.rs import BchCode, RsCode
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, WIDE_GOLDEN
+from test_paths import reads_of
 
 
 def test_parse_field_forms():
@@ -33,6 +40,12 @@ def test_parse_field_errors():
         parse_field("gf(2^3;mod=1,1,0,1)")
     with pytest.raises(NonPrimitiveAlphaError):
         parse_field("gf(2^3;modulus=1,0,0,1)")
+    with pytest.raises(SpecParseError, match="too many clauses"):
+        parse_field("gf(2^3;modulus=1,1,0,1;modulus=1,1,0,1)")
+    with pytest.raises(SpecParseError, match="monic"):
+        parse_field("gf(3^3;modulus=1,2,0,2)")
+    with pytest.raises(NotPrimeError):
+        parse_field("gf(4)")
     for text in ("gf (2)", "GF(2)", "gf(2)x", "gf(2", "gf2)", "gf)2("):
         with pytest.raises(SpecParseError):
             parse_field(text)
@@ -44,6 +57,8 @@ def test_parse_rs():
     assert (code.n, code.k) == (7, 3)
     shortened = parse_spec("rs(30,12;gf(2^7))")
     assert shortened.is_shortened
+    with pytest.raises(SpecParseError, match="n <= 7"):
+        parse_spec("rs(9,3;gf(2^3))")
 
 
 def test_parse_bch():
@@ -78,6 +93,8 @@ def test_parse_concat_layouts():
     assert v.layout == VLayout(4, 5)
     vi = parse_spec("concat(inner=bch(4,1;gf(5)), outer=rs(8,4;gf(5^2)), layout=vi)")
     assert vi.layout == ViLayout()
+    with pytest.raises(ShapeMismatchError, match="primes differ"):
+        parse_spec("concat(inner=bch(8,1;gf(3)), outer=rs(3,1;gf(2^2)), layout=flat)")
 
 
 # A concatenation names each component and its layout exactly once.
@@ -356,12 +373,106 @@ def test_long_distinct_spec_texts_stay_under_the_weight_bound(fresh_codes):
         "cI+parity(rs(61680,61616;gf(2^16)))",
         "concat(inner=bch(31,3;gf(2)), outer=rs(33825,33761;gf(2^16)), layout=flat)",
         "cIII(rs(10485,10421;gf(3^10));1,10485)",
+        "cIII(rs(4096,4032;gf(2^16));64,64)",
+        "concat(inner=bch(63,11;gf(2)), outer=rs(16644,16580;gf(2^16)), layout=v(4,7))",
     ],
 )
 def test_the_heaviest_codes_fit_the_bound(spec):
     code = codespec._parse_code(spec)
     assert code.base_length > codespec.MAX_CELLS - (1 << 10)
     assert codespec._weight(spec, code) <= codespec._CACHE_BOUND
+
+
+# The roster's constructions are the first ten golden ones.
+ROSTER = [g[1] for g in GOLDEN[:10]]
+PRICED = ROSTER + [g[1] for g in GOLDEN[10:] + WIDE_GOLDEN] + [
+    "rs(65,1;gf(2^16))",
+    "rs(255,191;gf(2^8))",
+    "bch(255,32;gf(2))",
+    "cI(rs(32,1;gf(2^8)))",
+    "concat(inner=bch(26,7;gf(3)), outer=rs(2,1;gf(3^4)), layout=flat)",
+]
+
+
+def warm_up():
+    """Load what a first enroll and verify load once per process (the
+    hash modules), so that tracemalloc sees only a code's own bytes."""
+    code = codespec._parse_code("rs(7,3;gf(2^3))")
+    fuzzy.verify([0] * 7, fuzzy.enroll([0] * 7, code), code, count=True)
+
+
+def decode_thrice(code, seed):
+    """An enroll, a decode and a counted decode of a read with s damaged
+    blocks (s the outer capability); a bare BCH code decodes a syndrome
+    of t errors."""
+    if isinstance(code, BchCode):
+        error = [int(i < code.t) for i in range(code.n)]
+        synd = code.syndrome(error)
+        assert code.decode_syndrome(synd) == code.decode_syndrome(synd, count=True) == error
+        return
+    word, reads = reads_of(code, seed)
+    template = fuzzy.enroll(word, code)
+    plain, counted = (fuzzy.verify(reads[2], template, code, count=c) for c in (False, True))
+    assert plain.accepted and counted.accepted
+
+
+@pytest.mark.parametrize("spec", PRICED)
+def test_a_code_retains_at_most_its_weight(spec, fresh_codes):
+    """What a parsed code retains, its components and reference twins
+    included, once it has enrolled, decoded and counted a decode, is at
+    most 40 bytes per unit of its weight, its price (rs._cost) with its
+    key; a roster construction's is at least a quarter of it."""
+    warm_up()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = parse_spec(spec)
+        decode_thrice(code, 0x5EED)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    weight = codespec._weight(spec, code)
+    assert retained <= weight * 40
+    if spec in ROSTER:
+        assert retained >= weight * 10
+
+
+def verify_eight(code, counted_first):
+    """Four counted and four plain verifies of a code's reads, in the
+    order given, after one enroll."""
+    word, reads = reads_of(code, 0x7717)
+    template = fuzzy.enroll(word, code)
+    for count in (counted_first, not counted_first):
+        for read in reads[1:5]:
+            fuzzy.verify(read, template, code, count=count)
+
+
+@pytest.mark.parametrize("spec", ROSTER)
+def test_a_twin_holds_the_tables_its_code_builds(spec, fresh_codes):
+    """Counted verifies first or plain verifies first, a code retains the
+    same bytes up to its twins' own objects: the twin reads the code's
+    tables and builds none that the code builds too.  A first run, not
+    compared, fills the process-wide caches (struct formats, mod
+    tables)."""
+    retained = []
+    for counted_first in (True, True, False):
+        codespec._codes.clear()
+        codespec._codes_weight = 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = parse_spec(spec)
+            verify_eight(code, counted_first)
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    del retained[0]
+    twins = {id(c._twin): c._twin for c in (code, getattr(code, "outer", None),
+                                            getattr(code, "inner", None)) if c and c._twin is not c}
+    own = sum(sys.getsizeof(twin) + sys.getsizeof(vars(twin)) for twin in twins.values())
+    assert abs(retained[0] - retained[1]) <= own
 
 
 def test_an_evicted_code_is_freed(monkeypatch, fresh_codes):
@@ -404,7 +515,7 @@ def test_constructions_share_their_cached_components(fresh_codes):
 def test_a_bare_bch_spec_is_cached_and_still_not_enrollable(fresh_codes):
     code = parse_spec("bch(15,2;gf(2))")
     assert parse_spec("bch(15,2;gf(2))") is code
-    assert codespec._codes_weight == 15 + codespec._FIELD_WEIGHT * 16 + codespec._CODE_WEIGHT
+    assert codespec._codes_weight == codespec._weight("bch(15,2;gf(2))", code)
     with pytest.raises(ShapeMismatchError, match="not an enrollable code"):
         fuzzy.enrollable(code)
 
@@ -414,7 +525,8 @@ def test_threads_keep_the_cache_weight_consistent(monkeypatch, fresh_codes):
     evictions; a lost update would leave the running weight off the sum
     of the cached codes' weights."""
     specs = [f"rs({n},{n - 2};gf(2^5))" for n in range(3, 32)]
-    monkeypatch.setattr(codespec, "_CACHE_BOUND", 5 * codespec._CODE_WEIGHT)
+    lightest = codespec._weight(specs[0], codespec._parse_code(specs[0]))
+    monkeypatch.setattr(codespec, "_CACHE_BOUND", 5 * lightest)
     errors = []
 
     def work(seed):

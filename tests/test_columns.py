@@ -266,15 +266,13 @@ def test_the_largest_columns_fit_the_code_weight():
     """A capped code has at most 256 cells and a syndrome of at most 255
     bytes (one byte per syndrome symbol, fewer than its cells), so its
     columns take at most 256 ints of 255 bytes and their tuple: under
-    80 KB, which with the heaviest region tables (359 KiB, see
-    codespec._CODE_WEIGHT) stays within the _CODE_WEIGHT units of about
-    40 bytes every code is charged, so codespec._weight needs no term for
-    them.  cIII(rs(15,5;gf(2^4));3,5), the roster's longest capped
-    syndrome, retains less than the bound once enrolled and decoded."""
+    80 KB, within what rs._cost prices them at.
+    cIII(rs(15,5;gf(2^4));3,5), the roster's longest capped syndrome,
+    retains less than its weight once enrolled and decoded."""
     widest = sys.getsizeof((1 << 8 * 255) - 1)
     bound = 256 * widest + sys.getsizeof((0,) * 256)
     assert bound < 80_000
-    assert 359 * 1024 + bound < codespec._CODE_WEIGHT * 40
+    assert bound <= rs._ints(256, 8 * 255)
     spec = "cIII(rs(15,5;gf(2^4));3,5)"
     gc.collect()
     tracemalloc.start()
@@ -572,15 +570,14 @@ def test_one_multiplication_packs_the_outer_digits(p, m):
 
 
 def test_the_odd_tables_fit_the_code_weight():
-    """The sizes codespec._CODE_WEIGHT's comment states: the largest odd-p
-    columns (p = 3, 124 cells, 120 digit bytes) under 50 KB, and of the
-    odd-p BCH codes a concatenation admits as inner codes (p^r within the
-    coset cap, outer field p^k <= 2^16) the largest coset table,
-    bch(6,2;gf(7)) with 2401 remainders, under 320 KB once full; both
-    within the 40 bytes per unit of the weight."""
+    """The largest odd-p columns (p = 3, 124 cells, 120 digit bytes)
+    under 50 KB, and of the odd-p BCH codes a concatenation admits as
+    inner codes (p^r within the coset cap, outer field p^k <= 2^16) the
+    largest coset table, bch(6,2;gf(7)) with 2401 remainders, under
+    320 KB once full; each within its code's price (rs._cost)."""
     code = fresh("cI(rs(31,1;gf(3^4)))")
     assert code._by_columns and code._load_columns() and code._digits.size == 120
-    assert retained([code._columns]) < 50_000
+    assert retained([code._columns]) < min(50_000, rs._cost(code))
     admitted = []
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
         m = 1
@@ -597,7 +594,7 @@ def test_the_odd_tables_fit_the_code_weight():
     assert (entries, p, m, t) == (2401, 7, 1, 2)
     inner = BchCode(p, m, t)
     assert len(inner._load_cosets()) == entries
-    assert retained([inner._cosets]) < 320_000 < codespec._CODE_WEIGHT * 40
+    assert retained([inner._cosets]) < min(320_000, rs._cost(inner))
 
 
 def test_an_odd_identity_concatenation_takes_columns_like_the_oracle(monkeypatch):

@@ -252,10 +252,10 @@ def test_the_region_decoder_gives_the_scalar_outcome_over_the_rs_15_11_walk():
 
 
 def test_the_fill_table_fits_the_code_weight():
-    """The size codespec._CODE_WEIGHT's comment states: about
-    48 + 8 * width bytes per entry, 8 of them in the table's tuple, 21 KB
-    for the 81 entries of width 26 of concat(inner=bch(26,7;gf(3)),
-    outer=rs(2,1;gf(3^4))), and under 160 KB for 256 entries of width 63."""
+    """The size rs._cost prices: about 48 + 8 * width bytes per entry, 8
+    of them in the table's tuple, 21 KB for the 81 entries of width 26 of
+    concat(inner=bch(26,7;gf(3)), outer=rs(2,1;gf(3^4))), and under 160 KB
+    for 256 entries of width 63, within the code's weight."""
     from synfuzz import codespec
     from test_columns import retained
 
@@ -266,7 +266,8 @@ def test_the_fill_table_fits_the_code_weight():
     assert (len(fills), code._width) == (81, 26)
     # the p = 3 small ints the entries share: 28 bytes each
     assert 20_000 < retained([fills]) <= 81 * (48 + 8 * 26) + 40 + 3 * 28 < 21_000
-    assert 256 * (48 + 8 * 63) + 40 < 160_000 < codespec._CODE_WEIGHT * 40
+    assert 256 * (48 + 8 * 63) + 40 < 160_000
+    assert retained([fills]) < codespec._weight(spec, code) * 40
 
 
 @pytest.mark.parametrize("p, m, n", [(2, 3, 7), (2, 3, 5), (2, 8, 200), (3, 2, 8), (5, 2, 20)])
@@ -276,7 +277,7 @@ def test_degree_one_locators_find_the_scanned_root_and_count(p, m, n):
     runs past all n positions, full length and shortened; over F_{2^m}
     the packed search, from a Chien table, finds the same root."""
     field = ExtField(p, m)
-    table = rs._chien_fits(field, n, 2) and rs._chien_table(field, n, 2)
+    table = rs._chien_fits(field) and rs._chien_table(field, n, 2)
     found = Counter()
     for c1 in range(1, field.order):
         scan = [i for i in range(n) if field.add(1, field.mul(c1, field.alpha_pow(-i))) == 0]

@@ -158,6 +158,18 @@ def test_syndrome_bytes_round_trip_all_constructions():
             syndrome_from_bytes(code, raw[:-1])
 
 
+@pytest.mark.parametrize("spec", ["rs(7,3;gf(2^3))", "rs(8,4;gf(3^2))"])
+def test_stored_bytes_read_on_a_code_no_word_was_read_through(spec):
+    """The first read of stored bytes builds the code's read constants:
+    ``_stored`` and ``_stored_minus`` on fresh codes."""
+    from synfuzz import codespec
+
+    synd = (1, 2, 0, 3)
+    raw = codespec._parse_code(spec)._template(synd)
+    assert syndrome_from_bytes(codespec._parse_code(spec), raw) == synd
+    assert codespec._parse_code(spec)._stored_minus(raw, raw) == bytes(4)
+
+
 def test_syndrome_length_equals_redundancy_in_symbols():
     rs15 = RsCode(ExtField(2, 4), 15, 5)
     comp = ExpandedCode.companion_array(rs15, 3, 5)

@@ -506,8 +506,8 @@ def test_bch_names_its_base_field_in_symbol_errors():
 
 
 def test_decoding_tables_stay_under_their_caps(fresh_codes):
-    """Decoding every golden construction builds Chien tables of at most
-    2^21 bits and coset tables of at most 4096 entries: a binary table
+    """Decoding every golden construction builds Chien tables within
+    admission's bound, r*m*n*8 <= 64*8*255*8 bits, and coset tables of at most 4096 entries: a binary table
     one per pattern of weight <= t, an odd-p table one per remainder."""
     chien, cosets = [], []
     for _, spec, _, _, seed in GOLDEN:
@@ -523,7 +523,7 @@ def test_decoding_tables_stay_under_their_caps(fresh_codes):
     for code in chien:
         columns = code._chien
         assert len(columns) == code.count * code.field.m
-        assert len(columns) * code.n * 8 <= rs._CHIEN_CAP_BITS
+        assert len(columns) * code.n * 8 <= 64 * 8 * 255 * 8
         assert max(c.bit_length() for c in columns) <= 8 * code.n
     for code in cosets:
         n, t = code.n, code.design_t
@@ -535,20 +535,20 @@ def test_decoding_tables_stay_under_their_caps(fresh_codes):
 
 
 def test_codes_above_the_caps_keep_the_scalar_decoders(monkeypatch):
-    """The size predicates refuse what the caps exclude, and a code they
+    """The predicates refuse what the rules exclude, and a code they
     refuse decodes without building a table."""
     outer = parse_spec(LARGEST_FLAT_CONCAT).outer
-    assert not rs._chien_fits(outer.field, outer.n, outer.redundancy)  # m = 16
-    assert not rs._chien_fits(ExtField(2, 8), 255, 155)  # 155 * 8 columns of 255 bytes
-    assert rs._chien_fits(ExtField(2, 8), 255, 128)
-    assert not rs._chien_fits(ExtField(3, 4), 80, 8)  # odd p
+    assert not rs._chien_fits(outer.field)  # m = 16
+    assert not rs._chien_fits(ExtField(2, 9))
+    assert rs._chien_fits(ExtField(2, 8))
+    assert not rs._chien_fits(ExtField(3, 4))  # odd p
     assert not BchCode(2, 6, 3)._by_cosets  # 2^18 remainders
     assert BchCode(2, 6, 2)._by_cosets and BchCode(2, 3, 1)._by_cosets  # 2^12 and 2^3
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a decoding table above its cap")
 
-    code = RsCode(ExtField(2, 8), 255, 100)
+    code = RsCode(ExtField(2, 9), 255, 100)
     error = [0] * 255
     for at in (3, 90, 254):
         error[at] = at

@@ -54,7 +54,8 @@ def test_each_golden_construction_takes_its_paths():
 
 
 def rs_255(k):
-    """rs(255,k;gf(2^8)), built directly: no spec reaches the Chien cap."""
+    """rs(255,k;gf(2^8)), built directly: its redundancy is past
+    admission's 64, and it decodes on regions at any."""
     return lambda: RsCode(ExtField(2, 8), 255, k)
 
 
@@ -73,7 +74,8 @@ CAP_SIDES = [
     ("concat(inner=bch(26,7;gf(3)), outer=rs(4,2;gf(3^4)), layout=flat)",
      "inner._by_cosets", False),  # 3^22 remainders
     (rs_255(128), "_by_region", True),  # 127 * 8 columns of 255 bytes
-    (rs_255(100), "_by_region", False),  # 155 * 8 columns
+    (rs_255(100), "_by_region", True),  # 155 * 8 columns
+    ("cI(rs(300,236;gf(2^9)))", "outer._by_region", False),  # m = 9
 ]
 CASES = [g[1] for g in GOLDEN + WIDE_GOLDEN] + [spec for spec, _, _ in CAP_SIDES]
 IDS = [g[0] for g in GOLDEN + WIDE_GOLDEN] + [
@@ -84,7 +86,6 @@ IDS = [g[0] for g in GOLDEN + WIDE_GOLDEN] + [
 def test_each_cap_falls_between_its_pair(spec, path, on):
     assert (path in paths_on(fresh_code(spec))) == on
     assert rs._COLUMN_CAP_CELLS == 256 and rs._COSET_CAP == 4096
-    assert rs._CHIEN_CAP_BITS == 1 << 21
 
 
 def blocks(code):

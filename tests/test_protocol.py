@@ -59,13 +59,29 @@ def test_scatter_inverts_gather(stem, spec, shape, q, seed):
 
 @pytest.mark.parametrize("spec", ROW_MAJOR)
 def test_row_major_codes_build_no_block_order(spec):
-    """A one-row code's block order is the identity: it keeps a range,
-    no table of offsets."""
+    """A one-row code's layout lists no block order: its order is the
+    identity, packed as every block code's is."""
     code = parse_spec(spec)
     word = one_cell_word(code, 7)
     assert code.decode(code.syndrome(word)) == word
     assert code._block_order() is None
-    assert vars(code)["_order"] == range(code.base_length)
+    assert vars(code)["_order"].tolist() == list(range(code.base_length))
+
+
+BLOCK_GOLDEN = [g for g in GOLDEN + WIDE_GOLDEN if not g[1].startswith("rs(")]
+
+
+@pytest.mark.parametrize("stem,spec,shape,q,seed", BLOCK_GOLDEN, ids=[g[0] for g in BLOCK_GOLDEN])
+def test_each_block_takes_its_slice_of_the_block_order(stem, spec, shape, q, seed):
+    """A block's offsets are its cells in block-format order: its slice
+    of the layout's block order, or of the identity for a one-row code,
+    in any order of blocks."""
+    code = parse_spec(spec)
+    order, width = code._block_order() or range(code.base_length), code._width
+    blocks = list(range(code.outer.n))
+    random.Random(seed).shuffle(blocks)
+    assert list(code._offsets(blocks)) == [at for i in blocks for at in order[i * width : (i + 1) * width]]
+    assert list(code._offsets(range(code.outer.n))) == list(order)
 
 
 def test_block_order_is_built_once():

@@ -414,7 +414,7 @@ def _locators(field, n, r, rng):
 @pytest.mark.parametrize(
     "m,n,r",
     [(3, 7, 4), (3, 5, 4), (4, 15, 8), (4, 11, 6), (7, 127, 18), (7, 40, 8),
-     (8, 255, 32), (8, 100, 16)],
+     (7, 127, 100), (8, 255, 32), (8, 100, 16)],
     ids=lambda v: str(v),
 )
 def test_packed_chien_search_matches_the_scalar_one(m, n, r):
@@ -422,7 +422,7 @@ def test_packed_chien_search_matches_the_scalar_one(m, n, r):
     from synfuzz import rs
 
     field = ExtField(2, m)
-    assert rs._chien_fits(field, n, r)
+    assert rs._chien_fits(field)
     for psi in _locators(field, n, r, random.Random(1000 * m + n)):
         got = rs._chien_search(field, bytes(psi), n, rs._chien_table(field, n, r))
         assert got == rs._chien_roots(field, psi, n)[0], psi
